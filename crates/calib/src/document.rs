@@ -8,6 +8,7 @@ use crate::overlap::{overlap_windows, OverlapWindow};
 use nkt_machine::{machine, Machine, MachineId};
 use nkt_net::{cluster, NetId};
 use nkt_prof::{from_threads, from_trace_json, PRank};
+use nkt_trace::json::quote;
 use nkt_trace::{json_f64_exact, ThreadData};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -108,19 +109,19 @@ impl Calibration {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"nkt-calib-1\",");
-        let _ = writeln!(out, "  \"run\": {},", json_str(&self.run));
+        let _ = writeln!(out, "  \"run\": {},", quote(&self.run));
         let _ = writeln!(out, "  \"ranks\": {},", self.ranks.len());
-        let net = self.net.map_or("null".to_string(), |id| json_str(id.slug()));
+        let net = self.net.map_or("null".to_string(), |id| quote(id.slug()));
         let _ = writeln!(out, "  \"net\": {net},");
-        let _ = writeln!(out, "  \"machine\": {},", json_str(self.machine().name));
+        let _ = writeln!(out, "  \"machine\": {},", quote(self.machine().name));
         out.push_str("  \"drift\": [\n");
         for (i, d) in self.drift.iter().enumerate() {
             let c = if i + 1 < self.drift.len() { "," } else { "" };
             let _ = writeln!(
                 out,
                 "    {{\"class\": {}, \"name\": {}, \"calls\": {}, \"vsecs\": {}, \"bytes\": {}, \"flops\": {}, \"vshare\": {}}}{c}",
-                json_str(d.class),
-                json_str(&d.name),
+                quote(d.class),
+                quote(&d.name),
                 d.calls,
                 f(d.vsecs),
                 d.bytes,
@@ -136,7 +137,7 @@ impl Calibration {
                 let _ = writeln!(
                     out,
                     "  \"alpha_beta\": {{\"channel\": {}, \"samples\": {}, \"alpha_us\": {}, \"beta_mbs\": {}, \"max_resid_us\": {}, \"static_alpha_us\": {}, \"static_beta_mbs\": {}}},",
-                    json_str(&ab.channel),
+                    quote(&ab.channel),
                     ab.samples,
                     f(ab.alpha_us),
                     f(ab.beta_mbs),
@@ -152,8 +153,8 @@ impl Calibration {
             let _ = writeln!(
                 out,
                 "    {{\"kernel\": {}, \"unit\": {}, \"r_inf\": {}, \"n_half\": {}, \"points\": {}, \"max_rel_err\": {}}}{c}",
-                json_str(k.kernel),
-                json_str(k.unit),
+                quote(k.kernel),
+                quote(k.unit),
                 f(k.r_inf),
                 f(k.n_half),
                 k.points,
@@ -166,7 +167,7 @@ impl Calibration {
             let _ = writeln!(
                 out,
                 "    {{\"stage\": {}, \"applies\": {}, \"interior\": {}, \"boundary\": {}, \"window\": {}, \"coef\": {}}}{c}",
-                json_str(&w.stage),
+                quote(&w.stage),
                 w.applies,
                 w.interior,
                 w.boundary,
@@ -186,13 +187,11 @@ impl Calibration {
         Ok(path)
     }
 
-    /// Writes `CALIB_<run>.json` into the configured results directory
-    /// (`NKT_TRACE_DIR` if set, else `<workspace>/results`).
+    /// Writes `CALIB_<run>.json` into the trace output directory
+    /// ([`nkt_trace::out_dir`]: `set_thread_dir` / `set_dir` overrides,
+    /// then `NKT_TRACE_DIR`, else `<workspace>/results`).
     pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = std::env::var("NKT_TRACE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| nkt_trace::results_dir());
-        self.write_to(&dir)
+        self.write_to(&nkt_trace::out_dir())
     }
 
     /// Renders the "fact or fiction" report: drift rows with their
@@ -315,26 +314,6 @@ impl Calibration {
     }
 }
 
-/// JSON string escape (same rules as the trace exporter).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 #[cfg(test)]
 mod tests {

@@ -42,5 +42,5 @@ pub use epoch::{
 pub use error::CkptError;
 pub use format::{crc32, CkptFile, CkptWriter, FORMAT_VERSION, MAGIC};
 pub use policy::CkptConfig;
-pub use tandem::{Tandem, TandemMut};
+pub use tandem::TandemMut;
 pub use traits::{Checkpointable, Fnv1a, CLOCK_SECTION};

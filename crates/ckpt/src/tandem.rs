@@ -1,6 +1,6 @@
-//! [`Tandem`]: one shard holding two [`Checkpointable`]s — a solver plus
-//! a rider (the `nkt-stats` recorder) — so statistics survive restart in
-//! the *same* atomic commit as the state they describe.
+//! [`TandemMut`]: one shard holding two [`Checkpointable`]s — a solver
+//! plus a rider (the `nkt-stats` recorder) — so statistics survive
+//! restart in the *same* atomic commit as the state they describe.
 //!
 //! Snapshotting solver and statistics as separate epochs would open a
 //! window where one commits and the other does not; on restore the
@@ -19,40 +19,15 @@ use crate::error::CkptError;
 use crate::format::{CkptFile, CkptWriter};
 use crate::traits::Checkpointable;
 
-/// Two checkpointables written into one shard: `main` owns the identity
-/// (kind, step), `rider` contributes extra sections.
-pub struct Tandem<'a> {
+/// Two checkpointables in one shard, for both the write and the restore
+/// path: `main` owns the identity (kind, step), `rider` contributes
+/// extra sections.
+pub struct TandemMut<'a> {
     /// The solver state; its `kind()`/`ckpt_step()` name the shard.
-    pub main: &'a dyn Checkpointable,
+    pub main: &'a mut dyn Checkpointable,
     /// The rider (e.g. a statistics recorder); sections must not collide
     /// with the main state's.
-    pub rider: &'a dyn Checkpointable,
-}
-
-/// Mutable twin of [`Tandem`] for the restore path.
-pub struct TandemMut<'a> {
-    /// The solver state.
-    pub main: &'a mut dyn Checkpointable,
-    /// The rider.
     pub rider: &'a mut dyn Checkpointable,
-}
-
-impl Checkpointable for Tandem<'_> {
-    fn kind(&self) -> &'static str {
-        self.main.kind()
-    }
-    fn write_sections(&self, w: &mut CkptWriter) {
-        self.main.write_sections(w);
-        self.rider.write_sections(w);
-    }
-    fn read_sections(&mut self, _f: &CkptFile) -> Result<(), CkptError> {
-        Err(CkptError::StateMismatch {
-            what: "Tandem is write-only; restore through TandemMut".to_string(),
-        })
-    }
-    fn ckpt_step(&self) -> u64 {
-        self.main.ckpt_step()
-    }
 }
 
 impl Checkpointable for TandemMut<'_> {
@@ -140,9 +115,9 @@ mod tests {
 
     #[test]
     fn tandem_roundtrips_both_sections() {
-        let solver = Solver { x: vec![1.5, 2.5], steps: 7 };
-        let rider = Rider { count: 42 };
-        let t = Tandem { main: &solver, rider: &rider };
+        let mut solver = Solver { x: vec![1.5, 2.5], steps: 7 };
+        let mut rider = Rider { count: 42 };
+        let t = TandemMut { main: &mut solver, rider: &mut rider };
         assert_eq!(t.kind(), "toy");
         assert_eq!(t.ckpt_step(), 7);
         let mut w = CkptWriter::new();
@@ -174,9 +149,9 @@ mod tests {
 
     #[test]
     fn tandem_hash_covers_rider_state() {
-        let solver = Solver { x: vec![1.0], steps: 1 };
-        let a = Tandem { main: &solver, rider: &Rider { count: 1 } };
-        let b = Tandem { main: &solver, rider: &Rider { count: 2 } };
-        assert_ne!(a.state_hash(), b.state_hash());
+        let mut solver = Solver { x: vec![1.0], steps: 1 };
+        let a = TandemMut { main: &mut solver, rider: &mut Rider { count: 1 } }.state_hash();
+        let b = TandemMut { main: &mut solver, rider: &mut Rider { count: 2 } }.state_hash();
+        assert_ne!(a, b);
     }
 }

@@ -17,6 +17,9 @@
 //!   discretisation with element-based domain decomposition
 //!   (nkt-partition), gather-scatter halo exchange (nkt-gs), diagonally
 //!   preconditioned CG, moving-mesh (ALE) terms (Table 3, Figures 15–16).
+//! * [`drive`] — the one [`drive::Simulation`] trait and [`drive::drive`]
+//!   loop (restore → step / sample / checkpoint-cut) every run of the
+//!   three codes goes through, plus the shared demo [`drive::cases`].
 //! * [`timers`] — the paper's 7-stage breakdown of a time step
 //!   (Figure 12) and CPU-vs-wall ledgers.
 //! * [`opstream`] / [`workload`] / [`replay`] — the operation-stream
@@ -28,6 +31,7 @@
 #![allow(clippy::too_many_arguments)]
 pub mod ale;
 pub mod decomp;
+pub mod drive;
 pub mod fourier;
 pub mod hex3d;
 pub mod opstream;

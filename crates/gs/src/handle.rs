@@ -286,15 +286,6 @@ impl GsHandle {
         })
     }
 
-    /// Builds the exchange plan, panicking on a defective sharer table.
-    #[deprecated(note = "use `try_setup`, which reports plan defects as typed `GsError`s")]
-    pub fn setup(comm: &mut Comm, global_ids: &[u64], strategy: GsStrategy) -> GsHandle {
-        match Self::try_setup(comm, global_ids, strategy) {
-            Ok(h) => h,
-            Err(e) => panic!("gs setup failed: {e}"),
-        }
-    }
-
     /// The strategy this handle was built with.
     pub fn strategy(&self) -> GsStrategy {
         self.strategy
@@ -630,19 +621,6 @@ mod tests {
         for v in out {
             assert_eq!(v, vec![2.0, 42.0]);
         }
-    }
-
-    #[test]
-    fn deprecated_setup_still_builds_a_working_plan() {
-        let out = run(2, testnet(), |c| {
-            #[allow(deprecated)]
-            let gs = GsHandle::setup(c, &[1, 2 + c.rank() as u64], GsStrategy::Hybrid);
-            let mut v = vec![1.0, 1.0];
-            gs.exchange(c, &mut v, ReduceOp::Sum);
-            v
-        });
-        assert_eq!(out[0], vec![2.0, 1.0]);
-        assert_eq!(out[1], vec![2.0, 1.0]);
     }
 
     #[test]

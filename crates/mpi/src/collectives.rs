@@ -53,13 +53,6 @@ impl Grp<'_> {
             None => g,
         }
     }
-
-    fn grp_of_world(&self, w: usize) -> usize {
-        match self.ranks {
-            Some(v) => v.iter().position(|&x| x == w).expect("sender is not a group member"),
-            None => w,
-        }
-    }
 }
 
 /// Reduction operator for [`Comm::allreduce`].

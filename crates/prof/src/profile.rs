@@ -5,6 +5,7 @@
 use crate::attrib::{comm_matrix, op_stats, stage_attributed, stage_stats, MatrixCell, OpStat, StageStat};
 use crate::critpath::{critical_path, CriticalPath};
 use crate::model::{from_threads, from_trace_json, PRank};
+use nkt_trace::json::quote;
 use nkt_trace::{json_f64_exact, ThreadData};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -93,7 +94,7 @@ impl Profile {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"nkt-prof-1\",");
-        let _ = writeln!(out, "  \"run\": {},", json_str(&self.run));
+        let _ = writeln!(out, "  \"run\": {},", quote(&self.run));
         let _ = writeln!(out, "  \"ranks\": {},", self.ranks.len());
         let _ = writeln!(out, "  \"total_wait\": {},", f(self.total_wait()));
         let _ = writeln!(out, "  \"wait_share\": {},", f(self.wait_share()));
@@ -108,7 +109,7 @@ impl Profile {
             let _ = writeln!(
                 out,
                 "    {{\"op\": {}, \"calls\": {}, \"vtime\": {}, \"sends\": {}, \"send_bytes\": {}, \"send_time\": {}, \"recvs\": {}, \"recv_time\": {}, \"wait\": {}, \"wire\": {}, \"late\": {}}}{c}",
-                json_str(&o.op),
+                quote(&o.op),
                 o.calls,
                 f(o.vtime),
                 o.sends,
@@ -137,7 +138,7 @@ impl Profile {
             let _ = writeln!(
                 out,
                 "    {{\"stage\": {}, \"min\": {}, \"median\": {}, \"max\": {}, \"mean\": {}, \"imbalance\": {}, \"cpu\": {}, \"per_rank\": [{}]}}{c}",
-                json_str(&s.stage),
+                quote(&s.stage),
                 f(s.min),
                 f(s.median),
                 f(s.max),
@@ -159,7 +160,7 @@ impl Profile {
                 out,
                 "      {{\"rank\": {}, \"kind\": {}, \"from\": {from}, \"t0\": {}, \"t1\": {}}}{c}",
                 s.rank,
-                json_str(s.kind),
+                quote(s.kind),
                 f(s.t0),
                 f(s.t1),
             );
@@ -167,7 +168,7 @@ impl Profile {
         out.push_str("    ],\n    \"composition\": [");
         for (i, (label, t)) in cp.composition.iter().enumerate() {
             let c = if i + 1 < cp.composition.len() { ", " } else { "" };
-            let _ = write!(out, "{{\"label\": {}, \"time\": {}}}{c}", json_str(label), f(*t));
+            let _ = write!(out, "{{\"label\": {}, \"time\": {}}}{c}", quote(label), f(*t));
         }
         out.push_str("]\n  }\n}\n");
         out
@@ -181,13 +182,11 @@ impl Profile {
         Ok(path)
     }
 
-    /// Writes `PROF_<run>.json` into the configured results directory
-    /// (`NKT_TRACE_DIR` if set, else `<workspace>/results`).
+    /// Writes `PROF_<run>.json` into the trace output directory
+    /// ([`nkt_trace::out_dir`]: `set_thread_dir` / `set_dir` overrides,
+    /// then `NKT_TRACE_DIR`, else `<workspace>/results`).
     pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = std::env::var("NKT_TRACE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| nkt_trace::results_dir());
-        self.write_to(&dir)
+        self.write_to(&nkt_trace::out_dir())
     }
 
     /// Cross-checks the per-stage attributed times (host + virtual span
@@ -321,23 +320,3 @@ impl Profile {
     }
 }
 
-/// JSON string escape (same rules as the trace exporter).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}

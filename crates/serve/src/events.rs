@@ -19,7 +19,7 @@
 //! the job's tenant ledger (rank-steps) *after* any charge the event
 //! settled; `preemptions` is the job's lifetime eviction count.
 
-use nkt_trace::json::{parse, Value};
+use nkt_trace::json::{parse, quote, Value};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -61,9 +61,9 @@ impl EventLog {
     ) {
         let line = format!(
             "{{\"tick\": {tick}, \"event\": {}, \"job\": {}, \"tenant\": {}, \"step\": {step}, \"preemptions\": {preemptions}, \"usage\": {usage}}}\n",
-            json_str(event),
-            json_str(job),
-            json_str(tenant),
+            quote(event),
+            quote(job),
+            quote(tenant),
         );
         if let Err(e) = self.file.write_all(line.as_bytes()) {
             eprintln!("serve: cannot append to {}: {e}", self.path.display());
@@ -71,26 +71,6 @@ impl EventLog {
     }
 }
 
-/// Minimal JSON string escape (job/tenant names and event tags).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Renders an `EVENTS_*.jsonl` document as a human-readable timeline
 /// with a per-event tally. Returns an error string for unparseable

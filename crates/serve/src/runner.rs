@@ -5,38 +5,30 @@
 //!
 //! ## Preemption protocol (worker side)
 //!
-//! At every interior checkpoint cut the solver folds its stats, writes
-//! the epoch, and then rank 0 exchanges with the scheduler:
-//! `Event::AtCut` out, one [`Directive`] back, broadcast to the peer
-//! ranks as a single f64 over the job's own net model. The exchange sits
-//! *inside* the fold/rebaseline bracket, so the engine round-trip is
-//! excluded from the stats MPI ledger — a preempted-and-resumed run and
-//! an uninterrupted run perform byte-identical sampling. `Preempt`
-//! breaks the step loop right after the epoch landed: the on-disk state
-//! is exactly the state the next slice restores, which is what makes
-//! eviction bitwise invisible.
+//! The step loop is `nektar::drive::drive`; this module only supplies
+//! its [`Hook`]. At every checkpoint cut rank 0 exchanges with the
+//! scheduler: `Event::AtCut` out, one [`Directive`] back, broadcast to
+//! the peer ranks as a single f64 over the job's own net model. `drive`
+//! calls the hook *inside* its fold/rebaseline bracket, so the engine
+//! round-trip is excluded from the stats MPI ledger — a
+//! preempted-and-resumed run and an uninterrupted run perform
+//! byte-identical sampling. `Preempt` stops the loop right after the
+//! epoch landed: the on-disk state is exactly the state the next slice
+//! restores, which is what makes eviction bitwise invisible.
 //!
-//! Final-step cuts skip the exchange — the job is about to exit anyway,
-//! and the scheduler expects exactly one event per running job per tick.
+//! The final step never cuts (the `drive` cut rule), so the scheduler
+//! sees exactly one event per running job per tick.
 
 use crate::sched::{Directive, Event};
 use crate::spec::{host_machine, JobSpec, SolverKind};
 use crate::store::{write_manifest, ArtifactEntry, ManifestData};
-use nektar::ale::{AleConfig, NektarAle};
-use nektar::fourier::{FourierConfig, NektarF};
-use nektar::serial2d::{Serial2dSolver, SolverConfig};
-use nektar::stats::{sample_ale, sample_fourier, sample_serial2d};
-use nektar::stats::{ALE_CHANNELS, FOURIER_CHANNELS, SERIAL2D_CHANNELS};
-use nkt_ckpt::{
-    restore_latest, restore_latest_serial, write_epoch, write_epoch_serial, Checkpointable,
-    CkptConfig, Tandem, TandemMut,
-};
-use nkt_mesh::{bluff_body_mesh, rect_quads, wing_box_mesh};
+use nektar::drive::{cases, drive, Ctx, Hook, Plan, Serial, Simulation};
+use nkt_ckpt::CkptConfig;
 use nkt_mpi::{Comm, World};
 use nkt_net::cluster;
-use nkt_partition::{partition_kway, Graph, PartitionOptions};
-use nkt_stats::{RuleLimits, StatsRecorder};
+use nkt_stats::StatsRecorder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
@@ -61,8 +53,8 @@ pub(crate) enum SliceExit {
     Failed(String),
 }
 
-/// Everything a slice needs besides its channel endpoints.
-pub(crate) struct SliceCtx {
+/// A job's identity and bookkeeping, as one slice of it needs them.
+pub(crate) struct JobCtx {
     pub job_id: usize,
     pub spec: JobSpec,
     /// Per-job artifact directory.
@@ -74,29 +66,21 @@ pub(crate) struct SliceCtx {
     pub preemptions: u64,
     /// Eligible-but-queued ticks so far (manifest bookkeeping).
     pub wait_ticks: u64,
-    pub event_tx: Sender<Event>,
-    pub directive_rx: Receiver<Directive>,
 }
 
 /// Worker-thread entry point: runs the slice, exports per-job
 /// trace/profile artifacts on finish, and always sends exactly one
 /// `Event::Exited` — even if the world panicked.
-pub(crate) fn run_slice(ctx: SliceCtx) {
-    let SliceCtx { job_id, spec, dir, scope, preemptions, wait_ticks, event_tx, directive_rx } =
-        ctx;
-    let jc = JobCtx { job_id, spec, dir, scope, preemptions, wait_ticks };
+pub(crate) fn run_slice(jc: JobCtx, event_tx: Sender<Event>, directive_rx: Receiver<Directive>) {
     // The worker thread itself records under the job's identity too:
     // spans emitted here (artifact export) belong to the job, and any
     // flight dump from a failure lands in the job's directory.
     nkt_trace::set_thread_scope(jc.scope);
     nkt_trace::set_thread_dir(Some(jc.dir.clone()));
     nkt_trace::flight::set_thread_run(Some(&jc.spec.name));
-    let exit = catch_unwind(AssertUnwindSafe(|| match jc.spec.solver {
-        SolverKind::Fourier { .. } => run_fourier(&jc, &event_tx, directive_rx),
-        SolverKind::Serial2d => run_serial2d(&jc, &event_tx, directive_rx),
-        SolverKind::Ale => run_ale(&jc, &event_tx, directive_rx),
-    }))
-    .unwrap_or_else(|p| {
+    // The rank closures must be `Sync`; a `Receiver` is not.
+    let link = Mutex::new((event_tx.clone(), directive_rx));
+    let exit = catch_unwind(AssertUnwindSafe(|| run_job(&jc, &link))).unwrap_or_else(|p| {
         let msg = p
             .downcast_ref::<String>()
             .cloned()
@@ -109,77 +93,116 @@ pub(crate) fn run_slice(ctx: SliceCtx) {
     }
     // The scheduler owns the receiver for the whole batch; a send can
     // only fail if serve() itself already bailed out.
-    let _ = event_tx.send(Event::Exited { job: job_id, exit });
+    let _ = event_tx.send(Event::Exited { job: jc.job_id, exit });
 }
 
-struct JobCtx {
-    job_id: usize,
-    spec: JobSpec,
-    dir: PathBuf,
-    scope: u64,
-    preemptions: u64,
-    wait_ticks: u64,
-}
+/// Per-rank end state of a slice — the cut it was preempted at, if any,
+/// and the solver's final numbers; only rank 0's copy is consulted.
+type RankEnd = (Option<u64>, JobResult);
 
-impl JobCtx {
-    fn ckpt(&self) -> CkptConfig {
-        let every = (self.spec.ckpt_every > 0).then_some(self.spec.ckpt_every);
-        CkptConfig::new(self.dir.clone(), &self.spec.name, every)
-    }
-}
+type Link = Mutex<(Sender<Event>, Receiver<Directive>)>;
 
-/// Per-rank end state of a slice; only rank 0's copy is consulted.
-struct RankEnd {
-    preempted_at: Option<u64>,
-    hash: u64,
-    steps: u64,
-    energy: f64,
-}
-
-/// Rank 0 asks the scheduler whether to continue past this epoch cut;
-/// the verdict rides to the peers as one f64 over the job's own net.
-/// Returns false to preempt. A vanished scheduler reads as `Preempt`:
-/// the epoch just landed, so stopping here is always safe.
-fn exchange(
-    c: &mut Comm,
-    link: &Mutex<(Sender<Event>, Receiver<Directive>)>,
+/// The scheduler's seat in the drive loop. At each cut rank 0 asks the
+/// scheduler whether to continue past this epoch; the verdict rides to
+/// the peers as one f64 over the job's own net. A vanished scheduler
+/// reads as `Preempt`: the epoch just landed, so stopping here is
+/// always safe.
+struct AtCut<'a> {
     job: usize,
-    step: u64,
-) -> bool {
-    let mut cont = [1.0f64];
-    if c.rank() == 0 {
-        let sp = nkt_trace::span("serve.cut", "serve");
-        let l = link.lock().unwrap();
-        cont[0] = if l.0.send(Event::AtCut { job, step }).is_ok() {
-            match l.1.recv() {
-                Ok(Directive::Continue) => 1.0,
-                Ok(Directive::Preempt) | Err(_) => 0.0,
-            }
+    link: &'a Link,
+}
+
+impl<S: Simulation> Hook<S> for AtCut<'_> {
+    fn cut(&mut self, c: &mut S::Ctx, step: u64) -> ControlFlow<()> {
+        let mut cont = [1.0f64];
+        if c.rank() == 0 {
+            let sp = nkt_trace::span("serve.cut", "serve");
+            let l = self.link.lock().expect("no rank panics while holding the scheduler link");
+            cont[0] = if l.0.send(Event::AtCut { job: self.job, step }).is_ok() {
+                match l.1.recv() {
+                    Ok(Directive::Continue) => 1.0,
+                    Ok(Directive::Preempt) | Err(_) => 0.0,
+                }
+            } else {
+                0.0
+            };
+            drop(l);
+            drop(sp);
+        }
+        if let Some(c) = c.comm() {
+            c.bcast(0, &mut cont);
+        }
+        if cont[0] >= 1.0 {
+            ControlFlow::Continue(())
         } else {
-            0.0
-        };
-        drop(l);
-        drop(sp);
+            ControlFlow::Break(())
+        }
     }
-    c.bcast(0, &mut cont);
-    cont[0] >= 1.0
 }
 
-/// Serial twin of [`exchange`] — no broadcast, no lock.
-fn exchange_serial(
-    tx: &Sender<Event>,
-    rx: &Receiver<Directive>,
-    job: usize,
-    step: u64,
-) -> bool {
-    let sp = nkt_trace::span("serve.cut", "serve");
-    let cont = if tx.send(Event::AtCut { job, step }).is_ok() {
-        matches!(rx.recv(), Ok(Directive::Continue))
-    } else {
-        false
+/// Builds the job's demo problem from the `cases` catalog and runs one
+/// slice of it: on the job's own virtual cluster for the parallel
+/// solvers, on this worker thread for the serial one.
+fn run_job(jc: &JobCtx, link: &Link) -> SliceExit {
+    let spec = &jc.spec;
+    match spec.solver {
+        SolverKind::Fourier { nz, pr, pc } => run_world(jc, link, |c| {
+            cases::fourier(c, nz, Some((pr, pc))).map_err(|e| e.to_string())
+        }),
+        SolverKind::Serial2d => {
+            // Name the worker thread so its spans read like a one-rank
+            // world in the per-job timeline.
+            nkt_trace::set_thread_meta(format!("{} rank 0", spec.name), Some(0));
+            slice_exit(vec![run_rank(jc, link, cases::wake(), &mut Serial)])
+        }
+        SolverKind::Ale => {
+            let case = cases::wing(spec.ranks);
+            run_world(jc, link, |c| Ok(case.build(c)))
+        }
+    }
+}
+
+fn run_world<S: Simulation<Ctx = Comm>>(
+    jc: &JobCtx,
+    link: &Link,
+    build: impl Fn(&mut Comm) -> Result<S, String> + Sync,
+) -> SliceExit {
+    let outs = World::from_env()
+        .ranks(jc.spec.ranks)
+        .net(cluster(jc.spec.net))
+        .trace_scope(jc.scope)
+        .trace_dir(jc.dir.clone())
+        .flight_run(jc.spec.name.clone())
+        .run(|c| run_rank(jc, link, build(c)?, c));
+    slice_exit(outs)
+}
+
+/// One rank's slice: drive to the budget or to a preempting cut; on
+/// finish rank 0 writes the job's artifacts.
+fn run_rank<S: Simulation>(
+    jc: &JobCtx,
+    link: &Link,
+    mut sim: S,
+    ctx: &mut S::Ctx,
+) -> Result<RankEnd, String> {
+    let spec = &jc.spec;
+    let every = (spec.ckpt_every > 0).then_some(spec.ckpt_every);
+    let plan = Plan {
+        steps: spec.steps,
+        stats_every: spec.stats_every,
+        ckpt: CkptConfig::new(jc.dir.clone(), &spec.name, every),
     };
-    drop(sp);
-    cont
+    let out = drive(&mut sim, ctx, &plan, &mut AtCut { job: jc.job_id, link })
+        .map_err(|e| e.to_string())?;
+    let result = JobResult {
+        state_hash: sim.state_hash(),
+        steps: sim.ckpt_step(),
+        energy: sim.kinetic_energy(ctx),
+    };
+    if out.stopped_at.is_none() && ctx.rank() == 0 {
+        finish_rank0(jc, &out.rec, &result, &plan.ckpt)?;
+    }
+    Ok((out.stopped_at, result))
 }
 
 /// Rank 0's finishing duties: STATS artifact (when sampling), then the
@@ -187,8 +210,7 @@ fn exchange_serial(
 fn finish_rank0(
     jc: &JobCtx,
     rec: &StatsRecorder,
-    hash: u64,
-    steps: u64,
+    result: &JobResult,
     ckpt: &CkptConfig,
 ) -> Result<(), String> {
     let spec = &jc.spec;
@@ -238,8 +260,8 @@ fn finish_rank0(
     let m = ManifestData {
         spec,
         machine: nkt_machine::machine(host_machine(spec.net)).name,
-        state_hash: hash,
-        steps_done: steps,
+        state_hash: result.state_hash,
+        steps_done: result.steps,
         preemptions: jc.preemptions,
         queue_wait_ticks: jc.wait_ticks,
         artifacts,
@@ -286,212 +308,7 @@ fn export_job_observability(jc: &JobCtx) {
 fn slice_exit(outs: Vec<Result<RankEnd, String>>) -> SliceExit {
     match outs.into_iter().next().expect("world returned no ranks") {
         Err(e) => SliceExit::Failed(e),
-        Ok(end) => match end.preempted_at {
-            Some(step) => SliceExit::Preempted { step },
-            None => SliceExit::Finished(JobResult {
-                state_hash: end.hash,
-                steps: end.steps,
-                energy: end.energy,
-            }),
-        },
-    }
-}
-
-fn fourier_init(x: [f64; 3]) -> [f64; 3] {
-    let pi = std::f64::consts::PI;
-    let (sx, cx) = (pi * x[0]).sin_cos();
-    let (sy, cy) = (pi * x[1]).sin_cos();
-    [
-        2.0 * pi * sx * sx * sy * cy * (1.0 + 0.3 * x[2].cos()),
-        -2.0 * pi * sx * cx * sy * sy * (1.0 + 0.3 * x[2].cos()),
-        0.0,
-    ]
-}
-
-fn run_fourier(jc: &JobCtx, tx: &Sender<Event>, rx: Receiver<Directive>) -> SliceExit {
-    let SolverKind::Fourier { nz, pr, pc } = jc.spec.solver else {
-        unreachable!("run_fourier dispatched for {:?}", jc.spec.solver)
-    };
-    let spec = &jc.spec;
-    let link = Mutex::new((tx.clone(), rx));
-    let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 3, 3);
-    let cfg = FourierConfig {
-        order: 4,
-        dt: 1e-3,
-        nu: 0.02,
-        nz,
-        lz: 2.0 * std::f64::consts::PI,
-        scheme_order: 2,
-    };
-    let health = nkt_stats::health_enabled();
-    let outs = World::from_env()
-        .ranks(spec.ranks)
-        .net(cluster(spec.net))
-        .trace_scope(jc.scope)
-        .trace_dir(jc.dir.clone())
-        .flight_run(spec.name.clone())
-        .run(|c| {
-            let mut solver = NektarF::try_new_with_grid(c, &mesh, cfg.clone(), pr, pc)
-                .map_err(|e| e.to_string())?;
-            solver.set_initial(fourier_init);
-            let mut rec =
-                StatsRecorder::new(FOURIER_CHANNELS.to_vec(), spec.stats_every, c.size());
-            let limits = RuleLimits::default();
-            let ckpt = jc.ckpt();
-            if ckpt.enabled() {
-                let mut tandem = TandemMut { main: &mut solver, rider: &mut rec };
-                let _ = restore_latest(c, &ckpt, &mut tandem);
-            }
-            rec.rebaseline(c);
-            let mut preempted_at = None;
-            for step in (solver.steps() as u64 + 1)..=spec.steps {
-                solver.step(c);
-                if rec.due(step) {
-                    sample_fourier(&mut solver, c, &mut rec, step, &limits, health)
-                        .map_err(|e| e.to_string())?;
-                }
-                if step < spec.steps && ckpt.should(step as usize) {
-                    rec.fold(c);
-                    let tandem = Tandem { main: &solver, rider: &rec };
-                    write_epoch(c, &ckpt, step as usize, &tandem).map_err(|e| e.to_string())?;
-                    let cont = exchange(c, &link, jc.spec_job_id(), step);
-                    rec.rebaseline(c);
-                    if !cont {
-                        preempted_at = Some(step);
-                        break;
-                    }
-                }
-            }
-            let hash = solver.state_hash();
-            let steps = solver.steps() as u64;
-            let energy = solver.kinetic_energy(c);
-            if preempted_at.is_none() && c.rank() == 0 {
-                finish_rank0(jc, &rec, hash, steps, &ckpt)?;
-            }
-            Ok(RankEnd { preempted_at, hash, steps, energy })
-        });
-    slice_exit(outs)
-}
-
-fn run_serial2d(jc: &JobCtx, tx: &Sender<Event>, rx: Receiver<Directive>) -> SliceExit {
-    let spec = &jc.spec;
-    // The serial solver runs on the worker thread itself; name it so its
-    // spans read like a one-rank world in the per-job timeline.
-    nkt_trace::set_thread_meta(format!("{} rank 0", spec.name), Some(0));
-    let mesh = bluff_body_mesh(1);
-    let cfg = SolverConfig { order: 4, dt: 2e-3, nu: 0.01, scheme_order: 2, advect: true };
-    let health = nkt_stats::health_enabled();
-    let run = || -> Result<RankEnd, String> {
-        let mut solver = Serial2dSolver::new(
-            mesh,
-            cfg,
-            |x| if x[0] < -14.0 { 1.0 } else { 0.0 },
-            |_| 0.0,
-        );
-        solver.set_initial(|_| 1.0, |_| 0.0);
-        let mut rec = StatsRecorder::new(SERIAL2D_CHANNELS.to_vec(), spec.stats_every, 1);
-        let limits = RuleLimits::default();
-        let ckpt = jc.ckpt();
-        if ckpt.enabled() {
-            let mut tandem = TandemMut { main: &mut solver, rider: &mut rec };
-            let _ = restore_latest_serial(&ckpt, &mut tandem);
-        }
-        let mut preempted_at = None;
-        for step in (solver.steps() as u64 + 1)..=spec.steps {
-            solver.step();
-            if rec.due(step) {
-                sample_serial2d(&mut solver, &mut rec, step, &limits, health)
-                    .map_err(|e| e.to_string())?;
-            }
-            if step < spec.steps && ckpt.should(step as usize) {
-                let tandem = Tandem { main: &solver, rider: &rec };
-                write_epoch_serial(&ckpt, step as usize, &tandem).map_err(|e| e.to_string())?;
-                if !exchange_serial(tx, &rx, jc.spec_job_id(), step) {
-                    preempted_at = Some(step);
-                    break;
-                }
-            }
-        }
-        let hash = solver.state_hash();
-        let steps = solver.steps() as u64;
-        let energy = solver.kinetic_energy();
-        if preempted_at.is_none() {
-            finish_rank0(jc, &rec, hash, steps, &ckpt)?;
-        }
-        Ok(RankEnd { preempted_at, hash, steps, energy })
-    };
-    slice_exit(vec![run()])
-}
-
-fn run_ale(jc: &JobCtx, tx: &Sender<Event>, rx: Receiver<Directive>) -> SliceExit {
-    let spec = &jc.spec;
-    let link = Mutex::new((tx.clone(), rx));
-    let mesh = wing_box_mesh(1);
-    let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
-    let part = partition_kway(&dual, spec.ranks, &PartitionOptions::default());
-    let cfg = AleConfig {
-        order: 2,
-        dt: 2e-3,
-        nu: 1e-3,
-        scheme_order: 2,
-        advect: true,
-        motion_amp: 0.05,
-        motion_omega: 2.0 * std::f64::consts::PI,
-        pcg_tol: 1e-6,
-        pcg_max_iter: 2000,
-    };
-    let health = nkt_stats::health_enabled();
-    let outs = World::from_env()
-        .ranks(spec.ranks)
-        .net(cluster(spec.net))
-        .trace_scope(jc.scope)
-        .trace_dir(jc.dir.clone())
-        .flight_run(spec.name.clone())
-        .run(|c| {
-            let mut solver = NektarAle::new(c, mesh.clone(), &part, cfg.clone());
-            solver.set_initial(c, |_| [1.0, 0.0, 0.0]);
-            let mut rec = StatsRecorder::new(ALE_CHANNELS.to_vec(), spec.stats_every, c.size());
-            let limits = RuleLimits::default();
-            let ckpt = jc.ckpt();
-            if ckpt.enabled() {
-                // ALE restore rebuilds the moved-mesh operators, so it
-                // goes through the solver's own entry point.
-                let _ = solver.restore_ckpt_with(c, &ckpt, &mut rec);
-            }
-            rec.rebaseline(c);
-            let mut preempted_at = None;
-            for step in (solver.steps() as u64 + 1)..=spec.steps {
-                solver.step(c);
-                if rec.due(step) {
-                    sample_ale(&mut solver, c, &mut rec, step, &limits, health)
-                        .map_err(|e| e.to_string())?;
-                }
-                if step < spec.steps && ckpt.should(step as usize) {
-                    rec.fold(c);
-                    let tandem = Tandem { main: &solver, rider: &rec };
-                    write_epoch(c, &ckpt, step as usize, &tandem).map_err(|e| e.to_string())?;
-                    let cont = exchange(c, &link, jc.spec_job_id(), step);
-                    rec.rebaseline(c);
-                    if !cont {
-                        preempted_at = Some(step);
-                        break;
-                    }
-                }
-            }
-            let hash = solver.state_hash();
-            let steps = solver.steps() as u64;
-            let energy = solver.kinetic_energy(c);
-            if preempted_at.is_none() && c.rank() == 0 {
-                finish_rank0(jc, &rec, hash, steps, &ckpt)?;
-            }
-            Ok(RankEnd { preempted_at, hash, steps, energy })
-        });
-    slice_exit(outs)
-}
-
-impl JobCtx {
-    /// The scheduler-side job id that rides in every event.
-    fn spec_job_id(&self) -> usize {
-        self.job_id
+        Ok((Some(step), _)) => SliceExit::Preempted { step },
+        Ok((None, result)) => SliceExit::Finished(result),
     }
 }

@@ -28,7 +28,7 @@
 //! in the job's artifacts.
 
 use crate::events::EventLog;
-use crate::runner::{self, JobResult, SliceCtx};
+use crate::runner::{self, JobCtx, JobResult};
 use crate::spec::JobSpec;
 use crate::store::Store;
 use std::collections::BTreeMap;
@@ -444,19 +444,18 @@ fn admit(
         book.started = true;
     }
     let (dtx, drx) = channel::<Directive>();
-    let ctx = SliceCtx {
+    let job = JobCtx {
         job_id: j,
         spec: book.spec.clone(),
         dir: store.job_dir(&book.spec.name),
         scope: book.scope,
         preemptions: book.preemptions,
         wait_ticks: book.wait_ticks,
-        event_tx: event_tx.clone(),
-        directive_rx: drx,
     };
+    let event_tx = event_tx.clone();
     let handle = std::thread::Builder::new()
         .name(format!("serve:{}", book.spec.name))
-        .spawn(move || runner::run_slice(ctx))
+        .spawn(move || runner::run_slice(job, event_tx, drx))
         .expect("spawn worker thread");
     book.dir_tx = Some(dtx);
     book.handle = Some(handle);

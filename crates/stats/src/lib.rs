@@ -11,7 +11,7 @@
 //!   byte-identical `results/STATS_<run>.json` (schema `nkt-stats-1`).
 //!   Per-channel [`ChannelAccum`]s (Welford mean/variance, min/max) run
 //!   online; the recorder implements `Checkpointable` (riding in the
-//!   solver's shard via `nkt_ckpt::Tandem`), so statistics survive a
+//!   solver's shard via `nkt_ckpt::TandemMut`), so statistics survive a
 //!   restart **bitwise**.
 //! * **Health watchdog** ([`check_rules`]): typed rules per sample —
 //!   NaN/Inf in state, KE growth ratio, divergence ceiling, CFL bound —

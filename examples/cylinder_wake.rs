@@ -21,85 +21,17 @@
 //! With `NKT_CALIB=1` the run is calibrated (measured-vs-modeled drift,
 //! fitted machine constants) into `results/CALIB_cylinder_wake.json`.
 
-use nektar_repro::nektar::serial2d::{Serial2dSolver, SolverConfig};
-use nektar_repro::nektar::stats::{sample_serial2d, SERIAL2D_CHANNELS};
+use nektar_repro::nektar::drive::{cases, drive, Hook, Serial};
+use nektar_repro::nektar::serial2d::Serial2dSolver;
 use nektar_repro::nektar::timers::Stage;
-use nektar_repro::stats::{RuleLimits, StatsRecorder};
+use nektar_repro::observe;
 
-fn main() {
-    if nektar_repro::prof::enabled() {
-        nektar_repro::prof::prepare();
-    }
-    if nektar_repro::calib::enabled() {
-        nektar_repro::calib::prepare();
-    }
-    if nektar_repro::prof::enabled() || nektar_repro::calib::enabled() {
-        // The serial solver runs on the main thread; tag it as rank 0 so
-        // its stage spans land on a profiled timeline.
-        nektar_repro::trace::set_thread_meta("serial".to_string(), Some(0));
-    }
-    let stats_every = nektar_repro::stats::effective_every();
-    let health = nektar_repro::stats::health_enabled();
-    if stats_every.is_some() {
-        nektar_repro::stats::prepare();
-    }
-    nektar_repro::trace::flight::set_run("cylinder_wake");
-    let mesh = nektar_repro::mesh::bluff_body_mesh(1);
-    println!(
-        "bluff-body domain [-15,25]x[-5,5], {} elements (paper: 902; scale with refine)",
-        mesh.nelems()
-    );
-    let cfg = SolverConfig {
-        order: 4,
-        dt: 2e-3,
-        nu: 0.01, // Re = 100 on the unit body
-        scheme_order: 2,
-        advect: true,
-    };
-    let mut solver = Serial2dSolver::new(
-        mesh,
-        cfg,
-        |x| if x[0] < -14.0 { 1.0 } else { 0.0 },
-        |_| 0.0,
-    );
-    solver.set_initial(|_| 1.0, |_| 0.0);
-    println!("dofs per velocity component: {}", solver.ndof());
+/// Prints the energy and divergence every fifth step.
+struct Progress;
 
-    let mut rec = StatsRecorder::new(SERIAL2D_CHANNELS.to_vec(), stats_every.unwrap_or(0), 1);
-    let limits = RuleLimits::default();
-
-    // NKT_CKPT_EVERY=<n> checkpoints every n steps (NKT_CKPT_DIR sets
-    // where); on startup the newest valid epoch, if any, is resumed. The
-    // stats recorder rides in the same tandem shard, so the series
-    // survives a restart bitwise.
-    let ckpt = nektar_repro::ckpt::CkptConfig::from_env("cylinder_wake");
-    if ckpt.enabled() {
-        let mut tandem = nektar_repro::ckpt::TandemMut { main: &mut solver, rider: &mut rec };
-        match nektar_repro::ckpt::restore_latest_serial(&ckpt, &mut tandem) {
-            Ok(info) => println!("resumed from checkpoint epoch {} (step {})", info.epoch, info.step),
-            Err(nektar_repro::ckpt::CkptError::NoValidEpoch { tried, .. }) if tried.is_empty() => {}
-            Err(e) => println!("checkpoint restore skipped: {e}"),
-        }
-    }
-
-    let nsteps = 10;
-    for step in (solver.steps() + 1)..=nsteps {
-        solver.step();
-        if rec.due(step as u64) {
-            if let Err(e) =
-                sample_serial2d(&mut solver, &mut rec, step as u64, &limits, health)
-            {
-                println!("{e}");
-                std::process::exit(1);
-            }
-        }
-        if ckpt.should(step) {
-            let tandem = nektar_repro::ckpt::Tandem { main: &solver, rider: &rec };
-            if let Err(e) = nektar_repro::ckpt::write_epoch_serial(&ckpt, step, &tandem) {
-                eprintln!("checkpoint write failed: {e}");
-            }
-        }
-        if step % 5 == 0 {
+impl Hook<Serial2dSolver> for Progress {
+    fn stepped(&mut self, solver: &mut Serial2dSolver, step: u64) {
+        if step.is_multiple_of(5) {
             println!(
                 "step {:>3}: E = {:.4}, div = {:.2e}",
                 step,
@@ -108,12 +40,34 @@ fn main() {
             );
         }
     }
-    if stats_every.is_some() {
-        match rec.write("cylinder_wake") {
-            Ok(path) => println!("stats: wrote {}", path.display()),
-            Err(e) => eprintln!("stats: cannot write STATS_cylinder_wake.json: {e}"),
-        }
+}
+
+fn main() {
+    // NKT_CKPT_EVERY=<n> checkpoints every n steps (NKT_CKPT_DIR sets
+    // where); on startup the newest valid epoch, if any, is resumed. The
+    // stats recorder rides in the same tandem shard, so the series
+    // survives a restart bitwise.
+    let plan = observe::plan("cylinder_wake", 10);
+    if nektar_repro::prof::enabled() || nektar_repro::calib::enabled() {
+        // The serial solver runs on the main thread; tag it as rank 0 so
+        // its stage spans land on a profiled timeline.
+        nektar_repro::trace::set_thread_meta("serial".to_string(), Some(0));
     }
+    let mut solver = cases::wake();
+    println!(
+        "bluff-body domain [-15,25]x[-5,5], {} elements (paper: 902; scale with refine)",
+        solver.viscous.mesh.nelems()
+    );
+    println!("dofs per velocity component: {}", solver.ndof());
+
+    let out = match drive(&mut solver, &mut Serial, &plan, &mut Progress) {
+        Ok(out) => out,
+        Err(e) => {
+            println!("{e}");
+            std::process::exit(1);
+        }
+    };
+    observe::report("cylinder_wake", &out);
 
     println!("\nper-stage share of CPU time (paper Figure 12):");
     let pct = solver.clock.percentages();
@@ -134,18 +88,5 @@ fn main() {
         "\nmatrix inversions take {solves:.0}% (paper: \"the matrix inversions \
          account for 60% of the total CPU time\")"
     );
-    // One drain serves both observers (take_collected empties the
-    // collector; see fourier_dns).
-    if nektar_repro::prof::enabled() || nektar_repro::calib::enabled() {
-        let threads = nektar_repro::trace::take_collected();
-        if nektar_repro::prof::enabled() {
-            let prof = nektar_repro::prof::Profile::build("cylinder_wake", &threads);
-            print!("{}", prof.report());
-            match prof.write() {
-                Ok(path) => println!("prof: wrote {}", path.display()),
-                Err(e) => eprintln!("prof: cannot write PROF_cylinder_wake.json: {e}"),
-            }
-        }
-        nektar_repro::calib::calibrate_and_write("cylinder_wake", &threads);
-    }
+    observe::finish("cylinder_wake");
 }

@@ -22,100 +22,31 @@
 //! `1 − 6/V^{1/3}` estimate.
 
 use nektar_repro::ckpt::Checkpointable;
-use nektar_repro::mesh::wing_box_mesh;
 use nektar_repro::mpi::prelude::*;
-use nektar_repro::nektar::ale::{AleConfig, NektarAle};
-use nektar_repro::nektar::stats::{sample_ale, ALE_CHANNELS};
+use nektar_repro::nektar::drive::{cases, drive, DriveError};
 use nektar_repro::net::{cluster, NetId};
-use nektar_repro::partition::{partition_kway, Graph, PartitionOptions};
-use nektar_repro::stats::{RuleLimits, StatsRecorder};
-
-fn run<R: Send, F: Fn(&mut Comm) -> R + Sync>(
-    p: usize,
-    net: nektar_repro::net::ClusterNetwork,
-    f: F,
-) -> Vec<R> {
-    World::from_env().ranks(p).net(net).run(f)
-}
+use nektar_repro::observe;
 
 fn main() {
-    if nektar_repro::prof::enabled() {
-        nektar_repro::prof::prepare();
-    }
-    if nektar_repro::calib::enabled() {
-        nektar_repro::calib::prepare();
-    }
-    let stats_every = nektar_repro::stats::effective_every();
-    let health = nektar_repro::stats::health_enabled();
-    if stats_every.is_some() {
-        nektar_repro::stats::prepare();
-    }
-    nektar_repro::trace::flight::set_run("flapping_wing_ale");
-    let mesh = wing_box_mesh(1);
+    // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; the ALE
+    // restore additionally rebuilds the moving-mesh operators. The
+    // stats recorder rides in the same tandem shard.
+    let plan = observe::plan("flapping_wing_ale", 2);
+    let p = 4;
+    let case = cases::wing(p);
     println!(
         "flapping-wing domain 10x5x5, {} hex elements (paper: 15,870 at order 4)",
-        mesh.nelems()
+        case.mesh.nelems()
     );
-    let p = 4;
-    let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
-    let part = partition_kway(&dual, p, &PartitionOptions::default());
-    let cut = nektar_repro::partition::edge_cut(&dual, &part);
-    println!("METIS-substitute partition over {p} ranks: edge cut {cut}");
+    println!("METIS-substitute partition over {p} ranks: edge cut {}", case.edge_cut);
 
-    let cfg = AleConfig {
-        order: 2,
-        dt: 2e-3,
-        nu: 1e-3, // paper: Re = 1000
-        scheme_order: 2,
-        advect: true,
-        motion_amp: 0.05,
-        motion_omega: 2.0 * std::f64::consts::PI,
-        pcg_tol: 1e-6,
-        pcg_max_iter: 2000,
-    };
-    let out = run(p, cluster(NetId::RoadRunnerMyr), move |c| {
-        let mut solver = NektarAle::new(c, mesh.clone(), &part, cfg.clone());
-        solver.set_initial(c, |_| [1.0, 0.0, 0.0]);
-        let mut rec =
-            StatsRecorder::new(ALE_CHANNELS.to_vec(), stats_every.unwrap_or(0), c.size());
-        let limits = RuleLimits::default();
-        // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; the
-        // ALE restore additionally rebuilds the moving-mesh operators.
-        // The stats recorder rides in the same tandem shard.
-        let ckpt = nektar_repro::ckpt::CkptConfig::from_env("flapping_wing_ale");
-        if ckpt.enabled() {
-            if let Ok(info) = solver.restore_ckpt_with(c, &ckpt, &mut rec) {
-                if c.rank() == 0 {
-                    println!("resumed from checkpoint epoch {} (step {})", info.epoch, info.step);
-                }
-            }
+    let out = World::from_env().ranks(p).net(cluster(NetId::RoadRunnerMyr)).run(|c| {
+        let mut solver = case.build(c);
+        let out = drive(&mut solver, c, &plan, &mut ())?;
+        if c.rank() == 0 {
+            observe::report("flapping_wing_ale", &out);
         }
-        rec.rebaseline(c);
-        for step in (solver.steps() + 1)..=2 {
-            solver.step(c);
-            if rec.due(step as u64) {
-                if let Err(e) =
-                    sample_ale(&mut solver, c, &mut rec, step as u64, &limits, health)
-                {
-                    return Err(e);
-                }
-            }
-            if ckpt.should(step) {
-                rec.fold(c);
-                let tandem = nektar_repro::ckpt::Tandem { main: &solver, rider: &rec };
-                if let Err(e) = nektar_repro::ckpt::write_epoch(c, &ckpt, step, &tandem) {
-                    eprintln!("checkpoint write failed: {e}");
-                }
-                rec.rebaseline(c);
-            }
-        }
-        if c.rank() == 0 && stats_every.is_some() {
-            match rec.write("flapping_wing_ale") {
-                Ok(path) => println!("stats: wrote {}", path.display()),
-                Err(e) => eprintln!("stats: cannot write STATS_flapping_wing_ale.json: {e}"),
-            }
-        }
-        Ok((
+        Ok::<_, DriveError>((
             solver.kinetic_energy(c),
             solver.total_volume(c),
             solver.last_iters,
@@ -145,18 +76,5 @@ fn main() {
     println!("    a (steps 1-4,6)      {a:>5.1}%");
     println!("    b (pressure solve)   {b:>5.1}%");
     println!("    c (Helmholtz solves) {cgrp:>5.1}%");
-    // One drain serves both observers (take_collected empties the
-    // collector; see fourier_dns).
-    if nektar_repro::prof::enabled() || nektar_repro::calib::enabled() {
-        let threads = nektar_repro::trace::take_collected();
-        if nektar_repro::prof::enabled() {
-            let prof = nektar_repro::prof::Profile::build("flapping_wing_ale", &threads);
-            print!("{}", prof.report());
-            match prof.write() {
-                Ok(path) => println!("prof: wrote {}", path.display()),
-                Err(e) => eprintln!("prof: cannot write PROF_flapping_wing_ale.json: {e}"),
-            }
-        }
-        nektar_repro::calib::calibrate_and_write("flapping_wing_ale", &threads);
-    }
+    observe::finish("flapping_wing_ale");
 }

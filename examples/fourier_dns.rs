@@ -36,70 +36,36 @@
 //! Pencil runs suffix the profile/stats name with the grid so slab
 //! baselines stay untouched.
 
-use nektar_repro::mesh::rect_quads;
+use nektar_repro::ckpt::Checkpointable;
 use nektar_repro::mpi::prelude::*;
-use nektar_repro::nektar::fourier::{FourierConfig, NektarF};
-use nektar_repro::nektar::stats::{sample_fourier, FOURIER_CHANNELS};
-use nektar_repro::nektar::timers::Stage;
+use nektar_repro::nektar::drive::{cases, drive, DriveError, Hook};
+use nektar_repro::nektar::fourier::NektarF;
+use nektar_repro::nektar::timers::{Stage, StageClock};
 use nektar_repro::net::{cluster, NetId};
-use nektar_repro::stats::{HealthError, RuleLimits, StatsRecorder};
+use nektar_repro::observe;
 
-fn run<R: Send, F: Fn(&mut Comm) -> R + Sync>(
-    p: usize,
-    net: nektar_repro::net::ClusterNetwork,
-    f: F,
-) -> Vec<R> {
-    World::from_env().ranks(p).net(net).run(f)
+type RunOutcome = (f64, StageClock, f64, f64, u64, (&'static str, (usize, usize)));
+
+/// `NKT_INJECT_NAN=<s>`: poisons the v-field after step `s`.
+struct InjectNan(Option<u64>);
+
+impl Hook<NektarF> for InjectNan {
+    fn stepped(&mut self, solver: &mut NektarF, step: u64) {
+        if self.0 == Some(step) {
+            solver.fields[0][1].a[0] = f64::NAN;
+        }
+    }
 }
 
-type RunOutcome = (
-    f64,
-    nektar_repro::nektar::timers::StageClock,
-    f64,
-    f64,
-    u64,
-    (&'static str, (usize, usize)),
-);
-
 fn main() {
-    if nektar_repro::prof::enabled() {
-        nektar_repro::prof::prepare();
-    }
-    if nektar_repro::calib::enabled() {
-        nektar_repro::calib::prepare();
-    }
-    let stats_every = nektar_repro::stats::effective_every();
-    let health = nektar_repro::stats::health_enabled();
-    if stats_every.is_some() {
-        nektar_repro::stats::prepare();
-    }
     let env_usize = |key: &str, default: usize| {
         std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
     };
     let p = env_usize("NKT_RANKS", 4);
-    let nz = env_usize("NKT_NZ", 8);
     let nsteps = env_usize("NKT_STEPS", 3);
     let inject_nan: Option<u64> =
         std::env::var("NKT_INJECT_NAN").ok().and_then(|v| v.parse().ok());
-    let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 3, 3);
-    let cfg = FourierConfig {
-        order: 4,
-        dt: 1e-3,
-        nu: 0.02,
-        nz,
-        lz: 2.0 * std::f64::consts::PI,
-        scheme_order: 2,
-    };
-    let init = |x: [f64; 3]| {
-        let pi = std::f64::consts::PI;
-        let (sx, cx) = (pi * x[0]).sin_cos();
-        let (sy, cy) = (pi * x[1]).sin_cos();
-        [
-            2.0 * pi * sx * sx * sy * cy * (1.0 + 0.3 * x[2].cos()),
-            -2.0 * pi * sx * cx * sy * sy * (1.0 + 0.3 * x[2].cos()),
-            0.0,
-        ]
-    };
+    let nz = env_usize("NKT_NZ", 8);
 
     for net_id in [NetId::RoadRunnerMyr, NetId::RoadRunnerEth] {
         let net = cluster(net_id);
@@ -112,64 +78,19 @@ fn main() {
                 run_name.push_str(&format!("_grid{grid}"));
             }
         }
-        nektar_repro::trace::flight::set_run(&run_name);
-        let mesh = mesh.clone();
-        let cfg = cfg.clone();
-        let run_name_in = run_name.clone();
-        let out: Vec<Result<RunOutcome, HealthError>> = run(p, net, move |c| {
-            let mut solver = NektarF::new(c, &mesh, cfg.clone());
-            solver.set_initial(init);
-            let mut rec = StatsRecorder::new(
-                FOURIER_CHANNELS.to_vec(),
-                stats_every.unwrap_or(0),
-                c.size(),
-            );
-            let limits = RuleLimits::default();
-            // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs;
-            // a restart of this example resumes from the newest one. The
-            // stats recorder rides in the same tandem shard, so the
-            // series survives the cut bitwise.
-            let ckpt = nektar_repro::ckpt::CkptConfig::from_env(&run_name_in);
-            if ckpt.enabled() {
-                let mut tandem =
-                    nektar_repro::ckpt::TandemMut { main: &mut solver, rider: &mut rec };
-                if let Ok(info) = nektar_repro::ckpt::restore_latest(c, &ckpt, &mut tandem) {
-                    if c.rank() == 0 {
-                        println!(
-                            "   resumed from checkpoint epoch {} (step {})",
-                            info.epoch, info.step
-                        );
-                    }
-                }
+        // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; a
+        // restart of this example resumes from the newest one. The
+        // stats recorder rides in the same tandem shard, so the series
+        // survives the cut bitwise.
+        let plan = observe::plan(&run_name, nsteps as u64);
+        let world = World::from_env().ranks(p).net(net);
+        let out: Vec<Result<RunOutcome, DriveError>> = world.run(|c| {
+            let mut solver = cases::fourier(c, nz, None)?;
+            let mut hook = InjectNan(inject_nan.filter(|_| c.rank() == 0));
+            let out = drive(&mut solver, c, &plan, &mut hook)?;
+            if c.rank() == 0 {
+                observe::report(&run_name, &out);
             }
-            // Baseline past all setup/restore traffic: the recorder's
-            // ledger counts solver step traffic only.
-            rec.rebaseline(c);
-            for step in (solver.steps() + 1) as u64..=nsteps as u64 {
-                solver.step(c);
-                if inject_nan == Some(step) && c.rank() == 0 {
-                    solver.fields[0][1].a[0] = f64::NAN;
-                }
-                if rec.due(step) {
-                    sample_fourier(&mut solver, c, &mut rec, step, &limits, health)?;
-                }
-                if ckpt.should(step as usize) {
-                    rec.fold(c);
-                    let tandem = nektar_repro::ckpt::Tandem { main: &solver, rider: &rec };
-                    if let Err(e) = nektar_repro::ckpt::write_epoch(c, &ckpt, step as usize, &tandem)
-                    {
-                        eprintln!("checkpoint write failed: {e}");
-                    }
-                    rec.rebaseline(c);
-                }
-            }
-            if c.rank() == 0 && stats_every.is_some() {
-                match rec.write(&run_name_in) {
-                    Ok(path) => println!("stats: wrote {}", path.display()),
-                    Err(e) => eprintln!("stats: cannot write STATS_{run_name_in}.json: {e}"),
-                }
-            }
-            use nektar_repro::ckpt::Checkpointable;
             Ok((
                 solver.kinetic_energy(c),
                 solver.clock.clone(),
@@ -206,32 +127,18 @@ fn main() {
             pct[Stage::PressureSolve.index()] + pct[Stage::ViscousSolve.index()]
         );
         println!();
-        // NKT_PROF and NKT_CALIB observe the same collector, which
-        // take_collected() empties — drain once, hand both the snapshot.
-        if nektar_repro::prof::enabled() || nektar_repro::calib::enabled() {
-            let threads = nektar_repro::trace::take_collected();
-            if nektar_repro::prof::enabled() {
-                let prof = nektar_repro::prof::Profile::build(&run_name, &threads);
-                print!("{}", prof.report());
-                // Self-check: the profile's per-stage attributed times must
-                // agree with the solvers' own StageClock ledgers (merged
-                // over ranks) — the same 1% contract the trace smoke keeps.
-                let mut ledger = nektar_repro::nektar::timers::StageClock::new();
-                for r in out.iter().flatten() {
-                    ledger.merge(&r.1);
-                }
-                let rows: Vec<(&str, f64)> = Stage::ALL
-                    .iter()
-                    .map(|s| (s.name(), ledger.totals[s.index()]))
-                    .collect();
-                let err = prof.stage_ledger_check(&rows, 1e-3);
-                println!("prof: stage ledger max rel err {:.4}%", 100.0 * err);
-                match prof.write() {
-                    Ok(path) => println!("prof: wrote {}", path.display()),
-                    Err(e) => eprintln!("prof: cannot write PROF_{run_name}.json: {e}"),
-                }
+        if let Some(prof) = observe::finish(&run_name) {
+            // Self-check: the profile's per-stage attributed times must
+            // agree with the solvers' own StageClock ledgers (merged
+            // over ranks) — the same 1% contract the trace smoke keeps.
+            let mut ledger = StageClock::new();
+            for r in out.iter().flatten() {
+                ledger.merge(&r.1);
             }
-            nektar_repro::calib::calibrate_and_write(&run_name, &threads);
+            let rows: Vec<(&str, f64)> =
+                Stage::ALL.iter().map(|s| (s.name(), ledger.totals[s.index()])).collect();
+            let err = prof.stage_ledger_check(&rows, 1e-3);
+            println!("prof: stage ledger max rel err {:.4}%", 100.0 * err);
         }
     }
 }

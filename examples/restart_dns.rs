@@ -8,56 +8,28 @@
 //!
 //! ```sh
 //! cargo run --release --example restart_dns
-//! # optional: NKT_CKPT_DIR=/somewhere NKT_CKPT_EVERY=2
+//! # optional: NKT_CKPT_DIR=/somewhere NKT_CKPT_EVERY=2 (defaults:
+//! # results/, 2); the drill clears its own CKPT_restart_dns_* files
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nektar_repro::ckpt::{Checkpointable, CkptConfig};
-use nektar_repro::mesh::rect_quads;
 use nektar_repro::mpi::prelude::*;
-use nektar_repro::nektar::fourier::{FourierConfig, NektarF};
+use nektar_repro::nektar::drive::cases;
+use nektar_repro::nektar::fourier::NektarF;
 use nektar_repro::net::{cluster, NetId};
-
-fn run<R: Send, F: Fn(&mut Comm) -> R + Sync>(
-    p: usize,
-    net: nektar_repro::net::ClusterNetwork,
-    f: F,
-) -> Vec<R> {
-    World::from_env().ranks(p).net(net).run(f)
-}
 
 const P: usize = 2;
 const NSTEPS: usize = 6;
 const KILL_AT: usize = 5;
 
-fn cfg() -> FourierConfig {
-    FourierConfig {
-        order: 4,
-        dt: 1e-3,
-        nu: 0.02,
-        nz: 8,
-        lz: 2.0 * std::f64::consts::PI,
-        scheme_order: 2,
-    }
+fn world() -> WorldBuilder {
+    World::from_env().ranks(P).net(cluster(NetId::RoadRunnerMyr))
 }
 
-fn init(x: [f64; 3]) -> [f64; 3] {
-    let pi = std::f64::consts::PI;
-    let (sx, cx) = (pi * x[0]).sin_cos();
-    let (sy, cy) = (pi * x[1]).sin_cos();
-    [
-        2.0 * pi * sx * sx * sy * cy * (1.0 + 0.3 * x[2].cos()),
-        -2.0 * pi * sx * cx * sy * sy * (1.0 + 0.3 * x[2].cos()),
-        0.0,
-    ]
-}
-
-fn fresh_solver(c: &mut nektar_repro::mpi::Comm) -> NektarF {
-    let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 3, 3);
-    let mut s = NektarF::new(c, &mesh, cfg());
-    s.set_initial(init);
-    s
+fn fresh_solver(c: &mut Comm) -> NektarF {
+    cases::fourier(c, 8, None).expect("2 ranks fit the 8-plane demo")
 }
 
 /// Per-rank record of one run: (step, state hash) after every step, plus
@@ -66,7 +38,7 @@ type RankLog = (Vec<(usize, u64)>, u64);
 
 /// Uninterrupted reference: step 1..=NSTEPS, hash after each.
 fn reference_run() -> Vec<RankLog> {
-    run(P, cluster(NetId::RoadRunnerMyr), |c| {
+    world().run(|c| {
         let mut s = fresh_solver(c);
         let mut hashes = Vec::new();
         for step in 1..=NSTEPS {
@@ -79,18 +51,18 @@ fn reference_run() -> Vec<RankLog> {
 
 /// Interrupted run: checkpoints on the configured cadence, rank 1 panics
 /// after step KILL_AT. Returns the panic payload message.
-fn interrupted_run(ckpt: CkptConfig) -> String {
+fn interrupted_run(ckpt: &CkptConfig) -> String {
     let prev_hook = std::panic::take_hook();
     // The injected panic (and the peer ranks it poisons) would spray
     // backtraces over the demo output; silence the hook for this phase.
     std::panic::set_hook(Box::new(|_| {}));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        run(P, cluster(NetId::RoadRunnerMyr), move |c| {
+        world().run(|c| {
             let mut s = fresh_solver(c);
             for step in 1..=NSTEPS {
                 s.step(c);
                 if ckpt.should(step) {
-                    nektar_repro::ckpt::write_epoch(c, &ckpt, step, &s)
+                    nektar_repro::ckpt::write_epoch(c, ckpt, step, &s)
                         .expect("checkpoint write");
                 }
                 if step == KILL_AT && c.rank() == 1 {
@@ -110,10 +82,10 @@ fn interrupted_run(ckpt: CkptConfig) -> String {
 
 /// Restore from the newest valid epoch and continue to NSTEPS, hashing
 /// each step.
-fn restored_run(ckpt: CkptConfig) -> Vec<(RankLog, u64, bool)> {
-    run(P, cluster(NetId::RoadRunnerMyr), move |c| {
+fn restored_run(ckpt: &CkptConfig) -> Vec<(RankLog, u64, bool)> {
+    world().run(|c| {
         let mut s = fresh_solver(c);
-        let info = nektar_repro::ckpt::restore_latest(c, &ckpt, &mut s)
+        let info = nektar_repro::ckpt::restore_latest(c, ckpt, &mut s)
             .expect("restore from checkpoint");
         let mut hashes = vec![(info.step as usize, s.state_hash())];
         for step in (info.step as usize + 1)..=NSTEPS {
@@ -145,30 +117,32 @@ fn check_against_reference(reference: &[RankLog], restarted: &[(RankLog, u64, bo
     }
 }
 
+/// Removes every epoch of this drill from the checkpoint directory.
+fn clear(ckpt: &CkptConfig) {
+    for epoch in ckpt.list_epochs() {
+        ckpt.remove_epoch(epoch, P);
+    }
+}
+
 fn main() {
-    let every = std::env::var("NKT_CKPT_EVERY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2usize);
-    let dir = std::env::var("NKT_CKPT_DIR").map(std::path::PathBuf::from).unwrap_or_else(|_| {
-        std::env::temp_dir().join(format!("nkt_restart_dns_{}", std::process::id()))
-    });
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    let write_cfg = CkptConfig::new(&dir, "restart_dns", Some(every));
-    let read_cfg = CkptConfig::new(&dir, "restart_dns", None);
+    // Cadence and directory come from NKT_CKPT_EVERY / NKT_CKPT_DIR like
+    // every other run; the drill needs *some* cadence, so default to 2.
+    let mut ckpt = CkptConfig::from_env("restart_dns");
+    let every = *ckpt.every.get_or_insert(2);
+    clear(&ckpt);
 
     println!("== restart_dns: {P} ranks, {NSTEPS} steps, checkpoint every {every} ==");
-    println!("   checkpoint dir: {}", dir.display());
+    println!("   checkpoint dir: {}", ckpt.dir.display());
 
     println!("\n[1/4] uninterrupted reference run");
     let reference = reference_run();
 
     println!("[2/4] interrupted run: rank 1 dies after step {KILL_AT}");
-    let msg = interrupted_run(write_cfg.clone());
+    let msg = interrupted_run(&ckpt);
     println!("      run aborted as intended: {msg}");
 
     println!("[3/4] restore + continue");
-    let restarted = restored_run(read_cfg.clone());
+    let restarted = restored_run(&ckpt);
     let epoch = restarted[0].1;
     assert!(!restarted[0].2, "newest epoch must be valid before corruption");
     check_against_reference(&reference, &restarted);
@@ -178,12 +152,12 @@ fn main() {
     );
 
     println!("[4/4] corruption drill: bit-flip rank 1's epoch-{epoch} shard");
-    let victim = write_cfg.shard_path(epoch, 1);
+    let victim = ckpt.shard_path(epoch, 1);
     let mut bytes = std::fs::read(&victim).expect("read victim shard");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&victim, &bytes).expect("rewrite victim shard");
-    let fallback = restored_run(read_cfg);
+    let fallback = restored_run(&ckpt);
     let fb_epoch = fallback[0].1;
     assert!(fallback[0].2, "restore must report falling back past the corrupt epoch");
     assert!(fb_epoch < epoch, "fallback epoch {fb_epoch} must predate corrupt epoch {epoch}");
@@ -195,5 +169,5 @@ fn main() {
     );
 
     println!("\nall checks passed: kill → restore → bitwise-identical continuation");
-    std::fs::remove_dir_all(&dir).ok();
+    clear(&ckpt);
 }

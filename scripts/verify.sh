@@ -15,6 +15,11 @@ cd "$(dirname "$0")/.."
 deep=0
 [[ "${1:-}" == "--deep" ]] && deep=1
 
+# The workspace builds warning-free and stays that way. Exported so every
+# cargo call below shares one set of flags (a per-command RUSTFLAGS would
+# rebuild the workspace each time it toggles).
+export RUSTFLAGS="-D warnings"
+
 echo "== tier-1: build (release, offline) =="
 cargo build --release --offline
 

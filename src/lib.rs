@@ -4,6 +4,8 @@
 //! use a single dependency. See `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for the paper-vs-measured record.
 
+pub mod observe;
+
 pub use nektar;
 pub use nkt_blas as blas;
 pub use nkt_calib as calib;
