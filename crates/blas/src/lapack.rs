@@ -7,6 +7,7 @@
 //! LU ([`dgetrf`]) covers nonsymmetric systems, and [`dpttrf`] covers the
 //! tridiagonal systems from 1-D Helmholtz problems.
 
+use crate::level1::{daxpy, ddot};
 use crate::level2::{Trans, Uplo};
 use crate::matrix::BandedSym;
 use crate::LapackError;
@@ -53,6 +54,10 @@ pub fn dpbtrf(a: &mut BandedSym) -> Result<(), LapackError> {
 
 /// Solves A x = b given the [`dpbtrf`] factorization (A = UᵀU banded).
 /// `b` is overwritten with x. (LAPACK `dpbtrs` single-RHS.)
+///
+/// Both sweeps read U one stored column at a time — the in-band rows
+/// `lo..j` of column j are contiguous in `SB` storage — so the factor is
+/// streamed once forward and once backward at unit stride.
 pub fn dpbtrs(u: &BandedSym, b: &mut [f64]) -> Result<(), LapackError> {
     let n = u.n();
     if b.len() < n {
@@ -61,23 +66,25 @@ pub fn dpbtrs(u: &BandedSym, b: &mut [f64]) -> Result<(), LapackError> {
     let kd = u.kd();
     let ldab = u.ldab();
     let ab = u.ab();
-    // Forward: Uᵀ y = b.
-    for j in 0..n {
+    // Column j of U above the diagonal (rows lo..j), its diagonal entry,
+    // and lo.
+    let column = |j: usize| {
         let lo = j.saturating_sub(kd);
-        let mut s = b[j];
-        for i in lo..j {
-            s -= ab[(kd + i - j) + j * ldab] * b[i];
-        }
-        b[j] = s / ab[kd + j * ldab];
+        let diag = kd + j * ldab;
+        (&ab[diag - (j - lo)..diag], ab[diag], lo)
+    };
+    // Forward, Uᵀ y = b: y_j = (b_j − U[lo..j, j] · y[lo..j]) / u_jj.
+    for j in 0..n {
+        let (col, ujj, lo) = column(j);
+        b[j] = (b[j] - ddot(col, &b[lo..j])) / ujj;
     }
-    // Backward: U x = y.
+    // Backward, U x = y, by columns: once x_j is known its column leaves
+    // every earlier row, b[lo..j] −= x_j · U[lo..j, j].
     for j in (0..n).rev() {
-        let hi = (j + kd).min(n - 1);
-        let mut s = b[j];
-        for k in (j + 1)..=hi {
-            s -= ab[(kd + j - k) + k * ldab] * b[k];
-        }
-        b[j] = s / ab[kd + j * ldab];
+        let (col, ujj, lo) = column(j);
+        let xj = b[j] / ujj;
+        b[j] = xj;
+        daxpy(-xj, col, &mut b[lo..j]);
     }
     Ok(())
 }
@@ -272,6 +279,35 @@ mod tests {
             dpbtrs(&f, &mut b).unwrap();
             for i in 0..n {
                 assert!((b[i] - x_true[i]).abs() < 1e-9, "n={n} kd={kd} row {i}");
+            }
+        }
+    }
+
+    /// Bandwidths around the 4-wide dot body (0, 1, 3, 4, 7) and the full
+    /// matrix (n − 1 and, for the small n, wider: every column in the
+    /// `j < kd` edge), against the dense Cholesky solve of the same matrix.
+    #[test]
+    fn dpbtrs_matches_dense_solve() {
+        for n in [1usize, 2, 5, 37, 130] {
+            for kd in [0, 1, 3, 4, 7, n - 1] {
+                let a = spd_band(n, kd);
+                let rhs: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64 - 5.0) / 3.0).collect();
+                let mut dense = a.to_dense().as_slice().to_vec();
+                let mut want = rhs.clone();
+                dpotrf(n, &mut dense, n).unwrap();
+                dpotrs(n, &dense, n, &mut want).unwrap();
+                let mut f = a;
+                dpbtrf(&mut f).unwrap();
+                let mut got = rhs;
+                dpbtrs(&f, &mut got).unwrap();
+                for i in 0..n {
+                    assert!(
+                        (got[i] - want[i]).abs() < 1e-12 * (1.0 + want[i].abs()),
+                        "n={n} kd={kd} row {i}: {} vs {}",
+                        got[i],
+                        want[i]
+                    );
+                }
             }
         }
     }

@@ -188,9 +188,14 @@ impl NektarF {
             if pp.asm.ndirichlet() == 0 && beta == 0.0 {
                 pp.pin_dof(0);
             }
-            pressure.push(pp);
             let lam_v = beta * beta + scheme.gamma0 / (cfg.nu * cfg.dt);
-            viscous.push(HelmholtzProblem::new(mesh.clone(), cfg.order, lam_v, &vel_tags));
+            let mut vp = HelmholtzProblem::new(mesh.clone(), cfg.order, lam_v, &vel_tags);
+            // Factor here, not inside the first host-timed solve stages.
+            // The ramp problems stay lazy: a resumed run never solves them.
+            pp.factorize();
+            vp.factorize();
+            pressure.push(pp);
+            viscous.push(vp);
             let ramps: Vec<HelmholtzProblem> = (1..cfg.scheme_order)
                 .map(|j| {
                     let lam_j =

@@ -97,7 +97,11 @@ impl Serial2dSolver {
         }
         const VEL_DIRICHLET: &[BoundaryTag] =
             &[BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
-        let viscous = HelmholtzProblem::new(mesh.clone(), cfg.order, lambda, VEL_DIRICHLET);
+        let mut viscous = HelmholtzProblem::new(mesh.clone(), cfg.order, lambda, VEL_DIRICHLET);
+        // Factor here, not inside the first host-timed stage 5 / stage 7.
+        // The ramp problems stay lazy: a resumed run never solves them.
+        pressure.factorize();
+        viscous.factorize();
         // Startup (ramp) matrices: the first steps run lower-order BDF
         // with their own gamma0, hence their own Helmholtz constant.
         let ramp: Vec<HelmholtzProblem> = (1..cfg.scheme_order)

@@ -50,7 +50,10 @@ fn deadline_report_names_blocked_rank_and_site() {
 #[test]
 fn deadline_report_names_collective_op() {
     // Rank 0 enters a barrier alone; rank 1 never does. The dump must
-    // attribute rank 0's wait to the barrier, not generic p2p.
+    // attribute rank 0's wait to the barrier, not generic p2p. Rank 1
+    // waits for a message nobody sends instead of returning: a rank that
+    // has already exited when rank 0's barrier send is posted turns the
+    // stall into "destination rank terminated".
     let result = std::panic::catch_unwind(|| {
         World::builder()
             .ranks(2)
@@ -59,6 +62,8 @@ fn deadline_report_names_collective_op() {
             .run(|c| {
                 if c.rank() == 0 {
                     c.barrier();
+                } else {
+                    c.recv(Some(0), Some(42));
                 }
             })
     });

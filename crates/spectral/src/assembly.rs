@@ -111,8 +111,9 @@ impl Assembly {
         Assembly { ndof, nboundary: interior_base, elem_dofs, dirichlet, kinds }
     }
 
-    /// Maximum |i − j| over all element dof pairs — the semi-bandwidth the
-    /// banded factorization needs.
+    /// Maximum |i − j| over all element dof pairs — the semi-bandwidth of
+    /// the system in this numbering (`HelmholtzProblem` does not factor at
+    /// it: it reorders with RCM first).
     pub fn bandwidth(&self) -> usize {
         let mut kd = 0usize;
         for dofs in &self.elem_dofs {

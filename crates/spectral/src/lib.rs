@@ -14,9 +14,12 @@
 //!   Helmholtz matrices evaluated by Gauss-Jacobi quadrature.
 //! * [`assembly`] — global C0 numbering (boundary dofs first, paper
 //!   Figure 10), edge-orientation sign handling, Dirichlet lifting.
-//! * [`solve`] — global Helmholtz/Poisson solvers: banded direct
-//!   (LAPACK-style `dpbtrf`, the paper's serial solver) and diagonally
-//!   preconditioned conjugate gradients (the paper's ALE solver).
+//! * [`rcm`] — reverse Cuthill-McKee ordering, which turns that
+//!   numbering into a narrow band.
+//! * [`solve`] — global Helmholtz/Poisson solvers, both run in RCM band
+//!   order: banded direct (LAPACK-style `dpbtrf`, the paper's serial
+//!   solver) and diagonally preconditioned conjugate gradients (the
+//!   paper's ALE solver).
 
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::too_many_arguments)]

@@ -3,8 +3,11 @@
 //! The paper's direct solvers exploit "the symmetric and banded nature of
 //! the matrix" (Figure 10); getting a usable band out of an unstructured
 //! mesh requires a bandwidth-reducing permutation, which is what RCM
-//! provides. Used by the solvers' statically-condensed boundary systems
-//! and by the model replay to size paper-scale banded solves honestly.
+//! provides. Two callers: `solve::HelmholtzProblem` orders its full
+//! assembled system (vertex, edge and interior dofs) with it and stores,
+//! factors and solves in that order; the model replay
+//! (`nkt-bench::paper_serial_shape`) orders the statically-condensed
+//! boundary system of the paper-scale mesh to size its banded solves.
 
 use std::collections::VecDeque;
 

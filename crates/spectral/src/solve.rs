@@ -9,6 +9,7 @@ use crate::assembly::Assembly;
 use crate::element::{elem_geometry, ElemOps, ElementMatrices, Expansion};
 use crate::pcg::{pcg, PcgResult};
 use crate::quadbasis::QuadBasis;
+use crate::rcm::{adjacency_from_cliques, bandwidth_under, rcm_order};
 use crate::tribasis::TriBasis;
 use nkt_blas::{dpbtrf, dpbtrs, BandedSym};
 use nkt_mesh::{BoundaryTag, ElemKind, Mesh2d};
@@ -34,7 +35,7 @@ pub enum SolveMethod {
 pub struct SolveStats {
     /// Free (non-Dirichlet) dofs.
     pub nfree: usize,
-    /// Semi-bandwidth of the assembled system.
+    /// Semi-bandwidth of the assembled system in its RCM band order.
     pub bandwidth: usize,
     /// PCG iterations (0 for the direct path).
     pub iterations: usize,
@@ -42,6 +43,14 @@ pub struct SolveStats {
 
 /// An assembled Helmholtz problem on a mesh (geometry/matrices cached;
 /// many right-hand sides can be solved against one factorization).
+///
+/// **Ordering contract.** `asm`, every right-hand side, `u_d` and every
+/// returned coefficient vector are in *assembly* order (Figure 10:
+/// vertices, edges, interiors). `matrix`, its factor and the mass factor
+/// are stored in *band* order, the reverse-Cuthill-McKee permutation of
+/// the assembly dofs that makes the band narrow: row `pos[d]` of `matrix`
+/// belongs to assembly dof `d`. The permutation is private to this
+/// module; `solve_with_rhs`, `l2_project` and `pin_dof` map in and out.
 pub struct HelmholtzProblem {
     /// The mesh.
     pub mesh: Mesh2d,
@@ -55,13 +64,57 @@ pub struct HelmholtzProblem {
     pub asm: Assembly,
     /// Per-element operators.
     pub ops: Vec<ElemOps>,
-    /// Assembled global matrix (with Dirichlet rows replaced by identity).
+    /// Assembled global matrix in band order (Dirichlet rows replaced by
+    /// identity); `matrix.n() == asm.ndof`.
     pub matrix: BandedSym,
-    /// Cholesky factor (filled on first direct solve).
+    /// Band row of each assembly dof.
+    pos: Vec<usize>,
+    /// Cholesky factor of `matrix` (filled by [`Self::factorize`]).
     factor: Option<BandedSym>,
+    /// Coupling of free to Dirichlet dofs that the identity rows removed
+    /// from `matrix`: `(free dof, Dirichlet dof, K entry)` in assembly
+    /// numbering (filled by [`Self::factorize`] or the first solve).
+    lift: Option<Vec<(usize, usize, f64)>>,
     /// Factored global mass matrix (filled on first L2 projection).
     mass_factor: Option<BandedSym>,
     dirichlet_tags: Vec<BoundaryTag>,
+}
+
+/// Assembles the elemental matrices `elem(ei)` (nm × nm, column-major)
+/// into a band of half-width `kd` at the rows `pos` gives each dof.
+fn assemble_band<'a>(
+    asm: &Assembly,
+    pos: &[usize],
+    kd: usize,
+    elem: impl Fn(usize) -> std::borrow::Cow<'a, [f64]>,
+) -> BandedSym {
+    let mut band = BandedSym::zeros(asm.ndof, kd);
+    for (ei, dofs) in asm.elem_dofs.iter().enumerate() {
+        let h = elem(ei);
+        let nm = dofs.len();
+        for a in 0..nm {
+            let (ga, sa) = dofs[a];
+            for b in a..nm {
+                let (gb, sb) = dofs[b];
+                // Off-diagonal elemental pairs contribute to both (a,b)
+                // and (b,a); symmetric storage holds one copy, and `add`
+                // takes either triangle.
+                band.add(pos[ga], pos[gb], sa * sb * h[a + b * nm]);
+            }
+        }
+    }
+    band
+}
+
+/// Replaces row and column `r` of `matrix` with the identity.
+fn constrain_row(matrix: &mut BandedSym, r: usize) {
+    let kd = matrix.kd();
+    let lo = r.saturating_sub(kd);
+    let hi = (r + kd).min(matrix.n() - 1);
+    for i in lo..=hi {
+        matrix.set(i, r, 0.0);
+    }
+    matrix.set(r, r, 1.0);
 }
 
 impl HelmholtzProblem {
@@ -97,40 +150,25 @@ impl HelmholtzProblem {
             };
             ops.push(ElemOps { basis_id, geom, mats });
         }
-        // Assemble the global Helmholtz matrix into banded storage.
-        let kd = asm.bandwidth();
-        let mut matrix = BandedSym::zeros(asm.ndof, kd);
-        for ei in 0..mesh.nelems() {
-            let h = ops[ei].mats.helmholtz(lambda);
-            let nm = ops[ei].mats.nm;
-            let dofs = &asm.elem_dofs[ei];
-            for a in 0..nm {
-                let (ga, sa) = dofs[a];
-                for b in a..nm {
-                    let (gb, sb) = dofs[b];
-                    let v = sa * sb * h[a + b * nm];
-                    // Off-diagonal elemental pairs contribute to both
-                    // (a,b) and (b,a); symmetric storage holds one copy,
-                    // which is exactly the (min,max) entry added here.
-                    matrix.add(ga.min(gb), ga.max(gb), v);
-                }
-            }
+        // Reverse Cuthill-McKee over the element cliques: the Figure-10
+        // numbering couples vertex dofs to interiors a whole mesh apart.
+        let cliques: Vec<Vec<usize>> = asm
+            .elem_dofs
+            .iter()
+            .map(|dofs| dofs.iter().map(|&(g, _)| g).collect())
+            .collect();
+        let perm = rcm_order(&adjacency_from_cliques(asm.ndof, &cliques));
+        let kd = bandwidth_under(&perm, &cliques);
+        let mut pos = vec![0usize; asm.ndof];
+        for (row, &dof) in perm.iter().enumerate() {
+            pos[dof] = row;
         }
-        // Replace Dirichlet rows/cols with identity (done lazily per solve
-        // for the RHS; the matrix modification happens once here).
-        let ndof = asm.ndof;
-        for d in 0..ndof {
-            if !asm.dirichlet[d] {
-                continue;
-            }
-            let lo = d.saturating_sub(kd);
-            let hi = (d + kd).min(ndof - 1);
-            for i in lo..=hi {
-                if i != d {
-                    matrix.set(i.min(d), i.max(d), 0.0);
-                }
-            }
-            matrix.set(d, d, 1.0);
+        let mut matrix =
+            assemble_band(&asm, &pos, kd, |ei| ops[ei].mats.helmholtz(lambda).into());
+        // The Dirichlet coupling removed here comes back per solve as the
+        // lift on the right-hand side.
+        for d in (0..asm.ndof).filter(|&d| asm.dirichlet[d]) {
+            constrain_row(&mut matrix, pos[d]);
         }
         HelmholtzProblem {
             mesh,
@@ -141,7 +179,9 @@ impl HelmholtzProblem {
             asm,
             ops,
             matrix,
+            pos,
             factor: None,
+            lift: None,
             mass_factor: None,
             dirichlet_tags: dirichlet_tags.to_vec(),
         }
@@ -237,6 +277,66 @@ impl HelmholtzProblem {
         u_d
     }
 
+    /// Does the work a first direct solve would otherwise do lazily:
+    /// factors `matrix` and lists the Dirichlet coupling. A solver that
+    /// wants that cost outside its timed steps calls this once after its
+    /// last [`Self::pin_dof`].
+    pub fn factorize(&mut self) {
+        self.ensure_lift();
+        if self.factor.is_none() {
+            let mut f = self.matrix.clone();
+            dpbtrf(&mut f).expect("global Helmholtz matrix must be SPD");
+            self.factor = Some(f);
+        }
+    }
+
+    fn ensure_lift(&mut self) {
+        if self.lift.is_none() {
+            self.lift = Some(self.dirichlet_coupling());
+        }
+    }
+
+    /// The entries K(free, Dirichlet) of the unconstrained operator, one
+    /// per elemental contribution.
+    fn dirichlet_coupling(&self) -> Vec<(usize, usize, f64)> {
+        let dirichlet = &self.asm.dirichlet;
+        let mut entries = Vec::new();
+        for (ei, dofs) in self.asm.elem_dofs.iter().enumerate() {
+            if !dofs.iter().any(|&(g, _)| dirichlet[g]) {
+                continue;
+            }
+            let h = self.ops[ei].mats.helmholtz(self.lambda);
+            let nm = dofs.len();
+            for (a, &(ga, sa)) in dofs.iter().enumerate() {
+                if dirichlet[ga] {
+                    continue;
+                }
+                for (b, &(gb, sb)) in dofs.iter().enumerate() {
+                    if dirichlet[gb] {
+                        entries.push((ga, gb, sa * sb * h[a + b * nm]));
+                    }
+                }
+            }
+        }
+        entries
+    }
+
+    /// Copies an assembly-order vector into band order.
+    fn permute_in(&self, v: &[f64]) -> Vec<f64> {
+        let mut band = vec![0.0; v.len()];
+        for (&r, &x) in self.pos.iter().zip(v) {
+            band[r] = x;
+        }
+        band
+    }
+
+    /// Copies a band-order vector back into the assembly-order `out`.
+    fn permute_out(&self, band: &[f64], out: &mut [f64]) {
+        for (&r, x) in self.pos.iter().zip(out) {
+            *x = band[r];
+        }
+    }
+
     /// Solves K u = rhs with Dirichlet values `u_d` imposed.
     pub fn solve_with_rhs(
         &mut self,
@@ -245,56 +345,35 @@ impl HelmholtzProblem {
         method: SolveMethod,
     ) -> (Vec<f64>, SolveStats) {
         let ndof = self.asm.ndof;
-        let kd = self.matrix.kd();
-        // Move known boundary data to the RHS: rhs_f -= K_fd u_d. The
-        // assembled matrix already has Dirichlet rows/cols identity, so we
-        // rebuild the coupling from elemental matrices.
-        for ei in 0..self.mesh.nelems() {
-            let h = self.ops[ei].mats.helmholtz(self.lambda);
-            let nm = self.ops[ei].mats.nm;
-            let dofs = &self.asm.elem_dofs[ei];
-            for a in 0..nm {
-                let (ga, sa) = dofs[a];
-                if self.asm.dirichlet[ga] {
-                    continue;
-                }
-                let mut corr = 0.0;
-                for b in 0..nm {
-                    let (gb, sb) = dofs[b];
-                    if self.asm.dirichlet[gb] {
-                        corr += sa * sb * h[a + b * nm] * u_d[gb];
-                    }
-                }
-                rhs[ga] -= corr;
-            }
+        self.ensure_lift();
+        // Move known boundary data to the RHS, rhs_f -= K_fd u_d, then
+        // make the identity rows return u_d.
+        for &(free, d, k) in self.lift.as_ref().expect("listed above") {
+            rhs[free] -= k * u_d[d];
         }
         for d in 0..ndof {
             if self.asm.dirichlet[d] {
                 rhs[d] = u_d[d];
             }
         }
+        let mut x = self.permute_in(&rhs);
         let iterations = match method {
             SolveMethod::BandedDirect => {
-                if self.factor.is_none() {
-                    let mut f = self.matrix.clone();
-                    dpbtrf(&mut f).expect("global Helmholtz matrix must be SPD");
-                    self.factor = Some(f);
-                }
-                dpbtrs(self.factor.as_ref().expect("factored above"), &mut rhs)
+                self.factorize();
+                dpbtrs(self.factor.as_ref().expect("factored above"), &mut x)
                     .expect("banded solve");
                 0
             }
             SolveMethod::Pcg { tol, max_iter } => {
                 let m = &self.matrix;
                 let diag: Vec<f64> = (0..ndof).map(|i| m.get(i, i)).collect();
-                let mut x = vec![0.0; ndof];
+                let b = std::mem::replace(&mut x, vec![0.0; ndof]);
                 // Seed the constrained entries so identity rows are exact.
                 for d in 0..ndof {
                     if self.asm.dirichlet[d] {
-                        x[d] = rhs[d];
+                        x[self.pos[d]] = b[self.pos[d]];
                     }
                 }
-                let b = rhs.clone();
                 let res: PcgResult = pcg(
                     |p, out| m.matvec(p, out),
                     &diag,
@@ -304,55 +383,35 @@ impl HelmholtzProblem {
                     max_iter,
                 );
                 assert!(res.converged, "PCG failed to converge: {res:?}");
-                rhs = x;
                 res.iterations
             }
         };
+        self.permute_out(&x, &mut rhs);
         let nfree = ndof - self.asm.ndirichlet();
-        (rhs, SolveStats { nfree, bandwidth: kd, iterations })
+        (rhs, SolveStats { nfree, bandwidth: self.matrix.kd(), iterations })
     }
 
     /// Pins dof `d` to a Dirichlet value (used to remove the null space of
-    /// the pure-Neumann pressure Poisson problem). Must be called before
-    /// the first solve.
+    /// the pure-Neumann pressure Poisson problem). Discards the factor:
+    /// call before [`Self::factorize`] or the first solve.
     pub fn pin_dof(&mut self, d: usize) {
         assert!(d < self.asm.ndof);
         if self.asm.dirichlet[d] {
             return;
         }
         self.asm.dirichlet[d] = true;
-        let kd = self.matrix.kd();
-        let ndof = self.asm.ndof;
-        let lo = d.saturating_sub(kd);
-        let hi = (d + kd).min(ndof - 1);
-        for i in lo..=hi {
-            if i != d {
-                self.matrix.set(i.min(d), i.max(d), 0.0);
-            }
-        }
-        self.matrix.set(d, d, 1.0);
+        constrain_row(&mut self.matrix, self.pos[d]);
         self.factor = None;
+        self.lift = None;
     }
 
     /// Global L2 projection of `f` onto the expansion: solves M c = ∫ f φ
     /// with the assembled (unconstrained) mass matrix.
     pub fn l2_project(&mut self, f: impl Fn([f64; 2]) -> f64) -> Vec<f64> {
         if self.mass_factor.is_none() {
-            let kd = self.asm.bandwidth();
-            let mut m = BandedSym::zeros(self.asm.ndof, kd);
-            for ei in 0..self.mesh.nelems() {
-                let mats = &self.ops[ei].mats;
-                let nm = mats.nm;
-                let dofs = &self.asm.elem_dofs[ei];
-                for a in 0..nm {
-                    let (ga, sa) = dofs[a];
-                    for b in a..nm {
-                        let (gb, sb) = dofs[b];
-                        let v = sa * sb * mats.mass[a + b * nm];
-                        m.add(ga.min(gb), ga.max(gb), v);
-                    }
-                }
-            }
+            let mut m = assemble_band(&self.asm, &self.pos, self.matrix.kd(), |ei| {
+                self.ops[ei].mats.mass.as_slice().into()
+            });
             dpbtrf(&mut m).expect("global mass matrix must be SPD");
             self.mass_factor = Some(m);
         }
@@ -371,8 +430,10 @@ impl HelmholtzProblem {
             }
             self.asm.scatter_add(ei, &local, &mut rhs);
         }
-        dpbtrs(self.mass_factor.as_ref().expect("factored above"), &mut rhs)
+        let mut c = self.permute_in(&rhs);
+        dpbtrs(self.mass_factor.as_ref().expect("factored above"), &mut c)
             .expect("mass solve");
+        self.permute_out(&c, &mut rhs);
         rhs
     }
 

@@ -2,10 +2,12 @@
 //! polynomial reproduction, operator symmetry and assembly invariants
 //! over random meshes and orders.
 
-use nkt_mesh::{rect_quads, rect_tris, BoundaryTag};
+use nkt_blas::{dpotrf, dpotrs};
+use nkt_mesh::{bluff_body_mesh, rect_quads, rect_tris, BoundaryTag, Elem2d, ElemKind, Mesh2d};
 use nkt_spectral::element::Expansion;
+use nkt_spectral::rcm::{adjacency_from_cliques, bandwidth_under, rcm_order};
 use nkt_spectral::{Assembly, HelmholtzProblem, QuadBasis, SolveMethod, TriBasis};
-use nkt_testkit::{prop_assert, prop_assert_eq, prop_check};
+use nkt_testkit::{one_of, prop_assert, prop_assert_eq, prop_check};
 
 const ALL: &[BoundaryTag] = &[
     BoundaryTag::Wall,
@@ -14,8 +16,155 @@ const ALL: &[BoundaryTag] = &[
     BoundaryTag::Side,
 ];
 
+/// The unit square in `nx × ny` cells, each a quad (`kind` 0), two
+/// triangles (1), or alternately one or the other (2). One tag a side.
+fn drawn_mesh(kind: usize, nx: usize, ny: usize) -> Mesh2d {
+    let quads = rect_quads(0.0, 1.0, 0.0, 1.0, nx, ny);
+    let mut elems = Vec::new();
+    for (i, el) in quads.elems.iter().enumerate() {
+        if kind == 0 || (kind == 2 && i % 2 == 0) {
+            elems.push(el.clone());
+        } else {
+            let v = &el.verts;
+            elems.push(Elem2d { kind: ElemKind::Tri, verts: vec![v[0], v[1], v[2]] });
+            elems.push(Elem2d { kind: ElemKind::Tri, verts: vec![v[0], v[2], v[3]] });
+        }
+    }
+    Mesh2d::new(quads.verts.clone(), elems, |mid| {
+        if mid[0] < 1e-9 {
+            BoundaryTag::Inflow
+        } else if mid[0] > 1.0 - 1e-9 {
+            BoundaryTag::Outflow
+        } else if mid[1] < 1e-9 {
+            BoundaryTag::Wall
+        } else {
+            BoundaryTag::Side
+        }
+    })
+}
+
+/// Dense `asm`-numbered sum of the elemental matrices `elem(ei)`: the
+/// reference that knows nothing of the band order `HelmholtzProblem` uses.
+fn dense_assemble(prob: &HelmholtzProblem, elem: impl Fn(usize) -> Vec<f64>) -> Vec<f64> {
+    let n = prob.asm.ndof;
+    let mut k = vec![0.0; n * n];
+    for (ei, dofs) in prob.asm.elem_dofs.iter().enumerate() {
+        let h = elem(ei);
+        let nm = dofs.len();
+        for (a, &(ga, sa)) in dofs.iter().enumerate() {
+            for (b, &(gb, sb)) in dofs.iter().enumerate() {
+                k[ga + gb * n] += sa * sb * h[a + b * nm];
+            }
+        }
+    }
+    k
+}
+
+fn dense_solve(mut k: Vec<f64>, mut b: Vec<f64>) -> Vec<f64> {
+    let n = b.len();
+    dpotrf(n, &mut k, n).expect("reference matrix SPD");
+    dpotrs(n, &k, n, &mut b).expect("reference solve");
+    b
+}
+
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
+}
+
+/// The wake mesh of the benchmark: RCM must bring the Figure-10 band
+/// (1714 of 1832 dofs) down, and `matrix` must be stored at exactly the
+/// width the ordering gives.
+#[test]
+fn wake_mesh_band_is_rcm_narrow() {
+    let tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
+    let viscous = HelmholtzProblem::new(bluff_body_mesh(1), 4, 100.0, &tags);
+    let cliques: Vec<Vec<usize>> = viscous
+        .asm
+        .elem_dofs
+        .iter()
+        .map(|dofs| dofs.iter().map(|&(g, _)| g).collect())
+        .collect();
+    let perm = rcm_order(&adjacency_from_cliques(viscous.asm.ndof, &cliques));
+    assert_eq!(viscous.matrix.n(), viscous.asm.ndof);
+    assert_eq!(viscous.matrix.kd(), bandwidth_under(&perm, &cliques));
+    assert!(viscous.matrix.kd() <= 300, "band {}", viscous.matrix.kd());
+    assert!(viscous.asm.bandwidth() > 1000, "natural band {}", viscous.asm.bandwidth());
+}
+
 prop_check! {
     #![cases(12)]
+
+    /// Both solve methods agree with a dense natural-order solve of the
+    /// same constrained system, whatever the mesh, order, λ, Dirichlet
+    /// set (drawn tags, optionally one pinned dof) and boundary values.
+    fn solve_matches_dense_natural_order_reference(
+        kind in 0usize..3, nx in 1usize..4, ny in 1usize..4, p in 2usize..7,
+        lam in one_of(&[0.0f64, 0.7, 40.0]), tag_mask in 0usize..16,
+        pin in 0usize..4, seed in 0u64..1000
+    ) {
+        const TAGS: [BoundaryTag; 4] =
+            [BoundaryTag::Inflow, BoundaryTag::Outflow, BoundaryTag::Wall, BoundaryTag::Side];
+        let tags: Vec<BoundaryTag> =
+            (0..4).filter(|t| tag_mask >> t & 1 == 1).map(|t| TAGS[t]).collect();
+        let mut prob = HelmholtzProblem::new(drawn_mesh(kind, nx, ny), p, lam, &tags);
+        let n = prob.asm.ndof;
+        // pin == 0 leaves the tags alone unless the operator would be
+        // singular (pure Neumann Poisson); only a vertex dof carries the
+        // constant mode, and the vertex dofs are numbered first.
+        if pin > 0 || (lam == 0.0 && prob.asm.ndirichlet() == 0) {
+            prob.pin_dof(pin * 37 % prob.mesh.nverts());
+        }
+        let wave = |i: usize, f: f64| ((i as u64 + seed) as f64 * f).sin();
+        let rhs: Vec<f64> = (0..n).map(|i| wave(i, 0.37)).collect();
+        let u_d: Vec<f64> = (0..n).map(|i| 1.0 + wave(i, 0.11)).collect();
+
+        let mut k = dense_assemble(&prob, |ei| prob.ops[ei].mats.helmholtz(lam));
+        let mut b = rhs.clone();
+        for d in (0..n).filter(|&d| prob.asm.dirichlet[d]) {
+            for i in 0..n {
+                b[i] -= k[i + d * n] * u_d[d];
+                k[i + d * n] = 0.0;
+                k[d + i * n] = 0.0;
+            }
+            k[d + d * n] = 1.0;
+        }
+        for d in (0..n).filter(|&d| prob.asm.dirichlet[d]) {
+            b[d] = u_d[d];
+        }
+        let want = dense_solve(k, b);
+        let scale = 1.0 + want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+
+        let (direct, _) = prob.solve_with_rhs(rhs.clone(), &u_d, SolveMethod::BandedDirect);
+        prop_assert!(max_abs_diff(&direct, &want) < 1e-9 * scale,
+            "direct off by {}", max_abs_diff(&direct, &want));
+        let (iter, stats) =
+            prob.solve_with_rhs(rhs, &u_d, SolveMethod::Pcg { tol: 1e-14, max_iter: 50 * n });
+        prop_assert!(stats.iterations > 0);
+        prop_assert!(max_abs_diff(&iter, &want) < 1e-9 * scale,
+            "pcg off by {}", max_abs_diff(&iter, &want));
+    }
+
+    /// `l2_project` agrees with a dense natural-order mass solve.
+    fn l2_project_matches_dense_natural_order_reference(
+        kind in 0usize..3, nx in 1usize..4, ny in 1usize..4, p in 2usize..7, c in -2.0f64..2.0
+    ) {
+        let f = move |x: [f64; 2]| (c * x[0]).sin() + x[1] * x[1];
+        let mut prob = HelmholtzProblem::new(drawn_mesh(kind, nx, ny), p, 1.0, &[]);
+        let mut load = vec![0.0; prob.asm.ndof];
+        for ei in 0..prob.mesh.nelems() {
+            let basis = prob.basis(ei);
+            let geom = &prob.ops[ei].geom;
+            let local: Vec<f64> = basis
+                .val()
+                .iter()
+                .map(|vm| (0..basis.nquad()).map(|q| geom.jw[q] * f(geom.x[q]) * vm[q]).sum())
+                .collect();
+            prob.asm.scatter_add(ei, &local, &mut load);
+        }
+        let want = dense_solve(dense_assemble(&prob, |ei| prob.ops[ei].mats.mass.clone()), load);
+        let got = prob.l2_project(f);
+        prop_assert!(max_abs_diff(&got, &want) < 1e-9, "off by {}", max_abs_diff(&got, &want));
+    }
 
     /// Laplace problems reproduce any affine solution exactly on any
     /// quadrilateral mesh and order.

@@ -466,8 +466,14 @@ mod tests {
         );
     }
 
+    /// The collector is process-global and the harness runs tests on
+    /// parallel threads: a test that parks `ThreadData` and drains it holds
+    /// this, or another test's global drain takes its data first.
+    static COLLECTOR_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn take_collected_returns_tid_sorted_threads() {
+        let _serial = COLLECTOR_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         // Drain any residue, then park data for two synthetic tids in
         // reverse order; take_collected must hand them back sorted.
         let _ = take_collected();
@@ -483,9 +489,9 @@ mod tests {
     fn take_collected_for_drains_only_its_scope() {
         // Park data under two synthetic scopes; draining one must return
         // exactly its threads and leave the other's in the collector.
+        let _serial = COLLECTOR_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let sa = u64::MAX - 10;
         let sb = u64::MAX - 11;
-        let _ = take_collected();
         collect(ThreadData { tid: 1001, scope: sa, ..ThreadData::default() });
         collect(ThreadData { tid: 1002, scope: sb, ..ThreadData::default() });
         collect(ThreadData { tid: 1003, scope: sa, ..ThreadData::default() });

@@ -301,6 +301,25 @@ NKT_BENCH_FAST=1 NKT_RESULTS_DIR="$trace_dir" \
 cargo run --release --offline -p nkt-bench --bin bench_diff -- \
     --fresh "$trace_dir" || echo "bench_diff: drift noted (dry run, not gating)"
 
+echo "== benchmark smoke (perfbench builds against the workspace and its checks pass) =="
+# perfbench is a package of its own that reaches into the solvers' public
+# surface (HelmholtzProblem's matrix / asm / solve_with_rhs, the drive
+# loop, the serve engine); a change that breaks it must fail here, not in
+# the benchmark driver. The build refreshes perfbench/Cargo.lock, which a
+# change outside perfbench/ may not touch, so it is put back.
+lock_keep="$(mktemp)"
+cp perfbench/Cargo.lock "$lock_keep"
+bench_rc=0
+bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload wake2d --seconds 1)" || bench_rc=$?
+cp "$lock_keep" perfbench/Cargo.lock
+rm -f "$lock_keep"
+if [[ "$bench_rc" != 0 ]] || ! tail -n 1 <<< "$bench_out" | grep -q '"correct": true'; then
+    echo "FAIL: perfbench wake2d exited $bench_rc or did not report \"correct\": true" >&2
+    tail -n 5 <<< "$bench_out" >&2
+    exit 1
+fi
+
 if [[ "$deep" == 1 ]]; then
     echo "== deep property sweep (NKT_PROP_CASES=1000) =="
     NKT_PROP_CASES=1000 cargo test -q --offline --workspace
