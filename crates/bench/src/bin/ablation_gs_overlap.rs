@@ -3,14 +3,14 @@
 //! that posts the halo exchange before the interior elemental work and
 //! drains it afterwards.
 //!
-//! Like `overlap_ablation`, the measurement is the simulator's
-//! *virtual* clock — exact and repeatable — recorded through
-//! [`nkt_testkit::bench::Group::report`] so `bench_diff` gates on the
-//! modeled numbers. Two views:
+//! Like `ablation_overlap`, the measurement is the simulator's
+//! *virtual* clock — exact and repeatable — so the printed tables are a
+//! model output, committed as `results/ablation_gs_overlap.txt` and
+//! held byte for byte by `scripts/check_baselines`. Two views:
 //!
 //! - native: a small flapping-wing ALE run at P = 4; asserts the two
 //!   modes are bitwise identical (FNV state hash) and charge the same
-//!   busy time, then records both walls.
+//!   busy time, then prints both walls.
 //! - replay: the Table-3 shape (15,870 elements, order 4) replayed on
 //!   the NCSA and RoadRunner-myrinet models at P = 16/64 with the
 //!   `CommItem::GsExchange` overlap credit on and off.
@@ -24,7 +24,6 @@ use nkt_mesh::wing_box_mesh;
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
 use nkt_partition::{partition_kway, Graph, PartitionOptions};
-use nkt_testkit::Bench;
 
 const P: usize = 4;
 
@@ -84,7 +83,7 @@ fn replay_wall(mid: MachineId, nid: NetId, p: usize, frac: f64) -> f64 {
 }
 
 fn main() {
-    let mut b = Bench::new("gs");
+    println!("NekTar-ALE gather-scatter ablation: blocking vs split-phase exchange [modeled]\n");
 
     let (wall_block, busy_block, hash_block) = ale_times(false);
     let (wall_split, busy_split, hash_split) = ale_times(true);
@@ -93,7 +92,7 @@ fn main() {
         "split-phase gather-scatter must be bitwise neutral"
     );
     // Same elemental charges in both modes, accumulated at different
-    // virtual times — allow ulp-level drift (cf. overlap_ablation).
+    // virtual times — allow ulp-level drift (cf. ablation_overlap).
     assert!(
         (busy_block - busy_split).abs() <= 1e-12 * busy_block,
         "busy must not depend on NKT_GS_OVERLAP ({busy_block} vs {busy_split})"
@@ -102,16 +101,21 @@ fn main() {
         wall_split < wall_block,
         "split-phase ALE step should be faster ({wall_split} vs {wall_block})"
     );
-    let mut g = b.group(&format!("ale/np{P}/myr"));
-    g.report("step2_wall/blocking", wall_block * 1e9);
-    g.report("step2_wall/split", wall_split * 1e9);
-    g.report("step2_busy", busy_block * 1e9);
-    g.finish();
-    eprintln!(
-        "  ale/np{P}/myr: split-phase gs hides {:.1}% of the run's idle time",
+    println!("native: flapping wing, 2 steps, np = {P}, RoadRunner myr. [virtual ms]");
+    println!("state hash {hash_split:016x} in both modes");
+    println!("{:>16} {:>16} {:>16} {:>8}", "blocking", "split", "busy", "hidden");
+    println!("{}", "-".repeat(59));
+    println!(
+        "{:>16.6} {:>16.6} {:>16.6} {:>7.2}%",
+        wall_block * 1e3,
+        wall_split * 1e3,
+        busy_block * 1e3,
         100.0 * (wall_block - wall_split) / (wall_block - busy_block)
     );
 
+    println!("\nreplay: Table 3 shape (15,870 elements, order 4) [virtual s per step]");
+    println!("{:>8} {:>5} {:>12} {:>12}", "machine", "P", "blocking", "overlap");
+    println!("{}", "-".repeat(40));
     for (label, mid, nid) in [
         ("ncsa", MachineId::Ncsa, NetId::Ncsa),
         ("myr", MachineId::RoadRunner, NetId::RoadRunnerMyr),
@@ -125,11 +129,7 @@ fn main() {
                 "table3/{label}/p{p}: overlap credit must reduce modeled wall \
                  ({overlap} vs {blocking})"
             );
-            let mut g = b.group(&format!("table3/{label}/p{p}"));
-            g.report("step_wall/blocking", blocking * 1e9);
-            g.report("step_wall/overlap", overlap * 1e9);
-            g.finish();
+            println!("{label:>8} {p:>5} {blocking:>12.4} {overlap:>12.4}");
         }
     }
-    b.finish();
 }

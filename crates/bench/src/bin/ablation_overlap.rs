@@ -3,23 +3,21 @@
 //! for both the slab (8x1) and the pencil (4x2) decomposition
 //! (DESIGN.md §13).
 //!
-//! Unlike the kernel benches in this directory, the measurement here is
-//! the simulator's *virtual* clock — exact and repeatable — so results
-//! are recorded through [`nkt_testkit::bench::Group::report`] instead of
-//! host timing. `bench_diff` then gates on the modeled numbers
-//! themselves: any change to the request engine, the NIC-egress model or
-//! the transpose pipelining that shifts these figures shows up as a
-//! baseline diff.
+//! The measurement is the simulator's *virtual* clock — exact and
+//! repeatable — so the printed table is a model output like the other
+//! bins': committed as `results/ablation_overlap.txt` and held byte for
+//! byte by `scripts/check_baselines`. Any change to the request engine,
+//! the NIC-egress model or the transpose pipelining that shifts these
+//! figures shows up as a baseline diff.
 //!
-//! Invariants the unit tests already pin (fourier.rs): identical FNV
-//! state hash and identical busy between the two modes; this bench
-//! records the wall-clock side of that story.
+//! The run also asserts what the unit tests pin (fourier.rs): identical
+//! busy time between the two modes, and a pipelined wall strictly below
+//! the blocking one.
 
 use nektar::fourier::{FourierConfig, NektarF};
 use nkt_mesh::rect_quads;
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
-use nkt_testkit::Bench;
 
 const P: usize = 8;
 
@@ -59,8 +57,14 @@ fn step_times(nid: NetId, overlap: bool, pr: usize, pc: usize) -> (f64, f64) {
 }
 
 fn main() {
-    let mut b = Bench::new("overlap");
-    for (pr, pc, grid_tag) in [(P, 1, ""), (P / 2, 2, "/pencil4x2")] {
+    println!("NekTar-F transpose ablation: blocking vs pipelined Alltoall, np = {P}");
+    println!("[modeled: virtual ms per step; hidden = share of the blocking step's idle time]\n");
+    println!(
+        "{:>5} {:>5} {:>14} {:>14} {:>14} {:>8}",
+        "net", "grid", "blocking", "pipelined", "busy", "hidden"
+    );
+    println!("{}", "-".repeat(65));
+    for (pr, pc) in [(P, 1), (P / 2, 2)] {
         for (nid, tag) in [(NetId::RoadRunnerEth, "eth"), (NetId::RoadRunnerMyr, "myr")] {
             let (wall_block, busy_block) = step_times(nid, false, pr, pc);
             let (wall_pipe, busy_pipe) = step_times(nid, true, pr, pc);
@@ -69,24 +73,22 @@ fn main() {
             // ulp-level drift here (the eth unit test pins exact equality).
             assert!(
                 (busy_block - busy_pipe).abs() <= 1e-12 * busy_block,
-                "{tag}{grid_tag}: busy must not depend on NKT_OVERLAP \
+                "{tag} {pr}x{pc}: busy must not depend on NKT_OVERLAP \
                  ({busy_block} vs {busy_pipe})"
             );
             assert!(
                 wall_pipe < wall_block,
-                "{tag}{grid_tag}: pipelined step should be faster \
+                "{tag} {pr}x{pc}: pipelined step should be faster \
                  ({wall_pipe} vs {wall_block})"
             );
-            let mut g = b.group(&format!("np{P}/{tag}{grid_tag}"));
-            g.report("step_wall/blocking", wall_block * 1e9);
-            g.report("step_wall/pipelined", wall_pipe * 1e9);
-            g.report("step_busy", busy_block * 1e9);
-            g.finish();
-            eprintln!(
-                "  np{P}/{tag}{grid_tag}: overlap hides {:.1}% of the step's idle time",
+            println!(
+                "{tag:>5} {:>5} {:>14.6} {:>14.6} {:>14.6} {:>7.1}%",
+                format!("{pr}x{pc}"),
+                wall_block * 1e3,
+                wall_pipe * 1e3,
+                busy_block * 1e3,
                 100.0 * (wall_block - wall_pipe) / (wall_block - busy_block)
             );
         }
     }
-    b.finish();
 }

@@ -1,25 +1,10 @@
 //! Figure 6: dgemm at small n (2-20) — the regime NekTar actually uses
 //! ("most of the calls to dgemm() ... are for small n (10 or less)").
-//! Modeled rates plus *native* measurements of our own dgemm_small.
+//! Modeled rates only: the host's own `dgemm_small` is `perfbench`'s
+//! `blas.dgemm_small_gflops` row.
 
 use nkt_bench::{header, left_panel, right_panel, row};
-use nkt_blas::level2::Trans;
 use nkt_machine::{machine, Kernel};
-use std::time::Instant;
-
-fn native_dgemm_mflops(n: usize) -> f64 {
-    let a = vec![1.0f64; n * n];
-    let b = vec![2.0f64; n * n];
-    let mut c = vec![0.0f64; n * n];
-    let reps = (2_000_000 / (2 * n * n * n)).max(10);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        nkt_blas::dgemm_small(Trans::No, Trans::No, n, n, n, 1.0, &a, n, &b, n, 0.0, &mut c, n);
-        std::hint::black_box(&mut c);
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    (reps * 2 * n * n * n) as f64 / dt / 1e6
-}
 
 fn main() {
     for (panel, ids) in [("left", left_panel()), ("right", right_panel())] {
@@ -35,10 +20,5 @@ fn main() {
                 .collect();
             row(n, &vals);
         }
-    }
-    println!("\nnative (this host, our dgemm_small):");
-    header(&["n", "MFlop/s"]);
-    for n in [2usize, 4, 6, 8, 10, 12, 16, 20] {
-        row(n, &[native_dgemm_mflops(n)]);
     }
 }

@@ -15,11 +15,13 @@
 //! | `table3_nektar_ale` | Table 3 (NekTar-ALE CPU/wall, P = 16–128) |
 //! | `fig15_16_ale_stages` | Figures 15–16 (ALE stage breakdowns) |
 //! | `ablation_alltoall` / `ablation_gs` / `ablation_partition` | design-choice ablations (DESIGN.md §6) |
+//! | `ablation_overlap` / `ablation_gs_overlap` | blocking vs pipelined transpose (§11) and vs split-phase gather-scatter (§16), on the virtual clock |
 //!
-//! The `nkt-testkit` benches in `benches/` time the *native* kernels on
-//! the host and write `results/BENCH_<name>.json`.
-//! Experiment binaries print `modeled` numbers (1999-machine replay) and
-//! say so; EXPERIMENTS.md records paper-vs-ours for each.
+//! Every binary prints `modeled` numbers only (1999-machine replay,
+//! virtual clock) and says so; its stdout is committed as
+//! `results/<bin>.txt` and held byte for byte by
+//! `scripts/check_baselines`. EXPERIMENTS.md records paper-vs-ours for
+//! each. Host timing of the native kernels is `perfbench/`'s job.
 
 use nektar::workload::{serial_step_workload, Serial2dShape};
 use nkt_machine::{machine, MachineId};

@@ -8,10 +8,50 @@ use crate::overlap::{overlap_windows, OverlapWindow};
 use nkt_machine::{machine, Machine, MachineId};
 use nkt_net::{cluster, NetId};
 use nkt_prof::{from_threads, from_trace_json, PRank};
-use nkt_trace::json::quote;
+use nkt_trace::gate::{parse_schema, Gate, Sense};
+use nkt_trace::json::{quote, Value};
 use nkt_trace::{json_f64_exact, ThreadData};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+/// Schema tag written into every `CALIB_<run>.json`.
+pub const SCHEMA: &str = "nkt-calib-1";
+
+/// Band of every gated calibration value: 0.02 absolute + 10 %.
+const BAND: (f64, f64) = (0.02, 0.10);
+
+/// Reads the gated rows back out of a `CALIB_<run>.json`: a comm op's
+/// share of modeled time may not grow (more fiction to explain), a
+/// stage's measured overlap window may not shrink (less work to hide
+/// communication behind), and a fitted channel or kernel constant may
+/// not move either way (the calibration itself drifted).
+pub fn gates(text: &str) -> Result<Vec<Gate>, String> {
+    let doc = parse_schema(text, SCHEMA)?;
+    let mut rows = Vec::new();
+    let mut push =
+        |name: String, v: f64, sense| rows.push(Gate::new(name, v, sense, BAND.0, BAND.1));
+    for d in doc.req_arr("drift")? {
+        if d.req_str("class")? == "comm" {
+            let op = d.req_str("name")?;
+            push(format!("comm_share[{op}]"), d.req_f64("vshare")?, Sense::Up);
+        }
+    }
+    for w in doc.req_arr("windows")? {
+        let stage = w.req_str("stage")?;
+        push(format!("window[{stage}]"), w.req_f64("window")?, Sense::Down);
+    }
+    // `null` when the run sent no point-to-point messages.
+    if let Some(ab) = doc.get("alpha_beta").filter(|v| **v != Value::Null) {
+        for key in ["alpha_us", "beta_mbs"] {
+            push(format!("fit[{key}]"), ab.req_f64(key)?, Sense::Either);
+        }
+    }
+    for k in doc.req_arr("kernel_fits")? {
+        let kernel = k.req_str("kernel")?;
+        push(format!("fit[r_inf[{kernel}]]"), k.req_f64("r_inf")?, Sense::Either);
+    }
+    Ok(rows)
+}
 
 /// Finds the network configuration a run name encodes, taking the
 /// longest catalog slug that appears as a substring (`fourier_dns_
@@ -108,7 +148,7 @@ impl Calibration {
         let f = json_f64_exact;
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"nkt-calib-1\",");
+        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
         let _ = writeln!(out, "  \"run\": {},", quote(&self.run));
         let _ = writeln!(out, "  \"ranks\": {},", self.ranks.len());
         let net = self.net.map_or("null".to_string(), |id| quote(id.slug()));
@@ -338,6 +378,85 @@ mod tests {
                 assert_eq!(m, MachineId::RoadRunner);
             }
         }
+    }
+
+    #[test]
+    fn gates_read_the_calib_schema() {
+        let text = r#"{"schema":"nkt-calib-1","run":"sample",
+            "drift":[{"class":"stage","name":"NonLinear","vshare":0.9},
+                     {"class":"comm","name":"alltoall","vshare":0.6},
+                     {"class":"comm","name":"p2p.send","vshare":0.4}],
+            "alpha_beta":{"alpha_us":240.0,"beta_mbs":8.5},
+            "kernel_fits":[{"kernel":"dgemm","r_inf":180.0}],
+            "windows":[{"stage":"PressureSolve","window":0.82}]}"#;
+        let gate = |name: &str, v, sense| Gate::new(name, v, sense, 0.02, 0.10);
+        // Only comm-class drift rows are gated.
+        assert_eq!(
+            gates(text).unwrap(),
+            [
+                gate("comm_share[alltoall]", 0.6, Sense::Up),
+                gate("comm_share[p2p.send]", 0.4, Sense::Up),
+                gate("window[PressureSolve]", 0.82, Sense::Down),
+                gate("fit[alpha_us]", 240.0, Sense::Either),
+                gate("fit[beta_mbs]", 8.5, Sense::Either),
+                gate("fit[r_inf[dgemm]]", 180.0, Sense::Either),
+            ]
+        );
+        assert!(gates(&text.replace("nkt-calib-1", "nkt-prof-1")).is_err());
+    }
+
+    /// Writer and reader agree: the rows read back from the production
+    /// `to_json` equal the document's own numbers, so a writer change
+    /// the extractor cannot see fails here instead of un-gating a row.
+    #[test]
+    fn gates_round_trip_the_written_calibration() {
+        let mut c = Calibration::build("fourier_dns_roadrunner_eth", &[]);
+        let drift = |class, name: &str, vshare| DriftRow {
+            class,
+            name: name.to_string(),
+            calls: 3,
+            vsecs: 0.25,
+            host_s: 0.0,
+            host_calls: 0,
+            bytes: 96,
+            flops: 0.0,
+            vshare,
+        };
+        c.drift = vec![
+            drift("stage", "NonLinear", 1.0),
+            drift("comm", "alltoall", 0.625),
+            drift("comm", "p2p.send", 0.375),
+        ];
+        c.alpha_beta = Some(AlphaBetaFit {
+            channel: "p2p".to_string(),
+            samples: 12,
+            alpha_us: 151.5,
+            beta_mbs: 11.25,
+            max_resid_us: 0.5,
+            static_alpha_us: Some(150.0),
+            static_beta_mbs: None,
+        });
+        c.windows = vec![OverlapWindow {
+            stage: "PressureSolve".to_string(),
+            applies: 4,
+            interior: 300,
+            boundary: 100,
+        }];
+
+        let mut want = vec![
+            ("comm_share[alltoall]".to_string(), 0.625),
+            ("comm_share[p2p.send]".to_string(), 0.375),
+            ("window[PressureSolve]".to_string(), c.windows[0].window()),
+            ("fit[alpha_us]".to_string(), 151.5),
+            ("fit[beta_mbs]".to_string(), 11.25),
+        ];
+        want.extend(c.kernel_fits.iter().map(|k| (format!("fit[r_inf[{}]]", k.kernel), k.r_inf)));
+        let got: Vec<(String, f64)> =
+            gates(&c.to_json()).unwrap().into_iter().map(|g| (g.name, g.value)).collect();
+        assert_eq!(got, want);
+        // A run with no p2p traffic writes `null` and gates no channel fit.
+        c.alpha_beta = None;
+        assert_eq!(gates(&c.to_json()).unwrap().len(), want.len() - 2);
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!
 //! Everything serialized lives on the **virtual** timeline (or is an
 //! exact counter), so `CALIB_<run>.json` is byte-identical across runs
-//! of the same seeded simulation and gateable by `calib_diff`; measured
-//! host times appear only in the printed report.
+//! of the same seeded simulation and [`gates`] can hold it against a
+//! committed baseline; measured host times appear only in the printed
+//! report.
 //!
 //! ## Configuration
 //!
@@ -47,7 +48,7 @@ pub mod drift;
 pub mod fit;
 pub mod overlap;
 
-pub use document::{machine_for, net_from_run, Calibration};
+pub use document::{gates, machine_for, net_from_run, Calibration};
 pub use drift::{drift_rows, DriftRow, CANONICAL_MFLOPS};
 pub use fit::{alpha_beta_fit, host_sweep, kernel_fits, AlphaBetaFit, HostPoint, KernelFit};
 pub use overlap::{

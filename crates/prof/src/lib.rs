@@ -50,7 +50,7 @@ pub mod profile;
 pub use attrib::{comm_matrix, op_stats, stage_stats, MatrixCell, OpStat, StageStat};
 pub use critpath::{critical_path, CpSegment, CriticalPath, MAX_SEGMENTS};
 pub use model::{from_threads, from_trace_json, PRank, PSpan};
-pub use profile::Profile;
+pub use profile::{gates, Profile};
 
 use std::sync::OnceLock;
 

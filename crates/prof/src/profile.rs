@@ -5,10 +5,32 @@
 use crate::attrib::{comm_matrix, op_stats, stage_attributed, stage_stats, MatrixCell, OpStat, StageStat};
 use crate::critpath::{critical_path, CriticalPath};
 use crate::model::{from_threads, from_trace_json, PRank};
+use nkt_trace::gate::{parse_schema, Gate, Sense};
 use nkt_trace::json::quote;
 use nkt_trace::{json_f64_exact, ThreadData};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+/// Schema tag written into every `PROF_<run>.json`.
+pub const SCHEMA: &str = "nkt-prof-1";
+
+/// Band of the gated communication-health ratios: 0.02 absolute + 10 %.
+/// Profiles are virtual-time-deterministic, so the band is for small
+/// intended drifts (a new message, a reordered stage), not for noise.
+const BAND: (f64, f64) = (0.02, 0.10);
+
+/// Reads the gated rows back out of a `PROF_<run>.json`: the run-wide
+/// wait share (receiver idle over total rank-time) and every stage's
+/// imbalance ratio. Both are lower-is-better, so only growth regresses.
+pub fn gates(text: &str) -> Result<Vec<Gate>, String> {
+    let doc = parse_schema(text, SCHEMA)?;
+    let up = |name: String, v: f64| Gate::new(name, v, Sense::Up, BAND.0, BAND.1);
+    let mut rows = vec![up("wait_share".to_string(), doc.req_f64("wait_share")?)];
+    for s in doc.req_arr("stages")? {
+        rows.push(up(format!("imbalance[{}]", s.req_str("stage")?), s.req_f64("imbalance")?));
+    }
+    Ok(rows)
+}
 
 /// A complete post-run profile of one traced run.
 ///
@@ -93,7 +115,7 @@ impl Profile {
         let f = json_f64_exact;
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"nkt-prof-1\",");
+        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
         let _ = writeln!(out, "  \"run\": {},", quote(&self.run));
         let _ = writeln!(out, "  \"ranks\": {},", self.ranks.len());
         let _ = writeln!(out, "  \"total_wait\": {},", f(self.total_wait()));
@@ -320,3 +342,28 @@ impl Profile {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gates_read_the_prof_schema() {
+        let text = r#"{"schema":"nkt-prof-1","run":"sample","wait_share":0.125,
+            "stages":[{"stage":"NonLinear","imbalance":1.25},
+                      {"stage":"PressureSolve","imbalance":1.0}]}"#;
+        let up = |name: &str, v| Gate::new(name, v, Sense::Up, 0.02, 0.10);
+        assert_eq!(
+            gates(text).unwrap(),
+            [
+                up("wait_share", 0.125),
+                up("imbalance[NonLinear]", 1.25),
+                up("imbalance[PressureSolve]", 1.0)
+            ]
+        );
+        // A document of another family, or one that lost a gated field,
+        // is an error rather than fewer rows.
+        for bad in [text.replace("nkt-prof-1", "nkt-stats-1"), text.replace("wait_share", "w")] {
+            assert!(gates(&bad).is_err(), "{bad}");
+        }
+    }
+}

@@ -108,6 +108,22 @@ fn profile_json_is_byte_identical_across_identical_runs() {
     assert!(doc.get("critical_path").is_some());
 }
 
+/// Writer and reader agree: every gated row read back from the
+/// production `to_json` equals the in-memory number it was written
+/// from, so a writer change the extractor cannot see fails here instead
+/// of silently un-gating a row.
+#[test]
+fn gates_round_trip_the_written_profile() {
+    let _g = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let p = profile_world("gated", imbalanced_step);
+    let mut want = vec![("wait_share".to_string(), p.wait_share())];
+    want.extend(p.stages.iter().map(|s| (format!("imbalance[{}]", s.stage), s.imbalance)));
+    assert!(want.len() >= 3 && p.wait_share() > 0.0, "the world must exercise every row kind");
+    let gates = nkt_prof::gates(&p.to_json()).expect("extract");
+    let got: Vec<(String, f64)> = gates.into_iter().map(|g| (g.name, g.value)).collect();
+    assert_eq!(got, want);
+}
+
 #[test]
 fn offline_profile_from_trace_json_matches_in_process_analysis() {
     let _g = LIVE.lock().unwrap_or_else(|e| e.into_inner());

@@ -6,7 +6,9 @@
 //! covers evictions at the first cut, at late cuts, and the no-eviction
 //! edge where the intruder arrives after the victim's last cut. A
 //! second, fixed-batch test reruns one mixed schedule twice and asserts
-//! every `MANIFEST_` is byte-identical across scheduler reruns.
+//! every `MANIFEST_` is byte-identical across scheduler reruns; a third
+//! pins the minimal eviction batch's schedule (ticks, evictions, queue
+//! wait) exactly.
 
 use nkt_net::NetId;
 use nkt_serve::{serve, JobSpec, ServeConfig, SolverKind};
@@ -111,6 +113,25 @@ prop_check! {
         );
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// The minimal eviction batch — a 4-step victim cutting every step and
+/// a one-step high-priority intruder arriving at tick 1, one world slot
+/// — has a schedule that is a pure function of the batch. Pinned
+/// exactly: a different number here is a scheduler semantics change.
+#[test]
+fn two_job_eviction_schedule_is_pinned() {
+    let root = fresh_dir("pinned");
+    let batch = vec![
+        JobSpec { steps: 4, stats_every: 0, ..victim(1) },
+        JobSpec { steps: 1, ..intruder(1) },
+    ];
+    let rep = serve(batch, &ServeConfig { root: root.clone(), max_worlds: 1, events: None })
+        .expect("pinned serve");
+    assert!(rep.jobs.iter().all(|j| j.finished()), "both jobs must finish");
+    let waited: u64 = rep.jobs.iter().map(|j| j.queue_wait_ticks).sum();
+    assert_eq!((rep.ticks, rep.preemptions, waited), (5, 1, 2));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn mixed_batch() -> Vec<JobSpec> {

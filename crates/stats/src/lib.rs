@@ -24,8 +24,9 @@
 //!
 //! The solver-facing sampling glue (which fields to scan, which probes
 //! to run) lives in `nektar::stats`; this crate holds the
-//! solver-agnostic machinery. `scripts/stats_diff` gates committed
-//! baselines like `prof_diff` does.
+//! solver-agnostic machinery. [`gates`] names the rows of a
+//! `STATS_<run>.json` that `scripts/check_baselines` holds against the
+//! committed baselines.
 //!
 //! ## Configuration
 //!
@@ -40,7 +41,7 @@ pub mod series;
 
 pub use accum::ChannelAccum;
 pub use health::{check_rules, HealthError, RuleLimits};
-pub use series::{Sample, StatsRecorder, MPI_COLS, SCHEMA};
+pub use series::{gates, Sample, StatsRecorder, MPI_COLS, SCHEMA};
 
 use std::sync::OnceLock;
 

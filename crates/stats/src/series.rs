@@ -33,11 +33,48 @@
 use crate::accum::ChannelAccum;
 use nkt_ckpt::{Checkpointable, CkptError, CkptFile, CkptWriter, Enc};
 use nkt_mpi::prelude::*;
+use nkt_trace::gate::{parse_schema, Gate, Sense};
+use nkt_trace::json::Value;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Schema tag written into every `STATS_<run>.json`.
 pub const SCHEMA: &str = "nkt-stats-1";
+
+/// Band of the gated channel means: 1e-12 absolute + 5 %, two-sided —
+/// a physics mean has no better direction.
+const MEAN_BAND: (f64, f64) = (1e-12, 0.05);
+
+/// Reads the gated rows back out of a `STATS_<run>.json`. The sample
+/// count and the final cumulative sent-bytes total (summed over the
+/// last sample's rank rows) must reproduce exactly — a different
+/// cadence is a different experiment, and MPI counters are integers on
+/// the virtual timeline, so any change means the communication schedule
+/// changed. Each channel's accumulated mean is the physics drift row.
+pub fn gates(text: &str) -> Result<Vec<Gate>, String> {
+    let doc = parse_schema(text, SCHEMA)?;
+    let samples = doc.req_arr("samples")?;
+    let sent_bytes = match samples.last() {
+        None => 0.0,
+        // (fold, not sum: an empty f64 sum is -0.0)
+        Some(s) => s
+            .req_arr("mpi")?
+            .iter()
+            .filter_map(|row| row.as_arr()?.get(1)?.as_f64())
+            .fold(0.0, |total, bytes| total + bytes),
+    };
+    let mut rows = vec![
+        Gate::exact("samples", samples.len() as f64),
+        Gate::exact("sent_bytes[final]", sent_bytes),
+    ];
+    let accum = doc.get("accum").and_then(Value::as_obj).ok_or("no object \"accum\"")?;
+    let (abs, rel) = MEAN_BAND;
+    for (channel, a) in accum {
+        let mean = a.req_f64("mean").map_err(|e| format!("channel {channel}: {e}"))?;
+        rows.push(Gate::new(format!("mean[{channel}]"), mean, Sense::Either, abs, rel));
+    }
+    Ok(rows)
+}
 
 /// Columns of one per-rank MPI traffic row, in order: messages sent,
 /// bytes sent, messages received, bytes received, collective
@@ -429,6 +466,42 @@ mod tests {
         assert_eq!(mpi[0].as_arr().unwrap()[1].as_f64(), Some(160.0));
         let ke = doc.get("accum").unwrap().get("ke").unwrap();
         assert_eq!(ke.get("count").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn gates_read_the_stats_schema() {
+        let text = r#"{"schema": "nkt-stats-1", "run": "sample", "every": 1, "nranks": 2,
+            "channels": ["ke", "div"],
+            "samples": [
+              {"step": 1, "scalars": [0.5, 1e-9], "spectrum": [], "mpi": [[1, 80, 1, 80, 2], [1, 96, 1, 96, 2]]},
+              {"step": 2, "scalars": [0.4, 2e-9], "spectrum": [], "mpi": [[2, 160, 2, 160, 4], [2, 200, 2, 200, 4]]}
+            ],
+            "accum": {"ke": {"count": 2, "mean": 0.45, "m2": 0.005, "min": 0.4, "max": 0.5},
+                      "div": {"count": 2, "mean": 1.5e-9, "m2": 5e-19, "min": 1e-9, "max": 2e-9}}}"#;
+        let mean = |name: &str, v| Gate::new(name, v, Sense::Either, 1e-12, 0.05);
+        assert_eq!(
+            gates(text).unwrap(),
+            [
+                Gate::exact("samples", 2.0),
+                Gate::exact("sent_bytes[final]", 360.0),
+                mean("mean[ke]", 0.45),
+                mean("mean[div]", 1.5e-9),
+            ]
+        );
+        assert!(gates(&text.replace("nkt-stats-1", "nkt-prof-1")).is_err());
+    }
+
+    /// Writer and reader agree: the rows read back from the production
+    /// `to_json` equal the recorder's own numbers, so a writer change the
+    /// extractor cannot see fails here instead of un-gating a row.
+    #[test]
+    fn gates_round_trip_the_written_series() {
+        let r = recorder_with_samples();
+        let mut want = vec![("samples".to_string(), 2.0), ("sent_bytes[final]".to_string(), 320.0)];
+        want.extend(r.channels.iter().zip(r.accums()).map(|(c, a)| (format!("mean[{c}]"), a.mean)));
+        let got: Vec<(String, f64)> =
+            gates(&r.to_json("unit")).unwrap().into_iter().map(|g| (g.name, g.value)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # nkt-testkit — the workspace's self-built test & bench substrate
+//! # nkt-testkit — the workspace's self-built test substrate
 //!
 //! The build environment for this reproduction is offline by design
 //! (hermetic, like the self-built stacks of the paper's cohort — PMS,
@@ -10,19 +10,16 @@
 //!   generation, seed reporting, and recursive multi-pass shrinking
 //!   (budgeted descent to a minimal counterexample; vectors also shrink
 //!   their length — see [`Strategy`] / [`vec_in`] / [`vec_len_in`] /
-//!   [`one_of`]);
-//! * [`Bench`] — micro-bench harness (warmup, calibrated iteration
-//!   counts, median/MAD) emitting `results/BENCH_<name>.json`.
+//!   [`one_of`]).
 //!
-//! Environment knobs: `NKT_PROP_SEED`, `NKT_PROP_CASES`,
-//! `NKT_BENCH_FAST`, `NKT_RESULTS_DIR`.
+//! Host timing lives in `perfbench/`, which borrows [`Rng`] from here.
+//!
+//! Environment knobs: `NKT_PROP_SEED`, `NKT_PROP_CASES`.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 pub mod strategy;
 
-pub use bench::{Bench, Group, Throughput};
 pub use prop::{base_seed, case_count, pin_prop, run_prop, CaseOutcome, DEFAULT_CASES};
 pub use rng::{splitmix64, Rng};
 pub use strategy::{one_of, vec_in, vec_len_in, OneOf, Strategy, TupleStrategy, VecIn, VecLenIn};

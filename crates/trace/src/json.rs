@@ -1,6 +1,7 @@
 //! Minimal JSON parser — enough to read back the workspace's own
-//! artifacts (`TRACE_*.json`, `results/BENCH_*.json`) with zero external
-//! dependencies.
+//! artifacts (`TRACE_*.json`, the `PROF_` / `STATS_` / `CALIB_` baselines
+//! the [`crate::gate`] extractors gate, serve manifests) with zero
+//! external dependencies.
 //!
 //! Recursive-descent over the full JSON grammar (objects, arrays,
 //! strings with escapes, numbers, booleans, null). Numbers are parsed as
@@ -63,6 +64,22 @@ impl Value {
             Value::Obj(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// The number under `key`, or an error naming the missing field —
+    /// for readers of a known schema, where absence is a format error.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key).and_then(Value::as_f64).ok_or_else(|| format!("no number \"{key}\""))
+    }
+
+    /// The string under `key`, or an error naming the missing field.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.get(key).and_then(Value::as_str).ok_or_else(|| format!("no string \"{key}\""))
+    }
+
+    /// The array under `key`, or an error naming the missing field.
+    pub fn req_arr(&self, key: &str) -> Result<&[Value], String> {
+        self.get(key).and_then(Value::as_arr).ok_or_else(|| format!("no array \"{key}\""))
     }
 }
 

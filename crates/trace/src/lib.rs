@@ -42,6 +42,7 @@
 
 pub mod export;
 pub mod flight;
+pub mod gate;
 pub mod json;
 pub mod metrics;
 pub mod span;

@@ -63,7 +63,8 @@ fn main() {
     };
     // Fold the per-rank FNV digests into one run-level state hash: the
     // gs-overlap smoke in verify.sh pins this line across NKT_GS_OVERLAP
-    // modes (split-phase gather-scatter must be bitwise neutral).
+    // modes (split-phase gather-scatter must be bitwise neutral), and
+    // scripts/check_baselines pins its value in results/HASHES.txt.
     let state_hash = out
         .iter()
         .filter_map(|r| r.as_ref().ok().map(|v| v.4))

@@ -16,14 +16,14 @@
 //! With `NKT_CALIB=1` each run is calibrated against the machine model:
 //! a measured-vs-modeled drift report plus fitted α–β / kernel-roofline
 //! constants, written to a byte-deterministic
-//! `results/CALIB_fourier_dns_<net>.json` that `scripts/calib_diff`
+//! `results/CALIB_fourier_dns_<net>.json` that `scripts/check_baselines`
 //! gates against the committed baseline.
 //!
 //! With `NKT_STATS=<n>` each run samples online turbulence statistics
 //! (KE, dissipation, spectrum, divergence, CFL, Reynolds stresses,
 //! per-rank MPI counters) every n steps and writes a byte-deterministic
-//! `results/STATS_fourier_dns_<net>.json` — `scripts/stats_diff` gates
-//! it against the committed baseline. `NKT_HEALTH=1` arms the watchdog:
+//! `results/STATS_fourier_dns_<net>.json` — `scripts/check_baselines`
+//! gates it against the committed baseline. `NKT_HEALTH=1` arms the watchdog:
 //! a NaN/Inf in the state, runaway KE growth, or a divergence/CFL
 //! excursion aborts with a typed error naming step/rank/field and every
 //! rank dumps its flight-recorder ring. `NKT_INJECT_NAN=<s>` poisons
@@ -114,7 +114,8 @@ fn main() {
         println!("   kinetic energy after {nsteps} steps: {energy:.5}");
         println!("   rank-0 CPU {busy:.4}s vs wall {wall:.4}s (difference = network idle)");
         // The FNV state hash is overlap-invariant: scripts/verify.sh
-        // reruns this example with NKT_OVERLAP=0 and diffs these lines.
+        // reruns this example with NKT_OVERLAP=0 and diffs these lines;
+        // scripts/check_baselines pins them in results/HASHES.txt.
         println!("   rank-0 state hash: {hash:016x}");
         let pct = clock.percentages();
         println!(

@@ -23,11 +23,8 @@ export RUSTFLAGS="-D warnings"
 echo "== tier-1: build (release, offline) =="
 cargo build --release --offline
 
-echo "== tier-1: tests (offline) =="
+echo "== tier-1: tests (offline; default-members = the whole workspace) =="
 cargo test -q --offline
-
-echo "== workspace tests (all crates, offline) =="
-cargo test -q --offline --workspace
 
 echo "== example smoke pass =="
 for ex in quickstart cylinder_wake fourier_dns flapping_wing_ale cluster_compare; do
@@ -111,7 +108,7 @@ NKT_TRACE=spans NKT_TRACE_DIR="$trace_dir" \
 cargo run --release --offline --example trace_timeline -- \
     "$trace_dir/TRACE_quickstart.json" > /dev/null
 
-echo "== prof smoke (NKT_PROF=1: determinism, ledger agreement, prof_diff dry run) =="
+echo "== prof smoke (NKT_PROF=1: determinism, ledger agreement) =="
 # fourier_dns under NKT_PROF=1 profiles each network's run (MPI
 # attribution, comm matrix, imbalance, critical path), self-checks the
 # per-stage attributed times against the StageClock ledgers (<1%), and
@@ -150,15 +147,6 @@ for f in "$prof_a"/PROF_*.json; do
         exit 1
     fi
 done
-# The profiles must parse with the workspace JSON parser (prof_diff
-# reads them back through it): a self-diff is a pure parse check.
-cargo run --release --offline -p nkt-prof --bin prof_diff -- \
-    --fresh "$prof_a" --baseline "$prof_a" > /dev/null
-# Dry run against the committed baselines: notes drift without gating
-# (baselines refresh alongside intentional comm changes). Gate
-# deliberately with: scripts/prof_diff
-cargo run --release --offline -p nkt-prof --bin prof_diff -- \
-    --fresh "$prof_a" || echo "prof_diff: drift noted (dry run, not gating)"
 
 echo "== stats smoke (NKT_STATS=1: byte determinism, restart identity, watchdog trip) =="
 # Online statistics are serialized from the virtual timeline: two fresh
@@ -209,17 +197,6 @@ for r in 0 1 2 3; do
         exit 1
     fi
 done
-# Serial recorder goes through the same schema/gate.
-NKT_STATS=1 NKT_TRACE_DIR="$stats_a" \
-    cargo run --release --offline --example cylinder_wake > /dev/null
-# Self-diff is a pure parse check; then a dry run against the committed
-# baselines notes drift without gating (baselines refresh alongside
-# intentional physics changes). Gate deliberately with:
-# scripts/stats_diff
-cargo run --release --offline -p nkt-stats --bin stats_diff -- \
-    --fresh "$stats_a" --baseline "$stats_a" > /dev/null
-cargo run --release --offline -p nkt-stats --bin stats_diff -- \
-    --fresh "$stats_a" || echo "stats_diff: drift noted (dry run, not gating)"
 
 echo "== serve smoke (job farm: preemption, then byte-identical manifests on rerun) =="
 # serve_farm runs a four-job contended batch (two world slots, a
@@ -256,7 +233,7 @@ for ev in admit cut complete; do
     fi
 done
 
-echo "== calib smoke (NKT_CALIB=1: byte determinism, measured windows, calib_diff dry run) =="
+echo "== calib smoke (NKT_CALIB=1: byte determinism, measured windows) =="
 # Calibrations serialize only virtual-timeline quantities and exact
 # counters: two instrumented runs must write byte-identical CALIB_*.json
 # (DESIGN.md §17).
@@ -284,22 +261,15 @@ if ! grep -q '"stage": "PressureSolve", "applies"' "$calib_a/CALIB_flapping_wing
     echo "FAIL: ALE calibration has no measured overlap windows" >&2
     exit 1
 fi
-# Self-diff is a pure parse check; then a dry run against the committed
-# baselines notes drift without gating. Gate deliberately with:
-# scripts/calib_diff
-cargo run --release --offline -p nkt-calib --bin calib_diff -- \
-    --fresh "$calib_a" --baseline "$calib_a" > /dev/null
-cargo run --release --offline -p nkt-calib --bin calib_diff -- \
-    --fresh "$calib_a" || echo "calib_diff: drift noted (dry run, not gating)"
 
-echo "== bench harness smoke (fast mode) + bench_diff dry run =="
-NKT_BENCH_FAST=1 NKT_RESULTS_DIR="$trace_dir" \
-    cargo bench --offline -p nkt-bench > /dev/null
-# Dry run: exercises the diff against the committed baselines without
-# gating — fast-mode numbers on a loaded machine drift well past the
-# 3-MAD band. Gate deliberately with: scripts/bench_diff
-cargo run --release --offline -p nkt-bench --bin bench_diff -- \
-    --fresh "$trace_dir" || echo "bench_diff: drift noted (dry run, not gating)"
+echo "== baseline gate (every file under results/ regenerated and held to its baseline) =="
+# PROF/STATS/CALIB rows inside their bands, every model table/figure and
+# the examples' state hashes byte for byte, no file or row on one side
+# only. Gating: an intended change commits the regenerated baseline.
+gate_out="$(scripts/check_baselines)" || {
+    grep -E 'REGRESSED|MISSING|NEW \(|nkt-diff:|check_baselines:' <<< "$gate_out" >&2
+    exit 1
+}
 
 echo "== benchmark smoke (perfbench builds against the workspace and its checks pass) =="
 # perfbench is a package of its own that reaches into the solvers' public

@@ -216,3 +216,34 @@ fn wing_mesh_parallel_poisson() {
         assert!(umin > -0.2, "large undershoot: {umin}");
     }
 }
+
+/// The gate's real family table owns every kind of file committed under
+/// `results/` — the directory passes against itself with a table for
+/// each — and `nkt-diff` takes `--fresh` and `--baseline` and nothing
+/// else: tolerances are constants next to each extractor.
+#[test]
+fn nkt_diff_gates_every_committed_family_and_has_no_knobs() {
+    let results = nektar_repro::trace::results_dir();
+    let results = results.to_str().expect("utf-8 workspace path");
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_nkt-diff"))
+            .args(args)
+            .output()
+            .expect("spawn nkt-diff")
+    };
+    let same = run(&["--fresh", results, "--baseline", results]);
+    let table = String::from_utf8_lossy(&same.stdout);
+    assert!(same.status.success(), "{table}");
+    for owned in [
+        "PROF_flapping_wing_ale.json:",
+        "STATS_cylinder_wake.json:",
+        "CALIB_flapping_wing_ale.json:",
+        "table2_nektar_f.txt:",
+        "HASHES.txt:",
+    ] {
+        assert!(table.contains(owned), "no table for {owned}\n{table}");
+    }
+    for bad in [&["--fresh", results, "--rel", "0.2"][..], &["--baseline", results], &["--fresh"]] {
+        assert_eq!(run(bad).status.code(), Some(2), "{bad:?} must be a usage error");
+    }
+}
