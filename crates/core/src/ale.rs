@@ -21,7 +21,7 @@
 //! cost; the prescribed plane-wise field drives both the ALE advection
 //! term and the vertex updates so the two stay consistent.
 
-use crate::hex3d::{elem_box, HexHelmholtz, HexNumbering};
+use crate::hex3d::{elem_box, HexHelmholtz, HexNumbering, HexWorkspace};
 use crate::opstream::{Recorder, WorkItem};
 use crate::splitting::StifflyStable;
 use crate::timers::{Stage, StageClock, StageTimer};
@@ -109,6 +109,13 @@ pub struct NektarAle {
     /// PCG iteration counts of the last step (pressure, velocity,
     /// mesh-velocity).
     pub last_iters: (usize, usize, usize),
+    /// Whether every PCG solve of the last step reached `pcg_tol` (not
+    /// checkpointed: a restored run reports `true` until its next step).
+    pub last_converged: bool,
+    /// Solve and transform buffers, shared by every operator above.
+    ws: HexWorkspace,
+    /// One element's weighted integrand at its nq³ quadrature points.
+    fq: Vec<f64>,
     steps_taken: usize,
 }
 
@@ -185,6 +192,7 @@ impl NektarAle {
             })
             .collect();
         let verts0_x = mesh.verts.iter().map(|v| v[0]).collect();
+        let nq3 = vel_op.op1.basis.nquad().pow(3);
         NektarAle {
             cfg,
             scheme,
@@ -205,6 +213,9 @@ impl NektarAle {
             clock: StageClock::new(),
             recorder: Recorder::disabled(),
             last_iters: (0, 0, 0),
+            last_converged: true,
+            ws: HexWorkspace::default(),
+            fq: vec![0.0; nq3],
             steps_taken: 0,
         }
     }
@@ -223,8 +234,15 @@ impl NektarAle {
             self.vel_op.gs.exchange(comm, &mut rhs, ReduceOp::Sum);
             let mut x = vec![0.0; self.vel_op.nlocal()];
             let mut rec = Recorder::disabled();
-            self.mass_op
-                .pcg(comm, &rhs, &mut x, self.cfg.pcg_tol, self.cfg.pcg_max_iter, &mut rec);
+            self.mass_op.pcg(
+                comm,
+                &rhs,
+                &mut x,
+                self.cfg.pcg_tol,
+                self.cfg.pcg_max_iter,
+                &mut self.ws,
+                &mut rec,
+            );
             self.u[c] = x;
         }
         self.hist_vel.clear();
@@ -234,16 +252,15 @@ impl NektarAle {
     }
 
     /// Builds ∫ f φ elementwise into `rhs` (local, unsummed).
-    fn project_rhs(&self, rhs: &mut [f64], f: impl Fn([f64; 3]) -> f64) {
-        let op = &self.vel_op.op1;
+    fn project_rhs(&mut self, rhs: &mut [f64], f: impl Fn([f64; 3]) -> f64) {
+        let NektarAle { vel_op, mesh, fq, ws, .. } = self;
+        let op = &vel_op.op1;
         let nq = op.basis.nquad();
-        let nm1 = self.cfg.order + 1;
-        for (le, &e) in self.vel_op.my_elems.iter().enumerate() {
-            let (lo, _) = elem_box(&self.mesh, e).expect("box");
-            let [hx, hy, hz] = self.vel_op.scales[le];
+        for (le, &e) in vel_op.my_elems.iter().enumerate() {
+            let (lo, _) = elem_box(mesh, e).expect("box");
+            let [hx, hy, hz] = vel_op.scales[le];
             let jac = hx * hy * hz / 8.0;
             // Evaluate f at the tensor points once.
-            let mut fq = vec![0.0; nq * nq * nq];
             for qz in 0..nq {
                 for qy in 0..nq {
                     for qx in 0..nq {
@@ -260,55 +277,31 @@ impl NektarAle {
                     }
                 }
             }
-            // Project: rhs_m = sum_q B_m(q) fq(q), sum-factorized.
-            let proj = quad_to_modal(op, &fq);
-            for m in 0..nm1 * nm1 * nm1 {
-                rhs[self.vel_op.elem_local[le][m]] += proj[m];
-            }
+            // Project: rhs_m += sum_q B_m(q) fq(q), sum-factorized.
+            vel_op.elem_project_add(le, fq, None, rhs, &mut ws.elem);
         }
     }
 
-    /// Modal → quadrature values for all owned elements (flattened,
-    /// `nq³` per element).
-    fn to_quad(&self, coeffs: &[f64]) -> Vec<f64> {
-        let op = &self.vel_op.op1;
-        let nm1 = self.cfg.order + 1;
-        let nq3 = self.nq3();
-        let mut out = vec![0.0; self.vel_op.my_elems.len() * nq3];
-        let mut xl = vec![0.0; nm1 * nm1 * nm1];
-        for (le, locals) in self.vel_op.elem_local.iter().enumerate() {
-            for (m, &l) in locals.iter().enumerate() {
-                xl[m] = coeffs[l];
-            }
-            let vals = modal_to_quad(op, &xl);
-            out[le * nq3..(le + 1) * nq3].copy_from_slice(&vals);
-        }
+    /// Quadrature values of velocity component `c` on all owned elements
+    /// (flattened, `nq³` per element).
+    fn vel_to_quad(&mut self, c: usize) -> Vec<f64> {
+        let mut out = vec![0.0; self.vel_op.my_elems.len() * self.nq3()];
+        self.vel_op.to_quad(&self.u[c], None, &mut out, &mut self.ws.elem);
         out
     }
 
-    /// Physical-space gradient at quadrature points (3 components).
-    fn grad_quad(&self, coeffs: &[f64], op_src: &HexHelmholtz) -> [Vec<f64>; 3] {
-        let op = &op_src.op1;
-        let nm1 = self.cfg.order + 1;
-        let nq3 = self.nq3();
-        let ne = op_src.my_elems.len();
-        let mut gx = vec![0.0; ne * nq3];
-        let mut gy = vec![0.0; ne * nq3];
-        let mut gz = vec![0.0; ne * nq3];
-        let mut xl = vec![0.0; nm1 * nm1 * nm1];
-        for (le, locals) in op_src.elem_local.iter().enumerate() {
-            let [hx, hy, hz] = op_src.scales[le];
-            for (m, &l) in locals.iter().enumerate() {
-                xl[m] = coeffs[l];
-            }
-            let (dx, dy, dz) = modal_to_quad_grad(op, &xl);
-            for q in 0..nq3 {
-                gx[le * nq3 + q] = dx[q] * 2.0 / hx;
-                gy[le * nq3 + q] = dy[q] * 2.0 / hy;
-                gz[le * nq3 + q] = dz[q] * 2.0 / hz;
+    /// Physical-space gradient of `op`'s field `coeffs` at the quadrature
+    /// points, one component per entry of `g`.
+    fn grad_quad(op: &HexHelmholtz, coeffs: &[f64], g: &mut [Vec<f64>; 3], scratch: &mut Vec<f64>) {
+        let nq3 = op.op1.basis.nquad().pow(3);
+        for (d, gd) in g.iter_mut().enumerate() {
+            op.to_quad(coeffs, Some(d), gd, scratch);
+            for (ge, h) in gd.chunks_exact_mut(nq3).zip(&op.scales) {
+                for v in ge {
+                    *v = *v * 2.0 / h[d];
+                }
             }
         }
-        [gx, gy, gz]
     }
 
     /// Mesh velocity (x-component) at the quadrature points of owned
@@ -347,11 +340,7 @@ impl NektarAle {
 
         // Stage 1: modal -> quadrature.
         let t0 = StageTimer::start(Stage::BwdTransform);
-        let uq: [Vec<f64>; 3] = [
-            self.to_quad(&self.u[0]),
-            self.to_quad(&self.u[1]),
-            self.to_quad(&self.u[2]),
-        ];
+        let uq: [Vec<f64>; 3] = std::array::from_fn(|c| self.vel_to_quad(c));
         let nm1 = self.cfg.order + 1;
         for _ in 0..3 * ne {
             self.recorder.work(
@@ -363,12 +352,13 @@ impl NektarAle {
 
         // Stage 2: nonlinear + ALE terms; vertex position update.
         let t0 = StageTimer::start(Stage::NonLinear);
-        let mut nl: [Vec<f64>; 3] =
-            [vec![0.0; ne * nq3], vec![0.0; ne * nq3], vec![0.0; ne * nq3]];
+        let field3 = || -> [Vec<f64>; 3] { std::array::from_fn(|_| vec![0.0; ne * nq3]) };
+        let mut nl = field3();
+        let mut g = field3();
         if self.cfg.advect {
             let wmesh = self.mesh_velocity_quad();
             for c in 0..3 {
-                let g = self.grad_quad(&self.u[c], &self.vel_op);
+                Self::grad_quad(&self.vel_op, &self.u[c], &mut g, &mut self.ws.elem);
                 for i in 0..ne * nq3 {
                     // Relative (ALE) advection velocity in x.
                     let ax = uq[0][i] - wmesh[i];
@@ -424,8 +414,7 @@ impl NektarAle {
 
         // Stage 3: stiffly-stable weighting (quadrature space).
         let t0 = StageTimer::start(Stage::StifflyStable);
-        let mut hat: [Vec<f64>; 3] =
-            [vec![0.0; ne * nq3], vec![0.0; ne * nq3], vec![0.0; ne * nq3]];
+        let mut hat = field3();
         for lvl in 0..j {
             let al = eff.alpha[lvl];
             let be = eff.beta[lvl] * dt;
@@ -457,45 +446,38 @@ impl NektarAle {
         // Stage 5: pressure PCG solve.
         let w0 = comm.wtime();
         let t0 = StageTimer::start_v(Stage::PressureSolve, w0);
-        let mut pnew = if self.p.len() == self.press_op.nlocal() {
-            self.p.clone() // warm start from the previous step
-        } else {
-            vec![0.0; self.press_op.nlocal()]
-        };
+        // Warm start from the previous step's pressure.
+        self.p.resize(self.press_op.nlocal(), 0.0);
         let pit = self.press_op.pcg(
             comm,
             &prhs,
-            &mut pnew,
+            &mut self.p,
             self.cfg.pcg_tol,
             self.cfg.pcg_max_iter,
+            &mut self.ws,
             &mut self.recorder,
         );
-        self.p = pnew;
         let virt = comm.wtime() - w0;
         sc.add(Stage::PressureSolve, t0.stop_v(comm.wtime()) + virt);
 
         // Stage 6: viscous RHS from u** = uhat - dt ∇p.
         let t0 = StageTimer::start(Stage::ViscousRhs);
-        let gp = self.grad_quad(&self.p, &self.press_op);
+        Self::grad_quad(&self.press_op, &self.p, &mut g, &mut self.ws.elem);
         let scale = 1.0 / (nu * dt);
-        let mut vrhs: [Vec<f64>; 3] = [
-            vec![0.0; self.vel_op.nlocal()],
-            vec![0.0; self.vel_op.nlocal()],
-            vec![0.0; self.vel_op.nlocal()],
-        ];
+        let mut vrhs: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; self.vel_op.nlocal()]);
         {
-            let op = &self.vel_op.op1;
+            let NektarAle { vel_op, fq, ws, .. } = &mut *self;
+            let op = &vel_op.op1;
             let nq = op.basis.nquad();
-            for (le, _) in self.vel_op.my_elems.iter().enumerate() {
-                let [hx, hy, hz] = self.vel_op.scales[le];
+            for le in 0..ne {
+                let [hx, hy, hz] = vel_op.scales[le];
                 let jac = hx * hy * hz / 8.0;
                 for c in 0..3 {
-                    let mut fq = vec![0.0; nq3];
                     for qz in 0..nq {
                         for qy in 0..nq {
                             for qx in 0..nq {
                                 let q = qx + qy * nq + qz * nq * nq;
-                                let ustar = hat[c][le * nq3 + q] - dt * gp[c][le * nq3 + q];
+                                let ustar = hat[c][le * nq3 + q] - dt * g[c][le * nq3 + q];
                                 fq[q] = ustar
                                     * op.basis.w[qx]
                                     * op.basis.w[qy]
@@ -505,10 +487,7 @@ impl NektarAle {
                             }
                         }
                     }
-                    let proj = quad_to_modal(op, &fq);
-                    for (m, &l) in self.vel_op.elem_local[le].iter().enumerate() {
-                        vrhs[c][l] += proj[m];
-                    }
+                    vel_op.elem_project_add(le, fq, None, &mut vrhs[c], &mut ws.elem);
                 }
             }
         }
@@ -542,21 +521,21 @@ impl NektarAle {
             &self.vel_op
         };
         let mut vit = 0usize;
-        let taken = std::mem::take(&mut self.u);
-        let mut newu: [Vec<f64>; 3] = Default::default();
-        for (c, warm) in taken.into_iter().enumerate() {
-            let mut x = warm; // previous velocity as initial guess
-            vit += solver.pcg(
+        let mut unconverged = u64::from(!pit.converged);
+        // The previous velocity is the initial guess.
+        for (rhs, x) in vrhs.iter().zip(self.u.iter_mut()) {
+            let out = solver.pcg(
                 comm,
-                &vrhs[c],
-                &mut x,
+                rhs,
+                x,
                 self.cfg.pcg_tol,
                 self.cfg.pcg_max_iter,
+                &mut self.ws,
                 &mut self.recorder,
             );
-            newu[c] = x;
+            vit += out.iters;
+            unconverged += u64::from(!out.converged);
         }
-        self.u = newu;
         // ALE extra: mesh-velocity Laplace solve (Dirichlet: body speed on
         // the wall, zero on the outer boundary).
         let mit = if self.cfg.motion_amp != 0.0 {
@@ -576,23 +555,29 @@ impl NektarAle {
             let saved = std::mem::replace(&mut self.mesh_op.dirichlet, mop_dirichlet);
             let b = vec![0.0; self.mesh_op.nlocal()];
             let mut eta = vec![0.0; self.mesh_op.nlocal()];
-            let it = self.mesh_op.pcg(
+            let out = self.mesh_op.pcg(
                 comm,
                 &b,
                 &mut eta,
                 self.cfg.pcg_tol,
                 self.cfg.pcg_max_iter,
+                &mut self.ws,
                 &mut self.recorder,
             );
             self.mesh_op.dirichlet = saved;
-            it
+            unconverged += u64::from(!out.converged);
+            out.iters
         } else {
             0
         };
         let virt = comm.wtime() - w0;
         sc.add(Stage::ViscousSolve, t0.stop_v(comm.wtime()) + virt);
         step_span.end_v(comm.wtime());
-        self.last_iters = (pit, vit, mit);
+        self.last_iters = (pit.iters, vit, mit);
+        self.last_converged = unconverged == 0;
+        if unconverged > 0 {
+            nkt_trace::counter_add("ale.pcg.unconverged", unconverged);
+        }
         self.time += dt;
         self.clock.merge(&sc);
         self.steps_taken += 1;
@@ -601,49 +586,38 @@ impl NektarAle {
 
     /// Assembles rhs_m += c · ∫ hat·∇φ_m over owned elements.
     fn divergence_rhs(&mut self, hat: &[Vec<f64>; 3], c: f64, rhs: &mut [f64]) {
-        let op = &self.press_op.op1;
+        let NektarAle { press_op, fq, ws, recorder, .. } = self;
+        let op = &press_op.op1;
         let nq = op.basis.nquad();
-        let nq3 = self.nq3();
-        for (le, _) in self.press_op.my_elems.iter().enumerate() {
-            let [hx, hy, hz] = self.press_op.scales[le];
-            let jac = hx * hy * hz / 8.0;
-            // weighted field per direction
-            let mut w0 = vec![0.0; nq3];
-            let mut w1 = vec![0.0; nq3];
-            let mut w2 = vec![0.0; nq3];
-            for qz in 0..nq {
-                for qy in 0..nq {
-                    for qx in 0..nq {
-                        let q = qx + qy * nq + qz * nq * nq;
-                        let wq = op.basis.w[qx] * op.basis.w[qy] * op.basis.w[qz] * jac * c;
-                        w0[q] = hat[0][le * nq3 + q] * wq * 2.0 / hx;
-                        w1[q] = hat[1][le * nq3 + q] * wq * 2.0 / hy;
-                        w2[q] = hat[2][le * nq3 + q] * wq * 2.0 / hz;
+        let nq3 = nq * nq * nq;
+        for le in 0..press_op.my_elems.len() {
+            let h = press_op.scales[le];
+            let jac = h[0] * h[1] * h[2] / 8.0;
+            // One direction at a time: the weighted component, then its
+            // projection against ∂φ in that direction.
+            for (d, hat_d) in hat.iter().enumerate() {
+                for qz in 0..nq {
+                    for qy in 0..nq {
+                        for qx in 0..nq {
+                            let q = qx + qy * nq + qz * nq * nq;
+                            let wq = op.basis.w[qx] * op.basis.w[qy] * op.basis.w[qz] * jac * c;
+                            fq[q] = hat_d[le * nq3 + q] * wq * 2.0 / h[d];
+                        }
                     }
                 }
+                press_op.elem_project_add(le, fq, Some(d), rhs, &mut ws.elem);
             }
-            let p0 = quad_to_modal_diff(op, &w0, 0);
-            let p1 = quad_to_modal_diff(op, &w1, 1);
-            let p2 = quad_to_modal_diff(op, &w2, 2);
-            for (m, &l) in self.press_op.elem_local[le].iter().enumerate() {
-                rhs[l] += p0[m] + p1[m] + p2[m];
-            }
-            self.recorder
-                .work(Stage::PressureRhs, WorkItem::Gemm { m: nq3, n: 3, k: op.nm });
+            recorder.work(Stage::PressureRhs, WorkItem::Gemm { m: nq3, n: 3, k: op.nm });
         }
     }
 
     /// Total kinetic energy (collective).
     pub fn kinetic_energy(&mut self, comm: &mut Comm) -> f64 {
+        let uq: [Vec<f64>; 3] = std::array::from_fn(|c| self.vel_to_quad(c));
         let op = &self.vel_op.op1;
         let nq = op.basis.nquad();
         let nq3 = self.nq3();
         let mut local = 0.0;
-        let uq: [Vec<f64>; 3] = [
-            self.to_quad(&self.u[0]),
-            self.to_quad(&self.u[1]),
-            self.to_quad(&self.u[2]),
-        ];
         for (le, _) in self.vel_op.my_elems.iter().enumerate() {
             let [hx, hy, hz] = self.vel_op.scales[le];
             let jac = hx * hy * hz / 8.0;
@@ -885,141 +859,6 @@ impl nkt_ckpt::Checkpointable for NektarAle {
     }
 }
 
-/// Sum-factorized modal → quadrature evaluation (B ⊗ B ⊗ B).
-pub fn modal_to_quad(op: &crate::hex3d::Oper1d, x: &[f64]) -> Vec<f64> {
-    tensor3(op, x, false, false, false)
-}
-
-/// Modal → quadrature with a derivative in one reference direction
-/// (0 = ξx, 1 = ξy, 2 = ξz); returns all three gradients.
-pub fn modal_to_quad_grad(
-    op: &crate::hex3d::Oper1d,
-    x: &[f64],
-) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    (
-        tensor3(op, x, true, false, false),
-        tensor3(op, x, false, true, false),
-        tensor3(op, x, false, false, true),
-    )
-}
-
-/// Quadrature → modal projection: Bᵀ applied in all directions.
-pub fn quad_to_modal(op: &crate::hex3d::Oper1d, fq: &[f64]) -> Vec<f64> {
-    tensor3_t(op, fq, false, false, false)
-}
-
-/// Quadrature → modal with the derivative operator transposed in
-/// direction `dir` (for ∫ f ∂φ terms).
-pub fn quad_to_modal_diff(op: &crate::hex3d::Oper1d, fq: &[f64], dir: usize) -> Vec<f64> {
-    tensor3_t(op, fq, dir == 0, dir == 1, dir == 2)
-}
-
-fn tensor3(op: &crate::hex3d::Oper1d, x: &[f64], dx: bool, dy: bool, dz: bool) -> Vec<f64> {
-    let nm = op.nm;
-    let nq = op.basis.nquad();
-    let tab = |d: bool, i: usize, q: usize| {
-        if d {
-            op.basis.dval[i][q]
-        } else {
-            op.basis.val[i][q]
-        }
-    };
-    // t1[qx, j, k] = sum_i B[qx,i] x[i,j,k]
-    let mut t1 = vec![0.0; nq * nm * nm];
-    for k in 0..nm {
-        for j in 0..nm {
-            for i in 0..nm {
-                let xv = x[i + j * nm + k * nm * nm];
-                if xv != 0.0 {
-                    for qx in 0..nq {
-                        t1[qx + j * nq + k * nq * nm] += tab(dx, i, qx) * xv;
-                    }
-                }
-            }
-        }
-    }
-    // t2[qx, qy, k] = sum_j B[qy,j] t1[qx,j,k]
-    let mut t2 = vec![0.0; nq * nq * nm];
-    for k in 0..nm {
-        for j in 0..nm {
-            for qy in 0..nq {
-                let b = tab(dy, j, qy);
-                if b != 0.0 {
-                    for qx in 0..nq {
-                        t2[qx + qy * nq + k * nq * nq] += b * t1[qx + j * nq + k * nq * nm];
-                    }
-                }
-            }
-        }
-    }
-    // out[qx, qy, qz] = sum_k B[qz,k] t2[qx,qy,k]
-    let mut out = vec![0.0; nq * nq * nq];
-    for k in 0..nm {
-        for qz in 0..nq {
-            let b = tab(dz, k, qz);
-            if b != 0.0 {
-                for qxy in 0..nq * nq {
-                    out[qxy + qz * nq * nq] += b * t2[qxy + k * nq * nq];
-                }
-            }
-        }
-    }
-    out
-}
-
-fn tensor3_t(op: &crate::hex3d::Oper1d, fq: &[f64], dx: bool, dy: bool, dz: bool) -> Vec<f64> {
-    let nm = op.nm;
-    let nq = op.basis.nquad();
-    let tab = |d: bool, i: usize, q: usize| {
-        if d {
-            op.basis.dval[i][q]
-        } else {
-            op.basis.val[i][q]
-        }
-    };
-    // t1[i, qy, qz] = sum_qx B[qx,i] fq[qx,qy,qz]
-    let mut t1 = vec![0.0; nm * nq * nq];
-    for qz in 0..nq {
-        for qy in 0..nq {
-            for qx in 0..nq {
-                let v = fq[qx + qy * nq + qz * nq * nq];
-                if v != 0.0 {
-                    for i in 0..nm {
-                        t1[i + qy * nm + qz * nm * nq] += tab(dx, i, qx) * v;
-                    }
-                }
-            }
-        }
-    }
-    // t2[i, j, qz] = sum_qy B[qy,j] t1[i,qy,qz]
-    let mut t2 = vec![0.0; nm * nm * nq];
-    for qz in 0..nq {
-        for qy in 0..nq {
-            for j in 0..nm {
-                let b = tab(dy, j, qy);
-                if b != 0.0 {
-                    for i in 0..nm {
-                        t2[i + j * nm + qz * nm * nm] += b * t1[i + qy * nm + qz * nm * nq];
-                    }
-                }
-            }
-        }
-    }
-    // out[i, j, k] = sum_qz B[qz,k] t2[i,j,qz]
-    let mut out = vec![0.0; nm * nm * nm];
-    for qz in 0..nq {
-        for k in 0..nm {
-            let b = tab(dz, k, qz);
-            if b != 0.0 {
-                for ij in 0..nm * nm {
-                    out[ij + k * nm * nm] += b * t2[ij + qz * nm * nm];
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1071,7 +910,7 @@ mod tests {
 
     #[test]
     fn tensor_roundtrip_consistency() {
-        // modal_to_quad of a constant-one vertex combination gives 1.
+        // to_quad of a constant-one vertex combination gives 1.
         let op = crate::hex3d::Oper1d::new(3);
         let nm = op.nm;
         let mut x = vec![0.0; nm * nm * nm];
@@ -1084,14 +923,18 @@ mod tests {
                 }
             }
         }
-        let q = modal_to_quad(&op, &x);
+        let mut q = vec![f64::NAN; op.basis.nquad().pow(3)];
+        let mut scratch = vec![0.0; op.scratch_len()];
+        op.to_quad(&x, None, &mut q, &mut scratch);
         for &v in &q {
             assert!((v - 1.0).abs() < 1e-13, "{v}");
         }
         // Its gradient is zero.
-        let (dx, dy, dz) = modal_to_quad_grad(&op, &x);
-        for v in dx.iter().chain(&dy).chain(&dz) {
-            assert!(v.abs() < 1e-12);
+        for d in 0..3 {
+            op.to_quad(&x, Some(d), &mut q, &mut scratch);
+            for v in &q {
+                assert!(v.abs() < 1e-12);
+            }
         }
     }
 

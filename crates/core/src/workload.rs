@@ -437,8 +437,11 @@ pub fn ale_step_workload(s: &AleShape) -> OpRecording {
 
 fn pcg_workload(rec: &mut OpRecording, stage: Stage, s: &AleShape, iters: usize) {
     for _ in 0..iters {
-        // Elemental sum-factored Helmholtz apply: 4 terms × 3
-        // contractions, each ~2·nm1⁴ flops.
+        // One elemental sum-factored Helmholtz apply: the model's unit is
+        // one nm1² × nm1 × nm1 contraction item per element, exactly what
+        // `HexHelmholtz::apply` records. How many sweeps the native kernel
+        // takes (7 with shared intermediates, `hex3d::apply_elem`) is not
+        // part of the model, so the replay tables do not move with it.
         for _ in 0..s.nelems_local {
             rec.work(
                 stage,

@@ -1,0 +1,139 @@
+//! Two promises of the NekTar-ALE iterative path that only a whole
+//! process can check: a PCG iteration allocates nothing of its own
+//! (counted by a `#[global_allocator]`), and a solve that stops short of
+//! its tolerance says so (flag + `ale.pcg.unconverged` counter, read
+//! under the process-wide trace mode). Both tests touch process-global
+//! state, so they take turns.
+
+use nektar::ale::{AleConfig, NektarAle};
+use nektar::hex3d::{HexHelmholtz, HexNumbering, HexWorkspace};
+use nektar::opstream::Recorder;
+use nkt_mesh::{wing_box_mesh, BoundaryTag};
+use nkt_mpi::prelude::*;
+use nkt_net::{cluster, NetId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Mutex;
+
+static TURN: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Heap allocations (and growing reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a bump of a
+// const-initialised, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread makes while `f` runs.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn pcg_iteration_allocates_only_what_its_messages_do() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let mesh = wing_box_mesh(1);
+    let tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
+    let numbering = HexNumbering::build(&mesh, 2, &tags);
+    let part = vec![0u8; mesh.nelems()];
+    let out = World::builder().ranks(1).net(cluster(NetId::T3e)).run(|c| {
+        let h = HexHelmholtz::new(c, &mesh, &numbering, &part, 250.0);
+        let n = h.nlocal();
+        let b: Vec<f64> = h.local_gids.iter().map(|&g| (g as f64 * 0.11).cos()).collect();
+        let (mut x, mut probe) = (vec![0.0; n], vec![1.0; n]);
+        let (mut ws, mut rec) = (HexWorkspace::default(), Recorder::disabled());
+        // tol = 0 never converges: every solve runs exactly `max_iter`
+        // iterations. The first one sizes the workspace.
+        let mut solve = |c: &mut Comm, iters: usize| {
+            x.fill(0.0);
+            allocs_in(|| {
+                let out = h.pcg(c, &b, &mut x, 0.0, iters, &mut ws, &mut rec);
+                assert_eq!((out.iters, out.converged), (iters, false));
+            })
+        };
+        solve(c, 5);
+        let (short, long) = (solve(c, 5), solve(c, 50));
+        // What one iteration's communication allocates on this
+        // communicator: one gather-scatter and three 1-double allreduces.
+        let messages = allocs_in(|| {
+            h.gs.exchange(c, &mut probe, ReduceOp::Sum);
+            for _ in 0..3 {
+                c.allreduce(&mut [1.0], ReduceOp::Sum);
+            }
+        });
+        (short, long, messages)
+    });
+    let (short, long, messages) = out[0];
+    assert_eq!(
+        long - short,
+        45 * messages,
+        "45 extra iterations allocated {} times; their messages account for 45 x {messages}",
+        long - short
+    );
+    // One rank, unique ids: the exchange snapshots nothing and the
+    // reductions are local, so the whole iteration is heap-free.
+    assert_eq!(messages, 0);
+}
+
+#[test]
+fn a_solve_that_stops_short_is_flagged_and_counted() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let mesh = wing_box_mesh(1);
+    let part = vec![0u8; mesh.nelems()];
+    let cfg = |pcg_max_iter: usize| AleConfig {
+        order: 2,
+        dt: 2e-3,
+        nu: 1e-3,
+        motion_amp: 0.05,
+        pcg_tol: 1e-6,
+        pcg_max_iter,
+        ..AleConfig::default()
+    };
+    nkt_trace::set_mode(nkt_trace::TraceMode::Counters);
+    let out = World::builder().ranks(1).net(cluster(NetId::T3e)).run(|c| {
+        let unconverged = || nkt_trace::thread_counter("ale.pcg.unconverged");
+        let mut starved = NektarAle::new(c, mesh.clone(), &part, cfg(3));
+        starved.set_initial(c, |_| [1.0, 0.0, 0.0]);
+        starved.step(c);
+        let after_starved = (starved.last_converged, starved.last_iters, unconverged());
+        let mut fed = NektarAle::new(c, mesh.clone(), &part, cfg(2000));
+        fed.set_initial(c, |_| [1.0, 0.0, 0.0]);
+        fed.step(c);
+        (after_starved, (fed.last_converged, unconverged()))
+    });
+    nkt_trace::set_mode(nkt_trace::TraceMode::Off);
+    let ((starved_ok, iters, counted), (fed_ok, counted_after)) = out[0];
+    // Pressure, three velocity components and the mesh velocity all hit
+    // the cap of 3.
+    assert!(!starved_ok, "a 3-iteration cap cannot reach 1e-6 on the wing");
+    assert_eq!(iters, (3, 9, 3));
+    assert_eq!(counted, 5, "one count per unconverged solve");
+    assert!(fed_ok, "the default cap converges");
+    assert_eq!(counted_after, counted, "converged solves must not count");
+}

@@ -84,23 +84,23 @@ impl std::error::Error for GsError {}
 #[derive(Debug, Clone)]
 pub struct GsHandle {
     strategy: GsStrategy,
-    /// Local indices of each global id this rank holds (a rank can hold
-    /// several copies of the same global id — e.g. element-local storage).
-    local_of_global: Vec<(u64, Vec<usize>)>,
+    /// The entries an exchange can change, in ascending global-id order:
+    /// the local indices of every global id this rank holds more than
+    /// once (element-local storage) or shares with another rank. `start`
+    /// snapshots and `finish` writes back exactly these. Single-copy
+    /// private dofs are not kept at all (their write-back would be an
+    /// identity), which is what lets callers mutate them between `start`
+    /// and `finish`.
+    scatter: Vec<Vec<usize>>,
     /// Pairwise plan: per neighbour rank, the (sorted by global id) list
-    /// of entries into `local_of_global` to exchange.
+    /// of slots into `scatter` to exchange.
     pairwise: Vec<(usize, Vec<usize>)>,
-    /// Entries handled by the tree stage.
+    /// Slots into `scatter` handled by the tree stage.
     tree_entries: Vec<usize>,
     /// Dense index of each tree entry in the reduction buffer.
     tree_slot: Vec<usize>,
     /// Total tree buffer length (same on all ranks).
     tree_len: usize,
-    /// Entries the finish phase writes back: those with several local
-    /// copies or any exchange participation. Single-copy private entries
-    /// are *not* rewritten (the write would be an identity), which is
-    /// what lets callers mutate them between `start` and `finish`.
-    scatter: Vec<usize>,
 }
 
 /// Splits a `u64` global id into two exactly-representable f64 words.
@@ -251,39 +251,29 @@ impl GsHandle {
             .collect();
         pairwise.sort_by_key(|(r, _)| *r);
         tree_pairs.sort_by_key(|(g, _)| *g);
-        let tree_entries: Vec<usize> = tree_pairs.iter().map(|&(_, e)| e).collect();
+        let mut tree_entries: Vec<usize> = tree_pairs.iter().map(|&(_, e)| e).collect();
         let tree_slot: Vec<usize> =
             tree_pairs.iter().map(|&(g, _)| tree_slot_of_gid[&g]).collect();
-        // Finish writes back only entries whose value can differ from
-        // what the caller already holds: local duplicates (pre-reduced)
-        // and anything exchanged. For a single-copy private entry the
-        // old full scatter stored the entry's own value back — an
-        // identity write — so skipping it is bitwise neutral and frees
-        // those dofs for caller mutation inside the overlap window.
+        // The plan keeps only entries whose value can differ from what
+        // the caller already holds: local duplicates (pre-reduced) and
+        // anything exchanged. On one rank with unique ids that is
+        // nothing, and `start`/`finish` touch no dof at all.
         let mut exchanged = vec![false; local_of_global.len()];
-        for (_, entries) in &pairwise {
-            for &e in entries {
-                exchanged[e] = true;
-            }
-        }
-        for &e in &tree_entries {
+        for &e in pairwise.iter().flat_map(|(_, entries)| entries).chain(&tree_entries) {
             exchanged[e] = true;
         }
-        let scatter: Vec<usize> = local_of_global
-            .iter()
-            .enumerate()
-            .filter(|(e, (_, locs))| exchanged[*e] || locs.len() > 1)
-            .map(|(e, _)| e)
-            .collect();
-        Ok(GsHandle {
-            strategy,
-            local_of_global,
-            pairwise,
-            tree_entries,
-            tree_slot,
-            tree_len,
-            scatter,
-        })
+        let mut slot_of = vec![usize::MAX; local_of_global.len()];
+        let mut scatter = Vec::new();
+        for (e, (_, locs)) in local_of_global.into_iter().enumerate() {
+            if exchanged[e] || locs.len() > 1 {
+                slot_of[e] = scatter.len();
+                scatter.push(locs);
+            }
+        }
+        for e in pairwise.iter_mut().flat_map(|(_, entries)| entries).chain(&mut tree_entries) {
+            *e = slot_of[*e];
+        }
+        Ok(GsHandle { strategy, scatter, pairwise, tree_entries, tree_slot, tree_len })
     }
 
     /// The strategy this handle was built with.
@@ -301,7 +291,7 @@ impl GsHandle {
             .iter()
             .flat_map(|(_, entries)| entries.iter())
             .chain(self.tree_entries.iter())
-            .flat_map(|&e| self.local_of_global[e].1.iter().copied())
+            .flat_map(|&e| self.scatter[e].iter().copied())
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -330,14 +320,14 @@ impl GsHandle {
         op: ReduceOp,
     ) -> GsExchange<'a> {
         comm.traced("gs.start", "mpi.coll.gs.start", |comm| {
-            // Pre-reduce local duplicates into a per-group scalar. This
+            // Pre-reduce local duplicates into a per-slot scalar. This
             // is the send snapshot: every isend below reads it before
             // any receive is combined, so k-way shared dofs accumulate
             // each rank's *original* contribution exactly once.
             let group_val: Vec<f64> = self
-                .local_of_global
+                .scatter
                 .iter()
-                .map(|(_, locs)| {
+                .map(|locs| {
                     let mut acc = values[locs[0]];
                     for &l in &locs[1..] {
                         acc = apply(op, acc, values[l]);
@@ -385,7 +375,8 @@ impl GsHandle {
 pub struct GsExchange<'a> {
     plan: &'a GsHandle,
     op: ReduceOp,
-    /// Pre-reduced per-entry contribution, accumulated in place by finish.
+    /// Pre-reduced contribution per `scatter` slot, accumulated in place
+    /// by finish.
     group_val: Vec<f64>,
     /// One pairwise receive per neighbour, in plan order.
     reqs: Vec<Request>,
@@ -416,9 +407,8 @@ impl GsExchange<'_> {
                     group_val[e] = buf[plan.tree_slot[k]];
                 }
             }
-            for &e in &plan.scatter {
-                let v = group_val[e];
-                for &l in &plan.local_of_global[e].1 {
+            for (locs, &v) in plan.scatter.iter().zip(&group_val) {
+                for &l in locs {
                     values[l] = v;
                 }
             }

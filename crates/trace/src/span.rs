@@ -239,7 +239,9 @@ impl Span {
 
     /// Ends the span with a virtual end time plus structured arguments.
     pub fn end_v_args(mut self, vt1: f64, args: &[(&'static str, f64)]) {
-        self.finish(vt1, args.to_vec());
+        // An inert span must stay free: no argument copy on the heap.
+        let args = if self.live { args.to_vec() } else { Vec::new() };
+        self.finish(vt1, args);
     }
 }
 

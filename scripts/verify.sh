@@ -273,26 +273,39 @@ gate_out="$(scripts/check_baselines)" || {
 
 echo "== benchmark smoke (perfbench builds against the workspace and its checks pass) =="
 # perfbench is a package of its own that reaches into the solvers' public
-# surface (HelmholtzProblem's matrix / asm / solve_with_rhs, the drive
-# loop, the serve engine); a change that breaks it must fail here, not in
-# the benchmark driver. The build refreshes perfbench/Cargo.lock, which a
-# change outside perfbench/ may not touch, so it is put back.
+# surface (HelmholtzProblem's matrix / asm / solve_with_rhs, NektarAle and
+# its operators' gs handles, the drive loop, the serve engine); a change
+# that breaks it must fail here, not in the benchmark driver: one direct
+# workload and the iterative one. The build refreshes perfbench/Cargo.lock,
+# which a change outside perfbench/ may not touch, so it is put back.
 lock_keep="$(mktemp)"
 cp perfbench/Cargo.lock "$lock_keep"
-bench_rc=0
-bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload wake2d --seconds 1)" || bench_rc=$?
-cp "$lock_keep" perfbench/Cargo.lock
+for workload in wake2d ale_wing; do
+    bench_rc=0
+    bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1)" || bench_rc=$?
+    cp "$lock_keep" perfbench/Cargo.lock
+    if [[ "$bench_rc" != 0 ]] || ! tail -n 1 <<< "$bench_out" | grep -q '"correct": true'; then
+        echo "FAIL: perfbench $workload exited $bench_rc or did not report \"correct\": true" >&2
+        tail -n 5 <<< "$bench_out" >&2
+        exit 1
+    fi
+done
 rm -f "$lock_keep"
-if [[ "$bench_rc" != 0 ]] || ! tail -n 1 <<< "$bench_out" | grep -q '"correct": true'; then
-    echo "FAIL: perfbench wake2d exited $bench_rc or did not report \"correct\": true" >&2
-    tail -n 5 <<< "$bench_out" >&2
-    exit 1
-fi
 
 if [[ "$deep" == 1 ]]; then
     echo "== deep property sweep (NKT_PROP_CASES=1000) =="
     NKT_PROP_CASES=1000 cargo test -q --offline --workspace
+fi
+
+# The benchmark driver refuses a change that edits what it measures with
+# (`benchmark_edited`): neither the steps above nor the change under test
+# may leave the benchmark's files different from the last commit.
+bench_dirty="$(git status --porcelain -- perfbench BENCHMARK.json)"
+if [[ -n "$bench_dirty" ]]; then
+    echo "FAIL: the benchmark's own files differ from the last commit:" >&2
+    echo "$bench_dirty" >&2
+    exit 1
 fi
 
 echo "verify: OK"

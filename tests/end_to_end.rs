@@ -153,7 +153,7 @@ fn kernel_conclusions_hold() {
 /// Wing mesh → partition → distributed 3-D Poisson through the public API.
 #[test]
 fn wing_mesh_parallel_poisson() {
-    use nektar_repro::nektar::hex3d::{HexHelmholtz, HexNumbering};
+    use nektar_repro::nektar::hex3d::{HexHelmholtz, HexNumbering, HexWorkspace};
     use nkt_mpi::ReduceOp;
     let mesh = wing_box_mesh(1);
     let order = 2;
@@ -173,11 +173,11 @@ fn wing_mesh_parallel_poisson() {
         // the max principle (0 ≤ u < 1).
         let mut b = vec![0.0; h.nlocal()];
         // RHS ∫ 1·φ: vertex modes integrate to positive values.
-        for (le, locals) in h.elem_local.iter().enumerate() {
+        for le in 0..h.my_elems.len() {
             let [hx, hy, hz] = h.scales[le];
             let vol = hx * hy * hz;
             let nm1 = h.p + 1;
-            for (m, &l) in locals.iter().enumerate() {
+            for (m, &l) in h.elem_dofs(le).iter().enumerate() {
                 let (i, j, k) = (m % nm1, (m / nm1) % nm1, m / (nm1 * nm1));
                 let w1 = |idx: usize| {
                     let op = &h.op1;
@@ -192,14 +192,14 @@ fn wing_mesh_parallel_poisson() {
         }
         h.gs.exchange(c, &mut b, ReduceOp::Sum);
         let mut x = vec![0.0; h.nlocal()];
-        let iters = h.pcg(c, &b, &mut x, 1e-8, 2000, &mut rec);
+        let solve = h.pcg(c, &b, &mut x, 1e-8, 2000, &mut HexWorkspace::default(), &mut rec);
         // Max principle check on vertex dofs only (vertex modes are
         // interpolatory; bubble coefficients are not point values).
         let nm1 = h.p + 1;
         let mut umax = f64::MIN;
         let mut umin = f64::MAX;
-        for locals in &h.elem_local {
-            for (m, &l) in locals.iter().enumerate() {
+        for le in 0..h.my_elems.len() {
+            for (m, &l) in h.elem_dofs(le).iter().enumerate() {
                 let (i, j, k) = (m % nm1, (m / nm1) % nm1, m / (nm1 * nm1));
                 let vert = (i == 0 || i == h.p) && (j == 0 || j == h.p) && (k == 0 || k == h.p);
                 if vert {
@@ -208,10 +208,10 @@ fn wing_mesh_parallel_poisson() {
                 }
             }
         }
-        (iters, umin, umax)
+        (solve, umin, umax)
     });
-    for &(iters, umin, umax) in &out {
-        assert!(iters < 2000, "PCG did not converge");
+    for &(solve, umin, umax) in &out {
+        assert!(solve.converged, "PCG did not converge: {solve:?}");
         assert!(umax > 0.0 && umax < 1.0, "max principle violated: {umax}");
         assert!(umin > -0.2, "large undershoot: {umin}");
     }
