@@ -127,7 +127,7 @@ pub fn paper_serial_shape() -> Serial2dShape {
     let order = 8;
     let basis = QuadBasis::new(order);
     use nkt_spectral::element::Expansion;
-    let asm = Assembly::build(&mesh, |_| &basis, |_| false);
+    let asm = Assembly::build(&mesh, |_| &basis);
     // Boundary-system cliques: the vertex/edge dofs each element couples.
     let cliques: Vec<Vec<usize>> = asm
         .elem_dofs

@@ -24,8 +24,9 @@ use crate::timers::{Stage, StageClock, StageTimer};
 use nkt_fft::{Complex64, RealFft};
 use nkt_mesh::{BoundaryTag, Mesh2d};
 use nkt_mpi::prelude::*;
-use nkt_spectral::{HelmholtzProblem, SolveMethod};
+use nkt_spectral::{Discretization, HelmholtzProblem, SolveMethod};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Configuration for a NekTar-F run.
 #[derive(Debug, Clone)]
@@ -87,6 +88,9 @@ pub struct NektarF {
     /// Modes owned by this rank (global indices, contiguous; mirror of
     /// the decomposition's block for direct access).
     pub my_modes: std::ops::Range<usize>,
+    /// Mesh, bases, dof map and elemental operators of the x–y plane:
+    /// one per rank, shared by every per-mode problem below.
+    pub(crate) disc: Arc<Discretization>,
     /// Per owned mode: pressure problem (λ = β²).
     pub(crate) pressure: Vec<HelmholtzProblem>,
     /// Per owned mode: viscous problem (λ = β² + γ₀/(νΔt)).
@@ -160,10 +164,10 @@ impl NektarF {
             return Err(FourierCfgError::OddNz { nz: cfg.nz });
         }
         let nmodes = cfg.nz / 2;
-        let decomp: Box<dyn Decomposition> = if pc <= 1 {
-            if pr != comm.size() {
-                return Err(FourierCfgError::GridMismatch { pr, pc, p: comm.size() });
-            }
+        if pr == 0 || pc == 0 || pr * pc != comm.size() {
+            return Err(FourierCfgError::GridMismatch { pr, pc, p: comm.size() });
+        }
+        let decomp: Box<dyn Decomposition> = if pc == 1 {
             Box::new(Slab::new(comm, nmodes)?)
         } else {
             Box::new(Pencil2D::new(comm, pr, pc, nmodes)?)
@@ -172,24 +176,22 @@ impl NektarF {
         let mpp = my_modes.len();
         let scheme = StifflyStable::new(cfg.scheme_order);
         let vel_tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
+        // The per-mode problems differ only in λ: one discretization, and
+        // 1 + scheme_order members of it per owned mode.
+        let disc = Discretization::new(mesh.clone(), cfg.order);
         let mut pressure = Vec::with_capacity(mpp);
         let mut viscous = Vec::with_capacity(mpp);
         let mut ramp = Vec::with_capacity(mpp);
         for k in my_modes.clone() {
             let beta = 2.0 * std::f64::consts::PI * k as f64 / cfg.lz;
-            let mut pp = HelmholtzProblem::new(
-                mesh.clone(),
-                cfg.order,
-                beta * beta,
-                &[BoundaryTag::Outflow],
-            );
+            let mut pp = HelmholtzProblem::member(&disc, beta * beta, &[BoundaryTag::Outflow]);
             // The k = 0 pressure problem is pure-Neumann Poisson when the
             // mesh has no outflow: pin its null space.
-            if pp.asm.ndirichlet() == 0 && beta == 0.0 {
+            if pp.ndirichlet() == 0 && beta == 0.0 {
                 pp.pin_dof(0);
             }
             let lam_v = beta * beta + scheme.gamma0 / (cfg.nu * cfg.dt);
-            let mut vp = HelmholtzProblem::new(mesh.clone(), cfg.order, lam_v, &vel_tags);
+            let mut vp = HelmholtzProblem::member(&disc, lam_v, &vel_tags);
             // Factor here, not inside the first host-timed solve stages.
             // The ramp problems stay lazy: a resumed run never solves them.
             pp.factorize();
@@ -200,20 +202,19 @@ impl NektarF {
                 .map(|j| {
                     let lam_j =
                         beta * beta + StifflyStable::new(j).gamma0 / (cfg.nu * cfg.dt);
-                    HelmholtzProblem::new(mesh.clone(), cfg.order, lam_j, &vel_tags)
+                    HelmholtzProblem::member(&disc, lam_j, &vel_tags)
                 })
                 .collect();
             ramp.push(ramps);
         }
-        let prob0 = &viscous[0];
         let mut elem_off = Vec::with_capacity(mesh.nelems());
         let mut off = 0usize;
         for ei in 0..mesh.nelems() {
-            let nq = prob0.basis(ei).nquad();
+            let nq = disc.basis(ei).nquad();
             elem_off.push((off, nq));
             off += nq;
         }
-        let ndof = prob0.asm.ndof;
+        let ndof = disc.asm.ndof;
         let fields = (0..mpp)
             .map(|_| {
                 [
@@ -228,6 +229,7 @@ impl NektarF {
             scheme,
             decomp,
             my_modes,
+            disc,
             pressure,
             viscous,
             ramp,
@@ -266,38 +268,47 @@ impl NektarF {
 
     /// Degrees of freedom per rank (all owned planes × components).
     pub fn local_dof(&self) -> usize {
-        self.my_modes.len() * 2 * 3 * self.viscous[0].asm.ndof
+        self.my_modes.len() * 2 * 3 * self.disc.asm.ndof
     }
 
     /// Sets the initial velocity from a physical-space function
     /// `f([x,y,z]) -> [u,v,w]` by z-DFT sampling + per-mode 2-D L2
-    /// projection.
+    /// projection: `f` is sampled once per (quadrature point, plane) and
+    /// one forward FFT per (point, component) yields the coefficient of
+    /// every owned mode at that point.
     pub fn set_initial(&mut self, f: impl Fn([f64; 3]) -> [f64; 3]) {
         let nz = self.cfg.nz;
-        let fft = RealFft::new(nz);
         let lz = self.cfg.lz;
-        for (mi, k) in self.my_modes.clone().enumerate() {
-            for c in 0..3 {
-                let coeff = |x: [f64; 2], want_b: bool| -> f64 {
-                    let vals: Vec<f64> = (0..nz)
-                        .map(|j| f([x[0], x[1], lz * j as f64 / nz as f64])[c])
-                        .collect();
-                    let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
-                    fft.forward(&vals, &mut sp);
-                    if k == 0 {
-                        if want_b {
-                            0.0
-                        } else {
-                            sp[0].re / nz as f64
-                        }
-                    } else if want_b {
-                        -2.0 * sp[k].im / nz as f64
-                    } else {
-                        2.0 * sp[k].re / nz as f64
-                    }
-                };
-                self.fields[mi][c].a = self.viscous[mi].l2_project(|x| coeff(x, false));
-                self.fields[mi][c].b = self.viscous[mi].l2_project(|x| coeff(x, true));
+        let nq = self.nq_total;
+        let mpp = self.my_modes.len();
+        let fft = RealFft::new(nz);
+        // Plane (mi, c, cos | sin) is row (mi·3 + c)·2 + (0 | 1) of `planes`,
+        // element-major quadrature values like every other plane here.
+        let mut planes = vec![0.0; mpp * 3 * 2 * nq];
+        let mut lines = [vec![0.0; nz], vec![0.0; nz], vec![0.0; nz]];
+        let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
+        for (q, x) in self.disc.quad_points().enumerate() {
+            for j in 0..nz {
+                let v = f([x[0], x[1], lz * j as f64 / nz as f64]);
+                for (line, vc) in lines.iter_mut().zip(v) {
+                    line[j] = vc;
+                }
+            }
+            for (c, line) in lines.iter().enumerate() {
+                forward_fft(&fft, line, &mut sp);
+                for (mi, k) in self.my_modes.clone().enumerate() {
+                    let row = (mi * 3 + c) * 2;
+                    let (a, b) = mode_coeffs(&sp, k, nz);
+                    planes[row * nq + q] = a;
+                    planes[(row + 1) * nq + q] = b;
+                }
+            }
+        }
+        let mut rows = planes.chunks_exact(nq);
+        for comps in self.fields.iter_mut() {
+            for mc in comps.iter_mut() {
+                mc.a = self.disc.l2_project_quad(rows.next().expect("a row per plane"));
+                mc.b = self.disc.l2_project_quad(rows.next().expect("a row per plane"));
             }
         }
         self.hist_vel.clear();
@@ -305,13 +316,15 @@ impl NektarF {
         self.steps_taken = 0;
     }
 
-    pub(crate) fn to_quad_with(&self, prob: &HelmholtzProblem, coeffs: &[f64]) -> Vec<f64> {
+    /// Quadrature values of the modal field `coeffs` on one plane.
+    pub(crate) fn to_quad(&self, coeffs: &[f64]) -> Vec<f64> {
+        let disc = &*self.disc;
         let mut out = vec![0.0; self.nq_total];
-        for ei in 0..prob.mesh.nelems() {
-            let basis = prob.basis(ei);
+        for ei in 0..disc.mesh.nelems() {
+            let basis = disc.basis(ei);
             let (off, nq) = self.elem_off[ei];
             let mut local = vec![0.0; basis.nmodes()];
-            prob.asm.gather(ei, coeffs, &mut local);
+            disc.asm.gather(ei, coeffs, &mut local);
             for (m, &c) in local.iter().enumerate() {
                 if c != 0.0 {
                     let vm = &basis.val()[m];
@@ -324,19 +337,17 @@ impl NektarF {
         out
     }
 
-    pub(crate) fn grad_quad_with(
-        &self,
-        prob: &HelmholtzProblem,
-        coeffs: &[f64],
-    ) -> (Vec<f64>, Vec<f64>) {
+    /// Quadrature values of (∂x, ∂y) of the modal field `coeffs`.
+    pub(crate) fn grad_quad(&self, coeffs: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let disc = &*self.disc;
         let mut gx = vec![0.0; self.nq_total];
         let mut gy = vec![0.0; self.nq_total];
-        for ei in 0..prob.mesh.nelems() {
-            let basis = prob.basis(ei);
-            let geom = &prob.ops[ei].geom;
+        for ei in 0..disc.mesh.nelems() {
+            let basis = disc.basis(ei);
+            let geom = &disc.ops[ei].geom;
             let (off, nq) = self.elem_off[ei];
             let mut local = vec![0.0; basis.nmodes()];
-            prob.asm.gather(ei, coeffs, &mut local);
+            disc.asm.gather(ei, coeffs, &mut local);
             for (m, &c) in local.iter().enumerate() {
                 if c != 0.0 {
                     let d1 = &basis.dxi1()[m];
@@ -383,13 +394,12 @@ impl NektarF {
         let t0 = StageTimer::start(Stage::BwdTransform);
         let mut vel: Vec<[ModePlane; 3]> = Vec::with_capacity(mpp);
         for mi in 0..mpp {
-            let prob = &self.viscous[mi];
             let mut comps: [ModePlane; 3] = Default::default();
             for (c, comp) in comps.iter_mut().enumerate() {
-                comp.a = self.to_quad_with(prob, &self.fields[mi][c].a);
-                comp.b = self.to_quad_with(prob, &self.fields[mi][c].b);
-                for ei in 0..prob.mesh.nelems() {
-                    let basis = prob.basis(ei);
+                comp.a = self.to_quad(&self.fields[mi][c].a);
+                comp.b = self.to_quad(&self.fields[mi][c].b);
+                for ei in 0..self.disc.mesh.nelems() {
+                    let basis = self.disc.basis(ei);
                     self.recorder.work(
                         Stage::BwdTransform,
                         WorkItem::Gemm { m: basis.nquad(), n: 2, k: basis.nmodes() },
@@ -407,13 +417,12 @@ impl NektarF {
         for mi in 0..mpp {
             let k = self.my_modes.start + mi;
             let beta = self.beta(k);
-            let prob = &self.viscous[mi];
             for c in 0..3 {
                 mode_fields[c].push(vel[mi][c].clone());
-                let (gxa, gya) = self.grad_quad_with(prob, &self.fields[mi][c].a);
-                let (gxb, gyb) = self.grad_quad_with(prob, &self.fields[mi][c].b);
-                for ei in 0..prob.mesh.nelems() {
-                    let basis = prob.basis(ei);
+                let (gxa, gya) = self.grad_quad(&self.fields[mi][c].a);
+                let (gxb, gyb) = self.grad_quad(&self.fields[mi][c].b);
+                for ei in 0..self.disc.mesh.nelems() {
+                    let basis = self.disc.basis(ei);
                     for _ in 0..2 {
                         self.recorder.work(
                             Stage::NonLinear,
@@ -525,51 +534,49 @@ impl NektarF {
 
         // Stages 4-7 per owned mode.
         let mut new_fields: Vec<[ModeCoeffs; 3]> = Vec::with_capacity(mpp);
+        let disc = &*self.disc;
+        let ndof = disc.asm.ndof;
         for mi in 0..mpp {
             let k = self.my_modes.start + mi;
             let beta = self.beta(k);
 
             // Stage 4: pressure RHS (cos and sin planes).
             let t0 = StageTimer::start(Stage::PressureRhs);
-            let ndofp = self.pressure[mi].asm.ndof;
-            let mut rhs_a = vec![0.0; ndofp];
-            let mut rhs_b = vec![0.0; ndofp];
-            {
-                let prob = &self.pressure[mi];
-                for ei in 0..prob.mesh.nelems() {
-                    let basis = prob.basis(ei);
-                    let geom = &prob.ops[ei].geom;
-                    let (off, nq) = self.elem_off[ei];
-                    let nm = basis.nmodes();
-                    let mut la = vec![0.0; nm];
-                    let mut lb = vec![0.0; nm];
-                    for m in 0..nm {
-                        let d1 = &basis.dxi1()[m];
-                        let d2 = &basis.dxi2()[m];
-                        let vm = &basis.val()[m];
-                        let mut sa = 0.0;
-                        let mut sb = 0.0;
-                        for q in 0..nq {
-                            let [ja, jb, jc, jd] = geom.dxi_dx[q];
-                            let gpx = d1[q] * ja + d2[q] * jc;
-                            let gpy = d1[q] * jb + d2[q] * jd;
-                            let dzw_a = beta * hat[mi][2].b[off + q];
-                            let dzw_b = -beta * hat[mi][2].a[off + q];
-                            sa += geom.jw[q]
-                                * (hat[mi][0].a[off + q] * gpx
-                                    + hat[mi][1].a[off + q] * gpy
-                                    - dzw_a * vm[q]);
-                            sb += geom.jw[q]
-                                * (hat[mi][0].b[off + q] * gpx
-                                    + hat[mi][1].b[off + q] * gpy
-                                    - dzw_b * vm[q]);
-                        }
-                        la[m] = sa / dt;
-                        lb[m] = sb / dt;
+            let mut rhs_a = vec![0.0; ndof];
+            let mut rhs_b = vec![0.0; ndof];
+            for ei in 0..disc.mesh.nelems() {
+                let basis = disc.basis(ei);
+                let geom = &disc.ops[ei].geom;
+                let (off, nq) = self.elem_off[ei];
+                let nm = basis.nmodes();
+                let mut la = vec![0.0; nm];
+                let mut lb = vec![0.0; nm];
+                for m in 0..nm {
+                    let d1 = &basis.dxi1()[m];
+                    let d2 = &basis.dxi2()[m];
+                    let vm = &basis.val()[m];
+                    let mut sa = 0.0;
+                    let mut sb = 0.0;
+                    for q in 0..nq {
+                        let [ja, jb, jc, jd] = geom.dxi_dx[q];
+                        let gpx = d1[q] * ja + d2[q] * jc;
+                        let gpy = d1[q] * jb + d2[q] * jd;
+                        let dzw_a = beta * hat[mi][2].b[off + q];
+                        let dzw_b = -beta * hat[mi][2].a[off + q];
+                        sa += geom.jw[q]
+                            * (hat[mi][0].a[off + q] * gpx
+                                + hat[mi][1].a[off + q] * gpy
+                                - dzw_a * vm[q]);
+                        sb += geom.jw[q]
+                            * (hat[mi][0].b[off + q] * gpx
+                                + hat[mi][1].b[off + q] * gpy
+                                - dzw_b * vm[q]);
                     }
-                    prob.asm.scatter_add(ei, &la, &mut rhs_a);
-                    prob.asm.scatter_add(ei, &lb, &mut rhs_b);
+                    la[m] = sa / dt;
+                    lb[m] = sb / dt;
                 }
+                disc.asm.scatter_add(ei, &la, &mut rhs_a);
+                disc.asm.scatter_add(ei, &lb, &mut rhs_b);
             }
             sc.add(Stage::PressureRhs, t0.stop());
 
@@ -577,7 +584,7 @@ impl NektarF {
             // "the real and imaginary parts of a Fourier mode sharing the
             // same matrices").
             let t0 = StageTimer::start(Stage::PressureSolve);
-            let zeros = vec![0.0; ndofp];
+            let zeros = vec![0.0; ndof];
             let kdp = self.pressure[mi].matrix.kd();
             let ksp = nkt_trace::span("banded_solve", "kernel");
             let (pa, _) =
@@ -587,77 +594,72 @@ impl NektarF {
             ksp.end_v_args(
                 f64::NAN,
                 &[
-                    ("n", ndofp as f64),
+                    ("n", ndof as f64),
                     ("kd", kdp as f64),
                     ("solves", 2.0),
-                    ("flops", 2.0 * 4.0 * ndofp as f64 * (kdp + 1) as f64),
+                    ("flops", 2.0 * 4.0 * ndof as f64 * (kdp + 1) as f64),
                 ],
             );
             for _ in 0..2 {
                 self.recorder
-                    .work(Stage::PressureSolve, WorkItem::BandedSolve { n: ndofp, kd: kdp });
+                    .work(Stage::PressureSolve, WorkItem::BandedSolve { n: ndof, kd: kdp });
             }
             sc.add(Stage::PressureSolve, t0.stop());
 
             // Stage 6: viscous RHS from u** = uhat − dt ∇p.
             let t0 = StageTimer::start(Stage::ViscousRhs);
-            let pprob = &self.pressure[mi];
-            let (gpx_a, gpy_a) = self.grad_quad_with(pprob, &pa);
-            let (gpx_b, gpy_b) = self.grad_quad_with(pprob, &pb);
-            let pq_a = self.to_quad_with(pprob, &pa);
-            let pq_b = self.to_quad_with(pprob, &pb);
+            let (gpx_a, gpy_a) = self.grad_quad(&pa);
+            let (gpx_b, gpy_b) = self.grad_quad(&pb);
+            let pq_a = self.to_quad(&pa);
+            let pq_b = self.to_quad(&pb);
             let scale = 1.0 / (nu * dt);
-            let ndofv = self.viscous[mi].asm.ndof;
             let mut rhs: [(Vec<f64>, Vec<f64>); 3] = [
-                (vec![0.0; ndofv], vec![0.0; ndofv]),
-                (vec![0.0; ndofv], vec![0.0; ndofv]),
-                (vec![0.0; ndofv], vec![0.0; ndofv]),
+                (vec![0.0; ndof], vec![0.0; ndof]),
+                (vec![0.0; ndof], vec![0.0; ndof]),
+                (vec![0.0; ndof], vec![0.0; ndof]),
             ];
-            {
-                let prob = &self.viscous[mi];
-                for ei in 0..prob.mesh.nelems() {
-                    let basis = prob.basis(ei);
-                    let geom = &prob.ops[ei].geom;
-                    let (off, nq) = self.elem_off[ei];
-                    let nm = basis.nmodes();
-                    let mut locals = vec![vec![0.0; nm]; 6];
-                    for m in 0..nm {
-                        let vm = &basis.val()[m];
-                        let mut acc = [0.0f64; 6];
-                        for q in 0..nq {
-                            let w = geom.jw[q];
-                            let ustar_a = hat[mi][0].a[off + q] - dt * gpx_a[off + q];
-                            let ustar_b = hat[mi][0].b[off + q] - dt * gpx_b[off + q];
-                            let vstar_a = hat[mi][1].a[off + q] - dt * gpy_a[off + q];
-                            let vstar_b = hat[mi][1].b[off + q] - dt * gpy_b[off + q];
-                            let wstar_a =
-                                hat[mi][2].a[off + q] - dt * (beta * pq_b[off + q]);
-                            let wstar_b =
-                                hat[mi][2].b[off + q] - dt * (-beta * pq_a[off + q]);
-                            acc[0] += w * ustar_a * vm[q];
-                            acc[1] += w * ustar_b * vm[q];
-                            acc[2] += w * vstar_a * vm[q];
-                            acc[3] += w * vstar_b * vm[q];
-                            acc[4] += w * wstar_a * vm[q];
-                            acc[5] += w * wstar_b * vm[q];
-                        }
-                        for (s, l) in locals.iter_mut().enumerate() {
-                            l[m] = scale * acc[s];
-                        }
+            for ei in 0..disc.mesh.nelems() {
+                let basis = disc.basis(ei);
+                let geom = &disc.ops[ei].geom;
+                let (off, nq) = self.elem_off[ei];
+                let nm = basis.nmodes();
+                let mut locals = vec![vec![0.0; nm]; 6];
+                for m in 0..nm {
+                    let vm = &basis.val()[m];
+                    let mut acc = [0.0f64; 6];
+                    for q in 0..nq {
+                        let w = geom.jw[q];
+                        let ustar_a = hat[mi][0].a[off + q] - dt * gpx_a[off + q];
+                        let ustar_b = hat[mi][0].b[off + q] - dt * gpx_b[off + q];
+                        let vstar_a = hat[mi][1].a[off + q] - dt * gpy_a[off + q];
+                        let vstar_b = hat[mi][1].b[off + q] - dt * gpy_b[off + q];
+                        let wstar_a =
+                            hat[mi][2].a[off + q] - dt * (beta * pq_b[off + q]);
+                        let wstar_b =
+                            hat[mi][2].b[off + q] - dt * (-beta * pq_a[off + q]);
+                        acc[0] += w * ustar_a * vm[q];
+                        acc[1] += w * ustar_b * vm[q];
+                        acc[2] += w * vstar_a * vm[q];
+                        acc[3] += w * vstar_b * vm[q];
+                        acc[4] += w * wstar_a * vm[q];
+                        acc[5] += w * wstar_b * vm[q];
                     }
-                    prob.asm.scatter_add(ei, &locals[0], &mut rhs[0].0);
-                    prob.asm.scatter_add(ei, &locals[1], &mut rhs[0].1);
-                    prob.asm.scatter_add(ei, &locals[2], &mut rhs[1].0);
-                    prob.asm.scatter_add(ei, &locals[3], &mut rhs[1].1);
-                    prob.asm.scatter_add(ei, &locals[4], &mut rhs[2].0);
-                    prob.asm.scatter_add(ei, &locals[5], &mut rhs[2].1);
+                    for (s, l) in locals.iter_mut().enumerate() {
+                        l[m] = scale * acc[s];
+                    }
                 }
+                disc.asm.scatter_add(ei, &locals[0], &mut rhs[0].0);
+                disc.asm.scatter_add(ei, &locals[1], &mut rhs[0].1);
+                disc.asm.scatter_add(ei, &locals[2], &mut rhs[1].0);
+                disc.asm.scatter_add(ei, &locals[3], &mut rhs[1].1);
+                disc.asm.scatter_add(ei, &locals[4], &mut rhs[2].0);
+                disc.asm.scatter_add(ei, &locals[5], &mut rhs[2].1);
             }
             sc.add(Stage::ViscousRhs, t0.stop());
 
             // Stage 7: six Helmholtz solves (3 components × cos/sin).
             let t0 = StageTimer::start(Stage::ViscousSolve);
-            let ud = vec![0.0; ndofv];
+            let ud = vec![0.0; ndof];
             let solver = if j < self.scheme.order {
                 &mut self.ramp[mi][j - 1]
             } else {
@@ -675,15 +677,15 @@ impl NektarF {
             ksp.end_v_args(
                 f64::NAN,
                 &[
-                    ("n", ndofv as f64),
+                    ("n", ndof as f64),
                     ("kd", kdv as f64),
                     ("solves", 6.0),
-                    ("flops", 6.0 * 4.0 * ndofv as f64 * (kdv + 1) as f64),
+                    ("flops", 6.0 * 4.0 * ndof as f64 * (kdv + 1) as f64),
                 ],
             );
             for _ in 0..6 {
                 self.recorder
-                    .work(Stage::ViscousSolve, WorkItem::BandedSolve { n: ndofv, kd: kdv });
+                    .work(Stage::ViscousSolve, WorkItem::BandedSolve { n: ndof, kd: kdv });
             }
             sc.add(Stage::ViscousSolve, t0.stop());
             new_fields.push(comps);
@@ -699,13 +701,12 @@ impl NektarF {
     /// ½ Σ_c ∫ plane energies with the spanwise measure.
     pub fn mode_energy(&self, mi: usize) -> f64 {
         let k = self.my_modes.start + mi;
-        let prob = &self.viscous[mi];
         let mut e = 0.0;
         for c in 0..3 {
-            let qa = self.to_quad_with(prob, &self.fields[mi][c].a);
-            let qb = self.to_quad_with(prob, &self.fields[mi][c].b);
-            for ei in 0..prob.mesh.nelems() {
-                let geom = &prob.ops[ei].geom;
+            let qa = self.to_quad(&self.fields[mi][c].a);
+            let qb = self.to_quad(&self.fields[mi][c].b);
+            for ei in 0..self.disc.mesh.nelems() {
+                let geom = &self.disc.ops[ei].geom;
                 let (off, nq) = self.elem_off[ei];
                 for q in 0..nq {
                     e += 0.5
@@ -730,12 +731,11 @@ impl NektarF {
         let owned = if self.is_primary() { self.my_modes.len() } else { 0 };
         for mi in 0..owned {
             let k = self.my_modes.start + mi;
-            let prob = &self.viscous[mi];
             for c in 0..3 {
-                let qa = self.to_quad_with(prob, &self.fields[mi][c].a);
-                let qb = self.to_quad_with(prob, &self.fields[mi][c].b);
-                for ei in 0..prob.mesh.nelems() {
-                    let geom = &prob.ops[ei].geom;
+                let qa = self.to_quad(&self.fields[mi][c].a);
+                let qb = self.to_quad(&self.fields[mi][c].b);
+                for ei in 0..self.disc.mesh.nelems() {
+                    let geom = &self.disc.ops[ei].geom;
                     let (off, nq) = self.elem_off[ei];
                     for q in 0..nq {
                         // ∫ cos² = ∫ sin² = Lz/2 for k>0; ∫ 1 = Lz for k=0.
@@ -760,6 +760,24 @@ impl NektarF {
     pub fn steps(&self) -> usize {
         self.steps_taken
     }
+}
+
+/// The (cos, sin) coefficients of Fourier mode `k` in the forward
+/// spectrum `sp` of `nz` real samples. Mode 0 has no sine part.
+fn mode_coeffs(sp: &[Complex64], k: usize, nz: usize) -> (f64, f64) {
+    if k == 0 {
+        (sp[0].re / nz as f64, 0.0)
+    } else {
+        (2.0 * sp[k].re / nz as f64, -2.0 * sp[k].im / nz as f64)
+    }
+}
+
+/// `fft.forward`, counted under test: how many transforms a set-up runs
+/// is asserted there.
+fn forward_fft(fft: &RealFft, x: &[f64], sp: &mut [Complex64]) {
+    #[cfg(test)]
+    tests::FORWARD_FFTS.with(|n| n.set(n.get() + 1));
+    fft.forward(x, sp);
 }
 
 fn write_planes(e: &mut nkt_ckpt::Enc, levels: &VecDeque<Vec<[ModePlane; 3]>>) {
@@ -808,7 +826,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         let mut e = nkt_ckpt::Enc::new();
         e.usize(self.my_modes.start);
         e.usize(self.my_modes.len());
-        e.usize(self.viscous[0].asm.ndof);
+        e.usize(self.disc.asm.ndof);
         e.usize(self.nq_total);
         for comps in &self.fields {
             for mc in comps {
@@ -838,7 +856,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         let mut d = f.dec("fields")?;
         d.expect_u64(self.my_modes.start as u64, "fourier mode-block start")?;
         d.expect_u64(self.my_modes.len() as u64, "fourier mode-block length")?;
-        d.expect_u64(self.viscous[0].asm.ndof as u64, "fourier dof count")?;
+        d.expect_u64(self.disc.asm.ndof as u64, "fourier dof count")?;
         d.expect_u64(self.nq_total as u64, "fourier plane quadrature size")?;
         for comps in self.fields.iter_mut() {
             for mc in comps.iter_mut() {
@@ -904,6 +922,170 @@ mod tests {
             -(pi * x[0]).cos() * (pi * x[1]).sin() * x[2].cos(),
             0.0,
         ]
+    }
+
+    thread_local! {
+        /// Forward FFTs `forward_fft` has run on this (rank) thread.
+        pub(super) static FORWARD_FFTS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    impl NektarF {
+        /// The reference `set_initial` is held to: one length-`nz` DFT of
+        /// freshly sampled values per (mode, component, plane, quadrature
+        /// point *and basis mode*), inside the projection's closure.
+        fn set_initial_per_mode_dft(&mut self, f: impl Fn([f64; 3]) -> [f64; 3]) {
+            let nz = self.cfg.nz;
+            let fft = RealFft::new(nz);
+            let lz = self.cfg.lz;
+            for (mi, k) in self.my_modes.clone().enumerate() {
+                for c in 0..3 {
+                    let coeff = |x: [f64; 2]| {
+                        let vals: Vec<f64> = (0..nz)
+                            .map(|j| f([x[0], x[1], lz * j as f64 / nz as f64])[c])
+                            .collect();
+                        let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
+                        forward_fft(&fft, &vals, &mut sp);
+                        mode_coeffs(&sp, k, nz)
+                    };
+                    self.fields[mi][c].a = self.disc.l2_project(|x| coeff(x).0);
+                    self.fields[mi][c].b = self.disc.l2_project(|x| coeff(x).1);
+                }
+            }
+        }
+    }
+
+    /// A field with energy in every component and in z-harmonics 0-5,
+    /// both phases.
+    fn busy_field(x: [f64; 3]) -> [f64; 3] {
+        let [u, v, _] = psi_field([x[0], x[1], 0.0]);
+        let z = x[2];
+        [
+            u * (1.0 + 0.3 * z.cos() + 0.2 * (2.0 * z).sin() + 0.1 * (5.0 * z + 0.4).cos()),
+            v * (0.7 - 0.4 * (z + 1.1).sin() + 0.15 * (3.0 * z).cos()),
+            x[0] * (1.0 - x[1]) * ((z - 0.3).sin() + 0.25 * (4.0 * z).cos()),
+        ]
+    }
+
+    fn field_bits(s: &NektarF) -> Vec<u64> {
+        s.fields
+            .iter()
+            .flatten()
+            .flat_map(|mc| mc.a.iter().chain(&mc.b))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn set_initial_equals_the_per_mode_dft_reference_bit_for_bit() {
+        for nz in [8usize, 16, 32] {
+            for (pr, pc) in [(1usize, 1usize), (2, 1), (2, 2)] {
+                let same = run(pr * pc, cluster(NetId::T3e), move |c| {
+                    let cfg = FourierConfig { nz, ..cfg() };
+                    let mut s = NektarF::try_new_with_grid(c, &mesh(), cfg, pr, pc).unwrap();
+                    s.set_initial(busy_field);
+                    let got = field_bits(&s);
+                    s.set_initial_per_mode_dft(busy_field);
+                    assert!(got.iter().any(|&b| b != 0), "fields left empty");
+                    got == field_bits(&s)
+                });
+                assert!(same.iter().all(|&ok| ok), "nz {nz}, grid {pr}x{pc}: {same:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_initial_recovers_a_single_harmonic() {
+        // f = A(x,y)·(1 + a·cos(z + φ)): mode 0 is proj A, mode 1 is
+        // (a cos φ, −a sin φ)·proj A, every other coefficient is zero.
+        let (a, phi) = (0.3, 0.7);
+        // Unit-size amplitudes, so 1e-12 is a relative bound too.
+        let amp = |x: [f64; 2]| {
+            let [u, v, _] = psi_field([x[0], x[1], 0.0]);
+            [u / 6.0, v / 6.0, x[0] * x[1]]
+        };
+        let out = run(2, cluster(NetId::T3e), move |c| {
+            let mut s = NektarF::new(c, &mesh(), FourierConfig { nz: 16, ..cfg() });
+            s.set_initial(|x| amp([x[0], x[1]]).map(|v| v * (1.0 + a * (x[2] + phi).cos())));
+            let mut worst = 0.0f64;
+            for (mi, k) in s.my_modes.clone().enumerate() {
+                for comp in 0..3 {
+                    let proj = s.disc.l2_project(|x| amp(x)[comp]);
+                    let (wa, wb) = match k {
+                        0 => (1.0, 0.0),
+                        1 => (a * phi.cos(), -a * phi.sin()),
+                        _ => (0.0, 0.0),
+                    };
+                    let got = &s.fields[mi][comp];
+                    for ((&p, &ga), &gb) in proj.iter().zip(&got.a).zip(&got.b) {
+                        worst = worst.max((ga - wa * p).abs()).max((gb - wb * p).abs());
+                    }
+                }
+            }
+            worst
+        });
+        for &worst in &out {
+            assert!(worst < 1e-12, "off by {worst}");
+        }
+    }
+
+    #[test]
+    fn set_initial_samples_each_point_once_per_plane() {
+        // fourier_slab's shape: 324 points a plane, nz 32. One rank owns
+        // 16 modes, each of two ranks 8 — the sampling does not care.
+        for p in [1usize, 2] {
+            let out = run(p, cluster(NetId::T3e), |c| {
+                let cfg = FourierConfig { nz: 32, ..cfg() };
+                let mut s = NektarF::new(c, &rect_quads(0.0, 1.0, 0.0, 1.0, 3, 3), cfg);
+                let calls = std::cell::Cell::new(0usize);
+                FORWARD_FFTS.with(|n| n.set(0));
+                s.set_initial(|x| {
+                    calls.set(calls.get() + 1);
+                    busy_field(x)
+                });
+                (s.nq_total, calls.get(), FORWARD_FFTS.with(|n| n.get()))
+            });
+            for &(nq, calls, ffts) in &out {
+                assert_eq!(nq, 324);
+                assert_eq!(calls, nq * 32, "field evaluations (10 368)");
+                assert_eq!(ffts, 3 * nq, "forward FFTs (972)");
+            }
+        }
+    }
+
+    #[test]
+    fn every_per_mode_problem_shares_the_rank_discretization() {
+        let out = run(1, cluster(NetId::T3e), |c| {
+            let cfg = FourierConfig { nz: 32, ..cfg() };
+            let s = NektarF::new(c, &rect_quads(0.0, 1.0, 0.0, 1.0, 3, 3), cfg);
+            let shared = s
+                .pressure
+                .iter()
+                .chain(&s.viscous)
+                .chain(s.ramp.iter().flatten())
+                .filter(|p| Arc::ptr_eq(p.discretization(), &s.disc))
+                .count();
+            // One elemental mass/stiffness pair per element, built once:
+            // the only other owner of the discretization is the solver.
+            (shared, Arc::strong_count(&s.disc), s.disc.ops.len())
+        });
+        assert_eq!(out[0], (48, 49, 9));
+    }
+
+    #[test]
+    fn zero_grid_dimension_is_a_grid_mismatch() {
+        for p in [1usize, 2] {
+            let out = run(p, cluster(NetId::T3e), move |c| {
+                [(p, 0), (0, p), (0, 0)].map(|(pr, pc)| {
+                    NektarF::try_new_with_grid(c, &mesh(), cfg(), pr, pc).err()
+                })
+            });
+            for errs in &out {
+                for (err, (pr, pc)) in errs.iter().zip([(p, 0), (0, p), (0, 0)]) {
+                    assert_eq!(*err, Some(FourierCfgError::GridMismatch { pr, pc, p }));
+                }
+            }
+        }
     }
 
     #[test]

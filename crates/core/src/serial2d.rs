@@ -19,7 +19,7 @@ use crate::opstream::{Recorder, WorkItem};
 use crate::splitting::StifflyStable;
 use crate::timers::{Stage, StageClock, StageTimer};
 use nkt_mesh::{BoundaryTag, Mesh2d};
-use nkt_spectral::{HelmholtzProblem, SolveMethod};
+use nkt_spectral::{Discretization, HelmholtzProblem, SolveMethod};
 use std::collections::VecDeque;
 
 /// Solver configuration.
@@ -90,14 +90,16 @@ impl Serial2dSolver {
     ) -> Serial2dSolver {
         let scheme = StifflyStable::new(cfg.scheme_order);
         let lambda = scheme.gamma0 / (cfg.nu * cfg.dt);
-        let mut pressure =
-            HelmholtzProblem::new(mesh.clone(), cfg.order, 0.0, &[BoundaryTag::Outflow]);
-        if pressure.asm.ndirichlet() == 0 {
+        // Pressure, viscous and ramp problems differ only in λ and tags:
+        // members of one discretization.
+        let disc = Discretization::new(mesh, cfg.order);
+        let mut pressure = HelmholtzProblem::member(&disc, 0.0, &[BoundaryTag::Outflow]);
+        if pressure.ndirichlet() == 0 {
             pressure.pin_dof(0);
         }
         const VEL_DIRICHLET: &[BoundaryTag] =
             &[BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
-        let mut viscous = HelmholtzProblem::new(mesh.clone(), cfg.order, lambda, VEL_DIRICHLET);
+        let mut viscous = HelmholtzProblem::member(&disc, lambda, VEL_DIRICHLET);
         // Factor here, not inside the first host-timed stage 5 / stage 7.
         // The ramp problems stay lazy: a resumed run never solves them.
         pressure.factorize();
@@ -107,7 +109,7 @@ impl Serial2dSolver {
         let ramp: Vec<HelmholtzProblem> = (1..cfg.scheme_order)
             .map(|j| {
                 let lam_j = StifflyStable::new(j).gamma0 / (cfg.nu * cfg.dt);
-                HelmholtzProblem::new(mesh.clone(), cfg.order, lam_j, VEL_DIRICHLET)
+                HelmholtzProblem::member(&disc, lam_j, VEL_DIRICHLET)
             })
             .collect();
         let ndof = viscous.asm.ndof;
@@ -749,6 +751,22 @@ mod tests {
             .filter(|(_, w)| matches!(w, WorkItem::BandedSolve { .. }))
             .count();
         assert_eq!(solves, 3);
+    }
+
+    #[test]
+    fn pressure_viscous_and_ramp_share_one_discretization() {
+        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+        let cfg = SolverConfig { order: 4, dt: 1e-3, nu: 0.01, scheme_order: 3, advect: true };
+        let s = Serial2dSolver::new(mesh, cfg, |_| 0.0, |_| 0.0);
+        let disc = s.viscous.discretization();
+        assert_eq!(s.ramp.len(), 2);
+        for prob in std::iter::once(&s.pressure).chain(&s.ramp) {
+            assert!(std::sync::Arc::ptr_eq(prob.discretization(), disc));
+        }
+        assert_eq!(std::sync::Arc::strong_count(disc), 4);
+        // The no-outflow pressure pin stayed on the pressure problem.
+        assert!(s.pressure.dirichlet()[0] && s.pressure.ndirichlet() == 1);
+        assert_eq!(s.viscous.dirichlet(), s.ramp[0].dirichlet());
     }
 
     #[test]

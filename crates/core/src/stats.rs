@@ -26,6 +26,7 @@ use crate::fourier::NektarF;
 use crate::serial2d::Serial2dSolver;
 use crate::timers::Stage;
 use nkt_mpi::prelude::*;
+use nkt_spectral::Discretization;
 use nkt_stats::{check_rules, HealthError, RuleLimits, StatsRecorder};
 
 /// Channels sampled for NekTar-F runs, in column order.
@@ -82,26 +83,22 @@ pub fn gather_probe(comm: &mut Comm, value: f64) -> Option<Vec<f64>> {
     comm.gather(0, &[value]).map(|rows| rows.into_iter().map(|r| r[0]).collect())
 }
 
+/// Smallest element length scale sqrt(∫_e 1) of a 2-D mesh — the `h`
+/// in the CFL estimate. Rank-identical for NekTar-F's replicated mesh.
+fn min_elem_h(disc: &Discretization) -> f64 {
+    disc.ops
+        .iter()
+        .map(|op| op.geom.jw.iter().sum::<f64>().sqrt())
+        .fold(f64::INFINITY, f64::min)
+}
+
 // ---------------------------------------------------------------------
 // NekTar-F probes
 // ---------------------------------------------------------------------
 
-/// Smallest element length scale sqrt(∫_e 1) of the (replicated) 2-D
-/// mesh — the `h` in the CFL estimate. Rank-identical by construction.
-fn min_elem_h_fourier(solver: &NektarF) -> f64 {
-    let prob = &solver.viscous[0];
-    let mut h = f64::INFINITY;
-    for ei in 0..prob.mesh.nelems() {
-        let area: f64 = prob.ops[ei].geom.jw.iter().sum();
-        h = h.min(area.sqrt());
-    }
-    h
-}
-
 /// Area of the (replicated) 2-D cross-section, Σ jw.
 fn xy_area(solver: &NektarF) -> f64 {
-    let prob = &solver.viscous[0];
-    (0..prob.mesh.nelems()).map(|ei| prob.ops[ei].geom.jw.iter().sum::<f64>()).sum()
+    solver.disc.ops.iter().map(|op| op.geom.jw.iter().sum::<f64>()).sum()
 }
 
 /// Local plane-amplitude samples |u_plane| = sqrt(Σ_c plane_c²) at every
@@ -113,11 +110,10 @@ fn fourier_plane_amplitudes(solver: &NektarF) -> Vec<f64> {
     }
     let mut out = Vec::new();
     for mi in 0..solver.my_modes.len() {
-        let prob = &solver.viscous[mi];
         let qa: Vec<Vec<f64>> =
-            (0..3).map(|c| solver.to_quad_with(prob, &solver.fields[mi][c].a)).collect();
+            (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].a)).collect();
         let qb: Vec<Vec<f64>> =
-            (0..3).map(|c| solver.to_quad_with(prob, &solver.fields[mi][c].b)).collect();
+            (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].b)).collect();
         for q in 0..solver.nq_total {
             let ma = qa.iter().map(|v| v[q] * v[q]).sum::<f64>().sqrt();
             let mb = qb.iter().map(|v| v[q] * v[q]).sum::<f64>().sqrt();
@@ -147,18 +143,17 @@ fn fourier_volume_sums(solver: &mut NektarF, comm: &mut Comm) -> (f64, f64, [f64
     if solver.is_primary() {
         for (mi, k) in solver.my_modes.clone().enumerate() {
             let beta = solver.beta(k);
-            let prob = &solver.viscous[mi];
             let measure = if k == 0 { lz } else { 0.5 * lz };
             let qa: Vec<Vec<f64>> =
-                (0..3).map(|c| solver.to_quad_with(prob, &solver.fields[mi][c].a)).collect();
+                (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].a)).collect();
             let qb: Vec<Vec<f64>> =
-                (0..3).map(|c| solver.to_quad_with(prob, &solver.fields[mi][c].b)).collect();
+                (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].b)).collect();
             let ga: Vec<(Vec<f64>, Vec<f64>)> =
-                (0..3).map(|c| solver.grad_quad_with(prob, &solver.fields[mi][c].a)).collect();
+                (0..3).map(|c| solver.grad_quad(&solver.fields[mi][c].a)).collect();
             let gb: Vec<(Vec<f64>, Vec<f64>)> =
-                (0..3).map(|c| solver.grad_quad_with(prob, &solver.fields[mi][c].b)).collect();
-            for ei in 0..prob.mesh.nelems() {
-                let geom = &prob.ops[ei].geom;
+                (0..3).map(|c| solver.grad_quad(&solver.fields[mi][c].b)).collect();
+            for (ei, op) in solver.disc.ops.iter().enumerate() {
+                let geom = &op.geom;
                 let (off, nq) = solver.elem_off[ei];
                 for q in 0..nq {
                     let w = geom.jw[q] * measure;
@@ -309,7 +304,7 @@ pub fn sample_fourier(
     let (eps, div, m) = fourier_volume_sums(solver, comm);
     let amps = fourier_plane_amplitudes(solver);
     let (umin, umax, umean) = global_min_max_mean(comm, &amps);
-    let cfl = umax * solver.cfg.dt / min_elem_h_fourier(solver);
+    let cfl = umax * solver.cfg.dt / min_elem_h(&solver.disc);
     let scalars =
         [ke, eps, div, cfl, umin, umax, umean, m[0], m[1], m[2], m[3], m[4], m[5]];
     rec.push(step, &scalars, spectrum, mpi);
@@ -366,17 +361,6 @@ fn serial_sums(solver: &mut Serial2dSolver) -> (f64, [f64; 3], Vec<f64>) {
     (ens, moments, amps)
 }
 
-/// Smallest element length scale of the serial solver's mesh.
-fn min_elem_h_serial(solver: &Serial2dSolver) -> f64 {
-    let prob = &solver.viscous;
-    let mut h = f64::INFINITY;
-    for ei in 0..prob.mesh.nelems() {
-        let area: f64 = prob.ops[ei].geom.jw.iter().sum();
-        h = h.min(area.sqrt());
-    }
-    h
-}
-
 /// Takes one serial-2-D sample (no communication; the MPI rows are
 /// empty).
 pub fn sample_serial2d(
@@ -400,7 +384,7 @@ pub fn sample_serial2d(
     let umin = amps.iter().copied().fold(f64::INFINITY, f64::min);
     let umax = amps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let umean = if n > 0.0 { amps.iter().sum::<f64>() / n } else { 0.0 };
-    let cfl = umax * solver.cfg.dt / min_elem_h_serial(solver);
+    let cfl = umax * solver.cfg.dt / min_elem_h(&solver.viscous);
     let scalars = [ke, ens, div, cfl, umin, umax, umean, m[0], m[1], m[2]];
     rec.push(step, &scalars, Vec::new(), Vec::new());
     if health {

@@ -1,5 +1,5 @@
-//! Global C0 assembly: dof numbering, edge-orientation signs, Dirichlet
-//! handling.
+//! Global C0 assembly: dof numbering, edge-orientation signs, and the
+//! Dirichlet mask a set of essential boundary tags selects.
 //!
 //! Numbering follows the paper (Figure 10): "the boundary degrees of
 //! freedom were ordered first followed by the interior degrees of
@@ -22,6 +22,9 @@ pub enum DofKind {
 }
 
 /// The global dof map for a uniform-order discretisation of a 2-D mesh.
+/// It depends on the mesh and the order only, so every Helmholtz problem
+/// on one discretisation shares it; which dofs are constrained is each
+/// problem's own [`Assembly::dirichlet_mask`].
 #[derive(Debug, Clone)]
 pub struct Assembly {
     /// Total global dofs.
@@ -30,25 +33,18 @@ pub struct Assembly {
     pub nboundary: usize,
     /// Per element, per local mode: (global dof, orientation sign).
     pub elem_dofs: Vec<Vec<(usize, f64)>>,
-    /// Per dof: constrained by a Dirichlet boundary condition.
-    pub dirichlet: Vec<bool>,
     /// What each dof is attached to.
     pub kinds: Vec<DofKind>,
 }
 
 impl Assembly {
     /// Builds the dof map. `basis_for(e)` supplies each element's
-    /// expansion (same polynomial order everywhere); `is_dirichlet`
-    /// selects which boundary tags are essential.
+    /// expansion (same polynomial order everywhere).
     ///
     /// # Panics
     /// Panics if elements sharing an edge disagree on the number of edge
     /// modes.
-    pub fn build<'a>(
-        mesh: &Mesh2d,
-        basis_for: impl Fn(usize) -> &'a dyn Expansion,
-        is_dirichlet: impl Fn(BoundaryTag) -> bool,
-    ) -> Assembly {
+    pub fn build<'a>(mesh: &Mesh2d, basis_for: impl Fn(usize) -> &'a dyn Expansion) -> Assembly {
         let nv = mesh.nverts();
         let ne = mesh.edges.len();
         // Uniform edge-mode count from any element.
@@ -94,21 +90,32 @@ impl Assembly {
             }
             elem_dofs.push(dofs);
         }
-        let ndof = next_interior;
-        // Dirichlet marking: vertices and edge modes of essential edges.
-        let mut dirichlet = vec![false; ndof];
-        for (edge_id, edge) in mesh.edges.iter().enumerate() {
-            if let Some(tag) = edge.tag {
-                if is_dirichlet(tag) {
-                    dirichlet[edge.v[0]] = true;
-                    dirichlet[edge.v[1]] = true;
-                    for k in 0..modes_per_edge {
-                        dirichlet[edge_base + edge_id * modes_per_edge + k] = true;
-                    }
-                }
+        Assembly { ndof: next_interior, nboundary: interior_base, elem_dofs, kinds }
+    }
+
+    /// Per dof: constrained when `is_dirichlet` selects the tag of a
+    /// boundary edge it sits on — that edge's two vertices and its edge
+    /// modes. `mesh` is the mesh the map was built on.
+    pub fn dirichlet_mask(
+        &self,
+        mesh: &Mesh2d,
+        is_dirichlet: impl Fn(BoundaryTag) -> bool,
+    ) -> Vec<bool> {
+        let essential: Vec<bool> =
+            mesh.edges.iter().map(|edge| edge.tag.is_some_and(&is_dirichlet)).collect();
+        let mut mask = vec![false; self.ndof];
+        for (edge, &on) in mesh.edges.iter().zip(&essential) {
+            if on {
+                mask[edge.v[0]] = true;
+                mask[edge.v[1]] = true;
             }
         }
-        Assembly { ndof, nboundary: interior_base, elem_dofs, dirichlet, kinds }
+        for (d, kind) in self.kinds.iter().enumerate() {
+            if let DofKind::EdgeMode(edge_id, _) = *kind {
+                mask[d] = essential[edge_id];
+            }
+        }
+        mask
     }
 
     /// Maximum |i − j| over all element dof pairs — the semi-bandwidth of
@@ -141,11 +148,6 @@ impl Assembly {
             local[m] = s * global[gi];
         }
     }
-
-    /// Number of Dirichlet-constrained dofs.
-    pub fn ndirichlet(&self) -> usize {
-        self.dirichlet.iter().filter(|&&d| d).count()
-    }
 }
 
 #[cfg(test)]
@@ -160,13 +162,15 @@ mod tests {
         let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
         let p = 3;
         let basis = QuadBasis::new(p);
-        let asm = Assembly::build(&mesh, |_| &basis, |_| true);
+        let asm = Assembly::build(&mesh, |_| &basis);
         // 9 vertices + 12 edges * 2 modes + 4 elements * 4 interior.
         assert_eq!(asm.ndof, 9 + 12 * 2 + 4 * 4);
         assert_eq!(asm.nboundary, 9 + 24);
         // All exterior dofs Dirichlet: 8 boundary vertices + 8 boundary
         // edges * 2 modes.
-        assert_eq!(asm.ndirichlet(), 8 + 8 * 2);
+        let mask = asm.dirichlet_mask(&mesh, |_| true);
+        assert_eq!(mask.iter().filter(|&&d| d).count(), 8 + 8 * 2);
+        assert!(asm.dirichlet_mask(&mesh, |_| false).iter().all(|&d| !d));
     }
 
     #[test]
@@ -174,7 +178,7 @@ mod tests {
         let mesh = rect_tris(0.0, 1.0, 0.0, 1.0, 1, 1);
         let p = 4;
         let basis = TriBasis::new(p);
-        let asm = Assembly::build(&mesh, |_| &basis, |_| true);
+        let asm = Assembly::build(&mesh, |_| &basis);
         // 4 vertices + 5 edges * 3 + 2 els * interior((4-1)(4-2)/2 = 3).
         assert_eq!(asm.ndof, 4 + 15 + 6);
     }
@@ -184,7 +188,7 @@ mod tests {
         let mesh = rect_quads(0.0, 2.0, 0.0, 1.0, 2, 1);
         let p = 4;
         let basis = QuadBasis::new(p);
-        let asm = Assembly::build(&mesh, |_| &basis, |_| false);
+        let asm = Assembly::build(&mesh, |_| &basis);
         // The two elements share one edge; find the global dofs each maps
         // there and verify they coincide.
         use std::collections::HashMap;
@@ -203,7 +207,7 @@ mod tests {
     fn gather_scatter_roundtrip() {
         let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 1);
         let basis = QuadBasis::new(2);
-        let asm = Assembly::build(&mesh, |_| &basis, |_| false);
+        let asm = Assembly::build(&mesh, |_| &basis);
         let global: Vec<f64> = (0..asm.ndof).map(|i| i as f64 + 1.0).collect();
         let mut local = vec![0.0; basis.nmodes()];
         asm.gather(0, &global, &mut local);
@@ -219,7 +223,7 @@ mod tests {
     fn bandwidth_positive_and_bounded() {
         let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 3, 3);
         let basis = QuadBasis::new(3);
-        let asm = Assembly::build(&mesh, |_| &basis, |_| false);
+        let asm = Assembly::build(&mesh, |_| &basis);
         let kd = asm.bandwidth();
         assert!(kd > 0 && kd < asm.ndof);
     }

@@ -13,10 +13,11 @@
 //! * [`element`] — geometric mappings and elemental mass / Laplacian /
 //!   Helmholtz matrices evaluated by Gauss-Jacobi quadrature.
 //! * [`assembly`] — global C0 numbering (boundary dofs first, paper
-//!   Figure 10), edge-orientation sign handling, Dirichlet lifting.
+//!   Figure 10), edge-orientation sign handling, Dirichlet masks.
 //! * [`rcm`] — reverse Cuthill-McKee ordering, which turns that
 //!   numbering into a narrow band.
-//! * [`solve`] — global Helmholtz/Poisson solvers, both run in RCM band
+//! * [`solve`] — one shared [`Discretization`] and the global
+//!   Helmholtz/Poisson problems on it, both solvers run in RCM band
 //!   order: banded direct (LAPACK-style `dpbtrf`, the paper's serial
 //!   solver) and diagonally preconditioned conjugate gradients (the
 //!   paper's ALE solver).
@@ -37,5 +38,5 @@ pub use basis1d::Basis1d;
 pub use element::{ElemOps, ElementMatrices};
 pub use quadbasis::QuadBasis;
 pub use rcm::{rcm_bandwidth, rcm_order};
-pub use solve::{HelmholtzProblem, SolveMethod, SolveStats};
+pub use solve::{Discretization, HelmholtzProblem, SolveMethod, SolveStats};
 pub use tribasis::TriBasis;

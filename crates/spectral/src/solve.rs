@@ -4,6 +4,12 @@
 //! ∫ ∇u·∇v + λ∫ u v = ∫ f v for all v vanishing on Γ_D (Neumann
 //! boundaries are natural). λ = 0 gives the pressure Poisson equation of
 //! the splitting scheme; λ > 0 the viscous Helmholtz step.
+//!
+//! Everything that does not depend on λ or on the Dirichlet tags — mesh,
+//! bases, dof numbering, elemental mass/stiffness matrices, the band
+//! ordering and the mass factor — is one [`Discretization`], built once
+//! and shared (`Arc`) by every [`HelmholtzProblem`] on it: NekTar-F's
+//! per-mode problems differ only in λ = β² (+ γ₀/νΔt).
 
 use crate::assembly::Assembly;
 use crate::element::{elem_geometry, ElemOps, ElementMatrices, Expansion};
@@ -14,6 +20,9 @@ use crate::tribasis::TriBasis;
 use nkt_blas::{dpbtrf, dpbtrs, BandedSym};
 use nkt_mesh::{BoundaryTag, ElemKind, Mesh2d};
 use nkt_poly::quadrature::zwglj;
+use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Linear solver choice (the paper uses both: banded direct for the
 /// serial/Fourier code, diagonal PCG for ALE).
@@ -41,69 +50,61 @@ pub struct SolveStats {
     pub iterations: usize,
 }
 
-/// An assembled Helmholtz problem on a mesh (geometry/matrices cached;
-/// many right-hand sides can be solved against one factorization).
+/// The λ- and tag-independent half of a Helmholtz problem: mesh, bases,
+/// dof numbering, per-element geometry and mass/stiffness matrices, the
+/// band ordering, and the (lazily) factored global mass matrix.
 ///
 /// **Ordering contract.** `asm`, every right-hand side, `u_d` and every
 /// returned coefficient vector are in *assembly* order (Figure 10:
-/// vertices, edges, interiors). `matrix`, its factor and the mass factor
-/// are stored in *band* order, the reverse-Cuthill-McKee permutation of
-/// the assembly dofs that makes the band narrow: row `pos[d]` of `matrix`
-/// belongs to assembly dof `d`. The permutation is private to this
-/// module; `solve_with_rhs`, `l2_project` and `pin_dof` map in and out.
-pub struct HelmholtzProblem {
+/// vertices, edges, interiors). Band matrices — a problem's `matrix`, its
+/// factor, the mass factor — are stored in *band* order, the
+/// reverse-Cuthill-McKee permutation of the assembly dofs that makes the
+/// band narrow: row `pos[d]` belongs to assembly dof `d`. The permutation
+/// is private to this module; `solve_with_rhs`, `l2_project_quad` and
+/// `pin_dof` map in and out.
+pub struct Discretization {
     /// The mesh.
     pub mesh: Mesh2d,
     /// Polynomial order.
     pub order: usize,
-    /// Helmholtz constant λ (0 = Poisson).
-    pub lambda: f64,
     quad_basis: Option<QuadBasis>,
     tri_basis: Option<TriBasis>,
     /// Global dof map.
     pub asm: Assembly,
     /// Per-element operators.
     pub ops: Vec<ElemOps>,
+    /// Band row of each assembly dof.
+    pos: Vec<usize>,
+    /// Semi-bandwidth of any operator assembled at `pos`.
+    kd: usize,
+    /// Factored global mass matrix (filled by the first L2 projection).
+    mass_factor: OnceLock<BandedSym>,
+}
+
+/// One Helmholtz problem on a [`Discretization`]: λ, its own Dirichlet
+/// mask, the assembled band and its factor. Many right-hand sides can be
+/// solved against one factorization, and any number of problems can
+/// share one discretization ([`HelmholtzProblem::member`]).
+///
+/// Dereferences to the discretization, so `prob.mesh`, `prob.order`,
+/// `prob.asm`, `prob.ops`, `prob.basis(ei)` and the projection / error
+/// routines read the shared half.
+pub struct HelmholtzProblem {
+    disc: Arc<Discretization>,
+    /// Helmholtz constant λ (0 = Poisson).
+    pub lambda: f64,
     /// Assembled global matrix in band order (Dirichlet rows replaced by
     /// identity); `matrix.n() == asm.ndof`.
     pub matrix: BandedSym,
-    /// Band row of each assembly dof.
-    pos: Vec<usize>,
+    /// Per dof: constrained by a Dirichlet tag or [`Self::pin_dof`].
+    dirichlet: Vec<bool>,
     /// Cholesky factor of `matrix` (filled by [`Self::factorize`]).
     factor: Option<BandedSym>,
     /// Coupling of free to Dirichlet dofs that the identity rows removed
     /// from `matrix`: `(free dof, Dirichlet dof, K entry)` in assembly
     /// numbering (filled by [`Self::factorize`] or the first solve).
     lift: Option<Vec<(usize, usize, f64)>>,
-    /// Factored global mass matrix (filled on first L2 projection).
-    mass_factor: Option<BandedSym>,
     dirichlet_tags: Vec<BoundaryTag>,
-}
-
-/// Assembles the elemental matrices `elem(ei)` (nm × nm, column-major)
-/// into a band of half-width `kd` at the rows `pos` gives each dof.
-fn assemble_band<'a>(
-    asm: &Assembly,
-    pos: &[usize],
-    kd: usize,
-    elem: impl Fn(usize) -> std::borrow::Cow<'a, [f64]>,
-) -> BandedSym {
-    let mut band = BandedSym::zeros(asm.ndof, kd);
-    for (ei, dofs) in asm.elem_dofs.iter().enumerate() {
-        let h = elem(ei);
-        let nm = dofs.len();
-        for a in 0..nm {
-            let (ga, sa) = dofs[a];
-            for b in a..nm {
-                let (gb, sb) = dofs[b];
-                // Off-diagonal elemental pairs contribute to both (a,b)
-                // and (b,a); symmetric storage holds one copy, and `add`
-                // takes either triangle.
-                band.add(pos[ga], pos[gb], sa * sb * h[a + b * nm]);
-            }
-        }
-    }
-    band
 }
 
 /// Replaces row and column `r` of `matrix` with the identity.
@@ -117,11 +118,10 @@ fn constrain_row(matrix: &mut BandedSym, r: usize) {
     matrix.set(r, r, 1.0);
 }
 
-impl HelmholtzProblem {
-    /// Builds and assembles the problem. `dirichlet_tags` lists the
-    /// essential boundary tags; all other boundaries are natural
-    /// (zero-flux Neumann — the paper's outflow/sides).
-    pub fn new(mesh: Mesh2d, order: usize, lambda: f64, dirichlet_tags: &[BoundaryTag]) -> Self {
+impl Discretization {
+    /// Builds bases, dof map, elemental operators and the band ordering
+    /// for `mesh` at polynomial order `order`.
+    pub fn new(mesh: Mesh2d, order: usize) -> Arc<Discretization> {
         let has_quad = mesh.elems.iter().any(|e| e.kind == ElemKind::Quad);
         let has_tri = mesh.elems.iter().any(|e| e.kind == ElemKind::Tri);
         let quad_basis = has_quad.then(|| QuadBasis::new(order));
@@ -133,11 +133,7 @@ impl HelmholtzProblem {
                 ElemKind::Hex => panic!("2-D solver on hex mesh"),
             }
         };
-        let asm = Assembly::build(
-            &mesh,
-            |ei| basis_of(mesh.elems[ei].kind),
-            |tag| dirichlet_tags.contains(&tag),
-        );
+        let asm = Assembly::build(&mesh, |ei| basis_of(mesh.elems[ei].kind));
         let mut ops = Vec::with_capacity(mesh.nelems());
         for ei in 0..mesh.nelems() {
             let basis = basis_of(mesh.elems[ei].kind);
@@ -163,28 +159,17 @@ impl HelmholtzProblem {
         for (row, &dof) in perm.iter().enumerate() {
             pos[dof] = row;
         }
-        let mut matrix =
-            assemble_band(&asm, &pos, kd, |ei| ops[ei].mats.helmholtz(lambda).into());
-        // The Dirichlet coupling removed here comes back per solve as the
-        // lift on the right-hand side.
-        for d in (0..asm.ndof).filter(|&d| asm.dirichlet[d]) {
-            constrain_row(&mut matrix, pos[d]);
-        }
-        HelmholtzProblem {
+        Arc::new(Discretization {
             mesh,
             order,
-            lambda,
             quad_basis,
             tri_basis,
             asm,
             ops,
-            matrix,
             pos,
-            factor: None,
-            lift: None,
-            mass_factor: None,
-            dirichlet_tags: dirichlet_tags.to_vec(),
-        }
+            kd,
+            mass_factor: OnceLock::new(),
+        })
     }
 
     /// The expansion basis for element `ei`.
@@ -196,6 +181,210 @@ impl HelmholtzProblem {
         }
     }
 
+    /// Quadrature points of all elements together: the length of an
+    /// element-major quadrature-value vector.
+    pub fn nquad_total(&self) -> usize {
+        self.ops.iter().map(|op| op.geom.x.len()).sum()
+    }
+
+    /// Sums the elemental matrices `elem(ei)` (nm × nm, column-major)
+    /// into a band at the rows `pos` gives each dof.
+    fn assemble_band<'a>(&'a self, elem: impl Fn(usize) -> Cow<'a, [f64]>) -> BandedSym {
+        let pos = &self.pos;
+        let mut band = BandedSym::zeros(self.asm.ndof, self.kd);
+        for (ei, dofs) in self.asm.elem_dofs.iter().enumerate() {
+            let h = elem(ei);
+            let nm = dofs.len();
+            for a in 0..nm {
+                let (ga, sa) = dofs[a];
+                for b in a..nm {
+                    let (gb, sb) = dofs[b];
+                    // Off-diagonal elemental pairs contribute to both (a,b)
+                    // and (b,a); symmetric storage holds one copy, and `add`
+                    // takes either triangle.
+                    band.add(pos[ga], pos[gb], sa * sb * h[a + b * nm]);
+                }
+            }
+        }
+        band
+    }
+
+    /// Copies an assembly-order vector into band order.
+    fn permute_in(&self, v: &[f64]) -> Vec<f64> {
+        let mut band = vec![0.0; v.len()];
+        for (&r, &x) in self.pos.iter().zip(v) {
+            band[r] = x;
+        }
+        band
+    }
+
+    /// Copies a band-order vector back into the assembly-order `out`.
+    fn permute_out(&self, band: &[f64], out: &mut [f64]) {
+        for (&r, x) in self.pos.iter().zip(out) {
+            *x = band[r];
+        }
+    }
+
+    /// Physical coordinates of every quadrature point, element-major —
+    /// the order of a quadrature-value vector.
+    pub fn quad_points(&self) -> impl Iterator<Item = [f64; 2]> + '_ {
+        self.ops.iter().flat_map(|op| op.geom.x.iter().copied())
+    }
+
+    /// `f` at every quadrature point, element-major.
+    fn sample(&self, f: impl Fn([f64; 2]) -> f64) -> Vec<f64> {
+        self.quad_points().map(f).collect()
+    }
+
+    /// The global load vector ∫ f φ from the element-major quadrature
+    /// values `fq` of f.
+    fn load_vector(&self, fq: &[f64]) -> Vec<f64> {
+        assert_eq!(fq.len(), self.nquad_total(), "one value per quadrature point");
+        let mut rhs = vec![0.0; self.asm.ndof];
+        let mut off = 0;
+        for (ei, op) in self.ops.iter().enumerate() {
+            let basis = self.basis(ei);
+            let nq = basis.nquad();
+            let fe = &fq[off..off + nq];
+            let mut local = vec![0.0; basis.nmodes()];
+            for (lm, vm) in local.iter_mut().zip(basis.val()) {
+                let mut s = 0.0;
+                for q in 0..nq {
+                    s += op.geom.jw[q] * fe[q] * vm[q];
+                }
+                *lm = s;
+            }
+            self.asm.scatter_add(ei, &local, &mut rhs);
+            off += nq;
+        }
+        rhs
+    }
+
+    /// Global L2 projection onto the expansion of the function whose
+    /// element-major quadrature values are `fq` ([`Self::nquad_total`] of
+    /// them): solves M c = ∫ f φ with the assembled (unconstrained) mass
+    /// matrix, factored on first use.
+    pub fn l2_project_quad(&self, fq: &[f64]) -> Vec<f64> {
+        let factor = self.mass_factor.get_or_init(|| {
+            let mut m = self.assemble_band(|ei| self.ops[ei].mats.mass.as_slice().into());
+            dpbtrf(&mut m).expect("global mass matrix must be SPD");
+            m
+        });
+        let mut rhs = self.load_vector(fq);
+        let mut c = self.permute_in(&rhs);
+        dpbtrs(factor, &mut c).expect("mass solve");
+        self.permute_out(&c, &mut rhs);
+        rhs
+    }
+
+    /// Global L2 projection of `f` onto the expansion.
+    pub fn l2_project(&self, f: impl Fn([f64; 2]) -> f64) -> Vec<f64> {
+        self.l2_project_quad(&self.sample(f))
+    }
+
+    /// L2 error of a coefficient vector against an exact solution.
+    pub fn l2_error(&self, coeffs: &[f64], exact: impl Fn([f64; 2]) -> f64) -> f64 {
+        let mut err2 = 0.0;
+        for ei in 0..self.mesh.nelems() {
+            let basis = self.basis(ei);
+            let geom = &self.ops[ei].geom;
+            let mut local = vec![0.0; basis.nmodes()];
+            self.asm.gather(ei, coeffs, &mut local);
+            for q in 0..basis.nquad() {
+                let mut u = 0.0;
+                for (m, &c) in local.iter().enumerate() {
+                    u += c * basis.val()[m][q];
+                }
+                let d = u - exact(geom.x[q]);
+                err2 += geom.jw[q] * d * d;
+            }
+        }
+        err2.sqrt()
+    }
+
+    /// Evaluates the solution at every quadrature point of every element;
+    /// returns per-element vectors.
+    pub fn eval_at_quadrature(&self, coeffs: &[f64]) -> Vec<Vec<f64>> {
+        (0..self.mesh.nelems())
+            .map(|ei| {
+                let basis = self.basis(ei);
+                let mut local = vec![0.0; basis.nmodes()];
+                self.asm.gather(ei, coeffs, &mut local);
+                (0..basis.nquad())
+                    .map(|q| {
+                        local
+                            .iter()
+                            .enumerate()
+                            .map(|(m, &c)| c * basis.val()[m][q])
+                            .sum()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+impl Deref for HelmholtzProblem {
+    type Target = Discretization;
+
+    fn deref(&self) -> &Discretization {
+        &self.disc
+    }
+}
+
+impl HelmholtzProblem {
+    /// Builds a discretization for this one problem and assembles it.
+    /// `dirichlet_tags` lists the essential boundary tags; all other
+    /// boundaries are natural (zero-flux Neumann — the paper's
+    /// outflow/sides).
+    pub fn new(mesh: Mesh2d, order: usize, lambda: f64, dirichlet_tags: &[BoundaryTag]) -> Self {
+        HelmholtzProblem::member(&Discretization::new(mesh, order), lambda, dirichlet_tags)
+    }
+
+    /// Assembles the problem (−∇² + λ) with essential boundaries
+    /// `dirichlet_tags` on the shared discretization `disc`.
+    ///
+    /// The band is summed element by element from `Lₑ + λMₑ`, not formed
+    /// as band `K` + λ·band `M`: the latter rounds every entry
+    /// differently, and a member must equal the problem built alone.
+    pub fn member(
+        disc: &Arc<Discretization>,
+        lambda: f64,
+        dirichlet_tags: &[BoundaryTag],
+    ) -> Self {
+        let dirichlet = disc.asm.dirichlet_mask(&disc.mesh, |tag| dirichlet_tags.contains(&tag));
+        let mut matrix = disc.assemble_band(|ei| disc.ops[ei].mats.helmholtz(lambda).into());
+        // The Dirichlet coupling removed here comes back per solve as the
+        // lift on the right-hand side.
+        for d in (0..disc.asm.ndof).filter(|&d| dirichlet[d]) {
+            constrain_row(&mut matrix, disc.pos[d]);
+        }
+        HelmholtzProblem {
+            disc: Arc::clone(disc),
+            lambda,
+            matrix,
+            dirichlet,
+            factor: None,
+            lift: None,
+            dirichlet_tags: dirichlet_tags.to_vec(),
+        }
+    }
+
+    /// The discretization this problem shares with its siblings.
+    pub fn discretization(&self) -> &Arc<Discretization> {
+        &self.disc
+    }
+
+    /// Per dof: constrained by a Dirichlet tag or [`Self::pin_dof`].
+    pub fn dirichlet(&self) -> &[bool] {
+        &self.dirichlet
+    }
+
+    /// Number of Dirichlet-constrained dofs.
+    pub fn ndirichlet(&self) -> usize {
+        self.dirichlet.iter().filter(|&&d| d).count()
+    }
+
     /// Builds the global load vector ∫ f φ + Dirichlet lift for boundary
     /// data `g`, then solves. Returns (global coefficients, stats).
     pub fn solve(
@@ -204,22 +393,7 @@ impl HelmholtzProblem {
         g: impl Fn([f64; 2]) -> f64,
         method: SolveMethod,
     ) -> (Vec<f64>, SolveStats) {
-        let mut rhs = vec![0.0; self.asm.ndof];
-        for ei in 0..self.mesh.nelems() {
-            let basis = self.basis(ei);
-            let geom = &self.ops[ei].geom;
-            let nm = basis.nmodes();
-            let mut local = vec![0.0; nm];
-            for (m, lm) in local.iter_mut().enumerate() {
-                let vm = &basis.val()[m];
-                let mut s = 0.0;
-                for q in 0..basis.nquad() {
-                    s += geom.jw[q] * f(geom.x[q]) * vm[q];
-                }
-                *lm = s;
-            }
-            self.asm.scatter_add(ei, &local, &mut rhs);
-        }
+        let rhs = self.load_vector(&self.sample(f));
         let u_d = self.dirichlet_values(&g);
         self.solve_with_rhs(rhs, &u_d, method)
     }
@@ -299,7 +473,7 @@ impl HelmholtzProblem {
     /// The entries K(free, Dirichlet) of the unconstrained operator, one
     /// per elemental contribution.
     fn dirichlet_coupling(&self) -> Vec<(usize, usize, f64)> {
-        let dirichlet = &self.asm.dirichlet;
+        let dirichlet = &self.dirichlet;
         let mut entries = Vec::new();
         for (ei, dofs) in self.asm.elem_dofs.iter().enumerate() {
             if !dofs.iter().any(|&(g, _)| dirichlet[g]) {
@@ -321,22 +495,6 @@ impl HelmholtzProblem {
         entries
     }
 
-    /// Copies an assembly-order vector into band order.
-    fn permute_in(&self, v: &[f64]) -> Vec<f64> {
-        let mut band = vec![0.0; v.len()];
-        for (&r, &x) in self.pos.iter().zip(v) {
-            band[r] = x;
-        }
-        band
-    }
-
-    /// Copies a band-order vector back into the assembly-order `out`.
-    fn permute_out(&self, band: &[f64], out: &mut [f64]) {
-        for (&r, x) in self.pos.iter().zip(out) {
-            *x = band[r];
-        }
-    }
-
     /// Solves K u = rhs with Dirichlet values `u_d` imposed.
     pub fn solve_with_rhs(
         &mut self,
@@ -352,7 +510,7 @@ impl HelmholtzProblem {
             rhs[free] -= k * u_d[d];
         }
         for d in 0..ndof {
-            if self.asm.dirichlet[d] {
+            if self.dirichlet[d] {
                 rhs[d] = u_d[d];
             }
         }
@@ -370,7 +528,7 @@ impl HelmholtzProblem {
                 let b = std::mem::replace(&mut x, vec![0.0; ndof]);
                 // Seed the constrained entries so identity rows are exact.
                 for d in 0..ndof {
-                    if self.asm.dirichlet[d] {
+                    if self.dirichlet[d] {
                         x[self.pos[d]] = b[self.pos[d]];
                     }
                 }
@@ -387,7 +545,7 @@ impl HelmholtzProblem {
             }
         };
         self.permute_out(&x, &mut rhs);
-        let nfree = ndof - self.asm.ndirichlet();
+        let nfree = ndof - self.ndirichlet();
         (rhs, SolveStats { nfree, bandwidth: self.matrix.kd(), iterations })
     }
 
@@ -396,86 +554,13 @@ impl HelmholtzProblem {
     /// call before [`Self::factorize`] or the first solve.
     pub fn pin_dof(&mut self, d: usize) {
         assert!(d < self.asm.ndof);
-        if self.asm.dirichlet[d] {
+        if self.dirichlet[d] {
             return;
         }
-        self.asm.dirichlet[d] = true;
-        constrain_row(&mut self.matrix, self.pos[d]);
+        self.dirichlet[d] = true;
+        constrain_row(&mut self.matrix, self.disc.pos[d]);
         self.factor = None;
         self.lift = None;
-    }
-
-    /// Global L2 projection of `f` onto the expansion: solves M c = ∫ f φ
-    /// with the assembled (unconstrained) mass matrix.
-    pub fn l2_project(&mut self, f: impl Fn([f64; 2]) -> f64) -> Vec<f64> {
-        if self.mass_factor.is_none() {
-            let mut m = assemble_band(&self.asm, &self.pos, self.matrix.kd(), |ei| {
-                self.ops[ei].mats.mass.as_slice().into()
-            });
-            dpbtrf(&mut m).expect("global mass matrix must be SPD");
-            self.mass_factor = Some(m);
-        }
-        let mut rhs = vec![0.0; self.asm.ndof];
-        for ei in 0..self.mesh.nelems() {
-            let basis = self.basis(ei);
-            let geom = &self.ops[ei].geom;
-            let mut local = vec![0.0; basis.nmodes()];
-            for (m, lm) in local.iter_mut().enumerate() {
-                let vm = &basis.val()[m];
-                let mut s = 0.0;
-                for q in 0..basis.nquad() {
-                    s += geom.jw[q] * f(geom.x[q]) * vm[q];
-                }
-                *lm = s;
-            }
-            self.asm.scatter_add(ei, &local, &mut rhs);
-        }
-        let mut c = self.permute_in(&rhs);
-        dpbtrs(self.mass_factor.as_ref().expect("factored above"), &mut c)
-            .expect("mass solve");
-        self.permute_out(&c, &mut rhs);
-        rhs
-    }
-
-    /// L2 error of a coefficient vector against an exact solution.
-    pub fn l2_error(&self, coeffs: &[f64], exact: impl Fn([f64; 2]) -> f64) -> f64 {
-        let mut err2 = 0.0;
-        for ei in 0..self.mesh.nelems() {
-            let basis = self.basis(ei);
-            let geom = &self.ops[ei].geom;
-            let mut local = vec![0.0; basis.nmodes()];
-            self.asm.gather(ei, coeffs, &mut local);
-            for q in 0..basis.nquad() {
-                let mut u = 0.0;
-                for (m, &c) in local.iter().enumerate() {
-                    u += c * basis.val()[m][q];
-                }
-                let d = u - exact(geom.x[q]);
-                err2 += geom.jw[q] * d * d;
-            }
-        }
-        err2.sqrt()
-    }
-
-    /// Evaluates the solution at every quadrature point of every element;
-    /// returns per-element vectors.
-    pub fn eval_at_quadrature(&self, coeffs: &[f64]) -> Vec<Vec<f64>> {
-        (0..self.mesh.nelems())
-            .map(|ei| {
-                let basis = self.basis(ei);
-                let mut local = vec![0.0; basis.nmodes()];
-                self.asm.gather(ei, coeffs, &mut local);
-                (0..basis.nquad())
-                    .map(|q| {
-                        local
-                            .iter()
-                            .enumerate()
-                            .map(|(m, &c)| c * basis.val()[m][q])
-                            .sum()
-                    })
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -585,6 +670,40 @@ mod tests {
         let (u, _) = prob.solve(|_| 0.0, exact, SolveMethod::BandedDirect);
         let err = prob.l2_error(&u, exact);
         assert!(err < 1e-9, "L2 error {err}");
+    }
+
+    #[test]
+    fn load_vector_samples_f_once_per_quadrature_point() {
+        let mesh = rect_tris(0.0, 1.0, 0.0, 1.0, 2, 3);
+        let mut prob = HelmholtzProblem::new(mesh, 4, 1.0, &[]);
+        let nq = prob.nquad_total();
+        assert_eq!(nq, (0..prob.mesh.nelems()).map(|ei| prob.basis(ei).nquad()).sum());
+        let calls = std::cell::Cell::new(0usize);
+        let f = |x: [f64; 2]| {
+            calls.set(calls.get() + 1);
+            x[0] - x[1]
+        };
+        prob.l2_project(f);
+        assert_eq!(calls.get(), nq);
+        prob.solve(f, |_| 0.0, SolveMethod::BandedDirect);
+        assert_eq!(calls.get(), 2 * nq);
+    }
+
+    #[test]
+    fn members_share_one_mass_factor() {
+        let f = |x: [f64; 2]| (3.0 * x[0]).sin() + x[1] * x[1];
+        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+        let alone = HelmholtzProblem::new(mesh.clone(), 4, 7.0, ALL_DIRICHLET).l2_project(f);
+        let disc = Discretization::new(mesh, 4);
+        let a = HelmholtzProblem::member(&disc, 7.0, ALL_DIRICHLET);
+        let b = HelmholtzProblem::member(&disc, 0.5, &[]);
+        assert!(disc.mass_factor.get().is_none(), "factored before any projection");
+        assert_eq!(a.l2_project(f), alone);
+        let first = disc.mass_factor.get().expect("factored by the projection").ab().as_ptr();
+        assert_eq!(b.l2_project(f), alone);
+        assert_eq!(disc.l2_project_quad(&disc.sample(f)), alone);
+        assert_eq!(disc.mass_factor.get().unwrap().ab().as_ptr(), first);
+        assert!(Arc::ptr_eq(a.discretization(), b.discretization()));
     }
 
     #[test]

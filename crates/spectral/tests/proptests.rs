@@ -6,7 +6,7 @@ use nkt_blas::{dpotrf, dpotrs};
 use nkt_mesh::{bluff_body_mesh, rect_quads, rect_tris, BoundaryTag, Elem2d, ElemKind, Mesh2d};
 use nkt_spectral::element::Expansion;
 use nkt_spectral::rcm::{adjacency_from_cliques, bandwidth_under, rcm_order};
-use nkt_spectral::{Assembly, HelmholtzProblem, QuadBasis, SolveMethod, TriBasis};
+use nkt_spectral::{Assembly, Discretization, HelmholtzProblem, QuadBasis, SolveMethod, TriBasis};
 use nkt_testkit::{one_of, prop_assert, prop_assert_eq, prop_check};
 
 const ALL: &[BoundaryTag] = &[
@@ -60,6 +60,11 @@ fn dense_assemble(prob: &HelmholtzProblem, elem: impl Fn(usize) -> Vec<f64>) -> 
     k
 }
 
+/// The dofs of each element: the cliques RCM orders.
+fn cliques_of(prob: &HelmholtzProblem) -> Vec<Vec<usize>> {
+    prob.asm.elem_dofs.iter().map(|dofs| dofs.iter().map(|&(g, _)| g).collect()).collect()
+}
+
 fn dense_solve(mut k: Vec<f64>, mut b: Vec<f64>) -> Vec<f64> {
     let n = b.len();
     dpotrf(n, &mut k, n).expect("reference matrix SPD");
@@ -71,6 +76,17 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
 }
 
+const TAGS: [BoundaryTag; 4] =
+    [BoundaryTag::Inflow, BoundaryTag::Outflow, BoundaryTag::Wall, BoundaryTag::Side];
+
+fn tags_of(mask: usize) -> Vec<BoundaryTag> {
+    (0..4).filter(|t| mask >> t & 1 == 1).map(|t| TAGS[t]).collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// The wake mesh of the benchmark: RCM must bring the Figure-10 band
 /// (1714 of 1832 dofs) down, and `matrix` must be stored at exactly the
 /// width the ordering gives.
@@ -78,12 +94,7 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 fn wake_mesh_band_is_rcm_narrow() {
     let tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
     let viscous = HelmholtzProblem::new(bluff_body_mesh(1), 4, 100.0, &tags);
-    let cliques: Vec<Vec<usize>> = viscous
-        .asm
-        .elem_dofs
-        .iter()
-        .map(|dofs| dofs.iter().map(|&(g, _)| g).collect())
-        .collect();
+    let cliques = cliques_of(&viscous);
     let perm = rcm_order(&adjacency_from_cliques(viscous.asm.ndof, &cliques));
     assert_eq!(viscous.matrix.n(), viscous.asm.ndof);
     assert_eq!(viscous.matrix.kd(), bandwidth_under(&perm, &cliques));
@@ -102,16 +113,13 @@ prop_check! {
         lam in one_of(&[0.0f64, 0.7, 40.0]), tag_mask in 0usize..16,
         pin in 0usize..4, seed in 0u64..1000
     ) {
-        const TAGS: [BoundaryTag; 4] =
-            [BoundaryTag::Inflow, BoundaryTag::Outflow, BoundaryTag::Wall, BoundaryTag::Side];
-        let tags: Vec<BoundaryTag> =
-            (0..4).filter(|t| tag_mask >> t & 1 == 1).map(|t| TAGS[t]).collect();
+        let tags = tags_of(tag_mask);
         let mut prob = HelmholtzProblem::new(drawn_mesh(kind, nx, ny), p, lam, &tags);
         let n = prob.asm.ndof;
         // pin == 0 leaves the tags alone unless the operator would be
         // singular (pure Neumann Poisson); only a vertex dof carries the
         // constant mode, and the vertex dofs are numbered first.
-        if pin > 0 || (lam == 0.0 && prob.asm.ndirichlet() == 0) {
+        if pin > 0 || (lam == 0.0 && prob.ndirichlet() == 0) {
             prob.pin_dof(pin * 37 % prob.mesh.nverts());
         }
         let wave = |i: usize, f: f64| ((i as u64 + seed) as f64 * f).sin();
@@ -120,7 +128,7 @@ prop_check! {
 
         let mut k = dense_assemble(&prob, |ei| prob.ops[ei].mats.helmholtz(lam));
         let mut b = rhs.clone();
-        for d in (0..n).filter(|&d| prob.asm.dirichlet[d]) {
+        for d in (0..n).filter(|&d| prob.dirichlet()[d]) {
             for i in 0..n {
                 b[i] -= k[i + d * n] * u_d[d];
                 k[i + d * n] = 0.0;
@@ -128,7 +136,7 @@ prop_check! {
             }
             k[d + d * n] = 1.0;
         }
-        for d in (0..n).filter(|&d| prob.asm.dirichlet[d]) {
+        for d in (0..n).filter(|&d| prob.dirichlet()[d]) {
             b[d] = u_d[d];
         }
         let want = dense_solve(k, b);
@@ -144,12 +152,80 @@ prop_check! {
             "pcg off by {}", max_abs_diff(&iter, &want));
     }
 
+    /// A member of a shared discretization — assembled after siblings
+    /// with other λ and tags — has the band of the same problem built
+    /// alone, bit for bit, and both are the dense natural-order sum of
+    /// the elemental matrices with identity Dirichlet rows.
+    fn member_band_equals_standalone_and_dense_reference(
+        kind in 0usize..3, nx in 1usize..4, ny in 1usize..4, p in 2usize..7,
+        lam in one_of(&[0.0f64, 0.7, 40.0]), tag_mask in 0usize..16, other_mask in 0usize..16
+    ) {
+        let mesh = drawn_mesh(kind, nx, ny);
+        let tags = tags_of(tag_mask);
+        let disc = Discretization::new(mesh.clone(), p);
+        let _siblings = [
+            HelmholtzProblem::member(&disc, lam + 3.0, &tags_of(other_mask)),
+            HelmholtzProblem::member(&disc, 0.0, &tags),
+        ];
+        let member = HelmholtzProblem::member(&disc, lam, &tags);
+        let alone = HelmholtzProblem::new(mesh, p, lam, &tags);
+        prop_assert_eq!(member.matrix.kd(), alone.matrix.kd());
+        prop_assert_eq!(bits(member.matrix.ab()), bits(alone.matrix.ab()));
+        prop_assert_eq!(member.dirichlet(), alone.dirichlet());
+
+        // `matrix` is in band order; the permutation is RCM's.
+        let n = member.asm.ndof;
+        let perm = rcm_order(&adjacency_from_cliques(n, &cliques_of(&member)));
+        let k = dense_assemble(&member, |ei| member.ops[ei].mats.helmholtz(lam));
+        for (ri, &i) in perm.iter().enumerate() {
+            for (rj, &j) in perm.iter().enumerate() {
+                let fixed = member.dirichlet()[i] || member.dirichlet()[j];
+                let want = if fixed { f64::from(i == j) } else { k[i + j * n] };
+                let got = member.matrix.get(ri, rj);
+                prop_assert!((got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                    "K[{i},{j}] = {got}, dense {want}");
+            }
+        }
+    }
+
+    /// `pin_dof` constrains the member it is called on and nothing else:
+    /// a sibling keeps its mask, its band and its solutions.
+    fn pin_dof_leaves_siblings_untouched(
+        kind in 0usize..3, nx in 1usize..4, ny in 1usize..4, p in 3usize..6,
+        tag_mask in 1usize..16, pin in 0usize..4, seed in 0u64..1000
+    ) {
+        let tags = tags_of(tag_mask);
+        let disc = Discretization::new(drawn_mesh(kind, nx, ny), p);
+        let mut pinned = HelmholtzProblem::member(&disc, 0.7, &tags);
+        let mut sibling = HelmholtzProblem::member(&disc, 0.7, &tags);
+        let n = disc.asm.ndof;
+        let rhs: Vec<f64> = (0..n).map(|i| ((i as u64 + seed) as f64 * 0.37).sin()).collect();
+        let u_d: Vec<f64> = (0..n).map(|i| 1.0 + ((i as u64 + seed) as f64 * 0.11).sin()).collect();
+        let mask = sibling.dirichlet().to_vec();
+        let band = bits(sibling.matrix.ab());
+        let (before, _) = sibling.solve_with_rhs(rhs.clone(), &u_d, SolveMethod::BandedDirect);
+
+        // An interior dof (p ≥ 3 gives a triangle one): never on a tagged
+        // boundary, so the pin is new.
+        let d = n - 1 - pin % (n - disc.asm.nboundary);
+        prop_assert!(!mask[d]);
+        pinned.pin_dof(d);
+        prop_assert!(pinned.dirichlet()[d]);
+        prop_assert_eq!(pinned.ndirichlet(), sibling.ndirichlet() + 1);
+        prop_assert_eq!(sibling.dirichlet(), &mask[..]);
+        prop_assert_eq!(bits(sibling.matrix.ab()), band);
+        let (after, _) = sibling.solve_with_rhs(rhs.clone(), &u_d, SolveMethod::BandedDirect);
+        prop_assert_eq!(bits(&after), bits(&before));
+        let (moved, _) = pinned.solve_with_rhs(rhs, &u_d, SolveMethod::BandedDirect);
+        prop_assert_eq!(moved[d], u_d[d]);
+    }
+
     /// `l2_project` agrees with a dense natural-order mass solve.
     fn l2_project_matches_dense_natural_order_reference(
         kind in 0usize..3, nx in 1usize..4, ny in 1usize..4, p in 2usize..7, c in -2.0f64..2.0
     ) {
         let f = move |x: [f64; 2]| (c * x[0]).sin() + x[1] * x[1];
-        let mut prob = HelmholtzProblem::new(drawn_mesh(kind, nx, ny), p, 1.0, &[]);
+        let prob = HelmholtzProblem::new(drawn_mesh(kind, nx, ny), p, 1.0, &[]);
         let mut load = vec![0.0; prob.asm.ndof];
         for ei in 0..prob.mesh.nelems() {
             let basis = prob.basis(ei);
@@ -204,7 +280,7 @@ prop_check! {
     fn quad_dof_count_formula(nx in 1usize..5, ny in 1usize..5, p in 2usize..6) {
         let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, nx, ny);
         let basis = QuadBasis::new(p);
-        let asm = Assembly::build(&mesh, |_| &basis, |_| false);
+        let asm = Assembly::build(&mesh, |_| &basis);
         let nv = (nx + 1) * (ny + 1);
         let ne = nx * (ny + 1) + ny * (nx + 1);
         let expect = nv + ne * (p - 1) + nx * ny * (p - 1) * (p - 1);
@@ -216,7 +292,7 @@ prop_check! {
     fn gather_scatter_adjoint(nx in 1usize..4, p in 2usize..5, seed in 0u64..100) {
         let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, nx, nx);
         let basis = QuadBasis::new(p);
-        let asm = Assembly::build(&mesh, |_| &basis, |_| false);
+        let asm = Assembly::build(&mesh, |_| &basis);
         let nm = basis.nmodes();
         let xl: Vec<f64> = (0..nm).map(|i| ((i as u64 + seed) as f64 * 0.17).sin()).collect();
         let yg: Vec<f64> = (0..asm.ndof).map(|i| ((i as u64 * 3 + seed) as f64 * 0.07).cos()).collect();

@@ -275,12 +275,12 @@ echo "== benchmark smoke (perfbench builds against the workspace and its checks 
 # perfbench is a package of its own that reaches into the solvers' public
 # surface (HelmholtzProblem's matrix / asm / solve_with_rhs, NektarAle and
 # its operators' gs handles, the drive loop, the serve engine); a change
-# that breaks it must fail here, not in the benchmark driver: one direct
-# workload and the iterative one. The build refreshes perfbench/Cargo.lock,
-# which a change outside perfbench/ may not touch, so it is put back.
+# that breaks it must fail here, not in the benchmark driver: every gated
+# workload, a second each. The build refreshes perfbench/Cargo.lock, which
+# a change outside perfbench/ may not touch, so it is put back.
 lock_keep="$(mktemp)"
 cp perfbench/Cargo.lock "$lock_keep"
-for workload in wake2d ale_wing; do
+for workload in wake2d fourier_slab ale_wing; do
     bench_rc=0
     bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1)" || bench_rc=$?
