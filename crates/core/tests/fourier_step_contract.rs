@@ -1,0 +1,182 @@
+//! Two promises of `NektarF::step` that a refactor of the step must
+//! keep: the state it produces, bit for bit (hashes recorded at commit
+//! e9dfffa, before the step workspace existed), and that a warmed step
+//! allocates nothing of its own — only what its transposes' message
+//! layer does, independent of `nz` (counted by a `#[global_allocator]`).
+
+use nektar::fourier::{FourierConfig, NektarF};
+use nkt_ckpt::Checkpointable;
+use nkt_mesh::{rect_quads, BoundaryTag, Elem2d, ElemKind, Mesh2d};
+use nkt_mpi::prelude::*;
+use nkt_net::{cluster, NetId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Heap allocations (and growing reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a bump of a
+// const-initialised, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread makes while `f` runs.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+fn cfg(nz: usize) -> FourierConfig {
+    FourierConfig { order: 4, dt: 1e-3, nu: 0.05, nz, lz: std::f64::consts::TAU, scheme_order: 2 }
+}
+
+/// Two order-3 quadrilaterals: 50 points a plane, which neither four
+/// ranks nor a 2×2 grid divide — the last rank's chunk is short and
+/// every exchange block carries padding.
+fn ragged() -> (Mesh2d, FourierConfig) {
+    (rect_quads(0.0, 2.0, 0.0, 1.0, 2, 1), FourierConfig { order: 3, ..cfg(8) })
+}
+
+/// Energy in every component, in z-harmonics 0–3 and in both phases.
+fn busy_field(x: [f64; 3]) -> [f64; 3] {
+    let pi = std::f64::consts::PI;
+    let (sx, cx) = (pi * x[0]).sin_cos();
+    let (sy, cy) = (pi * x[1]).sin_cos();
+    let z = x[2];
+    [
+        2.0 * pi * sx * sx * sy * cy * (1.0 + 0.3 * z.cos() + 0.2 * (2.0 * z).sin()),
+        -2.0 * pi * sx * cx * sy * sy * (0.7 - 0.4 * (z + 1.1).sin() + 0.15 * (3.0 * z).cos()),
+        x[0] * (1.0 - x[1]) * ((z - 0.3).sin() + 0.25 * (2.0 * z).cos()),
+    ]
+}
+
+/// A skewed (non-affine) quadrilateral and a triangle, inflow on the
+/// left and outflow on the right: both bases, a varying Jacobian, and a
+/// pressure problem with Dirichlet data instead of a pinned dof.
+fn skewed_mesh() -> Mesh2d {
+    let verts = vec![[0.0, 0.0], [1.0, 0.0], [1.2, 1.1], [-0.1, 0.9], [2.0, 0.2]];
+    let elems = vec![
+        Elem2d { kind: ElemKind::Quad, verts: vec![0, 1, 2, 3] },
+        Elem2d { kind: ElemKind::Tri, verts: vec![1, 4, 2] },
+    ];
+    let mesh = Mesh2d::new(verts, elems, |mid| {
+        if mid[0] < 0.0 {
+            BoundaryTag::Inflow
+        } else if mid[0] > 1.3 && mid[1] > 0.3 {
+            BoundaryTag::Outflow
+        } else {
+            BoundaryTag::Wall
+        }
+    });
+    mesh.validate().expect("valid mixed mesh");
+    mesh
+}
+
+/// Every rank's state hash after five steps: the ramp step and four
+/// full-order ones.
+fn hashes_after_5(
+    (mesh, cfg): &(Mesh2d, FourierConfig),
+    pr: usize,
+    pc: usize,
+    overlap: bool,
+) -> Vec<u64> {
+    World::builder().ranks(pr * pc).net(cluster(NetId::RoadRunnerEth)).run(|c| {
+        let mut s =
+            NektarF::try_new_with_grid(c, mesh, cfg.clone(), pr, pc).expect("valid grid");
+        s.set_overlap(overlap);
+        s.set_initial(busy_field);
+        for _ in 0..5 {
+            s.step(c);
+        }
+        let e = s.kinetic_energy(c);
+        assert!(e.is_finite() && e > 0.0, "a hash of garbage pins nothing: energy {e}");
+        s.state_hash()
+    })
+}
+
+#[test]
+fn five_steps_reproduce_the_recorded_state_hashes() {
+    const ONE_RANK: u64 = 0xa330064f93812c4d;
+    const SLAB_2: [u64; 2] = [0xfe618612e56c9de9, 0x03be4307bb160766];
+    const SKEWED: u64 = 0x67af9c8dd73e9525;
+    const RAGGED_2: [u64; 2] = [0xc9c9b38e56674af4, 0x11c6304386a6da77];
+    const RAGGED_4: [u64; 4] =
+        [0x341c16109e022e31, 0xac27400b6eb3a3a3, 0x1fd71694ed0721d4, 0xf0fab1ee3daf782f];
+    let square = (rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2), cfg(8));
+    let skewed = (skewed_mesh(), cfg(8));
+    let ragged = ragged();
+    // Pencil rank (r, c) carries slab rank r's modes.
+    let rows_twice = |slab: [u64; 2]| [slab[0], slab[0], slab[1], slab[1]];
+    for overlap in [true, false] {
+        let run = |case, pr, pc| hashes_after_5(case, pr, pc, overlap);
+        assert_eq!(run(&square, 1, 1), [ONE_RANK], "1 rank, overlap {overlap}");
+        assert_eq!(run(&square, 2, 1), SLAB_2, "2-rank slab, overlap {overlap}");
+        assert_eq!(run(&square, 2, 2), rows_twice(SLAB_2), "2x2 pencil, overlap {overlap}");
+        assert_eq!(run(&skewed, 1, 1), [SKEWED], "skewed, overlap {overlap}");
+        assert_eq!(run(&ragged, 4, 1), RAGGED_4, "ragged 4-rank slab, overlap {overlap}");
+        assert_eq!(run(&ragged, 2, 2), rows_twice(RAGGED_2), "ragged 2x2, overlap {overlap}");
+    }
+}
+
+#[test]
+fn a_warmed_step_allocates_only_what_its_exchanges_do() {
+    let counts = [8usize, 32].map(|nz| {
+        let out = World::builder().ranks(1).net(cluster(NetId::RoadRunnerEth)).run(|c| {
+            let square = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+            let mut s = NektarF::new(c, &square, cfg(nz));
+            s.set_overlap(true);
+            s.set_initial(busy_field);
+            // Past the ramp: every lazy factor, table and buffer exists.
+            for _ in 0..3 {
+                s.step(c);
+            }
+            let step = allocs_in(|| s.step(c));
+            // The step's message layer: 12 fields to physical space and 3
+            // back, one pipelined exchange each, posted before any is
+            // finished.
+            let (send, mut recv) = (vec![1.0; 64], vec![0.0; 64]);
+            let exchanges = allocs_in(|| {
+                for nf in [12, 3] {
+                    let posted: [_; 12] =
+                        std::array::from_fn(|f| (f < nf).then(|| c.ialltoall(&send, 64)));
+                    for h in posted.into_iter().flatten() {
+                        c.alltoall_finish(h, &mut recv);
+                    }
+                }
+            });
+            (step, exchanges)
+        });
+        out[0]
+    });
+    let [(step8, exch8), (step32, exch32)] = counts;
+    assert_eq!(exch8, exch32, "the exchange count does not depend on nz");
+    assert!(
+        step8 <= exch8 + 8,
+        "a warmed step allocated {step8} times; its 15 exchanges account for {exch8}"
+    );
+    assert_eq!(step8, step32, "allocations must not scale with nz");
+}
