@@ -52,6 +52,15 @@ pub fn dpbtrf(a: &mut BandedSym) -> Result<(), LapackError> {
     Ok(())
 }
 
+/// Column j of the banded factor U above the diagonal (rows lo..j,
+/// contiguous in `SB` storage), its diagonal entry, and lo.
+#[inline(always)]
+fn factor_column(ab: &[f64], kd: usize, ldab: usize, j: usize) -> (&[f64], f64, usize) {
+    let lo = j.saturating_sub(kd);
+    let diag = kd + j * ldab;
+    (&ab[diag - (j - lo)..diag], ab[diag], lo)
+}
+
 /// Solves A x = b given the [`dpbtrf`] factorization (A = UᵀU banded).
 /// `b` is overwritten with x. (LAPACK `dpbtrs` single-RHS.)
 ///
@@ -63,16 +72,8 @@ pub fn dpbtrs(u: &BandedSym, b: &mut [f64]) -> Result<(), LapackError> {
     if b.len() < n {
         return Err(LapackError::Dimension("dpbtrs: rhs shorter than n"));
     }
-    let kd = u.kd();
-    let ldab = u.ldab();
-    let ab = u.ab();
-    // Column j of U above the diagonal (rows lo..j), its diagonal entry,
-    // and lo.
-    let column = |j: usize| {
-        let lo = j.saturating_sub(kd);
-        let diag = kd + j * ldab;
-        (&ab[diag - (j - lo)..diag], ab[diag], lo)
-    };
+    let (kd, ldab, ab) = (u.kd(), u.ldab(), u.ab());
+    let column = |j: usize| factor_column(ab, kd, ldab, j);
     // Forward, Uᵀ y = b: y_j = (b_j − U[lo..j, j] · y[lo..j]) / u_jj.
     for j in 0..n {
         let (col, ujj, lo) = column(j);
@@ -89,16 +90,36 @@ pub fn dpbtrs(u: &BandedSym, b: &mut [f64]) -> Result<(), LapackError> {
     Ok(())
 }
 
-/// Multi-RHS banded triangular solve: applies [`dpbtrs`] to each column of
-/// the column-major `m × nrhs` array `b` (with leading dimension `m`).
+/// [`dpbtrs`] for the `nrhs` columns of the column-major `n × nrhs`
+/// array `b` (leading dimension `n`) in one forward and one backward
+/// sweep over U: each factor column is read once and applied to every
+/// right-hand side while it is in cache. Every right-hand side sees
+/// exactly the arithmetic of a single [`dpbtrs`] — the same [`ddot`] and
+/// [`daxpy`] calls on the same operands — so the columns are bitwise the
+/// single solves.
 pub fn dpbtrs_multi(u: &BandedSym, b: &mut [f64], nrhs: usize) -> Result<(), LapackError> {
     let n = u.n();
     if b.len() < n * nrhs {
         return Err(LapackError::Dimension("dpbtrs_multi: rhs array too short"));
     }
-    for r in 0..nrhs {
-        let col = &mut b[r * n..(r + 1) * n];
-        dpbtrs(u, col)?;
+    if n == 0 {
+        return Ok(());
+    }
+    let (kd, ldab, ab) = (u.kd(), u.ldab(), u.ab());
+    let b = &mut b[..n * nrhs];
+    for j in 0..n {
+        let (col, ujj, lo) = factor_column(ab, kd, ldab, j);
+        for x in b.chunks_exact_mut(n) {
+            x[j] = (x[j] - ddot(col, &x[lo..j])) / ujj;
+        }
+    }
+    for j in (0..n).rev() {
+        let (col, ujj, lo) = factor_column(ab, kd, ldab, j);
+        for x in b.chunks_exact_mut(n) {
+            let xj = x[j] / ujj;
+            x[j] = xj;
+            daxpy(-xj, col, &mut x[lo..j]);
+        }
     }
     Ok(())
 }
@@ -354,30 +375,34 @@ mod tests {
         assert_eq!(dpbtrf(&mut b), Err(LapackError::Singular(2)));
     }
 
+    /// Every column of the one-sweep multi solve is the single solve to
+    /// the bit: one to seven right-hand sides, bandwidths from diagonal to
+    /// wider than the matrix, and lengths around `ddot`'s 4-wide body.
     #[test]
     fn dpbtrs_multi_matches_single() {
-        let n = 8;
-        let kd = 2;
-        let a = spd_band(n, kd);
-        let mut f = a.clone();
-        dpbtrf(&mut f).unwrap();
-        let nrhs = 3;
-        let mut rhs_multi = vec![0.0; n * nrhs];
-        let mut rhs_single = vec![vec![0.0; n]; nrhs];
-        for r in 0..nrhs {
-            for i in 0..n {
-                let v = ((i + r * 7) as f64 * 0.21).cos();
-                rhs_multi[r * n + i] = v;
-                rhs_single[r][i] = v;
+        for n in [1usize, 8, 37] {
+            for kd in [0, 3, n - 1, n + 2] {
+                let mut f = spd_band(n, kd);
+                dpbtrf(&mut f).unwrap();
+                for nrhs in [1usize, 2, 6, 7] {
+                    let rhs: Vec<f64> = (0..n * nrhs)
+                        .map(|i| if i % 5 == 3 { 0.0 } else { (i as f64 * 0.21).cos() })
+                        .collect();
+                    let mut multi = rhs.clone();
+                    dpbtrs_multi(&f, &mut multi, nrhs).unwrap();
+                    for (r, (got, want)) in
+                        multi.chunks_exact(n).zip(rhs.chunks_exact(n)).enumerate()
+                    {
+                        let mut single = want.to_vec();
+                        dpbtrs(&f, &mut single).unwrap();
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(&single), "n={n} kd={kd} nrhs={nrhs} rhs {r}");
+                    }
+                }
             }
         }
-        dpbtrs_multi(&f, &mut rhs_multi, nrhs).unwrap();
-        for r in 0..nrhs {
-            dpbtrs(&f, &mut rhs_single[r]).unwrap();
-            for i in 0..n {
-                assert_eq!(rhs_multi[r * n + i], rhs_single[r][i]);
-            }
-        }
+        let f = spd_band(4, 1);
+        assert!(dpbtrs_multi(&f, &mut [0.0; 7], 2).is_err(), "short rhs array");
     }
 
     #[test]

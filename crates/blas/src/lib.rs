@@ -31,7 +31,9 @@ pub mod level2;
 pub mod level3;
 pub mod matrix;
 
-pub use lapack::{dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs, dpttrf, dpttrs};
+pub use lapack::{
+    dgetrf, dgetrs, dpbtrf, dpbtrs, dpbtrs_multi, dpotrf, dpotrs, dpttrf, dpttrs,
+};
 pub use level1::{dasum, daxpy, dcopy, ddot, dnrm2, drot, dscal, dswap, idamax};
 pub use level2::{dgbmv, dgemv, dger, dsbmv, dsymv, dtrmv, dtrsv, Trans, Uplo};
 pub use level3::{dgemm, dgemm_small, dsyrk, dtrsm, Side};

@@ -38,7 +38,6 @@
 //! `(r, c)` therefore hashes identically to slab rank `r` at the same
 //! `pr` (see `tests/pencil_equiv.rs`).
 
-use crate::fourier::ModePlane;
 use crate::opstream::{CommItem, Recorder, WorkItem};
 use crate::timers::Stage;
 use nkt_fft::{Complex64, RealFft};
@@ -142,14 +141,10 @@ pub fn parse_grid(spec: &str) -> Result<(usize, usize), FourierCfgError> {
     Ok((pr, pc))
 }
 
-/// Per-transpose solver context: everything a [`Decomposition`] needs
-/// from `NektarF` beyond its own layout. Passed by the caller so the
+/// Per-transpose solver context: what a [`Decomposition`] needs from
+/// `NektarF` beyond its own layout. Passed by the caller so the
 /// decomposition and the recorder can be borrowed disjointly.
 pub struct TransposeCtx<'a> {
-    /// Real z-planes (FFT length).
-    pub nz: usize,
-    /// Quadrature points per plane.
-    pub nq_total: usize,
     /// Pipeline the exchanges against per-field FFT work.
     pub overlap: bool,
     /// Alltoall algorithm for the blocking path.
@@ -160,8 +155,14 @@ pub struct TransposeCtx<'a> {
 
 /// How Fourier modes and physical points are laid out over ranks, and
 /// how to transpose between the two spaces. Implementations own their
-/// exchange plan (sub-communicators, pack/unpack layouts) and record
-/// the matching [`CommItem`]s for model replay.
+/// exchange plan (sub-communicators, pack/unpack layouts, the z-FFT plan
+/// and every buffer a transpose needs) and record the matching
+/// [`CommItem`]s for model replay.
+///
+/// Both transposes fill caller buffers. With `mpp` owned modes, `nq`
+/// points a plane, `npts` = [`Self::my_points`]`.len()` and `nz` planes,
+/// a mode-space field is `mpp × 2 × nq` values, `[mode][cos | sin][point]`,
+/// and a physical field is `npts × nz` values, `[point][z]`.
 pub trait Decomposition: Send {
     /// Short name for diagnostics ("slab" / "pencil").
     fn name(&self) -> &'static str;
@@ -177,43 +178,287 @@ pub trait Decomposition: Send {
     /// count primary contributions or they inflate by `pc`.
     fn is_primary(&self) -> bool;
 
+    /// The quadrature points of a plane whose z-columns this rank holds
+    /// in physical space.
+    fn my_points(&self) -> Range<usize>;
+
     /// Mode-space fields → physical z-columns at this rank's chunk of
     /// quadrature points ("Global Exchange" + "Nxy 1D inverse FFTs").
+    /// `phys` takes the `fields.len()` physical fields back to back.
     fn to_phys(
         &mut self,
         comm: &mut Comm,
         ctx: &mut TransposeCtx<'_>,
-        fields: &[Vec<ModePlane>],
-    ) -> Vec<Vec<Vec<f64>>>;
+        fields: &[&[f64]],
+        phys: &mut [f64],
+    );
 
     /// Physical z-columns → mode-space fields, full planes for every
-    /// owned mode ("Nxy 1D FFTs" + "Global Exchange" back).
+    /// owned mode ("Nxy 1D FFTs" + "Global Exchange" back). `phys` and
+    /// `modes` hold the same number of fields back to back.
     fn to_modes(
         &mut self,
         comm: &mut Comm,
         ctx: &mut TransposeCtx<'_>,
-        phys: &[Vec<Vec<f64>>],
-    ) -> Vec<Vec<ModePlane>>;
+        phys: &[f64],
+        modes: &mut [f64],
+    );
+}
+
+/// The ranks a mode exchange runs over.
+enum Group<'a> {
+    World,
+    Sub(&'a mut SubComm),
+}
+
+impl Group<'_> {
+    fn ialltoall(&mut self, comm: &mut Comm, send: &[f64], block: usize) -> AlltoallHandle {
+        match self {
+            Group::World => comm.ialltoall(send, block),
+            Group::Sub(sub) => sub.ialltoall(comm, send, block),
+        }
+    }
+
+    fn alltoall_with(
+        &mut self,
+        comm: &mut Comm,
+        algo: AlltoallAlgo,
+        send: &[f64],
+        block: usize,
+        recv: &mut [f64],
+    ) {
+        match self {
+            Group::World => comm.alltoall_with(algo, send, block, recv),
+            Group::Sub(sub) => sub.alltoall_with(comm, algo, send, block, recv),
+        }
+    }
+}
+
+/// What both decompositions keep between transposes: the exchange
+/// layout, the z-FFT plan and every buffer — a transpose allocates
+/// nothing of its own.
+///
+/// Modes are exchanged within a *group* of ranks (slab: the world;
+/// pencil: a grid column), member `g` owning modes `[g·mpp, (g+1)·mpp)`.
+/// An exchange block (`fblock` values) carries, per mode, a cos and a
+/// sin run of `chunk` points, zero-padded where a rank's chunk is short.
+struct Transposer {
+    /// Members of the mode-exchange group.
+    groups: usize,
+    /// Grid columns: group member `g` holds the point chunk of world rank
+    /// `g·cols + col` (slab: 1 and 0).
+    cols: usize,
+    col: usize,
+    /// Modes per group member.
+    mpp: usize,
+    /// Points per world rank (the last chunks may be short or empty).
+    chunk: usize,
+    nq: usize,
+    nz: usize,
+    /// This rank's point chunk.
+    pts: Range<usize>,
+    fft: RealFft,
+    spectrum: Vec<Complex64>,
+    fft_scratch: Vec<Complex64>,
+    send: Vec<f64>,
+    recv: Vec<f64>,
+    /// In-flight exchanges of the pipelined paths (empty between calls).
+    handles: Vec<AlltoallHandle>,
+}
+
+impl Transposer {
+    fn new(comm: &Comm, groups: usize, cols: usize, mpp: usize, nq: usize) -> Transposer {
+        let chunk = nq.div_ceil(comm.size());
+        let fft = RealFft::new(2 * groups * mpp);
+        let mut t = Transposer {
+            groups,
+            cols,
+            col: comm.rank() % cols,
+            mpp,
+            chunk,
+            nq,
+            nz: fft.len(),
+            pts: 0..0,
+            spectrum: vec![Complex64::ZERO; fft.spectrum_len()],
+            fft_scratch: vec![Complex64::ZERO; fft.scratch_len()],
+            fft,
+            send: vec![0.0; groups * mpp * 2 * chunk],
+            recv: vec![0.0; groups * mpp * 2 * chunk],
+            handles: Vec::new(),
+        };
+        t.pts = t.points_of(comm.rank());
+        t
+    }
+
+    /// Values one group member receives per field.
+    fn fblock(&self) -> usize {
+        self.mpp * 2 * self.chunk
+    }
+
+    /// The point chunk of world rank `w`.
+    fn points_of(&self, w: usize) -> Range<usize> {
+        (w * self.chunk).min(self.nq)..((w + 1) * self.chunk).min(self.nq)
+    }
+
+    /// Values of one physical field at this rank's points.
+    fn phys_len(&self) -> usize {
+        self.pts.len() * self.nz
+    }
+
+    /// Values of one mode-space field.
+    fn modes_len(&self) -> usize {
+        self.mpp * 2 * self.nq
+    }
+
+    /// Fills `send` with one mode-space field: to member `g`, my modes at
+    /// the points of the rank it stands for.
+    fn pack_phys(&mut self, field: &[f64]) {
+        let (chunk, nq, fblock) = (self.chunk, self.nq, self.fblock());
+        for g in 0..self.groups {
+            let dest = self.points_of(g * self.cols + self.col);
+            let block = &mut self.send[g * fblock..(g + 1) * fblock];
+            for (run, plane) in block.chunks_exact_mut(chunk).zip(field.chunks_exact(nq)) {
+                run[..dest.len()].copy_from_slice(&plane[dest.clone()]);
+                run[dest.len()..].fill(0.0);
+            }
+        }
+    }
+
+    /// Inverse of [`mode_coeffs`] + inverse FFT of the field in `recv`:
+    /// reassembles the spectrum at each of this rank's points from the
+    /// per-member blocks and fills the physical z-columns `out`.
+    fn unpack_phys(&mut self, out: &mut [f64]) {
+        let (chunk, nz, nmodes) = (self.chunk, self.nz, self.groups * self.mpp);
+        let Transposer { fft, spectrum, fft_scratch, recv, .. } = self;
+        // Mode k's cos and sin runs start at k·2·chunk: member blocks are
+        // contiguous and hold their modes in order.
+        spectrum.fill(Complex64::ZERO);
+        for (pt, column) in out.chunks_exact_mut(nz).enumerate() {
+            for (k, (sp, runs)) in spectrum.iter_mut().zip(recv.chunks_exact(2 * chunk)).enumerate() {
+                let (a, b) = (runs[pt], runs[chunk + pt]);
+                *sp = if k == 0 {
+                    Complex64::new(a * nz as f64, 0.0)
+                } else {
+                    Complex64::new(a * nz as f64 / 2.0, -b * nz as f64 / 2.0)
+                };
+            }
+            debug_assert!(spectrum[nmodes] == Complex64::ZERO, "Nyquist stays dropped");
+            fft.inverse_with(spectrum, column, fft_scratch);
+        }
+    }
+
+    /// Forward FFT of one physical field at this rank's points into
+    /// `send`: to member `g`, its modes at my points.
+    fn pack_modes(&mut self, phys: &[f64]) {
+        let (chunk, nz, npts) = (self.chunk, self.nz, self.pts.len());
+        let Transposer { fft, spectrum, fft_scratch, send, .. } = self;
+        for (pt, column) in phys.chunks_exact(nz).enumerate() {
+            fft.forward_with(column, spectrum, fft_scratch);
+            for (k, runs) in send.chunks_exact_mut(2 * chunk).enumerate() {
+                (runs[pt], runs[chunk + pt]) = mode_coeffs(spectrum, k, nz);
+            }
+        }
+        if npts < chunk {
+            for run in send.chunks_exact_mut(chunk) {
+                run[npts..].fill(0.0);
+            }
+        }
+    }
+
+    /// Scatters one received field into the full planes `out`. `recv`
+    /// holds, for each grid column `c2`, a group's worth of blocks:
+    /// member `g` of that column sent my modes at the points of world
+    /// rank `g·cols + c2`.
+    fn unpack_modes(&self, recv: &[f64], out: &mut [f64]) {
+        let (chunk, nq, rblock) = (self.chunk, self.nq, self.groups * self.fblock());
+        for c2 in 0..self.cols {
+            for g in 0..self.groups {
+                let src = self.points_of(g * self.cols + c2);
+                let block = &recv[c2 * rblock + g * self.fblock()..][..self.fblock()];
+                for (run, plane) in block.chunks_exact(chunk).zip(out.chunks_exact_mut(nq)) {
+                    plane[src.clone()].copy_from_slice(&run[..src.len()]);
+                }
+            }
+        }
+    }
+
+    /// The forward transpose (modes → physical) both decompositions
+    /// share: one exchange per field over `group` in both paths, so their
+    /// `busy` ledgers match message for message. With `overlap` on, all
+    /// field exchanges are posted up front and each field's inverse FFTs
+    /// run while the later fields are still on the wire, hiding their
+    /// transfer time in `wtime`.
+    fn forward(
+        &mut self,
+        comm: &mut Comm,
+        ctx: &mut TransposeCtx<'_>,
+        mut group: Group<'_>,
+        fields: &[&[f64]],
+        phys: &mut [f64],
+    ) {
+        let (fblock, nz, npts, plen) = (self.fblock(), self.nz, self.pts.len(), self.phys_len());
+        assert_eq!(phys.len(), fields.len() * plen, "to_phys: one physical field per mode field");
+        let mut unpack = |t: &mut Transposer, comm: &mut Comm, fi: usize| {
+            fft_kernel(comm, nz, npts, || t.unpack_phys(&mut phys[fi * plen..(fi + 1) * plen]));
+            ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
+        };
+        if ctx.overlap {
+            let mut handles = std::mem::take(&mut self.handles);
+            for field in fields {
+                self.pack_phys(field);
+                handles.push(group.ialltoall(comm, &self.send, fblock));
+            }
+            for (fi, h) in handles.drain(..).enumerate() {
+                comm.alltoall_finish(h, &mut self.recv);
+                unpack(self, comm, fi);
+            }
+            self.handles = handles;
+        } else {
+            for (fi, field) in fields.iter().enumerate() {
+                self.pack_phys(field);
+                group.alltoall_with(comm, ctx.algo, &self.send, fblock, &mut self.recv);
+                unpack(self, comm, fi);
+            }
+        }
+    }
+
+    /// Forward-FFTs field `fi` of `phys` into `send`, as a timed and
+    /// recorded FFT batch.
+    fn pack_modes_field(
+        &mut self,
+        comm: &mut Comm,
+        ctx: &mut TransposeCtx<'_>,
+        phys: &[f64],
+        fi: usize,
+    ) {
+        let (nz, npts, plen) = (self.nz, self.pts.len(), self.phys_len());
+        fft_kernel(comm, nz, npts, || self.pack_modes(&phys[fi * plen..(fi + 1) * plen]));
+        ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
+    }
 }
 
 /// The paper's 1-D decomposition: rank `r` of `P` owns modes
 /// `[r·nmodes/P, (r+1)·nmodes/P)`; each transpose is one world
 /// alltoall (blocking or pipelined per field).
 pub struct Slab {
-    p: usize,
     my_modes: Range<usize>,
+    t: Transposer,
 }
 
 impl Slab {
     /// Block-distributes `nmodes` over the world ("a straightforward
-    /// mapping of Fourier modes to P processors").
-    pub fn new(comm: &Comm, nmodes: usize) -> Result<Slab, FourierCfgError> {
+    /// mapping of Fourier modes to P processors") for planes of
+    /// `nq_total` quadrature points.
+    pub fn new(comm: &Comm, nmodes: usize, nq_total: usize) -> Result<Slab, FourierCfgError> {
         let p = comm.size();
         if !nmodes.is_multiple_of(p) {
             return Err(FourierCfgError::ModesNotDivisible { nmodes, pr: p });
         }
         let mpp = nmodes / p;
-        Ok(Slab { p, my_modes: comm.rank() * mpp..(comm.rank() + 1) * mpp })
+        Ok(Slab {
+            my_modes: comm.rank() * mpp..(comm.rank() + 1) * mpp,
+            t: Transposer::new(comm, p, 1, mpp, nq_total),
+        })
     }
 }
 
@@ -223,7 +468,7 @@ impl Decomposition for Slab {
     }
 
     fn grid(&self) -> (usize, usize) {
-        (self.p, 1)
+        (self.t.groups, 1)
     }
 
     fn my_modes(&self) -> Range<usize> {
@@ -234,40 +479,20 @@ impl Decomposition for Slab {
         true
     }
 
-    /// Both paths exchange one field per alltoall so their `busy`
-    /// ledgers match message for message; with `overlap` on, all field
-    /// exchanges are posted up front ([`Comm::ialltoall`]) and each
-    /// field's inverse FFTs run while the later fields are still on the
-    /// wire, hiding their transfer time in `wtime`.
+    fn my_points(&self) -> Range<usize> {
+        self.t.pts.clone()
+    }
+
     fn to_phys(
         &mut self,
         comm: &mut Comm,
         ctx: &mut TransposeCtx<'_>,
-        fields: &[Vec<ModePlane>],
-    ) -> Vec<Vec<Vec<f64>>> {
-        let p = comm.size();
-        let nf = fields.len();
-        let mpp = self.my_modes.len();
-        let chunk = ctx.nq_total.div_ceil(p);
-        let nz = ctx.nz;
-        let fft = RealFft::new(nz);
+        fields: &[&[f64]],
+        phys: &mut [f64],
+    ) {
         // Per-field exchange block (the classic layout's nf·fblock total
         // is split into nf exchanges of fblock each).
-        let fblock = mpp * 2 * chunk;
-        let mut sends: Vec<Vec<f64>> = Vec::with_capacity(nf);
-        for field in fields {
-            let mut send = vec![0.0; p * fblock];
-            for dest in 0..p {
-                let dlo = (dest * chunk).min(ctx.nq_total);
-                let dhi = ((dest + 1) * chunk).min(ctx.nq_total);
-                for (mi, mp) in field.iter().enumerate() {
-                    let o = dest * fblock + mi * 2 * chunk;
-                    send[o..o + (dhi - dlo)].copy_from_slice(&mp.a[dlo..dhi]);
-                    send[o + chunk..o + chunk + (dhi - dlo)].copy_from_slice(&mp.b[dlo..dhi]);
-                }
-            }
-            sends.push(send);
-        }
+        let (nf, fblock) = (fields.len(), self.t.fblock());
         ctx.recorder.comm(
             Stage::NonLinear,
             if ctx.overlap {
@@ -276,34 +501,7 @@ impl Decomposition for Slab {
                 CommItem::Alltoall { block_bytes: 8 * nf * fblock }
             },
         );
-        let me = comm.rank();
-        let lo = (me * chunk).min(ctx.nq_total);
-        let hi = ((me + 1) * chunk).min(ctx.nq_total);
-        let npts = hi - lo;
-        let mut out = vec![vec![vec![0.0; nz]; npts]; nf];
-        let mut spectrum = vec![Complex64::ZERO; fft.spectrum_len()];
-        let mut recv = vec![0.0; p * fblock];
-        let dims = (p, mpp, chunk, fblock, nz, npts);
-        if ctx.overlap {
-            let handles: Vec<AlltoallHandle> =
-                sends.iter().map(|s| comm.ialltoall(s, fblock)).collect();
-            for (fi, h) in handles.into_iter().enumerate() {
-                comm.alltoall_finish(h, &mut recv);
-                fft_kernel(comm, nz, npts, || {
-                    unpack_phys_field(&recv, &mut out[fi], &mut spectrum, &fft, dims)
-                });
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-            }
-        } else {
-            for (fi, send) in sends.iter().enumerate() {
-                comm.alltoall_with(ctx.algo, send, fblock, &mut recv);
-                fft_kernel(comm, nz, npts, || {
-                    unpack_phys_field(&recv, &mut out[fi], &mut spectrum, &fft, dims)
-                });
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-            }
-        }
-        out
+        self.t.forward(comm, ctx, Group::World, fields, phys);
     }
 
     /// Mirror of [`Slab::to_phys`]: one exchange per field in both
@@ -314,34 +512,13 @@ impl Decomposition for Slab {
         &mut self,
         comm: &mut Comm,
         ctx: &mut TransposeCtx<'_>,
-        phys: &[Vec<Vec<f64>>],
-    ) -> Vec<Vec<ModePlane>> {
-        let p = comm.size();
-        let nf = phys.len();
-        let mpp = self.my_modes.len();
-        let chunk = ctx.nq_total.div_ceil(p);
-        let nz = ctx.nz;
-        let fft = RealFft::new(nz);
-        let npts = phys[0].len();
-        let fblock = mpp * 2 * chunk;
-        let nq_total = ctx.nq_total;
-        let mut spectrum = vec![Complex64::ZERO; fft.spectrum_len()];
-        let pack_field = |fi: usize, spectrum: &mut Vec<Complex64>| -> Vec<f64> {
-            let mut send = vec![0.0; p * fblock];
-            for pt in 0..npts {
-                fft.forward(&phys[fi][pt], spectrum);
-                for dest in 0..p {
-                    for mi in 0..mpp {
-                        let k = dest * mpp + mi;
-                        let (a, b) = spectrum_coeffs(&spectrum[..], k, nz);
-                        let o = dest * fblock + mi * 2 * chunk;
-                        send[o + pt] = a;
-                        send[o + chunk + pt] = b;
-                    }
-                }
-            }
-            send
-        };
+        phys: &[f64],
+        modes: &mut [f64],
+    ) {
+        let t = &mut self.t;
+        let (fblock, mlen) = (t.fblock(), t.modes_len());
+        let nf = modes.len() / mlen;
+        assert_eq!(phys.len(), nf * t.phys_len(), "to_modes: one physical field per mode field");
         ctx.recorder.comm(
             Stage::NonLinear,
             if ctx.overlap {
@@ -350,41 +527,24 @@ impl Decomposition for Slab {
                 CommItem::Alltoall { block_bytes: 8 * nf * fblock }
             },
         );
-        let mut out = empty_planes(nf, mpp, nq_total);
-        let mut recv = vec![0.0; p * fblock];
-        let unpack_field = |fi: usize, recv: &[f64], out: &mut Vec<Vec<ModePlane>>| {
-            for src in 0..p {
-                let plo = (src * chunk).min(nq_total);
-                let phi = ((src + 1) * chunk).min(nq_total);
-                for mi in 0..mpp {
-                    let o = src * fblock + mi * 2 * chunk;
-                    for (pt, gq) in (plo..phi).enumerate() {
-                        out[fi][mi].a[gq] = recv[o + pt];
-                        out[fi][mi].b[gq] = recv[o + chunk + pt];
-                    }
-                }
-            }
-        };
         if ctx.overlap {
-            let mut handles = Vec::with_capacity(nf);
+            let mut handles = std::mem::take(&mut t.handles);
             for fi in 0..nf {
-                let send = fft_kernel(comm, nz, npts, || pack_field(fi, &mut spectrum));
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-                handles.push(comm.ialltoall(&send, fblock));
+                t.pack_modes_field(comm, ctx, phys, fi);
+                handles.push(comm.ialltoall(&t.send, fblock));
             }
-            for (fi, h) in handles.into_iter().enumerate() {
-                comm.alltoall_finish(h, &mut recv);
-                unpack_field(fi, &recv, &mut out);
+            for (h, out) in handles.drain(..).zip(modes.chunks_exact_mut(mlen)) {
+                comm.alltoall_finish(h, &mut t.recv);
+                t.unpack_modes(&t.recv, out);
             }
+            t.handles = handles;
         } else {
-            for fi in 0..nf {
-                let send = fft_kernel(comm, nz, npts, || pack_field(fi, &mut spectrum));
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-                comm.alltoall_with(ctx.algo, &send, fblock, &mut recv);
-                unpack_field(fi, &recv, &mut out);
+            for (fi, out) in modes.chunks_exact_mut(mlen).enumerate() {
+                t.pack_modes_field(comm, ctx, phys, fi);
+                comm.alltoall_with(ctx.algo, &t.send, fblock, &mut t.recv);
+                t.unpack_modes(&t.recv, out);
             }
         }
-        out
     }
 }
 
@@ -396,16 +556,23 @@ impl Decomposition for Slab {
 pub struct Pencil2D {
     pr: usize,
     pc: usize,
-    col: usize,
     my_modes: Range<usize>,
     /// Ranks sharing this grid column; group rank = grid row.
     col_comm: SubComm,
     /// Ranks sharing this grid row; group rank = grid column.
     row_comm: SubComm,
+    /// Column-stage plan and buffers.
+    t: Transposer,
+    /// Row-stage buffers: `pc` copies of a column-stage receive, and the
+    /// `pc` column-stage receives of this row.
+    row_send: Vec<f64>,
+    row_recv: Vec<f64>,
+    row_handles: Vec<AlltoallHandle>,
 }
 
 impl Pencil2D {
-    /// Builds the process grid and its row/column sub-communicators.
+    /// Builds the process grid, its row/column sub-communicators and
+    /// the transpose plan for planes of `nq_total` quadrature points.
     /// Collective over `comm` (two `MPI_Comm_split`s, posted column
     /// first on every rank).
     pub fn new(
@@ -413,6 +580,7 @@ impl Pencil2D {
         pr: usize,
         pc: usize,
         nmodes: usize,
+        nq_total: usize,
     ) -> Result<Pencil2D, FourierCfgError> {
         let p = comm.size();
         if pr == 0 || pc == 0 || pr * pc != p {
@@ -426,7 +594,26 @@ impl Pencil2D {
         let col_comm = comm.split_labeled(col, row, "col");
         let row_comm = comm.split_labeled(row, col, "row");
         let mpr = nmodes / pr;
-        Ok(Pencil2D { pr, pc, col, my_modes: row * mpr..(row + 1) * mpr, col_comm, row_comm })
+        let t = Transposer::new(comm, pr, pc, mpr, nq_total);
+        let rblock = pr * t.fblock();
+        Ok(Pencil2D {
+            pr,
+            pc,
+            my_modes: row * mpr..(row + 1) * mpr,
+            col_comm,
+            row_comm,
+            t,
+            row_send: vec![0.0; pc * rblock],
+            row_recv: vec![0.0; pc * rblock],
+            row_handles: Vec::new(),
+        })
+    }
+
+    /// Copies the column-stage receive into every block of `row_send`.
+    fn replicate(&mut self) {
+        for block in self.row_send.chunks_exact_mut(self.t.recv.len()) {
+            block.copy_from_slice(&self.t.recv);
+        }
     }
 }
 
@@ -444,7 +631,11 @@ impl Decomposition for Pencil2D {
     }
 
     fn is_primary(&self) -> bool {
-        self.col == 0
+        self.t.col == 0
+    }
+
+    fn my_points(&self) -> Range<usize> {
+        self.t.pts.clone()
     }
 
     /// Forward transpose: one column-stage exchange. The block sent to
@@ -457,72 +648,21 @@ impl Decomposition for Pencil2D {
         &mut self,
         comm: &mut Comm,
         ctx: &mut TransposeCtx<'_>,
-        fields: &[Vec<ModePlane>],
-    ) -> Vec<Vec<Vec<f64>>> {
-        let (pr, pc) = (self.pr, self.pc);
-        let p = pr * pc;
-        let nf = fields.len();
-        let mpr = self.my_modes.len();
-        let chunk = ctx.nq_total.div_ceil(p);
-        let nz = ctx.nz;
-        let fft = RealFft::new(nz);
-        let fblock = mpr * 2 * chunk;
-        let mut sends: Vec<Vec<f64>> = Vec::with_capacity(nf);
-        for field in fields {
-            let mut send = vec![0.0; pr * fblock];
-            for r2 in 0..pr {
-                let w = r2 * pc + self.col;
-                let dlo = (w * chunk).min(ctx.nq_total);
-                let dhi = ((w + 1) * chunk).min(ctx.nq_total);
-                for (mi, mp) in field.iter().enumerate() {
-                    let o = r2 * fblock + mi * 2 * chunk;
-                    send[o..o + (dhi - dlo)].copy_from_slice(&mp.a[dlo..dhi]);
-                    send[o + chunk..o + chunk + (dhi - dlo)].copy_from_slice(&mp.b[dlo..dhi]);
-                }
-            }
-            sends.push(send);
-        }
+        fields: &[&[f64]],
+        phys: &mut [f64],
+    ) {
         ctx.recorder.comm(
             Stage::NonLinear,
             CommItem::AlltoallPencil {
-                col_block_bytes: 8 * nf * fblock,
+                col_block_bytes: 8 * fields.len() * self.t.fblock(),
                 row_block_bytes: 0,
-                pr,
-                pc,
-                fields: nf,
+                pr: self.pr,
+                pc: self.pc,
+                fields: fields.len(),
                 pipelined: ctx.overlap,
             },
         );
-        let me = comm.rank();
-        let lo = (me * chunk).min(ctx.nq_total);
-        let hi = ((me + 1) * chunk).min(ctx.nq_total);
-        let npts = hi - lo;
-        let mut out = vec![vec![vec![0.0; nz]; npts]; nf];
-        let mut spectrum = vec![Complex64::ZERO; fft.spectrum_len()];
-        let mut recv = vec![0.0; pr * fblock];
-        let dims = (pr, mpr, chunk, fblock, nz, npts);
-        if ctx.overlap {
-            let mut handles = Vec::with_capacity(nf);
-            for send in &sends {
-                handles.push(self.col_comm.ialltoall(comm, send, fblock));
-            }
-            for (fi, h) in handles.into_iter().enumerate() {
-                comm.alltoall_finish(h, &mut recv);
-                fft_kernel(comm, nz, npts, || {
-                    unpack_phys_field(&recv, &mut out[fi], &mut spectrum, &fft, dims)
-                });
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-            }
-        } else {
-            for (fi, send) in sends.iter().enumerate() {
-                self.col_comm.alltoall_with(comm, ctx.algo, send, fblock, &mut recv);
-                fft_kernel(comm, nz, npts, || {
-                    unpack_phys_field(&recv, &mut out[fi], &mut spectrum, &fft, dims)
-                });
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-            }
-        }
-        out
+        self.t.forward(comm, ctx, Group::Sub(&mut self.col_comm), fields, phys);
     }
 
     /// Backward transpose: column stage then row stage. The column
@@ -538,151 +678,62 @@ impl Decomposition for Pencil2D {
         &mut self,
         comm: &mut Comm,
         ctx: &mut TransposeCtx<'_>,
-        phys: &[Vec<Vec<f64>>],
-    ) -> Vec<Vec<ModePlane>> {
-        let (pr, pc) = (self.pr, self.pc);
-        let p = pr * pc;
-        let nf = phys.len();
-        let mpr = self.my_modes.len();
-        let chunk = ctx.nq_total.div_ceil(p);
-        let nz = ctx.nz;
-        let fft = RealFft::new(nz);
-        let npts = phys[0].len();
-        let fblock = mpr * 2 * chunk;
-        let rblock = pr * fblock;
-        let nq_total = ctx.nq_total;
-        let mut spectrum = vec![Complex64::ZERO; fft.spectrum_len()];
-        let pack_field = |fi: usize, spectrum: &mut Vec<Complex64>| -> Vec<f64> {
-            let mut send = vec![0.0; pr * fblock];
-            for pt in 0..npts {
-                fft.forward(&phys[fi][pt], spectrum);
-                for r2 in 0..pr {
-                    for mi in 0..mpr {
-                        let k = r2 * mpr + mi;
-                        let (a, b) = spectrum_coeffs(&spectrum[..], k, nz);
-                        let o = r2 * fblock + mi * 2 * chunk;
-                        send[o + pt] = a;
-                        send[o + chunk + pt] = b;
-                    }
-                }
-            }
-            send
-        };
-        let replicate = |col_recv: &[f64]| -> Vec<f64> {
-            let mut s = vec![0.0; pc * rblock];
-            for c2 in 0..pc {
-                s[c2 * rblock..(c2 + 1) * rblock].copy_from_slice(col_recv);
-            }
-            s
-        };
+        phys: &[f64],
+        modes: &mut [f64],
+    ) {
+        let (fblock, mlen) = (self.t.fblock(), self.t.modes_len());
+        let rblock = self.pr * fblock;
+        let nf = modes.len() / mlen;
+        assert_eq!(phys.len(), nf * self.t.phys_len(), "to_modes: one physical field per mode field");
         ctx.recorder.comm(
             Stage::NonLinear,
             CommItem::AlltoallPencil {
                 col_block_bytes: 8 * nf * fblock,
                 row_block_bytes: 8 * nf * rblock,
-                pr,
-                pc,
+                pr: self.pr,
+                pc: self.pc,
                 fields: nf,
                 pipelined: ctx.overlap,
             },
         );
-        let mut out = empty_planes(nf, mpr, nq_total);
-        // Row-stage block from row peer c2 holds this row's modes at the
-        // chunks of column c2's ranks (world rank r2·pc + c2).
-        let unpack_row = |recv_row: &[f64], out_f: &mut [ModePlane]| {
-            for c2 in 0..pc {
-                for r2 in 0..pr {
-                    let w = r2 * pc + c2;
-                    let plo = (w * chunk).min(nq_total);
-                    let phi = ((w + 1) * chunk).min(nq_total);
-                    for (mi, mp) in out_f.iter_mut().enumerate() {
-                        let o = c2 * rblock + (r2 * mpr + mi) * 2 * chunk;
-                        for (pt, gq) in (plo..phi).enumerate() {
-                            mp.a[gq] = recv_row[o + pt];
-                            mp.b[gq] = recv_row[o + chunk + pt];
-                        }
-                    }
-                }
-            }
-        };
-        let mut col_recv = vec![0.0; pr * fblock];
-        let mut row_recv = vec![0.0; pc * rblock];
         if ctx.overlap {
-            let mut col_handles = Vec::with_capacity(nf);
+            let mut col_handles = std::mem::take(&mut self.t.handles);
             for fi in 0..nf {
-                let send = fft_kernel(comm, nz, npts, || pack_field(fi, &mut spectrum));
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-                col_handles.push(self.col_comm.ialltoall(comm, &send, fblock));
+                self.t.pack_modes_field(comm, ctx, phys, fi);
+                col_handles.push(self.col_comm.ialltoall(comm, &self.t.send, fblock));
             }
-            let mut row_handles = Vec::with_capacity(nf);
-            for h in col_handles {
-                comm.alltoall_finish(h, &mut col_recv);
-                let rsend = replicate(&col_recv);
-                row_handles.push(self.row_comm.ialltoall(comm, &rsend, rblock));
+            for h in col_handles.drain(..) {
+                comm.alltoall_finish(h, &mut self.t.recv);
+                self.replicate();
+                self.row_handles.push(self.row_comm.ialltoall(comm, &self.row_send, rblock));
             }
-            for (fi, h) in row_handles.into_iter().enumerate() {
-                comm.alltoall_finish(h, &mut row_recv);
-                unpack_row(&row_recv, &mut out[fi]);
+            self.t.handles = col_handles;
+            for (h, out) in self.row_handles.drain(..).zip(modes.chunks_exact_mut(mlen)) {
+                comm.alltoall_finish(h, &mut self.row_recv);
+                self.t.unpack_modes(&self.row_recv, out);
             }
         } else {
-            for fi in 0..nf {
-                let send = fft_kernel(comm, nz, npts, || pack_field(fi, &mut spectrum));
-                ctx.recorder.work(Stage::NonLinear, WorkItem::FftBatch { len: nz, batch: npts });
-                self.col_comm.alltoall_with(comm, ctx.algo, &send, fblock, &mut col_recv);
-                let rsend = replicate(&col_recv);
-                self.row_comm.alltoall_with(comm, ctx.algo, &rsend, rblock, &mut row_recv);
-                unpack_row(&row_recv, &mut out[fi]);
+            for (fi, out) in modes.chunks_exact_mut(mlen).enumerate() {
+                self.t.pack_modes_field(comm, ctx, phys, fi);
+                self.col_comm.alltoall_with(comm, ctx.algo, &self.t.send, fblock, &mut self.t.recv);
+                self.replicate();
+                self.row_comm.alltoall_with(comm, ctx.algo, &self.row_send, rblock, &mut self.row_recv);
+                self.t.unpack_modes(&self.row_recv, out);
             }
         }
-        out
     }
 }
 
-/// Mode coefficients of spectrum bin `k` in the solver's cos/sin plane
-/// convention (`k = 0` carries the mean; Nyquist dropped).
+/// The (cos, sin) coefficients of Fourier mode `k` in the forward
+/// spectrum `sp` of `nz` real samples, in the solver's plane convention
+/// (`k = 0` carries the mean and has no sine part; Nyquist dropped).
 #[inline]
-fn spectrum_coeffs(spectrum: &[Complex64], k: usize, nz: usize) -> (f64, f64) {
+pub(crate) fn mode_coeffs(sp: &[Complex64], k: usize, nz: usize) -> (f64, f64) {
     if k == 0 {
-        (spectrum[0].re / nz as f64, 0.0)
+        (sp[0].re / nz as f64, 0.0)
     } else {
-        (2.0 * spectrum[k].re / nz as f64, -2.0 * spectrum[k].im / nz as f64)
+        (2.0 * sp[k].re / nz as f64, -2.0 * sp[k].im / nz as f64)
     }
-}
-
-/// Inverse of [`spectrum_coeffs`] + inverse FFT of one received field:
-/// reassembles the spectrum at each of this rank's points from the
-/// per-source blocks (source group rank `src` owns modes
-/// `[src·mpp, (src+1)·mpp)`) and fills the physical z-columns.
-fn unpack_phys_field(
-    recv: &[f64],
-    field_out: &mut [Vec<f64>],
-    spectrum: &mut [Complex64],
-    fft: &RealFft,
-    (p, mpp, chunk, fblock, nz, npts): (usize, usize, usize, usize, usize, usize),
-) {
-    for pt in 0..npts {
-        for s in spectrum.iter_mut() {
-            *s = Complex64::ZERO;
-        }
-        for src in 0..p {
-            for mi in 0..mpp {
-                let k = src * mpp + mi;
-                let o = src * fblock + mi * 2 * chunk;
-                let a = recv[o + pt];
-                let b = recv[o + chunk + pt];
-                spectrum[k] = if k == 0 {
-                    Complex64::new(a * nz as f64, 0.0)
-                } else {
-                    Complex64::new(a * nz as f64 / 2.0, -b * nz as f64 / 2.0)
-                };
-            }
-        }
-        fft.inverse(spectrum, &mut field_out[pt]);
-    }
-}
-
-fn empty_planes(nf: usize, nmodes: usize, nq_total: usize) -> Vec<Vec<ModePlane>> {
-    vec![vec![ModePlane { a: vec![0.0; nq_total], b: vec![0.0; nq_total] }; nmodes]; nf]
 }
 
 #[cfg(test)]

@@ -17,14 +17,16 @@
 //! λ_k = β_k² (+ γ₀/νΔt), β_k = 2πk/L_z — "direct solvers may be
 //! employed for the solution of 2D Helmholtz problems on each processor".
 
-use crate::decomp::{parse_grid, Decomposition, FourierCfgError, Pencil2D, Slab, TransposeCtx};
+use crate::decomp::{
+    mode_coeffs, parse_grid, Decomposition, FourierCfgError, Pencil2D, Slab, TransposeCtx,
+};
 use crate::opstream::{Recorder, WorkItem};
 use crate::splitting::StifflyStable;
 use crate::timers::{Stage, StageClock, StageTimer};
 use nkt_fft::{Complex64, RealFft};
 use nkt_mesh::{BoundaryTag, Mesh2d};
 use nkt_mpi::prelude::*;
-use nkt_spectral::{Discretization, HelmholtzProblem, SolveMethod};
+use nkt_spectral::{Discretization, HelmholtzProblem, PlaneScratch};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -59,16 +61,6 @@ impl Default for FourierConfig {
     }
 }
 
-/// A field for one Fourier mode at quadrature points: cos (`a`) and sin
-/// (`b`) plane values.
-#[derive(Debug, Clone, Default)]
-pub struct ModePlane {
-    /// Cosine-plane values.
-    pub a: Vec<f64>,
-    /// Sine-plane values.
-    pub b: Vec<f64>,
-}
-
 /// Modal (assembled, global-dof) coefficients for one mode: cos/sin.
 #[derive(Debug, Clone, Default)]
 pub struct ModeCoeffs {
@@ -76,6 +68,100 @@ pub struct ModeCoeffs {
     pub a: Vec<f64>,
     /// Sine-plane coefficients.
     pub b: Vec<f64>,
+}
+
+/// Layout of the flat mode-space buffers: a *field* is every owned
+/// mode's cos and sin plane, `[mode][cos | sin][point]`, and a buffer
+/// holds whole fields back to back (u, v, w for the velocity-like ones) —
+/// the shape [`Decomposition::to_phys`] takes and `to_modes` fills.
+#[derive(Clone, Copy)]
+struct Planes {
+    /// Owned modes.
+    mpp: usize,
+    /// Quadrature points per plane.
+    nq: usize,
+}
+
+impl Planes {
+    /// Values of one field.
+    fn field_len(self) -> usize {
+        self.mpp * 2 * self.nq
+    }
+
+    /// Plane (`field`, mode `mi`, cos `0` | sin `1`) of a buffer.
+    fn at(self, field: usize, mi: usize, ab: usize) -> std::ops::Range<usize> {
+        let o = ((field * self.mpp + mi) * 2 + ab) * self.nq;
+        o..o + self.nq
+    }
+}
+
+/// The buffers of one [`NektarF::step`], sized at construction: a warmed
+/// step allocates nothing of its own (`tests/fourier_step_contract.rs`).
+/// The velocity and nonlinear-term planes are not here — a step writes
+/// them straight into the history level it recycles.
+struct StepWorkspace {
+    /// The nine transpose fields that are not velocity: ∂x, ∂y, ∂z of
+    /// (u, v, w), in that order.
+    grad: Vec<f64>,
+    /// Physical-space transpose fields (12) and nonlinear terms (3),
+    /// each `[point][z]` at this rank's points.
+    phys: Vec<f64>,
+    nl: Vec<f64>,
+    /// Stiffly-stable weighted fields û, v̂, ŵ.
+    hat: Vec<f64>,
+    /// Per-mode planes of stages 4 and 6, six at most: `β·ŵ` (2), then
+    /// ∂x p, ∂y p and p (2 each), overwritten in place by u*, v*, w*.
+    planes: Vec<f64>,
+    /// Pressure right-hand sides, solved in place (cos, sin).
+    pressure: Vec<f64>,
+    /// Band-order scratch of the multi-solves.
+    band: Vec<f64>,
+    scratch: PlaneScratch,
+}
+
+impl StepWorkspace {
+    /// Buffers for `pl`-shaped fields and `phys_len` physical values a
+    /// field at this rank's points.
+    fn new(disc: &Discretization, pl: Planes, phys_len: usize) -> StepWorkspace {
+        let ndof = disc.asm.ndof;
+        StepWorkspace {
+            grad: vec![0.0; 9 * pl.field_len()],
+            phys: vec![0.0; 12 * phys_len],
+            nl: vec![0.0; 3 * phys_len],
+            hat: vec![0.0; 3 * pl.field_len()],
+            planes: vec![0.0; 6 * pl.nq],
+            pressure: vec![0.0; 2 * ndof],
+            band: vec![0.0; 6 * ndof],
+            scratch: disc.plane_scratch(6),
+        }
+    }
+}
+
+/// `N` disjoint planes of `nq` points from the front of `buf`.
+fn split_planes<const N: usize>(buf: &mut [f64], nq: usize) -> [&mut [f64]; N] {
+    let mut planes = buf.chunks_exact_mut(nq);
+    std::array::from_fn(|_| planes.next().expect("a buffer of at least N planes"))
+}
+
+/// The six coefficient vectors of one mode: u, v, w × cos, sin.
+fn coeff_planes(comps: &mut [ModeCoeffs; 3]) -> [&mut [f64]; 6] {
+    let [u, v, w] = comps;
+    [&mut u.a, &mut u.b, &mut v.a, &mut v.b, &mut w.a, &mut w.b]
+}
+
+/// The buffer for a new history level: the oldest level's once `order`
+/// are kept, a fresh one while the history is still filling.
+fn recycle_level(levels: &mut VecDeque<Vec<f64>>, order: usize, len: usize) -> Vec<f64> {
+    if levels.len() >= order {
+        levels.pop_back().expect("a scheme keeps at least one level")
+    } else {
+        vec![0.0; len]
+    }
+}
+
+/// Spanwise wavenumber β = 2πk/L_z of global mode `k`.
+fn wavenumber(k: usize, lz: f64) -> f64 {
+    2.0 * std::f64::consts::PI * k as f64 / lz
 }
 
 /// Per-rank NekTar-F solver state.
@@ -99,14 +185,15 @@ pub struct NektarF {
     ramp: Vec<Vec<HelmholtzProblem>>,
     /// Modal coefficients per mode per component [u, v, w].
     pub fields: Vec<[ModeCoeffs; 3]>,
-    /// History of quadrature-space velocity (per mode, per component).
-    hist_vel: VecDeque<Vec<[ModePlane; 3]>>,
-    /// History of nonlinear terms.
-    hist_n: VecDeque<Vec<[ModePlane; 3]>>,
-    /// Quadrature points per plane (flattened element-major).
-    pub(crate) nq_total: usize,
-    /// Per-element (offset, nq) into the flattened quadrature vector.
-    pub(crate) elem_off: Vec<(usize, usize)>,
+    /// History of quadrature-space velocity, newest level first; each
+    /// level is three [`Planes`] fields (u, v, w).
+    hist_vel: VecDeque<Vec<f64>>,
+    /// History of nonlinear terms, same layout.
+    hist_n: VecDeque<Vec<f64>>,
+    /// Layout of the history levels and the workspace's mode-space buffers.
+    planes: Planes,
+    /// Every other buffer a step touches.
+    ws: StepWorkspace,
     /// Stage clock (host compute seconds + virtual comm seconds).
     pub clock: StageClock,
     /// Recorder for the model replay.
@@ -167,23 +254,24 @@ impl NektarF {
         if pr == 0 || pc == 0 || pr * pc != comm.size() {
             return Err(FourierCfgError::GridMismatch { pr, pc, p: comm.size() });
         }
+        // The per-mode problems differ only in λ: one discretization, and
+        // 1 + scheme_order members of it per owned mode.
+        let disc = Discretization::new(mesh.clone(), cfg.order);
+        let nq_total = disc.nquad_total();
         let decomp: Box<dyn Decomposition> = if pc == 1 {
-            Box::new(Slab::new(comm, nmodes)?)
+            Box::new(Slab::new(comm, nmodes, nq_total)?)
         } else {
-            Box::new(Pencil2D::new(comm, pr, pc, nmodes)?)
+            Box::new(Pencil2D::new(comm, pr, pc, nmodes, nq_total)?)
         };
         let my_modes = decomp.my_modes();
         let mpp = my_modes.len();
         let scheme = StifflyStable::new(cfg.scheme_order);
         let vel_tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
-        // The per-mode problems differ only in λ: one discretization, and
-        // 1 + scheme_order members of it per owned mode.
-        let disc = Discretization::new(mesh.clone(), cfg.order);
         let mut pressure = Vec::with_capacity(mpp);
         let mut viscous = Vec::with_capacity(mpp);
         let mut ramp = Vec::with_capacity(mpp);
         for k in my_modes.clone() {
-            let beta = 2.0 * std::f64::consts::PI * k as f64 / cfg.lz;
+            let beta = wavenumber(k, cfg.lz);
             let mut pp = HelmholtzProblem::member(&disc, beta * beta, &[BoundaryTag::Outflow]);
             // The k = 0 pressure problem is pure-Neumann Poisson when the
             // mesh has no outflow: pin its null space.
@@ -207,14 +295,8 @@ impl NektarF {
                 .collect();
             ramp.push(ramps);
         }
-        let mut elem_off = Vec::with_capacity(mesh.nelems());
-        let mut off = 0usize;
-        for ei in 0..mesh.nelems() {
-            let nq = disc.basis(ei).nquad();
-            elem_off.push((off, nq));
-            off += nq;
-        }
         let ndof = disc.asm.ndof;
+        let phys_len = decomp.my_points().len() * cfg.nz;
         let fields = (0..mpp)
             .map(|_| {
                 [
@@ -224,6 +306,8 @@ impl NektarF {
                 ]
             })
             .collect();
+        let planes = Planes { mpp, nq: nq_total };
+        let ws = StepWorkspace::new(&disc, planes, phys_len);
         Ok(NektarF {
             cfg,
             scheme,
@@ -236,8 +320,8 @@ impl NektarF {
             fields,
             hist_vel: VecDeque::new(),
             hist_n: VecDeque::new(),
-            nq_total: off,
-            elem_off,
+            planes,
+            ws,
             clock: StageClock::new(),
             recorder: Recorder::disabled(),
             overlap: std::env::var("NKT_OVERLAP").map_or(true, |v| v != "0"),
@@ -263,7 +347,7 @@ impl NektarF {
 
     /// Spanwise wavenumber of global mode `k`.
     pub fn beta(&self, k: usize) -> f64 {
-        2.0 * std::f64::consts::PI * k as f64 / self.cfg.lz
+        wavenumber(k, self.cfg.lz)
     }
 
     /// Degrees of freedom per rank (all owned planes × components).
@@ -279,7 +363,7 @@ impl NektarF {
     pub fn set_initial(&mut self, f: impl Fn([f64; 3]) -> [f64; 3]) {
         let nz = self.cfg.nz;
         let lz = self.cfg.lz;
-        let nq = self.nq_total;
+        let nq = self.planes.nq;
         let mpp = self.my_modes.len();
         let fft = RealFft::new(nz);
         // Plane (mi, c, cos | sin) is row (mi·3 + c)·2 + (0 | 1) of `planes`,
@@ -316,50 +400,19 @@ impl NektarF {
         self.steps_taken = 0;
     }
 
-    /// Quadrature values of the modal field `coeffs` on one plane.
+    /// Quadrature values of the modal field `coeffs` on one plane
+    /// (allocating: diagnostics only — the step uses the `_into` kernels).
     pub(crate) fn to_quad(&self, coeffs: &[f64]) -> Vec<f64> {
-        let disc = &*self.disc;
-        let mut out = vec![0.0; self.nq_total];
-        for ei in 0..disc.mesh.nelems() {
-            let basis = disc.basis(ei);
-            let (off, nq) = self.elem_off[ei];
-            let mut local = vec![0.0; basis.nmodes()];
-            disc.asm.gather(ei, coeffs, &mut local);
-            for (m, &c) in local.iter().enumerate() {
-                if c != 0.0 {
-                    let vm = &basis.val()[m];
-                    for q in 0..nq {
-                        out[off + q] += c * vm[q];
-                    }
-                }
-            }
-        }
+        let mut out = vec![0.0; self.planes.nq];
+        self.disc.to_quad_into(coeffs, &mut out, &mut self.disc.plane_scratch(1));
         out
     }
 
-    /// Quadrature values of (∂x, ∂y) of the modal field `coeffs`.
+    /// Quadrature values of (∂x, ∂y) of the modal field `coeffs`
+    /// (allocating, like [`Self::to_quad`]).
     pub(crate) fn grad_quad(&self, coeffs: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let disc = &*self.disc;
-        let mut gx = vec![0.0; self.nq_total];
-        let mut gy = vec![0.0; self.nq_total];
-        for ei in 0..disc.mesh.nelems() {
-            let basis = disc.basis(ei);
-            let geom = &disc.ops[ei].geom;
-            let (off, nq) = self.elem_off[ei];
-            let mut local = vec![0.0; basis.nmodes()];
-            disc.asm.gather(ei, coeffs, &mut local);
-            for (m, &c) in local.iter().enumerate() {
-                if c != 0.0 {
-                    let d1 = &basis.dxi1()[m];
-                    let d2 = &basis.dxi2()[m];
-                    for q in 0..nq {
-                        let [ja, jb, jc, jd] = geom.dxi_dx[q];
-                        gx[off + q] += c * (d1[q] * ja + d2[q] * jc);
-                        gy[off + q] += c * (d1[q] * jb + d2[q] * jd);
-                    }
-                }
-            }
-        }
+        let (mut gx, mut gy) = (vec![0.0; self.planes.nq], vec![0.0; self.planes.nq]);
+        self.disc.grad_quad_into(coeffs, &mut gx, &mut gy, &mut self.disc.plane_scratch(1));
         (gx, gy)
     }
 
@@ -386,43 +439,49 @@ impl NektarF {
     pub fn step(&mut self, comm: &mut Comm) -> StageClock {
         let step_span = nkt_trace::span_v("step", "step", comm.wtime());
         let mut sc = StageClock::new();
-        let dt = self.cfg.dt;
-        let nu = self.cfg.nu;
-        let mpp = self.my_modes.len();
+        let (dt, nu, lz) = (self.cfg.dt, self.cfg.nu, self.cfg.lz);
+        let pl = self.planes;
+        let (mpp, nq, flen) = (pl.mpp, pl.nq, pl.field_len());
+        let order = self.scheme.order;
+        let disc = &*self.disc;
+        let nelems = disc.mesh.nelems();
+        let StepWorkspace { grad, phys, nl, hat, planes, pressure, band, scratch } = &mut self.ws;
+
+        // This step's velocity and nonlinear planes are the next history
+        // level: written in place, never copied.
+        let mut vel = recycle_level(&mut self.hist_vel, order, 3 * flen);
+        let mut nonlin = recycle_level(&mut self.hist_n, order, 3 * flen);
 
         // Stage 1: modal -> quadrature for u, v, w (cos & sin planes).
         let t0 = StageTimer::start(Stage::BwdTransform);
-        let mut vel: Vec<[ModePlane; 3]> = Vec::with_capacity(mpp);
-        for mi in 0..mpp {
-            let mut comps: [ModePlane; 3] = Default::default();
-            for (c, comp) in comps.iter_mut().enumerate() {
-                comp.a = self.to_quad(&self.fields[mi][c].a);
-                comp.b = self.to_quad(&self.fields[mi][c].b);
-                for ei in 0..self.disc.mesh.nelems() {
-                    let basis = self.disc.basis(ei);
+        for (mi, comps) in self.fields.iter().enumerate() {
+            for (c, mc) in comps.iter().enumerate() {
+                disc.to_quad_into(&mc.a, &mut vel[pl.at(c, mi, 0)], scratch);
+                disc.to_quad_into(&mc.b, &mut vel[pl.at(c, mi, 1)], scratch);
+                for ei in 0..nelems {
+                    let basis = disc.basis(ei);
                     self.recorder.work(
                         Stage::BwdTransform,
                         WorkItem::Gemm { m: basis.nquad(), n: 2, k: basis.nmodes() },
                     );
                 }
             }
-            vel.push(comps);
         }
         sc.add(Stage::BwdTransform, t0.stop());
 
         // Stage 2: nonlinear terms via the Alltoall/FFT sandwich.
         let wall0 = comm.wtime();
         let t0 = StageTimer::start_v(Stage::NonLinear, wall0);
-        let mut mode_fields: Vec<Vec<ModePlane>> = (0..12).map(|_| Vec::with_capacity(mpp)).collect();
-        for mi in 0..mpp {
-            let k = self.my_modes.start + mi;
-            let beta = self.beta(k);
-            for c in 0..3 {
-                mode_fields[c].push(vel[mi][c].clone());
-                let (gxa, gya) = self.grad_quad(&self.fields[mi][c].a);
-                let (gxb, gyb) = self.grad_quad(&self.fields[mi][c].b);
-                for ei in 0..self.disc.mesh.nelems() {
-                    let basis = self.disc.basis(ei);
+        let (gx, gyz) = grad.split_at_mut(3 * flen);
+        let (gy, gz) = gyz.split_at_mut(3 * flen);
+        for (mi, comps) in self.fields.iter().enumerate() {
+            let beta = wavenumber(self.my_modes.start + mi, lz);
+            for (c, mc) in comps.iter().enumerate() {
+                let (a, b) = (pl.at(c, mi, 0), pl.at(c, mi, 1));
+                disc.grad_quad_into(&mc.a, &mut gx[a.clone()], &mut gy[a.clone()], scratch);
+                disc.grad_quad_into(&mc.b, &mut gx[b.clone()], &mut gy[b.clone()], scratch);
+                for ei in 0..nelems {
+                    let basis = disc.basis(ei);
                     for _ in 0..2 {
                         self.recorder.work(
                             Stage::NonLinear,
@@ -430,60 +489,44 @@ impl NektarF {
                         );
                     }
                 }
-                mode_fields[3 + c].push(ModePlane { a: gxa, b: gxb });
-                mode_fields[6 + c].push(ModePlane { a: gya, b: gyb });
-                let dza: Vec<f64> = vel[mi][c].b.iter().map(|&v| beta * v).collect();
-                let dzb: Vec<f64> = vel[mi][c].a.iter().map(|&v| -beta * v).collect();
-                mode_fields[9 + c].push(ModePlane { a: dza, b: dzb });
-            }
-        }
-        let mut ctx = TransposeCtx {
-            nz: self.cfg.nz,
-            nq_total: self.nq_total,
-            overlap: self.overlap,
-            algo: self.a2a_algo,
-            recorder: &mut self.recorder,
-        };
-        let phys = self.decomp.to_phys(comm, &mut ctx, &mode_fields);
-        let npts = phys[0].len();
-        let nz = self.cfg.nz;
-        let mut nl = vec![vec![vec![0.0; nz]; npts]; 3];
-        for pt in 0..npts {
-            for j in 0..nz {
-                let u = phys[0][pt][j];
-                let v = phys[1][pt][j];
-                let w = phys[2][pt][j];
-                for c in 0..3 {
-                    nl[c][pt][j] = -(u * phys[3 + c][pt][j]
-                        + v * phys[6 + c][pt][j]
-                        + w * phys[9 + c][pt][j]);
+                // ∂z (a cos βz + b sin βz) = βb cos βz − βa sin βz.
+                for (d, &v) in gz[a.clone()].iter_mut().zip(&vel[b.clone()]) {
+                    *d = beta * v;
+                }
+                for (d, &v) in gz[b].iter_mut().zip(&vel[a]) {
+                    *d = -beta * v;
                 }
             }
         }
-        self.recorder.work(
-            Stage::NonLinear,
-            WorkItem::Stream {
-                flops: 18.0 * (npts * nz) as f64,
-                bytes: 8.0 * 15.0 * (npts * nz) as f64,
-                ws: 8 * 15 * (npts * nz).max(1),
-            },
-        );
         let mut ctx = TransposeCtx {
-            nz: self.cfg.nz,
-            nq_total: self.nq_total,
             overlap: self.overlap,
             algo: self.a2a_algo,
             recorder: &mut self.recorder,
         };
-        let nl_modes = self.decomp.to_modes(comm, &mut ctx, &nl);
-        let mut nonlin: Vec<[ModePlane; 3]> = Vec::with_capacity(mpp);
-        for mi in 0..mpp {
-            nonlin.push([
-                nl_modes[0][mi].clone(),
-                nl_modes[1][mi].clone(),
-                nl_modes[2][mi].clone(),
-            ]);
+        // u, v, w straight from this step's level, then the nine gradients.
+        let fields: [&[f64]; 12] = std::array::from_fn(|f| {
+            let (buf, f) = if f < 3 { (&vel, f) } else { (&*grad, f - 3) };
+            &buf[f * flen..(f + 1) * flen]
+        });
+        self.decomp.to_phys(comm, &mut ctx, &fields, phys);
+        let plen = nl.len() / 3;
+        let field = |f: usize| &phys[f * plen..(f + 1) * plen];
+        let (u, v, w) = (field(0), field(1), field(2));
+        for c in 0..3 {
+            let (dx, dy, dz) = (field(3 + c), field(6 + c), field(9 + c));
+            for (o, n) in nl[c * plen..(c + 1) * plen].iter_mut().enumerate() {
+                *n = -(u[o] * dx[o] + v[o] * dy[o] + w[o] * dz[o]);
+            }
         }
+        ctx.recorder.work(
+            Stage::NonLinear,
+            WorkItem::Stream {
+                flops: 18.0 * plen as f64,
+                bytes: 8.0 * 15.0 * plen as f64,
+                ws: 8 * 15 * plen.max(1),
+            },
+        );
+        self.decomp.to_modes(comm, &mut ctx, nl, &mut nonlin);
         let virt = comm.wtime() - wall0;
         let host = t0.stop_v(comm.wtime());
         sc.add(Stage::NonLinear, host + virt);
@@ -491,106 +534,73 @@ impl NektarF {
         // History push with startup ramp.
         self.hist_vel.push_front(vel);
         self.hist_n.push_front(nonlin);
-        let j = self.scheme.order.min(self.hist_vel.len());
-        while self.hist_vel.len() > self.scheme.order {
-            self.hist_vel.pop_back();
-        }
-        while self.hist_n.len() > self.scheme.order {
-            self.hist_n.pop_back();
-        }
-        let eff = StifflyStable::new(j);
+        self.hist_vel.truncate(order);
+        self.hist_n.truncate(order);
+        let j = self.hist_vel.len();
+        let ramp_scheme;
+        let eff = if j == order {
+            &self.scheme
+        } else {
+            ramp_scheme = StifflyStable::new(j);
+            &ramp_scheme
+        };
 
         // Stage 3: stiffly-stable weighting.
         let t0 = StageTimer::start(Stage::StifflyStable);
-        let mut hat: Vec<[ModePlane; 3]> = Vec::with_capacity(mpp);
-        for mi in 0..mpp {
-            let mut comps: [ModePlane; 3] = Default::default();
-            for (c, comp) in comps.iter_mut().enumerate() {
-                let mut a = vec![0.0; self.nq_total];
-                let mut b = vec![0.0; self.nq_total];
-                for lvl in 0..j {
-                    let al = eff.alpha[lvl];
-                    let be = eff.beta[lvl] * dt;
-                    let hv = &self.hist_vel[lvl][mi][c];
-                    let hn = &self.hist_n[lvl][mi][c];
-                    for q in 0..self.nq_total {
-                        a[q] += al * hv.a[q] + be * hn.a[q];
-                        b[q] += al * hv.b[q] + be * hn.b[q];
-                    }
-                }
-                *comp = ModePlane { a, b };
+        hat.fill(0.0);
+        for lvl in 0..j {
+            let al = eff.alpha[lvl];
+            let be = eff.beta[lvl] * dt;
+            let levels = self.hist_vel[lvl].iter().zip(&self.hist_n[lvl]);
+            for (h, (&hv, &hn)) in hat.iter_mut().zip(levels) {
+                *h += al * hv + be * hn;
             }
-            hat.push(comps);
         }
         self.recorder.work(
             Stage::StifflyStable,
             WorkItem::Stream {
-                flops: (8 * j * mpp * 6 * self.nq_total) as f64,
-                bytes: (32 * j * mpp * 6 * self.nq_total) as f64,
-                ws: 32 * self.nq_total,
+                flops: (8 * j * mpp * 6 * nq) as f64,
+                bytes: (32 * j * mpp * 6 * nq) as f64,
+                ws: 32 * nq,
             },
         );
         sc.add(Stage::StifflyStable, t0.stop());
 
         // Stages 4-7 per owned mode.
-        let mut new_fields: Vec<[ModeCoeffs; 3]> = Vec::with_capacity(mpp);
-        let disc = &*self.disc;
         let ndof = disc.asm.ndof;
+        let (p_a, p_b) = pressure.split_at_mut(ndof);
         for mi in 0..mpp {
-            let k = self.my_modes.start + mi;
-            let beta = self.beta(k);
+            let beta = wavenumber(self.my_modes.start + mi, lz);
+            let [[hu_a, hu_b], [hv_a, hv_b], [hw_a, hw_b]]: [[&[f64]; 2]; 3] =
+                std::array::from_fn(|c| std::array::from_fn(|ab| &hat[pl.at(c, mi, ab)]));
 
-            // Stage 4: pressure RHS (cos and sin planes).
+            // Stage 4: pressure RHS (cos and sin planes), the weak
+            // divergence of û with ∂z ŵ formed once per point.
             let t0 = StageTimer::start(Stage::PressureRhs);
-            let mut rhs_a = vec![0.0; ndof];
-            let mut rhs_b = vec![0.0; ndof];
-            for ei in 0..disc.mesh.nelems() {
-                let basis = disc.basis(ei);
-                let geom = &disc.ops[ei].geom;
-                let (off, nq) = self.elem_off[ei];
-                let nm = basis.nmodes();
-                let mut la = vec![0.0; nm];
-                let mut lb = vec![0.0; nm];
-                for m in 0..nm {
-                    let d1 = &basis.dxi1()[m];
-                    let d2 = &basis.dxi2()[m];
-                    let vm = &basis.val()[m];
-                    let mut sa = 0.0;
-                    let mut sb = 0.0;
-                    for q in 0..nq {
-                        let [ja, jb, jc, jd] = geom.dxi_dx[q];
-                        let gpx = d1[q] * ja + d2[q] * jc;
-                        let gpy = d1[q] * jb + d2[q] * jd;
-                        let dzw_a = beta * hat[mi][2].b[off + q];
-                        let dzw_b = -beta * hat[mi][2].a[off + q];
-                        sa += geom.jw[q]
-                            * (hat[mi][0].a[off + q] * gpx
-                                + hat[mi][1].a[off + q] * gpy
-                                - dzw_a * vm[q]);
-                        sb += geom.jw[q]
-                            * (hat[mi][0].b[off + q] * gpx
-                                + hat[mi][1].b[off + q] * gpy
-                                - dzw_b * vm[q]);
-                    }
-                    la[m] = sa / dt;
-                    lb[m] = sb / dt;
-                }
-                disc.asm.scatter_add(ei, &la, &mut rhs_a);
-                disc.asm.scatter_add(ei, &lb, &mut rhs_b);
+            let [dzw_a, dzw_b] = split_planes(planes, nq);
+            for (q, (da, db)) in dzw_a.iter_mut().zip(dzw_b.iter_mut()).enumerate() {
+                *da = beta * hw_b[q];
+                *db = -beta * hw_a[q];
             }
+            p_a.fill(0.0);
+            p_b.fill(0.0);
+            disc.weak_div_add(
+                [hu_a, hu_b],
+                [hv_a, hv_b],
+                [dzw_a, dzw_b],
+                dt,
+                [&mut *p_a, &mut *p_b],
+                scratch,
+            );
             sc.add(Stage::PressureRhs, t0.stop());
 
             // Stage 5: two pressure solves (cos/sin share the factor —
             // "the real and imaginary parts of a Fourier mode sharing the
-            // same matrices").
+            // same matrices"), in place: p_a, p_b now hold the pressure.
             let t0 = StageTimer::start(Stage::PressureSolve);
-            let zeros = vec![0.0; ndof];
             let kdp = self.pressure[mi].matrix.kd();
             let ksp = nkt_trace::span("banded_solve", "kernel");
-            let (pa, _) =
-                self.pressure[mi].solve_with_rhs(rhs_a, &zeros, SolveMethod::BandedDirect);
-            let (pb, _) =
-                self.pressure[mi].solve_with_rhs(rhs_b, &zeros, SolveMethod::BandedDirect);
+            self.pressure[mi].solve_banded_in_place(&mut [&mut *p_a, &mut *p_b], None, band);
             ksp.end_v_args(
                 f64::NAN,
                 &[
@@ -606,74 +616,40 @@ impl NektarF {
             }
             sc.add(Stage::PressureSolve, t0.stop());
 
-            // Stage 6: viscous RHS from u** = uhat − dt ∇p.
+            // Stage 6: viscous RHS from u** = uhat − dt ∇p, formed once
+            // per point over the planes of ∇p.
             let t0 = StageTimer::start(Stage::ViscousRhs);
-            let (gpx_a, gpy_a) = self.grad_quad(&pa);
-            let (gpx_b, gpy_b) = self.grad_quad(&pb);
-            let pq_a = self.to_quad(&pa);
-            let pq_b = self.to_quad(&pb);
-            let scale = 1.0 / (nu * dt);
-            let mut rhs: [(Vec<f64>, Vec<f64>); 3] = [
-                (vec![0.0; ndof], vec![0.0; ndof]),
-                (vec![0.0; ndof], vec![0.0; ndof]),
-                (vec![0.0; ndof], vec![0.0; ndof]),
-            ];
-            for ei in 0..disc.mesh.nelems() {
-                let basis = disc.basis(ei);
-                let geom = &disc.ops[ei].geom;
-                let (off, nq) = self.elem_off[ei];
-                let nm = basis.nmodes();
-                let mut locals = vec![vec![0.0; nm]; 6];
-                for m in 0..nm {
-                    let vm = &basis.val()[m];
-                    let mut acc = [0.0f64; 6];
-                    for q in 0..nq {
-                        let w = geom.jw[q];
-                        let ustar_a = hat[mi][0].a[off + q] - dt * gpx_a[off + q];
-                        let ustar_b = hat[mi][0].b[off + q] - dt * gpx_b[off + q];
-                        let vstar_a = hat[mi][1].a[off + q] - dt * gpy_a[off + q];
-                        let vstar_b = hat[mi][1].b[off + q] - dt * gpy_b[off + q];
-                        let wstar_a =
-                            hat[mi][2].a[off + q] - dt * (beta * pq_b[off + q]);
-                        let wstar_b =
-                            hat[mi][2].b[off + q] - dt * (-beta * pq_a[off + q]);
-                        acc[0] += w * ustar_a * vm[q];
-                        acc[1] += w * ustar_b * vm[q];
-                        acc[2] += w * vstar_a * vm[q];
-                        acc[3] += w * vstar_b * vm[q];
-                        acc[4] += w * wstar_a * vm[q];
-                        acc[5] += w * wstar_b * vm[q];
-                    }
-                    for (s, l) in locals.iter_mut().enumerate() {
-                        l[m] = scale * acc[s];
-                    }
-                }
-                disc.asm.scatter_add(ei, &locals[0], &mut rhs[0].0);
-                disc.asm.scatter_add(ei, &locals[1], &mut rhs[0].1);
-                disc.asm.scatter_add(ei, &locals[2], &mut rhs[1].0);
-                disc.asm.scatter_add(ei, &locals[3], &mut rhs[1].1);
-                disc.asm.scatter_add(ei, &locals[4], &mut rhs[2].0);
-                disc.asm.scatter_add(ei, &locals[5], &mut rhs[2].1);
+            let [ux_a, ux_b, uy_a, uy_b, uz_a, uz_b] = split_planes(planes, nq);
+            disc.grad_quad_into(p_a, ux_a, uy_a, scratch);
+            disc.grad_quad_into(p_b, ux_b, uy_b, scratch);
+            disc.to_quad_into(p_a, uz_a, scratch);
+            disc.to_quad_into(p_b, uz_b, scratch);
+            for q in 0..nq {
+                ux_a[q] = hu_a[q] - dt * ux_a[q];
+                ux_b[q] = hu_b[q] - dt * ux_b[q];
+                uy_a[q] = hv_a[q] - dt * uy_a[q];
+                uy_b[q] = hv_b[q] - dt * uy_b[q];
+                let (pq_a, pq_b) = (uz_a[q], uz_b[q]);
+                uz_a[q] = hw_a[q] - dt * (beta * pq_b);
+                uz_b[q] = hw_b[q] - dt * (-beta * pq_a);
             }
+            // The old coefficients were last read in stage 2: the
+            // right-hand sides are built, and solved, where the new ones go.
+            let mut rhs = coeff_planes(&mut self.fields[mi]);
+            for r in rhs.iter_mut() {
+                r.fill(0.0);
+            }
+            let ustar: [&[f64]; 6] = [ux_a, ux_b, uy_a, uy_b, uz_a, uz_b];
+            disc.weak_mass_add(ustar, 1.0 / (nu * dt), rhs, scratch);
             sc.add(Stage::ViscousRhs, t0.stop());
 
-            // Stage 7: six Helmholtz solves (3 components × cos/sin).
+            // Stage 7: six Helmholtz solves (3 components × cos/sin)
+            // against one factor.
             let t0 = StageTimer::start(Stage::ViscousSolve);
-            let ud = vec![0.0; ndof];
-            let solver = if j < self.scheme.order {
-                &mut self.ramp[mi][j - 1]
-            } else {
-                &mut self.viscous[mi]
-            };
-            let mut comps: [ModeCoeffs; 3] = Default::default();
-            let rhs_taken = rhs;
+            let solver = if j < order { &mut self.ramp[mi][j - 1] } else { &mut self.viscous[mi] };
             let kdv = solver.matrix.kd();
             let ksp = nkt_trace::span("banded_solve", "kernel");
-            for (c, (ra, rb)) in rhs_taken.into_iter().enumerate() {
-                let (na, _) = solver.solve_with_rhs(ra, &ud, SolveMethod::BandedDirect);
-                let (nb, _) = solver.solve_with_rhs(rb, &ud, SolveMethod::BandedDirect);
-                comps[c] = ModeCoeffs { a: na, b: nb };
-            }
+            solver.solve_banded_in_place(&mut coeff_planes(&mut self.fields[mi]), None, band);
             ksp.end_v_args(
                 f64::NAN,
                 &[
@@ -688,38 +664,34 @@ impl NektarF {
                     .work(Stage::ViscousSolve, WorkItem::BandedSolve { n: ndof, kd: kdv });
             }
             sc.add(Stage::ViscousSolve, t0.stop());
-            new_fields.push(comps);
         }
-        self.fields = new_fields;
         step_span.end_v(comm.wtime());
         self.clock.merge(&sc);
         self.steps_taken += 1;
         sc
     }
 
-    /// Kinetic energy carried by one *owned* mode (local index `mi`):
-    /// ½ Σ_c ∫ plane energies with the spanwise measure.
-    pub fn mode_energy(&self, mi: usize) -> f64 {
+    /// Adds the kinetic energy carried by owned mode `mi` to the running
+    /// sum `e`, one quadrature term at a time: ½ Σ_c ∫ plane energies
+    /// with the spanwise measure (∫ cos² = ∫ sin² = Lz/2 for k > 0;
+    /// ∫ 1 = Lz for k = 0).
+    fn add_mode_energy(&self, mi: usize, e: &mut f64) {
         let k = self.my_modes.start + mi;
-        let mut e = 0.0;
-        for c in 0..3 {
-            let qa = self.to_quad(&self.fields[mi][c].a);
-            let qb = self.to_quad(&self.fields[mi][c].b);
-            for ei in 0..self.disc.mesh.nelems() {
-                let geom = &self.disc.ops[ei].geom;
-                let (off, nq) = self.elem_off[ei];
-                for q in 0..nq {
-                    e += 0.5
-                        * geom.jw[q]
-                        * if k == 0 {
-                            self.cfg.lz * qa[off + q] * qa[off + q]
-                        } else {
-                            0.5 * self.cfg.lz
-                                * (qa[off + q] * qa[off + q] + qb[off + q] * qb[off + q])
-                        };
-                }
+        let lz = self.cfg.lz;
+        for mc in &self.fields[mi] {
+            let qa = self.to_quad(&mc.a);
+            let qb = self.to_quad(&mc.b);
+            let jw = self.disc.ops.iter().flat_map(|op| &op.geom.jw);
+            for ((&w, &a), &b) in jw.zip(&qa).zip(&qb) {
+                *e += 0.5 * w * if k == 0 { lz * a * a } else { 0.5 * lz * (a * a + b * b) };
             }
         }
+    }
+
+    /// Kinetic energy carried by one *owned* mode (local index `mi`).
+    pub fn mode_energy(&self, mi: usize) -> f64 {
+        let mut e = 0.0;
+        self.add_mode_energy(mi, &mut e);
         e
     }
 
@@ -727,29 +699,12 @@ impl NektarF {
     /// Only primary ranks contribute — pencil grids replicate each mode
     /// block across `pc` columns (see [`NektarF::is_primary`]).
     pub fn kinetic_energy(&mut self, comm: &mut Comm) -> f64 {
+        // One running sum over every owned mode, not a sum of per-mode
+        // sums: the `ke` channel is held to the bit.
         let mut local = 0.0;
         let owned = if self.is_primary() { self.my_modes.len() } else { 0 };
         for mi in 0..owned {
-            let k = self.my_modes.start + mi;
-            for c in 0..3 {
-                let qa = self.to_quad(&self.fields[mi][c].a);
-                let qb = self.to_quad(&self.fields[mi][c].b);
-                for ei in 0..self.disc.mesh.nelems() {
-                    let geom = &self.disc.ops[ei].geom;
-                    let (off, nq) = self.elem_off[ei];
-                    for q in 0..nq {
-                        // ∫ cos² = ∫ sin² = Lz/2 for k>0; ∫ 1 = Lz for k=0.
-                        local += 0.5
-                            * geom.jw[q]
-                            * if k == 0 {
-                                self.cfg.lz * qa[off + q] * qa[off + q]
-                            } else {
-                                0.5 * self.cfg.lz
-                                    * (qa[off + q] * qa[off + q] + qb[off + q] * qb[off + q])
-                            };
-                    }
-                }
-            }
+            self.add_mode_energy(mi, &mut local);
         }
         let mut buf = [local];
         comm.allreduce(&mut buf, nkt_mpi::ReduceOp::Sum);
@@ -762,16 +717,6 @@ impl NektarF {
     }
 }
 
-/// The (cos, sin) coefficients of Fourier mode `k` in the forward
-/// spectrum `sp` of `nz` real samples. Mode 0 has no sine part.
-fn mode_coeffs(sp: &[Complex64], k: usize, nz: usize) -> (f64, f64) {
-    if k == 0 {
-        (sp[0].re / nz as f64, 0.0)
-    } else {
-        (2.0 * sp[k].re / nz as f64, -2.0 * sp[k].im / nz as f64)
-    }
-}
-
 /// `fft.forward`, counted under test: how many transforms a set-up runs
 /// is asserted there.
 fn forward_fft(fft: &RealFft, x: &[f64], sp: &mut [Complex64]) {
@@ -780,14 +725,16 @@ fn forward_fft(fft: &RealFft, x: &[f64], sp: &mut [Complex64]) {
     fft.forward(x, sp);
 }
 
-fn write_planes(e: &mut nkt_ckpt::Enc, levels: &VecDeque<Vec<[ModePlane; 3]>>) {
+/// One history section: level count, then per level the mode count and
+/// each mode's u, v, w planes (cos then sin), length-prefixed.
+fn write_planes(e: &mut nkt_ckpt::Enc, levels: &VecDeque<Vec<f64>>, pl: Planes) {
     e.usize(levels.len());
     for level in levels {
-        e.usize(level.len());
-        for comps in level {
-            for mp in comps {
-                e.f64s(&mp.a);
-                e.f64s(&mp.b);
+        e.usize(pl.mpp);
+        for mi in 0..pl.mpp {
+            for c in 0..3 {
+                e.f64s(&level[pl.at(c, mi, 0)]);
+                e.f64s(&level[pl.at(c, mi, 1)]);
             }
         }
     }
@@ -795,20 +742,22 @@ fn write_planes(e: &mut nkt_ckpt::Enc, levels: &VecDeque<Vec<[ModePlane; 3]>>) {
 
 fn read_planes(
     d: &mut nkt_ckpt::Dec<'_>,
-    nmodes: usize,
-) -> Result<VecDeque<Vec<[ModePlane; 3]>>, nkt_ckpt::CkptError> {
+    pl: Planes,
+) -> Result<VecDeque<Vec<f64>>, nkt_ckpt::CkptError> {
     let nlevels = d.len_prefix(64)?;
     let mut out = VecDeque::with_capacity(nlevels);
     for _ in 0..nlevels {
-        d.expect_u64(nmodes as u64, "fourier history mode count")?;
-        let mut level = Vec::with_capacity(nmodes);
-        for _ in 0..nmodes {
-            let mut comps: [ModePlane; 3] = Default::default();
-            for mp in comps.iter_mut() {
-                mp.a = d.f64s()?;
-                mp.b = d.f64s()?;
+        d.expect_u64(pl.mpp as u64, "fourier history mode count")?;
+        let mut level = vec![0.0; 3 * pl.field_len()];
+        for mi in 0..pl.mpp {
+            for c in 0..3 {
+                for ab in 0..2 {
+                    d.expect_u64(pl.nq as u64, "fourier history plane size")?;
+                    for v in &mut level[pl.at(c, mi, ab)] {
+                        *v = d.f64()?;
+                    }
+                }
             }
-            level.push(comps);
         }
         out.push_back(level);
     }
@@ -827,7 +776,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         e.usize(self.my_modes.start);
         e.usize(self.my_modes.len());
         e.usize(self.disc.asm.ndof);
-        e.usize(self.nq_total);
+        e.usize(self.planes.nq);
         for comps in &self.fields {
             for mc in comps {
                 e.f64s(&mc.a);
@@ -837,8 +786,8 @@ impl nkt_ckpt::Checkpointable for NektarF {
         w.section("fields", e.into_bytes());
 
         let mut e = nkt_ckpt::Enc::new();
-        write_planes(&mut e, &self.hist_vel);
-        write_planes(&mut e, &self.hist_n);
+        write_planes(&mut e, &self.hist_vel, self.planes);
+        write_planes(&mut e, &self.hist_n, self.planes);
         w.section("hist", e.into_bytes());
 
         let mut e = nkt_ckpt::Enc::new();
@@ -857,7 +806,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         d.expect_u64(self.my_modes.start as u64, "fourier mode-block start")?;
         d.expect_u64(self.my_modes.len() as u64, "fourier mode-block length")?;
         d.expect_u64(self.disc.asm.ndof as u64, "fourier dof count")?;
-        d.expect_u64(self.nq_total as u64, "fourier plane quadrature size")?;
+        d.expect_u64(self.planes.nq as u64, "fourier plane quadrature size")?;
         for comps in self.fields.iter_mut() {
             for mc in comps.iter_mut() {
                 mc.a = d.f64s()?;
@@ -867,8 +816,8 @@ impl nkt_ckpt::Checkpointable for NektarF {
         d.finish()?;
 
         let mut d = f.dec("hist")?;
-        self.hist_vel = read_planes(&mut d, self.my_modes.len())?;
-        self.hist_n = read_planes(&mut d, self.my_modes.len())?;
+        self.hist_vel = read_planes(&mut d, self.planes)?;
+        self.hist_n = read_planes(&mut d, self.planes)?;
         d.finish()?;
 
         let mut d = f.dec("steps")?;
@@ -1043,7 +992,7 @@ mod tests {
                     calls.set(calls.get() + 1);
                     busy_field(x)
                 });
-                (s.nq_total, calls.get(), FORWARD_FFTS.with(|n| n.get()))
+                (s.planes.nq, calls.get(), FORWARD_FFTS.with(|n| n.get()))
             });
             for &(nq, calls, ffts) in &out {
                 assert_eq!(nq, 324);

@@ -114,7 +114,7 @@ fn fourier_plane_amplitudes(solver: &NektarF) -> Vec<f64> {
             (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].a)).collect();
         let qb: Vec<Vec<f64>> =
             (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].b)).collect();
-        for q in 0..solver.nq_total {
+        for q in 0..solver.disc.nquad_total() {
             let ma = qa.iter().map(|v| v[q] * v[q]).sum::<f64>().sqrt();
             let mb = qb.iter().map(|v| v[q] * v[q]).sum::<f64>().sqrt();
             out.push(ma);
@@ -154,10 +154,8 @@ fn fourier_volume_sums(solver: &mut NektarF, comm: &mut Comm) -> (f64, f64, [f64
                 (0..3).map(|c| solver.grad_quad(&solver.fields[mi][c].b)).collect();
             for (ei, op) in solver.disc.ops.iter().enumerate() {
                 let geom = &op.geom;
-                let (off, nq) = solver.elem_off[ei];
-                for q in 0..nq {
+                for (q, p) in solver.disc.quad_range(ei).enumerate() {
                     let w = geom.jw[q] * measure;
-                    let p = off + q;
                     let mut grad2 = 0.0;
                     for c in 0..3 {
                         grad2 += ga[c].0[p] * ga[c].0[p] + ga[c].1[p] * ga[c].1[p];

@@ -175,13 +175,14 @@ fn radix2_inplace(data: &mut [Complex64], rev: &[u32], twiddles: &[Complex64]) {
     let mut m = 1;
     let mut toff = 0;
     while m < n {
-        for base in (0..n).step_by(2 * m) {
-            for j in 0..m {
-                let w = twiddles[toff + j];
-                let t = data[base + j + m] * w;
-                let u = data[base + j];
-                data[base + j] = u + t;
-                data[base + j + m] = u - t;
+        let stage = &twiddles[toff..toff + m];
+        for block in data.chunks_exact_mut(2 * m) {
+            let (lo, hi) = block.split_at_mut(m);
+            for ((u, v), &w) in lo.iter_mut().zip(hi).zip(stage) {
+                let t = *v * w;
+                let a = *u;
+                *u = a + t;
+                *v = a - t;
             }
         }
         toff += m;

@@ -51,9 +51,23 @@ impl RealFft {
         self.n / 2 + 1
     }
 
+    /// Length of the scratch [`Self::forward_with`] and
+    /// [`Self::inverse_with`] take (`n/2`).
+    pub fn scratch_len(&self) -> usize {
+        self.n / 2
+    }
+
     /// Forward real-to-complex transform.
     /// X_k = Σ x_n e^{−2πi kn/N} for k = 0..=n/2.
     pub fn forward(&self, x: &[f64], spectrum: &mut [Complex64]) {
+        self.forward_with(x, spectrum, &mut vec![Complex64::ZERO; self.scratch_len()]);
+    }
+
+    /// [`Self::forward`] with caller scratch `z` ([`Self::scratch_len`]
+    /// values, contents ignored): a batch of transforms allocates once —
+    /// and not at all when `n/2` is a power of two (a Bluestein half plan
+    /// still allocates its padded convolution).
+    pub fn forward_with(&self, x: &[f64], spectrum: &mut [Complex64], z: &mut [Complex64]) {
         assert_eq!(x.len(), self.n, "RealFft::forward: wrong input length");
         assert!(
             spectrum.len() >= self.spectrum_len(),
@@ -61,8 +75,11 @@ impl RealFft {
         );
         let nh = self.n / 2;
         // Pack x into complex pairs z_j = x_{2j} + i x_{2j+1}.
-        let mut z: Vec<Complex64> = (0..nh).map(|j| Complex64::new(x[2 * j], x[2 * j + 1])).collect();
-        self.half.forward(&mut z);
+        let z = &mut z[..nh];
+        for (zj, pair) in z.iter_mut().zip(x.chunks_exact(2)) {
+            *zj = Complex64::new(pair[0], pair[1]);
+        }
+        self.half.forward(z);
         // Unpack: X_k = (Z_k + conj(Z_{nh-k}))/2 + w_k (Z_k - conj(Z_{nh-k}))/(2i)
         for k in 0..=nh {
             let zk = if k == nh { z[0] } else { z[k] };
@@ -83,6 +100,12 @@ impl RealFft {
     /// Inverse complex-to-real transform, normalized so that
     /// `inverse(forward(x)) == x`.
     pub fn inverse(&self, spectrum: &[Complex64], x: &mut [f64]) {
+        self.inverse_with(spectrum, x, &mut vec![Complex64::ZERO; self.scratch_len()]);
+    }
+
+    /// [`Self::inverse`] into caller scratch `z` ([`Self::scratch_len`]
+    /// values, contents ignored).
+    pub fn inverse_with(&self, spectrum: &[Complex64], x: &mut [f64], z: &mut [Complex64]) {
         assert!(
             spectrum.len() >= self.spectrum_len(),
             "RealFft::inverse: spectrum buffer too short"
@@ -91,7 +114,7 @@ impl RealFft {
         let nh = self.n / 2;
         // Repack into half-length complex spectrum:
         // Z_k = (X_k + conj(X_{nh-k})) + i w_k^{-1} ... inverse of the unpack.
-        let mut z = vec![Complex64::ZERO; nh];
+        let z = &mut z[..nh];
         for k in 0..nh {
             let xk = spectrum[k];
             let xm = spectrum[nh - k].conj();
@@ -105,7 +128,7 @@ impl RealFft {
             let o = Complex64::new(-o_rot.im, o_rot.re); // O = i * O'
             z[k] = e + o;
         }
-        self.half.inverse(&mut z);
+        self.half.inverse(z);
         for j in 0..nh {
             x[2 * j] = z[j].re;
             x[2 * j + 1] = z[j].im;
@@ -174,6 +197,31 @@ mod tests {
             for i in 0..n {
                 assert!((y[i] - x[i]).abs() < 1e-10, "n={n} elem {i}: {} vs {}", y[i], x[i]);
             }
+        }
+    }
+
+    #[test]
+    fn scratch_forms_ignore_what_the_scratch_held() {
+        for n in [2usize, 8, 12, 32] {
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos() + 0.1 * i as f64).collect();
+            let plan = RealFft::new(n);
+            let mut want = vec![Complex64::ZERO; plan.spectrum_len()];
+            plan.forward(&x, &mut want);
+            let mut z = vec![Complex64::new(f64::NAN, 7.0); plan.scratch_len()];
+            let mut got = vec![Complex64::ZERO; plan.spectrum_len()];
+            plan.forward_with(&x, &mut got, &mut z);
+            let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "forward, n={n}");
+            let (mut back, mut back_with) = (vec![0.0; n], vec![0.0; n]);
+            plan.inverse(&want, &mut back);
+            plan.inverse_with(&want, &mut back_with, &mut z);
+            assert_eq!(
+                back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                back_with.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "inverse, n={n}"
+            );
         }
     }
 

@@ -38,5 +38,5 @@ pub use basis1d::Basis1d;
 pub use element::{ElemOps, ElementMatrices};
 pub use quadbasis::QuadBasis;
 pub use rcm::{rcm_bandwidth, rcm_order};
-pub use solve::{Discretization, HelmholtzProblem, SolveMethod, SolveStats};
+pub use solve::{Discretization, HelmholtzProblem, PlaneScratch, SolveMethod, SolveStats};
 pub use tribasis::TriBasis;

@@ -17,7 +17,7 @@ use crate::pcg::{pcg, PcgResult};
 use crate::quadbasis::QuadBasis;
 use crate::rcm::{adjacency_from_cliques, bandwidth_under, rcm_order};
 use crate::tribasis::TriBasis;
-use nkt_blas::{dpbtrf, dpbtrs, BandedSym};
+use nkt_blas::{dpbtrf, dpbtrs, dpbtrs_multi, BandedSym};
 use nkt_mesh::{BoundaryTag, ElemKind, Mesh2d};
 use nkt_poly::quadrature::zwglj;
 use std::borrow::Cow;
@@ -73,12 +73,39 @@ pub struct Discretization {
     pub asm: Assembly,
     /// Per-element operators.
     pub ops: Vec<ElemOps>,
+    /// Start of each element's points in an element-major quadrature
+    /// vector, and their total (`nelems + 1` entries).
+    quad_off: Vec<usize>,
     /// Band row of each assembly dof.
     pos: Vec<usize>,
     /// Semi-bandwidth of any operator assembled at `pos`.
     kd: usize,
     /// Factored global mass matrix (filled by the first L2 projection).
     mass_factor: OnceLock<BandedSym>,
+    /// Per-element physical basis gradients (filled by the first plane
+    /// kernel that differentiates).
+    phys_grad: OnceLock<Vec<PhysGrad>>,
+}
+
+/// ∂φ_m/∂x and ∂φ_m/∂y of one element at its quadrature points, m-major
+/// (`[m · nq + q]`). Each entry is the expression the solvers used to
+/// re-evaluate per call, `d1[q]·ξ₁ₓ + d2[q]·ξ₂ₓ` (resp. `…ᵧ`), stored
+/// unsimplified: an affine element's constant Jacobian could be folded
+/// into the table differently, and every state hash would move.
+struct PhysGrad {
+    dx: Vec<f64>,
+    dy: Vec<f64>,
+}
+
+/// Per-element scratch of the plane kernels ([`Discretization::to_quad_into`]
+/// and friends), sized once for the largest element of a discretization
+/// and the most planes one call carries.
+pub struct PlaneScratch {
+    /// Elemental coefficient vectors, `planes × nm`.
+    local: Vec<f64>,
+    /// Per-point products hoisted out of the mode loop, `planes × nq`.
+    point: Vec<f64>,
+    planes: usize,
 }
 
 /// One Helmholtz problem on a [`Discretization`]: λ, its own Dirichlet
@@ -98,6 +125,8 @@ pub struct HelmholtzProblem {
     pub matrix: BandedSym,
     /// Per dof: constrained by a Dirichlet tag or [`Self::pin_dof`].
     dirichlet: Vec<bool>,
+    /// How many dofs `dirichlet` constrains.
+    ndirichlet: usize,
     /// Cholesky factor of `matrix` (filled by [`Self::factorize`]).
     factor: Option<BandedSym>,
     /// Coupling of free to Dirichlet dofs that the identity rows removed
@@ -159,6 +188,10 @@ impl Discretization {
         for (row, &dof) in perm.iter().enumerate() {
             pos[dof] = row;
         }
+        let mut quad_off = vec![0usize; ops.len() + 1];
+        for (ei, op) in ops.iter().enumerate() {
+            quad_off[ei + 1] = quad_off[ei] + op.geom.jw.len();
+        }
         Arc::new(Discretization {
             mesh,
             order,
@@ -166,9 +199,11 @@ impl Discretization {
             tri_basis,
             asm,
             ops,
+            quad_off,
             pos,
             kd,
             mass_factor: OnceLock::new(),
+            phys_grad: OnceLock::new(),
         })
     }
 
@@ -184,7 +219,12 @@ impl Discretization {
     /// Quadrature points of all elements together: the length of an
     /// element-major quadrature-value vector.
     pub fn nquad_total(&self) -> usize {
-        self.ops.iter().map(|op| op.geom.x.len()).sum()
+        self.quad_off[self.ops.len()]
+    }
+
+    /// Element `ei`'s points in an element-major quadrature vector.
+    pub fn quad_range(&self, ei: usize) -> std::ops::Range<usize> {
+        self.quad_off[ei]..self.quad_off[ei + 1]
     }
 
     /// Sums the elemental matrices `elem(ei)` (nm × nm, column-major)
@@ -209,12 +249,17 @@ impl Discretization {
         band
     }
 
-    /// Copies an assembly-order vector into band order.
-    fn permute_in(&self, v: &[f64]) -> Vec<f64> {
-        let mut band = vec![0.0; v.len()];
+    /// Copies an assembly-order vector into the band-order `band`.
+    fn permute_into(&self, v: &[f64], band: &mut [f64]) {
         for (&r, &x) in self.pos.iter().zip(v) {
             band[r] = x;
         }
+    }
+
+    /// An assembly-order vector in band order.
+    fn permute_in(&self, v: &[f64]) -> Vec<f64> {
+        let mut band = vec![0.0; v.len()];
+        self.permute_into(v, &mut band);
         band
     }
 
@@ -241,22 +286,7 @@ impl Discretization {
     fn load_vector(&self, fq: &[f64]) -> Vec<f64> {
         assert_eq!(fq.len(), self.nquad_total(), "one value per quadrature point");
         let mut rhs = vec![0.0; self.asm.ndof];
-        let mut off = 0;
-        for (ei, op) in self.ops.iter().enumerate() {
-            let basis = self.basis(ei);
-            let nq = basis.nquad();
-            let fe = &fq[off..off + nq];
-            let mut local = vec![0.0; basis.nmodes()];
-            for (lm, vm) in local.iter_mut().zip(basis.val()) {
-                let mut s = 0.0;
-                for q in 0..nq {
-                    s += op.geom.jw[q] * fe[q] * vm[q];
-                }
-                *lm = s;
-            }
-            self.asm.scatter_add(ei, &local, &mut rhs);
-            off += nq;
-        }
+        self.weak_mass_add([fq], 1.0, [&mut rhs], &mut self.plane_scratch(1));
         rhs
     }
 
@@ -322,6 +352,167 @@ impl Discretization {
             })
             .collect()
     }
+
+    /// The physical-gradient table, built on first use.
+    fn phys_grad(&self) -> &[PhysGrad] {
+        self.phys_grad.get_or_init(|| {
+            (0..self.mesh.nelems())
+                .map(|ei| {
+                    let basis = self.basis(ei);
+                    let dxi_dx = &self.ops[ei].geom.dxi_dx;
+                    let len = basis.nmodes() * basis.nquad();
+                    let (mut dx, mut dy) = (Vec::with_capacity(len), Vec::with_capacity(len));
+                    for (d1, d2) in basis.dxi1().iter().zip(basis.dxi2()) {
+                        for (q, &[ja, jb, jc, jd]) in dxi_dx.iter().enumerate() {
+                            dx.push(d1[q] * ja + d2[q] * jc);
+                            dy.push(d1[q] * jb + d2[q] * jd);
+                        }
+                    }
+                    PhysGrad { dx, dy }
+                })
+                .collect()
+        })
+    }
+
+    /// Scratch for plane kernels carrying up to `planes` planes a call.
+    pub fn plane_scratch(&self, planes: usize) -> PlaneScratch {
+        let bases = || (0..self.mesh.nelems()).map(|ei| self.basis(ei));
+        let nm = bases().map(|b| b.nmodes()).max().unwrap_or(0);
+        let nq = bases().map(|b| b.nquad()).max().unwrap_or(0);
+        PlaneScratch { local: vec![0.0; planes * nm], point: vec![0.0; planes * nq], planes }
+    }
+
+    /// Quadrature values of the modal field `coeffs`, element-major, into
+    /// `out` ([`Self::nquad_total`] values, overwritten).
+    pub fn to_quad_into(&self, coeffs: &[f64], out: &mut [f64], ws: &mut PlaneScratch) {
+        assert_eq!(out.len(), self.nquad_total(), "one value per quadrature point");
+        out.fill(0.0);
+        for ei in 0..self.mesh.nelems() {
+            let basis = self.basis(ei);
+            let local = &mut ws.local[..basis.nmodes()];
+            self.asm.gather(ei, coeffs, local);
+            let out = &mut out[self.quad_range(ei)];
+            for (&c, vm) in local.iter().zip(basis.val()) {
+                if c != 0.0 {
+                    for (o, &v) in out.iter_mut().zip(vm) {
+                        *o += c * v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Quadrature values of (∂x, ∂y) of the modal field `coeffs` into
+    /// `gx`, `gy` (overwritten).
+    pub fn grad_quad_into(
+        &self,
+        coeffs: &[f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        ws: &mut PlaneScratch,
+    ) {
+        let total = self.nquad_total();
+        assert!(gx.len() == total && gy.len() == total, "one value per quadrature point");
+        gx.fill(0.0);
+        gy.fill(0.0);
+        for (ei, tab) in self.phys_grad().iter().enumerate() {
+            let r = self.quad_range(ei);
+            let local = &mut ws.local[..tab.dx.len() / r.len()];
+            self.asm.gather(ei, coeffs, local);
+            let (gx, gy) = (&mut gx[r.clone()], &mut gy[r.clone()]);
+            let cols = tab.dx.chunks_exact(r.len()).zip(tab.dy.chunks_exact(r.len()));
+            for (&c, (dx, dy)) in local.iter().zip(cols) {
+                if c != 0.0 {
+                    for (x, &d) in gx.iter_mut().zip(dx) {
+                        *x += c * d;
+                    }
+                    for (y, &d) in gy.iter_mut().zip(dy) {
+                        *y += c * d;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Weak divergence of `N` plane triples at once: adds to `out[s]`, for
+    /// every global mode φ, `(∫ fx[s]·∂xφ + fy[s]·∂yφ − f0[s]·φ) / divisor`.
+    /// The planes share every table read; each sum runs over the points
+    /// of an element in order, so `N` planes together equal `N` calls.
+    pub fn weak_div_add<const N: usize>(
+        &self,
+        fx: [&[f64]; N],
+        fy: [&[f64]; N],
+        f0: [&[f64]; N],
+        divisor: f64,
+        mut out: [&mut [f64]; N],
+        ws: &mut PlaneScratch,
+    ) {
+        assert!(N <= ws.planes, "scratch built for {} planes", ws.planes);
+        for (ei, tab) in self.phys_grad().iter().enumerate() {
+            let r = self.quad_range(ei);
+            let nq = r.len();
+            let nm = tab.dx.len() / nq;
+            let jw = &self.ops[ei].geom.jw[..nq];
+            let (fx, fy, f0) =
+                (fx.map(|p| &p[r.clone()]), fy.map(|p| &p[r.clone()]), f0.map(|p| &p[r.clone()]));
+            let cols = tab.dx.chunks_exact(nq).zip(tab.dy.chunks_exact(nq));
+            for (m, ((dx, dy), vm)) in cols.zip(self.basis(ei).val()).enumerate() {
+                let vm = &vm[..nq];
+                let mut acc = [0.0f64; N];
+                for q in 0..nq {
+                    for s in 0..N {
+                        acc[s] += jw[q] * (fx[s][q] * dx[q] + fy[s][q] * dy[q] - f0[s][q] * vm[q]);
+                    }
+                }
+                for s in 0..N {
+                    ws.local[s * nm + m] = acc[s] / divisor;
+                }
+            }
+            for (s, out) in out.iter_mut().enumerate() {
+                self.asm.scatter_add(ei, &ws.local[s * nm..(s + 1) * nm], out);
+            }
+        }
+    }
+
+    /// Weak mass form of `N` planes at once: adds `scale · ∫ f[s]·φ` to
+    /// `out[s]` for every global mode φ. The products `jw·f[s]` depend on
+    /// the point only and are formed once per point, not once per mode.
+    pub fn weak_mass_add<const N: usize>(
+        &self,
+        f: [&[f64]; N],
+        scale: f64,
+        mut out: [&mut [f64]; N],
+        ws: &mut PlaneScratch,
+    ) {
+        assert!(N <= ws.planes, "scratch built for {} planes", ws.planes);
+        for (ei, op) in self.ops.iter().enumerate() {
+            let r = self.quad_range(ei);
+            let nq = r.len();
+            let val = self.basis(ei).val();
+            let nm = val.len();
+            let wf = &mut ws.point[..N * nq];
+            for (wf, f) in wf.chunks_exact_mut(nq).zip(f) {
+                for ((t, &w), &v) in wf.iter_mut().zip(&op.geom.jw).zip(&f[r.clone()]) {
+                    *t = w * v;
+                }
+            }
+            for (m, vm) in val.iter().enumerate() {
+                let vm = &vm[..nq];
+                let mut acc = [0.0f64; N];
+                for q in 0..nq {
+                    for s in 0..N {
+                        acc[s] += wf[s * nq + q] * vm[q];
+                    }
+                }
+                for s in 0..N {
+                    ws.local[s * nm + m] = scale * acc[s];
+                }
+            }
+            for (s, out) in out.iter_mut().enumerate() {
+                self.asm.scatter_add(ei, &ws.local[s * nm..(s + 1) * nm], out);
+            }
+        }
+    }
 }
 
 impl Deref for HelmholtzProblem {
@@ -363,6 +554,7 @@ impl HelmholtzProblem {
             disc: Arc::clone(disc),
             lambda,
             matrix,
+            ndirichlet: dirichlet.iter().filter(|&&d| d).count(),
             dirichlet,
             factor: None,
             lift: None,
@@ -382,7 +574,7 @@ impl HelmholtzProblem {
 
     /// Number of Dirichlet-constrained dofs.
     pub fn ndirichlet(&self) -> usize {
-        self.dirichlet.iter().filter(|&&d| d).count()
+        self.ndirichlet
     }
 
     /// Builds the global load vector ∫ f φ + Dirichlet lift for boundary
@@ -495,6 +687,48 @@ impl HelmholtzProblem {
         entries
     }
 
+    /// Moves known boundary data to the right-hand side, rhs_f −= K_fd u_d,
+    /// then makes the identity rows return u_d. `None` is homogeneous
+    /// data: `x − k·0.0` is `x`, so the lift is skipped outright.
+    fn impose_dirichlet(&self, rhs: &mut [f64], u_d: Option<&[f64]>) {
+        if let Some(u_d) = u_d {
+            for &(free, d, k) in self.lift.as_ref().expect("lift listed before a solve") {
+                rhs[free] -= k * u_d[d];
+            }
+        }
+        for (d, x) in rhs.iter_mut().enumerate() {
+            if self.dirichlet[d] {
+                *x = u_d.map_or(0.0, |u_d| u_d[d]);
+            }
+        }
+    }
+
+    /// Banded direct solves of K u = rhs for every right-hand side in
+    /// `xs` at once, each overwritten by its solution, with Dirichlet
+    /// values `u_d` (`None`: homogeneous) imposed on all of them. One
+    /// sweep of the factor serves all of `xs` ([`dpbtrs_multi`]); `band`
+    /// is the band-order scratch, grown on first use and reusable across
+    /// problems. Each solution equals [`Self::solve_with_rhs`]'s to the bit.
+    pub fn solve_banded_in_place(
+        &mut self,
+        xs: &mut [&mut [f64]],
+        u_d: Option<&[f64]>,
+        band: &mut Vec<f64>,
+    ) {
+        self.factorize();
+        let ndof = self.asm.ndof;
+        band.resize(xs.len() * ndof, 0.0);
+        for (x, b) in xs.iter_mut().zip(band.chunks_exact_mut(ndof)) {
+            self.impose_dirichlet(x, u_d);
+            self.permute_into(x, b);
+        }
+        dpbtrs_multi(self.factor.as_ref().expect("factored above"), band, xs.len())
+            .expect("banded solve");
+        for (x, b) in xs.iter_mut().zip(band.chunks_exact(ndof)) {
+            self.permute_out(b, x);
+        }
+    }
+
     /// Solves K u = rhs with Dirichlet values `u_d` imposed.
     pub fn solve_with_rhs(
         &mut self,
@@ -504,16 +738,7 @@ impl HelmholtzProblem {
     ) -> (Vec<f64>, SolveStats) {
         let ndof = self.asm.ndof;
         self.ensure_lift();
-        // Move known boundary data to the RHS, rhs_f -= K_fd u_d, then
-        // make the identity rows return u_d.
-        for &(free, d, k) in self.lift.as_ref().expect("listed above") {
-            rhs[free] -= k * u_d[d];
-        }
-        for d in 0..ndof {
-            if self.dirichlet[d] {
-                rhs[d] = u_d[d];
-            }
-        }
+        self.impose_dirichlet(&mut rhs, Some(u_d));
         let mut x = self.permute_in(&rhs);
         let iterations = match method {
             SolveMethod::BandedDirect => {
@@ -558,6 +783,7 @@ impl HelmholtzProblem {
             return;
         }
         self.dirichlet[d] = true;
+        self.ndirichlet += 1;
         constrain_row(&mut self.matrix, self.disc.pos[d]);
         self.factor = None;
         self.lift = None;
@@ -704,6 +930,235 @@ mod tests {
         assert_eq!(disc.l2_project_quad(&disc.sample(f)), alone);
         assert_eq!(disc.mass_factor.get().unwrap().ab().as_ptr(), first);
         assert!(Arc::ptr_eq(a.discretization(), b.discretization()));
+    }
+
+    /// A skewed (non-affine) quadrilateral sharing an edge with a
+    /// triangle: both bases, and a Jacobian that varies point to point.
+    fn skewed_mesh() -> Mesh2d {
+        use nkt_mesh::Elem2d;
+        let verts = vec![[0.0, 0.0], [1.0, 0.0], [1.2, 1.1], [-0.1, 0.9], [2.0, 0.2]];
+        let elems = vec![
+            Elem2d { kind: ElemKind::Quad, verts: vec![0, 1, 2, 3] },
+            Elem2d { kind: ElemKind::Tri, verts: vec![1, 4, 2] },
+        ];
+        let mesh = Mesh2d::new(verts, elems, |mid| {
+            if mid[0] < 0.0 { BoundaryTag::Inflow } else { BoundaryTag::Wall }
+        });
+        mesh.validate().unwrap();
+        mesh
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Plane `i` of a deterministic family of quadrature-value vectors.
+    fn plane(disc: &Discretization, i: usize) -> Vec<f64> {
+        (0..disc.nquad_total()).map(|q| ((q * (i + 3)) as f64 * 0.37 + i as f64).sin()).collect()
+    }
+
+    /// The loops `NektarF` ran before the plane kernels existed, kept
+    /// here as the reference the kernels must equal bit for bit.
+    mod naive {
+        use super::*;
+
+        pub fn to_quad(disc: &Discretization, coeffs: &[f64]) -> Vec<f64> {
+            let mut out = vec![0.0; disc.nquad_total()];
+            for ei in 0..disc.mesh.nelems() {
+                let basis = disc.basis(ei);
+                let off = disc.quad_range(ei).start;
+                let mut local = vec![0.0; basis.nmodes()];
+                disc.asm.gather(ei, coeffs, &mut local);
+                for (m, &c) in local.iter().enumerate() {
+                    if c != 0.0 {
+                        let vm = &basis.val()[m];
+                        for q in 0..basis.nquad() {
+                            out[off + q] += c * vm[q];
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn grad_quad(disc: &Discretization, coeffs: &[f64]) -> (Vec<f64>, Vec<f64>) {
+            let mut gx = vec![0.0; disc.nquad_total()];
+            let mut gy = vec![0.0; disc.nquad_total()];
+            for ei in 0..disc.mesh.nelems() {
+                let basis = disc.basis(ei);
+                let geom = &disc.ops[ei].geom;
+                let off = disc.quad_range(ei).start;
+                let mut local = vec![0.0; basis.nmodes()];
+                disc.asm.gather(ei, coeffs, &mut local);
+                for (m, &c) in local.iter().enumerate() {
+                    if c != 0.0 {
+                        let d1 = &basis.dxi1()[m];
+                        let d2 = &basis.dxi2()[m];
+                        for q in 0..basis.nquad() {
+                            let [ja, jb, jc, jd] = geom.dxi_dx[q];
+                            gx[off + q] += c * (d1[q] * ja + d2[q] * jc);
+                            gy[off + q] += c * (d1[q] * jb + d2[q] * jd);
+                        }
+                    }
+                }
+            }
+            (gx, gy)
+        }
+
+        /// Stage 4's pressure right-hand side for one plane.
+        pub fn weak_div(
+            disc: &Discretization,
+            (fx, fy, f0): (&[f64], &[f64], &[f64]),
+            dt: f64,
+        ) -> Vec<f64> {
+            let mut rhs = vec![0.0; disc.asm.ndof];
+            for ei in 0..disc.mesh.nelems() {
+                let basis = disc.basis(ei);
+                let geom = &disc.ops[ei].geom;
+                let off = disc.quad_range(ei).start;
+                let mut la = vec![0.0; basis.nmodes()];
+                for m in 0..basis.nmodes() {
+                    let d1 = &basis.dxi1()[m];
+                    let d2 = &basis.dxi2()[m];
+                    let vm = &basis.val()[m];
+                    let mut sa = 0.0;
+                    for q in 0..basis.nquad() {
+                        let [ja, jb, jc, jd] = geom.dxi_dx[q];
+                        let gpx = d1[q] * ja + d2[q] * jc;
+                        let gpy = d1[q] * jb + d2[q] * jd;
+                        sa += geom.jw[q]
+                            * (fx[off + q] * gpx + fy[off + q] * gpy - f0[off + q] * vm[q]);
+                    }
+                    la[m] = sa / dt;
+                }
+                disc.asm.scatter_add(ei, &la, &mut rhs);
+            }
+            rhs
+        }
+
+        /// Stage 6's viscous right-hand side for one plane.
+        pub fn weak_mass(disc: &Discretization, f: &[f64], scale: f64) -> Vec<f64> {
+            let mut rhs = vec![0.0; disc.asm.ndof];
+            for ei in 0..disc.mesh.nelems() {
+                let basis = disc.basis(ei);
+                let geom = &disc.ops[ei].geom;
+                let off = disc.quad_range(ei).start;
+                let mut local = vec![0.0; basis.nmodes()];
+                for m in 0..basis.nmodes() {
+                    let vm = &basis.val()[m];
+                    let mut acc = 0.0;
+                    for q in 0..basis.nquad() {
+                        let w = geom.jw[q];
+                        acc += w * f[off + q] * vm[q];
+                    }
+                    local[m] = scale * acc;
+                }
+                disc.asm.scatter_add(ei, &local, &mut rhs);
+            }
+            rhs
+        }
+    }
+
+    #[test]
+    fn plane_kernels_equal_the_naive_loops_bit_for_bit() {
+        for order in 2..=5 {
+            let disc = Discretization::new(skewed_mesh(), order);
+            let mut ws = disc.plane_scratch(6);
+            // Exact zeros (the kernels skip them) and a negative zero.
+            let coeffs: Vec<f64> = (0..disc.asm.ndof)
+                .map(|d| match d % 7 {
+                    2 => 0.0,
+                    5 => -0.0,
+                    _ => (d as f64 * 0.61).cos(),
+                })
+                .collect();
+            // Stale values in the outputs must not survive.
+            let mut q = vec![f64::NAN; disc.nquad_total()];
+            disc.to_quad_into(&coeffs, &mut q, &mut ws);
+            assert_eq!(bits(&q), bits(&naive::to_quad(&disc, &coeffs)), "to_quad, order {order}");
+            let (mut gx, mut gy) = (q.clone(), q.clone());
+            disc.grad_quad_into(&coeffs, &mut gx, &mut gy, &mut ws);
+            let (wx, wy) = naive::grad_quad(&disc, &coeffs);
+            assert_eq!((bits(&gx), bits(&gy)), (bits(&wx), bits(&wy)), "grad_quad, order {order}");
+
+            let f: Vec<Vec<f64>> = (0..6).map(|i| plane(&disc, i)).collect();
+            let mut out = vec![vec![0.0; disc.asm.ndof]; 2];
+            let [o0, o1] = &mut out[..] else { unreachable!() };
+            disc.weak_div_add(
+                [&f[0], &f[1]],
+                [&f[2], &f[3]],
+                [&f[4], &f[5]],
+                1e-3,
+                [&mut o0[..], &mut o1[..]],
+                &mut ws,
+            );
+            for s in 0..2 {
+                let want = naive::weak_div(&disc, (&f[s], &f[2 + s], &f[4 + s]), 1e-3);
+                assert_eq!(bits(&out[s]), bits(&want), "weak_div plane {s}, order {order}");
+            }
+            let mut out = vec![vec![0.0; disc.asm.ndof]; 6];
+            let [o0, o1, o2, o3, o4, o5] = &mut out[..] else { unreachable!() };
+            disc.weak_mass_add(
+                std::array::from_fn(|s| &f[s][..]),
+                1.0 / (0.02 * 1e-3),
+                [&mut o0[..], &mut o1[..], &mut o2[..], &mut o3[..], &mut o4[..], &mut o5[..]],
+                &mut ws,
+            );
+            for s in 0..6 {
+                let want = naive::weak_mass(&disc, &f[s], 1.0 / (0.02 * 1e-3));
+                assert_eq!(bits(&out[s]), bits(&want), "weak_mass plane {s}, order {order}");
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_table_is_lazy() {
+        let disc = Discretization::new(skewed_mesh(), 3);
+        let mut ws = disc.plane_scratch(1);
+        let mut q = vec![0.0; disc.nquad_total()];
+        disc.to_quad_into(&vec![1.0; disc.asm.ndof], &mut q, &mut ws);
+        disc.l2_project(|x| x[0]);
+        assert!(disc.phys_grad.get().is_none(), "values and projections need no gradients");
+        disc.grad_quad_into(&vec![1.0; disc.asm.ndof], &mut q.clone(), &mut q, &mut ws);
+        assert!(disc.phys_grad.get().is_some());
+    }
+
+    #[test]
+    fn in_place_multi_solve_equals_solve_with_rhs_bit_for_bit() {
+        let disc = Discretization::new(skewed_mesh(), 4);
+        let ndof = disc.asm.ndof;
+        let rhs = |i: usize| -> Vec<f64> {
+            (0..ndof).map(|d| ((d * (i + 2)) as f64 * 0.13).sin()).collect()
+        };
+        let data: Vec<f64> = (0..ndof).map(|d| 1.0 + (d as f64 * 0.4).cos()).collect();
+        let tagged = || HelmholtzProblem::member(&disc, 3.0, &[BoundaryTag::Inflow, BoundaryTag::Wall]);
+        let pinned = || {
+            let mut p = HelmholtzProblem::member(&disc, 0.0, &[]);
+            p.pin_dof(0);
+            p
+        };
+        let zeros = vec![0.0; ndof];
+        let check = |what: &str, build: &dyn Fn() -> HelmholtzProblem, u_d: Option<&[f64]>| {
+            // One scratch across shapes, as a solver reuses it.
+            let mut band = Vec::new();
+            for nrhs in [6usize, 2, 1] {
+                let mut xs: Vec<Vec<f64>> = (0..nrhs).map(rhs).collect();
+                let mut views: Vec<&mut [f64]> = xs.iter_mut().map(|x| &mut x[..]).collect();
+                build().solve_banded_in_place(&mut views, u_d, &mut band);
+                let mut single = build();
+                for (i, got) in xs.iter().enumerate() {
+                    let (want, _) = single.solve_with_rhs(
+                        rhs(i),
+                        u_d.unwrap_or(&zeros),
+                        SolveMethod::BandedDirect,
+                    );
+                    assert_eq!(bits(got), bits(&want), "{what}: rhs {i} of {nrhs}");
+                }
+            }
+        };
+        check("zero data", &tagged, None);
+        check("non-zero data", &tagged, Some(&data));
+        check("pinned dof", &pinned, None);
     }
 
     #[test]

@@ -278,16 +278,27 @@ echo "== benchmark smoke (perfbench builds against the workspace and its checks 
 # that breaks it must fail here, not in the benchmark driver: every gated
 # workload, a second each. The build refreshes perfbench/Cargo.lock, which
 # a change outside perfbench/ may not touch, so it is put back.
+# scripts/perfbench_hashes.txt holds the `state hash` line each of these
+# runs prints (state digest and the three energies): a bitwise-neutral
+# change leaves that file alone, a reassociating one regenerates it in
+# the same reviewed diff as results/HASHES.txt.
 lock_keep="$(mktemp)"
 cp perfbench/Cargo.lock "$lock_keep"
 for workload in wake2d fourier_slab ale_wing; do
     bench_rc=0
     bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds 1)" || bench_rc=$?
+        --workload "$workload" --seed 1999 --seconds 1)" || bench_rc=$?
     cp "$lock_keep" perfbench/Cargo.lock
     if [[ "$bench_rc" != 0 ]] || ! tail -n 1 <<< "$bench_out" | grep -q '"correct": true'; then
         echo "FAIL: perfbench $workload exited $bench_rc or did not report \"correct\": true" >&2
         tail -n 5 <<< "$bench_out" >&2
+        exit 1
+    fi
+    hash_got="$workload | $(sed -n 's/^ *\(state hash.*\)/\1/p' <<< "$bench_out")"
+    if ! grep -qxF "$hash_got" scripts/perfbench_hashes.txt; then
+        echo "FAIL: perfbench $workload state moved (seed 1999, --seconds 1):" >&2
+        echo "  fresh:     $hash_got" >&2
+        echo "  committed: $(grep "^$workload |" scripts/perfbench_hashes.txt)" >&2
         exit 1
     fi
 done
