@@ -1,0 +1,137 @@
+//! The promises of `Serial2dSolver::step` that a refactor of the step
+//! must keep: the state it produces, bit for bit (hashes recorded at
+//! commit 80ffb96, where the step still ran its own modal → quadrature,
+//! gradient and weak-form loops over per-element `Vec`s), through a
+//! mid-run save → restore → continue as well as straight.
+//!
+//! Allocations at 80ffb96, counted by `common::allocs_in` around the
+//! sixth step of `solver(mesh, 2, true)`: 66 on `skewed_mesh(true)` (two
+//! elements), 206 on nine quadrilaterals, 2 186 on `wake2d`'s
+//! 108-element mesh — 26 a step plus 20 an element. The last test here
+//! holds a change to no more than that.
+
+mod common;
+
+use common::{allocs_in, Counting};
+use nektar::{Serial2dSolver, SolverConfig};
+use nkt_ckpt::{Checkpointable, CkptFile, CkptWriter};
+use nkt_mesh::{BoundaryTag, Elem2d, ElemKind, Mesh2d};
+use std::path::Path;
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `fourier_step_contract.rs`'s skewed (non-affine) quadrilateral and
+/// triangle with inflow on the left: both bases and a varying Jacobian.
+/// With `outflow` the triangle's far edge is an outflow boundary and the
+/// pressure problem has Dirichlet rows; without it every edge carries
+/// velocity data and the pressure problem pins dof 0 instead.
+fn skewed_mesh(outflow: bool) -> Mesh2d {
+    let verts = vec![[0.0, 0.0], [1.0, 0.0], [1.2, 1.1], [-0.1, 0.9], [2.0, 0.2]];
+    let elems = vec![
+        Elem2d { kind: ElemKind::Quad, verts: vec![0, 1, 2, 3] },
+        Elem2d { kind: ElemKind::Tri, verts: vec![1, 4, 2] },
+    ];
+    let mesh = Mesh2d::new(verts, elems, |mid| {
+        if mid[0] < 0.0 {
+            BoundaryTag::Inflow
+        } else if outflow && mid[0] > 1.3 && mid[1] > 0.3 {
+            BoundaryTag::Outflow
+        } else {
+            BoundaryTag::Wall
+        }
+    });
+    mesh.validate().expect("valid mixed mesh");
+    mesh
+}
+
+/// Boundary data and initial field: non-zero and different in u and v on
+/// every Dirichlet edge, so both lifts run and `ud_u != ud_v`.
+fn flow(x: [f64; 2]) -> [f64; 2] {
+    [
+        1.0 + 0.3 * (1.7 * x[1]).sin() - 0.2 * x[0] * x[1],
+        0.25 * (1.3 * x[0] + 0.4).cos() + 0.1 * x[1] * x[1],
+    ]
+}
+
+fn solver(mesh: &Mesh2d, scheme_order: usize, advect: bool) -> Serial2dSolver {
+    let cfg = SolverConfig { order: 4, dt: 1e-3, nu: 0.05, scheme_order, advect };
+    let mut s = Serial2dSolver::new(mesh.clone(), cfg, |x| flow(x)[0], |x| flow(x)[1]);
+    s.set_initial(|x| flow(x)[0], |x| flow(x)[1]);
+    s
+}
+
+fn stepped(mut s: Serial2dSolver, n: usize) -> Serial2dSolver {
+    for _ in 0..n {
+        s.step();
+    }
+    s
+}
+
+/// The state after five steps — the `scheme_order − 1` ramp steps, on
+/// their own Helmholtz matrices, and full-order ones after them.
+fn hash_after_5(mesh: &Mesh2d, scheme_order: usize, advect: bool) -> u64 {
+    let s = stepped(solver(mesh, scheme_order, advect), 5);
+    let e = s.kinetic_energy();
+    assert!(e.is_finite() && e > 0.0, "a hash of garbage pins nothing: energy {e}");
+    s.state_hash()
+}
+
+/// `[outflow | pinned][advect on | off][scheme_order − 1]`.
+const HASHES: [[[u64; 3]; 2]; 2] = [
+    [
+        [0xa85e98f6b57f4b21, 0xe7641eb0162a3ffc, 0x8ce81d9fda1cab58],
+        [0x1176a919c78f07c4, 0xc5716189f3672e2d, 0x5146a0da507480d8],
+    ],
+    [
+        [0xadc8b53b71ffbfc5, 0x021c2ea72b236b48, 0x7d204098aa62746a],
+        [0xe3b1502a8412e50a, 0xcd96526aff1da4ab, 0x87573bea15dc9873],
+    ],
+];
+
+#[test]
+fn five_steps_reproduce_the_recorded_state_hashes() {
+    for (mi, outflow) in [true, false].into_iter().enumerate() {
+        let mesh = skewed_mesh(outflow);
+        for (ai, advect) in [true, false].into_iter().enumerate() {
+            for scheme_order in 1..=3 {
+                assert_eq!(
+                    hash_after_5(&mesh, scheme_order, advect),
+                    HASHES[mi][ai][scheme_order - 1],
+                    "outflow {outflow}, advect {advect}, scheme order {scheme_order}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_mid_run_restore_continues_to_the_recorded_hashes() {
+    // Saved after two steps: inside the order-3 ramp, with a history one
+    // level short of full.
+    for (mi, outflow) in [true, false].into_iter().enumerate() {
+        let mesh = skewed_mesh(outflow);
+        for scheme_order in 2..=3 {
+            let saved = stepped(solver(&mesh, scheme_order, true), 2);
+            let mut w = CkptWriter::new();
+            saved.write_sections(&mut w);
+            let file = CkptFile::parse(Path::new("in-memory"), w.to_bytes()).expect("own bytes");
+            let mut restored = solver(&mesh, scheme_order, true);
+            restored.read_sections(&file).expect("own sections");
+            assert_eq!(restored.state_hash(), saved.state_hash(), "at the restore point");
+            assert_eq!(
+                stepped(restored, 3).state_hash(),
+                HASHES[mi][0][scheme_order - 1],
+                "outflow {outflow}, scheme order {scheme_order}: continuation"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_warmed_step_allocates_no_more_than_it_did() {
+    // Past the ramp: the history is full and every lazy factor exists.
+    let mut s = stepped(solver(&skewed_mesh(true), 2, true), 5);
+    let step = allocs_in(|| s.step());
+    assert!(step <= 66, "a warmed step allocated {step} times; 66 at 80ffb96");
+}
