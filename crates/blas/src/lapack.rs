@@ -3,9 +3,8 @@
 //! The paper (§4.1): "Solution of the Laplacian for the Poisson equation.
 //! A direct solver (LAPACK), utilising the symmetric and banded nature of
 //! the matrix, is used." — that is [`dpbtrf`]/[`dpbtrs`] here. Dense
-//! Cholesky ([`dpotrf`]) covers elemental Schur complements, partial-pivot
-//! LU ([`dgetrf`]) covers nonsymmetric systems, and [`dpttrf`] covers the
-//! tridiagonal systems from 1-D Helmholtz problems.
+//! Cholesky ([`dpotrf`]/[`dpotrs`]) solves the small edge-projection
+//! systems of the Dirichlet data.
 
 use crate::level1::{daxpy, ddot};
 use crate::level2::{Trans, Uplo};
@@ -160,111 +159,6 @@ pub fn dpotrs(n: usize, u: &[f64], lda: usize, b: &mut [f64]) -> Result<(), Lapa
     }
     crate::level2::dtrsv(Uplo::Upper, Trans::Yes, false, n, u, lda, b);
     crate::level2::dtrsv(Uplo::Upper, Trans::No, false, n, u, lda, b);
-    Ok(())
-}
-
-/// LU factorization with partial pivoting: A = P·L·U. The n × n
-/// column-major `a` is overwritten with L (unit lower, below diagonal) and
-/// U (on/above diagonal); returns the pivot vector `ipiv` where row `i` was
-/// swapped with row `ipiv[i]`. (LAPACK `dgetrf`.)
-pub fn dgetrf(n: usize, a: &mut [f64], lda: usize) -> Result<Vec<usize>, LapackError> {
-    if lda < n.max(1) || (n > 0 && a.len() < lda * (n - 1) + n) {
-        return Err(LapackError::Dimension("dgetrf: bad lda or short a"));
-    }
-    let mut ipiv = vec![0usize; n];
-    for k in 0..n {
-        // Pivot search in column k, rows k..n.
-        let mut p = k;
-        let mut pmax = a[k + k * lda].abs();
-        for i in (k + 1)..n {
-            let v = a[i + k * lda].abs();
-            if v > pmax {
-                pmax = v;
-                p = i;
-            }
-        }
-        ipiv[k] = p;
-        if pmax == 0.0 {
-            return Err(LapackError::Singular(k + 1));
-        }
-        if p != k {
-            for j in 0..n {
-                a.swap(k + j * lda, p + j * lda);
-            }
-        }
-        let pivot = a[k + k * lda];
-        for i in (k + 1)..n {
-            a[i + k * lda] /= pivot;
-        }
-        // Trailing update A[k+1.., k+1..] -= L[k+1..,k] * U[k, k+1..].
-        for j in (k + 1)..n {
-            let ukj = a[k + j * lda];
-            if ukj != 0.0 {
-                for i in (k + 1)..n {
-                    a[i + j * lda] -= a[i + k * lda] * ukj;
-                }
-            }
-        }
-    }
-    Ok(ipiv)
-}
-
-/// Solves A x = b from a [`dgetrf`] factorization.
-pub fn dgetrs(n: usize, lu: &[f64], lda: usize, ipiv: &[usize], b: &mut [f64]) -> Result<(), LapackError> {
-    if b.len() < n || ipiv.len() < n {
-        return Err(LapackError::Dimension("dgetrs: rhs or ipiv too short"));
-    }
-    // Apply P.
-    for k in 0..n {
-        let p = ipiv[k];
-        if p != k {
-            b.swap(k, p);
-        }
-    }
-    crate::level2::dtrsv(Uplo::Lower, Trans::No, true, n, lu, lda, b);
-    crate::level2::dtrsv(Uplo::Upper, Trans::No, false, n, lu, lda, b);
-    Ok(())
-}
-
-/// Factors a symmetric positive-definite tridiagonal matrix as A = LDLᵀ.
-/// `d` (length n) holds the diagonal, `e` (length n−1) the off-diagonal;
-/// both are overwritten with the factors. (LAPACK `dpttrf`.)
-pub fn dpttrf(d: &mut [f64], e: &mut [f64]) -> Result<(), LapackError> {
-    let n = d.len();
-    if n > 0 && e.len() + 1 < n {
-        return Err(LapackError::Dimension("dpttrf: e must have length n-1"));
-    }
-    for i in 0..n {
-        if d[i] <= 0.0 {
-            return Err(LapackError::Singular(i + 1));
-        }
-        if i + 1 < n {
-            let ei = e[i];
-            e[i] = ei / d[i];
-            d[i + 1] -= e[i] * ei;
-        }
-    }
-    Ok(())
-}
-
-/// Solves A x = b from a [`dpttrf`] factorization.
-pub fn dpttrs(d: &[f64], e: &[f64], b: &mut [f64]) -> Result<(), LapackError> {
-    let n = d.len();
-    if b.len() < n {
-        return Err(LapackError::Dimension("dpttrs: rhs shorter than n"));
-    }
-    // L y = b (unit lower bidiagonal).
-    for i in 1..n {
-        b[i] -= e[i - 1] * b[i - 1];
-    }
-    // D z = y.
-    for i in 0..n {
-        b[i] /= d[i];
-    }
-    // Lᵀ x = z.
-    for i in (0..n.saturating_sub(1)).rev() {
-        b[i] -= e[i] * b[i + 1];
-    }
     Ok(())
 }
 
@@ -445,67 +339,4 @@ mod tests {
         assert!(matches!(dpotrf(2, &mut a, 2), Err(LapackError::Singular(2))));
     }
 
-    #[test]
-    fn dgetrf_dgetrs_general_system() {
-        let n = 11;
-        let a0 = ColMajor::from_fn(n, n, |i, j| {
-            ((i * 13 + j * 7) as f64 * 0.17).sin() + if i == j { 4.0 } else { 0.0 }
-        });
-        let x_true: Vec<f64> = (0..n).map(|i| ((i as f64) - 3.0) * 0.8).collect();
-        let mut b = a0.matvec(&x_true);
-        let mut lu = a0.as_slice().to_vec();
-        let ipiv = dgetrf(n, &mut lu, n).unwrap();
-        dgetrs(n, &lu, n, &ipiv, &mut b).unwrap();
-        for i in 0..n {
-            assert!((b[i] - x_true[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn dgetrf_pivots_zero_leading_entry() {
-        // Leading entry zero forces a pivot; naive LU would fail.
-        let mut a = vec![0.0, 1.0, 1.0, 0.0]; // [[0,1],[1,0]] col-major
-        let ipiv = dgetrf(2, &mut a, 2).unwrap();
-        let mut b = vec![2.0, 3.0]; // solves [[0,1],[1,0]] x = b -> x = [3,2]
-        dgetrs(2, &a, 2, &ipiv, &mut b).unwrap();
-        assert!((b[0] - 3.0).abs() < 1e-15 && (b[1] - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn dgetrf_detects_singular() {
-        let mut a = vec![1.0, 2.0, 2.0, 4.0]; // rank 1
-        assert!(matches!(dgetrf(2, &mut a, 2), Err(LapackError::Singular(2))));
-    }
-
-    #[test]
-    fn dpttrf_dpttrs_tridiagonal() {
-        let n = 20;
-        // Standard 1-D Laplacian: d=2, e=-1 — SPD.
-        let mut d = vec![2.0; n];
-        let mut e = vec![-1.0; n - 1];
-        let x_true: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.5).sin()).collect();
-        // b = A x.
-        let mut b = vec![0.0; n];
-        for i in 0..n {
-            b[i] = 2.0 * x_true[i];
-            if i > 0 {
-                b[i] -= x_true[i - 1];
-            }
-            if i + 1 < n {
-                b[i] -= x_true[i + 1];
-            }
-        }
-        dpttrf(&mut d, &mut e).unwrap();
-        dpttrs(&d, &e, &mut b).unwrap();
-        for i in 0..n {
-            assert!((b[i] - x_true[i]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn dpttrf_rejects_nonpositive_pivot() {
-        let mut d = vec![1.0, 0.5];
-        let mut e = vec![1.0]; // Schur complement 0.5 - 1 < 0
-        assert!(dpttrf(&mut d, &mut e).is_err());
-    }
 }

@@ -2,10 +2,9 @@
 //!
 //! These are the kernels the paper sweeps in Figures 1–3 (`dcopy`, `daxpy`,
 //! `ddot`). All routines take plain slices; lengths are taken from the
-//! shorter operand where reference BLAS would take an explicit `n`.
-//! Strided variants carry a `_strided` suffix rather than BLAS's
-//! `incx`/`incy` arguments, so the common unit-stride path stays
-//! bounds-check free and autovectorizable.
+//! shorter operand where reference BLAS would take an explicit `n`, and
+//! there are no `incx`/`incy` arguments: every caller is unit-stride, so
+//! the loops stay bounds-check free and autovectorizable.
 
 /// y ← x (vector copy). Paper Figure 1.
 ///
@@ -74,97 +73,6 @@ pub fn dnrm2(x: &[f64]) -> f64 {
         ssq += t * t;
     }
     amax * ssq.sqrt()
-}
-
-/// Returns Σ|xᵢ|.
-#[inline]
-pub fn dasum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Returns the index of the element with largest absolute value
-/// (first such index on ties, matching reference BLAS). Returns 0 for an
-/// empty slice by convention.
-pub fn idamax(x: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut bestval = f64::NEG_INFINITY;
-    for (i, &v) in x.iter().enumerate() {
-        let a = v.abs();
-        if a > bestval {
-            bestval = a;
-            best = i;
-        }
-    }
-    best
-}
-
-/// Swaps x and y elementwise.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn dswap(x: &mut [f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dswap: length mismatch");
-    for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
-        core::mem::swap(xi, yi);
-    }
-}
-
-/// Applies a Givens plane rotation: (x, y) ← (c·x + s·y, c·y − s·x).
-pub fn drot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
-    assert_eq!(x.len(), y.len(), "drot: length mismatch");
-    for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
-        let t = c * *xi + s * *yi;
-        *yi = c * *yi - s * *xi;
-        *xi = t;
-    }
-}
-
-/// Strided `daxpy`: y[i·incy] += α·x[i·incx] for i in 0..n.
-///
-/// # Panics
-/// Panics if either slice is too short for `n` strided accesses.
-pub fn daxpy_strided(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-    assert!(incx > 0 && incy > 0, "daxpy_strided: strides must be positive");
-    if n == 0 {
-        return;
-    }
-    assert!(x.len() > (n - 1) * incx, "daxpy_strided: x too short");
-    assert!(y.len() > (n - 1) * incy, "daxpy_strided: y too short");
-    for i in 0..n {
-        y[i * incy] += alpha * x[i * incx];
-    }
-}
-
-/// Strided `ddot`.
-pub fn ddot_strided(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
-    assert!(incx > 0 && incy > 0, "ddot_strided: strides must be positive");
-    if n == 0 {
-        return 0.0;
-    }
-    assert!(x.len() > (n - 1) * incx, "ddot_strided: x too short");
-    assert!(y.len() > (n - 1) * incy, "ddot_strided: y too short");
-    let mut s = 0.0;
-    for i in 0..n {
-        s += x[i * incx] * y[i * incy];
-    }
-    s
-}
-
-/// Elementwise product accumulate: z ← x ⊙ y (used heavily by the
-/// quadrature-space nonlinear terms, paper §4.1 steps 1–4).
-pub fn dvmul(x: &[f64], y: &[f64], z: &mut [f64]) {
-    let n = x.len().min(y.len()).min(z.len());
-    for i in 0..n {
-        z[i] = x[i] * y[i];
-    }
-}
-
-/// z ← z + x ⊙ y (fused multiply-accumulate over vectors).
-pub fn dvvtvp(x: &[f64], y: &[f64], z: &mut [f64]) {
-    let n = x.len().min(y.len()).min(z.len());
-    for i in 0..n {
-        z[i] += x[i] * y[i];
-    }
 }
 
 #[cfg(test)]
@@ -249,63 +157,4 @@ mod tests {
         assert_eq!(dnrm2(&[]), 0.0);
     }
 
-    #[test]
-    fn dasum_sums_abs() {
-        assert_eq!(dasum(&[-1.0, 2.0, -3.0]), 6.0);
-    }
-
-    #[test]
-    fn idamax_finds_first_max() {
-        assert_eq!(idamax(&[1.0, -5.0, 5.0, 2.0]), 1);
-        assert_eq!(idamax(&[]), 0);
-    }
-
-    #[test]
-    fn dswap_swaps() {
-        let mut x = seq(4);
-        let mut y = vec![0.0; 4];
-        dswap(&mut x, &mut y);
-        assert_eq!(y, seq(4));
-        assert_eq!(x, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn drot_rotates_ninety_degrees() {
-        let mut x = vec![1.0];
-        let mut y = vec![0.0];
-        drot(&mut x, &mut y, 0.0, 1.0);
-        assert!((x[0] - 0.0).abs() < 1e-15 && (y[0] + 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn strided_variants_match_dense() {
-        let x = seq(10);
-        let mut y = seq(10);
-        let mut y2 = seq(10);
-        daxpy(3.0, &x, &mut y);
-        daxpy_strided(10, 3.0, &x, 1, &mut y2, 1);
-        assert_eq!(y, y2);
-
-        let every_other: Vec<f64> = (0..5).map(|i| x[2 * i]).collect();
-        let d1 = ddot_strided(5, &x, 2, &x, 2);
-        let d2 = ddot(&every_other, &every_other);
-        assert!((d1 - d2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vmul_and_vvtvp() {
-        let x = vec![1.0, 2.0, 3.0];
-        let y = vec![4.0, 5.0, 6.0];
-        let mut z = vec![0.0; 3];
-        dvmul(&x, &y, &mut z);
-        assert_eq!(z, vec![4.0, 10.0, 18.0]);
-        dvvtvp(&x, &y, &mut z);
-        assert_eq!(z, vec![8.0, 20.0, 36.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn dswap_length_mismatch_panics() {
-        dswap(&mut [1.0], &mut [1.0, 2.0]);
-    }
 }

@@ -74,144 +74,6 @@ pub fn dgemv(
     }
 }
 
-/// Rank-1 update: A ← A + α·x·yᵀ, A m × n column-major.
-pub fn dger(m: usize, n: usize, alpha: f64, x: &[f64], y: &[f64], a: &mut [f64], lda: usize) {
-    assert!(lda >= m.max(1));
-    assert!(x.len() >= m && y.len() >= n);
-    if m > 0 && n > 0 {
-        assert!(a.len() >= lda * (n - 1) + m);
-    }
-    for j in 0..n {
-        let t = alpha * y[j];
-        if t != 0.0 {
-            let col = &mut a[j * lda..j * lda + m];
-            for (aij, &xi) in col.iter_mut().zip(&x[..m]) {
-                *aij += t * xi;
-            }
-        }
-    }
-}
-
-/// Symmetric matrix-vector product y ← α·A·x + β·y with A stored in the
-/// `uplo` triangle of an n × n column-major array.
-pub fn dsymv(
-    uplo: Uplo,
-    n: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    x: &[f64],
-    beta: f64,
-    y: &mut [f64],
-) {
-    assert!(lda >= n.max(1));
-    assert!(x.len() >= n && y.len() >= n);
-    if beta == 0.0 {
-        y[..n].fill(0.0);
-    } else if beta != 1.0 {
-        crate::level1::dscal(beta, &mut y[..n]);
-    }
-    for j in 0..n {
-        let xj = x[j];
-        let mut tj = 0.0;
-        match uplo {
-            Uplo::Upper => {
-                // Column j holds rows 0..=j of the upper triangle.
-                for i in 0..j {
-                    let aij = a[i + j * lda];
-                    y[i] += alpha * aij * xj;
-                    tj += aij * x[i];
-                }
-                y[j] += alpha * (a[j + j * lda] * xj + tj);
-            }
-            Uplo::Lower => {
-                for i in (j + 1)..n {
-                    let aij = a[i + j * lda];
-                    y[i] += alpha * aij * xj;
-                    tj += aij * x[i];
-                }
-                y[j] += alpha * (a[j + j * lda] * xj + tj);
-            }
-        }
-    }
-}
-
-/// Symmetric band matrix-vector product y ← α·A·x + β·y with A in LAPACK
-/// `SB` upper storage (`ldab = kd + 1` rows): `A(i,j) = ab[kd+i-j, j]`.
-pub fn dsbmv(
-    n: usize,
-    kd: usize,
-    alpha: f64,
-    ab: &[f64],
-    ldab: usize,
-    x: &[f64],
-    beta: f64,
-    y: &mut [f64],
-) {
-    assert!(ldab > kd, "dsbmv: ldab < kd+1");
-    assert!(ab.len() >= ldab * n && x.len() >= n && y.len() >= n);
-    if beta == 0.0 {
-        y[..n].fill(0.0);
-    } else if beta != 1.0 {
-        crate::level1::dscal(beta, &mut y[..n]);
-    }
-    for j in 0..n {
-        let lo = j.saturating_sub(kd);
-        let xj = x[j];
-        let mut tj = 0.0;
-        for i in lo..j {
-            let a = ab[(kd + i - j) + j * ldab];
-            y[i] += alpha * a * xj;
-            tj += a * x[i];
-        }
-        y[j] += alpha * (ab[kd + j * ldab] * xj + tj);
-    }
-}
-
-/// Triangular matrix-vector product x ← op(A)·x with A unit or non-unit
-/// triangular in the `uplo` triangle.
-pub fn dtrmv(uplo: Uplo, trans: Trans, unit_diag: bool, n: usize, a: &[f64], lda: usize, x: &mut [f64]) {
-    assert!(lda >= n.max(1) && x.len() >= n);
-    match (uplo, trans) {
-        (Uplo::Upper, Trans::No) => {
-            for i in 0..n {
-                let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
-                for j in (i + 1)..n {
-                    s += a[i + j * lda] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-        (Uplo::Lower, Trans::No) => {
-            for i in (0..n).rev() {
-                let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
-                for j in 0..i {
-                    s += a[i + j * lda] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-        (Uplo::Upper, Trans::Yes) => {
-            for i in (0..n).rev() {
-                let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
-                for j in 0..i {
-                    s += a[j + i * lda] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-        (Uplo::Lower, Trans::Yes) => {
-            for i in 0..n {
-                let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
-                for j in (i + 1)..n {
-                    s += a[j + i * lda] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-    }
-}
-
 /// Triangular solve op(A)·x = b in place (x enters holding b).
 ///
 /// # Panics
@@ -264,42 +126,6 @@ pub fn dtrsv(uplo: Uplo, trans: Trans, unit_diag: bool, n: usize, a: &[f64], lda
                 }
                 x[i] = s / diag(i);
             }
-        }
-    }
-}
-
-/// General band matrix-vector product y ← α·A·x + β·y with A an m × n band
-/// matrix with `kl` sub- and `ku` super-diagonals in LAPACK `GB` storage
-/// (`A(i,j) = ab[ku + i - j, j]`, `ldab ≥ kl + ku + 1`).
-#[allow(clippy::too_many_arguments)]
-pub fn dgbmv(
-    m: usize,
-    n: usize,
-    kl: usize,
-    ku: usize,
-    alpha: f64,
-    ab: &[f64],
-    ldab: usize,
-    x: &[f64],
-    beta: f64,
-    y: &mut [f64],
-) {
-    assert!(ldab > kl + ku);
-    assert!(ab.len() >= ldab * n && x.len() >= n && y.len() >= m);
-    if beta == 0.0 {
-        y[..m].fill(0.0);
-    } else if beta != 1.0 {
-        crate::level1::dscal(beta, &mut y[..m]);
-    }
-    for j in 0..n {
-        let t = alpha * x[j];
-        if t == 0.0 {
-            continue;
-        }
-        let ilo = j.saturating_sub(ku);
-        let ihi = (j + kl).min(m.saturating_sub(1));
-        for i in ilo..=ihi {
-            y[i] += t * ab[(ku + i - j) + j * ldab];
         }
     }
 }
@@ -377,64 +203,47 @@ mod tests {
         assert_eq!(y, vec![0.0 + 1.0 + 2.0, 3.0 + 4.0 + 5.0, 6.0 + 7.0 + 8.0]);
     }
 
-    #[test]
-    fn dger_rank1() {
-        let (m, n) = (3, 2);
-        let mut a = vec![0.0; m * n];
-        dger(m, n, 2.0, &[1.0, 2.0, 3.0], &[10.0, 20.0], &mut a, m);
-        // A(i,j) = 2 * x[i] * y[j]
-        assert_eq!(a[0], 20.0);
-        assert_eq!(a[2 + m], 120.0);
-    }
-
-    #[test]
-    fn dsymv_matches_dense_both_triangles() {
-        let n = 7;
-        let full = ColMajor::from_fn(n, n, |i, j| {
-            let (i, j) = if i <= j { (i, j) } else { (j, i) };
-            (i + 1) as f64 + (j * j) as f64 * 0.1
-        });
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.33).cos()).collect();
-        let expect = full.matvec(&x);
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            // Poison the other triangle to prove it is never read.
-            let mut a = full.clone();
-            for j in 0..n {
+    /// Triangular matrix-vector product x ← op(A)·x with A unit or non-unit
+    /// triangular in the `uplo` triangle: the reference `dtrsv` must invert.
+    fn dtrmv(uplo: Uplo, trans: Trans, unit_diag: bool, n: usize, a: &[f64], lda: usize, x: &mut [f64]) {
+        assert!(lda >= n.max(1) && x.len() >= n);
+        match (uplo, trans) {
+            (Uplo::Upper, Trans::No) => {
                 for i in 0..n {
-                    let in_stored = match uplo {
-                        Uplo::Upper => i <= j,
-                        Uplo::Lower => i >= j,
-                    };
-                    if !in_stored {
-                        a[(i, j)] = f64::NAN;
+                    let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
+                    for j in (i + 1)..n {
+                        s += a[i + j * lda] * x[j];
                     }
+                    x[i] = s;
                 }
             }
-            let mut y = vec![0.0; n];
-            dsymv(uplo, n, 1.0, a.as_slice(), n, &x, 0.0, &mut y);
-            for i in 0..n {
-                assert!((y[i] - expect[i]).abs() < 1e-12, "{uplo:?} row {i}");
+            (Uplo::Lower, Trans::No) => {
+                for i in (0..n).rev() {
+                    let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
+                    for j in 0..i {
+                        s += a[i + j * lda] * x[j];
+                    }
+                    x[i] = s;
+                }
             }
-        }
-    }
-
-    #[test]
-    fn dsbmv_matches_bandedsym_matvec() {
-        let n = 9;
-        let kd = 2;
-        let mut b = crate::matrix::BandedSym::zeros(n, kd);
-        for j in 0..n {
-            for i in j.saturating_sub(kd)..=j {
-                b.set(i, j, 1.0 + (i + j) as f64 * 0.25);
+            (Uplo::Upper, Trans::Yes) => {
+                for i in (0..n).rev() {
+                    let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
+                    for j in 0..i {
+                        s += a[j + i * lda] * x[j];
+                    }
+                    x[i] = s;
+                }
             }
-        }
-        let x: Vec<f64> = (0..n).map(|i| i as f64 - 4.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        b.matvec(&x, &mut y1);
-        dsbmv(n, kd, 1.0, b.ab(), kd + 1, &x, 0.0, &mut y2);
-        for i in 0..n {
-            assert!((y1[i] - y2[i]).abs() < 1e-12);
+            (Uplo::Lower, Trans::Yes) => {
+                for i in 0..n {
+                    let mut s = if unit_diag { x[i] } else { a[i + i * lda] * x[i] };
+                    for j in (i + 1)..n {
+                        s += a[j + i * lda] * x[j];
+                    }
+                    x[i] = s;
+                }
+            }
         }
     }
 
@@ -476,29 +285,4 @@ mod tests {
         dtrsv(Uplo::Upper, Trans::No, false, 2, &a, 2, &mut x);
     }
 
-    #[test]
-    fn dgbmv_matches_dense() {
-        let (m, n, kl, ku) = (7, 6, 2, 1);
-        let dense = ColMajor::from_fn(m, n, |i, j| {
-            if j + kl >= i && i + ku >= j {
-                1.0 + (i * n + j) as f64 * 0.2
-            } else {
-                0.0
-            }
-        });
-        let ldab = kl + ku + 1;
-        let mut ab = vec![0.0; ldab * n];
-        for j in 0..n {
-            for i in j.saturating_sub(ku)..=(j + kl).min(m - 1) {
-                ab[(ku + i - j) + j * ldab] = dense[(i, j)];
-            }
-        }
-        let x: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut y = vec![0.0; m];
-        dgbmv(m, n, kl, ku, 1.0, &ab, ldab, &x, 0.0, &mut y);
-        let expect = dense.matvec(&x);
-        for i in 0..m {
-            assert!((y[i] - expect[i]).abs() < 1e-12);
-        }
-    }
 }

@@ -7,16 +7,7 @@
 //!   packing overhead, used automatically below a size threshold;
 //! * a cache-blocked kernel with B-panel packing for larger sizes.
 
-use crate::level2::{Trans, Uplo};
-
-/// Side selector for `dtrsm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// Solve op(A)·X = B.
-    Left,
-    /// Solve X·op(A) = B.
-    Right,
-}
+use crate::level2::Trans;
 
 /// Block sizes for the packed kernel, sized so an A-block plus a B-panel
 /// fit comfortably in a typical 256 KB L2 (the paper's PII has 512 KB).
@@ -289,107 +280,6 @@ fn dgemm_blocked(
     }
 }
 
-/// Symmetric rank-k update: C ← α·A·Aᵀ + β·C (`trans = No`) or
-/// C ← α·Aᵀ·A + β·C (`trans = Yes`), updating only the `uplo` triangle of
-/// the n × n matrix C.
-#[allow(clippy::too_many_arguments)]
-pub fn dsyrk(
-    uplo: Uplo,
-    trans: Trans,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    assert!(ldc >= n.max(1));
-    let (ar, ac) = match trans {
-        Trans::No => (n, k),
-        Trans::Yes => (k, n),
-    };
-    assert!(lda >= ar.max(1));
-    if ar > 0 && ac > 0 {
-        assert!(a.len() >= lda * (ac - 1) + ar);
-    }
-    for j in 0..n {
-        let (ilo, ihi) = match uplo {
-            Uplo::Upper => (0, j + 1),
-            Uplo::Lower => (j, n),
-        };
-        for i in ilo..ihi {
-            let mut s = 0.0;
-            for l in 0..k {
-                let ail = a_elem(trans, a, lda, i, l);
-                let ajl = a_elem(trans, a, lda, j, l);
-                s += ail * ajl;
-            }
-            let prev = if beta == 0.0 { 0.0 } else { beta * c[i + j * ldc] };
-            c[i + j * ldc] = prev + alpha * s;
-        }
-    }
-}
-
-/// Triangular solve with multiple right-hand sides:
-/// `Side::Left`: op(A)·X = α·B; `Side::Right`: X·op(A) = α·B.
-/// B (m × n) is overwritten with X. A is triangular per `uplo`.
-#[allow(clippy::too_many_arguments)]
-pub fn dtrsm(
-    side: Side,
-    uplo: Uplo,
-    trans: Trans,
-    unit_diag: bool,
-    m: usize,
-    n: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &mut [f64],
-    ldb: usize,
-) {
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    assert!(lda >= na.max(1));
-    assert!(ldb >= m.max(1));
-    if alpha != 1.0 {
-        for j in 0..n {
-            for v in &mut b[j * ldb..j * ldb + m] {
-                *v *= alpha;
-            }
-        }
-    }
-    match side {
-        Side::Left => {
-            // Solve each column independently with dtrsv.
-            for j in 0..n {
-                let col = &mut b[j * ldb..j * ldb + m];
-                crate::level2::dtrsv(uplo, trans, unit_diag, m, a, lda, col);
-            }
-        }
-        Side::Right => {
-            // X·op(A) = B  ⇔  op(A)ᵀ·Xᵀ = Bᵀ; solve row-wise.
-            let flipped = match trans {
-                Trans::No => Trans::Yes,
-                Trans::Yes => Trans::No,
-            };
-            let mut row = vec![0.0; n];
-            for i in 0..m {
-                for j in 0..n {
-                    row[j] = b[i + j * ldb];
-                }
-                crate::level2::dtrsv(uplo, flipped, unit_diag, n, a, lda, &mut row);
-                for j in 0..n {
-                    b[i + j * ldb] = row[j];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,84 +421,4 @@ mod tests {
         assert_eq!(c, vec![1.0; 4]);
     }
 
-    #[test]
-    fn dsyrk_matches_explicit_product() {
-        let (n, k) = (6, 4);
-        let a = fill(n * k, 2.2);
-        let mut c = vec![0.0; n * n];
-        dsyrk(Uplo::Upper, Trans::No, n, k, 1.0, &a, n, 0.0, &mut c, n);
-        for j in 0..n {
-            for i in 0..=j {
-                let mut s = 0.0;
-                for l in 0..k {
-                    s += a[i + l * n] * a[j + l * n];
-                }
-                assert!((c[i + j * n] - s).abs() < 1e-12, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn dsyrk_trans_matches_ata() {
-        let (n, k) = (5, 7);
-        let a = fill(k * n, 0.9); // A is k x n
-        let mut c = vec![0.0; n * n];
-        dsyrk(Uplo::Lower, Trans::Yes, n, k, 1.0, &a, k, 0.0, &mut c, n);
-        for j in 0..n {
-            for i in j..n {
-                let mut s = 0.0;
-                for l in 0..k {
-                    s += a[l + i * k] * a[l + j * k];
-                }
-                assert!((c[i + j * n] - s).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn dtrsm_left_upper_solves() {
-        let m = 5;
-        let n = 3;
-        let a = ColMajor::from_fn(m, m, |i, j| {
-            if i == j {
-                3.0 + i as f64
-            } else if i < j {
-                0.2 * (i + j) as f64
-            } else {
-                f64::NAN // lower triangle must never be read
-            }
-        });
-        let x_true = fill(m * n, 7.0);
-        // B = A * X
-        let mut b = vec![0.0; m * n];
-        let a_clean = ColMajor::from_fn(m, m, |i, j| if i <= j { a[(i, j)] } else { 0.0 });
-        dgemm(Trans::No, Trans::No, m, n, m, 1.0, a_clean.as_slice(), m, &x_true, m, 0.0, &mut b, m);
-        dtrsm(Side::Left, Uplo::Upper, Trans::No, false, m, n, 1.0, a.as_slice(), m, &mut b, m);
-        for i in 0..m * n {
-            assert!((b[i] - x_true[i]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn dtrsm_right_lower_solves() {
-        let m = 4;
-        let n = 5;
-        let a = ColMajor::from_fn(n, n, |i, j| {
-            if i == j {
-                2.0 + j as f64
-            } else if i > j {
-                0.3
-            } else {
-                0.0
-            }
-        });
-        let x_true = fill(m * n, 3.3);
-        // B = X * A
-        let mut b = vec![0.0; m * n];
-        dgemm(Trans::No, Trans::No, m, n, n, 1.0, &x_true, m, a.as_slice(), n, 0.0, &mut b, m);
-        dtrsm(Side::Right, Uplo::Lower, Trans::No, false, m, n, 1.0, a.as_slice(), n, &mut b, m);
-        for i in 0..m * n {
-            assert!((b[i] - x_true[i]).abs() < 1e-10);
-        }
-    }
 }

@@ -15,12 +15,16 @@
 //! are written to autovectorize.
 //!
 //! ## Modules
-//! * [`level1`] — vector-vector: `dcopy`, `daxpy`, `ddot`, `dscal`, ...
-//! * [`level2`] — matrix-vector: `dgemv`, `dger`, `dsymv`, `dtrsv`, ...
-//! * [`level3`] — matrix-matrix: `dgemm` (blocked + small-n path), `dsyrk`, `dtrsm`
-//! * [`lapack`] — `dpbtrf`/`dpbtrs` (banded Cholesky), `dpotrf`/`dpotrs`,
-//!   `dgetrf`/`dgetrs` (partial-pivot LU), `dpttrf`/`dpttrs` (tridiagonal)
+//! * [`level1`] — vector-vector: `dcopy`, `daxpy`, `ddot`, `dscal`, `dnrm2`
+//! * [`level2`] — matrix-vector: `dgemv`, `dtrsv`
+//! * [`level3`] — matrix-matrix: `dgemm` (blocked + small-n path)
+//! * [`lapack`] — `dpbtrf`/`dpbtrs`/`dpbtrs_multi` (banded Cholesky),
+//!   `dpotrf`/`dpotrs` (dense Cholesky)
 //! * [`matrix`] — owned column-major and symmetric-banded containers
+//!
+//! That is every routine something outside this crate calls (or, for
+//! `dtrsv` and `dscal`, that `dpotrs` and `dgemv` are built on): a
+//! routine nothing reaches is not kept for completeness.
 
 #![allow(clippy::too_many_arguments)]
 #![allow(clippy::needless_range_loop)]
@@ -31,20 +35,17 @@ pub mod level2;
 pub mod level3;
 pub mod matrix;
 
-pub use lapack::{
-    dgetrf, dgetrs, dpbtrf, dpbtrs, dpbtrs_multi, dpotrf, dpotrs, dpttrf, dpttrs,
-};
-pub use level1::{dasum, daxpy, dcopy, ddot, dnrm2, drot, dscal, dswap, idamax};
-pub use level2::{dgbmv, dgemv, dger, dsbmv, dsymv, dtrmv, dtrsv, Trans, Uplo};
-pub use level3::{dgemm, dgemm_small, dsyrk, dtrsm, Side};
+pub use lapack::{dpbtrf, dpbtrs, dpbtrs_multi, dpotrf, dpotrs};
+pub use level1::{daxpy, dcopy, ddot, dnrm2, dscal};
+pub use level2::{dgemv, dtrsv, Trans, Uplo};
+pub use level3::{dgemm, dgemm_small};
 pub use matrix::{BandedSym, ColMajor};
 
 /// Error type for factorization routines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LapackError {
     /// The leading minor of the given (1-based) order is not positive
-    /// definite (Cholesky), or the pivot at this position is exactly zero
-    /// (LU): the factorization could not be completed.
+    /// definite: the Cholesky factorization could not be completed.
     Singular(usize),
     /// Inconsistent dimensions were passed.
     Dimension(&'static str),

@@ -147,6 +147,18 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
+    /// Reads a length-prefixed `f64` slice into `out`, which fixes the
+    /// length: a prefix that disagrees is a [`CkptError::StateMismatch`]
+    /// naming `what`.
+    pub fn f64s_into(&mut self, out: &mut [f64], what: &str) -> Result<(), CkptError> {
+        self.expect_u64(out.len() as u64, what)?;
+        let b = self.take(8 * out.len(), "f64 slice")?;
+        for (v, c) in out.iter_mut().zip(b.chunks_exact(8)) {
+            *v = f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
+        }
+        Ok(())
+    }
+
     /// Reads a length-prefixed vector of length-prefixed `f64` slices.
     pub fn vecs(&mut self) -> Result<Vec<Vec<f64>>, CkptError> {
         let n = self.len_prefix(self.remaining_elems())?;

@@ -24,7 +24,7 @@
 use crate::hex3d::{elem_box, HexHelmholtz, HexNumbering, HexWorkspace};
 use crate::opstream::{Recorder, WorkItem};
 use crate::splitting::StifflyStable;
-use crate::timers::{Stage, StageClock, StageTimer};
+use crate::timers::{read_progress, write_progress, Stage, StageClock, StageTimer};
 use nkt_mesh::{BoundaryTag, Mesh3d};
 use nkt_mpi::prelude::*;
 use std::collections::VecDeque;
@@ -777,15 +777,7 @@ impl nkt_ckpt::Checkpointable for NektarAle {
         e.usize(self.last_iters.2);
         w.section("mesh", e.into_bytes());
 
-        let mut e = nkt_ckpt::Enc::new();
-        e.usize(self.steps_taken);
-        w.section("steps", e.into_bytes());
-
-        let mut e = nkt_ckpt::Enc::new();
-        for t in self.clock.totals {
-            e.f64(t);
-        }
-        w.section(nkt_ckpt::CLOCK_SECTION, e.into_bytes());
+        write_progress(w, self.steps_taken, &self.clock);
     }
 
     fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), nkt_ckpt::CkptError> {
@@ -842,15 +834,7 @@ impl nkt_ckpt::Checkpointable for NektarAle {
             (d.u64()? as usize, d.u64()? as usize, d.u64()? as usize);
         d.finish()?;
 
-        let mut d = f.dec("steps")?;
-        self.steps_taken = d.u64()? as usize;
-        d.finish()?;
-
-        let mut d = f.dec(nkt_ckpt::CLOCK_SECTION)?;
-        for t in self.clock.totals.iter_mut() {
-            *t = d.f64()?;
-        }
-        d.finish()?;
+        (self.steps_taken, self.clock) = read_progress(f)?;
         Ok(())
     }
 

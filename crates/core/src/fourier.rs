@@ -22,7 +22,7 @@ use crate::decomp::{
 };
 use crate::opstream::{Recorder, WorkItem};
 use crate::splitting::StifflyStable;
-use crate::timers::{Stage, StageClock, StageTimer};
+use crate::timers::{read_progress, write_progress, Stage, StageClock, StageTimer};
 use nkt_fft::{Complex64, RealFft};
 use nkt_mesh::{BoundaryTag, Mesh2d};
 use nkt_mpi::prelude::*;
@@ -138,7 +138,7 @@ impl StepWorkspace {
 }
 
 /// `N` disjoint planes of `nq` points from the front of `buf`.
-fn split_planes<const N: usize>(buf: &mut [f64], nq: usize) -> [&mut [f64]; N] {
+pub(crate) fn split_planes<const N: usize>(buf: &mut [f64], nq: usize) -> [&mut [f64]; N] {
     let mut planes = buf.chunks_exact_mut(nq);
     std::array::from_fn(|_| planes.next().expect("a buffer of at least N planes"))
 }
@@ -151,7 +151,7 @@ fn coeff_planes(comps: &mut [ModeCoeffs; 3]) -> [&mut [f64]; 6] {
 
 /// The buffer for a new history level: the oldest level's once `order`
 /// are kept, a fresh one while the history is still filling.
-fn recycle_level(levels: &mut VecDeque<Vec<f64>>, order: usize, len: usize) -> Vec<f64> {
+pub(crate) fn recycle_level(levels: &mut VecDeque<Vec<f64>>, order: usize, len: usize) -> Vec<f64> {
     if levels.len() >= order {
         levels.pop_back().expect("a scheme keeps at least one level")
     } else {
@@ -400,22 +400,6 @@ impl NektarF {
         self.steps_taken = 0;
     }
 
-    /// Quadrature values of the modal field `coeffs` on one plane
-    /// (allocating: diagnostics only — the step uses the `_into` kernels).
-    pub(crate) fn to_quad(&self, coeffs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.planes.nq];
-        self.disc.to_quad_into(coeffs, &mut out, &mut self.disc.plane_scratch(1));
-        out
-    }
-
-    /// Quadrature values of (∂x, ∂y) of the modal field `coeffs`
-    /// (allocating, like [`Self::to_quad`]).
-    pub(crate) fn grad_quad(&self, coeffs: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let (mut gx, mut gy) = (vec![0.0; self.planes.nq], vec![0.0; self.planes.nq]);
-        self.disc.grad_quad_into(coeffs, &mut gx, &mut gy, &mut self.disc.plane_scratch(1));
-        (gx, gy)
-    }
-
     /// The decomposition's short name ("slab" / "pencil").
     pub fn decomp_name(&self) -> &'static str {
         self.decomp.name()
@@ -458,13 +442,8 @@ impl NektarF {
             for (c, mc) in comps.iter().enumerate() {
                 disc.to_quad_into(&mc.a, &mut vel[pl.at(c, mi, 0)], scratch);
                 disc.to_quad_into(&mc.b, &mut vel[pl.at(c, mi, 1)], scratch);
-                for ei in 0..nelems {
-                    let basis = disc.basis(ei);
-                    self.recorder.work(
-                        Stage::BwdTransform,
-                        WorkItem::Gemm { m: basis.nquad(), n: 2, k: basis.nmodes() },
-                    );
-                }
+                let planes = |nm, nq| WorkItem::Gemm { m: nq, n: 2, k: nm };
+                self.recorder.work_per_elem(disc, Stage::BwdTransform, planes);
             }
         }
         sc.add(Stage::BwdTransform, t0.stop());
@@ -537,25 +516,10 @@ impl NektarF {
         self.hist_vel.truncate(order);
         self.hist_n.truncate(order);
         let j = self.hist_vel.len();
-        let ramp_scheme;
-        let eff = if j == order {
-            &self.scheme
-        } else {
-            ramp_scheme = StifflyStable::new(j);
-            &ramp_scheme
-        };
 
         // Stage 3: stiffly-stable weighting.
         let t0 = StageTimer::start(Stage::StifflyStable);
-        hat.fill(0.0);
-        for lvl in 0..j {
-            let al = eff.alpha[lvl];
-            let be = eff.beta[lvl] * dt;
-            let levels = self.hist_vel[lvl].iter().zip(&self.hist_n[lvl]);
-            for (h, (&hv, &hn)) in hat.iter_mut().zip(levels) {
-                *h += al * hv + be * hn;
-            }
-        }
+        self.scheme.weight_history(dt, &self.hist_vel, &self.hist_n, hat);
         self.recorder.work(
             Stage::StifflyStable,
             WorkItem::Stream {
@@ -679,10 +643,9 @@ impl NektarF {
         let k = self.my_modes.start + mi;
         let lz = self.cfg.lz;
         for mc in &self.fields[mi] {
-            let qa = self.to_quad(&mc.a);
-            let qb = self.to_quad(&mc.b);
-            let jw = self.disc.ops.iter().flat_map(|op| &op.geom.jw);
-            for ((&w, &a), &b) in jw.zip(&qa).zip(&qb) {
+            let qa = self.disc.to_quad(&mc.a);
+            let qb = self.disc.to_quad(&mc.b);
+            for ((w, &a), &b) in self.disc.quad_weights().zip(&qa).zip(&qb) {
                 *e += 0.5 * w * if k == 0 { lz * a * a } else { 0.5 * lz * (a * a + b * b) };
             }
         }
@@ -752,10 +715,7 @@ fn read_planes(
         for mi in 0..pl.mpp {
             for c in 0..3 {
                 for ab in 0..2 {
-                    d.expect_u64(pl.nq as u64, "fourier history plane size")?;
-                    for v in &mut level[pl.at(c, mi, ab)] {
-                        *v = d.f64()?;
-                    }
+                    d.f64s_into(&mut level[pl.at(c, mi, ab)], "fourier history plane size")?;
                 }
             }
         }
@@ -790,15 +750,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         write_planes(&mut e, &self.hist_n, self.planes);
         w.section("hist", e.into_bytes());
 
-        let mut e = nkt_ckpt::Enc::new();
-        e.usize(self.steps_taken);
-        w.section("steps", e.into_bytes());
-
-        let mut e = nkt_ckpt::Enc::new();
-        for t in self.clock.totals {
-            e.f64(t);
-        }
-        w.section(nkt_ckpt::CLOCK_SECTION, e.into_bytes());
+        write_progress(w, self.steps_taken, &self.clock);
     }
 
     fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), nkt_ckpt::CkptError> {
@@ -820,15 +772,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         self.hist_n = read_planes(&mut d, self.planes)?;
         d.finish()?;
 
-        let mut d = f.dec("steps")?;
-        self.steps_taken = d.u64()? as usize;
-        d.finish()?;
-
-        let mut d = f.dec(nkt_ckpt::CLOCK_SECTION)?;
-        for t in self.clock.totals.iter_mut() {
-            *t = d.f64()?;
-        }
-        d.finish()?;
+        (self.steps_taken, self.clock) = read_progress(f)?;
         Ok(())
     }
 

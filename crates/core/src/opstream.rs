@@ -9,6 +9,7 @@
 //! cannot measure natively.
 
 use crate::timers::Stage;
+use nkt_spectral::Discretization;
 
 /// One computational kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,6 +197,22 @@ impl Recorder {
     pub fn work(&mut self, stage: Stage, item: WorkItem) {
         if let Some(r) = &mut self.rec {
             r.work(stage, item);
+        }
+    }
+
+    /// If enabled, records `item(nm, nq)` once per element of `disc`, in
+    /// element order: what the replay charges for one plane kernel over
+    /// elements of `nm` modes and `nq` quadrature points.
+    pub fn work_per_elem(
+        &mut self,
+        disc: &Discretization,
+        stage: Stage,
+        item: impl Fn(usize, usize) -> WorkItem,
+    ) {
+        let Some(rec) = &mut self.rec else { return };
+        for ei in 0..disc.mesh.nelems() {
+            let basis = disc.basis(ei);
+            rec.work(stage, item(basis.nmodes(), basis.nquad()));
         }
     }
 

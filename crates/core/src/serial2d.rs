@@ -10,17 +10,27 @@
 //! 6. viscous Helmholtz right-hand side,
 //! 7. banded direct Helmholtz solves (u and v).
 //!
+//! These are NekTar-F's stages 1–7 ([`crate::fourier`]) for one real
+//! plane pair (u, v) in place of a mode's six: the same four plane
+//! kernels of the shared [`Discretization`] over element-major planes,
+//! the same recycled history ring, the same in-place multi-solve — the
+//! 2-D arithmetic exists once, and a warmed step allocates nothing
+//! (`tests/serial2d_step_contract.rs`).
+//!
 //! Boundary conditions follow the paper's bluff-body setup: Dirichlet
 //! velocity at inflow and walls, natural (zero-flux) at outflow and
 //! sides; pressure is Dirichlet-zero at the outflow (or pinned at one dof
 //! when no outflow exists).
 
+use crate::fourier::{recycle_level, split_planes};
 use crate::opstream::{Recorder, WorkItem};
 use crate::splitting::StifflyStable;
-use crate::timers::{Stage, StageClock, StageTimer};
+use crate::timers::{read_progress, write_progress, Stage, StageClock, StageTimer};
+use nkt_ckpt::CkptError;
 use nkt_mesh::{BoundaryTag, Mesh2d};
-use nkt_spectral::{Discretization, HelmholtzProblem, SolveMethod};
+use nkt_spectral::{Discretization, HelmholtzProblem, PlaneScratch};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Solver configuration.
 #[derive(Debug, Clone)]
@@ -37,21 +47,31 @@ pub struct SolverConfig {
     pub advect: bool,
 }
 
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig { order: 6, dt: 1e-3, nu: 0.01, scheme_order: 2, advect: true }
-    }
+/// The buffers of one [`Serial2dSolver::step`], sized at construction.
+/// The velocity and nonlinear-term planes are not here — a step writes
+/// them straight into the history level it recycles — and the three
+/// right-hand sides are built, and solved, in `p`, `u` and `v`.
+struct StepWorkspace {
+    /// Four planes: ∂x u, ∂y u, ∂x v, ∂y v in stage 2; ∂x p, ∂y p,
+    /// overwritten in place by u*, v*, in stage 6.
+    grad: Vec<f64>,
+    /// Stiffly-stable weighted fields û, v̂.
+    hat: Vec<f64>,
+    /// The ∂z ŵ plane of stage 4's weak divergence: a 2-D flow has none.
+    zero: Vec<f64>,
+    /// Band-order scratch of the solves.
+    band: Vec<f64>,
+    scratch: PlaneScratch,
 }
-
-/// Per-element quadrature-space field (velocity components, nonlinear
-/// terms, ...).
-type QField = Vec<Vec<f64>>;
 
 /// The serial solver state.
 pub struct Serial2dSolver {
     /// Configuration.
     pub cfg: SolverConfig,
     scheme: StifflyStable,
+    /// Mesh, bases, dof map and elemental operators, shared by every
+    /// problem below.
+    pub(crate) disc: Arc<Discretization>,
     /// Pressure Poisson problem (λ = 0, Dirichlet at outflow / pinned).
     pub pressure: HelmholtzProblem,
     /// Viscous Helmholtz problem (λ = γ₀/(νΔt), Dirichlet velocity).
@@ -63,15 +83,18 @@ pub struct Serial2dSolver {
     pub u: Vec<f64>,
     /// v-component modal coefficients.
     pub v: Vec<f64>,
-    /// Pressure modal coefficients.
+    /// Pressure modal coefficients (empty until the first step).
     pub p: Vec<f64>,
     /// Dirichlet values for u on the velocity problem.
     ud_u: Vec<f64>,
     ud_v: Vec<f64>,
-    /// History of velocity quadrature values (newest front), per component.
-    hist_uq: VecDeque<(QField, QField)>,
-    /// History of nonlinear terms (newest front).
-    hist_n: VecDeque<(QField, QField)>,
+    /// History of quadrature-space velocity, newest level first; each
+    /// level is the u plane then the v plane, element-major.
+    hist_vel: VecDeque<Vec<f64>>,
+    /// History of nonlinear terms, same layout.
+    hist_n: VecDeque<Vec<f64>>,
+    /// Every other buffer a step touches.
+    ws: StepWorkspace,
     /// Per-stage timing.
     pub clock: StageClock,
     /// Operation-stream recorder.
@@ -112,22 +135,31 @@ impl Serial2dSolver {
                 HelmholtzProblem::member(&disc, lam_j, VEL_DIRICHLET)
             })
             .collect();
-        let ndof = viscous.asm.ndof;
+        let (ndof, nq) = (disc.asm.ndof, disc.nquad_total());
         let ud_u = viscous.dirichlet_values(&g_u);
         let ud_v = viscous.dirichlet_values(&g_v);
+        let ws = StepWorkspace {
+            grad: vec![0.0; 4 * nq],
+            hat: vec![0.0; 2 * nq],
+            zero: vec![0.0; nq],
+            band: vec![0.0; 2 * ndof],
+            scratch: disc.plane_scratch(2),
+        };
         Serial2dSolver {
             cfg,
             scheme,
+            disc,
             pressure,
             viscous,
             ramp,
             u: vec![0.0; ndof],
             v: vec![0.0; ndof],
-            p: vec![0.0; 0],
+            p: Vec::new(),
             ud_u,
             ud_v,
-            hist_uq: VecDeque::new(),
+            hist_vel: VecDeque::new(),
             hist_n: VecDeque::new(),
+            ws,
             clock: StageClock::new(),
             recorder: Recorder::disabled(),
             steps_taken: 0,
@@ -140,9 +172,9 @@ impl Serial2dSolver {
         f_u: impl Fn([f64; 2]) -> f64,
         f_v: impl Fn([f64; 2]) -> f64,
     ) {
-        self.u = self.viscous.l2_project(f_u);
-        self.v = self.viscous.l2_project(f_v);
-        self.hist_uq.clear();
+        self.u = self.disc.l2_project(f_u);
+        self.v = self.disc.l2_project(f_v);
+        self.hist_vel.clear();
         self.hist_n.clear();
         self.steps_taken = 0;
     }
@@ -160,298 +192,134 @@ impl Serial2dSolver {
 
     /// Number of global velocity dofs.
     pub fn ndof(&self) -> usize {
-        self.viscous.asm.ndof
-    }
-
-    /// Transforms modal coefficients to quadrature values (stage 1 kernel).
-    #[allow(clippy::wrong_self_convention)]
-    fn to_quadrature(&mut self, coeffs: &[f64]) -> QField {
-        let prob = &self.viscous;
-        let mut out = Vec::with_capacity(prob.mesh.nelems());
-        for ei in 0..prob.mesh.nelems() {
-            let basis = prob.basis(ei);
-            let nm = basis.nmodes();
-            let nq = basis.nquad();
-            let mut local = vec![0.0; nm];
-            prob.asm.gather(ei, coeffs, &mut local);
-            let mut vals = vec![0.0; nq];
-            for (m, &c) in local.iter().enumerate() {
-                if c != 0.0 {
-                    let vm = &basis.val()[m];
-                    for q in 0..nq {
-                        vals[q] += c * vm[q];
-                    }
-                }
-            }
-            self.recorder.work(
-                Stage::BwdTransform,
-                WorkItem::Gemm { m: nq, n: 1, k: nm },
-            );
-            out.push(vals);
-        }
-        out
-    }
-
-    /// Physical-space gradient of a modal field (∂x, ∂y at quadrature).
-    pub(crate) fn gradient(&mut self, coeffs: &[f64], stage: Stage) -> (QField, QField) {
-        let prob = &self.viscous;
-        let ne = prob.mesh.nelems();
-        let mut gx_all = Vec::with_capacity(ne);
-        let mut gy_all = Vec::with_capacity(ne);
-        for ei in 0..ne {
-            let basis = prob.basis(ei);
-            let geom = &prob.ops[ei].geom;
-            let nm = basis.nmodes();
-            let nq = basis.nquad();
-            let mut local = vec![0.0; nm];
-            prob.asm.gather(ei, coeffs, &mut local);
-            let mut gx = vec![0.0; nq];
-            let mut gy = vec![0.0; nq];
-            for (m, &c) in local.iter().enumerate() {
-                if c != 0.0 {
-                    let d1 = &basis.dxi1()[m];
-                    let d2 = &basis.dxi2()[m];
-                    for q in 0..nq {
-                        let [a, b, cc, d] = geom.dxi_dx[q];
-                        gx[q] += c * (d1[q] * a + d2[q] * cc);
-                        gy[q] += c * (d1[q] * b + d2[q] * d);
-                    }
-                }
-            }
-            self.recorder.work(stage, WorkItem::Gemm { m: nq, n: 2, k: nm });
-            gx_all.push(gx);
-            gy_all.push(gy);
-        }
-        (gx_all, gy_all)
+        self.disc.asm.ndof
     }
 
     /// Advances one time step. Returns the per-stage times of this step.
     pub fn step(&mut self) -> StageClock {
         let step_span = nkt_trace::span("step", "step");
-        let mut step_clock = StageClock::new();
-        let dt = self.cfg.dt;
-        let nu = self.cfg.nu;
-        let ne = self.viscous.mesh.nelems();
+        let mut sc = StageClock::new();
+        let (dt, nu) = (self.cfg.dt, self.cfg.nu);
+        let order = self.scheme.order;
+        let disc = &*self.disc;
+        let (ndof, nq) = (disc.asm.ndof, disc.nquad_total());
+        let StepWorkspace { grad, hat, zero, band, scratch } = &mut self.ws;
+        // What the replay charges an element for a plane kernel: values,
+        // both derivatives, and a weak form of two planes.
+        let rec = &mut self.recorder;
+        let values = |nm, nq| WorkItem::Gemm { m: nq, n: 1, k: nm };
+        let derivs = |nm, nq| WorkItem::Gemm { m: nq, n: 2, k: nm };
+        let weak = |nm, nq| WorkItem::Gemm { m: nm, n: 2, k: nq };
+
+        // This step's velocity and nonlinear planes are the next history
+        // level: written in place, never copied.
+        let mut vel = recycle_level(&mut self.hist_vel, order, 2 * nq);
+        let mut nonlin = recycle_level(&mut self.hist_n, order, 2 * nq);
 
         // Stage 1: modal -> quadrature transform of the velocity.
-        let u_mod = self.u.clone();
-        let v_mod = self.v.clone();
         let t0 = StageTimer::start(Stage::BwdTransform);
-        let uq = self.to_quadrature(&u_mod);
-        let vq = self.to_quadrature(&v_mod);
-        step_clock.add(Stage::BwdTransform, t0.stop());
+        let (uq, vq) = vel.split_at_mut(nq);
+        disc.to_quad_into(&self.u, uq, scratch);
+        disc.to_quad_into(&self.v, vq, scratch);
+        for _ in 0..2 {
+            rec.work_per_elem(disc, Stage::BwdTransform, values);
+        }
+        sc.add(Stage::BwdTransform, t0.stop());
 
         // Stage 2: nonlinear terms at quadrature points.
         let t0 = StageTimer::start(Stage::NonLinear);
-        let (nun, nvn) = if self.cfg.advect {
-            let (dux, duy) = self.gradient(&u_mod, Stage::NonLinear);
-            let (dvx, dvy) = self.gradient(&v_mod, Stage::NonLinear);
-            let mut nun = Vec::with_capacity(ne);
-            let mut nvn = Vec::with_capacity(ne);
-            for ei in 0..ne {
-                let nq = uq[ei].len();
-                let mut a = vec![0.0; nq];
-                let mut b = vec![0.0; nq];
-                for q in 0..nq {
-                    a[q] = -(uq[ei][q] * dux[ei][q] + vq[ei][q] * duy[ei][q]);
-                    b[q] = -(uq[ei][q] * dvx[ei][q] + vq[ei][q] * dvy[ei][q]);
-                }
-                self.recorder.work(
-                    Stage::NonLinear,
-                    WorkItem::Stream {
-                        flops: 6.0 * nq as f64,
-                        bytes: 48.0 * nq as f64,
-                        ws: 48 * nq,
-                    },
-                );
-                nun.push(a);
-                nvn.push(b);
+        if self.cfg.advect {
+            let [dux, duy, dvx, dvy] = split_planes(grad, nq);
+            disc.grad_quad_into(&self.u, dux, duy, scratch);
+            disc.grad_quad_into(&self.v, dvx, dvy, scratch);
+            for _ in 0..2 {
+                rec.work_per_elem(disc, Stage::NonLinear, derivs);
             }
-            (nun, nvn)
+            let (nun, nvn) = nonlin.split_at_mut(nq);
+            for q in 0..nq {
+                nun[q] = -(uq[q] * dux[q] + vq[q] * duy[q]);
+                nvn[q] = -(uq[q] * dvx[q] + vq[q] * dvy[q]);
+            }
+            rec.work_per_elem(disc, Stage::NonLinear, |_, nq| WorkItem::Stream {
+                flops: 6.0 * nq as f64,
+                bytes: 48.0 * nq as f64,
+                ws: 48 * nq,
+            });
         } else {
-            let zeros: QField = uq.iter().map(|v| vec![0.0; v.len()]).collect();
-            (zeros.clone(), zeros)
-        };
-        step_clock.add(Stage::NonLinear, t0.stop());
+            nonlin.fill(0.0);
+        }
+        sc.add(Stage::NonLinear, t0.stop());
 
-        // Push history (newest at the front).
-        self.hist_uq.push_front((uq, vq));
-        self.hist_n.push_front((nun, nvn));
-        let j = self.scheme.order.min(self.hist_uq.len());
-        while self.hist_uq.len() > self.scheme.order {
-            self.hist_uq.pop_back();
-        }
-        while self.hist_n.len() > self.scheme.order {
-            self.hist_n.pop_back();
-        }
-        // Effective scheme ramps up over the first steps.
-        let eff = StifflyStable::new(j);
+        // History push: `j` levels are in effect, fewer than the scheme's
+        // order over the first steps.
+        self.hist_vel.push_front(vel);
+        self.hist_n.push_front(nonlin);
+        let j = self.hist_vel.len();
 
         // Stage 3: stiffly-stable weighting: uhat = sum alpha u + dt sum
         // beta N, all in quadrature space.
         let t0 = StageTimer::start(Stage::StifflyStable);
-        let mut uhat: QField = Vec::with_capacity(ne);
-        let mut vhat: QField = Vec::with_capacity(ne);
-        for ei in 0..ne {
-            let nq = self.hist_uq[0].0[ei].len();
-            let mut a = vec![0.0; nq];
-            let mut b = vec![0.0; nq];
-            for (lvl, ((huq, hvq), (hnu, hnv))) in
-                self.hist_uq.iter().zip(self.hist_n.iter()).enumerate().take(j)
-            {
-                let al = eff.alpha[lvl];
-                let be = eff.beta[lvl] * dt;
-                for q in 0..nq {
-                    a[q] += al * huq[ei][q] + be * hnu[ei][q];
-                    b[q] += al * hvq[ei][q] + be * hnv[ei][q];
-                }
-            }
-            self.recorder.work(
-                Stage::StifflyStable,
-                WorkItem::Stream {
-                    flops: 8.0 * j as f64 * nq as f64,
-                    bytes: 32.0 * j as f64 * nq as f64,
-                    ws: 32 * nq,
-                },
-            );
-            uhat.push(a);
-            vhat.push(b);
-        }
-        step_clock.add(Stage::StifflyStable, t0.stop());
+        self.scheme.weight_history(dt, &self.hist_vel, &self.hist_n, hat);
+        rec.work_per_elem(disc, Stage::StifflyStable, |_, nq| WorkItem::Stream {
+            flops: 8.0 * j as f64 * nq as f64,
+            bytes: 32.0 * j as f64 * nq as f64,
+            ws: 32 * nq,
+        });
+        sc.add(Stage::StifflyStable, t0.stop());
+        let (hu, hv) = hat.split_at(nq);
 
         // Stage 4: pressure RHS (integration by parts):
         // rhs_i = (1/dt) ∫ uhat·∇φ_i.
         let t0 = StageTimer::start(Stage::PressureRhs);
-        let mut prhs = vec![0.0; self.pressure.asm.ndof];
-        for ei in 0..ne {
-            let basis = self.pressure.basis(ei);
-            let geom = &self.pressure.ops[ei].geom;
-            let nm = basis.nmodes();
-            let nq = basis.nquad();
-            let mut local = vec![0.0; nm];
-            for (m, lm) in local.iter_mut().enumerate() {
-                let d1 = &basis.dxi1()[m];
-                let d2 = &basis.dxi2()[m];
-                let mut s = 0.0;
-                for q in 0..nq {
-                    let [a, b, cc, d] = geom.dxi_dx[q];
-                    let gpx = d1[q] * a + d2[q] * cc;
-                    let gpy = d1[q] * b + d2[q] * d;
-                    s += geom.jw[q] * (uhat[ei][q] * gpx + vhat[ei][q] * gpy);
-                }
-                *lm = s / dt;
-            }
-            self.pressure.asm.scatter_add(ei, &local, &mut prhs);
-            self.recorder.work(Stage::PressureRhs, WorkItem::Gemm { m: nm, n: 2, k: nq });
-        }
-        step_clock.add(Stage::PressureRhs, t0.stop());
+        self.p.clear();
+        self.p.resize(ndof, 0.0);
+        disc.weak_div_add([hu], [hv], [&zero[..]], dt, [&mut self.p[..]], scratch);
+        rec.work_per_elem(disc, Stage::PressureRhs, weak);
+        sc.add(Stage::PressureRhs, t0.stop());
 
-        // Stage 5: pressure solve (banded direct).
+        // Stage 5: pressure solve (banded direct), in place: `p` now
+        // holds the pressure.
         let t0 = StageTimer::start(Stage::PressureSolve);
-        let pzero = vec![0.0; self.pressure.asm.ndof];
-        let (pnew, _) = self.pressure.solve_with_rhs(prhs, &pzero, SolveMethod::BandedDirect);
-        self.p = pnew;
-        self.recorder.work(
-            Stage::PressureSolve,
-            WorkItem::BandedSolve {
-                n: self.pressure.asm.ndof,
-                kd: self.pressure.matrix.kd(),
-            },
-        );
-        step_clock.add(Stage::PressureSolve, t0.stop());
+        self.pressure.solve_banded_in_place(&mut [&mut self.p[..]], None, band);
+        let kd = self.pressure.matrix.kd();
+        rec.work(Stage::PressureSolve, WorkItem::BandedSolve { n: ndof, kd });
+        sc.add(Stage::PressureSolve, t0.stop());
 
-        // Stage 6: viscous RHS: u** = uhat - dt ∇p; rhs = (1/(nu dt)) ∫ u** φ.
+        // Stage 6: viscous RHS: u** = uhat - dt ∇p, formed once per point
+        // over the planes of ∇p; rhs = (1/(nu dt)) ∫ u** φ.
         let t0 = StageTimer::start(Stage::ViscousRhs);
-        let p_mod = self.p.clone();
-        let (gpx, gpy) = {
-            // Gradient of pressure uses the pressure problem's assembly.
-            let prob = &self.pressure;
-            let mut gx_all = Vec::with_capacity(ne);
-            let mut gy_all = Vec::with_capacity(ne);
-            for ei in 0..ne {
-                let basis = prob.basis(ei);
-                let geom = &prob.ops[ei].geom;
-                let nm = basis.nmodes();
-                let nq = basis.nquad();
-                let mut local = vec![0.0; nm];
-                prob.asm.gather(ei, &p_mod, &mut local);
-                let mut gx = vec![0.0; nq];
-                let mut gy = vec![0.0; nq];
-                for (m, &c) in local.iter().enumerate() {
-                    if c != 0.0 {
-                        let d1 = &basis.dxi1()[m];
-                        let d2 = &basis.dxi2()[m];
-                        for q in 0..nq {
-                            let [a, b, cc, d] = geom.dxi_dx[q];
-                            gx[q] += c * (d1[q] * a + d2[q] * cc);
-                            gy[q] += c * (d1[q] * b + d2[q] * d);
-                        }
-                    }
-                }
-                self.recorder.work(Stage::ViscousRhs, WorkItem::Gemm { m: nq, n: 2, k: nm });
-                gx_all.push(gx);
-                gy_all.push(gy);
-            }
-            (gx_all, gy_all)
-        };
-        let scale = 1.0 / (nu * dt);
-        let mut urhs = vec![0.0; self.viscous.asm.ndof];
-        let mut vrhs = vec![0.0; self.viscous.asm.ndof];
-        for ei in 0..ne {
-            let basis = self.viscous.basis(ei);
-            let geom = &self.viscous.ops[ei].geom;
-            let nm = basis.nmodes();
-            let nq = basis.nquad();
-            let mut lu = vec![0.0; nm];
-            let mut lv = vec![0.0; nm];
-            for m in 0..nm {
-                let vm = &basis.val()[m];
-                let mut su = 0.0;
-                let mut sv = 0.0;
-                for q in 0..nq {
-                    let ustar = uhat[ei][q] - dt * gpx[ei][q];
-                    let vstar = vhat[ei][q] - dt * gpy[ei][q];
-                    su += geom.jw[q] * ustar * vm[q];
-                    sv += geom.jw[q] * vstar * vm[q];
-                }
-                lu[m] = scale * su;
-                lv[m] = scale * sv;
-            }
-            self.viscous.asm.scatter_add(ei, &lu, &mut urhs);
-            self.viscous.asm.scatter_add(ei, &lv, &mut vrhs);
-            self.recorder.work(Stage::ViscousRhs, WorkItem::Gemm { m: nm, n: 2, k: nq });
+        let [ustar, vstar] = split_planes(grad, nq);
+        disc.grad_quad_into(&self.p, ustar, vstar, scratch);
+        rec.work_per_elem(disc, Stage::ViscousRhs, derivs);
+        for q in 0..nq {
+            ustar[q] = hu[q] - dt * ustar[q];
+            vstar[q] = hv[q] - dt * vstar[q];
         }
-        step_clock.add(Stage::ViscousRhs, t0.stop());
+        // The old coefficients were last read in stage 2: the right-hand
+        // sides are built, and solved, where the new ones go.
+        self.u.fill(0.0);
+        self.v.fill(0.0);
+        let rhs = [&mut self.u[..], &mut self.v[..]];
+        disc.weak_mass_add([&*ustar, &*vstar], 1.0 / (nu * dt), rhs, scratch);
+        rec.work_per_elem(disc, Stage::ViscousRhs, weak);
+        sc.add(Stage::ViscousRhs, t0.stop());
 
-        // Stage 7: viscous Helmholtz solves for u and v (using the ramp
-        // matrix while the BDF history is still filling).
+        // Stage 7: viscous Helmholtz solves for u and v against one
+        // factor (the ramp matrix while the BDF history is still filling).
         let t0 = StageTimer::start(Stage::ViscousSolve);
-        let ud = self.ud_u.clone();
-        let vd = self.ud_v.clone();
-        let solver = if j < self.scheme.order {
-            &mut self.ramp[j - 1]
-        } else {
-            &mut self.viscous
-        };
-        let (unew, _) = solver.solve_with_rhs(urhs, &ud, SolveMethod::BandedDirect);
-        let (vnew, _) = solver.solve_with_rhs(vrhs, &vd, SolveMethod::BandedDirect);
-        self.u = unew;
-        self.v = vnew;
+        let solver = if j < order { &mut self.ramp[j - 1] } else { &mut self.viscous };
+        let data: [&[f64]; 2] = [&self.ud_u, &self.ud_v];
+        solver.solve_banded_in_place(&mut [&mut self.u[..], &mut self.v[..]], Some(&data), band);
+        let kd = solver.matrix.kd();
         for _ in 0..2 {
-            self.recorder.work(
-                Stage::ViscousSolve,
-                WorkItem::BandedSolve {
-                    n: self.viscous.asm.ndof,
-                    kd: self.viscous.matrix.kd(),
-                },
-            );
+            rec.work(Stage::ViscousSolve, WorkItem::BandedSolve { n: ndof, kd });
         }
-        step_clock.add(Stage::ViscousSolve, t0.stop());
+        sc.add(Stage::ViscousSolve, t0.stop());
 
         step_span.end();
-        self.clock.merge(&step_clock);
+        self.clock.merge(&sc);
         self.steps_taken += 1;
-        step_clock
+        sc
     }
 
     /// L2 error of the velocity against an exact pair.
@@ -460,50 +328,30 @@ impl Serial2dSolver {
         exact_u: impl Fn([f64; 2]) -> f64,
         exact_v: impl Fn([f64; 2]) -> f64,
     ) -> f64 {
-        let eu = self.viscous.l2_error(&self.u, exact_u);
-        let ev = self.viscous.l2_error(&self.v, exact_v);
+        let eu = self.disc.l2_error(&self.u, exact_u);
+        let ev = self.disc.l2_error(&self.v, exact_v);
         (eu * eu + ev * ev).sqrt()
     }
 
     /// Total kinetic energy ½∫|u|².
     pub fn kinetic_energy(&self) -> f64 {
-        let prob = &self.viscous;
+        let (uq, vq) = (self.disc.to_quad(&self.u), self.disc.to_quad(&self.v));
         let mut e = 0.0;
-        for ei in 0..prob.mesh.nelems() {
-            let basis = prob.basis(ei);
-            let geom = &prob.ops[ei].geom;
-            let mut lu = vec![0.0; basis.nmodes()];
-            let mut lv = vec![0.0; basis.nmodes()];
-            prob.asm.gather(ei, &self.u, &mut lu);
-            prob.asm.gather(ei, &self.v, &mut lv);
-            for q in 0..basis.nquad() {
-                let mut uu = 0.0;
-                let mut vv = 0.0;
-                for m in 0..basis.nmodes() {
-                    uu += lu[m] * basis.val()[m][q];
-                    vv += lv[m] * basis.val()[m][q];
-                }
-                e += 0.5 * geom.jw[q] * (uu * uu + vv * vv);
-            }
+        for ((w, &uu), &vv) in self.disc.quad_weights().zip(&uq).zip(&vq) {
+            e += 0.5 * w * (uu * uu + vv * vv);
         }
         e
     }
 
     /// L2 norm of the velocity divergence (a splitting-scheme health
     /// metric: should stay small).
-    pub fn divergence_norm(&mut self) -> f64 {
-        let u_mod = self.u.clone();
-        let v_mod = self.v.clone();
-        let (dux, _) = self.gradient(&u_mod, Stage::NonLinear);
-        let (_, dvy) = self.gradient(&v_mod, Stage::NonLinear);
-        let prob = &self.viscous;
+    pub fn divergence_norm(&self) -> f64 {
+        let (dux, _) = self.disc.grad_quad(&self.u);
+        let (_, dvy) = self.disc.grad_quad(&self.v);
         let mut d2 = 0.0;
-        for ei in 0..prob.mesh.nelems() {
-            let geom = &prob.ops[ei].geom;
-            for q in 0..dux[ei].len() {
-                let d = dux[ei][q] + dvy[ei][q];
-                d2 += geom.jw[q] * d * d;
-            }
+        for ((w, &ux), &vy) in self.disc.quad_weights().zip(&dux).zip(&dvy) {
+            let d = ux + vy;
+            d2 += w * d * d;
         }
         d2.sqrt()
     }
@@ -512,6 +360,46 @@ impl Serial2dSolver {
     pub fn steps(&self) -> usize {
         self.steps_taken
     }
+}
+
+/// One history section: level count, then per level the u and the v
+/// plane, each as an element count and per-element length-prefixed values.
+fn write_levels(e: &mut nkt_ckpt::Enc, levels: &VecDeque<Vec<f64>>, disc: &Discretization) {
+    e.usize(levels.len());
+    for level in levels {
+        for plane in level.chunks_exact(disc.nquad_total()) {
+            e.usize(disc.mesh.nelems());
+            for ei in 0..disc.mesh.nelems() {
+                e.f64s(&plane[disc.quad_range(ei)]);
+            }
+        }
+    }
+}
+
+fn mismatch(what: String) -> CkptError {
+    CkptError::StateMismatch { what }
+}
+
+/// Reads `nlevels` levels as [`write_levels`] wrote them (after the level
+/// count), holding every element count and length to `disc`'s.
+fn read_levels(
+    d: &mut nkt_ckpt::Dec<'_>,
+    disc: &Discretization,
+    nlevels: usize,
+) -> Result<VecDeque<Vec<f64>>, CkptError> {
+    let nq = disc.nquad_total();
+    let mut out = VecDeque::with_capacity(nlevels);
+    for _ in 0..nlevels {
+        let mut level = vec![0.0; 2 * nq];
+        for plane in level.chunks_exact_mut(nq) {
+            d.expect_u64(disc.mesh.nelems() as u64, "serial2d history element count")?;
+            for ei in 0..disc.mesh.nelems() {
+                d.f64s_into(&mut plane[disc.quad_range(ei)], "serial2d history plane size")?;
+            }
+        }
+        out.push_back(level);
+    }
+    Ok(out)
 }
 
 impl nkt_ckpt::Checkpointable for Serial2dSolver {
@@ -525,7 +413,7 @@ impl nkt_ckpt::Checkpointable for Serial2dSolver {
         // boundary data at construction, but persisting them makes the
         // shard self-describing about what the run was solving.
         let mut e = nkt_ckpt::Enc::new();
-        e.usize(self.viscous.asm.ndof);
+        e.usize(self.disc.asm.ndof);
         e.f64s(&self.u);
         e.f64s(&self.v);
         e.f64s(&self.p);
@@ -536,65 +424,43 @@ impl nkt_ckpt::Checkpointable for Serial2dSolver {
         // "hist": the stiffly-stable history ring (velocity and
         // nonlinear-term quadrature fields, newest first).
         let mut e = nkt_ckpt::Enc::new();
-        e.usize(self.hist_uq.len());
-        for (uq, vq) in &self.hist_uq {
-            e.vecs(uq);
-            e.vecs(vq);
-        }
-        e.usize(self.hist_n.len());
-        for (nu, nv) in &self.hist_n {
-            e.vecs(nu);
-            e.vecs(nv);
-        }
+        write_levels(&mut e, &self.hist_vel, &self.disc);
+        write_levels(&mut e, &self.hist_n, &self.disc);
         w.section("hist", e.into_bytes());
 
-        let mut e = nkt_ckpt::Enc::new();
-        e.usize(self.steps_taken);
-        w.section("steps", e.into_bytes());
-
-        let mut e = nkt_ckpt::Enc::new();
-        for t in self.clock.totals {
-            e.f64(t);
-        }
-        w.section(nkt_ckpt::CLOCK_SECTION, e.into_bytes());
+        write_progress(w, self.steps_taken, &self.clock);
     }
 
-    fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), nkt_ckpt::CkptError> {
+    fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), CkptError> {
+        // Every count and length is held to this solver's: a step indexes
+        // these vectors without looking at them.
+        let ndof = self.disc.asm.ndof;
         let mut d = f.dec("fields")?;
-        d.expect_u64(self.viscous.asm.ndof as u64, "serial2d dof count")?;
-        self.u = d.f64s()?;
-        self.v = d.f64s()?;
-        self.p = d.f64s()?;
-        self.ud_u = d.f64s()?;
-        self.ud_v = d.f64s()?;
+        d.expect_u64(ndof as u64, "serial2d dof count")?;
+        let fields = [&mut self.u, &mut self.v, &mut self.p, &mut self.ud_u, &mut self.ud_v];
+        for (field, name) in fields.into_iter().zip(["u", "v", "p", "ud_u", "ud_v"]) {
+            *field = d.f64s()?;
+            // No pressure before the first step: `p` alone may be empty.
+            if field.len() != ndof && !(name == "p" && field.is_empty()) {
+                return Err(mismatch(format!("serial2d {name}: {} values, {ndof} dofs", field.len())));
+            }
+        }
         d.finish()?;
 
         let mut d = f.dec("hist")?;
-        let n_uq = d.len_prefix(64)?;
-        self.hist_uq.clear();
-        for _ in 0..n_uq {
-            let uq = d.vecs()?;
-            let vq = d.vecs()?;
-            self.hist_uq.push_back((uq, vq));
+        let nlevels = d.len_prefix(64)?;
+        if nlevels > self.scheme.order {
+            return Err(mismatch(format!(
+                "serial2d history: {nlevels} levels, the scheme keeps {}",
+                self.scheme.order
+            )));
         }
-        let n_n = d.len_prefix(64)?;
-        self.hist_n.clear();
-        for _ in 0..n_n {
-            let nu = d.vecs()?;
-            let nv = d.vecs()?;
-            self.hist_n.push_back((nu, nv));
-        }
+        self.hist_vel = read_levels(&mut d, &self.disc, nlevels)?;
+        d.expect_u64(nlevels as u64, "serial2d nonlinear-term history levels")?;
+        self.hist_n = read_levels(&mut d, &self.disc, nlevels)?;
         d.finish()?;
 
-        let mut d = f.dec("steps")?;
-        self.steps_taken = d.u64()? as usize;
-        d.finish()?;
-
-        let mut d = f.dec(nkt_ckpt::CLOCK_SECTION)?;
-        for t in self.clock.totals.iter_mut() {
-            *t = d.f64()?;
-        }
-        d.finish()?;
+        (self.steps_taken, self.clock) = read_progress(f)?;
         Ok(())
     }
 
@@ -693,7 +559,7 @@ mod tests {
     #[test]
     fn stokes_mode_disables_advection() {
         // Pure diffusion of the same field (advection off): TG velocity is
-        // also an exact Stokes solution (its nonlinear term is a gradient,
+        // also an exact Stokes solution (its nonlinear term is ∇q of a scalar q,
         // absorbed into pressure; without advection the pressure is zero
         // and diffusion acts alone) — decay rate identical.
         let nu = 0.1;
@@ -754,16 +620,34 @@ mod tests {
     }
 
     #[test]
+    fn diagnostics_leave_the_op_stream_alone() {
+        // A STATS sample taken mid-run must not inflate the NonLinear
+        // stage the replay charges: only `step` records.
+        use crate::stats::{sample_serial2d, SERIAL2D_CHANNELS};
+        use nkt_stats::{RuleLimits, StatsRecorder};
+        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+        let cfg = SolverConfig { order: 4, dt: 1e-3, nu: 0.01, scheme_order: 2, advect: true };
+        let mut s = Serial2dSolver::new(mesh, cfg, |_| 0.0, |_| 0.0);
+        s.set_initial(|x| x[1], |x| -x[0]);
+        s.recorder = Recorder::enabled();
+        let mut stats = StatsRecorder::new(SERIAL2D_CHANNELS.to_vec(), 1, 1);
+        sample_serial2d(&s, &mut stats, 0, &RuleLimits::default(), true).unwrap();
+        assert!(s.divergence_norm().is_finite() && s.kinetic_energy() > 0.0);
+        let rec = s.recorder.take().unwrap();
+        assert!(rec.work.is_empty(), "diagnostics recorded {} work items", rec.work.len());
+    }
+
+    #[test]
     fn pressure_viscous_and_ramp_share_one_discretization() {
         let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
         let cfg = SolverConfig { order: 4, dt: 1e-3, nu: 0.01, scheme_order: 3, advect: true };
         let s = Serial2dSolver::new(mesh, cfg, |_| 0.0, |_| 0.0);
-        let disc = s.viscous.discretization();
         assert_eq!(s.ramp.len(), 2);
-        for prob in std::iter::once(&s.pressure).chain(&s.ramp) {
-            assert!(std::sync::Arc::ptr_eq(prob.discretization(), disc));
+        for prob in [&s.pressure, &s.viscous].into_iter().chain(&s.ramp) {
+            assert!(Arc::ptr_eq(prob.discretization(), &s.disc));
         }
-        assert_eq!(std::sync::Arc::strong_count(disc), 4);
+        // The four problems and the solver's own handle.
+        assert_eq!(Arc::strong_count(&s.disc), 5);
         // The no-outflow pressure pin stayed on the pressure problem.
         assert!(s.pressure.dirichlet()[0] && s.pressure.ndirichlet() == 1);
         assert_eq!(s.viscous.dirichlet(), s.ramp[0].dirichlet());

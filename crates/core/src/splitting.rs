@@ -13,6 +13,8 @@
 //! with backward-differentiation weights γ₀, α_q and explicit
 //! extrapolation weights β_q.
 
+use std::collections::VecDeque;
+
 /// Coefficients of the order-J stiffly-stable scheme (J = 1, 2, 3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StifflyStable {
@@ -47,6 +49,34 @@ impl StifflyStable {
                 beta: vec![3.0, -3.0, 1.0],
             },
             _ => panic!("stiffly-stable scheme implemented for orders 1-3"),
+        }
+    }
+
+    /// Stage 3 of a step: `hat = Σ_q α_q·vel[q] + Δt·β_q·nonlin[q]` over
+    /// the history levels (newest first, at most `self.order` of them).
+    /// While the history is still filling, the weights are those of the
+    /// scheme of as many levels as there are — the start-up ramp.
+    pub(crate) fn weight_history(
+        &self,
+        dt: f64,
+        vel: &VecDeque<Vec<f64>>,
+        nonlin: &VecDeque<Vec<f64>>,
+        hat: &mut [f64],
+    ) {
+        let ramp;
+        let eff = if vel.len() == self.order {
+            self
+        } else {
+            ramp = StifflyStable::new(vel.len());
+            &ramp
+        };
+        hat.fill(0.0);
+        for (lvl, (level_v, level_n)) in vel.iter().zip(nonlin).enumerate() {
+            let al = eff.alpha[lvl];
+            let be = eff.beta[lvl] * dt;
+            for (h, (&hv, &hn)) in hat.iter_mut().zip(level_v.iter().zip(level_n)) {
+                *h += al * hv + be * hn;
+            }
         }
     }
 

@@ -24,7 +24,6 @@
 use crate::ale::NektarAle;
 use crate::fourier::NektarF;
 use crate::serial2d::Serial2dSolver;
-use crate::timers::Stage;
 use nkt_mpi::prelude::*;
 use nkt_spectral::Discretization;
 use nkt_stats::{check_rules, HealthError, RuleLimits, StatsRecorder};
@@ -111,9 +110,9 @@ fn fourier_plane_amplitudes(solver: &NektarF) -> Vec<f64> {
     let mut out = Vec::new();
     for mi in 0..solver.my_modes.len() {
         let qa: Vec<Vec<f64>> =
-            (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].a)).collect();
+            (0..3).map(|c| solver.disc.to_quad(&solver.fields[mi][c].a)).collect();
         let qb: Vec<Vec<f64>> =
-            (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].b)).collect();
+            (0..3).map(|c| solver.disc.to_quad(&solver.fields[mi][c].b)).collect();
         for q in 0..solver.disc.nquad_total() {
             let ma = qa.iter().map(|v| v[q] * v[q]).sum::<f64>().sqrt();
             let mb = qb.iter().map(|v| v[q] * v[q]).sum::<f64>().sqrt();
@@ -145,13 +144,13 @@ fn fourier_volume_sums(solver: &mut NektarF, comm: &mut Comm) -> (f64, f64, [f64
             let beta = solver.beta(k);
             let measure = if k == 0 { lz } else { 0.5 * lz };
             let qa: Vec<Vec<f64>> =
-                (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].a)).collect();
+                (0..3).map(|c| solver.disc.to_quad(&solver.fields[mi][c].a)).collect();
             let qb: Vec<Vec<f64>> =
-                (0..3).map(|c| solver.to_quad(&solver.fields[mi][c].b)).collect();
+                (0..3).map(|c| solver.disc.to_quad(&solver.fields[mi][c].b)).collect();
             let ga: Vec<(Vec<f64>, Vec<f64>)> =
-                (0..3).map(|c| solver.grad_quad(&solver.fields[mi][c].a)).collect();
+                (0..3).map(|c| solver.disc.grad_quad(&solver.fields[mi][c].a)).collect();
             let gb: Vec<(Vec<f64>, Vec<f64>)> =
-                (0..3).map(|c| solver.grad_quad(&solver.fields[mi][c].b)).collect();
+                (0..3).map(|c| solver.disc.grad_quad(&solver.fields[mi][c].b)).collect();
             for (ei, op) in solver.disc.ops.iter().enumerate() {
                 let geom = &op.geom;
                 for (q, p) in solver.disc.quad_range(ei).enumerate() {
@@ -318,39 +317,24 @@ pub fn sample_fourier(
 
 /// Serial-solver volume sums: `(enstrophy, [uu, vv, uv])` plus the
 /// amplitude samples for the min/max/mean channels.
-fn serial_sums(solver: &mut Serial2dSolver) -> (f64, [f64; 3], Vec<f64>) {
-    let u_mod = solver.u.clone();
-    let v_mod = solver.v.clone();
-    let (_, duy) = solver.gradient(&u_mod, Stage::NonLinear);
-    let (dvx, _) = solver.gradient(&v_mod, Stage::NonLinear);
-    let prob = &solver.viscous;
+fn serial_sums(solver: &Serial2dSolver) -> (f64, [f64; 3], Vec<f64>) {
+    let disc = &solver.disc;
+    let (uq, vq) = (disc.to_quad(&solver.u), disc.to_quad(&solver.v));
+    let (_, duy) = disc.grad_quad(&solver.u);
+    let (dvx, _) = disc.grad_quad(&solver.v);
     let mut ens = 0.0;
     let mut sums = [0.0f64; 3];
     let mut area = 0.0;
-    let mut amps = Vec::new();
-    for ei in 0..prob.mesh.nelems() {
-        let basis = prob.basis(ei);
-        let geom = &prob.ops[ei].geom;
-        let mut lu = vec![0.0; basis.nmodes()];
-        let mut lv = vec![0.0; basis.nmodes()];
-        prob.asm.gather(ei, &solver.u, &mut lu);
-        prob.asm.gather(ei, &solver.v, &mut lv);
-        for q in 0..basis.nquad() {
-            let mut uu = 0.0;
-            let mut vv = 0.0;
-            for m in 0..basis.nmodes() {
-                uu += lu[m] * basis.val()[m][q];
-                vv += lv[m] * basis.val()[m][q];
-            }
-            let w = geom.jw[q];
-            let omega = dvx[ei][q] - duy[ei][q];
-            ens += w * omega * omega;
-            sums[0] += w * uu * uu;
-            sums[1] += w * vv * vv;
-            sums[2] += w * uu * vv;
-            area += w;
-            amps.push((uu * uu + vv * vv).sqrt());
-        }
+    let mut amps = Vec::with_capacity(uq.len());
+    for (q, w) in disc.quad_weights().enumerate() {
+        let (uu, vv) = (uq[q], vq[q]);
+        let omega = dvx[q] - duy[q];
+        ens += w * omega * omega;
+        sums[0] += w * uu * uu;
+        sums[1] += w * vv * vv;
+        sums[2] += w * uu * vv;
+        area += w;
+        amps.push((uu * uu + vv * vv).sqrt());
     }
     let mut moments = [0.0; 3];
     for (m, s) in moments.iter_mut().zip(&sums) {
@@ -362,7 +346,7 @@ fn serial_sums(solver: &mut Serial2dSolver) -> (f64, [f64; 3], Vec<f64>) {
 /// Takes one serial-2-D sample (no communication; the MPI rows are
 /// empty).
 pub fn sample_serial2d(
-    solver: &mut Serial2dSolver,
+    solver: &Serial2dSolver,
     rec: &mut StatsRecorder,
     step: u64,
     limits: &RuleLimits,
@@ -382,7 +366,7 @@ pub fn sample_serial2d(
     let umin = amps.iter().copied().fold(f64::INFINITY, f64::min);
     let umax = amps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let umean = if n > 0.0 { amps.iter().sum::<f64>() / n } else { 0.0 };
-    let cfl = umax * solver.cfg.dt / min_elem_h(&solver.viscous);
+    let cfl = umax * solver.cfg.dt / min_elem_h(&solver.disc);
     let scalars = [ke, ens, div, cfl, umin, umax, umean, m[0], m[1], m[2]];
     rec.push(step, &scalars, Vec::new(), Vec::new());
     if health {
@@ -650,7 +634,7 @@ mod tests {
             move |x| -(pi * x[0]).cos() * (pi * x[1]).sin(),
         );
         let mut rec = StatsRecorder::new(SERIAL2D_CHANNELS.to_vec(), 1, 1);
-        sample_serial2d(&mut s, &mut rec, 1, &RuleLimits::default(), true).unwrap();
+        sample_serial2d(&s, &mut rec, 1, &RuleLimits::default(), true).unwrap();
         let sample = &rec.samples()[0];
         assert_eq!(sample.scalars.len(), SERIAL2D_CHANNELS.len());
         let ke = rec.accum("ke").unwrap().mean;
@@ -660,7 +644,7 @@ mod tests {
         assert!(umax >= umin && umin >= 0.0);
         // Serial watchdog trips on an injected NaN naming the field.
         s.u[0] = f64::NAN;
-        let err = sample_serial2d(&mut s, &mut rec, 2, &RuleLimits::default(), true)
+        let err = sample_serial2d(&s, &mut rec, 2, &RuleLimits::default(), true)
             .unwrap_err();
         assert!(matches!(err, HealthError::NonFinite { step: 2, rank: 0, field: "u" }), "{err}");
     }

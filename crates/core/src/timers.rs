@@ -187,6 +187,36 @@ impl StageClock {
     }
 }
 
+/// The two sections every solver's shard ends with: its step counter
+/// (`"steps"`) and its wall-time ledger ([`nkt_ckpt::CLOCK_SECTION`], the
+/// one section a state hash leaves out).
+pub(crate) fn write_progress(w: &mut nkt_ckpt::CkptWriter, steps: usize, clock: &StageClock) {
+    let mut e = nkt_ckpt::Enc::new();
+    e.usize(steps);
+    w.section("steps", e.into_bytes());
+    let mut e = nkt_ckpt::Enc::new();
+    for t in clock.totals {
+        e.f64(t);
+    }
+    w.section(nkt_ckpt::CLOCK_SECTION, e.into_bytes());
+}
+
+/// Reads what [`write_progress`] wrote.
+pub(crate) fn read_progress(
+    f: &nkt_ckpt::CkptFile,
+) -> Result<(usize, StageClock), nkt_ckpt::CkptError> {
+    let mut d = f.dec("steps")?;
+    let steps = d.u64()? as usize;
+    d.finish()?;
+    let mut d = f.dec(nkt_ckpt::CLOCK_SECTION)?;
+    let mut clock = StageClock::new();
+    for t in clock.totals.iter_mut() {
+        *t = d.f64()?;
+    }
+    d.finish()?;
+    Ok((steps, clock))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@ use nektar::fourier::{FourierConfig, NektarF};
 use nektar::{Serial2dSolver, SolverConfig};
 use nkt_ckpt::{
     restore_latest, restore_latest_serial, write_epoch, write_epoch_serial, Checkpointable,
-    CkptConfig,
+    CkptConfig, CkptError, CkptFile, CkptWriter, Dec, Enc,
 };
 use nkt_mesh::{box_hexes, rect_quads, Mesh2d, Mesh3d};
 use nkt_net::{cluster, ClusterNetwork, NetId};
@@ -290,4 +290,124 @@ fn serial2d_restore_into_wrong_discretisation_is_typed_error() {
         "expected StateMismatch, got: {err}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The "fields" and "hist" sections of a serial2d shard, decoded and
+/// re-encoded by hand in the layout the format has always had:
+/// `fields` is the dof count and five length-prefixed vectors (u, v, p,
+/// ud_u, ud_v); `hist` is, twice over (velocity, nonlinear terms), a
+/// level count and per level the u and v fields as `Enc::vecs` — an
+/// element count and one length-prefixed vector per element.
+#[derive(Clone)]
+struct SerialSections {
+    ndof: u64,
+    fields: Vec<Vec<f64>>,
+    hist: [Vec<[Vec<Vec<f64>>; 2]>; 2],
+}
+
+impl SerialSections {
+    fn of(solver: &Serial2dSolver) -> SerialSections {
+        let mut w = CkptWriter::new();
+        solver.write_sections(&mut w);
+        let payload = |name: &str| w.sections().find(|(n, _)| *n == name).expect("section").1;
+        let mut d = Dec::new("fields", 0, payload("fields"));
+        let ndof = d.u64().unwrap();
+        let fields = (0..5).map(|_| d.f64s().unwrap()).collect();
+        d.finish().unwrap();
+        let mut d = Dec::new("hist", 0, payload("hist"));
+        let hist = [(); 2].map(|_| {
+            let nlevels = d.u64().unwrap();
+            (0..nlevels).map(|_| [(); 2].map(|_| d.vecs().unwrap())).collect()
+        });
+        d.finish().unwrap();
+        let sections = SerialSections { ndof, fields, hist };
+        assert_eq!(sections.fields_bytes(), payload("fields"), "the bytes `fields` has always had");
+        assert_eq!(sections.hist_bytes(), payload("hist"), "the bytes `hist` has always had");
+        sections
+    }
+
+    fn fields_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u64(self.ndof);
+        for f in &self.fields {
+            e.f64s(f);
+        }
+        e.into_bytes()
+    }
+
+    fn hist_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        for ring in &self.hist {
+            e.usize(ring.len());
+            for [u, v] in ring {
+                e.vecs(u);
+                e.vecs(v);
+            }
+        }
+        e.into_bytes()
+    }
+
+    /// `donor`'s shard with these two sections in place of its own.
+    fn file(&self, donor: &Serial2dSolver) -> CkptFile {
+        let mut own = CkptWriter::new();
+        donor.write_sections(&mut own);
+        let mut w = CkptWriter::new();
+        for (name, payload) in own.sections() {
+            w.section(name, match name {
+                "fields" => self.fields_bytes(),
+                "hist" => self.hist_bytes(),
+                _ => payload.to_vec(),
+            });
+        }
+        CkptFile::parse(std::path::Path::new("hand-built"), w.to_bytes()).expect("well-formed")
+    }
+}
+
+/// A shard built by hand in the format's layout restores to the donor's
+/// state and continuation: what the solver writes is still that layout.
+#[test]
+fn serial2d_restores_hand_built_sections() {
+    let mut donor = serial_solver();
+    donor.step();
+    donor.step();
+    let file = SerialSections::of(&donor).file(&donor);
+    let mut restored = serial_solver();
+    restored.read_sections(&file).expect("hand-built shard");
+    assert_eq!(restored.state_hash(), donor.state_hash());
+    donor.step();
+    restored.step();
+    assert_eq!(restored.state_hash(), donor.state_hash(), "one step on");
+}
+
+/// A CRC-valid shard whose vectors, history depth or per-element planes
+/// are not this solver's shape is a typed `StateMismatch` — not a panic on
+/// an index inside the next step.
+#[test]
+fn serial2d_restore_checks_every_shape_it_will_index() {
+    let mut donor = serial_solver();
+    donor.step();
+    donor.step();
+    let good = SerialSections::of(&donor);
+    type Tamper = fn(&mut SerialSections);
+    let cases: [(&str, Tamper); 10] = [
+        ("u short", |s| s.fields[0].truncate(3)),
+        ("v long", |s| s.fields[1].push(0.0)),
+        ("p neither empty nor ndof", |s| s.fields[2].truncate(3)),
+        ("ud_u short", |s| s.fields[3].truncate(3)),
+        ("ud_v empty", |s| s.fields[4].clear()),
+        ("more levels than the scheme keeps", |s| {
+            let newest = s.hist[0][0].clone();
+            s.hist[0].push(newest);
+        }),
+        ("velocity and nonlinear rings differ", |s| s.hist[1].truncate(1)),
+        ("an element too few", |s| s.hist[0][1][0].truncate(3)),
+        ("an element plane too short", |s| s.hist[0][0][1][2].truncate(3)),
+        ("a nonlinear plane too long", |s| s.hist[1][1][0][0].push(0.0)),
+    ];
+    for (what, tamper) in cases {
+        let mut bad = good.clone();
+        tamper(&mut bad);
+        let err = serial_solver().read_sections(&bad.file(&donor)).expect_err(what);
+        assert!(matches!(err, CkptError::StateMismatch { .. }), "{what}: {err}");
+    }
 }

@@ -134,4 +134,5 @@ fn a_warmed_step_allocates_no_more_than_it_did() {
     let mut s = stepped(solver(&skewed_mesh(true), 2, true), 5);
     let step = allocs_in(|| s.step());
     assert!(step <= 66, "a warmed step allocated {step} times; 66 at 80ffb96");
+    assert_eq!(step, 0, "every buffer of a warmed step exists before it runs");
 }

@@ -276,6 +276,12 @@ impl Discretization {
         self.ops.iter().flat_map(|op| op.geom.x.iter().copied())
     }
 
+    /// Quadrature weight × Jacobian of every quadrature point, in the
+    /// same order.
+    pub fn quad_weights(&self) -> impl Iterator<Item = f64> + '_ {
+        self.ops.iter().flat_map(|op| op.geom.jw.iter().copied())
+    }
+
     /// `f` at every quadrature point, element-major.
     fn sample(&self, f: impl Fn([f64; 2]) -> f64) -> Vec<f64> {
         self.quad_points().map(f).collect()
@@ -314,43 +320,13 @@ impl Discretization {
 
     /// L2 error of a coefficient vector against an exact solution.
     pub fn l2_error(&self, coeffs: &[f64], exact: impl Fn([f64; 2]) -> f64) -> f64 {
+        let uq = self.to_quad(coeffs);
         let mut err2 = 0.0;
-        for ei in 0..self.mesh.nelems() {
-            let basis = self.basis(ei);
-            let geom = &self.ops[ei].geom;
-            let mut local = vec![0.0; basis.nmodes()];
-            self.asm.gather(ei, coeffs, &mut local);
-            for q in 0..basis.nquad() {
-                let mut u = 0.0;
-                for (m, &c) in local.iter().enumerate() {
-                    u += c * basis.val()[m][q];
-                }
-                let d = u - exact(geom.x[q]);
-                err2 += geom.jw[q] * d * d;
-            }
+        for ((u, x), w) in uq.iter().zip(self.quad_points()).zip(self.quad_weights()) {
+            let d = u - exact(x);
+            err2 += w * d * d;
         }
         err2.sqrt()
-    }
-
-    /// Evaluates the solution at every quadrature point of every element;
-    /// returns per-element vectors.
-    pub fn eval_at_quadrature(&self, coeffs: &[f64]) -> Vec<Vec<f64>> {
-        (0..self.mesh.nelems())
-            .map(|ei| {
-                let basis = self.basis(ei);
-                let mut local = vec![0.0; basis.nmodes()];
-                self.asm.gather(ei, coeffs, &mut local);
-                (0..basis.nquad())
-                    .map(|q| {
-                        local
-                            .iter()
-                            .enumerate()
-                            .map(|(m, &c)| c * basis.val()[m][q])
-                            .sum()
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
     /// The physical-gradient table, built on first use.
@@ -432,6 +408,21 @@ impl Discretization {
                 }
             }
         }
+    }
+
+    /// [`Self::to_quad_into`] into a fresh vector (diagnostics; a step
+    /// brings its own buffers).
+    pub fn to_quad(&self, coeffs: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.nquad_total()];
+        self.to_quad_into(coeffs, &mut out, &mut self.plane_scratch(1));
+        out
+    }
+
+    /// [`Self::grad_quad_into`] into fresh vectors, like [`Self::to_quad`].
+    pub fn grad_quad(&self, coeffs: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (mut gx, mut gy) = (vec![0.0; self.nquad_total()], vec![0.0; self.nquad_total()]);
+        self.grad_quad_into(coeffs, &mut gx, &mut gy, &mut self.plane_scratch(1));
+        (gx, gy)
     }
 
     /// Weak divergence of `N` plane triples at once: adds to `out[s]`, for
@@ -705,21 +696,23 @@ impl HelmholtzProblem {
 
     /// Banded direct solves of K u = rhs for every right-hand side in
     /// `xs` at once, each overwritten by its solution, with Dirichlet
-    /// values `u_d` (`None`: homogeneous) imposed on all of them. One
-    /// sweep of the factor serves all of `xs` ([`dpbtrs_multi`]); `band`
-    /// is the band-order scratch, grown on first use and reusable across
-    /// problems. Each solution equals [`Self::solve_with_rhs`]'s to the bit.
+    /// values `u_d[i]` imposed on `xs[i]` (`None`: homogeneous on all of
+    /// them). One sweep of the factor serves all of `xs`
+    /// ([`dpbtrs_multi`]); `band` is the band-order scratch, grown on
+    /// first use and reusable across problems. Each solution equals
+    /// [`Self::solve_with_rhs`]'s to the bit.
     pub fn solve_banded_in_place(
         &mut self,
         xs: &mut [&mut [f64]],
-        u_d: Option<&[f64]>,
+        u_d: Option<&[&[f64]]>,
         band: &mut Vec<f64>,
     ) {
+        assert!(u_d.is_none_or(|u_d| u_d.len() == xs.len()), "boundary data per right-hand side");
         self.factorize();
         let ndof = self.asm.ndof;
         band.resize(xs.len() * ndof, 0.0);
-        for (x, b) in xs.iter_mut().zip(band.chunks_exact_mut(ndof)) {
-            self.impose_dirichlet(x, u_d);
+        for (i, (x, b)) in xs.iter_mut().zip(band.chunks_exact_mut(ndof)).enumerate() {
+            self.impose_dirichlet(x, u_d.map(|u_d| u_d[i]));
             self.permute_into(x, b);
         }
         dpbtrs_multi(self.factor.as_ref().expect("factored above"), band, xs.len())
@@ -1130,7 +1123,10 @@ mod tests {
         let rhs = |i: usize| -> Vec<f64> {
             (0..ndof).map(|d| ((d * (i + 2)) as f64 * 0.13).sin()).collect()
         };
-        let data: Vec<f64> = (0..ndof).map(|d| 1.0 + (d as f64 * 0.4).cos()).collect();
+        // Boundary data of right-hand side `i`: different for each.
+        let data = |i: usize| -> Vec<f64> {
+            (0..ndof).map(|d| 1.0 + (d as f64 * 0.4 + i as f64).cos()).collect()
+        };
         let tagged = || HelmholtzProblem::member(&disc, 3.0, &[BoundaryTag::Inflow, BoundaryTag::Wall]);
         let pinned = || {
             let mut p = HelmholtzProblem::member(&disc, 0.0, &[]);
@@ -1138,27 +1134,29 @@ mod tests {
             p
         };
         let zeros = vec![0.0; ndof];
-        let check = |what: &str, build: &dyn Fn() -> HelmholtzProblem, u_d: Option<&[f64]>| {
+        let check = |what: &str, build: &dyn Fn() -> HelmholtzProblem, with_data: bool| {
             // One scratch across shapes, as a solver reuses it.
             let mut band = Vec::new();
             for nrhs in [6usize, 2, 1] {
                 let mut xs: Vec<Vec<f64>> = (0..nrhs).map(rhs).collect();
                 let mut views: Vec<&mut [f64]> = xs.iter_mut().map(|x| &mut x[..]).collect();
-                build().solve_banded_in_place(&mut views, u_d, &mut band);
+                let u_d: Vec<Vec<f64>> = (0..nrhs).map(data).collect();
+                let u_d: Vec<&[f64]> = u_d.iter().map(|d| &d[..]).collect();
+                build().solve_banded_in_place(&mut views, with_data.then_some(&u_d[..]), &mut band);
                 let mut single = build();
                 for (i, got) in xs.iter().enumerate() {
                     let (want, _) = single.solve_with_rhs(
                         rhs(i),
-                        u_d.unwrap_or(&zeros),
+                        if with_data { u_d[i] } else { &zeros },
                         SolveMethod::BandedDirect,
                     );
                     assert_eq!(bits(got), bits(&want), "{what}: rhs {i} of {nrhs}");
                 }
             }
         };
-        check("zero data", &tagged, None);
-        check("non-zero data", &tagged, Some(&data));
-        check("pinned dof", &pinned, None);
+        check("zero data", &tagged, false);
+        check("data per right-hand side", &tagged, true);
+        check("pinned dof", &pinned, false);
     }
 
     #[test]

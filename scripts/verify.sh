@@ -304,6 +304,15 @@ for workload in wake2d fourier_slab ale_wing; do
 done
 rm -f "$lock_keep"
 
+echo "== one plane pipeline (the basis tables are read inside nkt-spectral only) =="
+# Every modal <-> quadrature, gradient and weak-form loop of the solvers,
+# examples and facade is one of Discretization's plane kernels; a hand
+# copy of such a loop reads the tables these accessors return.
+if grep -rn 'dxi1()\|dxi2()\|\.val()\[' crates/core/src src examples; then
+    echo "FAIL: basis tables read outside nkt-spectral (lines above): use the plane kernels" >&2
+    exit 1
+fi
+
 if [[ "$deep" == 1 ]]; then
     echo "== deep property sweep (NKT_PROP_CASES=1000) =="
     NKT_PROP_CASES=1000 cargo test -q --offline --workspace
