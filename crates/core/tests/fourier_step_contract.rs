@@ -8,10 +8,12 @@ mod common;
 
 use common::{allocs_in, Counting};
 use nektar::fourier::{FourierConfig, NektarF};
+use nektar::stats::{sample_fourier, FOURIER_CHANNELS};
 use nkt_ckpt::Checkpointable;
 use nkt_mesh::{rect_quads, BoundaryTag, Elem2d, ElemKind, Mesh2d};
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
+use nkt_stats::{RuleLimits, StatsRecorder};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -62,14 +64,16 @@ fn skewed_mesh() -> Mesh2d {
     mesh
 }
 
-/// Every rank's state hash after five steps: the ramp step and four
-/// full-order ones.
-fn hashes_after_5(
+/// Every rank's state after five steps — the ramp step and four
+/// full-order ones — as its hash and the run's tolerance twin: the global
+/// kinetic energy, divergence norm and dissipation (NekTar-F keeps no
+/// pressure between steps; ε takes ‖p‖'s place).
+fn after_5(
     (mesh, cfg): &(Mesh2d, FourierConfig),
     pr: usize,
     pc: usize,
     overlap: bool,
-) -> Vec<u64> {
+) -> Vec<(u64, [f64; 3])> {
     World::builder().ranks(pr * pc).net(cluster(NetId::RoadRunnerEth)).run(|c| {
         let mut s =
             NektarF::try_new_with_grid(c, mesh, cfg.clone(), pr, pc).expect("valid grid");
@@ -80,8 +84,18 @@ fn hashes_after_5(
         }
         let e = s.kinetic_energy(c);
         assert!(e.is_finite() && e > 0.0, "a hash of garbage pins nothing: energy {e}");
-        s.state_hash()
+        let mut rec = StatsRecorder::new(FOURIER_CHANNELS.to_vec(), 1, c.size());
+        sample_fourier(&mut s, c, &mut rec, 5, &RuleLimits::default(), false).expect("no rules");
+        let channel = |name| {
+            let i = FOURIER_CHANNELS.iter().position(|&ch| ch == name).expect("a sampled channel");
+            rec.samples()[0].scalars[i]
+        };
+        (s.state_hash(), [e, channel("divergence"), channel("dissipation")])
     })
+}
+
+fn hashes_after_5(case: &(Mesh2d, FourierConfig), pr: usize, pc: usize, overlap: bool) -> Vec<u64> {
+    after_5(case, pr, pc, overlap).into_iter().map(|(hash, _)| hash).collect()
 }
 
 #[test]
@@ -105,6 +119,75 @@ fn five_steps_reproduce_the_recorded_state_hashes() {
         assert_eq!(run(&skewed, 1, 1), [SKEWED], "skewed, overlap {overlap}");
         assert_eq!(run(&ragged, 4, 1), RAGGED_4, "ragged 4-rank slab, overlap {overlap}");
         assert_eq!(run(&ragged, 2, 2), rows_twice(RAGGED_2), "ragged 2x2, overlap {overlap}");
+    }
+}
+
+/// The tolerance twins of the hashes above: `[kinetic energy, divergence
+/// norm, dissipation]` of each mesh's run after five steps, held to 1e-9
+/// relative on every decomposition of it (they are global sums, so one
+/// triple serves the slab and the pencil). A change that reassociates the
+/// step moves the hashes and must leave these alone. Recorded at commit
+/// 5665650 (full-band direct solves).
+#[test]
+fn five_steps_reproduce_the_recorded_twins_within_tolerance() {
+    const SQUARE: [f64; 3] = [8.56963081017e0, 1.11928309172e0, 4.79802576363e1];
+    const SKEWED: [f64; 3] = [1.47789912134e1, 6.96092570322e0, 9.57209732286e1];
+    const RAGGED: [f64; 3] = [1.33065888489e1, 1.10111435545e1, 7.24202616248e1];
+    let square = (rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2), cfg(8));
+    let skewed = (skewed_mesh(), cfg(8));
+    let ragged = ragged();
+    let cases = [
+        ("1 rank", &square, 1, 1, SQUARE),
+        ("2-rank slab", &square, 2, 1, SQUARE),
+        ("2x2 pencil", &square, 2, 2, SQUARE),
+        ("skewed", &skewed, 1, 1, SKEWED),
+        ("ragged 4-rank slab", &ragged, 4, 1, RAGGED),
+        ("ragged 2x2", &ragged, 2, 2, RAGGED),
+    ];
+    for (what, case, pr, pc, want) in cases {
+        for (rank, (_, got)) in after_5(case, pr, pc, true).into_iter().enumerate() {
+            for ((g, w), name) in got.iter().zip(want).zip(["kinetic energy", "divergence", "ε"]) {
+                assert!(
+                    (g - w).abs() <= 1e-9 * w.abs(),
+                    "{what}, rank {rank}: {name} {g:.11e}, recorded {w:.11e}"
+                );
+            }
+        }
+    }
+}
+
+/// The unit square with walls at y = 0, 1 and its x-ends tagged `Outflow`
+/// (natural for the velocity): u = (sin πy · cos βz, 0, 0) is
+/// divergence-free, has no advection term and no pressure, and decays at
+/// exactly ν(π² + β²). A viscous λ without its β² — or a pressure λ that
+/// leaks into it — changes the rate; `lz = 2` makes β = π, so half the
+/// rate is the spanwise term and a monotone-decay test would not notice.
+#[test]
+fn a_k1_shear_mode_decays_at_the_viscous_rate() {
+    let quads = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+    let channel = Mesh2d::new(quads.verts.clone(), quads.elems.clone(), |mid| {
+        if mid[0] < 1e-9 || mid[0] > 1.0 - 1e-9 { BoundaryTag::Outflow } else { BoundaryTag::Wall }
+    });
+    let pi = std::f64::consts::PI;
+    let cfg = FourierConfig { order: 6, dt: 1e-3, nu: 0.05, nz: 8, lz: 2.0, scheme_order: 2 };
+    let (nu, dt) = (cfg.nu, cfg.dt);
+    let rates = World::builder().ranks(2).net(cluster(NetId::T3e)).run(|c| {
+        let mut s = NektarF::new(c, &channel, cfg.clone());
+        let beta = s.beta(1);
+        s.set_initial(|x| [(pi * x[1]).sin() * (beta * x[2]).cos(), 0.0, 0.0]);
+        // Past the first-order ramp step before the clock starts.
+        let mut energy_after = |steps: usize| {
+            for _ in 0..steps {
+                s.step(c);
+            }
+            s.kinetic_energy(c)
+        };
+        let (e0, e1) = (energy_after(5), energy_after(20));
+        ((e0 / e1).ln() / (2.0 * 20.0 * dt), nu * (pi * pi + beta * beta))
+    });
+    for (got, want) in rates {
+        assert!((want - nu * 2.0 * pi * pi).abs() < 1e-12, "β = π on lz = 2");
+        assert!((got - want).abs() < 1e-5 * want, "decay rate {got}, exact {want}");
     }
 }
 
