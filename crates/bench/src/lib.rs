@@ -118,41 +118,24 @@ pub fn row(first: impl std::fmt::Display, vals: &[f64]) {
 
 /// The paper-scale serial bluff-body discretisation: "902 elements and
 /// polynomial order of 8" with "230,000 degrees of freedom". Builds the
-/// real mesh and assembly to extract honest system sizes, statically
-/// condenses the solve (1999 NekTar practice) and measures the RCM
-/// bandwidth of the boundary system for the model replay.
+/// real mesh and assembly to extract honest system sizes: the boundary
+/// system of the statically condensed solve (1999 NekTar practice, and
+/// what the native solvers factor) in the band order they factor it in.
 pub fn paper_serial_shape() -> Serial2dShape {
     // refine = 3 gives 1008 elements — closest to the paper's 902.
     let mesh = bluff_body_mesh(3);
-    let order = 8;
-    let basis = QuadBasis::new(order);
+    let basis = QuadBasis::new(8);
     use nkt_spectral::element::Expansion;
     let asm = Assembly::build(&mesh, |_| &basis);
-    // Boundary-system cliques: the vertex/edge dofs each element couples.
-    let cliques: Vec<Vec<usize>> = asm
-        .elem_dofs
-        .iter()
-        .map(|dofs| {
-            dofs.iter()
-                .map(|&(g, _)| g)
-                .filter(|&g| g < asm.nboundary)
-                .collect()
-        })
-        .collect();
-    let kd_condensed = nkt_spectral::rcm_bandwidth(asm.nboundary, &cliques);
-    let nm_interior = (order - 1) * (order - 1);
     Serial2dShape {
         nelems: mesh.nelems(),
         nm: basis.nmodes(),
         nq: basis.nquad(),
-        ndof_p: asm.ndof,
-        kd_p: asm.bandwidth(),
         ndof_v: asm.ndof,
-        kd_v: asm.bandwidth(),
         j: 2,
         nboundary: asm.nboundary,
-        kd_condensed,
-        nm_interior,
+        kd_condensed: nkt_spectral::boundary_band_order(&asm).1,
+        nm_interior: asm.interior(0).len(),
     }
 }
 

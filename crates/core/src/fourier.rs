@@ -20,7 +20,7 @@
 use crate::decomp::{
     mode_coeffs, parse_grid, Decomposition, FourierCfgError, Pencil2D, Slab, TransposeCtx,
 };
-use crate::opstream::{Recorder, WorkItem};
+use crate::opstream::{direct_solve_span_args, Recorder, WorkItem};
 use crate::splitting::StifflyStable;
 use crate::timers::{read_progress, write_progress, Stage, StageClock, StageTimer};
 use nkt_fft::{Complex64, RealFft};
@@ -131,7 +131,7 @@ impl StepWorkspace {
             hat: vec![0.0; 3 * pl.field_len()],
             planes: vec![0.0; 6 * pl.nq],
             pressure: vec![0.0; 2 * ndof],
-            band: vec![0.0; 6 * ndof],
+            band: vec![0.0; 6 * disc.asm.nboundary],
             scratch: disc.plane_scratch(6),
         }
     }
@@ -556,28 +556,19 @@ impl NektarF {
                 [&mut *p_a, &mut *p_b],
                 scratch,
             );
+            let weak = |nm, nq| WorkItem::Gemm { m: nm, n: 4, k: nq };
+            self.recorder.work_per_elem(disc, Stage::PressureRhs, weak);
             sc.add(Stage::PressureRhs, t0.stop());
 
             // Stage 5: two pressure solves (cos/sin share the factor —
             // "the real and imaginary parts of a Fourier mode sharing the
             // same matrices"), in place: p_a, p_b now hold the pressure.
             let t0 = StageTimer::start(Stage::PressureSolve);
-            let kdp = self.pressure[mi].matrix.kd();
+            let solver = &mut self.pressure[mi];
             let ksp = nkt_trace::span("banded_solve", "kernel");
-            self.pressure[mi].solve_banded_in_place(&mut [&mut *p_a, &mut *p_b], None, band);
-            ksp.end_v_args(
-                f64::NAN,
-                &[
-                    ("n", ndof as f64),
-                    ("kd", kdp as f64),
-                    ("solves", 2.0),
-                    ("flops", 2.0 * 4.0 * ndof as f64 * (kdp + 1) as f64),
-                ],
-            );
-            for _ in 0..2 {
-                self.recorder
-                    .work(Stage::PressureSolve, WorkItem::BandedSolve { n: ndof, kd: kdp });
-            }
+            solver.solve_banded_in_place(&mut [&mut *p_a, &mut *p_b], None, band);
+            ksp.end_v_args(f64::NAN, &direct_solve_span_args(solver, 2));
+            self.recorder.direct_solve(Stage::PressureSolve, solver, 2);
             sc.add(Stage::PressureSolve, t0.stop());
 
             // Stage 6: viscous RHS from u** = uhat − dt ∇p, formed once
@@ -605,28 +596,22 @@ impl NektarF {
             }
             let ustar: [&[f64]; 6] = [ux_a, ux_b, uy_a, uy_b, uz_a, uz_b];
             disc.weak_mass_add(ustar, 1.0 / (nu * dt), rhs, scratch);
+            // In the replay model's units: ∇p of both planes, six weak
+            // forms (p's own two value planes ride along, not itemised).
+            let derivs = |nm, nq| WorkItem::Gemm { m: nq, n: 4, k: nm };
+            let weak = |nm, nq| WorkItem::Gemm { m: nm, n: 6, k: nq };
+            self.recorder.work_per_elem(disc, Stage::ViscousRhs, derivs);
+            self.recorder.work_per_elem(disc, Stage::ViscousRhs, weak);
             sc.add(Stage::ViscousRhs, t0.stop());
 
             // Stage 7: six Helmholtz solves (3 components × cos/sin)
             // against one factor.
             let t0 = StageTimer::start(Stage::ViscousSolve);
             let solver = if j < order { &mut self.ramp[mi][j - 1] } else { &mut self.viscous[mi] };
-            let kdv = solver.matrix.kd();
             let ksp = nkt_trace::span("banded_solve", "kernel");
             solver.solve_banded_in_place(&mut coeff_planes(&mut self.fields[mi]), None, band);
-            ksp.end_v_args(
-                f64::NAN,
-                &[
-                    ("n", ndof as f64),
-                    ("kd", kdv as f64),
-                    ("solves", 6.0),
-                    ("flops", 6.0 * 4.0 * ndof as f64 * (kdv + 1) as f64),
-                ],
-            );
-            for _ in 0..6 {
-                self.recorder
-                    .work(Stage::ViscousSolve, WorkItem::BandedSolve { n: ndof, kd: kdv });
-            }
+            ksp.end_v_args(f64::NAN, &direct_solve_span_args(solver, 6));
+            self.recorder.direct_solve(Stage::ViscousSolve, solver, 6);
             sc.add(Stage::ViscousSolve, t0.stop());
         }
         step_span.end_v(comm.wtime());

@@ -9,7 +9,7 @@
 //! cannot measure natively.
 
 use crate::timers::Stage;
-use nkt_spectral::Discretization;
+use nkt_spectral::{Discretization, HelmholtzProblem, SolveShape};
 
 /// One computational kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,6 +50,57 @@ pub enum WorkItem {
         /// Inner dimension.
         k: usize,
     },
+}
+
+impl WorkItem {
+    /// Floating-point operations the item stands for.
+    pub fn flops(&self) -> f64 {
+        match *self {
+            WorkItem::Stream { flops, .. } => flops,
+            WorkItem::BandedSolve { n, kd } => 4.0 * n as f64 * (kd + 1) as f64,
+            WorkItem::FftBatch { len, batch } => {
+                5.0 * len as f64 * (len as f64).log2().max(1.0) * batch as f64
+            }
+            WorkItem::Gemm { m, n, k } => 2.0 * (m * n * k) as f64,
+        }
+    }
+}
+
+/// What `nrhs` right-hand sides through one direct solve of `prob`
+/// execute ([`HelmholtzProblem::solve_banded_in_place`]), in the replay
+/// model's units: a sweep of the boundary band per right-hand side and,
+/// per element with interior modes, the interior elimination and
+/// back-substitution (two triangular solves with its nᵢ × nᵢ factor, each
+/// charged as a dense product) and the two coupling products,
+/// (A_ii⁻¹A_ib)ᵀ·f_i on the way in and (A_ii⁻¹A_ib)·u_b on the way out.
+/// The one place a native solve's shape becomes work items.
+pub fn direct_solve_items(
+    prob: &HelmholtzProblem,
+    nrhs: usize,
+) -> impl Iterator<Item = WorkItem> + '_ {
+    let SolveShape { nboundary, kd } = prob.solve_shape();
+    let sweeps = (0..nrhs).map(move |_| WorkItem::BandedSolve { n: nboundary, kd });
+    let interiors = (0..prob.mesh.nelems()).flat_map(move |ei| {
+        let ni = prob.asm.interior(ei).len();
+        let nb = prob.asm.elem_dofs[ei].len() - ni;
+        [
+            WorkItem::Gemm { m: ni, n: 2 * nrhs, k: ni },
+            WorkItem::Gemm { m: nb, n: nrhs, k: ni },
+            WorkItem::Gemm { m: ni, n: nrhs, k: nb },
+        ]
+        .into_iter()
+        .filter(move |_| ni > 0)
+    });
+    sweeps.chain(interiors)
+}
+
+/// The arguments of a `banded_solve` kernel span around that solve: the
+/// boundary system's order and semi-bandwidth, the right-hand sides, and
+/// the flops of everything [`direct_solve_items`] lists.
+pub fn direct_solve_span_args(prob: &HelmholtzProblem, nrhs: usize) -> [(&'static str, f64); 4] {
+    let SolveShape { nboundary, kd } = prob.solve_shape();
+    let flops = direct_solve_items(prob, nrhs).map(|item| item.flops()).sum();
+    [("n", nboundary as f64), ("kd", kd as f64), ("solves", nrhs as f64), ("flops", flops)]
 }
 
 /// One communication operation.
@@ -142,17 +193,7 @@ impl OpRecording {
 
     /// Total recorded flops.
     pub fn total_flops(&self) -> f64 {
-        self.work
-            .iter()
-            .map(|&(_, w)| match w {
-                WorkItem::Stream { flops, .. } => flops,
-                WorkItem::BandedSolve { n, kd } => 4.0 * n as f64 * (kd + 1) as f64,
-                WorkItem::FftBatch { len, batch } => {
-                    5.0 * len as f64 * (len as f64).log2().max(1.0) * batch as f64
-                }
-                WorkItem::Gemm { m, n, k } => 2.0 * (m * n * k) as f64,
-            })
-            .sum()
+        self.work.iter().map(|(_, w)| w.flops()).sum()
     }
 
     /// Number of Alltoall transposes recorded (blocking, pipelined, or
@@ -213,6 +254,15 @@ impl Recorder {
         for ei in 0..disc.mesh.nelems() {
             let basis = disc.basis(ei);
             rec.work(stage, item(basis.nmodes(), basis.nquad()));
+        }
+    }
+
+    /// If enabled, records `nrhs` right-hand sides through one direct
+    /// solve of `prob` ([`direct_solve_items`]).
+    pub fn direct_solve(&mut self, stage: Stage, prob: &HelmholtzProblem, nrhs: usize) {
+        let Some(rec) = &mut self.rec else { return };
+        for item in direct_solve_items(prob, nrhs) {
+            rec.work(stage, item);
         }
     }
 

@@ -6,9 +6,9 @@
 //! 2. nonlinear terms N(u) = −(u·∇)u at quadrature points,
 //! 3. stiffly-stable weighting with previous steps,
 //! 4. pressure Poisson right-hand side,
-//! 5. banded direct Poisson solve,
+//! 5. direct Poisson solve (statically condensed, banded boundary system),
 //! 6. viscous Helmholtz right-hand side,
-//! 7. banded direct Helmholtz solves (u and v).
+//! 7. direct Helmholtz solves (u and v), likewise.
 //!
 //! These are NekTar-F's stages 1–7 ([`crate::fourier`]) for one real
 //! plane pair (u, v) in place of a mode's six: the same four plane
@@ -142,7 +142,7 @@ impl Serial2dSolver {
             grad: vec![0.0; 4 * nq],
             hat: vec![0.0; 2 * nq],
             zero: vec![0.0; nq],
-            band: vec![0.0; 2 * ndof],
+            band: vec![0.0; 2 * disc.asm.nboundary],
             scratch: disc.plane_scratch(2),
         };
         Serial2dSolver {
@@ -281,8 +281,7 @@ impl Serial2dSolver {
         // holds the pressure.
         let t0 = StageTimer::start(Stage::PressureSolve);
         self.pressure.solve_banded_in_place(&mut [&mut self.p[..]], None, band);
-        let kd = self.pressure.matrix.kd();
-        rec.work(Stage::PressureSolve, WorkItem::BandedSolve { n: ndof, kd });
+        rec.direct_solve(Stage::PressureSolve, &self.pressure, 1);
         sc.add(Stage::PressureSolve, t0.stop());
 
         // Stage 6: viscous RHS: u** = uhat - dt ∇p, formed once per point
@@ -310,10 +309,7 @@ impl Serial2dSolver {
         let solver = if j < order { &mut self.ramp[j - 1] } else { &mut self.viscous };
         let data: [&[f64]; 2] = [&self.ud_u, &self.ud_v];
         solver.solve_banded_in_place(&mut [&mut self.u[..], &mut self.v[..]], Some(&data), band);
-        let kd = solver.matrix.kd();
-        for _ in 0..2 {
-            rec.work(Stage::ViscousSolve, WorkItem::BandedSolve { n: ndof, kd });
-        }
+        rec.direct_solve(Stage::ViscousSolve, solver, 2);
         sc.add(Stage::ViscousSolve, t0.stop());
 
         step_span.end();
@@ -472,6 +468,7 @@ impl nkt_ckpt::Checkpointable for Serial2dSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opstream::direct_solve_items;
     use nkt_mesh::rect_quads;
 
     #[allow(clippy::type_complexity)]
@@ -587,17 +584,25 @@ mod tests {
             |x| (std::f64::consts::PI * x[0]).sin(),
             |x| -(std::f64::consts::PI * x[1]).sin(),
         );
-        for _ in 0..3 {
+        for _ in 0..2 {
             s.step();
         }
+        s.recorder = Recorder::enabled();
+        s.step();
+        // Host time: every stage ran and the shares are shares. Which
+        // stage a host favours is not this test's to say.
         let p = s.clock.percentages();
-        let total: f64 = p.iter().sum();
-        assert!((total - 100.0).abs() < 1e-9);
+        assert!(p.iter().all(|&share| share > 0.0), "a stage took no time: {p:?}");
+        assert!((p.iter().sum::<f64>() - 100.0).abs() < 1e-9);
         // Paper Figure 12: "matrix inversions account for 60% of the total
-        // CPU time" — direct solves (stages 5 + 7) must be the dominant
-        // cost here too.
-        let solves = p[Stage::PressureSolve.index()] + p[Stage::ViscousSolve.index()];
-        assert!(solves > 30.0, "solves only {solves}% of step");
+        // CPU time" — held where it is deterministic, the recorded op
+        // stream of that step replayed on the paper's Pentium II. (At
+        // paper scale `results/fig12_serial_stages.txt` holds 66%.)
+        let rec = s.recorder.take().unwrap();
+        let machine = nkt_machine::machine(nkt_machine::MachineId::Muses);
+        let pct = crate::replay::replay_serial(&rec, &machine).percentages();
+        let solves = pct[Stage::PressureSolve.index()] + pct[Stage::ViscousSolve.index()];
+        assert!(solves > 30.0, "solves only {solves}% of the replayed step");
     }
 
     #[test]
@@ -610,13 +615,14 @@ mod tests {
         s.step();
         let rec = s.recorder.take().unwrap();
         assert!(rec.total_flops() > 0.0);
-        // 3 banded solves per step: 1 pressure + 2 velocity.
-        let solves = rec
-            .work
-            .iter()
-            .filter(|(_, w)| matches!(w, WorkItem::BandedSolve { .. }))
-            .count();
-        assert_eq!(solves, 3);
+        // Stages 5 and 7 are one direct solve each: one pressure
+        // right-hand side, two velocity ones.
+        let stage = |st: Stage| -> Vec<WorkItem> {
+            rec.work.iter().filter(|(s, _)| *s == st).map(|&(_, w)| w).collect()
+        };
+        let solve = |prob, nrhs| direct_solve_items(prob, nrhs).collect::<Vec<_>>();
+        assert_eq!(stage(Stage::PressureSolve), solve(&s.pressure, 1));
+        assert_eq!(stage(Stage::ViscousSolve), solve(&s.viscous, 2));
     }
 
     #[test]

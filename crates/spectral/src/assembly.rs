@@ -118,9 +118,19 @@ impl Assembly {
         mask
     }
 
+    /// Element `ei`'s interior dofs: its last local modes, contiguous in
+    /// this numbering and of sign +1 (empty for an order-2 triangle). This
+    /// is what lets a solver eliminate them element by element.
+    pub fn interior(&self, ei: usize) -> std::ops::Range<usize> {
+        let dofs = &self.elem_dofs[ei];
+        let nb = dofs.partition_point(|&(g, _)| g < self.nboundary);
+        let start = dofs.get(nb).map_or(self.ndof, |&(g, _)| g);
+        start..start + dofs.len() - nb
+    }
+
     /// Maximum |i − j| over all element dof pairs — the semi-bandwidth of
-    /// the system in this numbering (`HelmholtzProblem` does not factor at
-    /// it: it reorders with RCM first).
+    /// the full system in this numbering (nothing factors it: the solvers
+    /// condense the interiors out and order the boundary system with RCM).
     pub fn bandwidth(&self) -> usize {
         let mut kd = 0usize;
         for dofs in &self.elem_dofs {
@@ -216,6 +226,24 @@ mod tests {
         // scatter(gather(x)) gives x at element-0 dofs scaled by sign^2=1.
         for &(g, _) in &asm.elem_dofs[0] {
             assert_eq!(back[g], global[g]);
+        }
+    }
+
+    #[test]
+    fn interior_dofs_are_each_elements_last_modes() {
+        let mesh = rect_tris(0.0, 1.0, 0.0, 1.0, 2, 1);
+        for (p, per_elem) in [(2usize, 0usize), (4, 3)] {
+            let basis = TriBasis::new(p);
+            let asm = Assembly::build(&mesh, |_| &basis);
+            let mut next = asm.nboundary;
+            for (ei, dofs) in asm.elem_dofs.iter().enumerate() {
+                let r = asm.interior(ei);
+                assert_eq!((r.start, r.len()), (next, per_elem), "order {p}, element {ei}");
+                let tail: Vec<(usize, f64)> = r.clone().map(|g| (g, 1.0)).collect();
+                assert_eq!(dofs[dofs.len() - per_elem..], tail[..]);
+                next = r.end;
+            }
+            assert_eq!(next, asm.ndof);
         }
     }
 

@@ -14,13 +14,14 @@
 //!   Helmholtz matrices evaluated by Gauss-Jacobi quadrature.
 //! * [`assembly`] — global C0 numbering (boundary dofs first, paper
 //!   Figure 10), edge-orientation sign handling, Dirichlet masks.
-//! * [`rcm`] — reverse Cuthill-McKee ordering, which turns that
-//!   numbering into a narrow band.
+//! * [`rcm`] — reverse Cuthill-McKee ordering, which turns the boundary
+//!   part of that numbering into a narrow band.
 //! * [`solve`] — one shared [`Discretization`] and the global
-//!   Helmholtz/Poisson problems on it, both solvers run in RCM band
-//!   order: banded direct (LAPACK-style `dpbtrf`, the paper's serial
-//!   solver) and diagonally preconditioned conjugate gradients (the
-//!   paper's ALE solver).
+//!   Helmholtz/Poisson problems on it, statically condensed: interiors
+//!   eliminated element by element, the boundary Schur complement solved
+//!   in RCM band order, banded direct (LAPACK-style `dpbtrf`, the
+//!   paper's serial solver) or by diagonally preconditioned conjugate
+//!   gradients (the paper's ALE solver).
 
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::too_many_arguments)]
@@ -37,6 +38,8 @@ pub use assembly::{Assembly, DofKind};
 pub use basis1d::Basis1d;
 pub use element::{ElemOps, ElementMatrices};
 pub use quadbasis::QuadBasis;
-pub use rcm::{rcm_bandwidth, rcm_order};
-pub use solve::{Discretization, HelmholtzProblem, PlaneScratch, SolveMethod, SolveStats};
+pub use rcm::{boundary_band_order, rcm_order};
+pub use solve::{
+    Discretization, HelmholtzProblem, PlaneScratch, SolveMethod, SolveShape, SolveStats,
+};
 pub use tribasis::TriBasis;

@@ -3,12 +3,15 @@
 //! The paper's direct solvers exploit "the symmetric and banded nature of
 //! the matrix" (Figure 10); getting a usable band out of an unstructured
 //! mesh requires a bandwidth-reducing permutation, which is what RCM
-//! provides. Two callers: `solve::HelmholtzProblem` orders its full
-//! assembled system (vertex, edge and interior dofs) with it and stores,
-//! factors and solves in that order; the model replay
-//! (`nkt-bench::paper_serial_shape`) orders the statically-condensed
-//! boundary system of the paper-scale mesh to size its banded solves.
+//! provides. One ordering, native and model alike:
+//! [`boundary_band_order`] orders the statically condensed boundary
+//! system (vertex and edge dofs; the interiors are eliminated element by
+//! element and never enter a band). `solve::Discretization` stores,
+//! factors and solves every Schur complement in that order, and the model
+//! replay (`nkt-bench::paper_serial_shape`) sizes the paper-scale mesh's
+//! banded solves with the same call.
 
+use crate::assembly::Assembly;
 use std::collections::VecDeque;
 
 /// Builds an adjacency structure from dof "cliques" (each clique = the
@@ -105,16 +108,33 @@ pub fn bandwidth_under(perm: &[usize], cliques: &[Vec<usize>]) -> usize {
     kd
 }
 
-/// Convenience: RCM bandwidth of a clique-defined system.
-pub fn rcm_bandwidth(n: usize, cliques: &[Vec<usize>]) -> usize {
-    let adj = adjacency_from_cliques(n, cliques);
-    let perm = rcm_order(&adj);
-    bandwidth_under(&perm, cliques)
+/// The band order of `asm`'s boundary system: RCM over the vertex and
+/// edge dofs each element couples. Returns the band row of every
+/// boundary-class dof (`nboundary` entries) and the semi-bandwidth of any
+/// Schur complement assembled at those rows.
+pub fn boundary_band_order(asm: &Assembly) -> (Vec<usize>, usize) {
+    let cliques: Vec<Vec<usize>> = asm
+        .elem_dofs
+        .iter()
+        .map(|dofs| dofs.iter().map(|&(g, _)| g).filter(|&g| g < asm.nboundary).collect())
+        .collect();
+    let perm = rcm_order(&adjacency_from_cliques(asm.nboundary, &cliques));
+    let mut pos = vec![0usize; asm.nboundary];
+    for (row, &dof) in perm.iter().enumerate() {
+        pos[dof] = row;
+    }
+    (pos, bandwidth_under(&perm, &cliques))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// RCM bandwidth of a clique-defined system.
+    fn rcm_bandwidth(n: usize, cliques: &[Vec<usize>]) -> usize {
+        let perm = rcm_order(&adjacency_from_cliques(n, cliques));
+        bandwidth_under(&perm, cliques)
+    }
 
     /// 2-D grid graph cliques: each cell couples its 4 corners.
     fn grid_cliques(nx: usize, ny: usize) -> (usize, Vec<Vec<usize>>) {

@@ -10,14 +10,23 @@
 //! ordering and the mass factor — is one [`Discretization`], built once
 //! and shared (`Arc`) by every [`HelmholtzProblem`] on it: NekTar-F's
 //! per-mode problems differ only in λ = β² (+ γ₀/νΔt).
+//!
+//! Every solve is statically condensed — what the paper's Figure 10
+//! orders "the boundary degrees of freedom … first followed by the
+//! interior degrees of freedom" for. An element's interior modes couple
+//! to nothing outside it, so they are eliminated element by element
+//! ([`Condensed`]) and only the Schur complement on the vertex and edge
+//! dofs is assembled into a band, factored and swept: interior forward
+//! elimination → Dirichlet lift → boundary band solve → interior
+//! back-substitution. No `ndof`-sized matrix exists.
 
 use crate::assembly::Assembly;
 use crate::element::{elem_geometry, ElemOps, ElementMatrices, Expansion};
-use crate::pcg::{pcg, PcgResult};
+use crate::pcg::pcg;
 use crate::quadbasis::QuadBasis;
-use crate::rcm::{adjacency_from_cliques, bandwidth_under, rcm_order};
+use crate::rcm::boundary_band_order;
 use crate::tribasis::TriBasis;
-use nkt_blas::{dpbtrf, dpbtrs, dpbtrs_multi, BandedSym};
+use nkt_blas::{daxpy, ddot, dpbtrf, dpbtrs_multi, dpotrf, dpotrs, BandedSym};
 use nkt_mesh::{BoundaryTag, ElemKind, Mesh2d};
 use nkt_poly::quadrature::zwglj;
 use std::borrow::Cow;
@@ -28,9 +37,9 @@ use std::sync::{Arc, OnceLock};
 /// serial/Fourier code, diagonal PCG for ALE).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveMethod {
-    /// Banded symmetric Cholesky (`dpbtrf`/`dpbtrs`).
+    /// Banded symmetric Cholesky (`dpbtrf`/`dpbtrs`) of the boundary system.
     BandedDirect,
-    /// Diagonally preconditioned conjugate gradients.
+    /// Diagonally preconditioned conjugate gradients on the boundary system.
     Pcg {
         /// Relative residual tolerance.
         tol: f64,
@@ -44,7 +53,7 @@ pub enum SolveMethod {
 pub struct SolveStats {
     /// Free (non-Dirichlet) dofs.
     pub nfree: usize,
-    /// Semi-bandwidth of the assembled system in its RCM band order.
+    /// Semi-bandwidth of the boundary system in its RCM band order.
     pub bandwidth: usize,
     /// PCG iterations (0 for the direct path).
     pub iterations: usize,
@@ -56,12 +65,14 @@ pub struct SolveStats {
 ///
 /// **Ordering contract.** `asm`, every right-hand side, `u_d` and every
 /// returned coefficient vector are in *assembly* order (Figure 10:
-/// vertices, edges, interiors). Band matrices — a problem's `matrix`, its
-/// factor, the mass factor — are stored in *band* order, the
-/// reverse-Cuthill-McKee permutation of the assembly dofs that makes the
-/// band narrow: row `pos[d]` belongs to assembly dof `d`. The permutation
-/// is private to this module; `solve_with_rhs`, `l2_project_quad` and
-/// `pin_dof` map in and out.
+/// vertices, edges, interiors), all `asm.ndof` long. Band matrices — a
+/// problem's `matrix`, its factor, the mass factor — hold the boundary
+/// (vertex and edge) dofs only, `asm.nboundary` rows, in *band* order:
+/// the reverse-Cuthill-McKee permutation of the boundary system
+/// ([`boundary_band_order`]) that makes the band narrow, row `pos[d]`
+/// belonging to assembly dof `d`. The permutation is private to this
+/// module; `solve_with_rhs`, `l2_project_quad` and `pin_dof` map in and
+/// out.
 pub struct Discretization {
     /// The mesh.
     pub mesh: Mesh2d,
@@ -76,12 +87,13 @@ pub struct Discretization {
     /// Start of each element's points in an element-major quadrature
     /// vector, and their total (`nelems + 1` entries).
     quad_off: Vec<usize>,
-    /// Band row of each assembly dof.
+    /// Band row of each boundary-class dof (`asm.nboundary` entries).
     pos: Vec<usize>,
-    /// Semi-bandwidth of any operator assembled at `pos`.
+    /// Semi-bandwidth of any Schur complement assembled at `pos`.
     kd: usize,
-    /// Factored global mass matrix (filled by the first L2 projection).
-    mass_factor: OnceLock<BandedSym>,
+    /// The condensed global mass matrix with its Schur band factored
+    /// (filled by the first L2 projection).
+    mass: OnceLock<(Condensed, BandedSym)>,
     /// Per-element physical basis gradients (filled by the first plane
     /// kernel that differentiates).
     phys_grad: OnceLock<Vec<PhysGrad>>,
@@ -108,10 +120,97 @@ pub struct PlaneScratch {
     planes: usize,
 }
 
+/// The interior half of a statically condensed operator: per element,
+/// what eliminates its interior modes from a right-hand side and restores
+/// them from the boundary solution. The boundary half — the Schur
+/// complement Σₑ (A_bb − A_bi A_ii⁻¹ A_ib), summed into a band in the
+/// discretization's boundary order — is built beside it by
+/// [`Discretization::condense`] and kept by the owner: a problem's
+/// `matrix` and factor, or the mass factor.
+struct Condensed {
+    /// Per element, back to back: the `dpotrf` factor of the interior
+    /// block A_ii (nᵢ × nᵢ), then the coupling block A_ii⁻¹A_ib with the
+    /// edge signs folded in (nᵢ × n_b), both column-major. An element
+    /// with no interior mode (an order-2 triangle) holds nothing.
+    blocks: Vec<f64>,
+    /// Start of each element's blocks (`nelems + 1` entries).
+    off: Vec<usize>,
+}
+
+/// One element's share of a [`Condensed`] operator.
+struct ElemBlocks<'a> {
+    /// The element's boundary dofs (the signs are already in `coupling`).
+    boundary: &'a [(usize, f64)],
+    /// Its interior dofs, nᵢ > 0 of them.
+    interior: std::ops::Range<usize>,
+    /// `dpotrf` factor of A_ii.
+    factor: &'a [f64],
+    /// A_ii⁻¹A_ib, one column of nᵢ per boundary dof.
+    coupling: &'a [f64],
+}
+
+impl Condensed {
+    /// The blocks of every element that has interior modes.
+    fn elems<'a>(&'a self, asm: &'a Assembly) -> impl Iterator<Item = ElemBlocks<'a>> {
+        asm.elem_dofs.iter().enumerate().filter_map(move |(ei, dofs)| {
+            let interior = asm.interior(ei);
+            let ni = interior.len();
+            let (factor, coupling) = self.blocks[self.off[ei]..self.off[ei + 1]].split_at(ni * ni);
+            let boundary = &dofs[..dofs.len() - ni];
+            (ni > 0).then_some(ElemBlocks { boundary, interior, factor, coupling })
+        })
+    }
+
+    /// Interior forward elimination, in place on every assembly-order
+    /// right-hand side: the boundary part loses A_bi A_ii⁻¹ f_i and f_i
+    /// becomes A_ii⁻¹ f_i. An element's blocks serve all of `xs` while
+    /// they are in cache.
+    fn eliminate(&self, asm: &Assembly, xs: &mut [&mut [f64]]) {
+        for e in self.elems(asm) {
+            let ni = e.interior.len();
+            for x in xs.iter_mut() {
+                let (xb, xi) = x.split_at_mut(e.interior.start);
+                let fi = &mut xi[..ni];
+                for (&(g, _), c) in e.boundary.iter().zip(e.coupling.chunks_exact(ni)) {
+                    xb[g] -= ddot(c, fi);
+                }
+                dpotrs(ni, e.factor, ni, fi).expect("interior block factored at assembly");
+            }
+        }
+    }
+
+    /// Interior back-substitution: with the boundary solution in place,
+    /// each element's interior part A_ii⁻¹ f_i loses A_ii⁻¹A_ib u_b.
+    fn back_substitute(&self, asm: &Assembly, xs: &mut [&mut [f64]]) {
+        for e in self.elems(asm) {
+            let ni = e.interior.len();
+            for x in xs.iter_mut() {
+                let (xb, xi) = x.split_at_mut(e.interior.start);
+                for (&(g, _), c) in e.boundary.iter().zip(e.coupling.chunks_exact(ni)) {
+                    daxpy(-xb[g], c, &mut xi[..ni]);
+                }
+            }
+        }
+    }
+}
+
+/// The boundary system one direct solve of a [`HelmholtzProblem`] sweeps.
+/// With [`Assembly::interior`] per element it is everything the solve
+/// executes: what an op-stream recorder charges and a replay model is
+/// held to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SolveShape {
+    /// Order of the factored boundary (Schur-complement) band.
+    pub nboundary: usize,
+    /// Its semi-bandwidth.
+    pub kd: usize,
+}
+
 /// One Helmholtz problem on a [`Discretization`]: λ, its own Dirichlet
-/// mask, the assembled band and its factor. Many right-hand sides can be
-/// solved against one factorization, and any number of problems can
-/// share one discretization ([`HelmholtzProblem::member`]).
+/// mask, the condensed operator and the factor of its boundary band. Many
+/// right-hand sides can be solved against one factorization, and any
+/// number of problems can share one discretization
+/// ([`HelmholtzProblem::member`]).
 ///
 /// Dereferences to the discretization, so `prob.mesh`, `prob.order`,
 /// `prob.asm`, `prob.ops`, `prob.basis(ei)` and the projection / error
@@ -120,9 +219,12 @@ pub struct HelmholtzProblem {
     disc: Arc<Discretization>,
     /// Helmholtz constant λ (0 = Poisson).
     pub lambda: f64,
-    /// Assembled global matrix in band order (Dirichlet rows replaced by
-    /// identity); `matrix.n() == asm.ndof`.
+    /// The boundary Schur complement of −∇² + λ in band order, Dirichlet
+    /// and pinned rows (always vertex or edge dofs) replaced by identity;
+    /// `matrix.n() == asm.nboundary`.
     pub matrix: BandedSym,
+    /// The interior blocks of the same operator.
+    interior: Condensed,
     /// Per dof: constrained by a Dirichlet tag or [`Self::pin_dof`].
     dirichlet: Vec<bool>,
     /// How many dofs `dirichlet` constrains.
@@ -130,21 +232,10 @@ pub struct HelmholtzProblem {
     /// Cholesky factor of `matrix` (filled by [`Self::factorize`]).
     factor: Option<BandedSym>,
     /// Coupling of free to Dirichlet dofs that the identity rows removed
-    /// from `matrix`: `(free dof, Dirichlet dof, K entry)` in assembly
-    /// numbering (filled by [`Self::factorize`] or the first solve).
-    lift: Option<Vec<(usize, usize, f64)>>,
+    /// from `matrix`: `(band row of the free dof, Dirichlet dof, Schur
+    /// entry)`.
+    lift: Vec<(usize, usize, f64)>,
     dirichlet_tags: Vec<BoundaryTag>,
-}
-
-/// Replaces row and column `r` of `matrix` with the identity.
-fn constrain_row(matrix: &mut BandedSym, r: usize) {
-    let kd = matrix.kd();
-    let lo = r.saturating_sub(kd);
-    let hi = (r + kd).min(matrix.n() - 1);
-    for i in lo..=hi {
-        matrix.set(i, r, 0.0);
-    }
-    matrix.set(r, r, 1.0);
 }
 
 impl Discretization {
@@ -175,19 +266,7 @@ impl Discretization {
             };
             ops.push(ElemOps { basis_id, geom, mats });
         }
-        // Reverse Cuthill-McKee over the element cliques: the Figure-10
-        // numbering couples vertex dofs to interiors a whole mesh apart.
-        let cliques: Vec<Vec<usize>> = asm
-            .elem_dofs
-            .iter()
-            .map(|dofs| dofs.iter().map(|&(g, _)| g).collect())
-            .collect();
-        let perm = rcm_order(&adjacency_from_cliques(asm.ndof, &cliques));
-        let kd = bandwidth_under(&perm, &cliques);
-        let mut pos = vec![0usize; asm.ndof];
-        for (row, &dof) in perm.iter().enumerate() {
-            pos[dof] = row;
-        }
+        let (pos, kd) = boundary_band_order(&asm);
         let mut quad_off = vec![0usize; ops.len() + 1];
         for (ei, op) in ops.iter().enumerate() {
             quad_off[ei + 1] = quad_off[ei] + op.geom.jw.len();
@@ -202,7 +281,7 @@ impl Discretization {
             quad_off,
             pos,
             kd,
-            mass_factor: OnceLock::new(),
+            mass: OnceLock::new(),
             phys_grad: OnceLock::new(),
         })
     }
@@ -227,47 +306,82 @@ impl Discretization {
         self.quad_off[ei]..self.quad_off[ei + 1]
     }
 
-    /// Sums the elemental matrices `elem(ei)` (nm × nm, column-major)
-    /// into a band at the rows `pos` gives each dof.
-    fn assemble_band<'a>(&'a self, elem: impl Fn(usize) -> Cow<'a, [f64]>) -> BandedSym {
-        let pos = &self.pos;
-        let mut band = BandedSym::zeros(self.asm.ndof, self.kd);
-        for (ei, dofs) in self.asm.elem_dofs.iter().enumerate() {
+    /// Statically condenses the operator whose elemental matrices are
+    /// `elem(ei)` (nm × nm, column-major, SPD on the interior modes): the
+    /// per-element interior blocks, and the Schur complement summed into
+    /// a band at the rows `pos` gives each boundary dof.
+    fn condense<'a>(&'a self, elem: impl Fn(usize) -> Cow<'a, [f64]>) -> (Condensed, BandedSym) {
+        let (asm, pos) = (&self.asm, &self.pos);
+        let mut band = BandedSym::zeros(asm.nboundary, self.kd);
+        let mut blocks = Vec::new();
+        let mut off = Vec::with_capacity(asm.elem_dofs.len() + 1);
+        for (ei, dofs) in asm.elem_dofs.iter().enumerate() {
+            off.push(blocks.len());
             let h = elem(ei);
             let nm = dofs.len();
-            for a in 0..nm {
-                let (ga, sa) = dofs[a];
-                for b in a..nm {
-                    let (gb, sb) = dofs[b];
+            let ni = asm.interior(ei).len();
+            let nb = nm - ni;
+            // Rows nb.. of column c of `h`: A_ii's column, or A_ib's.
+            let interior_rows = |c: usize| &h[nb + c * nm..(c + 1) * nm];
+            for c in nb..nm {
+                blocks.extend_from_slice(interior_rows(c));
+            }
+            for (a, &(_, sa)) in dofs[..nb].iter().enumerate() {
+                blocks.extend(interior_rows(a).iter().map(|v| sa * v));
+            }
+            let (factor, coupling) = blocks[off[ei]..].split_at_mut(ni * ni);
+            if ni > 0 {
+                dpotrf(ni, factor, ni).expect("interior block of an SPD operator must be SPD");
+                for column in coupling.chunks_exact_mut(ni) {
+                    dpotrs(ni, factor, ni, column).expect("interior solve");
+                }
+            }
+            for b in 0..nb {
+                let (gb, sb) = dofs[b];
+                let cb = &coupling[b * ni..(b + 1) * ni];
+                for a in 0..=b {
+                    let (ga, sa) = dofs[a];
                     // Off-diagonal elemental pairs contribute to both (a,b)
                     // and (b,a); symmetric storage holds one copy, and `add`
                     // takes either triangle.
-                    band.add(pos[ga], pos[gb], sa * sb * h[a + b * nm]);
+                    let schur = sa * sb * h[a + b * nm] - sa * ddot(interior_rows(a), cb);
+                    band.add(pos[ga], pos[gb], schur);
                 }
             }
         }
-        band
+        off.push(blocks.len());
+        (Condensed { blocks, off }, band)
     }
 
-    /// Copies an assembly-order vector into the band-order `band`.
-    fn permute_into(&self, v: &[f64], band: &mut [f64]) {
-        for (&r, &x) in self.pos.iter().zip(v) {
-            band[r] = x;
+    /// Solves a condensed system in place for every assembly-order
+    /// right-hand side in `xs`: interior forward elimination, then
+    /// `constrain(i, b)` on the band-order boundary part `b` of `xs[i]`,
+    /// `boundary` on all of those back to back in `band` (the band-order
+    /// scratch, grown on first use), interior back-substitution.
+    fn solve_condensed(
+        &self,
+        op: &Condensed,
+        xs: &mut [&mut [f64]],
+        band: &mut Vec<f64>,
+        mut constrain: impl FnMut(usize, &mut [f64]),
+        boundary: impl FnOnce(&mut [f64]),
+    ) {
+        let nb = self.asm.nboundary;
+        op.eliminate(&self.asm, xs);
+        band.resize(xs.len() * nb, 0.0);
+        for (i, (x, b)) in xs.iter().zip(band.chunks_exact_mut(nb)).enumerate() {
+            for (&r, &v) in self.pos.iter().zip(x.iter()) {
+                b[r] = v;
+            }
+            constrain(i, b);
         }
-    }
-
-    /// An assembly-order vector in band order.
-    fn permute_in(&self, v: &[f64]) -> Vec<f64> {
-        let mut band = vec![0.0; v.len()];
-        self.permute_into(v, &mut band);
-        band
-    }
-
-    /// Copies a band-order vector back into the assembly-order `out`.
-    fn permute_out(&self, band: &[f64], out: &mut [f64]) {
-        for (&r, x) in self.pos.iter().zip(out) {
-            *x = band[r];
+        boundary(band);
+        for (x, b) in xs.iter_mut().zip(band.chunks_exact(nb)) {
+            for (&r, v) in self.pos.iter().zip(x.iter_mut()) {
+                *v = b[r];
+            }
         }
+        op.back_substitute(&self.asm, xs);
     }
 
     /// Physical coordinates of every quadrature point, element-major —
@@ -298,19 +412,18 @@ impl Discretization {
 
     /// Global L2 projection onto the expansion of the function whose
     /// element-major quadrature values are `fq` ([`Self::nquad_total`] of
-    /// them): solves M c = ∫ f φ with the assembled (unconstrained) mass
-    /// matrix, factored on first use.
+    /// them): solves M c = ∫ f φ with the (unconstrained) mass matrix,
+    /// condensed and factored on first use.
     pub fn l2_project_quad(&self, fq: &[f64]) -> Vec<f64> {
-        let factor = self.mass_factor.get_or_init(|| {
-            let mut m = self.assemble_band(|ei| self.ops[ei].mats.mass.as_slice().into());
-            dpbtrf(&mut m).expect("global mass matrix must be SPD");
-            m
+        let (mass, factor) = self.mass.get_or_init(|| {
+            let (mass, mut schur) = self.condense(|ei| self.ops[ei].mats.mass.as_slice().into());
+            dpbtrf(&mut schur).expect("global mass matrix must be SPD");
+            (mass, schur)
         });
-        let mut rhs = self.load_vector(fq);
-        let mut c = self.permute_in(&rhs);
-        dpbtrs(factor, &mut c).expect("mass solve");
-        self.permute_out(&c, &mut rhs);
-        rhs
+        let mut c = self.load_vector(fq);
+        let solve = |b: &mut [f64]| dpbtrs_multi(factor, b, 1).expect("mass solve");
+        self.solve_condensed(mass, &mut [&mut c[..]], &mut Vec::new(), |_, _| {}, solve);
+        c
     }
 
     /// Global L2 projection of `f` onto the expansion.
@@ -523,34 +636,66 @@ impl HelmholtzProblem {
         HelmholtzProblem::member(&Discretization::new(mesh, order), lambda, dirichlet_tags)
     }
 
-    /// Assembles the problem (−∇² + λ) with essential boundaries
+    /// Condenses the problem (−∇² + λ) with essential boundaries
     /// `dirichlet_tags` on the shared discretization `disc`.
     ///
-    /// The band is summed element by element from `Lₑ + λMₑ`, not formed
-    /// as band `K` + λ·band `M`: the latter rounds every entry
-    /// differently, and a member must equal the problem built alone.
+    /// Each element is condensed from its own `Lₑ + λMₑ`, not from a
+    /// shared condensed `K` and `M`: the Schur complement is not linear
+    /// in λ, and a member must equal the problem built alone.
     pub fn member(
         disc: &Arc<Discretization>,
         lambda: f64,
         dirichlet_tags: &[BoundaryTag],
     ) -> Self {
-        let dirichlet = disc.asm.dirichlet_mask(&disc.mesh, |tag| dirichlet_tags.contains(&tag));
-        let mut matrix = disc.assemble_band(|ei| disc.ops[ei].mats.helmholtz(lambda).into());
-        // The Dirichlet coupling removed here comes back per solve as the
-        // lift on the right-hand side.
-        for d in (0..disc.asm.ndof).filter(|&d| dirichlet[d]) {
-            constrain_row(&mut matrix, disc.pos[d]);
-        }
-        HelmholtzProblem {
+        let (interior, matrix) = disc.condense(|ei| disc.ops[ei].mats.helmholtz(lambda).into());
+        let mut prob = HelmholtzProblem {
             disc: Arc::clone(disc),
             lambda,
             matrix,
-            ndirichlet: dirichlet.iter().filter(|&&d| d).count(),
-            dirichlet,
+            interior,
+            dirichlet: vec![false; disc.asm.ndof],
+            ndirichlet: 0,
             factor: None,
-            lift: None,
+            lift: Vec::new(),
             dirichlet_tags: dirichlet_tags.to_vec(),
+        };
+        let mask = disc.asm.dirichlet_mask(&disc.mesh, |tag| dirichlet_tags.contains(&tag));
+        prob.constrain((0..disc.asm.nboundary).filter(|&d| mask[d]));
+        prob
+    }
+
+    /// Constrains every dof of `dofs` (boundary-class, not yet
+    /// constrained): its row and column of `matrix` become the identity,
+    /// and the coupling to free dofs removed there moves to `lift`, to
+    /// come back per solve on the right-hand side.
+    fn constrain(&mut self, dofs: impl Iterator<Item = usize>) {
+        let pos = &self.disc.pos;
+        for d in dofs {
+            self.dirichlet[d] = true;
+            self.ndirichlet += 1;
+            let r = pos[d];
+            let kd = self.matrix.kd();
+            for i in r.saturating_sub(kd)..=(r + kd).min(self.matrix.n() - 1) {
+                let k = self.matrix.get(i, r);
+                if i != r && k != 0.0 {
+                    self.lift.push((i, d, k));
+                }
+                self.matrix.set(i, r, 0.0);
+            }
+            self.matrix.set(r, r, 1.0);
         }
+        // A row constrained here, or earlier, is not a free dof's.
+        let mut fixed = vec![false; pos.len()];
+        for (d, &r) in pos.iter().enumerate() {
+            fixed[r] = self.dirichlet[d];
+        }
+        self.lift.retain(|&(row, _, _)| !fixed[row]);
+        self.factor = None;
+    }
+
+    /// The boundary system a direct solve of this problem sweeps.
+    pub fn solve_shape(&self) -> SolveShape {
+        SolveShape { nboundary: self.matrix.n(), kd: self.matrix.kd() }
     }
 
     /// The discretization this problem shares with its siblings.
@@ -635,151 +780,140 @@ impl HelmholtzProblem {
     }
 
     /// Does the work a first direct solve would otherwise do lazily:
-    /// factors `matrix` and lists the Dirichlet coupling. A solver that
-    /// wants that cost outside its timed steps calls this once after its
-    /// last [`Self::pin_dof`].
+    /// factors `matrix`. A solver that wants that cost outside its timed
+    /// steps calls this once after its last [`Self::pin_dof`].
     pub fn factorize(&mut self) {
-        self.ensure_lift();
         if self.factor.is_none() {
             let mut f = self.matrix.clone();
-            dpbtrf(&mut f).expect("global Helmholtz matrix must be SPD");
+            dpbtrf(&mut f).expect("boundary Schur complement must be SPD");
             self.factor = Some(f);
         }
     }
 
-    fn ensure_lift(&mut self) {
-        if self.lift.is_none() {
-            self.lift = Some(self.dirichlet_coupling());
-        }
-    }
-
-    /// The entries K(free, Dirichlet) of the unconstrained operator, one
-    /// per elemental contribution.
-    fn dirichlet_coupling(&self) -> Vec<(usize, usize, f64)> {
-        let dirichlet = &self.dirichlet;
-        let mut entries = Vec::new();
-        for (ei, dofs) in self.asm.elem_dofs.iter().enumerate() {
-            if !dofs.iter().any(|&(g, _)| dirichlet[g]) {
-                continue;
-            }
-            let h = self.ops[ei].mats.helmholtz(self.lambda);
-            let nm = dofs.len();
-            for (a, &(ga, sa)) in dofs.iter().enumerate() {
-                if dirichlet[ga] {
-                    continue;
-                }
-                for (b, &(gb, sb)) in dofs.iter().enumerate() {
-                    if dirichlet[gb] {
-                        entries.push((ga, gb, sa * sb * h[a + b * nm]));
-                    }
-                }
-            }
-        }
-        entries
-    }
-
-    /// Moves known boundary data to the right-hand side, rhs_f −= K_fd u_d,
-    /// then makes the identity rows return u_d. `None` is homogeneous
-    /// data: `x − k·0.0` is `x`, so the lift is skipped outright.
-    fn impose_dirichlet(&self, rhs: &mut [f64], u_d: Option<&[f64]>) {
+    /// On the band-order boundary right-hand side `b`: moves known
+    /// boundary data across, b_f −= S_fd u_d, then makes the identity rows
+    /// return u_d. `None` is homogeneous data: `x − k·0.0` is `x`, so the
+    /// lift is skipped outright.
+    fn impose_dirichlet(&self, b: &mut [f64], u_d: Option<&[f64]>) {
         if let Some(u_d) = u_d {
-            for &(free, d, k) in self.lift.as_ref().expect("lift listed before a solve") {
-                rhs[free] -= k * u_d[d];
+            for &(row, d, k) in &self.lift {
+                b[row] -= k * u_d[d];
             }
         }
-        for (d, x) in rhs.iter_mut().enumerate() {
+        for (d, &r) in self.disc.pos.iter().enumerate() {
             if self.dirichlet[d] {
-                *x = u_d.map_or(0.0, |u_d| u_d[d]);
+                b[r] = u_d.map_or(0.0, |u_d| u_d[d]);
             }
         }
     }
 
-    /// Banded direct solves of K u = rhs for every right-hand side in
-    /// `xs` at once, each overwritten by its solution, with Dirichlet
-    /// values `u_d[i]` imposed on `xs[i]` (`None`: homogeneous on all of
-    /// them). One sweep of the factor serves all of `xs`
+    /// Diagonally preconditioned conjugate gradients on the constrained
+    /// Schur band for the band-order right-hand side `b`, overwritten by
+    /// the solution. Returns the iterations taken.
+    fn pcg_boundary(&self, b: &mut [f64], tol: f64, max_iter: usize) -> usize {
+        let m = &self.matrix;
+        let diag: Vec<f64> = (0..m.n()).map(|i| m.get(i, i)).collect();
+        let rhs = b.to_vec();
+        // Seed the constrained entries so identity rows are exact.
+        for (d, &r) in self.disc.pos.iter().enumerate() {
+            b[r] = if self.dirichlet[d] { rhs[r] } else { 0.0 };
+        }
+        let res = pcg(|p, out| m.matvec(p, out), &diag, &rhs, b, tol, max_iter);
+        assert!(res.converged, "PCG failed to converge: {res:?}");
+        res.iterations
+    }
+
+    /// The one solve pipeline: every right-hand side of `xs` through the
+    /// condensed operator, the boundary system by `method`. Returns the
+    /// PCG iterations taken (0 for the direct path).
+    fn solve_in_place(
+        &mut self,
+        xs: &mut [&mut [f64]],
+        u_d: Option<&[&[f64]]>,
+        band: &mut Vec<f64>,
+        method: SolveMethod,
+    ) -> usize {
+        let ndof = self.asm.ndof;
+        for x in xs.iter() {
+            assert_eq!(x.len(), ndof, "rhs: one value per dof, in assembly order");
+        }
+        if let Some(u_d) = u_d {
+            assert_eq!(u_d.len(), xs.len(), "u_d: boundary data per right-hand side");
+            for d in u_d {
+                assert_eq!(d.len(), ndof, "u_d: one value per dof, in assembly order");
+            }
+        }
+        if method == SolveMethod::BandedDirect {
+            self.factorize();
+        }
+        let (this, nrhs, mut iterations) = (&*self, xs.len(), 0);
+        let constrain = |i: usize, b: &mut [f64]| this.impose_dirichlet(b, u_d.map(|u_d| u_d[i]));
+        let boundary = |band: &mut [f64]| match method {
+            SolveMethod::BandedDirect => {
+                dpbtrs_multi(this.factor.as_ref().expect("factored above"), band, nrhs)
+                    .expect("banded solve");
+            }
+            SolveMethod::Pcg { tol, max_iter } => {
+                for b in band.chunks_exact_mut(this.matrix.n()) {
+                    iterations += this.pcg_boundary(b, tol, max_iter);
+                }
+            }
+        };
+        this.disc.solve_condensed(&this.interior, xs, band, constrain, boundary);
+        iterations
+    }
+
+    /// Direct solves of K u = rhs for every right-hand side in `xs` at
+    /// once, each overwritten by its solution, with Dirichlet values
+    /// `u_d[i]` imposed on `xs[i]` (`None`: homogeneous on all of them).
+    /// One sweep of the boundary factor serves all of `xs`
     /// ([`dpbtrs_multi`]); `band` is the band-order scratch, grown on
     /// first use and reusable across problems. Each solution equals
     /// [`Self::solve_with_rhs`]'s to the bit.
+    ///
+    /// # Panics
+    /// If a right-hand side or a `u_d[i]` is not `asm.ndof` long.
     pub fn solve_banded_in_place(
         &mut self,
         xs: &mut [&mut [f64]],
         u_d: Option<&[&[f64]]>,
         band: &mut Vec<f64>,
     ) {
-        assert!(u_d.is_none_or(|u_d| u_d.len() == xs.len()), "boundary data per right-hand side");
-        self.factorize();
-        let ndof = self.asm.ndof;
-        band.resize(xs.len() * ndof, 0.0);
-        for (i, (x, b)) in xs.iter_mut().zip(band.chunks_exact_mut(ndof)).enumerate() {
-            self.impose_dirichlet(x, u_d.map(|u_d| u_d[i]));
-            self.permute_into(x, b);
-        }
-        dpbtrs_multi(self.factor.as_ref().expect("factored above"), band, xs.len())
-            .expect("banded solve");
-        for (x, b) in xs.iter_mut().zip(band.chunks_exact(ndof)) {
-            self.permute_out(b, x);
-        }
+        self.solve_in_place(xs, u_d, band, SolveMethod::BandedDirect);
     }
 
     /// Solves K u = rhs with Dirichlet values `u_d` imposed.
+    ///
+    /// # Panics
+    /// If `rhs` or `u_d` is not `asm.ndof` long.
     pub fn solve_with_rhs(
         &mut self,
         mut rhs: Vec<f64>,
         u_d: &[f64],
         method: SolveMethod,
     ) -> (Vec<f64>, SolveStats) {
-        let ndof = self.asm.ndof;
-        self.ensure_lift();
-        self.impose_dirichlet(&mut rhs, Some(u_d));
-        let mut x = self.permute_in(&rhs);
-        let iterations = match method {
-            SolveMethod::BandedDirect => {
-                self.factorize();
-                dpbtrs(self.factor.as_ref().expect("factored above"), &mut x)
-                    .expect("banded solve");
-                0
-            }
-            SolveMethod::Pcg { tol, max_iter } => {
-                let m = &self.matrix;
-                let diag: Vec<f64> = (0..ndof).map(|i| m.get(i, i)).collect();
-                let b = std::mem::replace(&mut x, vec![0.0; ndof]);
-                // Seed the constrained entries so identity rows are exact.
-                for d in 0..ndof {
-                    if self.dirichlet[d] {
-                        x[self.pos[d]] = b[self.pos[d]];
-                    }
-                }
-                let res: PcgResult = pcg(
-                    |p, out| m.matvec(p, out),
-                    &diag,
-                    &b,
-                    &mut x,
-                    tol,
-                    max_iter,
-                );
-                assert!(res.converged, "PCG failed to converge: {res:?}");
-                res.iterations
-            }
-        };
-        self.permute_out(&x, &mut rhs);
-        let nfree = ndof - self.ndirichlet();
+        let iterations =
+            self.solve_in_place(&mut [&mut rhs[..]], Some(&[u_d]), &mut Vec::new(), method);
+        let nfree = self.asm.ndof - self.ndirichlet();
         (rhs, SolveStats { nfree, bandwidth: self.matrix.kd(), iterations })
     }
 
     /// Pins dof `d` to a Dirichlet value (used to remove the null space of
     /// the pure-Neumann pressure Poisson problem). Discards the factor:
     /// call before [`Self::factorize`] or the first solve.
+    ///
+    /// # Panics
+    /// If `d` is not a vertex or edge dof: an interior dof has no row in
+    /// the condensed system (and never carries a null space).
     pub fn pin_dof(&mut self, d: usize) {
-        assert!(d < self.asm.ndof);
-        if self.dirichlet[d] {
-            return;
+        assert!(
+            d < self.asm.nboundary,
+            "pin_dof({d}): only a vertex or edge dof can be pinned, not {}",
+            self.asm.kinds.get(d).map_or("one past the last dof".into(), |k| format!("{k:?}"))
+        );
+        if !self.dirichlet[d] {
+            self.constrain(std::iter::once(d));
         }
-        self.dirichlet[d] = true;
-        self.ndirichlet += 1;
-        constrain_row(&mut self.matrix, self.disc.pos[d]);
-        self.factor = None;
-        self.lift = None;
     }
 }
 
@@ -916,12 +1050,12 @@ mod tests {
         let disc = Discretization::new(mesh, 4);
         let a = HelmholtzProblem::member(&disc, 7.0, ALL_DIRICHLET);
         let b = HelmholtzProblem::member(&disc, 0.5, &[]);
-        assert!(disc.mass_factor.get().is_none(), "factored before any projection");
+        assert!(disc.mass.get().is_none(), "factored before any projection");
         assert_eq!(a.l2_project(f), alone);
-        let first = disc.mass_factor.get().expect("factored by the projection").ab().as_ptr();
+        let first = disc.mass.get().expect("factored by the projection").1.ab().as_ptr();
         assert_eq!(b.l2_project(f), alone);
         assert_eq!(disc.l2_project_quad(&disc.sample(f)), alone);
-        assert_eq!(disc.mass_factor.get().unwrap().ab().as_ptr(), first);
+        assert_eq!(disc.mass.get().unwrap().1.ab().as_ptr(), first);
         assert!(Arc::ptr_eq(a.discretization(), b.discretization()));
     }
 
@@ -1157,6 +1291,39 @@ mod tests {
         check("zero data", &tagged, false);
         check("data per right-hand side", &tagged, true);
         check("pinned dof", &pinned, false);
+    }
+
+    #[test]
+    fn every_member_and_the_mass_factor_hold_the_boundary_band_only() {
+        // Order-2 triangles have no interior mode: nothing to eliminate.
+        for (mesh, order) in [(skewed_mesh(), 4), (rect_tris(0.0, 1.0, 0.0, 1.0, 2, 2), 2)] {
+            let disc = Discretization::new(mesh, order);
+            let nb = disc.asm.nboundary;
+            let mut pinned = HelmholtzProblem::member(&disc, 0.0, &[]);
+            pinned.pin_dof(0);
+            for prob in [&pinned, &HelmholtzProblem::member(&disc, 40.0, &[BoundaryTag::Wall])] {
+                assert_eq!((prob.matrix.n(), prob.matrix.kd()), (nb, disc.kd));
+                assert_eq!(prob.solve_shape(), SolveShape { nboundary: nb, kd: disc.kd });
+            }
+            disc.l2_project(|x| x[0]);
+            assert_eq!(disc.mass.get().expect("factored by the projection").1.n(), nb);
+            assert_eq!(disc.pos.len(), nb);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only a vertex or edge dof can be pinned, not Interior(0)")]
+    fn pinning_an_interior_dof_is_refused_by_kind() {
+        let mut prob = HelmholtzProblem::new(skewed_mesh(), 4, 0.0, &[]);
+        prob.pin_dof(prob.asm.nboundary);
+    }
+
+    #[test]
+    #[should_panic(expected = "u_d: one value per dof")]
+    fn boundary_data_of_the_wrong_length_is_refused_at_entry() {
+        let mut prob = HelmholtzProblem::new(skewed_mesh(), 4, 1.0, &[BoundaryTag::Wall]);
+        let ndof = prob.asm.ndof;
+        prob.solve_with_rhs(vec![0.0; ndof], &vec![0.0; ndof - 1], SolveMethod::BandedDirect);
     }
 
     #[test]

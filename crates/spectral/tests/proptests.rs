@@ -5,9 +5,11 @@
 use nkt_blas::{dpotrf, dpotrs};
 use nkt_mesh::{bluff_body_mesh, rect_quads, rect_tris, BoundaryTag, Elem2d, ElemKind, Mesh2d};
 use nkt_spectral::element::Expansion;
-use nkt_spectral::rcm::{adjacency_from_cliques, bandwidth_under, rcm_order};
-use nkt_spectral::{Assembly, Discretization, HelmholtzProblem, QuadBasis, SolveMethod, TriBasis};
-use nkt_testkit::{one_of, prop_assert, prop_assert_eq, prop_check};
+use nkt_spectral::{
+    boundary_band_order, Assembly, Discretization, HelmholtzProblem, QuadBasis, SolveMethod,
+    TriBasis,
+};
+use nkt_testkit::{one_of, prop_assert, prop_assert_eq, prop_assume, prop_check};
 
 const ALL: &[BoundaryTag] = &[
     BoundaryTag::Wall,
@@ -62,7 +64,8 @@ fn drawn_mesh(kind: usize, nx: usize, ny: usize) -> Mesh2d {
 }
 
 /// Dense `asm`-numbered sum of the elemental matrices `elem(ei)`: the
-/// reference that knows nothing of the band order `HelmholtzProblem` uses.
+/// reference that knows nothing of the condensation or the band order
+/// `HelmholtzProblem` uses.
 fn dense_assemble(prob: &HelmholtzProblem, elem: impl Fn(usize) -> Vec<f64>) -> Vec<f64> {
     let n = prob.asm.ndof;
     let mut k = vec![0.0; n * n];
@@ -76,11 +79,6 @@ fn dense_assemble(prob: &HelmholtzProblem, elem: impl Fn(usize) -> Vec<f64>) -> 
         }
     }
     k
-}
-
-/// The dofs of each element: the cliques RCM orders.
-fn cliques_of(prob: &HelmholtzProblem) -> Vec<Vec<usize>> {
-    prob.asm.elem_dofs.iter().map(|dofs| dofs.iter().map(|&(g, _)| g).collect()).collect()
 }
 
 fn dense_solve(mut k: Vec<f64>, mut b: Vec<f64>) -> Vec<f64> {
@@ -105,18 +103,16 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The wake mesh of the benchmark: RCM must bring the Figure-10 band
-/// (1714 of 1832 dofs) down, and `matrix` must be stored at exactly the
-/// width the ordering gives.
+/// The wake mesh of the benchmark: `matrix` is the condensed boundary
+/// system (860 of 1832 dofs), RCM must bring its Figure-10 band down, and
+/// it must be stored at exactly the width the one ordering gives.
 #[test]
 fn wake_mesh_band_is_rcm_narrow() {
     let tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
     let viscous = HelmholtzProblem::new(bluff_body_mesh(1), 4, 100.0, &tags);
-    let cliques = cliques_of(&viscous);
-    let perm = rcm_order(&adjacency_from_cliques(viscous.asm.ndof, &cliques));
-    assert_eq!(viscous.matrix.n(), viscous.asm.ndof);
-    assert_eq!(viscous.matrix.kd(), bandwidth_under(&perm, &cliques));
-    assert!(viscous.matrix.kd() <= 300, "band {}", viscous.matrix.kd());
+    assert_eq!(viscous.matrix.n(), viscous.asm.nboundary);
+    assert_eq!(viscous.matrix.kd(), boundary_band_order(&viscous.asm).1);
+    assert!(viscous.matrix.kd() <= 150, "band {}", viscous.matrix.kd());
     assert!(viscous.asm.bandwidth() > 1000, "natural band {}", viscous.asm.bandwidth());
 }
 
@@ -202,8 +198,9 @@ prop_check! {
 
     /// A member of a shared discretization — assembled after siblings
     /// with other λ and tags — has the band of the same problem built
-    /// alone, bit for bit, and both are the dense natural-order sum of
-    /// the elemental matrices with identity Dirichlet rows.
+    /// alone, bit for bit, and both are the Schur complement on the
+    /// boundary dofs of the dense natural-order sum of the elemental
+    /// matrices, with identity Dirichlet rows.
     fn member_band_equals_standalone_and_dense_reference(
         kind in 0usize..3, nx in 1usize..4, ny in 1usize..4, p in 2usize..7,
         lam in one_of(&[0.0f64, 0.7, 40.0]), tag_mask in 0usize..16, other_mask in 0usize..16
@@ -221,17 +218,33 @@ prop_check! {
         prop_assert_eq!(bits(member.matrix.ab()), bits(alone.matrix.ab()));
         prop_assert_eq!(member.dirichlet(), alone.dirichlet());
 
-        // `matrix` is in band order; the permutation is RCM's.
-        let n = member.asm.ndof;
-        let perm = rcm_order(&adjacency_from_cliques(n, &cliques_of(&member)));
+        // Dense S = K_bb − K_bi K_ii⁻¹ K_ib, interiors eliminated all at
+        // once: column j of K_ii⁻¹ K_ib from one dense solve.
+        let (n, nb) = (member.asm.ndof, member.asm.nboundary);
+        let ni = n - nb;
         let k = dense_assemble(&member, |ei| member.ops[ei].mats.helmholtz(lam));
-        for (ri, &i) in perm.iter().enumerate() {
-            for (rj, &j) in perm.iter().enumerate() {
+        let mut kii = vec![0.0; ni * ni];
+        for c in 0..ni {
+            kii[c * ni..(c + 1) * ni].copy_from_slice(&k[nb + (nb + c) * n..(nb + c + 1) * n]);
+        }
+        if ni > 0 {
+            dpotrf(ni, &mut kii, ni).expect("interior block SPD");
+        }
+        // `matrix` is in band order; the permutation is the one ordering's.
+        let (pos, kd) = boundary_band_order(&member.asm);
+        prop_assert_eq!((member.matrix.n(), member.matrix.kd()), (nb, kd));
+        for j in 0..nb {
+            let mut x = k[nb + j * n..(j + 1) * n].to_vec();
+            if ni > 0 {
+                dpotrs(ni, &kii, ni, &mut x).expect("interior solve");
+            }
+            for i in 0..nb {
+                let coupling: f64 = (0..ni).map(|r| k[i + (nb + r) * n] * x[r]).sum();
                 let fixed = member.dirichlet()[i] || member.dirichlet()[j];
-                let want = if fixed { f64::from(i == j) } else { k[i + j * n] };
-                let got = member.matrix.get(ri, rj);
-                prop_assert!((got - want).abs() <= 1e-12 * (1.0 + want.abs()),
-                    "K[{i},{j}] = {got}, dense {want}");
+                let want = if fixed { f64::from(i == j) } else { k[i + j * n] - coupling };
+                let got = member.matrix.get(pos[i], pos[j]);
+                prop_assert!((got - want).abs() <= 1e-11 * (1.0 + want.abs()),
+                    "S[{i},{j}] = {got}, dense {want}");
             }
         }
     }
@@ -253,10 +266,11 @@ prop_check! {
         let band = bits(sibling.matrix.ab());
         let (before, _) = sibling.solve_with_rhs(rhs.clone(), &u_d, SolveMethod::BandedDirect);
 
-        // An interior dof (p ≥ 3 gives a triangle one): never on a tagged
-        // boundary, so the pin is new.
-        let d = n - 1 - pin % (n - disc.asm.nboundary);
-        prop_assert!(!mask[d]);
+        // A vertex or edge dof off every tagged boundary, so the pin is
+        // new (one quadrilateral with all four sides tagged has none).
+        let free: Vec<usize> = (0..disc.asm.nboundary).filter(|&d| !mask[d]).collect();
+        prop_assume!(!free.is_empty());
+        let d = free[pin % free.len()];
         pinned.pin_dof(d);
         prop_assert!(pinned.dirichlet()[d]);
         prop_assert_eq!(pinned.ndirichlet(), sibling.ndirichlet() + 1);
@@ -315,7 +329,7 @@ prop_check! {
     fn assembled_matrix_symmetric(nx in 1usize..3, p in 2usize..5, lam in 0.0f64..100.0) {
         let mesh = rect_quads(0.0, 2.0, 0.0, 1.0, nx + 1, nx);
         let prob = HelmholtzProblem::new(mesh, p, lam, &[]);
-        let n = prob.asm.ndof;
+        let n = prob.matrix.n();
         for i in (0..n).step_by(7) {
             for j in (0..n).step_by(5) {
                 prop_assert!((prob.matrix.get(i, j) - prob.matrix.get(j, i)).abs() < 1e-12);

@@ -262,6 +262,21 @@ if ! grep -q '"stage": "PressureSolve", "applies"' "$calib_a/CALIB_flapping_wing
     exit 1
 fi
 
+echo "== oracle suite (run before regenerating a hash: these say \"still right\", a hash only \"changed\") =="
+# A change that reassociates a solver moves its pinned state hashes on
+# purpose; what licenses regenerating them is this suite passing first,
+# unedited. Independent answers, held to tolerances: the dense
+# natural-order solves of the spectral proptests, the tolerance twins
+# beside every pinned hash of the two step contracts, and the decay-rate
+# gates (Taylor-Green in the serial solver, the k = 0 plane against it and
+# the k = 1 shear mode in NekTar-F, spectral convergence in p).
+cargo test -q --offline -p nkt-spectral --test proptests
+cargo test -q --offline -p nektar --test serial2d_step_contract --test fourier_step_contract -- \
+    twins_within_tolerance decays_at_the_viscous_rate
+cargo test -q --offline -p nektar --lib -- taylor_green_tracks_exact_solution \
+    kinetic_energy_decays_at_viscous_rate k0_mode_matches_serial_2d_solver
+cargo test -q --offline -p nkt-spectral --lib -- poisson_spectral_convergence_in_p
+
 echo "== baseline gate (every file under results/ regenerated and held to its baseline) =="
 # PROF/STATS/CALIB rows inside their bands, every model table/figure and
 # the examples' state hashes byte for byte, no file or row on one side
@@ -310,6 +325,17 @@ echo "== one plane pipeline (the basis tables are read inside nkt-spectral only)
 # copy of such a loop reads the tables these accessors return.
 if grep -rn 'dxi1()\|dxi2()\|\.val()\[' crates/core/src src examples; then
     echo "FAIL: basis tables read outside nkt-spectral (lines above): use the plane kernels" >&2
+    exit 1
+fi
+
+echo "== one solve shape (BandedSolve items come from the recorder helper, the model or the replay) =="
+# What a direct solve executes becomes work items in one place per side:
+# opstream.rs for the native recording (from the problem's solve_shape),
+# workload.rs for the model; replay.rs charges them. A solver that builds
+# its own BandedSolve item has its own idea of the band.
+if grep -rn 'WorkItem::BandedSolve {' crates/core/src \
+    | grep -v '^crates/core/src/\(opstream\|workload\|replay\)\.rs:'; then
+    echo "FAIL: BandedSolve constructed outside opstream.rs / workload.rs / replay.rs (lines above)" >&2
     exit 1
 fi
 
