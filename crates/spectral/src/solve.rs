@@ -1238,6 +1238,148 @@ mod tests {
         }
     }
 
+    /// Coefficients with exact zeros and a negative zero among them.
+    fn coeffs_with_zeros(disc: &Discretization) -> Vec<f64> {
+        (0..disc.asm.ndof)
+            .map(|d| match d % 7 {
+                2 => 0.0,
+                5 => -0.0,
+                _ => (d as f64 * 0.61).cos(),
+            })
+            .collect()
+    }
+
+    /// `got` equals `want` to `tol` relative to the largest `|want|`.
+    fn assert_close(got: &[f64], want: &[f64], tol: f64, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let scale = want.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() <= tol * scale, "{what}, entry {i}: {g} vs {w} (scale {scale})");
+        }
+    }
+
+    /// Gate (i): the four kernels against the dense loops, by tolerance.
+    /// Orders 2–8 reach the paper's order 8 and orders no kernel is
+    /// specialised for.
+    #[test]
+    fn plane_kernels_equal_the_naive_loops_within_tolerance() {
+        for order in 2..=8 {
+            let disc = Discretization::new(skewed_mesh(), order);
+            let mut ws = disc.plane_scratch(6);
+            let coeffs = coeffs_with_zeros(&disc);
+            // Stale values in the outputs must not survive.
+            let mut q = vec![f64::NAN; disc.nquad_total()];
+            disc.to_quad_into(&coeffs, &mut q, &mut ws);
+            assert_close(&q, &naive::to_quad(&disc, &coeffs), 1e-13, &format!("to_quad, order {order}"));
+            let (mut gx, mut gy) = (vec![f64::NAN; q.len()], vec![f64::NAN; q.len()]);
+            disc.grad_quad_into(&coeffs, &mut gx, &mut gy, &mut ws);
+            let (wx, wy) = naive::grad_quad(&disc, &coeffs);
+            assert_close(&gx, &wx, 1e-13, &format!("grad_quad x, order {order}"));
+            assert_close(&gy, &wy, 1e-13, &format!("grad_quad y, order {order}"));
+
+            let f: Vec<Vec<f64>> = (0..6).map(|i| plane(&disc, i)).collect();
+            let mut out = vec![vec![0.0; disc.asm.ndof]; 2];
+            let [o0, o1] = &mut out[..] else { unreachable!() };
+            disc.weak_div_add(
+                [&f[0], &f[1]],
+                [&f[2], &f[3]],
+                [&f[4], &f[5]],
+                1e-3,
+                [&mut o0[..], &mut o1[..]],
+                &mut ws,
+            );
+            for s in 0..2 {
+                let want = naive::weak_div(&disc, (&f[s], &f[2 + s], &f[4 + s]), 1e-3);
+                assert_close(&out[s], &want, 1e-13, &format!("weak_div plane {s}, order {order}"));
+            }
+            let mut out = vec![vec![0.0; disc.asm.ndof]; 6];
+            let [o0, o1, o2, o3, o4, o5] = &mut out[..] else { unreachable!() };
+            disc.weak_mass_add(
+                std::array::from_fn(|s| &f[s][..]),
+                1.0 / (0.02 * 1e-3),
+                [&mut o0[..], &mut o1[..], &mut o2[..], &mut o3[..], &mut o4[..], &mut o5[..]],
+                &mut ws,
+            );
+            for s in 0..6 {
+                let want = naive::weak_mass(&disc, &f[s], 1.0 / (0.02 * 1e-3));
+                assert_close(&out[s], &want, 1e-13, &format!("weak_mass plane {s}, order {order}"));
+            }
+        }
+    }
+
+    /// Gate (ii): the weak forms are the adjoints of the transforms under
+    /// the quadrature inner product — a statement about the kernels alone,
+    /// with no table of the reference loops in it.
+    #[test]
+    fn weak_forms_are_the_adjoints_of_the_transforms() {
+        let mut rng = nkt_testkit::Rng::new(0x5eed_ad01);
+        for order in 2..=8 {
+            let disc = Discretization::new(skewed_mesh(), order);
+            let mut ws = disc.plane_scratch(1);
+            let mut random = |n: usize| -> Vec<f64> { (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect() };
+            let c = random(disc.asm.ndof);
+            let [fx, fy, f0] = [(); 3].map(|_| random(disc.nquad_total()));
+            let cq = disc.to_quad(&c);
+            let (cx, cy) = disc.grad_quad(&c);
+            let jw: Vec<f64> = disc.quad_weights().collect();
+            // ⟨a, b⟩ beside Σ|aᵢbᵢ|, the scale a relative tolerance refers to.
+            let dot = |a: &[f64], b: &[f64]| {
+                a.iter().zip(b).fold((0.0, 0.0), |(s, m), (x, y)| (s + x * y, m + (x * y).abs()))
+            };
+
+            let mut m = vec![0.0; disc.asm.ndof];
+            disc.weak_mass_add([&f0], 1.0, [&mut m[..]], &mut ws);
+            let (lhs, scale) = dot(&m, &c);
+            let rhs: f64 = (0..jw.len()).map(|q| jw[q] * f0[q] * cq[q]).sum();
+            assert!((lhs - rhs).abs() <= 1e-12 * scale, "mass, order {order}: {lhs} vs {rhs}");
+
+            let divisor = 2e-3;
+            let mut d = vec![0.0; disc.asm.ndof];
+            disc.weak_div_add([&fx], [&fy], [&f0], divisor, [&mut d[..]], &mut ws);
+            let (lhs, scale) = dot(&d, &c);
+            let rhs: f64 = (0..jw.len())
+                .map(|q| jw[q] * (fx[q] * cx[q] + fy[q] * cy[q] - f0[q] * cq[q]))
+                .sum();
+            assert!(
+                (divisor * lhs - rhs).abs() <= 1e-12 * divisor * scale,
+                "divergence, order {order}: {} vs {rhs}",
+                divisor * lhs
+            );
+        }
+    }
+
+    /// Gate (iii): every monomial xᵃyᵇ, a + b ≤ p, lies in the expansion
+    /// of the skewed (bilinearly mapped) quadrilateral and of the triangle,
+    /// so its projection reproduces it and its analytic gradient at every
+    /// quadrature point.
+    #[test]
+    fn monomials_up_to_the_order_are_reproduced_with_their_gradients() {
+        for order in 2..=8 {
+            let disc = Discretization::new(skewed_mesh(), order);
+            let pts: Vec<[f64; 2]> = disc.quad_points().collect();
+            // The projection's mass solve sets the floor: 1.3e-11 at order
+            // 7 and 1.2e-10 at order 8 on the dense-table kernels.
+            let tol = if order < 8 { 1e-10 } else { 3e-10 };
+            for a in 0..=order as i32 {
+                for b in 0..=order as i32 - a {
+                    let f = |[x, y]: [f64; 2]| x.powi(a) * y.powi(b);
+                    let dx = |[x, y]: [f64; 2]| if a == 0 { 0.0 } else { a as f64 * x.powi(a - 1) * y.powi(b) };
+                    let dy = |[x, y]: [f64; 2]| if b == 0 { 0.0 } else { b as f64 * x.powi(a) * y.powi(b - 1) };
+                    let c = disc.l2_project(f);
+                    let (gx, gy) = disc.grad_quad(&c);
+                    // Value and both derivatives against one scale: the
+                    // gradient of a constant is zero to round-off of 1.
+                    let got = [disc.to_quad(&c), gx, gy].concat();
+                    let want: Vec<f64> = [&f as &dyn Fn([f64; 2]) -> f64, &dx, &dy]
+                        .iter()
+                        .flat_map(|g| pts.iter().map(move |&x| g(x)))
+                        .collect();
+                    assert_close(&got, &want, tol, &format!("x^{a} y^{b}, order {order}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn gradient_table_is_lazy() {
         let disc = Discretization::new(skewed_mesh(), 3);
