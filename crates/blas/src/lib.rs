@@ -9,6 +9,14 @@
 //! use (the paper: "A direct solver (LAPACK), utilising the symmetric and
 //! banded nature of the matrix").
 //!
+//! What the solvers themselves run is smaller than any of those: "most of
+//! the calls to dgemm are for small n (10 or less)" (Figure 6), and a
+//! sum-factorised elemental operation is exactly that — products with a
+//! `(P+2) × (P+1)` basis table along one axis of a small tensor. [`sweep`]
+//! is that product and the repo's one small-matrix kernel: NekTar-ALE's
+//! 3-D elemental operators and the 2-D plane kernels of the serial and
+//! Fourier solvers are both made of it.
+//!
 //! Conventions follow reference BLAS: column-major storage, `lda` leading
 //! dimensions, routine names kept (`dgemm`, `dpbtrf`, ...) so the code maps
 //! one-to-one onto the paper's vocabulary. Safe Rust throughout; hot loops
@@ -18,6 +26,7 @@
 //! * [`level1`] — vector-vector: `dcopy`, `daxpy`, `ddot`, `dscal`, `dnrm2`
 //! * [`level2`] — matrix-vector: `dgemv`, `dtrsv`
 //! * [`level3`] — matrix-matrix: `dgemm` (blocked + small-n path)
+//! * [`mod@sweep`] — the small-matrix kernel: [`sweep`] over an [`Axis`]
 //! * [`lapack`] — `dpbtrf`/`dpbtrs`/`dpbtrs_multi` (banded Cholesky),
 //!   `dpotrf`/`dpotrs` (dense Cholesky)
 //! * [`matrix`] — owned column-major and symmetric-banded containers
@@ -34,12 +43,14 @@ pub mod level1;
 pub mod level2;
 pub mod level3;
 pub mod matrix;
+pub mod sweep;
 
 pub use lapack::{dpbtrf, dpbtrs, dpbtrs_multi, dpotrf, dpotrs};
 pub use level1::{daxpy, dcopy, ddot, dnrm2, dscal};
 pub use level2::{dgemv, dtrsv, Trans, Uplo};
 pub use level3::{dgemm, dgemm_small};
 pub use matrix::{BandedSym, ColMajor};
+pub use sweep::{sweep, sweep3, Axis};
 
 /// Error type for factorization routines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -620,39 +620,31 @@ impl NektarF {
         sc
     }
 
-    /// Adds the kinetic energy carried by owned mode `mi` to the running
-    /// sum `e`, one quadrature term at a time: ½ Σ_c ∫ plane energies
-    /// with the spanwise measure (∫ cos² = ∫ sin² = Lz/2 for k > 0;
-    /// ∫ 1 = Lz for k = 0).
-    fn add_mode_energy(&self, mi: usize, e: &mut f64) {
-        let k = self.my_modes.start + mi;
-        let lz = self.cfg.lz;
-        for mc in &self.fields[mi] {
-            let qa = self.disc.to_quad(&mc.a);
-            let qb = self.disc.to_quad(&mc.b);
-            for ((w, &a), &b) in self.disc.quad_weights().zip(&qa).zip(&qb) {
-                *e += 0.5 * w * if k == 0 { lz * a * a } else { 0.5 * lz * (a * a + b * b) };
-            }
-        }
-    }
-
     /// Kinetic energy carried by one *owned* mode (local index `mi`).
+    /// Brings its own buffers: a diagnostic, not a step's path.
     pub fn mode_energy(&self, mi: usize) -> f64 {
         let mut e = 0.0;
-        self.add_mode_energy(mi, &mut e);
+        let mut planes = vec![0.0; 2 * self.disc.nquad_total()];
+        let k = self.my_modes.start + mi;
+        let ws = &mut self.disc.plane_scratch(1);
+        add_mode_energy(&self.disc, self.cfg.lz, k, &self.fields[mi], &mut e, &mut planes, ws);
         e
     }
 
-    /// Total kinetic energy ½∫|u|² over the 3-D domain (collective).
-    /// Only primary ranks contribute — pencil grids replicate each mode
-    /// block across `pc` columns (see [`NektarF::is_primary`]).
+    /// Total kinetic energy ½∫|u|² over the 3-D domain (collective), in
+    /// the step's own planes: a warmed call allocates only what its
+    /// `allreduce` does. Only primary ranks contribute — pencil grids
+    /// replicate each mode block across `pc` columns (see
+    /// [`NektarF::is_primary`]).
     pub fn kinetic_energy(&mut self, comm: &mut Comm) -> f64 {
         // One running sum over every owned mode, not a sum of per-mode
         // sums: the `ke` channel is held to the bit.
         let mut local = 0.0;
         let owned = if self.is_primary() { self.my_modes.len() } else { 0 };
-        for mi in 0..owned {
-            self.add_mode_energy(mi, &mut local);
+        let StepWorkspace { planes, scratch, .. } = &mut self.ws;
+        for (mi, field) in self.fields[..owned].iter().enumerate() {
+            let k = self.my_modes.start + mi;
+            add_mode_energy(&self.disc, self.cfg.lz, k, field, &mut local, planes, scratch);
         }
         let mut buf = [local];
         comm.allreduce(&mut buf, nkt_mpi::ReduceOp::Sum);
@@ -662,6 +654,30 @@ impl NektarF {
     /// Steps taken.
     pub fn steps(&self) -> usize {
         self.steps_taken
+    }
+}
+
+/// Adds the kinetic energy of Fourier mode `k`, whose three components
+/// are `field`, to the running sum `e`, one quadrature term at a time:
+/// ½ Σ_c ∫ plane energies with the spanwise measure (∫ cos² = ∫ sin² =
+/// Lz/2 for k > 0; ∫ 1 = Lz for k = 0). `planes` holds two value planes
+/// at least.
+fn add_mode_energy(
+    disc: &Discretization,
+    lz: f64,
+    k: usize,
+    field: &[ModeCoeffs; 3],
+    e: &mut f64,
+    planes: &mut [f64],
+    ws: &mut PlaneScratch,
+) {
+    let [qa, qb] = split_planes(planes, disc.nquad_total());
+    for mc in field {
+        disc.to_quad_into(&mc.a, qa, ws);
+        disc.to_quad_into(&mc.b, qb, ws);
+        for ((w, &a), &b) in disc.quad_weights().zip(&*qa).zip(&*qb) {
+            *e += 0.5 * w * if k == 0 { lz * a * a } else { 0.5 * lz * (a * a + b * b) };
+        }
     }
 }
 

@@ -14,10 +14,11 @@
 
 use crate::opstream::{CommItem, Recorder, WorkItem};
 use crate::timers::Stage;
+use nkt_blas::{sweep, sweep3, Axis};
 use nkt_gs::{GsHandle, GsStrategy};
 use nkt_mesh::{BoundaryTag, Mesh3d};
 use nkt_mpi::prelude::*;
-use nkt_spectral::basis1d::Basis1d;
+use nkt_spectral::basis1d::{sweep_matrices, Basis1d};
 use std::collections::HashMap;
 
 /// 1-D building blocks: mass and stiffness matrices of the modified
@@ -59,11 +60,8 @@ impl Oper1d {
                 stiff[i + jm * nm] = ks;
             }
         }
-        let transposed = |t: &[Vec<f64>]| -> Vec<f64> {
-            (0..nq).flat_map(|q| t.iter().map(move |row| row[q])).collect()
-        };
-        let to_quad = [basis.val.concat(), basis.dval.concat()];
-        let to_modal = [transposed(&basis.val), transposed(&basis.dval)];
+        let ([b, bt], [d, dt]) = (sweep_matrices(&basis.val), sweep_matrices(&basis.dval));
+        let (to_quad, to_modal) = ([b, d], [bt, dt]);
         Oper1d { nm, mass, stiff, basis, to_quad, to_modal }
     }
 
@@ -93,85 +91,6 @@ impl Oper1d {
         let m = |d: usize| &self.to_modal[usize::from(deriv == Some(d))][..];
         sweep3([m(0), m(1), m(2)], self.basis.nquad(), self.nm, fq, out, scratch);
     }
-}
-
-/// The layout of one [`sweep`]: `x` is a `pre × n_in × post` tensor and
-/// `y` a `pre × n_out × post` one, first index fastest.
-#[derive(Debug, Clone, Copy)]
-struct Axis {
-    pre: usize,
-    n_in: usize,
-    n_out: usize,
-    post: usize,
-}
-
-/// The three axes of an `n_in³ → n_out³` tensor-product transform applied
-/// x first: each sweep sees the axes before it already at `n_out`.
-fn axes(n_in: usize, n_out: usize) -> [Axis; 3] {
-    [
-        Axis { pre: 1, n_in, n_out, post: n_in * n_in },
-        Axis { pre: n_out, n_in, n_out, post: n_in },
-        Axis { pre: n_out * n_out, n_in, n_out, post: 1 },
-    ]
-}
-
-/// The 1-D sweep every elemental operator is made of: contracts one axis
-/// of `x` with the column-major `n_out × n_in` matrix `a`,
-/// `y[p, o, c] (+)= Σ_i a[o, i] · x[p, i, c]` — `+=` when `ADD`. Sums run
-/// in ascending `i` from the first product (no zero seed, no zero skip),
-/// and the innermost loop is always the contiguous one. Inlined into
-/// callers whose mode count is a constant, every trip count is known.
-#[inline(always)]
-fn sweep<const ADD: bool>(a: &[f64], ax: Axis, x: &[f64], y: &mut [f64]) {
-    let Axis { pre, n_in, n_out, post } = ax;
-    let a = &a[..n_out * n_in];
-    let x = &x[..pre * n_in * post];
-    let y = &mut y[..pre * n_out * post];
-    for (xc, yc) in x.chunks_exact(pre * n_in).zip(y.chunks_exact_mut(pre * n_out)) {
-        if pre == 1 {
-            // Contiguous axis: y_c (+)= A x_c, one column of A per term.
-            for (i, &xv) in xc.iter().enumerate() {
-                let col = &a[i * n_out..(i + 1) * n_out];
-                for (yo, &av) in yc.iter_mut().zip(col) {
-                    if i == 0 && !ADD {
-                        *yo = av * xv;
-                    } else {
-                        *yo += av * xv;
-                    }
-                }
-            }
-        } else {
-            for (o, yo) in yc.chunks_exact_mut(pre).enumerate() {
-                for (i, xi) in xc.chunks_exact(pre).enumerate() {
-                    let av = a[o + i * n_out];
-                    for (yp, &xp) in yo.iter_mut().zip(xi) {
-                        if i == 0 && !ADD {
-                            *yp = av * xp;
-                        } else {
-                            *yp += av * xp;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `out = (m[2] ⊗ m[1] ⊗ m[0]) x`: three sweeps taking an `n_in³` tensor
-/// to an `n_out³` one through two intermediates in `scratch`.
-fn sweep3(
-    m: [&[f64]; 3],
-    n_in: usize,
-    n_out: usize,
-    x: &[f64],
-    out: &mut [f64],
-    scratch: &mut [f64],
-) {
-    let [ax, ay, az] = axes(n_in, n_out);
-    let (t1, t2) = scratch.split_at_mut(n_out * n_in * n_in);
-    sweep::<false>(m[0], ax, x, t1);
-    sweep::<false>(m[1], ay, t1, t2);
-    sweep::<false>(m[2], az, t2, out);
 }
 
 /// Local-mode triple ordering for a hex of order P: lexicographic in
@@ -930,7 +849,7 @@ fn apply_elem_n<const NM: usize>(
     let (v, rest) = rest.split_at_mut(n3);
     let (w, rest) = rest.split_at_mut(n3);
     let s = &mut rest[..n3];
-    let [ax, ay, az] = axes(nm, nm);
+    let [ax, ay, az] = Axis::tensor(nm, nm);
     sweep::<false>(mass, ax, x, u);
     sweep::<false>(cx, ax, x, v);
     sweep::<false>(mass, ay, u, w);

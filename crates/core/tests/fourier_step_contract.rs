@@ -220,6 +220,11 @@ fn a_warmed_step_allocates_only_what_its_exchanges_do() {
                     }
                 }
             });
+            // The energy diagnostic runs in the step's planes: it adds
+            // only its one-double reduction.
+            let energy = allocs_in(|| s.kinetic_energy(c));
+            let reduce = allocs_in(|| c.allreduce(&mut [1.0], ReduceOp::Sum));
+            assert_eq!(energy, reduce, "a warmed kinetic_energy call at nz {nz}");
             (step, exchanges)
         });
         out[0]

@@ -49,6 +49,14 @@ pub fn edge_reversal_sign(k: usize) -> f64 {
     }
 }
 
+/// A per-mode table `rows[m][q]` as the two matrices `nkt_blas::sweep`
+/// contracts with, both column-major: modal → quadrature (`nq × nm`) and
+/// its transpose, quadrature → modal.
+pub fn sweep_matrices(rows: &[Vec<f64>]) -> [Vec<f64>; 2] {
+    let nq = rows.first().map_or(0, Vec::len);
+    [rows.concat(), (0..nq).flat_map(|q| rows.iter().map(move |r| r[q])).collect()]
+}
+
 /// Precomputed 1-D basis tables at a set of quadrature points.
 #[derive(Debug, Clone)]
 pub struct Basis1d {

@@ -13,7 +13,10 @@ use crate::element::{Expansion, ModeClass};
 #[derive(Debug, Clone)]
 pub struct QuadBasis {
     order: usize,
-    nquad1: usize,
+    /// The 1-D basis both directions are tabulated from.
+    basis1d: Basis1d,
+    /// The 1-D indices (p, q) of each local mode.
+    modes: Vec<(usize, usize)>,
     /// Reference coordinates of the tensor quadrature points.
     pub xi: Vec<[f64; 2]>,
     /// Quadrature weights (reference measure dξ₁dξ₂).
@@ -85,12 +88,25 @@ impl QuadBasis {
                 }
             }
         }
-        QuadBasis { order: p, nquad1: nq, xi, wq, val, dxi1, dxi2, class }
+        QuadBasis { order: p, basis1d: b, modes, xi, wq, val, dxi1, dxi2, class }
     }
 
     /// Quadrature points per direction.
     pub fn nquad1(&self) -> usize {
-        self.nquad1
+        self.basis1d.nquad()
+    }
+
+    /// The 1-D basis ψ whose products the modes are; point `i + j·nquad1`
+    /// is (zᵢ, zⱼ) of its rule.
+    pub fn basis1d(&self) -> &Basis1d {
+        &self.basis1d
+    }
+
+    /// The pair (p, q) of each local mode φ_m = ψ_p(ξ₁)·ψ_q(ξ₂), in local
+    /// (vertices, edges, interior) order: what takes an elemental vector
+    /// to the (p, q) tensor a sum-factorised transform sweeps.
+    pub fn mode_pairs(&self) -> &[(usize, usize)] {
+        &self.modes
     }
 }
 
@@ -172,6 +188,23 @@ mod tests {
         }
         for m in 4 + 4 * (p - 1)..b.nmodes() {
             assert!(matches!(b.class()[m], ModeClass::Interior));
+        }
+    }
+
+    #[test]
+    fn mode_pairs_factor_every_table() {
+        let b = QuadBasis::new(4);
+        let (psi, nq) = (b.basis1d(), b.nquad1());
+        assert_eq!(b.mode_pairs().len(), b.nmodes());
+        for (m, &(p, q)) in b.mode_pairs().iter().enumerate() {
+            for j in 0..nq {
+                for i in 0..nq {
+                    let at = i + j * nq;
+                    assert_eq!(b.val[m][at], psi.val[p][i] * psi.val[q][j]);
+                    assert_eq!(b.dxi1[m][at], psi.dval[p][i] * psi.val[q][j]);
+                    assert_eq!(b.dxi2[m][at], psi.val[p][i] * psi.dval[q][j]);
+                }
+            }
         }
     }
 

@@ -19,14 +19,20 @@
 //! dofs is assembled into a band, factored and swept: interior forward
 //! elimination → Dirichlet lift → boundary band solve → interior
 //! back-substitution. No `ndof`-sized matrix exists.
+//!
+//! [`Discretization`] also carries the four *plane kernels* both 2-D
+//! solvers step through (modal → quadrature values and gradients, weak
+//! divergence and mass forms back), sum-factorised: every contraction is
+//! [`nkt_blas::sweep`] with a reference-element table ([`RefTables`]).
 
 use crate::assembly::Assembly;
+use crate::basis1d::sweep_matrices;
 use crate::element::{elem_geometry, ElemOps, ElementMatrices, Expansion};
 use crate::pcg::pcg;
 use crate::quadbasis::QuadBasis;
 use crate::rcm::boundary_band_order;
 use crate::tribasis::TriBasis;
-use nkt_blas::{daxpy, ddot, dpbtrf, dpbtrs_multi, dpotrf, dpotrs, BandedSym};
+use nkt_blas::{daxpy, ddot, dpbtrf, dpbtrs_multi, dpotrf, dpotrs, sweep, Axis, BandedSym};
 use nkt_mesh::{BoundaryTag, ElemKind, Mesh2d};
 use nkt_poly::quadrature::zwglj;
 use std::borrow::Cow;
@@ -80,6 +86,8 @@ pub struct Discretization {
     pub order: usize,
     quad_basis: Option<QuadBasis>,
     tri_basis: Option<TriBasis>,
+    /// The same bases as [`sweep`] matrices, by `ElemOps::basis_id`.
+    tables: [Option<RefTables>; 2],
     /// Global dof map.
     pub asm: Assembly,
     /// Per-element operators.
@@ -94,30 +102,123 @@ pub struct Discretization {
     /// The condensed global mass matrix with its Schur band factored
     /// (filled by the first L2 projection).
     mass: OnceLock<(Condensed, BandedSym)>,
-    /// Per-element physical basis gradients (filled by the first plane
-    /// kernel that differentiates).
-    phys_grad: OnceLock<Vec<PhysGrad>>,
 }
 
-/// ∂φ_m/∂x and ∂φ_m/∂y of one element at its quadrature points, m-major
-/// (`[m · nq + q]`). Each entry is the expression the solvers used to
-/// re-evaluate per call, `d1[q]·ξ₁ₓ + d2[q]·ξ₂ₓ` (resp. `…ᵧ`), stored
-/// unsimplified: an affine element's constant Jacobian could be folded
-/// into the table differently, and every state hash would move.
-struct PhysGrad {
-    dx: Vec<f64>,
-    dy: Vec<f64>,
+/// Which function of a mode a transform evaluates at the points.
+#[derive(Clone, Copy, PartialEq)]
+enum Part {
+    Value,
+    Dxi1,
+    Dxi2,
+}
+
+/// One element kind's basis on the reference element as [`sweep`]
+/// matrices. A quadrilateral's φ_pq = ψ_p·ψ_q factors: a transform is two
+/// sweeps of the 1-D tables `[B, D]` (values ψ and derivatives ψ′,
+/// `(P+2) × (P+1)`) over the (p, q) tensor of its coefficients. A
+/// triangle's collapsed-coordinate basis is kept whole: one sweep of the
+/// dense `[φ, ∂ξ₁φ, ∂ξ₂φ]`. Nothing here depends on the element's
+/// geometry — the kernels apply `dxi_dx` and `jw` per point — so one set
+/// per kind serves every element.
+struct RefTables {
+    /// Sweeps per transform: 2 (quadrilateral) or 1 (triangle).
+    dim: usize,
+    /// Modes and points one sweep contracts: per direction, or all.
+    nm: usize,
+    nq: usize,
+    /// Modal → quadrature, column-major `nq × nm`.
+    to_quad: Vec<Vec<f64>>,
+    /// Quadrature → modal: their transposes.
+    to_modal: Vec<Vec<f64>>,
+    /// Where each local mode sits in the tensor the sweeps run over:
+    /// `p + q·nm` for φ_pq, the mode's own index in a triangle.
+    slot: Vec<usize>,
+}
+
+impl RefTables {
+    fn new(dim: usize, rows: &[&[Vec<f64>]], slot: Vec<usize>) -> RefTables {
+        let (nm, nq) = (rows[0].len(), rows[0][0].len());
+        let (to_quad, to_modal) = rows.iter().map(|t| sweep_matrices(t).into()).unzip();
+        RefTables { dim, nm, nq, to_quad, to_modal, slot }
+    }
+
+    fn quad(basis: &QuadBasis) -> RefTables {
+        let psi = basis.basis1d();
+        let slot = basis.mode_pairs().iter().map(|&(p, q)| p + q * psi.nmodes()).collect();
+        RefTables::new(2, &[&psi.val, &psi.dval], slot)
+    }
+
+    fn tri(basis: &TriBasis) -> RefTables {
+        RefTables::new(1, &[&basis.val, &basis.dxi1, &basis.dxi2], (0..basis.nmodes()).collect())
+    }
+
+    /// Modes of an element, and its quadrature points.
+    fn size(&self) -> (usize, usize) {
+        (self.nm.pow(self.dim as u32), self.nq.pow(self.dim as u32))
+    }
+
+    /// The matrices of `part`, one per sweep, out of `to_quad` or
+    /// `to_modal`: ∂ξ₁(ψ_p·ψ_q) is D along the first axis and B along the
+    /// second. `dim` is the caller's (constant) copy of `self.dim`.
+    #[inline(always)]
+    fn factors(tables: &[Vec<f64>], dim: usize, part: Part) -> [&[f64]; 2] {
+        let first = if dim == 2 { usize::from(part == Part::Dxi1) } else { part as usize };
+        [&tables[first], &tables[usize::from(part == Part::Dxi2)]]
+    }
+}
+
+/// `out (+)= M x` for `planes` coefficient tensors back to back, where M
+/// is `m[0]` (`dim` 1) or `m[1] ⊗ m[0]` through the intermediate `mid`
+/// (`dim` 2), each factor `n_out × n_in`.
+#[inline(always)]
+fn transform<const ADD: bool>(
+    m: [&[f64]; 2],
+    dim: usize,
+    (n_in, n_out): (usize, usize),
+    planes: usize,
+    x: &[f64],
+    out: &mut [f64],
+    mid: &mut [f64],
+) {
+    if dim == 1 {
+        sweep::<ADD>(m[0], Axis { pre: 1, n_in, n_out, post: planes }, x, out);
+    } else {
+        let [first, second] = Axis::tensor::<2>(n_in, n_out);
+        sweep::<false>(m[0], Axis { post: first.post * planes, ..first }, x, mid);
+        sweep::<ADD>(m[1], Axis { post: planes, ..second }, mid, out);
+    }
+}
+
+/// Runs `$body` for the element whose tables are `$t` with `$dim`, `$nm`,
+/// `$nq` bound to its sweep shape — as literals for the quadrilateral
+/// orders the solvers run, so that every trip count of the [`sweep`]s
+/// inlined into `$body` is a constant there.
+macro_rules! with_shape {
+    ($t:expr, |$dim:ident, $nm:ident, $nq:ident| $body:expr) => {
+        match ($t.dim, $t.nm) {
+            (2, 3) => { let ($dim, $nm, $nq) = (2usize, 3usize, 4usize); $body }
+            (2, 4) => { let ($dim, $nm, $nq) = (2usize, 4usize, 5usize); $body }
+            (2, 5) => { let ($dim, $nm, $nq) = (2usize, 5usize, 6usize); $body }
+            _ => { let ($dim, $nm, $nq) = ($t.dim, $t.nm, $t.nq); $body }
+        }
+    };
 }
 
 /// Per-element scratch of the plane kernels ([`Discretization::to_quad_into`]
 /// and friends), sized once for the largest element of a discretization
 /// and the most planes one call carries.
 pub struct PlaneScratch {
-    /// Elemental coefficient vectors, `planes × nm`.
+    /// Elemental coefficient tensors, `planes × nm`.
     local: Vec<f64>,
-    /// Per-point products hoisted out of the mode loop, `planes × nq`.
+    /// Per-point coefficients of ∂ξ₁φ, ∂ξ₂φ and φ in a weak form,
+    /// `3 × planes × nq`.
     point: Vec<f64>,
+    /// What the first sweep of a two-sweep transform leaves, `planes × nq`
+    /// at most.
+    mid: Vec<f64>,
     planes: usize,
+    /// Modes and points of the largest element it was sized for.
+    size: (usize, usize),
 }
 
 /// The interior half of a statically condensed operator: per element,
@@ -271,18 +372,19 @@ impl Discretization {
         for (ei, op) in ops.iter().enumerate() {
             quad_off[ei + 1] = quad_off[ei] + op.geom.jw.len();
         }
+        let tables = [quad_basis.as_ref().map(RefTables::quad), tri_basis.as_ref().map(RefTables::tri)];
         Arc::new(Discretization {
             mesh,
             order,
             quad_basis,
             tri_basis,
+            tables,
             asm,
             ops,
             quad_off,
             pos,
             kd,
             mass: OnceLock::new(),
-            phys_grad: OnceLock::new(),
         })
     }
 
@@ -442,57 +544,81 @@ impl Discretization {
         err2.sqrt()
     }
 
-    /// The physical-gradient table, built on first use.
-    fn phys_grad(&self) -> &[PhysGrad] {
-        self.phys_grad.get_or_init(|| {
-            (0..self.mesh.nelems())
-                .map(|ei| {
-                    let basis = self.basis(ei);
-                    let dxi_dx = &self.ops[ei].geom.dxi_dx;
-                    let len = basis.nmodes() * basis.nquad();
-                    let (mut dx, mut dy) = (Vec::with_capacity(len), Vec::with_capacity(len));
-                    for (d1, d2) in basis.dxi1().iter().zip(basis.dxi2()) {
-                        for (q, &[ja, jb, jc, jd]) in dxi_dx.iter().enumerate() {
-                            dx.push(d1[q] * ja + d2[q] * jc);
-                            dy.push(d1[q] * jb + d2[q] * jd);
-                        }
-                    }
-                    PhysGrad { dx, dy }
-                })
-                .collect()
-        })
+    /// The sweep tables of element `ei`'s kind.
+    fn tables(&self, ei: usize) -> &RefTables {
+        self.tables[self.ops[ei].basis_id].as_ref().expect("tables of every kind in the mesh")
+    }
+
+    /// Modes and quadrature points of the largest element.
+    fn max_size(&self) -> (usize, usize) {
+        let sizes = || self.tables.iter().flatten().map(RefTables::size);
+        (sizes().map(|s| s.0).max().unwrap_or(0), sizes().map(|s| s.1).max().unwrap_or(0))
     }
 
     /// Scratch for plane kernels carrying up to `planes` planes a call.
     pub fn plane_scratch(&self, planes: usize) -> PlaneScratch {
-        let bases = || (0..self.mesh.nelems()).map(|ei| self.basis(ei));
-        let nm = bases().map(|b| b.nmodes()).max().unwrap_or(0);
-        let nq = bases().map(|b| b.nquad()).max().unwrap_or(0);
-        PlaneScratch { local: vec![0.0; planes * nm], point: vec![0.0; planes * nq], planes }
+        let size @ (nm, nq) = self.max_size();
+        let [local, point, mid] = [nm, 3 * nq, nq].map(|n| vec![0.0; planes * n]);
+        PlaneScratch { local, point, mid, planes, size }
+    }
+
+    /// Refuses a scratch that is not this discretization's, or is for
+    /// fewer planes than the `planes` a call carries.
+    fn check_scratch(&self, ws: &PlaneScratch, planes: usize) {
+        assert!(
+            ws.size == self.max_size() && planes <= ws.planes,
+            "scratch built for {} planes of {:?} (modes, points) an element: this order-{} \
+             discretization has {:?} and the call carries {planes}",
+            ws.planes,
+            ws.size,
+            self.order,
+            self.max_size()
+        );
+    }
+
+    /// Element `ei`'s signed coefficients out of `coeffs`, each at its
+    /// slot of the tensor the sweeps run over.
+    fn gather(&self, ei: usize, coeffs: &[f64], x: &mut [f64]) {
+        for (&(g, sign), &slot) in self.asm.elem_dofs[ei].iter().zip(&self.tables(ei).slot) {
+            x[slot] = sign * coeffs[g];
+        }
+    }
+
+    /// The reverse of [`Self::gather`]: adds the elemental tensor `x` into
+    /// the global vector `out`.
+    fn scatter_add(&self, ei: usize, x: &[f64], out: &mut [f64]) {
+        for (&(g, sign), &slot) in self.asm.elem_dofs[ei].iter().zip(&self.tables(ei).slot) {
+            out[g] += sign * x[slot];
+        }
     }
 
     /// Quadrature values of the modal field `coeffs`, element-major, into
     /// `out` ([`Self::nquad_total`] values, overwritten).
+    ///
+    /// # Panics
+    /// If `ws` is not a [`Self::plane_scratch`] of this discretization
+    /// for at least one plane.
     pub fn to_quad_into(&self, coeffs: &[f64], out: &mut [f64], ws: &mut PlaneScratch) {
         assert_eq!(out.len(), self.nquad_total(), "one value per quadrature point");
-        out.fill(0.0);
+        self.check_scratch(ws, 1);
         for ei in 0..self.mesh.nelems() {
-            let basis = self.basis(ei);
-            let local = &mut ws.local[..basis.nmodes()];
-            self.asm.gather(ei, coeffs, local);
+            let t = self.tables(ei);
+            let x = &mut ws.local[..t.size().0];
+            self.gather(ei, coeffs, x);
             let out = &mut out[self.quad_range(ei)];
-            for (&c, vm) in local.iter().zip(basis.val()) {
-                if c != 0.0 {
-                    for (o, &v) in out.iter_mut().zip(vm) {
-                        *o += c * v;
-                    }
-                }
-            }
+            with_shape!(t, |dim, nm, nq| {
+                let m = RefTables::factors(&t.to_quad, dim, Part::Value);
+                transform::<false>(m, dim, (nm, nq), 1, x, out, &mut ws.mid)
+            });
         }
     }
 
     /// Quadrature values of (∂x, ∂y) of the modal field `coeffs` into
-    /// `gx`, `gy` (overwritten).
+    /// `gx`, `gy` (overwritten): the two reference derivatives by sweeps,
+    /// then the chain rule through the element's `dxi_dx` point by point.
+    ///
+    /// # Panics
+    /// As [`Self::to_quad_into`].
     pub fn grad_quad_into(
         &self,
         coeffs: &[f64],
@@ -502,23 +628,21 @@ impl Discretization {
     ) {
         let total = self.nquad_total();
         assert!(gx.len() == total && gy.len() == total, "one value per quadrature point");
-        gx.fill(0.0);
-        gy.fill(0.0);
-        for (ei, tab) in self.phys_grad().iter().enumerate() {
+        self.check_scratch(ws, 1);
+        for (ei, op) in self.ops.iter().enumerate() {
+            let t = self.tables(ei);
+            let x = &mut ws.local[..t.size().0];
+            self.gather(ei, coeffs, x);
             let r = self.quad_range(ei);
-            let local = &mut ws.local[..tab.dx.len() / r.len()];
-            self.asm.gather(ei, coeffs, local);
-            let (gx, gy) = (&mut gx[r.clone()], &mut gy[r.clone()]);
-            let cols = tab.dx.chunks_exact(r.len()).zip(tab.dy.chunks_exact(r.len()));
-            for (&c, (dx, dy)) in local.iter().zip(cols) {
-                if c != 0.0 {
-                    for (x, &d) in gx.iter_mut().zip(dx) {
-                        *x += c * d;
-                    }
-                    for (y, &d) in gy.iter_mut().zip(dy) {
-                        *y += c * d;
-                    }
+            let (gx, gy) = (&mut gx[r.clone()], &mut gy[r]);
+            with_shape!(t, |dim, nm, nq| {
+                for (part, d) in [(Part::Dxi1, &mut *gx), (Part::Dxi2, &mut *gy)] {
+                    let m = RefTables::factors(&t.to_quad, dim, part);
+                    transform::<false>(m, dim, (nm, nq), 1, x, d, &mut ws.mid);
                 }
+            });
+            for ((x, y), &[ja, jb, jc, jd]) in gx.iter_mut().zip(gy).zip(&op.geom.dxi_dx) {
+                (*x, *y) = (*x * ja + *y * jc, *x * jb + *y * jd);
             }
         }
     }
@@ -540,8 +664,9 @@ impl Discretization {
 
     /// Weak divergence of `N` plane triples at once: adds to `out[s]`, for
     /// every global mode φ, `(∫ fx[s]·∂xφ + fy[s]·∂yφ − f0[s]·φ) / divisor`.
-    /// The planes share every table read; each sum runs over the points
-    /// of an element in order, so `N` planes together equal `N` calls.
+    /// `jw` and `dxi_dx` are folded into per-point coefficients of ∂ξ₁φ,
+    /// ∂ξ₂φ and φ once; the transposed sweeps then carry all `N` planes of
+    /// an element in one call, plane by plane the sums of `N` calls.
     pub fn weak_div_add<const N: usize>(
         &self,
         fx: [&[f64]; N],
@@ -551,36 +676,39 @@ impl Discretization {
         mut out: [&mut [f64]; N],
         ws: &mut PlaneScratch,
     ) {
-        assert!(N <= ws.planes, "scratch built for {} planes", ws.planes);
-        for (ei, tab) in self.phys_grad().iter().enumerate() {
+        self.check_scratch(ws, N);
+        for (ei, op) in self.ops.iter().enumerate() {
+            let t = self.tables(ei);
             let r = self.quad_range(ei);
-            let nq = r.len();
-            let nm = tab.dx.len() / nq;
-            let jw = &self.ops[ei].geom.jw[..nq];
-            let (fx, fy, f0) =
-                (fx.map(|p| &p[r.clone()]), fy.map(|p| &p[r.clone()]), f0.map(|p| &p[r.clone()]));
-            let cols = tab.dx.chunks_exact(nq).zip(tab.dy.chunks_exact(nq));
-            for (m, ((dx, dy), vm)) in cols.zip(self.basis(ei).val()).enumerate() {
-                let vm = &vm[..nq];
-                let mut acc = [0.0f64; N];
-                for q in 0..nq {
-                    for s in 0..N {
-                        acc[s] += jw[q] * (fx[s][q] * dx[q] + fy[s][q] * dy[q] - f0[s][q] * vm[q]);
-                    }
-                }
-                for s in 0..N {
-                    ws.local[s * nm + m] = acc[s] / divisor;
+            let (nme, nqe) = t.size();
+            let (c1, rest) = ws.point.split_at_mut(N * nqe);
+            let (c2, rest) = rest.split_at_mut(N * nqe);
+            let c0 = &mut rest[..N * nqe];
+            for s in 0..N {
+                let (fx, fy, f0) = (&fx[s][r.clone()], &fy[s][r.clone()], &f0[s][r.clone()]);
+                for (q, (&w, &[ja, jb, jc, jd])) in op.geom.jw.iter().zip(&op.geom.dxi_dx).enumerate() {
+                    c1[s * nqe + q] = w * (fx[q] * ja + fy[q] * jb);
+                    c2[s * nqe + q] = w * (fx[q] * jc + fy[q] * jd);
+                    c0[s * nqe + q] = -(w * f0[q]);
                 }
             }
-            for (s, out) in out.iter_mut().enumerate() {
-                self.asm.scatter_add(ei, &ws.local[s * nm..(s + 1) * nm], out);
+            let x = &mut ws.local[..N * nme];
+            with_shape!(t, |dim, nm, nq| {
+                let m = |part| RefTables::factors(&t.to_modal, dim, part);
+                transform::<false>(m(Part::Dxi1), dim, (nq, nm), N, c1, x, &mut ws.mid);
+                transform::<true>(m(Part::Dxi2), dim, (nq, nm), N, c2, x, &mut ws.mid);
+                transform::<true>(m(Part::Value), dim, (nq, nm), N, c0, x, &mut ws.mid);
+            });
+            x.iter_mut().for_each(|v| *v /= divisor);
+            for (x, out) in x.chunks_exact(nme).zip(out.iter_mut()) {
+                self.scatter_add(ei, x, out);
             }
         }
     }
 
     /// Weak mass form of `N` planes at once: adds `scale · ∫ f[s]·φ` to
-    /// `out[s]` for every global mode φ. The products `jw·f[s]` depend on
-    /// the point only and are formed once per point, not once per mode.
+    /// `out[s]` for every global mode φ. The products `scale·jw·f[s]`
+    /// depend on the point only and are formed once per point.
     pub fn weak_mass_add<const N: usize>(
         &self,
         f: [&[f64]; N],
@@ -588,32 +716,24 @@ impl Discretization {
         mut out: [&mut [f64]; N],
         ws: &mut PlaneScratch,
     ) {
-        assert!(N <= ws.planes, "scratch built for {} planes", ws.planes);
+        self.check_scratch(ws, N);
         for (ei, op) in self.ops.iter().enumerate() {
+            let t = self.tables(ei);
             let r = self.quad_range(ei);
-            let nq = r.len();
-            let val = self.basis(ei).val();
-            let nm = val.len();
-            let wf = &mut ws.point[..N * nq];
-            for (wf, f) in wf.chunks_exact_mut(nq).zip(f) {
+            let (nme, nqe) = t.size();
+            let wf = &mut ws.point[..N * nqe];
+            for (wf, f) in wf.chunks_exact_mut(nqe).zip(f) {
                 for ((t, &w), &v) in wf.iter_mut().zip(&op.geom.jw).zip(&f[r.clone()]) {
-                    *t = w * v;
+                    *t = scale * (w * v);
                 }
             }
-            for (m, vm) in val.iter().enumerate() {
-                let vm = &vm[..nq];
-                let mut acc = [0.0f64; N];
-                for q in 0..nq {
-                    for s in 0..N {
-                        acc[s] += wf[s * nq + q] * vm[q];
-                    }
-                }
-                for s in 0..N {
-                    ws.local[s * nm + m] = scale * acc[s];
-                }
-            }
-            for (s, out) in out.iter_mut().enumerate() {
-                self.asm.scatter_add(ei, &ws.local[s * nm..(s + 1) * nm], out);
+            let x = &mut ws.local[..N * nme];
+            with_shape!(t, |dim, nm, nq| {
+                let m = RefTables::factors(&t.to_modal, dim, Part::Value);
+                transform::<false>(m, dim, (nq, nm), N, wf, x, &mut ws.mid)
+            });
+            for (x, out) in x.chunks_exact(nme).zip(out.iter_mut()) {
+                self.scatter_add(ei, x, out);
             }
         }
     }
@@ -1084,8 +1204,9 @@ mod tests {
         (0..disc.nquad_total()).map(|q| ((q * (i + 3)) as f64 * 0.37 + i as f64).sin()).collect()
     }
 
-    /// The loops `NektarF` ran before the plane kernels existed, kept
-    /// here as the reference the kernels must equal bit for bit.
+    /// The loops `NektarF` ran before the plane kernels existed, over the
+    /// dense per-mode tables of the bases: the reference the sum-factorised
+    /// kernels are held to, by tolerance.
     mod naive {
         use super::*;
 
@@ -1183,58 +1304,6 @@ mod tests {
                 disc.asm.scatter_add(ei, &local, &mut rhs);
             }
             rhs
-        }
-    }
-
-    #[test]
-    fn plane_kernels_equal_the_naive_loops_bit_for_bit() {
-        for order in 2..=5 {
-            let disc = Discretization::new(skewed_mesh(), order);
-            let mut ws = disc.plane_scratch(6);
-            // Exact zeros (the kernels skip them) and a negative zero.
-            let coeffs: Vec<f64> = (0..disc.asm.ndof)
-                .map(|d| match d % 7 {
-                    2 => 0.0,
-                    5 => -0.0,
-                    _ => (d as f64 * 0.61).cos(),
-                })
-                .collect();
-            // Stale values in the outputs must not survive.
-            let mut q = vec![f64::NAN; disc.nquad_total()];
-            disc.to_quad_into(&coeffs, &mut q, &mut ws);
-            assert_eq!(bits(&q), bits(&naive::to_quad(&disc, &coeffs)), "to_quad, order {order}");
-            let (mut gx, mut gy) = (q.clone(), q.clone());
-            disc.grad_quad_into(&coeffs, &mut gx, &mut gy, &mut ws);
-            let (wx, wy) = naive::grad_quad(&disc, &coeffs);
-            assert_eq!((bits(&gx), bits(&gy)), (bits(&wx), bits(&wy)), "grad_quad, order {order}");
-
-            let f: Vec<Vec<f64>> = (0..6).map(|i| plane(&disc, i)).collect();
-            let mut out = vec![vec![0.0; disc.asm.ndof]; 2];
-            let [o0, o1] = &mut out[..] else { unreachable!() };
-            disc.weak_div_add(
-                [&f[0], &f[1]],
-                [&f[2], &f[3]],
-                [&f[4], &f[5]],
-                1e-3,
-                [&mut o0[..], &mut o1[..]],
-                &mut ws,
-            );
-            for s in 0..2 {
-                let want = naive::weak_div(&disc, (&f[s], &f[2 + s], &f[4 + s]), 1e-3);
-                assert_eq!(bits(&out[s]), bits(&want), "weak_div plane {s}, order {order}");
-            }
-            let mut out = vec![vec![0.0; disc.asm.ndof]; 6];
-            let [o0, o1, o2, o3, o4, o5] = &mut out[..] else { unreachable!() };
-            disc.weak_mass_add(
-                std::array::from_fn(|s| &f[s][..]),
-                1.0 / (0.02 * 1e-3),
-                [&mut o0[..], &mut o1[..], &mut o2[..], &mut o3[..], &mut o4[..], &mut o5[..]],
-                &mut ws,
-            );
-            for s in 0..6 {
-                let want = naive::weak_mass(&disc, &f[s], 1.0 / (0.02 * 1e-3));
-                assert_eq!(bits(&out[s]), bits(&want), "weak_mass plane {s}, order {order}");
-            }
         }
     }
 
@@ -1380,16 +1449,38 @@ mod tests {
         }
     }
 
+    /// No table is per element: a kind's sweep matrices serve every
+    /// element of the mesh, and a kind the mesh lacks has none.
     #[test]
-    fn gradient_table_is_lazy() {
+    fn basis_tables_are_per_kind_not_per_element() {
+        let doubles = |d: &Discretization| -> Vec<usize> {
+            let len = |t: &RefTables| t.to_quad.iter().chain(&t.to_modal).map(Vec::len).sum();
+            d.tables.iter().map(|t| t.as_ref().map_or(0, len)).collect()
+        };
+        // [B, D] and transposes at 6 × 5; no triangle tables.
+        assert_eq!(doubles(&Discretization::new(rect_quads(0.0, 1.0, 0.0, 1.0, 1, 1), 4)), [120, 0]);
+        assert_eq!(doubles(&Discretization::new(rect_quads(0.0, 1.0, 0.0, 1.0, 3, 3), 4)), [120, 0]);
+        // [φ, ∂ξ₁φ, ∂ξ₂φ] and transposes, 15 modes at 36 points, once.
+        assert_eq!(doubles(&Discretization::new(rect_tris(0.0, 1.0, 0.0, 1.0, 2, 2), 4)), [0, 3240]);
+        assert_eq!(doubles(&Discretization::new(skewed_mesh(), 4)), [120, 3240]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch built for 2 planes of (9, 16) (modes, points)")]
+    fn a_scratch_of_another_discretization_is_refused_at_entry() {
+        let small = Discretization::new(skewed_mesh(), 2);
         let disc = Discretization::new(skewed_mesh(), 3);
-        let mut ws = disc.plane_scratch(1);
         let mut q = vec![0.0; disc.nquad_total()];
-        disc.to_quad_into(&vec![1.0; disc.asm.ndof], &mut q, &mut ws);
-        disc.l2_project(|x| x[0]);
-        assert!(disc.phys_grad.get().is_none(), "values and projections need no gradients");
-        disc.grad_quad_into(&vec![1.0; disc.asm.ndof], &mut q.clone(), &mut q, &mut ws);
-        assert!(disc.phys_grad.get().is_some());
+        disc.to_quad_into(&vec![1.0; disc.asm.ndof], &mut q, &mut small.plane_scratch(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch built for 0 planes")]
+    fn a_scratch_for_no_plane_is_refused_by_the_gradient() {
+        let disc = Discretization::new(skewed_mesh(), 3);
+        let mut q = vec![0.0; disc.nquad_total()];
+        let coeffs = vec![1.0; disc.asm.ndof];
+        disc.grad_quad_into(&coeffs, &mut q.clone(), &mut q, &mut disc.plane_scratch(0));
     }
 
     #[test]

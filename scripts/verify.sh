@@ -269,8 +269,18 @@ echo "== oracle suite (run before regenerating a hash: these say \"still right\"
 # natural-order solves of the spectral proptests, the tolerance twins
 # beside every pinned hash of the two step contracts, and the decay-rate
 # gates (Taylor-Green in the serial solver, the k = 0 plane against it and
-# the k = 1 shear mode in NekTar-F, spectral convergence in p).
+# the k = 1 shear mode in NekTar-F, spectral convergence in p). The four
+# plane kernels have their own: (i) the naive dense loops at 1e-13,
+# orders 2-8, (ii) the weak forms as adjoints of the transforms, (iii)
+# every monomial of degree <= p reproduced with its gradient on a skewed
+# quadrilateral and a triangle, (iv) Taylor-Green under p-refinement down
+# to the splitting floor; and `sweep` itself is held to dgemm.
 cargo test -q --offline -p nkt-spectral --test proptests
+cargo test -q --offline -p nkt-blas --lib -- sweep::
+cargo test -q --offline -p nkt-spectral --lib -- plane_kernels_equal_the_naive_loops_within_tolerance \
+    weak_forms_are_the_adjoints_of_the_transforms \
+    monomials_up_to_the_order_are_reproduced_with_their_gradients
+cargo test -q --offline -p nektar --lib -- taylor_green_converges_under_p_refinement
 cargo test -q --offline -p nektar --test serial2d_step_contract --test fourier_step_contract -- \
     twins_within_tolerance decays_at_the_viscous_rate
 cargo test -q --offline -p nektar --lib -- taylor_green_tracks_exact_solution \
@@ -325,6 +335,15 @@ echo "== one plane pipeline (the basis tables are read inside nkt-spectral only)
 # copy of such a loop reads the tables these accessors return.
 if grep -rn 'dxi1()\|dxi2()\|\.val()\[' crates/core/src src examples; then
     echo "FAIL: basis tables read outside nkt-spectral (lines above): use the plane kernels" >&2
+    exit 1
+fi
+
+echo "== one small-matrix kernel (sweep is defined in nkt-blas and nowhere else) =="
+# The 3-D elemental operators and the 2-D plane kernels contract through
+# nkt_blas::sweep; a second definition (or a sweep3 / sweep2 beside it) is
+# a second kernel family to keep fast and correct.
+if grep -rnE 'fn sweep[0-9]*[<(]' crates src --include='*.rs' | grep -v '^crates/blas/src/'; then
+    echo "FAIL: fn sweep defined outside crates/blas/src (lines above): import nkt_blas::sweep" >&2
     exit 1
 fi
 
