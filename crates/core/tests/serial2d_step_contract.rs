@@ -3,7 +3,8 @@
 //! commit 80ffb96, where the step still ran its own modal → quadrature,
 //! gradient and weak-form loops over per-element `Vec`s, and held through
 //! PR 21; regenerated once when the direct solves became statically
-//! condensed, under the tolerance twins below, which did not move),
+//! condensed and once when the plane kernels were sum-factorised, each
+//! time under the tolerance twins below, which did not move),
 //! through a mid-run save → restore → continue as well as straight.
 //!
 //! Allocations at 80ffb96, counted by `common::allocs_in` around the
@@ -83,12 +84,12 @@ fn after_5(mesh: &Mesh2d, scheme_order: usize, advect: bool) -> (u64, [f64; 3]) 
 /// `[outflow | pinned][advect on | off][scheme_order − 1]`.
 const HASHES: [[[u64; 3]; 2]; 2] = [
     [
-        [0x89bc6b32b00a3846, 0x8e6d2a2472f184a9, 0xd423e650115954ad],
-        [0xfdf0c72742127362, 0x91f471bf0b32b235, 0x374fb03077f59918],
+        [0xb169415c664a4b06, 0x8f85cb04f66def9b, 0xb08a9f81a837520a],
+        [0xdfc69749bb0f019d, 0x4a4fb67459844808, 0x12674585f8a607d8],
     ],
     [
-        [0xc590bdb06f7624bc, 0x744e7741448d310c, 0x8ea70ced510189fc],
-        [0x8b207e3f834f9cc1, 0xad5547925f120666, 0xd2bb1f8ec22b3b47],
+        [0xf09fe8d5788a65be, 0x45004bcd6dd68031, 0x5c327e699ed9bcc7],
+        [0xf573e074ee02a4a9, 0x3cbbd6114a66492c, 0xe32e078aa8c15fb8],
     ],
 ];
 
