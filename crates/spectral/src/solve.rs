@@ -104,7 +104,8 @@ pub struct Discretization {
     mass: OnceLock<(Condensed, BandedSym)>,
 }
 
-/// Which function of a mode a transform evaluates at the points.
+/// Which function of a mode a transform evaluates at the points, in the
+/// order a triangle's three tables are stored.
 #[derive(Clone, Copy, PartialEq)]
 enum Part {
     Value,
