@@ -7,7 +7,7 @@ use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
 
 fn a2a_time(net: nkt_net::ClusterNetwork, p: usize, block: usize, algo: AlltoallAlgo) -> f64 {
-    let out = World::from_env().ranks(p).net(net).run(move |c| {
+    let out = World::builder().ranks(p).net(net).run(move |c| {
         let send = vec![1.0f64; p * block];
         let mut recv = vec![0.0f64; p * block];
         c.alltoall_with(algo, &send, block, &mut recv);

@@ -8,7 +8,7 @@ use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
 
 fn gs_time(nid: NetId, p: usize, shared_per_nbr: usize, strategy: GsStrategy) -> f64 {
-    let out = World::from_env().ranks(p).net(cluster(nid)).run(move |c| {
+    let out = World::builder().ranks(p).net(cluster(nid)).run(move |c| {
         let r = c.rank();
         // Chain topology: share `shared_per_nbr` dofs with each neighbour
         // plus one globally-shared corner dof.

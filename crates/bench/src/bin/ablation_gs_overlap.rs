@@ -15,39 +15,23 @@
 //!   the NCSA and RoadRunner-myrinet models at P = 16/64 with the
 //!   `CommItem::GsExchange` overlap credit on and off.
 
-use nektar::ale::{AleConfig, NektarAle};
+use nektar::drive::cases;
 use nektar::replay::replay;
 use nektar::workload::{ale_step_workload, AleShape};
 use nkt_ckpt::Checkpointable;
 use nkt_machine::{machine, MachineId};
-use nkt_mesh::wing_box_mesh;
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
-use nkt_partition::{partition_kway, Graph, PartitionOptions};
 
 const P: usize = 4;
 
-/// Two ALE steps at P = 4 with split-phase overlap forced on or off;
+/// Two steps of the flapping-wing demo case at P = 4 with split-phase
+/// overlap on or off;
 /// returns (max wall, max busy, folded state hash) across ranks.
 fn ale_times(overlap: bool) -> (f64, f64, u64) {
-    let mesh = wing_box_mesh(1);
-    let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
-    let part = partition_kway(&dual, P, &PartitionOptions::default());
-    let cfg = AleConfig {
-        order: 2,
-        dt: 2e-3,
-        nu: 1e-3,
-        scheme_order: 2,
-        advect: true,
-        motion_amp: 0.05,
-        motion_omega: 2.0 * std::f64::consts::PI,
-        pcg_tol: 1e-6,
-        pcg_max_iter: 2000,
-    };
-    let out = World::builder().ranks(P).net(cluster(NetId::RoadRunnerMyr)).run(move |c| {
-        let mut s = NektarAle::new(c, mesh.clone(), &part, cfg.clone());
-        s.set_gs_overlap(overlap);
-        s.set_initial(c, |_| [1.0, 0.0, 0.0]);
+    let case = cases::WingCase { gs_overlap: overlap, ..cases::wing(P) };
+    let out = World::builder().ranks(P).net(cluster(NetId::RoadRunnerMyr)).run(|c| {
+        let mut s = case.build(c);
         s.step(c);
         s.step(c);
         (c.wtime(), c.busy(), s.state_hash())
@@ -60,25 +44,7 @@ fn ale_times(overlap: bool) -> (f64, f64, u64) {
 /// Table-3 replay wall at the given P with the gs overlap credit set to
 /// `frac` (0.0 = blocking).
 fn replay_wall(mid: MachineId, nid: NetId, p: usize, frac: f64) -> f64 {
-    let nelems_local = 15_870 / p;
-    let order = 4usize;
-    let surface =
-        6.0 * (nelems_local as f64).powf(2.0 / 3.0) * ((order + 1) * (order + 1)) as f64;
-    let shape = AleShape {
-        nelems_local,
-        nm: (order + 1).pow(3),
-        nq3: (order + 3).pow(3),
-        nlocal: 1_015_680 / p + surface as usize,
-        halo: surface as usize,
-        neighbors: 6.min(p - 1),
-        press_iters: 400,
-        visc_iters: 70,
-        mesh_iters: 250,
-        nm1: order + 1,
-        j: 2,
-        gs_overlap: frac,
-        stage_overlap: None,
-    };
+    let shape = AleShape { gs_overlap: frac, stage_overlap: None, ..nkt_bench::table3_shape(p) };
     replay(&ale_step_workload(&shape), &machine(mid), &cluster(nid), p).wall_total()
 }
 

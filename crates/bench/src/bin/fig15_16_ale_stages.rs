@@ -3,13 +3,11 @@
 //! RoadRunner-myrinet at P = 16 and P = 64 — model replay.
 
 use nektar::replay::replay;
-use nektar::workload::{ale_step_workload, AleShape};
+use nektar::workload::ale_step_workload;
 use nkt_machine::{machine, MachineId};
 use nkt_net::{cluster, NetId};
 
 fn main() {
-    let nelems_total = 15_870usize;
-    let order = 4usize;
     // Paper percentages (CPU): (system, P, a, b, c).
     let cases: [(&str, MachineId, NetId, usize, [f64; 3]); 4] = [
         ("NCSA (Fig 15)", MachineId::Ncsa, NetId::Ncsa, 16, [9.0, 41.0, 50.0]),
@@ -30,35 +28,7 @@ fn main() {
         ),
     ];
     for (label, mid, nid, p, paper) in cases {
-        let nelems_local = nelems_total / p;
-        let surface =
-            6.0 * (nelems_local as f64).powf(2.0 / 3.0) * ((order + 1) * (order + 1)) as f64;
-        let shape = AleShape {
-            nelems_local,
-            nm: (order + 1).pow(3),
-            nq3: (order + 3).pow(3),
-            nlocal: 1_015_680 / p + surface as usize,
-            halo: surface as usize,
-            neighbors: 6.min(p - 1),
-            press_iters: 400,
-            visc_iters: 70,
-            mesh_iters: 250,
-            nm1: order + 1,
-            j: 2,
-            // Split-phase gs overlap window: interior-element share of a
-            // cubic partition (same estimate as table3_nektar_ale),
-            // upgraded to measured per-stage windows when a native
-            // calibration is committed.
-            gs_overlap: if std::env::var("NKT_GS_OVERLAP").map_or(true, |v| v != "0") {
-                (1.0 - 6.0 / (nelems_local as f64).cbrt()).max(0.0)
-            } else {
-                0.0
-            },
-            stage_overlap: std::env::var("NKT_GS_OVERLAP")
-                .map_or(true, |v| v != "0")
-                .then(|| nkt_bench::ale_stage_overlap(nelems_local).0),
-        };
-        let rec = ale_step_workload(&shape);
+        let rec = ale_step_workload(&nkt_bench::table3_shape(p));
         let t = replay(&rec, &machine(mid), &cluster(nid), p);
         let (ca, cb, cc) = t.cpu.ale_group_percentages();
         let (wa, wb, wc) = t.wall.ale_group_percentages();

@@ -106,6 +106,7 @@ fn systems() -> Vec<(&'static str, MachineId, NetId, [Option<(f64, f64)>; 7])> {
 }
 
 fn main() {
+    let cfg = nkt_trace::config::RunConfig::init_from_env();
     let serial = paper_serial_shape();
     let ps = [2usize, 4, 8, 16, 32, 64, 128];
     println!("Table 2: NekTar-F CPU/wall seconds per step, 2 Fourier planes per");
@@ -118,8 +119,7 @@ fn main() {
         // NKT_PROF=1: lay each P column's replayed step on a rank-0
         // virtual timeline; each replay span carries its CPU seconds, so
         // the profile splits every stage into work vs network idle.
-        if nkt_prof::enabled() {
-            nkt_prof::prepare();
+        if cfg.prof {
             nkt_trace::set_thread_meta(format!("replay {label}"), Some(0));
         }
         let mut vt_end = 0.0;
@@ -144,7 +144,7 @@ fn main() {
             };
             let rec = fourier_step_workload(&shape);
             let t = replay(&rec, &m, &net, p);
-            if nkt_prof::enabled() {
+            if cfg.prof {
                 vt_end = t.record_trace_spans(vt_end);
             }
             let paper_s = paper[col]
@@ -159,7 +159,10 @@ fn main() {
             );
         }
         println!();
-        nkt_prof::profile_and_write(&format!("table2_nektar_f_{}", nkt_prof::slug(label)));
+        if cfg.prof {
+            let run = format!("table2_nektar_f_{}", nkt_prof::slug(label));
+            nkt_prof::profile_and_write(&run, &nkt_trace::take_collected());
+        }
     }
     println!("paper shape checks: timings roughly constant for the fast networks");
     println!("(weak scaling); \"the ethernet-based network seems to saturate above");

@@ -6,7 +6,7 @@
 //! held fixed across P, matching the paper's fixed-size problem.
 
 use nektar::replay::replay;
-use nektar::workload::{ale_step_workload, AleShape};
+use nektar::workload::ale_step_workload;
 use nkt_machine::{machine, MachineId};
 use nkt_net::{cluster, NetId};
 
@@ -52,29 +52,23 @@ fn systems() -> Vec<(&'static str, MachineId, NetId, [Option<(f64, f64)>; 4])> {
 }
 
 fn main() {
-    let nelems_total = 15_870usize;
-    let order = 4usize;
-    // Split-phase gather-scatter overlap (NKT_GS_OVERLAP, default on):
-    // the measured window is the interior-element share of the schedule,
-    // ~ (1 - 6/V^(1/3)) for a cubic partition of V elements.
-    let gs_overlap_on = std::env::var("NKT_GS_OVERLAP").map_or(true, |v| v != "0");
-    let nm = (order + 1).pow(3);
-    let nq3 = (order + 3).pow(3);
-    let ndof_field = 1_015_680usize; // 4,062,720 / 4 fields
+    let cfg = nkt_trace::config::RunConfig::init_from_env();
     let ps = [16usize, 32, 64, 128];
     println!("Table 3: NekTar-ALE CPU/wall seconds per step, flapping wing,");
     println!("strong scaling [modeled]. '-' = not run in the paper.");
-    if gs_overlap_on {
-        let (_, measured) = nkt_bench::ale_stage_overlap(nelems_total / ps[0]);
-        println!(
-            "gs overlap windows: {}.",
-            if measured {
-                "measured (native CALIB_flapping_wing_ale.json)"
-            } else {
-                "analytic 1 - 6/V^(1/3) (no committed calibration)"
-            }
-        );
-    }
+    // Split-phase gather-scatter overlap is credited (`ablation_gs_overlap`
+    // prints the blocking column): the measured window is the
+    // interior-element share of the schedule, ~ (1 - 6/V^(1/3)) for a
+    // cubic partition of V elements.
+    let (_, measured) = nkt_bench::ale_stage_overlap(15_870 / ps[0]);
+    println!(
+        "gs overlap windows: {}.",
+        if measured {
+            "measured (native CALIB_flapping_wing_ale.json)"
+        } else {
+            "analytic 1 - 6/V^(1/3) (no committed calibration)"
+        }
+    );
     println!();
     for (label, mid, nid, paper) in systems() {
         let m = machine(mid);
@@ -82,43 +76,14 @@ fn main() {
         println!("== {label} ==");
         println!("{:>6} {:>16} {:>16}", "P", "paper cpu/wall", "model cpu/wall");
         // NKT_PROF=1: same rank-0 replay-timeline wiring as Table 2.
-        if nkt_prof::enabled() {
-            nkt_prof::prepare();
+        if cfg.prof {
             nkt_trace::set_thread_meta(format!("replay {label}"), Some(0));
         }
         let mut vt_end = 0.0;
         for (col, &p) in ps.iter().enumerate() {
-            let nelems_local = nelems_total / p;
-            // Partition surface ~ 6 (V)^(2/3) element faces, (order+1)^2
-            // dofs per face.
-            let surface =
-                6.0 * (nelems_local as f64).powf(2.0 / 3.0) * ((order + 1) * (order + 1)) as f64;
-            let shape = AleShape {
-                nelems_local,
-                nm,
-                nq3,
-                nlocal: ndof_field / p + surface as usize,
-                halo: surface as usize,
-                neighbors: 6.min(p - 1),
-                press_iters: 400,
-                visc_iters: 70,
-                mesh_iters: 250,
-                nm1: order + 1,
-                j: 2,
-                gs_overlap: if gs_overlap_on {
-                    (1.0 - 6.0 / (nelems_local as f64).cbrt()).max(0.0)
-                } else {
-                    0.0
-                },
-                // Measured per-stage windows (falling back to the same
-                // analytic estimate) — overlap credits wall time only,
-                // so the cpu column is identical either way.
-                stage_overlap: gs_overlap_on
-                    .then(|| nkt_bench::ale_stage_overlap(nelems_local).0),
-            };
-            let rec = ale_step_workload(&shape);
+            let rec = ale_step_workload(&nkt_bench::table3_shape(p));
             let t = replay(&rec, &m, &net, p);
-            if nkt_prof::enabled() {
+            if cfg.prof {
                 vt_end = t.record_trace_spans(vt_end);
             }
             let paper_s = paper[col]
@@ -133,7 +98,10 @@ fn main() {
             );
         }
         println!();
-        nkt_prof::profile_and_write(&format!("table3_nektar_ale_{}", nkt_prof::slug(label)));
+        if cfg.prof {
+            let run = format!("table3_nektar_ale_{}", nkt_prof::slug(label));
+            nkt_prof::profile_and_write(&run, &nkt_trace::take_collected());
+        }
     }
     println!("paper shape checks: fixed problem size, so \"the timings drop with");
     println!("increasing number of processors\"; \"for 16 processors, the PC cluster");

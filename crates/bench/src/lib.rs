@@ -23,7 +23,7 @@
 //! `scripts/check_baselines`. EXPERIMENTS.md records paper-vs-ours for
 //! each. Host timing of the native kernels is `perfbench/`'s job.
 
-use nektar::workload::{serial_step_workload, Serial2dShape};
+use nektar::workload::{serial_step_workload, AleShape, Serial2dShape};
 use nkt_machine::{machine, MachineId};
 use nkt_mesh::bluff_body_mesh;
 use nkt_spectral::{Assembly, QuadBasis};
@@ -59,6 +59,36 @@ pub fn ale_stage_overlap(nelems_local: usize) -> ([f64; 7], bool) {
         w[s.index()] = nkt_calib::window_at(coef, vol);
     }
     (w, true)
+}
+
+/// One rank's share of Table 3's flapping-wing problem (15,870 elements
+/// at order 4, 4,062,720 dof over four fields) on `p` ranks, the
+/// split-phase gather-scatter overlap credited. PCG iteration counts are
+/// from small-scale native runs, held fixed across `p`.
+pub fn table3_shape(p: usize) -> AleShape {
+    let order = 4usize;
+    let nelems_local = 15_870 / p;
+    // Partition surface ~ 6 V^(2/3) element faces, (order+1)^2 dofs each.
+    let surface =
+        6.0 * (nelems_local as f64).powf(2.0 / 3.0) * ((order + 1) * (order + 1)) as f64;
+    AleShape {
+        nelems_local,
+        nm: (order + 1).pow(3),
+        nq3: (order + 3).pow(3),
+        nlocal: 1_015_680 / p + surface as usize,
+        halo: surface as usize,
+        neighbors: 6.min(p - 1),
+        press_iters: 400,
+        visc_iters: 70,
+        mesh_iters: 250,
+        nm1: order + 1,
+        j: 2,
+        // The interior-element share of a cubic partition, upgraded to
+        // measured per-stage windows when a native calibration is
+        // committed; the credit moves wall time only, never cpu.
+        gs_overlap: (1.0 - 6.0 / (nelems_local as f64).cbrt()).max(0.0),
+        stage_overlap: Some(ale_stage_overlap(nelems_local).0),
+    }
 }
 
 /// The NetPIPE-style byte sizes the kernel figures sweep (paper x-axis:

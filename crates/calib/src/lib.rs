@@ -33,15 +33,9 @@
 //! committed baseline; measured host times appear only in the printed
 //! report.
 //!
-//! ## Configuration
-//!
-//! | env var     | values                | effect                                            |
-//! |-------------|-----------------------|---------------------------------------------------|
-//! | `NKT_CALIB` | `1` \| `on` \| `true` | solvers calibrate the run and write `CALIB_<run>.json` |
-//!
-//! `NKT_CALIB=1` implies span recording: [`prepare`] raises the trace
-//! mode to [`nkt_trace::TraceMode::Spans`] like `NKT_PROF` does, so the
-//! two observers can share one collector drain.
+//! `NKT_CALIB` is `nkt_trace::config::RunConfig::calib`; it raises the
+//! recording mode to spans like `NKT_PROF` does, so the two observers
+//! can share one collector drain.
 
 pub mod document;
 pub mod drift;
@@ -55,61 +49,14 @@ pub use overlap::{
     load_windows, merged_coef, overlap_windows, window_at, OverlapWindow, ANALYTIC_COEF,
 };
 
-use std::sync::OnceLock;
-
-/// Whether calibration was requested via `NKT_CALIB` (`1`, `on`,
-/// `true`; anything else — including unset — is off). Latched on first
-/// call so a run is calibrated consistently end to end.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("NKT_CALIB")
-            .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true"))
-            .unwrap_or(false)
-    })
-}
-
-/// Arms the trace layer for calibration: raises the recording mode to
-/// spans. Call once at solver startup when [`enabled`] is true.
-pub fn prepare() {
-    if nkt_trace::mode() < nkt_trace::TraceMode::Spans {
-        nkt_trace::set_mode(nkt_trace::TraceMode::Spans);
-    }
-}
-
-/// The solver-side convenience wrapper: when [`enabled`], builds the
-/// calibration for `run` from already-drained thread data, prints the
-/// report, and writes `CALIB_<run>.json` (returning its path).
-///
-/// Takes the thread data instead of draining internally because
-/// `nkt_trace::take_collected` empties the collector — a run observed
-/// by both `NKT_PROF` and `NKT_CALIB` must drain once and hand the same
-/// snapshot to both. A no-op returning `None` when `NKT_CALIB` is off.
-pub fn calibrate_and_write(run: &str, threads: &[nkt_trace::ThreadData]) -> Option<std::path::PathBuf> {
-    if !enabled() {
-        return None;
-    }
+/// Builds the calibration of `run` from already-drained thread data
+/// (see `nkt_prof::profile_and_write`), prints the report and writes
+/// `CALIB_<run>.json`.
+pub fn calibrate_and_write(run: &str, threads: &[nkt_trace::ThreadData]) {
     let c = Calibration::build(run, threads);
     print!("{}", c.report());
     match c.write() {
-        Ok(path) => {
-            println!("calib: wrote {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("calib: cannot write CALIB_{run}.json: {e}");
-            None
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn prepare_raises_mode_to_spans() {
-        prepare();
-        assert_eq!(nkt_trace::mode(), nkt_trace::TraceMode::Spans);
+        Ok(path) => println!("calib: wrote {}", path.display()),
+        Err(e) => eprintln!("calib: cannot write CALIB_{run}.json: {e}"),
     }
 }

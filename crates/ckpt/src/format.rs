@@ -314,8 +314,7 @@ mod tests {
 
     #[test]
     fn atomic_write_then_open() {
-        let dir = std::env::temp_dir().join(format!("nkt_ckpt_fmt_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = nkt_testkit::scratch_dir("ckpt_fmt");
         let path = dir.join("a.bin");
         let w = sample();
         let n = w.write_to(&path).unwrap();

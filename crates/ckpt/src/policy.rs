@@ -1,9 +1,6 @@
-//! Checkpoint cadence and file layout, driven by environment:
-//!
-//! | variable         | meaning                                             |
-//! |------------------|-----------------------------------------------------|
-//! | `NKT_CKPT_EVERY` | write an epoch every N steps (unset/0 = disabled)   |
-//! | `NKT_CKPT_DIR`   | directory for shards + manifests (default: results) |
+//! Checkpoint cadence and file layout. The values come from the caller
+//! ([`CkptConfig::new`]); the examples fill them from `NKT_CKPT_EVERY` /
+//! `NKT_CKPT_DIR` as parsed by `nkt_trace::config::RunConfig`.
 //!
 //! Names on disk, for run id `<run>`:
 //!
@@ -34,25 +31,9 @@ pub struct CkptConfig {
 }
 
 impl CkptConfig {
-    /// Policy with explicit values (tests, examples).
+    /// Policy with explicit values.
     pub fn new(dir: impl Into<PathBuf>, run: &str, every: Option<usize>) -> CkptConfig {
         CkptConfig { dir: dir.into(), run: run.to_string(), every, keep: 2 }
-    }
-
-    /// Policy from `NKT_CKPT_EVERY` / `NKT_CKPT_DIR`. With neither set
-    /// checkpointing is disabled and the directory defaults to the
-    /// workspace `results/` dir (same resolution as trace output).
-    pub fn from_env(run: &str) -> CkptConfig {
-        let every = std::env::var("NKT_CKPT_EVERY")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let dir = std::env::var("NKT_CKPT_DIR")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-            .map(PathBuf::from)
-            .unwrap_or_else(nkt_trace::results_dir);
-        CkptConfig { dir, run: run.to_string(), every, keep: 2 }
     }
 
     /// True when checkpointing is enabled at all.
@@ -133,8 +114,7 @@ mod tests {
 
     #[test]
     fn epoch_listing_sorted_desc_and_run_scoped() {
-        let dir = std::env::temp_dir().join(format!("nkt_ckpt_pol_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = nkt_testkit::scratch_dir("ckpt_pol");
         let c = CkptConfig::new(&dir, "runA", Some(1));
         for e in [4u64, 2, 8] {
             std::fs::write(c.manifest_path(e), b"x").unwrap();

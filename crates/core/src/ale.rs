@@ -657,9 +657,9 @@ impl NektarAle {
         self.steps_taken
     }
 
-    /// Forces split-phase halo/compute overlap on or off for every
-    /// Helmholtz operator owned by this solver, overriding the
-    /// `NKT_GS_OVERLAP` environment default sampled at construction.
+    /// Turns split-phase halo/compute overlap on or off for every
+    /// Helmholtz operator owned by this solver (on at construction;
+    /// `flapping_wing_ale` passes `RunConfig::gs_overlap`).
     /// Both settings produce bitwise-identical states (see
     /// [`HexHelmholtz::apply`]); only the virtual wall-clock differs.
     pub fn set_gs_overlap(&mut self, on: bool) {

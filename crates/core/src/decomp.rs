@@ -101,7 +101,7 @@ pub enum FourierCfgError {
         /// Communicator size.
         p: usize,
     },
-    /// An unparseable `NKT_GRID` specification.
+    /// An unparseable `PRxPC` grid specification.
     BadGridSpec {
         /// The rejected string.
         spec: String,
@@ -129,16 +129,11 @@ impl fmt::Display for FourierCfgError {
 
 impl std::error::Error for FourierCfgError {}
 
-/// Parses a `"PRxPC"` grid specification (the `NKT_GRID` format).
+/// Parses a `"PRxPC"` grid specification (a job file's `grid`; the
+/// `NKT_GRID` format, through the same parser).
 pub fn parse_grid(spec: &str) -> Result<(usize, usize), FourierCfgError> {
-    let bad = || FourierCfgError::BadGridSpec { spec: spec.to_string() };
-    let (a, b) = spec.split_once(['x', 'X']).ok_or_else(bad)?;
-    let pr: usize = a.trim().parse().map_err(|_| bad())?;
-    let pc: usize = b.trim().parse().map_err(|_| bad())?;
-    if pr == 0 || pc == 0 {
-        return Err(bad());
-    }
-    Ok((pr, pc))
+    nkt_trace::config::parse_grid(spec)
+        .ok_or_else(|| FourierCfgError::BadGridSpec { spec: spec.to_string() })
 }
 
 /// Per-transpose solver context: what a [`Decomposition`] needs from

@@ -27,8 +27,7 @@ pub fn wake() -> Serial2dSolver {
 /// NekTar-F demo (Table 2 / Figures 13–14): this rank's solver for a
 /// 3×3-element unit square extruded over `nz` Fourier planes, started
 /// from a divergence-free vortex with a spanwise modulation. Collective.
-/// `grid` is the `pr × pc` process grid; `None` takes it from `NKT_GRID`,
-/// defaulting to the slab.
+/// `grid` is the `pr × pc` process grid; `None` is the slab.
 pub fn fourier(
     c: &mut Comm,
     nz: usize,
@@ -43,10 +42,8 @@ pub fn fourier(
         lz: 2.0 * std::f64::consts::PI,
         scheme_order: 2,
     };
-    let mut solver = match grid {
-        Some((pr, pc)) => NektarF::try_new_with_grid(c, &mesh, cfg, pr, pc),
-        None => NektarF::try_new(c, &mesh, cfg),
-    }?;
+    let (pr, pc) = grid.unwrap_or((c.size(), 1));
+    let mut solver = NektarF::try_new_with_grid(c, &mesh, cfg, pr, pc)?;
     solver.set_initial(|x| {
         let pi = std::f64::consts::PI;
         let (sx, cx) = (pi * x[0]).sin_cos();
@@ -71,6 +68,9 @@ pub struct WingCase {
     pub edge_cut: i64,
     /// Solver configuration (paper: Re = 1000).
     pub cfg: AleConfig,
+    /// Split-phase gather-scatter from the first exchange on (`wing`
+    /// says yes; `flapping_wing_ale` stores `RunConfig::gs_overlap`).
+    pub gs_overlap: bool,
 }
 
 /// The wing demo problem partitioned over `ranks` ranks.
@@ -93,6 +93,7 @@ pub fn wing(ranks: usize) -> WingCase {
             pcg_tol: 1e-6,
             pcg_max_iter: 2000,
         },
+        gs_overlap: true,
     }
 }
 
@@ -100,6 +101,7 @@ impl WingCase {
     /// Builds this rank's solver in uniform unit flow. Collective.
     pub fn build(&self, c: &mut Comm) -> NektarAle {
         let mut solver = NektarAle::new(c, self.mesh.clone(), &self.part, self.cfg.clone());
+        solver.set_gs_overlap(self.gs_overlap);
         solver.set_initial(c, |_| [1.0, 0.0, 0.0]);
         solver
     }

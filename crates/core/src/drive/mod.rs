@@ -178,6 +178,9 @@ pub struct Plan {
     pub steps: u64,
     /// Stats sampling cadence in steps; 0 records nothing.
     pub stats_every: u64,
+    /// Arms the watchdog scan and rules at every sample; a trip ends the
+    /// run with the same [`HealthError`] on every rank.
+    pub health: bool,
     /// Checkpoint cadence and location. With a cadence set, the run
     /// first resumes from the newest valid epoch, if there is one.
     pub ckpt: CkptConfig,
@@ -220,7 +223,7 @@ pub struct Outcome {
 pub type DriveError = Box<dyn Error + Send + Sync>;
 
 /// Runs `sim` to `plan.steps`, or to the cut where `hook` breaks.
-/// Collective over `ctx`. `NKT_HEALTH` arms the watchdog. A failed
+/// Collective over `ctx`; reads nothing but its arguments. A failed
 /// restore (no epoch yet, or none that validates) starts from the
 /// solver's current state.
 pub fn drive<S: Simulation>(
@@ -231,7 +234,6 @@ pub fn drive<S: Simulation>(
 ) -> Result<Outcome, DriveError> {
     let nranks = ctx.comm().map_or(1, |c| c.size());
     let mut rec = StatsRecorder::new(S::CHANNELS.to_vec(), plan.stats_every, nranks);
-    let health = nkt_stats::health_enabled();
     let resumed =
         plan.ckpt.enabled().then(|| sim.restore(ctx, &plan.ckpt, &mut rec).ok()).flatten();
     // Baseline past all set-up/restore traffic: the recorder's ledger
@@ -244,7 +246,7 @@ pub fn drive<S: Simulation>(
         sim.step(ctx);
         hook.stepped(sim, step);
         if rec.due(step) {
-            sim.sample(ctx, &mut rec, step, health)?;
+            sim.sample(ctx, &mut rec, step, plan.health)?;
         }
         if step < plan.steps && plan.ckpt.should(step as usize) {
             if let Some(c) = ctx.comm() {

@@ -18,7 +18,7 @@
 //! employed for the solution of 2D Helmholtz problems on each processor".
 
 use crate::decomp::{
-    mode_coeffs, parse_grid, Decomposition, FourierCfgError, Pencil2D, Slab, TransposeCtx,
+    mode_coeffs, Decomposition, FourierCfgError, Pencil2D, Slab, TransposeCtx,
 };
 use crate::opstream::{direct_solve_span_args, Recorder, WorkItem};
 use crate::splitting::StifflyStable;
@@ -199,41 +199,26 @@ pub struct NektarF {
     /// Recorder for the model replay.
     pub recorder: Recorder,
     /// Pipeline the transpose exchanges against per-field FFT work
-    /// (`NKT_OVERLAP`, default on). Results are bitwise identical either
-    /// way; only the virtual wall clock changes.
+    /// (on until [`NektarF::set_overlap`]). Results are bitwise identical
+    /// either way; only the virtual wall clock changes.
     pub overlap: bool,
-    /// Alltoall algorithm for the blocking transpose path
-    /// (`NKT_A2A_ALGO`: pairwise | ring | bruck).
+    /// Alltoall algorithm for the blocking transpose path (pairwise
+    /// until [`NektarF::set_alltoall_algo`]).
     pub a2a_algo: AlltoallAlgo,
     steps_taken: usize,
 }
 
 impl NektarF {
-    /// Builds the per-rank solver. Collective over `comm`: modes are
-    /// block-distributed over ranks ("a straightforward mapping of
-    /// Fourier modes to P processors").
-    ///
-    /// Panicking wrapper over [`NektarF::try_new`] for callers that
-    /// treat a bad grid as a bug.
+    /// Builds the per-rank solver on the paper's [`Slab`] layout
+    /// ("a straightforward mapping of Fourier modes to P processors"),
+    /// pipelined transpose, pairwise alltoall — whatever the shell
+    /// exports. Collective over `comm`. Panicking wrapper over
+    /// [`NektarF::try_new_with_grid`] for callers that treat a bad
+    /// configuration as a bug.
     pub fn new(comm: &mut Comm, mesh: &Mesh2d, cfg: FourierConfig) -> NektarF {
-        NektarF::try_new(comm, mesh, cfg).unwrap_or_else(|e| panic!("NektarF::new: {e}"))
-    }
-
-    /// [`NektarF::new`] with a typed error instead of a panic. The
-    /// decomposition comes from `NKT_GRID` (`PRxPC`, e.g. `4x2` →
-    /// [`Pencil2D`]); unset means the paper's [`Slab`] layout.
-    pub fn try_new(
-        comm: &mut Comm,
-        mesh: &Mesh2d,
-        cfg: FourierConfig,
-    ) -> Result<NektarF, FourierCfgError> {
-        match std::env::var("NKT_GRID") {
-            Ok(spec) => {
-                let (pr, pc) = parse_grid(&spec)?;
-                NektarF::try_new_with_grid(comm, mesh, cfg, pr, pc)
-            }
-            Err(_) => NektarF::try_new_with_grid(comm, mesh, cfg, comm.size(), 1),
-        }
+        let p = comm.size();
+        NektarF::try_new_with_grid(comm, mesh, cfg, p, 1)
+            .unwrap_or_else(|e| panic!("NektarF::new: {e}"))
     }
 
     /// Builds the solver on an explicit `pr × pc` process grid. `pc = 1`
@@ -324,23 +309,22 @@ impl NektarF {
             ws,
             clock: StageClock::new(),
             recorder: Recorder::disabled(),
-            overlap: std::env::var("NKT_OVERLAP").map_or(true, |v| v != "0"),
-            a2a_algo: std::env::var("NKT_A2A_ALGO")
-                .ok()
-                .and_then(|v| AlltoallAlgo::parse(&v))
-                .unwrap_or(AlltoallAlgo::Pairwise),
+            overlap: true,
+            a2a_algo: AlltoallAlgo::Pairwise,
             steps_taken: 0,
         })
     }
 
-    /// Selects the pipelined (`true`) or blocking (`false`) transpose,
-    /// overriding the `NKT_OVERLAP` environment default.
+    /// Selects the pipelined (`true`, the constructors' choice) or
+    /// blocking (`false`) transpose; `fourier_dns` passes
+    /// `RunConfig::overlap` (`NKT_OVERLAP`).
     pub fn set_overlap(&mut self, on: bool) {
         self.overlap = on;
     }
 
-    /// Selects the alltoall algorithm used by the blocking transpose,
-    /// overriding the `NKT_A2A_ALGO` environment default.
+    /// Selects the alltoall algorithm used by the blocking transpose
+    /// (the constructors choose pairwise); `fourier_dns` passes
+    /// `RunConfig::a2a_algo` (`NKT_A2A_ALGO`).
     pub fn set_alltoall_algo(&mut self, algo: AlltoallAlgo) {
         self.a2a_algo = algo;
     }

@@ -368,8 +368,9 @@ pub struct HexHelmholtz {
     /// the overlap window between `gs.start` and `finish`.
     pub elem_interior: Vec<usize>,
     /// Whether [`HexHelmholtz::apply`] overlaps the halo exchange with
-    /// interior elemental work (`NKT_GS_OVERLAP`, default on). Either
-    /// setting produces bitwise-identical results.
+    /// interior elemental work (on until
+    /// [`HexHelmholtz::set_gs_overlap`]). Either setting produces
+    /// bitwise-identical results.
     pub gs_overlap: bool,
 }
 
@@ -430,7 +431,6 @@ impl HexHelmholtz {
                 elem_interior.push(le);
             }
         }
-        let gs_overlap = std::env::var("NKT_GS_OVERLAP").map_or(true, |v| v != "0");
         let mut h = HexHelmholtz {
             p,
             lambda,
@@ -446,7 +446,7 @@ impl HexHelmholtz {
             diag: Vec::new(),
             elem_boundary,
             elem_interior,
-            gs_overlap,
+            gs_overlap: true,
         };
         h.rebuild_diag(comm);
         h

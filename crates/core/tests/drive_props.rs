@@ -14,11 +14,12 @@ use nektar::ale::{AleConfig, NektarAle};
 use nektar::drive::{drive, Hook, Plan, Serial, Simulation};
 use nektar::fourier::{FourierConfig, NektarF};
 use nektar::{Serial2dSolver, SolverConfig};
-use nkt_ckpt::CkptConfig;
+use nkt_ckpt::{Checkpointable, CkptConfig};
 use nkt_mesh::{box_hexes, rect_quads};
 use nkt_mpi::{Comm, World};
 use nkt_net::{cluster, NetId};
 use nkt_partition::{partition_kway, Graph, PartitionOptions};
+use nkt_stats::HealthError;
 use nkt_testkit::{prop_assert_eq, prop_check};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -73,6 +74,7 @@ fn straight_and_resumed<S: Simulation>(
     let plan = |dir: &PathBuf| Plan {
         steps,
         stats_every,
+        health: false,
         ckpt: CkptConfig::new(dir, "prop", Some(every)),
     };
     let end = |sim: &S, out: &nektar::drive::Outcome| (sim.state_hash(), out.rec.to_json("prop"));
@@ -160,7 +162,7 @@ fn parallel_ends<S: Simulation<Ctx = Comm>>(
     pick: usize,
 ) -> Vec<[End; 2]> {
     // Counters mode, so the recorder's collective-count column is live.
-    nkt_stats::prepare();
+    nkt_trace::set_mode(nkt_trace::TraceMode::Counters);
     let dirs = [fresh_dir(), fresh_dir()];
     let stop = drawn_cut(steps, cadence.0, pick);
     let ends = run(p, |c| straight_and_resumed(c, &build, &dirs, steps, cadence, stop));
@@ -168,6 +170,49 @@ fn parallel_ends<S: Simulation<Ctx = Comm>>(
         let _ = std::fs::remove_dir_all(d);
     }
     ends
+}
+
+/// Poisons rank 0's v-field after step `.0` (what `fourier_dns` does
+/// under `NKT_INJECT_NAN`).
+struct Poison(u64);
+
+impl Hook<NektarF> for Poison {
+    fn stepped(&mut self, sim: &mut NektarF, step: u64) {
+        if step == self.0 {
+            sim.fields[0][1].a[0] = f64::NAN;
+        }
+    }
+}
+
+/// `Plan::health` is the watchdog's only switch: armed, a poisoned value
+/// ends `drive` with the same typed error on every rank; unarmed, the
+/// same input runs to the budget.
+#[test]
+fn plan_health_arms_the_watchdog_on_every_rank() {
+    const STEPS: u64 = 4;
+    let dir = fresh_dir();
+    let poisoned_run = |health: bool| {
+        // Flight dumps of the trip land in `dir`, not in results/.
+        World::builder().ranks(2).net(cluster(NetId::T3e)).trace_dir(&dir).run(|c| {
+            let plan = Plan {
+                steps: STEPS,
+                stats_every: 1,
+                health,
+                ckpt: CkptConfig::new(&dir, "health", None),
+            };
+            let mut sim = fourier_solver(c);
+            let mut hook = Poison(if c.rank() == 0 { 2 } else { 0 });
+            let out = drive(&mut sim, c, &plan, &mut hook);
+            let typed = |e: nektar::drive::DriveError| {
+                *e.downcast::<HealthError>().expect("a watchdog trip is a HealthError")
+            };
+            (sim.ckpt_step(), out.map(|_| ()).map_err(typed))
+        })
+    };
+    let trip = HealthError::NonFinite { step: 2, rank: 0, field: "v" };
+    assert_eq!(poisoned_run(true), vec![(2, Err(trip.clone())), (2, Err(trip))]);
+    assert_eq!(poisoned_run(false), vec![(STEPS, Ok(())), (STEPS, Ok(()))]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 prop_check! {

@@ -13,12 +13,14 @@
 //! assert_eq!(out, vec![0, 1, 2, 3]);
 //! ```
 //!
-//! [`World::from_env`] is the same builder preseeded from the
-//! environment (`NKT_MPI_DEADLINE_MS`).
+//! Binaries hand `RunConfig::recv_deadline` to [`WorldBuilder::opts`];
+//! [`World::from_env`] is the preset for test files that want
+//! `NKT_MPI_DEADLINE_MS` while debugging a hang.
 
 use crate::comm::{Comm, Message};
 use crate::diag::BlockTable;
 use nkt_net::ClusterNetwork;
+use nkt_trace::config::RunConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -33,17 +35,6 @@ pub struct WorldOpts {
     /// — it panics with a dump of every rank's blocking site instead of
     /// hanging the test run forever. `None` (default) waits indefinitely.
     pub recv_deadline: Option<Duration>,
-}
-
-impl WorldOpts {
-    /// Reads `NKT_MPI_DEADLINE_MS` (unset or unparsable = no deadline).
-    pub fn from_env() -> WorldOpts {
-        let recv_deadline = std::env::var("NKT_MPI_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Duration::from_millis);
-        WorldOpts { recv_deadline }
-    }
 }
 
 /// Per-rank hook invoked by the harness around the rank closure (e.g. a
@@ -70,10 +61,12 @@ impl World {
         }
     }
 
-    /// [`World::builder`] preseeded with environment-derived options
-    /// (`NKT_MPI_DEADLINE_MS`).
+    /// [`World::builder`] with `NKT_MPI_DEADLINE_MS` from the process
+    /// environment, for tests. Panics on an environment `RunConfig`
+    /// rejects.
     pub fn from_env() -> WorldBuilder {
-        World::builder().opts(WorldOpts::from_env())
+        let cfg = RunConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+        World::builder().opts(WorldOpts { recv_deadline: cfg.recv_deadline })
     }
 }
 
@@ -139,7 +132,7 @@ impl WorldBuilder {
     /// Routes every rank thread's observability artifacts (STATS dumps,
     /// flight-recorder post-mortems — anything resolved through
     /// `nkt_trace::out_dir()`) into `dir` instead of the process-global
-    /// default, without touching env vars other worlds may be reading.
+    /// default other worlds may be writing to.
     pub fn trace_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
         self

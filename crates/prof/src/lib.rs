@@ -32,15 +32,9 @@
 //! the [`Profile::stage_ledger_check`] self-check against `StageClock`
 //! ledgers.
 //!
-//! ## Configuration
-//!
-//! | env var    | values            | effect                                  |
-//! |------------|-------------------|-----------------------------------------|
-//! | `NKT_PROF` | `1` \| `on` \| `true` | solvers profile the run and write `PROF_<run>.json` |
-//!
-//! `NKT_PROF=1` implies span recording: [`prepare`] raises the trace
-//! mode to [`nkt_trace::TraceMode::Spans`] so the profiler's inputs
-//! exist even when `NKT_TRACE` was left off.
+//! `NKT_PROF` is `nkt_trace::config::RunConfig::prof`, which also raises
+//! the recording mode to spans; the caller that parsed it decides
+//! whether to call [`profile_and_write`].
 
 pub mod attrib;
 pub mod critpath;
@@ -51,29 +45,6 @@ pub use attrib::{comm_matrix, op_stats, stage_stats, MatrixCell, OpStat, StageSt
 pub use critpath::{critical_path, CpSegment, CriticalPath, MAX_SEGMENTS};
 pub use model::{from_threads, from_trace_json, PRank, PSpan};
 pub use profile::{gates, Profile};
-
-use std::sync::OnceLock;
-
-/// Whether profiling was requested via `NKT_PROF` (`1`, `on`, `true`;
-/// anything else — including unset — is off). Latched on first call so
-/// a run is profiled consistently end to end.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("NKT_PROF")
-            .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true"))
-            .unwrap_or(false)
-    })
-}
-
-/// Arms the trace layer for profiling: raises the recording mode to
-/// spans (the profiler needs p2p/collective/stage spans, not just
-/// counters). Call once at solver startup when [`enabled`] is true.
-pub fn prepare() {
-    if nkt_trace::mode() < nkt_trace::TraceMode::Spans {
-        nkt_trace::set_mode(nkt_trace::TraceMode::Spans);
-    }
-}
 
 /// Filesystem-safe run name: lowercase alphanumerics, everything else
 /// collapsed to single underscores (`"RoadRunner eth."` → `"roadrunner_eth"`).
@@ -89,40 +60,22 @@ pub fn slug(s: &str) -> String {
     out.trim_matches('_').to_string()
 }
 
-/// The solver-side convenience wrapper: when [`enabled`], drains the
-/// span collector, builds the profile for `run`, prints the report, and
-/// writes `PROF_<run>.json` (returning its path). A no-op returning
-/// `None` when `NKT_PROF` is off, so callers can wire it in
-/// unconditionally.
-pub fn profile_and_write(run: &str) -> Option<std::path::PathBuf> {
-    if !enabled() {
-        return None;
-    }
-    let threads = nkt_trace::take_collected();
-    let p = Profile::build(run, &threads);
+/// Builds the profile of `run` from already-drained thread data (the
+/// collector drains once; `nkt-calib` reads the same snapshot), prints
+/// the report and writes `PROF_<run>.json`.
+pub fn profile_and_write(run: &str, threads: &[nkt_trace::ThreadData]) -> Profile {
+    let p = Profile::build(run, threads);
     print!("{}", p.report());
     match p.write() {
-        Ok(path) => {
-            println!("prof: wrote {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("prof: cannot write PROF_{run}.json: {e}");
-            None
-        }
+        Ok(path) => println!("prof: wrote {}", path.display()),
+        Err(e) => eprintln!("prof: cannot write PROF_{run}.json: {e}"),
     }
+    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prepare_raises_mode_to_spans() {
-        // Whatever the ambient mode, after prepare() spans are recorded.
-        prepare();
-        assert_eq!(nkt_trace::mode(), nkt_trace::TraceMode::Spans);
-    }
 
     #[test]
     fn slug_is_filesystem_safe() {

@@ -205,8 +205,8 @@ impl Profile {
     }
 
     /// Writes `PROF_<run>.json` into the trace output directory
-    /// ([`nkt_trace::out_dir`]: `set_thread_dir` / `set_dir` overrides,
-    /// then `NKT_TRACE_DIR`, else `<workspace>/results`).
+    /// ([`nkt_trace::out_dir`]: `set_thread_dir`, then `set_dir` — where
+    /// `init` puts `NKT_TRACE_DIR` — else `<workspace>/results`).
     pub fn write(&self) -> std::io::Result<PathBuf> {
         self.write_to(&nkt_trace::out_dir())
     }

@@ -24,11 +24,13 @@
 //!
 //! Observability rides the existing substrate: `serve.tick`/`serve.cut`
 //! spans, `serve.*` counters (admissions, preemptions, queue wait,
-//! finished/failed) and a `serve.worlds.running` gauge, all under
-//! `NKT_TRACE`. With [`ServeConfig::events`] set, the scheduler also
-//! appends its decision timeline (admit/resume/cut/preempt/complete/
-//! fail, with tick/tenant/usage) to a byte-deterministic
-//! `EVENTS_<run>.jsonl` — see [`events`] and the `serve_report` binary.
+//! finished/failed) and a `serve.worlds.running` gauge, all under the
+//! process-wide recording mode; what else a job is run with (profile,
+//! watchdog, recv deadline) is [`serve_with`]'s [`JobOpts`]. With
+//! [`ServeConfig::events`] set, the scheduler also appends its decision
+//! timeline (admit/resume/cut/preempt/complete/fail, with
+//! tick/tenant/usage) to a byte-deterministic `EVENTS_<run>.jsonl` — see
+//! [`events`] and the `serve_report` binary.
 //! See `examples/serve_farm.rs` for a mixed batch driven end-to-end and
 //! DESIGN.md §15 for the scheduler state machine.
 
@@ -40,8 +42,8 @@ pub mod store;
 mod runner;
 
 pub use events::{render_events, EventLog};
-pub use runner::JobResult;
-pub use sched::{serve, JobReport, ServeConfig, ServeError, ServeReport};
+pub use runner::{JobOpts, JobResult};
+pub use sched::{serve, serve_with, JobReport, ServeConfig, ServeError, ServeReport};
 pub use spec::{
     host_machine, load_jobs, parse_jobs, JobSpec, SolverKind, SpecError, SPEC_SCHEMA,
 };

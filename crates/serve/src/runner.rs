@@ -1,7 +1,8 @@
 //! Executes one scheduling *slice* of a job: spin up the job's virtual
 //! cluster, restore from the newest checkpoint epoch if one exists, step
 //! until the budget is spent or the scheduler preempts at an epoch cut,
-//! and (on finish) write the job's `STATS_` artifact and manifest.
+//! and (on finish) write the job's `STATS_`, `TRACE_` and `PROF_`
+//! artifacts and the manifest that inventories what was written.
 //!
 //! ## Preemption protocol (worker side)
 //!
@@ -24,7 +25,7 @@ use crate::spec::{host_machine, JobSpec, SolverKind};
 use crate::store::{write_manifest, ArtifactEntry, ManifestData};
 use nektar::drive::{cases, drive, Ctx, Hook, Plan, Serial, Simulation};
 use nkt_ckpt::CkptConfig;
-use nkt_mpi::{Comm, World};
+use nkt_mpi::{Comm, World, WorldOpts};
 use nkt_net::cluster;
 use nkt_stats::StatsRecorder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,6 +33,7 @@ use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Final numbers a finished job reports back through the scheduler.
 #[derive(Debug, Clone)]
@@ -42,6 +44,19 @@ pub struct JobResult {
     pub steps: u64,
     /// Final kinetic energy — a physical smoke value for callers.
     pub energy: f64,
+}
+
+/// What every job of a batch runs with beyond its [`JobSpec`]; a binary
+/// fills it from its `RunConfig` for [`crate::serve_with`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct JobOpts {
+    /// Write `PROF_<job>.json` (`NKT_PROF`; built from the job's spans,
+    /// which `RunConfig::trace_mode` makes sure are recorded).
+    pub profile: bool,
+    /// Arm the watchdog at every stats sample (`NKT_HEALTH`).
+    pub health: bool,
+    /// `WorldOpts::recv_deadline` of the job's world (`NKT_MPI_DEADLINE_MS`).
+    pub recv_deadline: Option<Duration>,
 }
 
 /// How a slice ended.
@@ -66,11 +81,12 @@ pub(crate) struct JobCtx {
     pub preemptions: u64,
     /// Eligible-but-queued ticks so far (manifest bookkeeping).
     pub wait_ticks: u64,
+    pub opts: JobOpts,
 }
 
 /// Worker-thread entry point: runs the slice, exports per-job
-/// trace/profile artifacts on finish, and always sends exactly one
-/// `Event::Exited` — even if the world panicked.
+/// trace/profile artifacts and the manifest on finish, and always sends
+/// exactly one `Event::Exited` — even if the world panicked.
 pub(crate) fn run_slice(jc: JobCtx, event_tx: Sender<Event>, directive_rx: Receiver<Directive>) {
     // The worker thread itself records under the job's identity too:
     // spans emitted here (artifact export) belong to the job, and any
@@ -80,25 +96,48 @@ pub(crate) fn run_slice(jc: JobCtx, event_tx: Sender<Event>, directive_rx: Recei
     nkt_trace::flight::set_thread_run(Some(&jc.spec.name));
     // The rank closures must be `Sync`; a `Receiver` is not.
     let link = Mutex::new((event_tx.clone(), directive_rx));
-    let exit = catch_unwind(AssertUnwindSafe(|| run_job(&jc, &link))).unwrap_or_else(|p| {
+    let end = catch_unwind(AssertUnwindSafe(|| run_job(&jc, &link))).unwrap_or_else(|p| {
         let msg = p
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "<non-string panic>".to_string());
-        SliceExit::Failed(format!("world panicked: {msg}"))
+        Err(format!("world panicked: {msg}"))
     });
-    if !matches!(exit, SliceExit::Preempted { .. }) {
-        export_job_observability(&jc);
-    }
+    let exit = match end {
+        Ok((Some(step), ..)) => SliceExit::Preempted { step },
+        Err(e) => {
+            export_job_observability(&jc);
+            SliceExit::Failed(e)
+        }
+        Ok((None, result, mut artifacts)) => {
+            // The manifest inventories what was written: rank 0's files,
+            // then whatever the export landed.
+            artifacts.extend(export_job_observability(&jc));
+            let m = ManifestData {
+                spec: &jc.spec,
+                machine: nkt_machine::machine(host_machine(jc.spec.net)).name,
+                state_hash: result.state_hash,
+                steps_done: result.steps,
+                preemptions: jc.preemptions,
+                queue_wait_ticks: jc.wait_ticks,
+                artifacts,
+            };
+            match write_manifest(&jc.dir, &m) {
+                Ok(_) => SliceExit::Finished(result),
+                Err(e) => SliceExit::Failed(format!("write manifest: {e}")),
+            }
+        }
+    };
     // The scheduler owns the receiver for the whole batch; a send can
     // only fail if serve() itself already bailed out.
     let _ = event_tx.send(Event::Exited { job: jc.job_id, exit });
 }
 
 /// Per-rank end state of a slice — the cut it was preempted at, if any,
-/// and the solver's final numbers; only rank 0's copy is consulted.
-type RankEnd = (Option<u64>, JobResult);
+/// the solver's final numbers, and (rank 0 of a finished job) the
+/// artifacts written inside the world; only rank 0's copy is consulted.
+type RankEnd = (Option<u64>, JobResult, Vec<ArtifactEntry>);
 
 type Link = Mutex<(Sender<Event>, Receiver<Directive>)>;
 
@@ -143,7 +182,7 @@ impl<S: Simulation> Hook<S> for AtCut<'_> {
 /// Builds the job's demo problem from the `cases` catalog and runs one
 /// slice of it: on the job's own virtual cluster for the parallel
 /// solvers, on this worker thread for the serial one.
-fn run_job(jc: &JobCtx, link: &Link) -> SliceExit {
+fn run_job(jc: &JobCtx, link: &Link) -> Result<RankEnd, String> {
     let spec = &jc.spec;
     match spec.solver {
         SolverKind::Fourier { nz, pr, pc } => run_world(jc, link, |c| {
@@ -153,7 +192,7 @@ fn run_job(jc: &JobCtx, link: &Link) -> SliceExit {
             // Name the worker thread so its spans read like a one-rank
             // world in the per-job timeline.
             nkt_trace::set_thread_meta(format!("{} rank 0", spec.name), Some(0));
-            slice_exit(vec![run_rank(jc, link, cases::wake(), &mut Serial)])
+            run_rank(jc, link, cases::wake(), &mut Serial)
         }
         SolverKind::Ale => {
             let case = cases::wing(spec.ranks);
@@ -166,15 +205,19 @@ fn run_world<S: Simulation<Ctx = Comm>>(
     jc: &JobCtx,
     link: &Link,
     build: impl Fn(&mut Comm) -> Result<S, String> + Sync,
-) -> SliceExit {
-    let outs = World::from_env()
+) -> Result<RankEnd, String> {
+    let outs = World::builder()
+        .opts(WorldOpts { recv_deadline: jc.opts.recv_deadline })
         .ranks(jc.spec.ranks)
         .net(cluster(jc.spec.net))
         .trace_scope(jc.scope)
         .trace_dir(jc.dir.clone())
         .flight_run(jc.spec.name.clone())
         .run(|c| run_rank(jc, link, build(c)?, c));
-    slice_exit(outs)
+    // Errors are collective in this codebase (samplers and checkpoint
+    // writes return the same typed error on every rank), so rank 0
+    // speaks for the world.
+    outs.into_iter().next().expect("world returned no ranks")
 }
 
 /// One rank's slice: drive to the budget or to a preempting cut; on
@@ -190,6 +233,7 @@ fn run_rank<S: Simulation>(
     let plan = Plan {
         steps: spec.steps,
         stats_every: spec.stats_every,
+        health: jc.opts.health,
         ckpt: CkptConfig::new(jc.dir.clone(), &spec.name, every),
     };
     let out = drive(&mut sim, ctx, &plan, &mut AtCut { job: jc.job_id, link })
@@ -199,20 +243,21 @@ fn run_rank<S: Simulation>(
         steps: sim.ckpt_step(),
         energy: sim.kinetic_energy(ctx),
     };
-    if out.stopped_at.is_none() && ctx.rank() == 0 {
-        finish_rank0(jc, &out.rec, &result, &plan.ckpt)?;
-    }
-    Ok((out.stopped_at, result))
+    let artifacts = if out.stopped_at.is_none() && ctx.rank() == 0 {
+        finish_rank0(jc, &out.rec, &plan.ckpt)?
+    } else {
+        Vec::new()
+    };
+    Ok((out.stopped_at, result, artifacts))
 }
 
-/// Rank 0's finishing duties: STATS artifact (when sampling), then the
-/// deterministic manifest inventorying everything in the job directory.
+/// Rank 0's finishing duties inside the world: the STATS artifact (when
+/// sampling). Returns its manifest entry and the checkpoint epochs'.
 fn finish_rank0(
     jc: &JobCtx,
     rec: &StatsRecorder,
-    result: &JobResult,
     ckpt: &CkptConfig,
-) -> Result<(), String> {
+) -> Result<Vec<ArtifactEntry>, String> {
     let spec = &jc.spec;
     std::fs::create_dir_all(&jc.dir).map_err(|e| format!("create {}: {e}", jc.dir.display()))?;
     let mut artifacts = Vec::new();
@@ -248,67 +293,43 @@ fn finish_rank0(
             );
         }
     }
-    if nkt_trace::mode() == nkt_trace::TraceMode::Spans {
-        artifacts.push(ArtifactEntry::named(format!("TRACE_{}.json", spec.name)));
-    }
-    if nkt_prof::enabled() {
-        artifacts.push(ArtifactEntry::named(format!(
-            "PROF_{}.json",
-            nkt_prof::slug(&spec.name)
-        )));
-    }
-    let m = ManifestData {
-        spec,
-        machine: nkt_machine::machine(host_machine(spec.net)).name,
-        state_hash: result.state_hash,
-        steps_done: result.steps,
-        preemptions: jc.preemptions,
-        queue_wait_ticks: jc.wait_ticks,
-        artifacts,
-    };
-    write_manifest(&jc.dir, &m).map_err(|e| format!("write manifest: {e}"))?;
-    Ok(())
+    Ok(artifacts)
 }
 
 /// Drains the job's scope from the trace collector and writes the
-/// per-job `TRACE_`/`PROF_` artifacts (when tracing/profiling is on).
-/// Runs on the worker thread after the world joined, so every rank's
-/// buffer — including ones parked there by preempted slices — is in.
-fn export_job_observability(jc: &JobCtx) {
+/// per-job `TRACE_` (recording mode `Spans`) and `PROF_`
+/// ([`JobOpts::profile`]) artifacts, returning a manifest entry for each
+/// file that landed. Runs on the worker thread after the world joined,
+/// so every rank's buffer — including ones parked there by preempted
+/// slices — is in.
+fn export_job_observability(jc: &JobCtx) -> Vec<ArtifactEntry> {
+    let mut written = Vec::new();
     let tracing = nkt_trace::mode() == nkt_trace::TraceMode::Spans;
-    let profiling = nkt_prof::enabled();
-    if !tracing && !profiling {
-        return;
+    if !tracing && !jc.opts.profile {
+        return written;
     }
     let threads = nkt_trace::take_collected_for(jc.scope);
     if threads.is_empty() {
-        return;
+        return written;
     }
     if let Err(e) = std::fs::create_dir_all(&jc.dir) {
         eprintln!("serve: cannot create {}: {e}", jc.dir.display());
-        return;
+        return written;
     }
     if tracing {
-        let path = jc.dir.join(format!("TRACE_{}.json", jc.spec.name));
-        if let Err(e) = std::fs::write(&path, nkt_trace::export::chrome_json(&threads)) {
-            eprintln!("serve: cannot write {}: {e}", path.display());
+        let name = format!("TRACE_{}.json", jc.spec.name);
+        match std::fs::write(jc.dir.join(&name), nkt_trace::export::chrome_json(&threads)) {
+            Ok(()) => written.push(ArtifactEntry::named(name)),
+            Err(e) => eprintln!("serve: cannot write {name}: {e}"),
         }
     }
-    if profiling {
-        let profile = nkt_prof::Profile::build(&jc.spec.name, &threads);
-        if let Err(e) = profile.write_to(&jc.dir) {
-            eprintln!("serve: cannot write profile for {}: {e}", jc.spec.name);
+    if jc.opts.profile {
+        match nkt_prof::Profile::build(&jc.spec.name, &threads).write_to(&jc.dir) {
+            Ok(path) => written.extend(
+                path.file_name().map(|n| ArtifactEntry::named(n.to_string_lossy().into_owned())),
+            ),
+            Err(e) => eprintln!("serve: cannot write profile for {}: {e}", jc.spec.name),
         }
     }
-}
-
-/// Folds per-rank outcomes into the slice verdict. Errors are collective
-/// in this codebase (samplers and checkpoint writes return the same
-/// typed error on every rank), so rank 0 speaks for the world.
-fn slice_exit(outs: Vec<Result<RankEnd, String>>) -> SliceExit {
-    match outs.into_iter().next().expect("world returned no ranks") {
-        Err(e) => SliceExit::Failed(e),
-        Ok((Some(step), _)) => SliceExit::Preempted { step },
-        Ok((None, result)) => SliceExit::Finished(result),
-    }
+    written
 }

@@ -28,7 +28,7 @@
 //! in the job's artifacts.
 
 use crate::events::EventLog;
-use crate::runner::{self, JobCtx, JobResult};
+use crate::runner::{self, JobCtx, JobOpts, JobResult};
 use crate::spec::JobSpec;
 use crate::store::Store;
 use std::collections::BTreeMap;
@@ -160,7 +160,18 @@ enum Parked {
 
 /// Runs a batch to completion. Blocks until every job is done or failed;
 /// deterministic given (jobs, config) regardless of host thread timing.
+/// [`serve_with`] under the default [`JobOpts`]: no profile, no
+/// watchdog, no recv deadline.
 pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
+    serve_with(jobs, cfg, JobOpts::default())
+}
+
+/// [`serve`], every job run under `opts`.
+pub fn serve_with(
+    jobs: Vec<JobSpec>,
+    cfg: &ServeConfig,
+    opts: JobOpts,
+) -> Result<ServeReport, ServeError> {
     if jobs.is_empty() {
         return Err(ServeError::NoJobs);
     }
@@ -223,7 +234,7 @@ pub fn serve(jobs: Vec<JobSpec>, cfg: &ServeConfig) -> Result<ServeReport, Serve
             .collect();
         while running.len() < cfg.max_worlds {
             let Some(j) = pick_next(&books, &usage, tick) else { break };
-            admit(j, &mut books[j], &store, &event_tx, &mut admit_counter);
+            admit(j, &mut books[j], &store, &event_tx, &mut admit_counter, opts);
             nkt_trace::counter_add("serve.admissions", 1);
             if let Some(log) = &mut elog {
                 let b = &books[j];
@@ -433,6 +444,7 @@ fn admit(
     store: &Store,
     event_tx: &Sender<Event>,
     admit_counter: &mut u64,
+    opts: JobOpts,
 ) {
     if !book.started {
         if let Err(e) = store.reset_job(&book.spec.name) {
@@ -451,6 +463,7 @@ fn admit(
         scope: book.scope,
         preemptions: book.preemptions,
         wait_ticks: book.wait_ticks,
+        opts,
     };
     let event_tx = event_tx.clone();
     let handle = std::thread::Builder::new()

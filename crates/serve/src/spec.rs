@@ -235,7 +235,7 @@ fn parse_one(j: &Value, idx: usize) -> Result<JobSpec, SpecError> {
             }
             let (pr, pc) = match j.get("grid").and_then(Value::as_str) {
                 None => (ranks, 1),
-                Some(g) => parse_grid(g).ok_or_else(|| {
+                Some(g) => nektar::decomp::parse_grid(g).map_err(|_| {
                     bad("grid", format!("{g:?} — expected \"PRxPC\", e.g. \"2x2\""))
                 })?,
             };
@@ -274,13 +274,6 @@ fn parse_one(j: &Value, idx: usize) -> Result<JobSpec, SpecError> {
         stats_every,
         submit_tick,
     })
-}
-
-fn parse_grid(g: &str) -> Option<(usize, usize)> {
-    let (a, b) = g.split_once('x')?;
-    let pr = a.trim().parse::<usize>().ok()?;
-    let pc = b.trim().parse::<usize>().ok()?;
-    (pr >= 1 && pc >= 1).then_some((pr, pc))
 }
 
 /// The host machine whose kernel-rate model backs a job's net choice —

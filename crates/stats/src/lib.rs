@@ -28,12 +28,9 @@
 //! `STATS_<run>.json` that `scripts/check_baselines` holds against the
 //! committed baselines.
 //!
-//! ## Configuration
-//!
-//! | env var      | values          | effect                                          |
-//! |--------------|-----------------|-------------------------------------------------|
-//! | `NKT_STATS`  | `N` (integer)   | sample every N steps and write `STATS_<run>.json` |
-//! | `NKT_HEALTH` | `1` \| `on` \| `true` | evaluate watchdog rules (implies sampling every step when `NKT_STATS` is unset) |
+//! The sampling cadence (`NKT_STATS`) and the watchdog switch
+//! (`NKT_HEALTH`) arrive as `StatsRecorder::new`'s `every` and the
+//! samplers' `health` argument; `nektar::drive::Plan` carries both.
 
 pub mod accum;
 pub mod health;
@@ -42,59 +39,3 @@ pub mod series;
 pub use accum::ChannelAccum;
 pub use health::{check_rules, HealthError, RuleLimits};
 pub use series::{gates, Sample, StatsRecorder, MPI_COLS, SCHEMA};
-
-use std::sync::OnceLock;
-
-/// Sampling cadence requested via `NKT_STATS`: `Some(n)` = every n
-/// steps (`on`/`true` count as 1; `0`/`off`/garbage as off). Latched on
-/// first call so one run samples consistently end to end.
-pub fn every() -> Option<u64> {
-    static EVERY: OnceLock<Option<u64>> = OnceLock::new();
-    *EVERY.get_or_init(|| {
-        let v = std::env::var("NKT_STATS").ok()?;
-        match v.trim().to_ascii_lowercase().as_str() {
-            "on" | "true" => Some(1),
-            "off" | "" => None,
-            s => s.parse::<u64>().ok().filter(|&n| n > 0),
-        }
-    })
-}
-
-/// Whether the health watchdog was requested via `NKT_HEALTH`
-/// (`1` / `on` / `true`). Latched on first call.
-pub fn health_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("NKT_HEALTH")
-            .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true"))
-            .unwrap_or(false)
-    })
-}
-
-/// Effective sampling cadence: [`every`], or every step when only the
-/// watchdog is on (rules are evaluated at sample points, so health
-/// without an explicit cadence means "check every step").
-pub fn effective_every() -> Option<u64> {
-    every().or_else(|| health_enabled().then_some(1))
-}
-
-/// Arms the trace layer for statistics: raises the recording mode to
-/// counters so the per-rank collective-invocation column exists (the
-/// same pattern as `nkt_prof::prepare` raising to spans). Call once at
-/// startup when sampling is on.
-pub fn prepare() {
-    if nkt_trace::mode() < nkt_trace::TraceMode::Counters {
-        nkt_trace::set_mode(nkt_trace::TraceMode::Counters);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn prepare_raises_mode_to_at_least_counters() {
-        prepare();
-        assert!(nkt_trace::mode() >= nkt_trace::TraceMode::Counters);
-    }
-}

@@ -158,7 +158,8 @@ impl StatsRecorder {
 
     /// Raw counter snapshot: this rank's [`Comm`] traffic totals plus
     /// its collective-invocation count from the trace layer (requires
-    /// [`crate::prepare`]'s counters mode; 0 with tracing off, which
+    /// the counters mode `RunConfig::trace_mode` arms under `NKT_STATS`
+    /// / `NKT_HEALTH`; 0 with tracing off, which
     /// only zeroes the collectives column, never breaks identity —
     /// both runs of a diff see the same mode).
     fn raw_now(comm: &Comm) -> [u64; MPI_COLS] {

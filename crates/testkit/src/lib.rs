@@ -23,3 +23,11 @@ pub mod strategy;
 pub use prop::{base_seed, case_count, pin_prop, run_prop, CaseOutcome, DEFAULT_CASES};
 pub use rng::{splitmix64, Rng};
 pub use strategy::{one_of, vec_in, vec_len_in, OneOf, Strategy, TupleStrategy, VecIn, VecLenIn};
+
+/// `<tmp>/nkt_<label>_<pid>`, created: a unit test's scratch directory,
+/// for crates whose sources do not name `std::env`.
+pub fn scratch_dir(label: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("nkt_{label}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a directory under the system temp dir");
+    dir
+}

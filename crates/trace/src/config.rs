@@ -1,0 +1,507 @@
+//! The one reader of the environment: every `NKT_*` variable a run can
+//! depend on is a row of [`VARS`], parsed once at a binary's entry into
+//! a typed [`RunConfig`] whose values are handed down as arguments. An
+//! unknown `NKT_*` name or a malformed value is a [`ConfigError`] naming
+//! variable, value and what was expected — never a silent default.
+//!
+//! Values are trimmed; an empty value means unset. Every flag has one
+//! dialect, `1`/`on`/`true` or `0`/`off`/`false`, case-insensitive.
+
+use crate::TraceMode;
+use std::fmt;
+use std::path::PathBuf;
+use std::time::Duration;
+
+// The kinds of value, as the error message and README print them.
+const FLAG: &str = "`1`/`on`/`true` or `0`/`off`/`false`";
+const TRACE: &str = "`off`, `counters`, `spans`, `summary` or a flag (`on` = `spans`)";
+const CADENCE: &str = "a positive integer `N` or a flag (`on` = 1)";
+const COUNT: &str = "a non-negative integer";
+const POSITIVE: &str = "a positive integer";
+const ALGO: &str = "`pairwise`, `ring` or `bruck`";
+const GRID: &str = "`PRxPC` with both positive, e.g. `4x2`";
+const PATH: &str = "a path";
+/// Read by `nkt-testkit` under `cargo test`; [`RunConfig`] only knows
+/// the names, so `verify.sh --deep` is not an unknown-variable error.
+const FOREIGN: &str = "an integer (read by `nkt-testkit`)";
+
+fn flag(v: &str) -> Option<bool> {
+    match v.to_ascii_lowercase().as_str() {
+        "1" | "on" | "true" => Some(true),
+        "0" | "off" | "false" => Some(false),
+        _ => None,
+    }
+}
+
+fn count(v: &str) -> Option<u64> {
+    v.parse().ok()
+}
+
+fn positive(v: &str) -> Option<u64> {
+    count(v).filter(|&n| n > 0)
+}
+
+fn path(slot: &mut Option<PathBuf>, v: &str) -> Option<()> {
+    *slot = Some(v.into());
+    Some(())
+}
+
+/// `summary` needs the same span stream as `spans`; only the
+/// export-time rendering differs, hence the second value.
+fn trace(v: &str) -> Option<(TraceMode, bool)> {
+    Some(match (v.to_ascii_lowercase().as_str(), flag(v)) {
+        (_, Some(false)) => (TraceMode::Off, false),
+        ("counters", _) => (TraceMode::Counters, false),
+        ("spans", _) | (_, Some(true)) => (TraceMode::Spans, false),
+        ("summary", _) => (TraceMode::Spans, true),
+        _ => return None,
+    })
+}
+
+fn algo(v: &str) -> Option<AlltoallAlgo> {
+    match v.to_ascii_lowercase().as_str() {
+        "pairwise" => Some(AlltoallAlgo::Pairwise),
+        "ring" => Some(AlltoallAlgo::Ring),
+        "bruck" => Some(AlltoallAlgo::Bruck),
+        _ => None,
+    }
+}
+
+/// Parses a `"PRxPC"` process grid (`4x2`, `1X8`, ` 2 x 3 `); both
+/// factors must be positive.
+pub fn parse_grid(spec: &str) -> Option<(usize, usize)> {
+    let (a, b) = spec.split_once(['x', 'X'])?;
+    let pr: usize = a.trim().parse().ok()?;
+    let pc: usize = b.trim().parse().ok()?;
+    (pr > 0 && pc > 0).then_some((pr, pc))
+}
+
+/// `MPI_Alltoall` algorithm selector (`nkt_mpi::AlltoallAlgo` is this
+/// type; the ablation axis of `ablation_alltoall`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AlltoallAlgo {
+    /// XOR pairwise exchange (power-of-two rank counts; falls back to ring
+    /// otherwise). One disjoint-pairs round per step — bandwidth-optimal.
+    Pairwise,
+    /// Ring: step s sends to rank+s, receives from rank−s. Works for any
+    /// P; each round is a full permutation.
+    Ring,
+    /// Bruck's algorithm: ⌈log₂P⌉ rounds of aggregated blocks — fewer,
+    /// larger messages; wins in the latency-bound regime.
+    Bruck,
+}
+
+/// One row of the name table.
+pub struct Var {
+    pub name: &'static str,
+    /// The accepted values, in words.
+    pub expected: &'static str,
+    /// What unset means, as the README prints it.
+    pub default: &'static str,
+    pub doc: &'static str,
+    set: Set,
+}
+
+/// Stores a trimmed, non-empty value; `None` if it is malformed.
+type Set = fn(&mut RunConfig, &str) -> Option<()>;
+
+const fn var(name: &'static str, expected: &'static str, default: &'static str, set: Set, doc: &'static str) -> Var {
+    Var { name, expected, default, doc, set }
+}
+
+/// Every `NKT_*` name the workspace accepts. README's "Run
+/// configuration" table is held to these rows by a test.
+pub const VARS: [Var; 21] = [
+    var("NKT_TRACE", TRACE, "`off`", |c, v| trace(v).map(|t| (c.trace, c.summary) = t),
+        "recording mode; `summary` records spans and prints a per-stage digest instead of writing `TRACE_<run>.json`"),
+    var("NKT_TRACE_DIR", PATH, "`<workspace>/results`", |c, v| path(&mut c.trace_dir, v),
+        "where `TRACE_`, `PROF_`, `STATS_`, `CALIB_` and `FLIGHT_` files land"),
+    var("NKT_PROF", FLAG, "off", |c, v| flag(v).map(|on| c.prof = on),
+        "profile the run into `PROF_<run>.json` (raises the recording mode to `spans`)"),
+    var("NKT_CALIB", FLAG, "off", |c, v| flag(v).map(|on| c.calib = on),
+        "calibrate the run against the machine model into `CALIB_<run>.json` (raises the recording mode to `spans`)"),
+    var("NKT_STATS", CADENCE, "off", |c, v| flag(v).map(u64::from).or_else(|| count(v)).map(|n| c.stats = n),
+        "sample online statistics every `N` steps into `STATS_<run>.json` (raises the recording mode to `counters`)"),
+    var("NKT_HEALTH", FLAG, "off", |c, v| flag(v).map(|on| c.health = on),
+        "evaluate the watchdog rules at every sample; samples every step when `NKT_STATS` is unset"),
+    var("NKT_CKPT_EVERY", COUNT, "0 (off)", |c, v| count(v).map(|n| c.ckpt_every = (n > 0).then_some(n as usize)),
+        "write a checkpoint epoch every `N` steps and resume from the newest valid one"),
+    var("NKT_CKPT_DIR", PATH, "`<workspace>/results`", |c, v| path(&mut c.ckpt_dir, v),
+        "directory of checkpoint shards and manifests"),
+    var("NKT_MPI_DEADLINE_MS", POSITIVE, "none", |c, v| positive(v).map(|ms| c.recv_deadline = Some(Duration::from_millis(ms))),
+        "host-time cap on any single `recv`/`wait`; a rank that waits longer panics with every rank's blocking site"),
+    var("NKT_OVERLAP", FLAG, "on", |c, v| flag(v).map(|on| c.overlap = on),
+        "`fourier_dns`: pipeline the transpose exchanges against per-field FFT work (bitwise-neutral)"),
+    var("NKT_A2A_ALGO", ALGO, "`pairwise`", |c, v| algo(v).map(|a| c.a2a_algo = a),
+        "`fourier_dns`: alltoall algorithm of the blocking transpose"),
+    var("NKT_GRID", GRID, "`Px1` (slab)", |c, v| parse_grid(v).map(|g| c.grid = Some(g)),
+        "`fourier_dns`: 2-D pencil decomposition on a `PR x PC` process grid"),
+    var("NKT_GS_OVERLAP", FLAG, "on", |c, v| flag(v).map(|on| c.gs_overlap = on),
+        "`flapping_wing_ale`: overlap the gather-scatter halo exchange with interior elemental work (bitwise-neutral)"),
+    var("NKT_RANKS", POSITIVE, "4", |c, v| positive(v).map(|n| c.ranks = n as usize),
+        "`fourier_dns`: ranks of the virtual cluster"),
+    var("NKT_NZ", POSITIVE, "8", |c, v| positive(v).map(|n| c.nz = n as usize),
+        "`fourier_dns`: Fourier planes (even)"),
+    var("NKT_STEPS", COUNT, "3", |c, v| count(v).map(|n| c.steps = n),
+        "`fourier_dns`: time steps"),
+    var("NKT_INJECT_NAN", COUNT, "never", |c, v| count(v).map(|n| c.inject_nan = Some(n)),
+        "`fourier_dns`: poison rank 0's v-field after step `N` (watchdog demo)"),
+    var("NKT_SERVE_OUT", PATH, "`<workspace>/results/serve_farm`", |c, v| path(&mut c.serve_out, v),
+        "`serve_farm`: serve root"),
+    var("NKT_SERVE_MAX_WORLDS", POSITIVE, "2", |c, v| positive(v).map(|n| c.serve_max_worlds = n as usize),
+        "`serve_farm`: concurrently running worlds"),
+    var("NKT_PROP_SEED", FOREIGN, "per-test", |_, _| Some(()), "property tests: replay a reported failure"),
+    var("NKT_PROP_CASES", FOREIGN, "per-suite", |_, _| Some(()), "property tests: cases per property"),
+];
+
+/// Why the environment was rejected: `name` is not a row of [`VARS`], or
+/// `value` is not one its row accepts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    pub name: String,
+    pub value: String,
+    pub expected: &'static str,
+}
+
+/// [`ConfigError::expected`] of an unknown `NKT_*` name.
+pub const KNOWN_NAME: &str = "a name from README's \"Run configuration\" table";
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "config: {}={:?}: expected {}", self.name, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Everything a run reads from outside, typed. Fields are what the
+/// shell asked for; [`RunConfig::trace_mode`] and
+/// [`RunConfig::stats_every`] resolve the interactions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunConfig {
+    /// `NKT_TRACE` as requested (see [`RunConfig::trace_mode`]).
+    pub trace: TraceMode,
+    /// `NKT_TRACE=summary`.
+    pub summary: bool,
+    pub trace_dir: Option<PathBuf>,
+    pub prof: bool,
+    pub calib: bool,
+    /// `NKT_STATS` cadence; 0 = not asked for.
+    pub stats: u64,
+    pub health: bool,
+    pub ckpt_every: Option<usize>,
+    pub ckpt_dir: Option<PathBuf>,
+    pub recv_deadline: Option<Duration>,
+    pub overlap: bool,
+    pub a2a_algo: AlltoallAlgo,
+    pub grid: Option<(usize, usize)>,
+    pub gs_overlap: bool,
+    pub ranks: usize,
+    pub nz: usize,
+    pub steps: u64,
+    pub inject_nan: Option<u64>,
+    pub serve_out: Option<PathBuf>,
+    pub serve_max_worlds: usize,
+}
+
+impl Default for RunConfig {
+    fn default() -> RunConfig {
+        RunConfig {
+            trace: TraceMode::Off,
+            summary: false,
+            trace_dir: None,
+            prof: false,
+            calib: false,
+            stats: 0,
+            health: false,
+            ckpt_every: None,
+            ckpt_dir: None,
+            recv_deadline: None,
+            overlap: true,
+            a2a_algo: AlltoallAlgo::Pairwise,
+            grid: None,
+            gs_overlap: true,
+            ranks: 4,
+            nz: 8,
+            steps: 3,
+            inject_nan: None,
+            serve_out: None,
+            serve_max_worlds: 2,
+        }
+    }
+}
+
+impl RunConfig {
+    /// The process environment, parsed.
+    pub fn from_env() -> Result<RunConfig, ConfigError> {
+        RunConfig::parse(std::env::vars_os().map(|(k, v)| {
+            (k.to_string_lossy().into_owned(), v.to_string_lossy().into_owned())
+        }))
+    }
+
+    /// A binary's first line: [`RunConfig::from_env`], then the trace
+    /// part applied through [`crate::init`]. A rejected environment
+    /// prints the error and exits 2 before anything runs.
+    pub fn init_from_env() -> RunConfig {
+        let cfg = RunConfig::from_env().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        crate::init(&cfg);
+        cfg
+    }
+
+    /// Parses `(name, value)` pairs; names outside `NKT_*` are skipped.
+    pub fn parse(vars: impl Iterator<Item = (String, String)>) -> Result<RunConfig, ConfigError> {
+        let mut cfg = RunConfig::default();
+        for (name, raw) in vars.filter(|(name, _)| name.starts_with("NKT_")) {
+            let value = raw.trim();
+            let expected = match VARS.iter().find(|v| v.name == name) {
+                None => KNOWN_NAME,
+                Some(_) if value.is_empty() => continue,
+                Some(row) if (row.set)(&mut cfg, value).is_some() => continue,
+                Some(row) => row.expected,
+            };
+            return Err(ConfigError { name, value: value.to_string(), expected });
+        }
+        Ok(cfg)
+    }
+
+    /// The recording mode the run needs: the requested one, raised to
+    /// spans by `NKT_PROF` / `NKT_CALIB` (their inputs are spans) and to
+    /// counters by `NKT_STATS` / `NKT_HEALTH` (the per-rank
+    /// collective-invocation column).
+    pub fn trace_mode(&self) -> TraceMode {
+        let floor = if self.prof || self.calib {
+            TraceMode::Spans
+        } else if self.stats_every() > 0 {
+            TraceMode::Counters
+        } else {
+            TraceMode::Off
+        };
+        self.trace.max(floor)
+    }
+
+    /// Sampling cadence in steps, 0 = none: `NKT_STATS`, or every step
+    /// when only the watchdog is on (rules run at sample points).
+    pub fn stats_every(&self) -> u64 {
+        if self.stats > 0 {
+            self.stats
+        } else {
+            u64::from(self.health)
+        }
+    }
+
+    /// `NKT_CKPT_DIR`, defaulting to the workspace `results/`.
+    pub fn ckpt_dir(&self) -> PathBuf {
+        self.ckpt_dir.clone().unwrap_or_else(crate::results_dir)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(pairs: &[(&str, &str)]) -> Result<RunConfig, ConfigError> {
+        RunConfig::parse(pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())))
+    }
+
+    fn with(name: &str, value: &str) -> RunConfig {
+        parse(&[(name, value)]).unwrap_or_else(|e| panic!("{name}={value:?} rejected: {e}"))
+    }
+
+    /// What a spelling must leave in the config.
+    type Holds = Box<dyn Fn(&RunConfig) -> bool>;
+    /// Per row: accepted spellings and one malformed value.
+    type Row = (&'static str, Vec<(&'static str, Holds)>, &'static str);
+
+    fn rows() -> Vec<Row> {
+        fn ok(f: impl Fn(&RunConfig) -> bool + 'static) -> Holds {
+            Box::new(f)
+        }
+        fn flag(get: fn(&RunConfig) -> bool) -> Vec<(&'static str, Holds)> {
+            let mut v = Vec::new();
+            for on in ["1", "on", "true", " ON ", "True"] {
+                v.push((on, ok(get)));
+            }
+            for off in ["0", "off", "false", "OFF", " False"] {
+                v.push((off, ok(move |c| !get(c))));
+            }
+            v
+        }
+        vec![
+            (
+                "NKT_TRACE",
+                vec![
+                    ("off", ok(|c| c.trace == TraceMode::Off && !c.summary)),
+                    ("0", ok(|c| c.trace == TraceMode::Off)),
+                    ("counters", ok(|c| c.trace == TraceMode::Counters)),
+                    ("spans", ok(|c| c.trace == TraceMode::Spans && !c.summary)),
+                    ("SPANS", ok(|c| c.trace == TraceMode::Spans)),
+                    ("on", ok(|c| c.trace == TraceMode::Spans)),
+                    ("1", ok(|c| c.trace == TraceMode::Spans)),
+                    ("summary", ok(|c| c.trace == TraceMode::Spans && c.summary)),
+                ],
+                "span",
+            ),
+            ("NKT_TRACE_DIR", vec![("/tmp/t", ok(|c| c.trace_dir == Some("/tmp/t".into())))], ""),
+            ("NKT_PROF", flag(|c| c.prof), "yes"),
+            ("NKT_CALIB", flag(|c| c.calib), "2"),
+            (
+                "NKT_STATS",
+                vec![
+                    ("1", ok(|c| c.stats == 1)),
+                    ("on", ok(|c| c.stats == 1)),
+                    ("true", ok(|c| c.stats == 1)),
+                    ("5", ok(|c| c.stats == 5)),
+                    ("0", ok(|c| c.stats == 0)),
+                    ("off", ok(|c| c.stats == 0)),
+                ],
+                "every2",
+            ),
+            ("NKT_HEALTH", flag(|c| c.health), "enabled"),
+            (
+                "NKT_CKPT_EVERY",
+                vec![("2", ok(|c| c.ckpt_every == Some(2))), ("0", ok(|c| c.ckpt_every.is_none()))],
+                "2.0",
+            ),
+            ("NKT_CKPT_DIR", vec![("ck", ok(|c| c.ckpt_dir() == std::path::Path::new("ck")))], ""),
+            (
+                "NKT_MPI_DEADLINE_MS",
+                vec![("5000", ok(|c| c.recv_deadline == Some(Duration::from_secs(5))))],
+                "5s",
+            ),
+            ("NKT_OVERLAP", flag(|c| c.overlap), "no"),
+            (
+                "NKT_A2A_ALGO",
+                vec![
+                    ("pairwise", ok(|c| c.a2a_algo == AlltoallAlgo::Pairwise)),
+                    ("Ring", ok(|c| c.a2a_algo == AlltoallAlgo::Ring)),
+                    ("bruck", ok(|c| c.a2a_algo == AlltoallAlgo::Bruck)),
+                ],
+                "brucks",
+            ),
+            (
+                "NKT_GRID",
+                vec![
+                    ("4x2", ok(|c| c.grid == Some((4, 2)))),
+                    ("1X8", ok(|c| c.grid == Some((1, 8)))),
+                    (" 2 x 3 ", ok(|c| c.grid == Some((2, 3)))),
+                ],
+                "4x0",
+            ),
+            ("NKT_GS_OVERLAP", flag(|c| c.gs_overlap), "blocking"),
+            ("NKT_RANKS", vec![("8", ok(|c| c.ranks == 8))], "four"),
+            ("NKT_NZ", vec![("16", ok(|c| c.nz == 16))], "0"),
+            ("NKT_STEPS", vec![("10", ok(|c| c.steps == 10)), ("0", ok(|c| c.steps == 0))], "1e1"),
+            ("NKT_INJECT_NAN", vec![("2", ok(|c| c.inject_nan == Some(2)))], "-1"),
+            ("NKT_SERVE_OUT", vec![("/tmp/s", ok(|c| c.serve_out == Some("/tmp/s".into())))], ""),
+            ("NKT_SERVE_MAX_WORLDS", vec![("1", ok(|c| c.serve_max_worlds == 1))], "0"),
+            ("NKT_PROP_SEED", vec![("42", ok(|c| *c == RunConfig::default()))], ""),
+            ("NKT_PROP_CASES", vec![("1000", ok(|c| *c == RunConfig::default()))], ""),
+        ]
+    }
+
+    #[test]
+    fn every_row_parses_its_spellings_and_rejects_a_malformed_value() {
+        let rows = rows();
+        assert_eq!(
+            rows.iter().map(|r| r.0).collect::<Vec<_>>(),
+            VARS.iter().map(|v| v.name).collect::<Vec<_>>(),
+            "one test row per table row, in table order"
+        );
+        for (name, accepted, malformed) in rows {
+            for (spelling, holds) in accepted {
+                assert!(holds(&with(name, spelling)), "{name}={spelling:?} parsed to the wrong value");
+            }
+            assert_eq!(with(name, "  "), RunConfig::default(), "{name}: empty means unset");
+            // Paths and the foreign names accept any non-empty text.
+            if malformed.is_empty() {
+                continue;
+            }
+            let err = parse(&[(name, malformed)]).expect_err("malformed value accepted");
+            assert_ne!(err.expected, KNOWN_NAME, "{err:?}");
+            let text = err.to_string();
+            assert!(text.contains(name) && text.contains(malformed), "{text}");
+            assert!(!text.contains('\n'), "one line: {text}");
+        }
+    }
+
+    #[test]
+    fn unknown_nkt_names_error_and_other_variables_are_skipped() {
+        let err = parse(&[("NKT_STATTS", "1")]).expect_err("typo accepted");
+        assert_eq!(
+            err,
+            ConfigError { name: "NKT_STATTS".into(), value: "1".into(), expected: KNOWN_NAME }
+        );
+        let text = err.to_string();
+        assert!(text.contains("NKT_STATTS") && text.contains('1'), "{text}");
+        let cfg = parse(&[("NKT_PROP_CASES", "1000"), ("PATH", "/bin"), ("NKTX", "?"), ("nkt_prof", "1")]);
+        assert_eq!(cfg, Ok(RunConfig::default()));
+    }
+
+    #[test]
+    fn defaults_are_the_ones_every_reader_had() {
+        let c = parse(&[]).unwrap();
+        assert!(c.overlap && c.gs_overlap);
+        assert_eq!((c.a2a_algo, c.grid), (AlltoallAlgo::Pairwise, None));
+        assert_eq!((c.ranks, c.nz, c.steps, c.inject_nan), (4, 8, 3, None));
+        assert_eq!((c.ckpt_every, c.ckpt_dir()), (None, crate::results_dir()));
+        assert_eq!((c.trace_mode(), c.summary, c.trace_dir.clone()), (TraceMode::Off, false, None));
+        assert!(!c.prof && !c.calib && !c.health);
+        assert_eq!((c.stats, c.stats_every(), c.recv_deadline), (0, 0, None));
+        assert_eq!((c.serve_out.clone(), c.serve_max_worlds), (None, 2));
+    }
+
+    #[test]
+    fn trace_mode_is_the_request_raised_by_the_observers() {
+        // What `prof::prepare`, `calib::prepare` and `stats::prepare`
+        // armed one after the other, over every combination.
+        for (trace, requested) in [
+            ("off", TraceMode::Off),
+            ("counters", TraceMode::Counters),
+            ("spans", TraceMode::Spans),
+            ("summary", TraceMode::Spans),
+        ] {
+            for bits in 0..16u32 {
+                let on = |b: u32| if bits & (1 << b) != 0 { "1" } else { "0" };
+                let c = parse(&[
+                    ("NKT_TRACE", trace),
+                    ("NKT_PROF", on(0)),
+                    ("NKT_CALIB", on(1)),
+                    ("NKT_STATS", on(2)),
+                    ("NKT_HEALTH", on(3)),
+                ])
+                .unwrap();
+                let mut want = requested;
+                if c.prof || c.calib {
+                    want = want.max(TraceMode::Spans);
+                }
+                if c.stats > 0 || c.health {
+                    want = want.max(TraceMode::Counters);
+                }
+                assert_eq!(c.trace_mode(), want, "NKT_TRACE={trace} bits {bits:04b}");
+                assert_eq!(c.stats_every(), u64::from(c.stats > 0 || c.health));
+                assert_eq!(c.summary, trace == "summary");
+            }
+        }
+        assert_eq!(parse(&[("NKT_STATS", "4"), ("NKT_HEALTH", "1")]).unwrap().stats_every(), 4);
+    }
+
+    #[test]
+    fn readme_table_is_the_name_table() {
+        let readme = include_str!("../../../README.md");
+        for v in VARS {
+            let row = format!("| `{}` | {} | {} | {} |", v.name, v.expected, v.default, v.doc);
+            assert!(readme.contains(&row), "README \"Run configuration\" lacks the row:\n{row}");
+        }
+        // A second variable table would be a second place to go stale.
+        let is_name = |n: &str| n.bytes().all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_');
+        let rows = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `NKT_")?.split_once('`'))
+            .filter(|(name, _)| is_name(name))
+            .count();
+        assert_eq!(rows, VARS.len(), "README has a variable row the table does not");
+    }
+}

@@ -354,15 +354,14 @@ pub fn json_f64_exact(x: f64) -> String {
 
 /// The directory trace artifacts go to: the per-thread override from
 /// [`crate::set_thread_dir`], else the process-wide override from
-/// [`crate::set_dir`], else `NKT_TRACE_DIR`, else [`results_dir`]. The
-/// flight recorder and `nkt-stats` write next to the trace dump through
-/// this, so one knob redirects every observability artifact of a run —
-/// and the thread-level layer lets concurrent worlds each have their
-/// own without env-var races.
+/// [`crate::set_dir`] (where [`crate::init`] puts `NKT_TRACE_DIR`), else
+/// [`results_dir`]. The flight recorder and `nkt-stats` write next to
+/// the trace dump through this, so one knob redirects every
+/// observability artifact of a run — and the thread-level layer lets
+/// concurrent worlds each have their own.
 pub fn out_dir() -> PathBuf {
     crate::thread_dir()
         .or_else(crate::dir_override)
-        .or_else(|| std::env::var("NKT_TRACE_DIR").ok().map(PathBuf::from))
         .unwrap_or_else(results_dir)
 }
 

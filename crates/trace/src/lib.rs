@@ -20,26 +20,24 @@
 //!   paper-scale simulated runs produce the same timeline format as
 //!   native runs.
 //! * **Off-path cost**: every recording entry point starts with a single
-//!   relaxed atomic load of the global mode ([`mode`]). With
-//!   `NKT_TRACE=off` (the default) nothing else happens — bench numbers
-//!   are unaffected.
+//!   relaxed atomic load of the global mode ([`mode`]). With the mode
+//!   `Off` (the default) nothing else happens — bench numbers are
+//!   unaffected.
 //!
 //! ## Configuration
 //!
-//! | env var         | values                   | effect                          |
-//! |-----------------|--------------------------|---------------------------------|
-//! | `NKT_TRACE`     | `off` \| `counters` \| `spans` \| `summary` | recording mode (default `off`) |
-//! | `NKT_TRACE_DIR` | directory path           | where `TRACE_<run>.json` lands (default `<workspace>/results`) |
+//! [`config`] is the workspace's one reader of the environment: a binary
+//! parses it once into a [`config::RunConfig`] and applies the trace part
+//! — recording mode, summary flag, output directory — through [`init`].
+//! Those three stay process-wide switches because the hot path reads
+//! them; the mode is `Off` until [`init`] or [`set_mode`].
 //!
 //! `summary` records spans like `spans` but [`export`] prints a one-line
 //! per-stage host/virtual digest instead of writing `TRACE_<run>.json`.
 //! The flag lives outside the mode byte and is only consulted at export
 //! time, so the recording off-path stays a single relaxed atomic load.
-//!
-//! The mode is latched from the environment on first use; embedders and
-//! tests can override it programmatically via [`set_mode`] /
-//! [`init`].
 
+pub mod config;
 pub mod export;
 pub mod flight;
 pub mod gate;
@@ -75,82 +73,21 @@ pub enum TraceMode {
     Spans,
 }
 
-/// Trace configuration (the programmatic twin of the env knobs).
-#[derive(Debug, Clone, Default)]
-pub struct TraceConfig {
-    /// Recording mode.
-    pub mode: Option<TraceMode>,
-    /// Output directory for `TRACE_<run>.json` (None = `NKT_TRACE_DIR`
-    /// env, falling back to `<workspace>/results`).
-    pub dir: Option<PathBuf>,
-    /// `NKT_TRACE=summary`: record spans, but [`export`] prints a
-    /// per-stage digest instead of writing the full JSON timeline.
-    pub summary: bool,
-}
-
-impl TraceConfig {
-    /// Reads `NKT_TRACE` and `NKT_TRACE_DIR`.
-    pub fn from_env() -> TraceConfig {
-        let raw = std::env::var("NKT_TRACE").ok();
-        TraceConfig {
-            mode: raw.as_deref().map(parse_mode),
-            dir: std::env::var("NKT_TRACE_DIR").ok().map(PathBuf::from),
-            summary: raw
-                .as_deref()
-                .is_some_and(|v| v.trim().eq_ignore_ascii_case("summary")),
-        }
-    }
-}
-
-fn parse_mode(v: &str) -> TraceMode {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "counters" => TraceMode::Counters,
-        // `summary` needs the same span stream; only the export-time
-        // rendering differs (see TraceConfig::summary).
-        "spans" | "on" | "1" | "summary" => TraceMode::Spans,
-        _ => TraceMode::Off,
-    }
-}
-
-const MODE_UNINIT: u8 = u8::MAX;
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
+static MODE: AtomicU8 = AtomicU8::new(TraceMode::Off as u8);
 static DIR_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
 /// Separate from the mode byte on purpose: recording call sites consult
 /// only [`MODE`] (one relaxed load on the off-path); this flag is read
 /// exclusively on the cold export path.
 static SUMMARY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
-/// Current recording mode. One relaxed atomic load on the fast path; the
-/// first call latches the mode from `NKT_TRACE`.
+/// Current recording mode: one relaxed atomic load. `Off` until
+/// [`init`] or [`set_mode`].
 #[inline]
 pub fn mode() -> TraceMode {
     match MODE.load(Ordering::Relaxed) {
         0 => TraceMode::Off,
         1 => TraceMode::Counters,
-        2 => TraceMode::Spans,
-        _ => init_mode_from_env(),
-    }
-}
-
-#[cold]
-fn init_mode_from_env() -> TraceMode {
-    let cfg = TraceConfig::from_env();
-    if cfg.summary {
-        SUMMARY.store(true, Ordering::Relaxed);
-    }
-    let m = cfg.mode.unwrap_or(TraceMode::Off);
-    // A racing thread may have latched first; either wrote the same
-    // env-derived value or an explicit set_mode, which wins.
-    let _ = MODE.compare_exchange(
-        MODE_UNINIT,
-        m as u8,
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
-    match MODE.load(Ordering::Relaxed) {
-        1 => TraceMode::Counters,
-        2 => TraceMode::Spans,
-        _ => TraceMode::Off,
+        _ => TraceMode::Spans,
     }
 }
 
@@ -159,8 +96,8 @@ pub fn set_mode(m: TraceMode) {
     MODE.store(m as u8, Ordering::Relaxed);
 }
 
-/// Whether `NKT_TRACE=summary` digest rendering is armed (see
-/// [`TraceConfig::summary`]). Only consulted at export time.
+/// Whether `NKT_TRACE=summary` digest rendering is armed. Only
+/// consulted at export time.
 pub fn summary_enabled() -> bool {
     SUMMARY.load(Ordering::Relaxed)
 }
@@ -170,7 +107,7 @@ pub fn set_summary(on: bool) {
     SUMMARY.store(on, Ordering::Relaxed);
 }
 
-/// Overrides the export directory (None restores env/default resolution).
+/// Overrides the export directory (None restores the default).
 pub fn set_dir(dir: Option<PathBuf>) {
     *DIR_OVERRIDE.lock().unwrap() = dir;
 }
@@ -185,7 +122,7 @@ thread_local! {
 }
 
 /// Overrides the output directory for *this thread only* — it takes
-/// precedence over [`set_dir`] and the env vars in [`out_dir`]. This is
+/// precedence over [`set_dir`] in [`out_dir`]. This is
 /// how concurrent per-job worlds route their artifacts (STATS, flight
 /// dumps, checkpoints resolved through [`out_dir`]) into per-job
 /// directories without racing on process-global state; `None` restores
@@ -198,32 +135,17 @@ pub(crate) fn thread_dir() -> Option<PathBuf> {
     THREAD_DIR.with(|d| d.borrow().clone())
 }
 
-/// Applies a [`TraceConfig`]: unset fields keep the current behaviour.
-pub fn init(cfg: TraceConfig) {
-    if let Some(m) = cfg.mode {
-        set_mode(m);
-    }
-    if cfg.summary {
-        set_summary(true);
-    }
-    if cfg.dir.is_some() {
-        set_dir(cfg.dir);
-    }
+/// Applies the trace part of a parsed configuration: recording mode
+/// ([`config::RunConfig::trace_mode`]), summary flag, output directory.
+pub fn init(cfg: &config::RunConfig) {
+    set_mode(cfg.trace_mode());
+    set_summary(cfg.summary);
+    set_dir(cfg.trace_dir.clone());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(parse_mode("off"), TraceMode::Off);
-        assert_eq!(parse_mode("counters"), TraceMode::Counters);
-        assert_eq!(parse_mode("spans"), TraceMode::Spans);
-        assert_eq!(parse_mode("SPANS"), TraceMode::Spans);
-        assert_eq!(parse_mode("summary"), TraceMode::Spans);
-        assert_eq!(parse_mode("garbage"), TraceMode::Off);
-    }
 
     #[test]
     fn mode_ordering_reflects_detail() {
@@ -250,7 +172,7 @@ mod tests {
 
     #[test]
     fn init_applies_summary_flag() {
-        init(TraceConfig { mode: None, dir: None, summary: true });
+        init(&config::RunConfig { summary: true, ..Default::default() });
         assert!(summary_enabled());
         set_summary(false);
     }

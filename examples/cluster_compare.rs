@@ -10,6 +10,7 @@ use nektar_repro::machine::{machine, Kernel, MachineId};
 use nektar_repro::net::{cluster, NetId};
 
 fn main() {
+    nkt_trace::config::RunConfig::init_from_env();
     println!("== Kernel level: modeled BLAS rates (paper Figures 1-6) ==\n");
     let ids = [
         MachineId::Muses,

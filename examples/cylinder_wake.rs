@@ -27,6 +27,7 @@ use nektar_repro::nektar::drive::{cases, drive, Hook, Serial};
 use nektar_repro::nektar::serial2d::Serial2dSolver;
 use nektar_repro::nektar::timers::{Stage, StageClock};
 use nektar_repro::observe;
+use nektar_repro::trace::config::RunConfig;
 
 /// Prints the energy and divergence every fifth step, and keeps the
 /// stage clock as it stood after the start-up step.
@@ -55,8 +56,9 @@ fn main() {
     // where); on startup the newest valid epoch, if any, is resumed. The
     // stats recorder rides in the same tandem shard, so the series
     // survives a restart bitwise.
-    let plan = observe::plan("cylinder_wake", 10);
-    if nektar_repro::prof::enabled() || nektar_repro::calib::enabled() {
+    let cfg = RunConfig::init_from_env();
+    let plan = observe::plan(&cfg, "cylinder_wake", 10);
+    if cfg.prof || cfg.calib {
         // The serial solver runs on the main thread; tag it as rank 0 so
         // its stage spans land on a profiled timeline.
         nektar_repro::trace::set_thread_meta("serial".to_string(), Some(0));
@@ -101,5 +103,5 @@ fn main() {
         "\nmatrix inversions take {solves:.0}% of a steady step (paper, 902 elements \
          at order 8: \"the matrix inversions account for 60% of the total CPU time\")"
     );
-    observe::finish("cylinder_wake");
+    observe::finish(&cfg, "cylinder_wake");
 }

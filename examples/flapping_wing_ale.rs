@@ -22,25 +22,26 @@
 //! `1 − 6/V^{1/3}` estimate.
 
 use nektar_repro::ckpt::Checkpointable;
-use nektar_repro::mpi::prelude::*;
 use nektar_repro::nektar::drive::{cases, drive, DriveError};
 use nektar_repro::net::{cluster, NetId};
 use nektar_repro::observe;
+use nektar_repro::trace::config::RunConfig;
 
 fn main() {
     // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; the ALE
     // restore additionally rebuilds the moving-mesh operators. The
     // stats recorder rides in the same tandem shard.
-    let plan = observe::plan("flapping_wing_ale", 2);
+    let cfg = RunConfig::init_from_env();
+    let plan = observe::plan(&cfg, "flapping_wing_ale", 2);
     let p = 4;
-    let case = cases::wing(p);
+    let case = cases::WingCase { gs_overlap: cfg.gs_overlap, ..cases::wing(p) };
     println!(
         "flapping-wing domain 10x5x5, {} hex elements (paper: 15,870 at order 4)",
         case.mesh.nelems()
     );
     println!("METIS-substitute partition over {p} ranks: edge cut {}", case.edge_cut);
 
-    let out = World::from_env().ranks(p).net(cluster(NetId::RoadRunnerMyr)).run(|c| {
+    let out = observe::world(&cfg).ranks(p).net(cluster(NetId::RoadRunnerMyr)).run(|c| {
         let mut solver = case.build(c);
         let out = drive(&mut solver, c, &plan, &mut ())?;
         if c.rank() == 0 {
@@ -77,5 +78,5 @@ fn main() {
     println!("    a (steps 1-4,6)      {a:>5.1}%");
     println!("    b (pressure solve)   {b:>5.1}%");
     println!("    c (Helmholtz solves) {cgrp:>5.1}%");
-    observe::finish("flapping_wing_ale");
+    observe::finish(&cfg, "flapping_wing_ale");
 }

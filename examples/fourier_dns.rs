@@ -34,15 +34,17 @@
 //! pencil decomposition instead of the slab — e.g. `NKT_RANKS=8
 //! NKT_GRID=4x2` runs 8 ranks where the slab would need nz >= 16.
 //! Pencil runs suffix the profile/stats name with the grid so slab
-//! baselines stay untouched.
+//! baselines stay untouched. `NKT_OVERLAP=0` runs the blocking
+//! transpose, whose alltoall `NKT_A2A_ALGO` picks. A misspelt name or
+//! value exits 2 before any world is built (README "Run configuration").
 
 use nektar_repro::ckpt::Checkpointable;
-use nektar_repro::mpi::prelude::*;
 use nektar_repro::nektar::drive::{cases, drive, DriveError, Hook};
 use nektar_repro::nektar::fourier::NektarF;
 use nektar_repro::nektar::timers::{Stage, StageClock};
 use nektar_repro::net::{cluster, NetId};
 use nektar_repro::observe;
+use nektar_repro::trace::config::RunConfig;
 
 type RunOutcome = (f64, StageClock, f64, f64, u64, (&'static str, (usize, usize)));
 
@@ -58,14 +60,8 @@ impl Hook<NektarF> for InjectNan {
 }
 
 fn main() {
-    let env_usize = |key: &str, default: usize| {
-        std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let p = env_usize("NKT_RANKS", 4);
-    let nsteps = env_usize("NKT_STEPS", 3);
-    let inject_nan: Option<u64> =
-        std::env::var("NKT_INJECT_NAN").ok().and_then(|v| v.parse().ok());
-    let nz = env_usize("NKT_NZ", 8);
+    let cfg = RunConfig::init_from_env();
+    let (p, nsteps) = (cfg.ranks, cfg.steps);
 
     for net_id in [NetId::RoadRunnerMyr, NetId::RoadRunnerEth] {
         let net = cluster(net_id);
@@ -73,20 +69,20 @@ fn main() {
         // The run name keys every artifact of this configuration: the
         // profile, the STATS series, the flight-recorder dumps.
         let mut run_name = format!("fourier_dns_{}", nektar_repro::prof::slug(name));
-        if let Ok(grid) = std::env::var("NKT_GRID") {
-            if grid.split('x').nth(1).is_some_and(|pc| pc != "1") {
-                run_name.push_str(&format!("_grid{grid}"));
-            }
+        if let Some((pr, pc)) = cfg.grid.filter(|&(_, pc)| pc != 1) {
+            run_name.push_str(&format!("_grid{pr}x{pc}"));
         }
         // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; a
         // restart of this example resumes from the newest one. The
         // stats recorder rides in the same tandem shard, so the series
         // survives the cut bitwise.
-        let plan = observe::plan(&run_name, nsteps as u64);
-        let world = World::from_env().ranks(p).net(net);
+        let plan = observe::plan(&cfg, &run_name, nsteps);
+        let world = observe::world(&cfg).ranks(p).net(net);
         let out: Vec<Result<RunOutcome, DriveError>> = world.run(|c| {
-            let mut solver = cases::fourier(c, nz, None)?;
-            let mut hook = InjectNan(inject_nan.filter(|_| c.rank() == 0));
+            let mut solver = cases::fourier(c, cfg.nz, cfg.grid)?;
+            solver.set_overlap(cfg.overlap);
+            solver.set_alltoall_algo(cfg.a2a_algo);
+            let mut hook = InjectNan(cfg.inject_nan.filter(|_| c.rank() == 0));
             let out = drive(&mut solver, c, &plan, &mut hook)?;
             if c.rank() == 0 {
                 observe::report(&run_name, &out);
@@ -128,7 +124,7 @@ fn main() {
             pct[Stage::PressureSolve.index()] + pct[Stage::ViscousSolve.index()]
         );
         println!();
-        if let Some(prof) = observe::finish(&run_name) {
+        if let Some(prof) = observe::finish(&cfg, &run_name) {
             // Self-check: the profile's per-stage attributed times must
             // agree with the solvers' own StageClock ledgers (merged
             // over ranks) — the same 1% contract the trace smoke keeps.

@@ -20,6 +20,7 @@ use nkt_mesh::BoundaryTag;
 use nkt_trace::json::{parse, Value};
 
 fn main() {
+    nkt_trace::config::RunConfig::init_from_env();
     poisson_refinement();
     traced_stepping();
 }

@@ -19,13 +19,15 @@ use nektar_repro::mpi::prelude::*;
 use nektar_repro::nektar::drive::cases;
 use nektar_repro::nektar::fourier::NektarF;
 use nektar_repro::net::{cluster, NetId};
+use nektar_repro::observe;
+use nektar_repro::trace::config::RunConfig;
 
 const P: usize = 2;
 const NSTEPS: usize = 6;
 const KILL_AT: usize = 5;
 
-fn world() -> WorldBuilder {
-    World::from_env().ranks(P).net(cluster(NetId::RoadRunnerMyr))
+fn world(cfg: &RunConfig) -> WorldBuilder {
+    observe::world(cfg).ranks(P).net(cluster(NetId::RoadRunnerMyr))
 }
 
 fn fresh_solver(c: &mut Comm) -> NektarF {
@@ -37,8 +39,8 @@ fn fresh_solver(c: &mut Comm) -> NektarF {
 type RankLog = (Vec<(usize, u64)>, u64);
 
 /// Uninterrupted reference: step 1..=NSTEPS, hash after each.
-fn reference_run() -> Vec<RankLog> {
-    world().run(|c| {
+fn reference_run(cfg: &RunConfig) -> Vec<RankLog> {
+    world(cfg).run(|c| {
         let mut s = fresh_solver(c);
         let mut hashes = Vec::new();
         for step in 1..=NSTEPS {
@@ -51,13 +53,13 @@ fn reference_run() -> Vec<RankLog> {
 
 /// Interrupted run: checkpoints on the configured cadence, rank 1 panics
 /// after step KILL_AT. Returns the panic payload message.
-fn interrupted_run(ckpt: &CkptConfig) -> String {
+fn interrupted_run(cfg: &RunConfig, ckpt: &CkptConfig) -> String {
     let prev_hook = std::panic::take_hook();
     // The injected panic (and the peer ranks it poisons) would spray
     // backtraces over the demo output; silence the hook for this phase.
     std::panic::set_hook(Box::new(|_| {}));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        world().run(|c| {
+        world(cfg).run(|c| {
             let mut s = fresh_solver(c);
             for step in 1..=NSTEPS {
                 s.step(c);
@@ -82,8 +84,8 @@ fn interrupted_run(ckpt: &CkptConfig) -> String {
 
 /// Restore from the newest valid epoch and continue to NSTEPS, hashing
 /// each step.
-fn restored_run(ckpt: &CkptConfig) -> Vec<(RankLog, u64, bool)> {
-    world().run(|c| {
+fn restored_run(cfg: &RunConfig, ckpt: &CkptConfig) -> Vec<(RankLog, u64, bool)> {
+    world(cfg).run(|c| {
         let mut s = fresh_solver(c);
         let info = nektar_repro::ckpt::restore_latest(c, ckpt, &mut s)
             .expect("restore from checkpoint");
@@ -127,22 +129,23 @@ fn clear(ckpt: &CkptConfig) {
 fn main() {
     // Cadence and directory come from NKT_CKPT_EVERY / NKT_CKPT_DIR like
     // every other run; the drill needs *some* cadence, so default to 2.
-    let mut ckpt = CkptConfig::from_env("restart_dns");
-    let every = *ckpt.every.get_or_insert(2);
+    let cfg = RunConfig::init_from_env();
+    let every = cfg.ckpt_every.unwrap_or(2);
+    let ckpt = CkptConfig::new(cfg.ckpt_dir(), "restart_dns", Some(every));
     clear(&ckpt);
 
     println!("== restart_dns: {P} ranks, {NSTEPS} steps, checkpoint every {every} ==");
     println!("   checkpoint dir: {}", ckpt.dir.display());
 
     println!("\n[1/4] uninterrupted reference run");
-    let reference = reference_run();
+    let reference = reference_run(&cfg);
 
     println!("[2/4] interrupted run: rank 1 dies after step {KILL_AT}");
-    let msg = interrupted_run(&ckpt);
+    let msg = interrupted_run(&cfg, &ckpt);
     println!("      run aborted as intended: {msg}");
 
     println!("[3/4] restore + continue");
-    let restarted = restored_run(&ckpt);
+    let restarted = restored_run(&cfg, &ckpt);
     let epoch = restarted[0].1;
     assert!(!restarted[0].2, "newest epoch must be valid before corruption");
     check_against_reference(&reference, &restarted);
@@ -157,7 +160,7 @@ fn main() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&victim, &bytes).expect("rewrite victim shard");
-    let fallback = restored_run(&ckpt);
+    let fallback = restored_run(&cfg, &ckpt);
     let fb_epoch = fallback[0].1;
     assert!(fallback[0].2, "restore must report falling back past the corrupt epoch");
     assert!(fb_epoch < epoch, "fallback epoch {fb_epoch} must predate corrupt epoch {epoch}");

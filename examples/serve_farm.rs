@@ -15,11 +15,12 @@
 //! ```sh
 //! cargo run --release --example serve_farm
 //! # optional: NKT_SERVE_OUT=/somewhere NKT_SERVE_MAX_WORLDS=2
-//! #           NKT_TRACE=spans NKT_PROF=1 for per-job TRACE_/PROF_ artifacts
+//! #           NKT_TRACE=spans for per-job TRACE_ artifacts, NKT_PROF=1
+//! #           for TRACE_ and PROF_ (a profile is built from spans)
 //! ```
 
-use nektar_repro::serve::{parse_jobs, serve, JobReport, ServeConfig};
-use std::path::PathBuf;
+use nektar_repro::serve::{parse_jobs, serve_with, JobOpts, JobReport, ServeConfig};
+use nektar_repro::trace::config::RunConfig;
 use std::process::ExitCode;
 
 /// The submitted batch, in the on-disk job-file format (schema
@@ -41,37 +42,26 @@ const JOB_FILE: &str = r#"{
   ]
 }"#;
 
-fn out_root() -> PathBuf {
-    std::env::var("NKT_SERVE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| nkt_trace::results_dir().join("serve_farm"))
-}
-
-fn max_worlds() -> usize {
-    std::env::var("NKT_SERVE_MAX_WORLDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
 fn stats_bytes(r: &JobReport) -> Option<Vec<u8>> {
     std::fs::read(r.dir.join(format!("STATS_{}.json", r.name))).ok()
 }
 
 fn main() -> ExitCode {
-    let root = out_root();
+    let cfg = RunConfig::init_from_env();
+    let root =
+        cfg.serve_out.clone().unwrap_or_else(|| nkt_trace::results_dir().join("serve_farm"));
+    let max_worlds = cfg.serve_max_worlds;
+    let opts =
+        JobOpts { profile: cfg.prof, health: cfg.health, recv_deadline: cfg.recv_deadline };
     let jobs = parse_jobs(JOB_FILE).expect("job file parses");
-    println!("=== serve_farm: {} jobs, {} world slots ===", jobs.len(), max_worlds());
+    println!("=== serve_farm: {} jobs, {} world slots ===", jobs.len(), max_worlds);
     println!("root: {}\n", root.display());
 
     // --- The contended farm (with its scheduler timeline on disk). ---
-    let farm = serve(
+    let farm = serve_with(
         jobs.clone(),
-        &ServeConfig {
-            root: root.join("farm"),
-            max_worlds: max_worlds(),
-            events: Some("farm".into()),
-        },
+        &ServeConfig { root: root.join("farm"), max_worlds, events: Some("farm".into()) },
+        opts,
     )
     .expect("farm serve");
     println!(
@@ -114,7 +104,7 @@ fn main() -> ExitCode {
             failures += 1;
         }
     }
-    if max_worlds() == 2 && farm.preemptions == 0 {
+    if max_worlds == 2 && farm.preemptions == 0 {
         eprintln!("FAIL: the wing job should have preempted a slot holder");
         failures += 1;
     }
@@ -122,9 +112,10 @@ fn main() -> ExitCode {
     // --- Solo reruns: each job alone, then byte-compare. ---
     println!("\nsolo reruns (no contention):");
     for (i, job) in jobs.iter().enumerate() {
-        let solo = serve(
+        let solo = serve_with(
             vec![job.clone()],
             &ServeConfig { root: root.join("solo"), max_worlds: 1, events: None },
+            opts,
         )
         .expect("solo serve");
         let (s, f) = (&solo.jobs[0], &farm.jobs[i]);

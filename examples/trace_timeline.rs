@@ -15,6 +15,7 @@ use nektar_repro::nektar::timers::Stage;
 use nkt_trace::json::{parse, Value};
 
 fn main() {
+    nkt_trace::config::RunConfig::init_from_env();
     let path = std::env::args()
         .nth(1)
         .map(std::path::PathBuf::from)

@@ -45,6 +45,19 @@ if [[ "$overlap_on" != "$overlap_off" ]]; then
     exit 1
 fi
 
+# A value outside the flag dialect is an error, not a run with the
+# default: the example exits nonzero and names the variable on stderr
+# before any world is built.
+if overlap_err="$(NKT_OVERLAP=blocking cargo run --release --offline --example fourier_dns 2>&1 > /dev/null)"; then
+    echo "FAIL: NKT_OVERLAP=blocking was accepted" >&2
+    exit 1
+fi
+if ! grep -q 'NKT_OVERLAP' <<< "$overlap_err"; then
+    echo "FAIL: the rejected NKT_OVERLAP is not named on stderr:" >&2
+    echo "$overlap_err" >&2
+    exit 1
+fi
+
 echo "== gs smoke (NKT_GS_OVERLAP=1 vs 0: identical state, split-phase spans) =="
 # The split-phase gather-scatter must be a pure scheduling change: the
 # ALE example prints a folded per-rank FNV state hash that cannot depend
@@ -355,6 +368,24 @@ echo "== one solve shape (BandedSolve items come from the recorder helper, the m
 if grep -rn 'WorkItem::BandedSolve {' crates/core/src \
     | grep -v '^crates/core/src/\(opstream\|workload\|replay\)\.rs:'; then
     echo "FAIL: BandedSolve constructed outside opstream.rs / workload.rs / replay.rs (lines above)" >&2
+    exit 1
+fi
+
+echo "== one configuration in (the environment is read in nkt_trace::config and nowhere else) =="
+# Every NKT_* variable is a row of config.rs's name table, parsed once at
+# a binary's entry into a RunConfig and handed down; a second reader is a
+# second dialect and a hidden input to a "deterministic" run. Allowed:
+# config.rs itself, nkt-testkit's two property-test knobs, and
+# results_dir()'s CARGO_MANIFEST_DIR.
+if grep -rn 'env::var' crates src examples --include='*.rs' \
+    | grep -v '^crates/trace/src/config\.rs:\|^crates/testkit/src/prop\.rs:\|CARGO_MANIFEST_DIR'; then
+    echo "FAIL: env::var outside nkt_trace::config (lines above): take the value from RunConfig" >&2
+    exit 1
+fi
+if grep -rn '"NKT_' crates src examples --include='*.rs' \
+    | grep -v '^crates/trace/src/config\.rs:\|^crates/testkit/' \
+    | grep -v '^[^:]*:[0-9]*: *//'; then
+    echo "FAIL: an NKT_* name as a string literal outside config.rs and nkt-testkit (lines above)" >&2
     exit 1
 fi
 

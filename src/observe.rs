@@ -1,28 +1,30 @@
-//! The prologue and epilogue the solver examples share: arm whatever
-//! `NKT_PROF` / `NKT_CALIB` / `NKT_STATS` / `NKT_HEALTH` asked for and
-//! read the run's plan from the environment, write the artifacts after.
+//! The prologue and epilogue the solver examples share: turn the
+//! [`RunConfig`] that `main` parsed (`RunConfig::init_from_env()`, which
+//! also armed the recording mode) into the run's [`Plan`] and world, and
+//! write the artifacts `NKT_PROF` / `NKT_CALIB` / `NKT_STATS` asked for.
 
+use crate::mpi::{World, WorldBuilder, WorldOpts};
 use crate::nektar::drive::{Outcome, Plan};
-use crate::{calib, ckpt, prof, stats, trace};
+use crate::trace::config::RunConfig;
+use crate::{calib, ckpt, prof, trace};
 
-/// Arms every requested observer, names the run for flight-recorder
-/// dumps, and returns the [`Plan`] of a `steps`-step run under `run`'s
-/// artifact names: stats cadence from `NKT_STATS` / `NKT_HEALTH`,
-/// checkpoint cadence and directory from `NKT_CKPT_EVERY` /
-/// `NKT_CKPT_DIR`.
-pub fn plan(run: &str, steps: u64) -> Plan {
-    if prof::enabled() {
-        prof::prepare();
-    }
-    if calib::enabled() {
-        calib::prepare();
-    }
-    let every = stats::effective_every();
-    if every.is_some() {
-        stats::prepare();
-    }
+/// Names the run for flight-recorder dumps and returns the [`Plan`] of a
+/// `steps`-step run under `run`'s artifact names: stats cadence and
+/// watchdog from `NKT_STATS` / `NKT_HEALTH`, checkpoint cadence and
+/// directory from `NKT_CKPT_EVERY` / `NKT_CKPT_DIR`.
+pub fn plan(cfg: &RunConfig, run: &str, steps: u64) -> Plan {
     trace::flight::set_run(run);
-    Plan { steps, stats_every: every.unwrap_or(0), ckpt: ckpt::CkptConfig::from_env(run) }
+    Plan {
+        steps,
+        stats_every: cfg.stats_every(),
+        health: cfg.health,
+        ckpt: ckpt::CkptConfig::new(cfg.ckpt_dir(), run, cfg.ckpt_every),
+    }
+}
+
+/// A world builder under `NKT_MPI_DEADLINE_MS`.
+pub fn world(cfg: &RunConfig) -> WorldBuilder {
+    World::builder().opts(WorldOpts { recv_deadline: cfg.recv_deadline })
 }
 
 /// Rank 0's duties once [`drive`](crate::nektar::drive::drive) returns:
@@ -42,24 +44,18 @@ pub fn report(run: &str, out: &Outcome) {
 }
 
 /// After the world joined: prints and writes the `PROF_` and `CALIB_`
-/// artifacts of `run`, whichever are enabled. `NKT_PROF` and `NKT_CALIB`
-/// observe the same collector, which `take_collected` empties — so it is
-/// drained once here and both get the snapshot. Returns the profile (if
-/// profiling) for run-specific self-checks.
-pub fn finish(run: &str) -> Option<prof::Profile> {
-    if !prof::enabled() && !calib::enabled() {
+/// artifacts of `run`, whichever `cfg` asks for. Both observe the same
+/// collector, which `take_collected` empties — so it is drained once
+/// here and both get the snapshot. Returns the profile (if profiling)
+/// for run-specific self-checks.
+pub fn finish(cfg: &RunConfig, run: &str) -> Option<prof::Profile> {
+    if !cfg.prof && !cfg.calib {
         return None;
     }
     let threads = trace::take_collected();
-    let profile = prof::enabled().then(|| {
-        let p = prof::Profile::build(run, &threads);
-        print!("{}", p.report());
-        match p.write() {
-            Ok(path) => println!("prof: wrote {}", path.display()),
-            Err(e) => eprintln!("prof: cannot write PROF_{run}.json: {e}"),
-        }
-        p
-    });
-    calib::calibrate_and_write(run, &threads);
+    let profile = cfg.prof.then(|| prof::profile_and_write(run, &threads));
+    if cfg.calib {
+        calib::calibrate_and_write(run, &threads);
+    }
     profile
 }
