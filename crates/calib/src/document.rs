@@ -1,5 +1,5 @@
 //! The assembled calibration document: construction from either trace
-//! source, the deterministic `CALIB_<run>.json` writer, and the
+//! source, the deterministic `CALIB_<run>.json` document, and the
 //! "fact or fiction" report with measured-vs-modeled ratios.
 
 use crate::drift::{drift_rows, DriftRow};
@@ -9,10 +9,9 @@ use nkt_machine::{machine, Machine, MachineId};
 use nkt_net::{cluster, NetId};
 use nkt_prof::{from_threads, from_trace_json, PRank};
 use nkt_trace::gate::{parse_schema, Gate, Sense};
-use nkt_trace::json::{quote, Value};
-use nkt_trace::{json_f64_exact, ThreadData};
+use nkt_trace::json::Value;
+use nkt_trace::ThreadData;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 /// Schema tag written into every `CALIB_<run>.json`.
 pub const SCHEMA: &str = "nkt-calib-1";
@@ -81,7 +80,7 @@ pub fn machine_for(net: Option<NetId>) -> MachineId {
 
 /// A complete calibration of one traced run.
 ///
-/// Everything serialized by [`Calibration::to_json`] is a function of
+/// Everything in [`Calibration::document`] is a function of
 /// the virtual timeline and exact counters, so `CALIB_<run>.json` is
 /// byte-identical across reruns of the same seeded simulation. Host
 /// wall times (the "fact" side of fact-or-fiction) appear only in
@@ -140,98 +139,44 @@ impl Calibration {
         machine(self.machine_id)
     }
 
-    /// Serializes the deterministic part of the calibration. Valid JSON
-    /// with fixed key order, sorted collections, and full-round-trip
-    /// float formatting — two runs of the same seeded simulation produce
-    /// byte-identical documents.
-    pub fn to_json(&self) -> String {
-        let f = json_f64_exact;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"run\": {},", quote(&self.run));
-        let _ = writeln!(out, "  \"ranks\": {},", self.ranks.len());
-        let net = self.net.map_or("null".to_string(), |id| quote(id.slug()));
-        let _ = writeln!(out, "  \"net\": {net},");
-        let _ = writeln!(out, "  \"machine\": {},", quote(self.machine().name));
-        out.push_str("  \"drift\": [\n");
-        for (i, d) in self.drift.iter().enumerate() {
-            let c = if i + 1 < self.drift.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"class\": {}, \"name\": {}, \"calls\": {}, \"vsecs\": {}, \"bytes\": {}, \"flops\": {}, \"vshare\": {}}}{c}",
-                quote(d.class),
-                quote(&d.name),
-                d.calls,
-                f(d.vsecs),
-                d.bytes,
-                f(d.flops),
-                f(d.vshare),
-            );
-        }
-        out.push_str("  ],\n");
-        match &self.alpha_beta {
-            None => out.push_str("  \"alpha_beta\": null,\n"),
-            Some(ab) => {
-                let opt = |v: Option<f64>| v.map_or("null".to_string(), f);
-                let _ = writeln!(
-                    out,
-                    "  \"alpha_beta\": {{\"channel\": {}, \"samples\": {}, \"alpha_us\": {}, \"beta_mbs\": {}, \"max_resid_us\": {}, \"static_alpha_us\": {}, \"static_beta_mbs\": {}}},",
-                    quote(&ab.channel),
-                    ab.samples,
-                    f(ab.alpha_us),
-                    f(ab.beta_mbs),
-                    f(ab.max_resid_us),
-                    opt(ab.static_alpha_us),
-                    opt(ab.static_beta_mbs),
-                );
-            }
-        }
-        out.push_str("  \"kernel_fits\": [\n");
-        for (i, k) in self.kernel_fits.iter().enumerate() {
-            let c = if i + 1 < self.kernel_fits.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"kernel\": {}, \"unit\": {}, \"r_inf\": {}, \"n_half\": {}, \"points\": {}, \"max_rel_err\": {}}}{c}",
-                quote(k.kernel),
-                quote(k.unit),
-                f(k.r_inf),
-                f(k.n_half),
-                k.points,
-                f(k.max_rel_err),
-            );
-        }
-        out.push_str("  ],\n  \"windows\": [\n");
-        for (i, w) in self.windows.iter().enumerate() {
-            let c = if i + 1 < self.windows.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"stage\": {}, \"applies\": {}, \"interior\": {}, \"boundary\": {}, \"window\": {}, \"coef\": {}}}{c}",
-                quote(&w.stage),
-                w.applies,
-                w.interior,
-                w.boundary,
-                f(w.window()),
-                f(w.coef()),
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes `CALIB_<run>.json` into `dir`, returning the path.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("CALIB_{}.json", self.run));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
-    /// Writes `CALIB_<run>.json` into the trace output directory
-    /// ([`nkt_trace::out_dir`]: `set_thread_dir`, then `set_dir` — where
-    /// `init` puts `NKT_TRACE_DIR` — else `<workspace>/results`).
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        self.write_to(&nkt_trace::out_dir())
+    /// The deterministic part of the calibration as its `nkt-calib-1`
+    /// document (`CALIB_<run>.json`): fixed key order, sorted
+    /// collections, so two runs of the same seeded simulation render
+    /// byte-identical files.
+    pub fn document(&self) -> Value {
+        let drift = |d: &DriftRow| Value::from([
+            ("class", d.class.into()), ("name", d.name.as_str().into()), ("calls", d.calls.into()),
+            ("vsecs", d.vsecs.into()), ("bytes", d.bytes.into()), ("flops", d.flops.into()),
+            ("vshare", d.vshare.into()),
+        ]);
+        let alpha_beta = |ab: &AlphaBetaFit| Value::from([
+            ("channel", ab.channel.as_str().into()), ("samples", ab.samples.into()),
+            ("alpha_us", ab.alpha_us.into()), ("beta_mbs", ab.beta_mbs.into()),
+            ("max_resid_us", ab.max_resid_us.into()),
+            ("static_alpha_us", ab.static_alpha_us.into()),
+            ("static_beta_mbs", ab.static_beta_mbs.into()),
+        ]);
+        let kernel = |k: &KernelFit| Value::from([
+            ("kernel", k.kernel.into()), ("unit", k.unit.into()),
+            ("r_inf", k.r_inf.into()), ("n_half", k.n_half.into()),
+            ("points", k.points.into()), ("max_rel_err", k.max_rel_err.into()),
+        ]);
+        let window = |w: &OverlapWindow| Value::from([
+            ("stage", w.stage.as_str().into()), ("applies", w.applies.into()),
+            ("interior", w.interior.into()), ("boundary", w.boundary.into()),
+            ("window", w.window().into()), ("coef", w.coef().into()),
+        ]);
+        Value::from([
+            ("schema", SCHEMA.into()),
+            ("run", self.run.as_str().into()),
+            ("ranks", self.ranks.len().into()),
+            ("net", self.net.map(NetId::slug).into()),
+            ("machine", self.machine().name.into()),
+            ("drift", Value::Arr(self.drift.iter().map(drift).collect())),
+            ("alpha_beta", self.alpha_beta.as_ref().map(alpha_beta).into()),
+            ("kernel_fits", Value::Arr(self.kernel_fits.iter().map(kernel).collect())),
+            ("windows", Value::Arr(self.windows.iter().map(window).collect())),
+        ])
     }
 
     /// Renders the "fact or fiction" report: drift rows with their
@@ -358,6 +303,7 @@ impl Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nkt_trace::json::render;
 
     #[test]
     fn net_from_run_prefers_longest_slug() {
@@ -406,7 +352,7 @@ mod tests {
     }
 
     /// Writer and reader agree: the rows read back from the production
-    /// `to_json` equal the document's own numbers, so a writer change
+    /// document equal the document's own numbers, so a writer change
     /// the extractor cannot see fails here instead of un-gating a row.
     #[test]
     fn gates_round_trip_the_written_calibration() {
@@ -452,11 +398,11 @@ mod tests {
         ];
         want.extend(c.kernel_fits.iter().map(|k| (format!("fit[r_inf[{}]]", k.kernel), k.r_inf)));
         let got: Vec<(String, f64)> =
-            gates(&c.to_json()).unwrap().into_iter().map(|g| (g.name, g.value)).collect();
+            gates(&render(&c.document())).unwrap().into_iter().map(|g| (g.name, g.value)).collect();
         assert_eq!(got, want);
         // A run with no p2p traffic writes `null` and gates no channel fit.
         c.alpha_beta = None;
-        assert_eq!(gates(&c.to_json()).unwrap().len(), want.len() - 2);
+        assert_eq!(gates(&render(&c.document())).unwrap().len(), want.len() - 2);
     }
 
     #[test]
@@ -465,9 +411,8 @@ mod tests {
         assert!(c.drift.is_empty());
         assert!(c.alpha_beta.is_none());
         assert_eq!(c.kernel_fits.len(), 5);
-        let json = c.to_json();
+        let json = render(&c.document());
         let doc = nkt_trace::json::parse(&json).expect("valid JSON");
-        use nkt_trace::json::Value;
         assert_eq!(doc.get("schema").and_then(Value::as_str), Some("nkt-calib-1"));
         assert_eq!(doc.get("net").and_then(Value::as_str), Some("roadrunner_eth"));
         assert_eq!(
@@ -475,6 +420,6 @@ mod tests {
             Some(5)
         );
         // Serialization is a pure function of the virtual data.
-        assert_eq!(json, Calibration::build("fourier_dns_roadrunner_eth", &[]).to_json());
+        assert_eq!(json, render(&Calibration::build("fourier_dns_roadrunner_eth", &[]).document()));
     }
 }

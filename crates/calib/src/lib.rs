@@ -51,12 +51,13 @@ pub use overlap::{
 
 /// Builds the calibration of `run` from already-drained thread data
 /// (see `nkt_prof::profile_and_write`), prints the report and writes
-/// `CALIB_<run>.json`.
+/// `CALIB_<run>.json` into [`nkt_trace::out_dir`].
 pub fn calibrate_and_write(run: &str, threads: &[nkt_trace::ThreadData]) {
     let c = Calibration::build(run, threads);
     print!("{}", c.report());
-    match c.write() {
-        Ok(path) => println!("calib: wrote {}", path.display()),
-        Err(e) => eprintln!("calib: cannot write CALIB_{run}.json: {e}"),
+    let file = format!("CALIB_{run}.json");
+    match nkt_trace::json::write(&nkt_trace::out_dir(), &file, &c.document()) {
+        Ok((path, _)) => println!("calib: wrote {}", path.display()),
+        Err(e) => eprintln!("calib: cannot write {e}"),
     }
 }

@@ -2,7 +2,7 @@
 //! three [`Simulation`]s: a straight `drive`, and a `drive` whose hook
 //! stops at a drawn checkpoint cut followed by a second `drive` that
 //! resumes, must end with equal `state_hash` and byte-equal
-//! `StatsRecorder::to_json` on every rank. The checkpoint cadence, the
+//! the rendered `StatsRecorder::document` on every rank. The checkpoint cadence, the
 //! cut and the sampling cadence are drawn, so stops land inside the BDF
 //! ramp as well as past it, and on steps that do and do not sample (a
 //! cut between samples is what exercises the fold → rebaseline bracket).
@@ -77,7 +77,9 @@ fn straight_and_resumed<S: Simulation>(
         health: false,
         ckpt: CkptConfig::new(dir, "prop", Some(every)),
     };
-    let end = |sim: &S, out: &nektar::drive::Outcome| (sim.state_hash(), out.rec.to_json("prop"));
+    let end = |sim: &S, out: &nektar::drive::Outcome| {
+        (sim.state_hash(), nkt_trace::json::render(&out.rec.document("prop")))
+    };
 
     let mut straight = build(ctx);
     let out = drive(&mut straight, ctx, &plan(&dirs[0]), &mut ()).expect("straight run");

@@ -62,13 +62,14 @@ pub fn slug(s: &str) -> String {
 
 /// Builds the profile of `run` from already-drained thread data (the
 /// collector drains once; `nkt-calib` reads the same snapshot), prints
-/// the report and writes `PROF_<run>.json`.
+/// the report and writes `PROF_<run>.json` into [`nkt_trace::out_dir`].
 pub fn profile_and_write(run: &str, threads: &[nkt_trace::ThreadData]) -> Profile {
     let p = Profile::build(run, threads);
     print!("{}", p.report());
-    match p.write() {
-        Ok(path) => println!("prof: wrote {}", path.display()),
-        Err(e) => eprintln!("prof: cannot write PROF_{run}.json: {e}"),
+    let file = format!("PROF_{run}.json");
+    match nkt_trace::json::write(&nkt_trace::out_dir(), &file, &p.document()) {
+        Ok((path, _)) => println!("prof: wrote {}", path.display()),
+        Err(e) => eprintln!("prof: cannot write {e}"),
     }
     p
 }

@@ -1,15 +1,14 @@
 //! The assembled profile: construction from either trace source, the
-//! deterministic `PROF_<run>.json` writer, the human-readable report,
+//! deterministic `PROF_<run>.json` document, the human-readable report,
 //! and the StageClock self-check.
 
 use crate::attrib::{comm_matrix, op_stats, stage_attributed, stage_stats, MatrixCell, OpStat, StageStat};
-use crate::critpath::{critical_path, CriticalPath};
+use crate::critpath::{critical_path, CpSegment, CriticalPath};
 use crate::model::{from_threads, from_trace_json, PRank};
 use nkt_trace::gate::{parse_schema, Gate, Sense};
-use nkt_trace::json::quote;
-use nkt_trace::{json_f64_exact, ThreadData};
+use nkt_trace::json::Value;
+use nkt_trace::ThreadData;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 /// Schema tag written into every `PROF_<run>.json`.
 pub const SCHEMA: &str = "nkt-prof-1";
@@ -34,7 +33,7 @@ pub fn gates(text: &str) -> Result<Vec<Gate>, String> {
 
 /// A complete post-run profile of one traced run.
 ///
-/// Everything serialized by [`Profile::to_json`] lives on the virtual
+/// Everything in [`Profile::document`] lives on the virtual
 /// timeline and is therefore byte-identical across runs of the same
 /// seeded simulation; host-time material (per-stage host sums) is kept
 /// only for [`Profile::report`] and [`Profile::stage_ledger_check`].
@@ -106,109 +105,56 @@ impl Profile {
         }
     }
 
-    /// Serializes the deterministic part of the profile. The output is
-    /// valid JSON (parseable by `nkt_trace::json::parse`) with fixed key
-    /// order, sorted collections, and full-round-trip float formatting —
-    /// two runs of the same seeded simulation produce byte-identical
-    /// documents.
-    pub fn to_json(&self) -> String {
-        let f = json_f64_exact;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"run\": {},", quote(&self.run));
-        let _ = writeln!(out, "  \"ranks\": {},", self.ranks.len());
-        let _ = writeln!(out, "  \"total_wait\": {},", f(self.total_wait()));
-        let _ = writeln!(out, "  \"wait_share\": {},", f(self.wait_share()));
-        out.push_str("  \"rank_ends\": [");
-        for (i, (&r, &e)) in self.ranks.iter().zip(&self.rank_ends).enumerate() {
-            let c = if i + 1 < self.ranks.len() { ", " } else { "" };
-            let _ = write!(out, "{{\"rank\": {r}, \"end\": {}}}{c}", f(e));
-        }
-        out.push_str("],\n  \"ops\": [\n");
-        for (i, o) in self.ops.iter().enumerate() {
-            let c = if i + 1 < self.ops.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"op\": {}, \"calls\": {}, \"vtime\": {}, \"sends\": {}, \"send_bytes\": {}, \"send_time\": {}, \"recvs\": {}, \"recv_time\": {}, \"wait\": {}, \"wire\": {}, \"late\": {}}}{c}",
-                quote(&o.op),
-                o.calls,
-                f(o.vtime),
-                o.sends,
-                o.send_bytes,
-                f(o.send_time),
-                o.recvs,
-                f(o.recv_time),
-                f(o.wait),
-                f(o.wire),
-                o.late,
-            );
-        }
-        out.push_str("  ],\n  \"matrix\": [\n");
-        for (i, m) in self.matrix.iter().enumerate() {
-            let c = if i + 1 < self.matrix.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"src\": {}, \"dst\": {}, \"msgs\": {}, \"bytes\": {}}}{c}",
-                m.src, m.dst, m.msgs, m.bytes
-            );
-        }
-        out.push_str("  ],\n  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            let c = if i + 1 < self.stages.len() { "," } else { "" };
-            let per_rank: Vec<String> = s.per_rank.iter().map(|&v| f(v)).collect();
-            let _ = writeln!(
-                out,
-                "    {{\"stage\": {}, \"min\": {}, \"median\": {}, \"max\": {}, \"mean\": {}, \"imbalance\": {}, \"cpu\": {}, \"per_rank\": [{}]}}{c}",
-                quote(&s.stage),
-                f(s.min),
-                f(s.median),
-                f(s.max),
-                f(s.mean),
-                f(s.imbalance),
-                f(s.cpu),
-                per_rank.join(", "),
-            );
-        }
+    /// The deterministic part of the profile as its `nkt-prof-1`
+    /// document (`PROF_<run>.json`): fixed key order, sorted collections,
+    /// so two runs of the same seeded simulation render byte-identical
+    /// files.
+    pub fn document(&self) -> Value {
+        let rank_ends = self.ranks.iter().zip(&self.rank_ends).map(|(&r, &e)| {
+            Value::from([("rank", r.into()), ("end", e.into())])
+        });
+        let op = |o: &OpStat| Value::from([
+            ("op", o.op.as_str().into()), ("calls", o.calls.into()), ("vtime", o.vtime.into()),
+            ("sends", o.sends.into()), ("send_bytes", o.send_bytes.into()),
+            ("send_time", o.send_time.into()),
+            ("recvs", o.recvs.into()), ("recv_time", o.recv_time.into()),
+            ("wait", o.wait.into()), ("wire", o.wire.into()), ("late", o.late.into()),
+        ]);
+        let cell = |m: &MatrixCell| Value::from([
+            ("src", m.src.into()), ("dst", m.dst.into()),
+            ("msgs", m.msgs.into()), ("bytes", m.bytes.into()),
+        ]);
+        let stage = |s: &StageStat| Value::from([
+            ("stage", s.stage.as_str().into()),
+            ("min", s.min.into()), ("median", s.median.into()), ("max", s.max.into()),
+            ("mean", s.mean.into()), ("imbalance", s.imbalance.into()), ("cpu", s.cpu.into()),
+            ("per_rank", s.per_rank.as_slice().into()),
+        ]);
         let cp = &self.critical_path;
-        out.push_str("  ],\n  \"critical_path\": {\n");
-        let _ = writeln!(out, "    \"length\": {},", f(cp.length));
-        let _ = writeln!(out, "    \"end_rank\": {},", cp.end_rank);
-        out.push_str("    \"segments\": [\n");
-        for (i, s) in cp.segments.iter().enumerate() {
-            let c = if i + 1 < cp.segments.len() { "," } else { "" };
-            let from = s.from.map_or("null".to_string(), |r| r.to_string());
-            let _ = writeln!(
-                out,
-                "      {{\"rank\": {}, \"kind\": {}, \"from\": {from}, \"t0\": {}, \"t1\": {}}}{c}",
-                s.rank,
-                quote(s.kind),
-                f(s.t0),
-                f(s.t1),
-            );
-        }
-        out.push_str("    ],\n    \"composition\": [");
-        for (i, (label, t)) in cp.composition.iter().enumerate() {
-            let c = if i + 1 < cp.composition.len() { ", " } else { "" };
-            let _ = write!(out, "{{\"label\": {}, \"time\": {}}}{c}", quote(label), f(*t));
-        }
-        out.push_str("]\n  }\n}\n");
-        out
-    }
-
-    /// Writes `PROF_<run>.json` into `dir`, returning the path.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("PROF_{}.json", self.run));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
-    /// Writes `PROF_<run>.json` into the trace output directory
-    /// ([`nkt_trace::out_dir`]: `set_thread_dir`, then `set_dir` — where
-    /// `init` puts `NKT_TRACE_DIR` — else `<workspace>/results`).
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        self.write_to(&nkt_trace::out_dir())
+        let segment = |s: &CpSegment| Value::from([
+            ("rank", s.rank.into()), ("kind", s.kind.into()), ("from", s.from.into()),
+            ("t0", s.t0.into()), ("t1", s.t1.into()),
+        ]);
+        let part = |(label, t): &(String, f64)| {
+            Value::from([("label", label.as_str().into()), ("time", (*t).into())])
+        };
+        Value::from([
+            ("schema", SCHEMA.into()),
+            ("run", self.run.as_str().into()),
+            ("ranks", self.ranks.len().into()),
+            ("total_wait", self.total_wait().into()),
+            ("wait_share", self.wait_share().into()),
+            ("rank_ends", Value::Arr(rank_ends.collect())),
+            ("ops", Value::Arr(self.ops.iter().map(op).collect())),
+            ("matrix", Value::Arr(self.matrix.iter().map(cell).collect())),
+            ("stages", Value::Arr(self.stages.iter().map(stage).collect())),
+            ("critical_path", Value::from([
+                ("length", cp.length.into()),
+                ("end_rank", cp.end_rank.into()),
+                ("segments", Value::Arr(cp.segments.iter().map(segment).collect())),
+                ("composition", Value::Arr(cp.composition.iter().map(part).collect())),
+            ])),
+        ])
     }
 
     /// Cross-checks the per-stage attributed times (host + virtual span

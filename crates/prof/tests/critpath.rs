@@ -2,6 +2,7 @@
 //! where every expected number is known in closed form.
 
 use nkt_prof::Profile;
+use nkt_trace::json::render;
 use nkt_trace::{SpanEvent, ThreadData};
 
 fn vspan(
@@ -198,8 +199,8 @@ fn comm_matrix_and_stage_stats_from_hand_built_spans() {
 #[test]
 fn profile_json_is_stable_and_parses() {
     let p = Profile::build("j", &late_sender_world());
-    let a = p.to_json();
-    let b = Profile::build("j", &late_sender_world()).to_json();
+    let a = render(&p.document());
+    let b = render(&Profile::build("j", &late_sender_world()).document());
     assert_eq!(a, b, "same input, byte-identical document");
     let doc = nkt_trace::json::parse(&a).expect("profile json parses");
     assert_eq!(

@@ -7,6 +7,7 @@
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
 use nkt_prof::Profile;
+use nkt_trace::json::render;
 use std::sync::Mutex;
 
 static LIVE: Mutex<()> = Mutex::new(());
@@ -100,8 +101,8 @@ fn profiler_names_the_engineered_hot_rank_and_stage() {
 #[test]
 fn profile_json_is_byte_identical_across_identical_runs() {
     let _g = LIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let a = profile_world("det", imbalanced_step).to_json();
-    let b = profile_world("det", imbalanced_step).to_json();
+    let a = render(&profile_world("det", imbalanced_step).document());
+    let b = render(&profile_world("det", imbalanced_step).document());
     assert_eq!(a, b, "virtual-time profile must be bit-reproducible");
     // And the document round-trips through the workspace JSON parser.
     let doc = nkt_trace::json::parse(&a).expect("PROF json parses");
@@ -109,7 +110,7 @@ fn profile_json_is_byte_identical_across_identical_runs() {
 }
 
 /// Writer and reader agree: every gated row read back from the
-/// production `to_json` equals the in-memory number it was written
+/// production document equals the in-memory number it was written
 /// from, so a writer change the extractor cannot see fails here instead
 /// of silently un-gating a row.
 #[test]
@@ -119,7 +120,7 @@ fn gates_round_trip_the_written_profile() {
     let mut want = vec![("wait_share".to_string(), p.wait_share())];
     want.extend(p.stages.iter().map(|s| (format!("imbalance[{}]", s.stage), s.imbalance)));
     assert!(want.len() >= 3 && p.wait_share() > 0.0, "the world must exercise every row kind");
-    let gates = nkt_prof::gates(&p.to_json()).expect("extract");
+    let gates = nkt_prof::gates(&render(&p.document())).expect("extract");
     let got: Vec<(String, f64)> = gates.into_iter().map(|g| (g.name, g.value)).collect();
     assert_eq!(got, want);
 }
@@ -149,4 +150,29 @@ fn offline_profile_from_trace_json_matches_in_process_analysis() {
     assert!(p.critical_path.length >= 12e-3);
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
+}
+
+/// TRACE has no committed baseline, so this is its guard: the offline
+/// profile built from the rendered trace document equals the in-process
+/// one — the same document bytes, and the host+virtual stage ledger bit
+/// for bit (host `ts`/`dur` print at full precision like every number).
+#[test]
+fn offline_profile_of_the_rendered_trace_equals_the_in_process_profile() {
+    let _g = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+    nkt_trace::set_mode(nkt_trace::TraceMode::Spans);
+    let _ = nkt_trace::take_collected();
+    World::builder().ranks(4).net(cluster(NetId::T3e)).run(imbalanced_step);
+    let threads = nkt_trace::take_collected();
+    nkt_trace::set_mode(nkt_trace::TraceMode::Off);
+
+    let live = Profile::build("twin", &threads);
+    let trace = render(&nkt_trace::export::trace_document(&threads));
+    let offline = Profile::from_trace_json("twin", &trace).expect("offline parse");
+    assert_eq!(render(&offline.document()), render(&live.document()));
+    let bits = |p: &Profile| -> Vec<(String, Vec<u64>)> {
+        let row = |(s, v): &(String, Vec<f64>)| (s.clone(), v.iter().map(|x| x.to_bits()).collect());
+        p.stage_attrib.iter().map(row).collect()
+    };
+    assert!(!live.stage_attrib.is_empty());
+    assert_eq!(bits(&offline), bits(&live));
 }

@@ -19,7 +19,7 @@
 //! the job's tenant ledger (rank-steps) *after* any charge the event
 //! settled; `preemptions` is the job's lifetime eviction count.
 
-use nkt_trace::json::{parse, quote, Value};
+use nkt_trace::json::{parse, render, Value};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -29,6 +29,8 @@ use std::path::{Path, PathBuf};
 pub struct EventLog {
     path: PathBuf,
     file: std::fs::File,
+    /// A failed append has been reported on stderr.
+    reported: bool,
 }
 
 impl EventLog {
@@ -37,7 +39,7 @@ impl EventLog {
         std::fs::create_dir_all(root)?;
         let path = root.join(format!("EVENTS_{run}.jsonl"));
         let file = std::fs::File::create(&path)?;
-        Ok(EventLog { path, file })
+        Ok(EventLog { path, file, reported: false })
     }
 
     /// The log's path (for reports and manifests).
@@ -59,14 +61,19 @@ impl EventLog {
         preemptions: u64,
         usage: u64,
     ) {
-        let line = format!(
-            "{{\"tick\": {tick}, \"event\": {}, \"job\": {}, \"tenant\": {}, \"step\": {step}, \"preemptions\": {preemptions}, \"usage\": {usage}}}\n",
-            quote(event),
-            quote(job),
-            quote(tenant),
-        );
+        let line = render(&Value::from([
+            ("tick", tick.into()),
+            ("event", event.into()),
+            ("job", job.into()),
+            ("tenant", tenant.into()),
+            ("step", step.into()),
+            ("preemptions", preemptions.into()),
+            ("usage", usage.into()),
+        ]));
         if let Err(e) = self.file.write_all(line.as_bytes()) {
-            eprintln!("serve: cannot append to {}: {e}", self.path.display());
+            if !std::mem::replace(&mut self.reported, true) {
+                eprintln!("serve: cannot append to {}: {e}", self.path.display());
+            }
         }
     }
 }
@@ -140,6 +147,24 @@ mod tests {
         assert!(rendered.contains("admit     x1"));
         assert!(rendered.contains("1600"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A full disk is reported once, not once per event, and recording
+    /// goes on (the schedule never sees the log's health).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failing_log_reports_once() {
+        let path = PathBuf::from("/dev/full");
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let mut log = EventLog { path, file, reported: false };
+        let mut reports = 0;
+        for tick in 0..3 {
+            let before = log.reported;
+            log.record(tick, "admit", "j", "t", 0, 0, 0);
+            reports += usize::from(log.reported && !before);
+        }
+        assert!(log.reported);
+        assert_eq!(reports, 1);
     }
 
     #[test]

@@ -22,12 +22,13 @@
 
 use crate::sched::{Directive, Event};
 use crate::spec::{host_machine, JobSpec, SolverKind};
-use crate::store::{write_manifest, ArtifactEntry, ManifestData};
+use crate::store::{manifest_document, ArtifactEntry, ManifestData};
 use nektar::drive::{cases, drive, Ctx, Hook, Plan, Serial, Simulation};
 use nkt_ckpt::CkptConfig;
 use nkt_mpi::{Comm, World, WorldOpts};
 use nkt_net::cluster;
 use nkt_stats::StatsRecorder;
+use nkt_trace::json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -123,7 +124,8 @@ pub(crate) fn run_slice(jc: JobCtx, event_tx: Sender<Event>, directive_rx: Recei
                 queue_wait_ticks: jc.wait_ticks,
                 artifacts,
             };
-            match write_manifest(&jc.dir, &m) {
+            let file = format!("MANIFEST_{}.json", jc.spec.name);
+            match json::write(&jc.dir, &file, &manifest_document(&m)) {
                 Ok(_) => SliceExit::Finished(result),
                 Err(e) => SliceExit::Failed(format!("write manifest: {e}")),
             }
@@ -259,12 +261,11 @@ fn finish_rank0(
     ckpt: &CkptConfig,
 ) -> Result<Vec<ArtifactEntry>, String> {
     let spec = &jc.spec;
-    std::fs::create_dir_all(&jc.dir).map_err(|e| format!("create {}: {e}", jc.dir.display()))?;
     let mut artifacts = Vec::new();
     if spec.stats_every > 0 {
-        let body = rec.to_json(&spec.name);
         let name = format!("STATS_{}.json", spec.name);
-        std::fs::write(jc.dir.join(&name), &body).map_err(|e| format!("write {name}: {e}"))?;
+        let (_, body) = json::write(&jc.dir, &name, &rec.document(&spec.name))
+            .map_err(|e| format!("write {e}"))?;
         artifacts.push(ArtifactEntry::hashed(name, body.as_bytes()));
     }
     if ckpt.enabled() {
@@ -312,24 +313,18 @@ fn export_job_observability(jc: &JobCtx) -> Vec<ArtifactEntry> {
     if threads.is_empty() {
         return written;
     }
-    if let Err(e) = std::fs::create_dir_all(&jc.dir) {
-        eprintln!("serve: cannot create {}: {e}", jc.dir.display());
-        return written;
-    }
-    if tracing {
-        let name = format!("TRACE_{}.json", jc.spec.name);
-        match std::fs::write(jc.dir.join(&name), nkt_trace::export::chrome_json(&threads)) {
-            Ok(()) => written.push(ArtifactEntry::named(name)),
-            Err(e) => eprintln!("serve: cannot write {name}: {e}"),
+    let mut emit = |kind: &str, doc: json::Value| {
+        let name = format!("{kind}_{}.json", jc.spec.name);
+        match json::write(&jc.dir, &name, &doc) {
+            Ok(_) => written.push(ArtifactEntry::named(name)),
+            Err(e) => eprintln!("serve: cannot write {e}"),
         }
+    };
+    if tracing {
+        emit("TRACE", nkt_trace::export::trace_document(&threads));
     }
     if jc.opts.profile {
-        match nkt_prof::Profile::build(&jc.spec.name, &threads).write_to(&jc.dir) {
-            Ok(path) => written.extend(
-                path.file_name().map(|n| ArtifactEntry::named(n.to_string_lossy().into_owned())),
-            ),
-            Err(e) => eprintln!("serve: cannot write profile for {}: {e}", jc.spec.name),
-        }
+        emit("PROF", nkt_prof::Profile::build(&jc.spec.name, &threads).document());
     }
     written
 }

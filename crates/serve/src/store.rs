@@ -1,4 +1,5 @@
-//! Deterministic per-job results store and `MANIFEST_<job>.json` writer.
+//! Deterministic per-job results store and the `MANIFEST_<job>.json`
+//! document.
 //!
 //! Every job owns one directory under the serve root, named after the
 //! job; all of its artifacts (`STATS_`, `CKPT_`, `TRACE_`, `PROF_`,
@@ -12,8 +13,7 @@
 //! host wall-clock times, so they are listed by name only).
 
 use crate::spec::JobSpec;
-use nkt_trace::json::quote;
-use std::fmt::Write as _;
+use nkt_trace::json::Value;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -146,65 +146,49 @@ pub struct ManifestData<'a> {
     pub artifacts: Vec<ArtifactEntry>,
 }
 
-/// Renders the manifest JSON. Pure function of its input — reruns with
-/// identical scheduling produce identical bytes.
-pub fn render_manifest(m: &ManifestData) -> String {
+/// The manifest document. Pure function of its input — reruns with
+/// identical scheduling render identical bytes.
+pub fn manifest_document(m: &ManifestData) -> Value {
     let s = m.spec;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": {},", quote(MANIFEST_SCHEMA));
-    let _ = writeln!(out, "  \"job\": {},", quote(&s.name));
-    let _ = writeln!(out, "  \"tenant\": {},", quote(&s.tenant));
-    let _ = writeln!(out, "  \"solver\": {},", quote(s.solver.name()));
-    let _ = writeln!(out, "  \"machine\": {},", quote(m.machine));
-    let _ = writeln!(out, "  \"net\": {},", quote(s.net.slug()));
-    let _ = writeln!(out, "  \"ranks\": {},", s.ranks);
+    let mut fields = vec![
+        ("schema", MANIFEST_SCHEMA.into()),
+        ("job", s.name.as_str().into()),
+        ("tenant", s.tenant.as_str().into()),
+        ("solver", s.solver.name().into()),
+        ("machine", m.machine.into()),
+        ("net", s.net.slug().into()),
+        ("ranks", s.ranks.into()),
+    ];
     if let crate::spec::SolverKind::Fourier { nz, pr, pc } = s.solver {
-        let _ = writeln!(out, "  \"grid\": {},", quote(&format!("{pr}x{pc}")));
-        let _ = writeln!(out, "  \"nz\": {nz},");
+        fields.extend([("grid", format!("{pr}x{pc}").into()), ("nz", nz.into())]);
     }
-    let _ = writeln!(out, "  \"steps\": {},", s.steps);
-    let _ = writeln!(out, "  \"priority\": {},", s.priority);
-    let _ = writeln!(out, "  \"ckpt_every\": {},", s.ckpt_every);
-    let _ = writeln!(out, "  \"stats_every\": {},", s.stats_every);
-    let _ = writeln!(out, "  \"steps_done\": {},", m.steps_done);
-    let _ = writeln!(out, "  \"preemptions\": {},", m.preemptions);
-    let _ = writeln!(out, "  \"queue_wait_ticks\": {},", m.queue_wait_ticks);
-    let _ = writeln!(out, "  \"state_hash\": {},", quote(&format!("{:016x}", m.state_hash)));
-    let _ = writeln!(out, "  \"artifacts\": [");
-    for (i, a) in m.artifacts.iter().enumerate() {
-        let comma = if i + 1 < m.artifacts.len() { "," } else { "" };
-        match (a.bytes, a.fnv) {
-            (Some(b), Some(h)) => {
-                let _ = writeln!(
-                    out,
-                    "    {{\"name\": {}, \"bytes\": {b}, \"fnv\": {}}}{comma}",
-                    quote(&a.name),
-                    quote(&format!("{h:016x}")),
-                );
-            }
-            _ => {
-                let _ = writeln!(out, "    {{\"name\": {}}}{comma}", quote(&a.name));
-            }
-        }
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Writes `MANIFEST_<job>.json` into `dir`. Returns the path.
-pub fn write_manifest(dir: &Path, m: &ManifestData) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("MANIFEST_{}.json", m.spec.name));
-    std::fs::write(&path, render_manifest(m))?;
-    Ok(path)
+    let artifact = |a: &ArtifactEntry| match (a.bytes, a.fnv) {
+        (Some(b), Some(h)) => Value::from([
+            ("name", a.name.as_str().into()),
+            ("bytes", b.into()),
+            ("fnv", format!("{h:016x}").into()),
+        ]),
+        _ => Value::from([("name", a.name.as_str().into())]),
+    };
+    fields.extend([
+        ("steps", s.steps.into()),
+        ("priority", s.priority.into()),
+        ("ckpt_every", s.ckpt_every.into()),
+        ("stats_every", s.stats_every.into()),
+        ("steps_done", m.steps_done.into()),
+        ("preemptions", m.preemptions.into()),
+        ("queue_wait_ticks", m.queue_wait_ticks.into()),
+        ("state_hash", format!("{:016x}", m.state_hash).into()),
+        ("artifacts", Value::Arr(m.artifacts.iter().map(artifact).collect())),
+    ]);
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{host_machine, parse_jobs, SPEC_SCHEMA};
+    use nkt_trace::json::render;
 
     fn spec() -> JobSpec {
         parse_jobs(&format!(
@@ -239,8 +223,8 @@ mod tests {
                 ArtifactEntry::named("TRACE_m.json"),
             ],
         };
-        let a = render_manifest(&m);
-        let b = render_manifest(&m);
+        let a = render(&manifest_document(&m));
+        let b = render(&manifest_document(&m));
         assert_eq!(a, b);
         let doc = nkt_trace::json::parse(&a).expect("manifest parses");
         assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(MANIFEST_SCHEMA));

@@ -64,7 +64,7 @@ fn dns(scope: u64, net: NetId, nz: usize, steps: u64, run: &str) -> (Vec<u64>, S
                 s.step(c);
                 sample_fourier(&mut s, c, &mut rec, step, &limits, false).expect("sample");
             }
-            (s.state_hash(), (c.rank() == 0).then(|| rec.to_json(run)))
+            (s.state_hash(), (c.rank() == 0).then(|| nkt_trace::json::render(&rec.document(run))))
         });
     let hashes = outs.iter().map(|(h, _)| *h).collect();
     let stats = outs.into_iter().find_map(|(_, s)| s).expect("rank 0 stats");

@@ -35,8 +35,6 @@ use nkt_ckpt::{Checkpointable, CkptError, CkptFile, CkptWriter, Enc};
 use nkt_mpi::prelude::*;
 use nkt_trace::gate::{parse_schema, Gate, Sense};
 use nkt_trace::json::Value;
-use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Schema tag written into every `STATS_<run>.json`.
 pub const SCHEMA: &str = "nkt-stats-1";
@@ -234,68 +232,29 @@ impl StatsRecorder {
         self.samples.last().map(|s| s.scalars[ki])
     }
 
-    /// Serializes the recorder as deterministic `nkt-stats-1` JSON.
-    pub fn to_json(&self, run: &str) -> String {
-        let num = nkt_trace::json_f64_exact;
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"run\": {},", nkt_trace::json::quote(run));
-        let _ = writeln!(out, "  \"every\": {},", self.every);
-        let _ = writeln!(out, "  \"nranks\": {},", self.nranks);
-        let chans: Vec<String> =
-            self.channels.iter().map(|c| nkt_trace::json::quote(c)).collect();
-        let _ = writeln!(out, "  \"channels\": [{}],", chans.join(", "));
-        let _ = writeln!(out, "  \"samples\": [");
-        for (i, s) in self.samples.iter().enumerate() {
-            let comma = if i + 1 < self.samples.len() { "," } else { "" };
-            let scalars: Vec<String> = s.scalars.iter().map(|&x| num(x)).collect();
-            let spectrum: Vec<String> = s.spectrum.iter().map(|&x| num(x)).collect();
-            let rows: Vec<String> = s
-                .mpi
-                .iter()
-                .map(|r| {
-                    let cols: Vec<String> = r.iter().map(|v| v.to_string()).collect();
-                    format!("[{}]", cols.join(", "))
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "    {{\"step\": {}, \"scalars\": [{}], \"spectrum\": [{}], \"mpi\": [{}]}}{comma}",
-                s.step,
-                scalars.join(", "),
-                spectrum.join(", "),
-                rows.join(", ")
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"accum\": {{");
-        for (i, (name, a)) in self.channels.iter().zip(&self.accums).enumerate() {
-            let comma = if i + 1 < self.channels.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {}: {{\"count\": {}, \"mean\": {}, \"m2\": {}, \"min\": {}, \"max\": {}}}{comma}",
-                nkt_trace::json::quote(name),
-                a.count,
-                num(a.mean),
-                num(a.m2),
-                num(a.min),
-                num(a.max)
-            );
-        }
-        let _ = writeln!(out, "  }}");
-        let _ = writeln!(out, "}}");
-        out
-    }
-
-    /// Writes `STATS_<run>.json` into the trace output directory
-    /// (`NKT_TRACE_DIR` / `results`). Call on rank 0 only.
-    pub fn write(&self, run: &str) -> std::io::Result<PathBuf> {
-        let dir = nkt_trace::out_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("STATS_{run}.json"));
-        std::fs::write(&path, self.to_json(run))?;
-        Ok(path)
+    /// The recorder as its deterministic `nkt-stats-1` document
+    /// (`STATS_<run>.json`, which rank 0 writes).
+    pub fn document(&self, run: &str) -> Value {
+        let sample = |s: &Sample| Value::from([
+            ("step", s.step.into()),
+            ("scalars", s.scalars.as_slice().into()),
+            ("spectrum", s.spectrum.as_slice().into()),
+            ("mpi", Value::Arr(s.mpi.iter().map(|r| r.as_slice().into()).collect())),
+        ]);
+        let names = self.channels.iter().map(|c| c.to_string());
+        let accums = self.accums.iter().map(|a| Value::from([
+            ("count", a.count.into()), ("mean", a.mean.into()), ("m2", a.m2.into()),
+            ("min", a.min.into()), ("max", a.max.into()),
+        ]));
+        Value::from([
+            ("schema", SCHEMA.into()),
+            ("run", run.into()),
+            ("every", self.every.into()),
+            ("nranks", self.nranks.into()),
+            ("channels", self.channels.as_slice().into()),
+            ("samples", Value::Arr(self.samples.iter().map(sample).collect())),
+            ("accum", Value::Obj(names.zip(accums).collect())),
+        ])
     }
 }
 
@@ -420,6 +379,7 @@ impl Checkpointable for StatsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nkt_trace::json::render;
 
     fn recorder_with_samples() -> StatsRecorder {
         let mut r = StatsRecorder::new(vec!["ke", "div"], 1, 2);
@@ -454,8 +414,8 @@ mod tests {
     #[test]
     fn json_is_deterministic_and_parses() {
         let r = recorder_with_samples();
-        let a = r.to_json("unit");
-        let b = r.to_json("unit");
+        let a = render(&r.document("unit"));
+        let b = render(&r.document("unit"));
         assert_eq!(a, b);
         let doc = nkt_trace::json::parse(&a).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(SCHEMA));
@@ -493,15 +453,15 @@ mod tests {
     }
 
     /// Writer and reader agree: the rows read back from the production
-    /// `to_json` equal the recorder's own numbers, so a writer change the
+    /// document equal the recorder's own numbers, so a writer change the
     /// extractor cannot see fails here instead of un-gating a row.
     #[test]
     fn gates_round_trip_the_written_series() {
         let r = recorder_with_samples();
         let mut want = vec![("samples".to_string(), 2.0), ("sent_bytes[final]".to_string(), 320.0)];
         want.extend(r.channels.iter().zip(r.accums()).map(|(c, a)| (format!("mean[{c}]"), a.mean)));
-        let got: Vec<(String, f64)> =
-            gates(&r.to_json("unit")).unwrap().into_iter().map(|g| (g.name, g.value)).collect();
+        let rows = gates(&render(&r.document("unit"))).unwrap();
+        let got: Vec<(String, f64)> = rows.into_iter().map(|g| (g.name, g.value)).collect();
         assert_eq!(got, want);
     }
 
@@ -516,7 +476,7 @@ mod tests {
         assert_eq!(r.samples(), r2.samples());
         assert_eq!(r.cum, r2.cum);
         // The artifact both recorders would write is byte-identical.
-        assert_eq!(r.to_json("x"), r2.to_json("x"));
+        assert_eq!(render(&r.document("x")), render(&r2.document("x")));
         assert_eq!(r.state_hash(), r2.state_hash());
     }
 

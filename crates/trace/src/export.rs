@@ -14,6 +14,7 @@
 //! on pid 0 ("host"); virtual-only spans (model replay) on pid 1
 //! ("virtual"), whose microseconds are *model* microseconds.
 
+use crate::json::{self, Value};
 use crate::metrics::{merge_counters, merge_gauges, merge_hists, Hist};
 use crate::span::{with_buf, SpanEvent, ThreadData};
 use crate::{mode, TraceMode};
@@ -90,13 +91,8 @@ pub fn export(run: &str) -> Option<PathBuf> {
         print!("{}", summary_digest(run, &threads));
         return None;
     }
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir)
-        .unwrap_or_else(|e| panic!("trace: cannot create {}: {e}", dir.display()));
-    let path = dir.join(format!("TRACE_{run}.json"));
-    let body = chrome_json(&threads);
-    std::fs::write(&path, body)
-        .unwrap_or_else(|e| panic!("trace: cannot write {}: {e}", path.display()));
+    let (path, _) = json::write(&out_dir(), &format!("TRACE_{run}.json"), &trace_document(&threads))
+        .unwrap_or_else(|e| panic!("trace: cannot write {e}"));
     eprintln!(
         "trace '{run}': {} thread(s), {} span(s) -> {}",
         threads.len(),
@@ -157,199 +153,97 @@ pub fn summary_digest(run: &str, threads: &[ThreadData]) -> String {
     out
 }
 
-/// Serializes collected thread data as Chrome trace-event JSON.
-pub fn chrome_json(threads: &[ThreadData]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("    ");
-        out.push_str(&line);
-    };
-    push(
-        r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"host"}}"#.to_string(),
-        &mut out,
-    );
-    push(
-        r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"virtual"}}"#.to_string(),
-        &mut out,
-    );
+/// The Chrome trace-event document of collected thread data.
+pub fn trace_document(threads: &[ThreadData]) -> Value {
+    let meta = |what: &str, pid: u64, tid: u64, name: &str| Value::from([
+        ("name", what.into()), ("ph", "M".into()), ("pid", pid.into()), ("tid", tid.into()),
+        ("args", Value::from([("name", name.into())])),
+    ]);
+    let process = |pid, name| meta("process_name", pid, 0, name);
+    let mut events = vec![process(0, "host"), process(1, "virtual")];
     for t in threads {
         if let Some(name) = &t.name {
-            for pid in [0u32, 1] {
-                push(
-                    format!(
-                        r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{},"args":{{"name":{}}}}}"#,
-                        t.tid,
-                        json_str(name)
-                    ),
-                    &mut out,
-                );
-            }
+            events.extend([0, 1].map(|pid| meta("thread_name", pid, t.tid, name)));
         }
-        for e in &t.events {
-            push(event_json(e, t.tid), &mut out);
-        }
+        events.extend(t.events.iter().map(|e| event(e, t.tid)));
     }
-    out.push_str("\n  ],\n  \"displayTimeUnit\": \"ms\",\n");
-    out.push_str(&metrics_json(threads));
-    out.push_str("}\n");
-    out
+    Value::from([
+        ("traceEvents", Value::Arr(events)),
+        ("displayTimeUnit", "ms".into()),
+        ("metrics", metrics(threads)),
+    ])
 }
 
-fn event_json(e: &SpanEvent, tid: u64) -> String {
+fn event(e: &SpanEvent, tid: u64) -> Value {
     // Virtual-only spans render on the "virtual" process with model
     // microseconds; host spans on pid 0 with real microseconds.
     let (pid, ts, dur) = if e.ts_us.is_finite() {
-        (0u32, e.ts_us, e.dur_us)
+        (0u64, e.ts_us, e.dur_us)
     } else {
-        (1u32, e.vt0 * 1e6, (e.vt1 - e.vt0) * 1e6)
+        (1, e.vt0 * 1e6, (e.vt1 - e.vt0) * 1e6)
     };
-    let mut args = format!("{{\"depth\":{}", e.depth);
-    if e.vt0.is_finite() {
-        let _ = write!(args, ",\"vt0\":{}", json_f64_exact(e.vt0));
+    let mut args = vec![("depth".to_string(), e.depth.into())];
+    for (name, vt) in [("vt0", e.vt0), ("vt1", e.vt1)] {
+        if vt.is_finite() {
+            args.push((name.to_string(), vt.into()));
+        }
     }
-    if e.vt1.is_finite() {
-        let _ = write!(args, ",\"vt1\":{}", json_f64_exact(e.vt1));
-    }
-    for (n, v) in &e.args {
-        let _ = write!(args, ",{}:{}", json_str(n), json_f64_exact(*v));
-    }
-    args.push('}');
-    format!(
-        r#"{{"name":{},"cat":{},"ph":"X","ts":{},"dur":{},"pid":{pid},"tid":{tid},"args":{args}}}"#,
-        json_str(e.name),
-        json_str(e.cat),
-        json_f64(ts),
-        json_f64(dur),
-    )
+    args.extend(e.args.iter().map(|&(n, v)| (n.to_string(), v.into())));
+    Value::from([
+        ("name", e.name.into()), ("cat", e.cat.into()), ("ph", "X".into()),
+        ("ts", ts.into()), ("dur", dur.into()), ("pid", pid.into()), ("tid", tid.into()),
+        ("args", Value::Obj(args)),
+    ])
 }
 
-fn metrics_json(threads: &[ThreadData]) -> String {
-    let mut out = String::from("  \"metrics\": {\n    \"per_thread\": [\n");
-    for (i, t) in threads.iter().enumerate() {
-        let comma = if i + 1 < threads.len() { "," } else { "" };
-        let rank = t.rank.map_or("null".to_string(), |r| r.to_string());
-        let mut counters = String::new();
-        for (j, (n, v)) in t.counters.iter().enumerate() {
-            let c = if j + 1 < t.counters.len() { ", " } else { "" };
-            let _ = write!(counters, "{}: {v}{c}", json_str(n));
-        }
-        let mut gauges = String::new();
-        for (j, (n, v)) in t.gauges.iter().enumerate() {
-            let c = if j + 1 < t.gauges.len() { ", " } else { "" };
-            let _ = write!(gauges, "{}: {}{c}", json_str(n), json_f64(*v));
-        }
-        let mut hists = String::new();
-        for (j, (n, h)) in t.hists.iter().enumerate() {
-            let c = if j + 1 < t.hists.len() { ", " } else { "" };
-            let _ = write!(hists, "{}: {}{c}", json_str(n), hist_json(h));
-        }
-        let _ = writeln!(
-            out,
-            "      {{\"tid\": {}, \"rank\": {rank}, \"counters\": {{{counters}}}, \"gauges\": {{{gauges}}}, \"hists\": {{{hists}}}}}{comma}",
-            t.tid
-        );
-    }
-    out.push_str("    ],\n    \"counter_totals\": {");
+fn metrics(threads: &[ThreadData]) -> Value {
+    let per_thread = threads.iter().map(|t| Value::from([
+        ("tid", t.tid.into()),
+        ("rank", t.rank.into()),
+        ("counters", keyed(&t.counters, |&v| v.into())),
+        ("gauges", keyed(&t.gauges, |&v| v.into())),
+        ("hists", keyed(&t.hists, hist)),
+    ]));
     let mut totals: Vec<(&'static str, u64)> = Vec::new();
     for t in threads {
         merge_counters(&mut totals, &t.counters);
     }
-    for (j, (n, v)) in totals.iter().enumerate() {
-        let c = if j + 1 < totals.len() { ", " } else { "" };
-        let _ = write!(out, "{}: {v}{c}", json_str(n));
-    }
     // Cross-thread gauge merge is last-write-wins in tid order (threads
     // are pre-sorted by take_collected; entries within a thread are in
     // write order), so the totals are independent of thread exit order.
-    out.push_str("},\n    \"gauge_totals\": {");
     let mut gtotals: Vec<(&'static str, f64)> = Vec::new();
     let mut by_tid: Vec<&ThreadData> = threads.iter().collect();
     by_tid.sort_by_key(|t| t.tid);
     for t in by_tid {
         merge_gauges(&mut gtotals, &t.gauges);
     }
-    for (j, (n, v)) in gtotals.iter().enumerate() {
-        let c = if j + 1 < gtotals.len() { ", " } else { "" };
-        let _ = write!(out, "{}: {}{c}", json_str(n), json_f64_exact(*v));
-    }
-    out.push_str("},\n    \"hist_totals\": {");
     let mut htotals: Vec<(&'static str, Hist)> = Vec::new();
     for t in threads {
         merge_hists(&mut htotals, &t.hists);
     }
-    for (j, (n, h)) in htotals.iter().enumerate() {
-        let c = if j + 1 < htotals.len() { ", " } else { "" };
-        let _ = write!(out, "{}: {}{c}", json_str(n), hist_json(h));
-    }
-    out.push_str("}\n  }\n");
-    out
+    Value::from([
+        ("per_thread", Value::Arr(per_thread.collect())),
+        ("counter_totals", keyed(&totals, |&v| v.into())),
+        ("gauge_totals", keyed(&gtotals, |&v| v.into())),
+        ("hist_totals", keyed(&htotals, hist)),
+    ])
 }
 
-/// One histogram as JSON: count/sum plus the sparse nonzero buckets as
+/// A name-keyed metric table as an object.
+pub(crate) fn keyed<T>(pairs: &[(&str, T)], value: impl Fn(&T) -> Value) -> Value {
+    Value::Obj(pairs.iter().map(|(n, v)| (n.to_string(), value(v))).collect())
+}
+
+/// One histogram: count/sum plus the sparse nonzero buckets as
 /// `[bucket_index, count]` pairs (48 mostly-zero buckets would bloat
 /// every per-thread row).
-fn hist_json(h: &Hist) -> String {
-    let mut out = format!("{{\"count\": {}, \"sum\": {}, \"buckets\": [", h.count, h.sum);
-    let mut first = true;
-    for (i, &n) in h.buckets.iter().enumerate() {
-        if n > 0 {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "[{i}, {n}]");
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// JSON string escape.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite-checked JSON number (JSON has no NaN/Inf).
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Finite-checked JSON number at full round-trip precision (shortest
-/// decimal that parses back to the same `f64`). Used for virtual times
-/// and structured span args, where millisecond-rounded values would make
-/// offline profiles disagree with in-process ones.
-pub fn json_f64_exact(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+fn hist(h: &Hist) -> Value {
+    let buckets = h.buckets.iter().enumerate().filter(|&(_, &n)| n > 0);
+    Value::from([
+        ("count", h.count.into()),
+        ("sum", h.sum.into()),
+        ("buckets", Value::Arr(buckets.map(|(i, &n)| Value::from(&[i as u64, n][..])).collect())),
+    ])
 }
 
 /// The directory trace artifacts go to: the per-thread override from
@@ -394,11 +288,19 @@ pub fn results_dir() -> PathBuf {
 mod tests {
     use super::*;
 
+    /// Names are escaped and gauges print at shortest round-trip, a
+    /// non-finite one as `null` — all through `json::render`.
     #[test]
     fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.500");
+        let t = ThreadData {
+            tid: 1,
+            name: Some("a\"b\\c".to_string()),
+            gauges: vec![("nan", f64::NAN), ("g", 1.5)],
+            ..ThreadData::default()
+        };
+        let s = json::render(&trace_document(&[t]));
+        assert!(s.contains("\"name\": \"a\\\"b\\\\c\""), "{s}");
+        assert!(s.contains("\"gauges\": {\"nan\": null, \"g\": 1.5}"), "{s}");
     }
 
     #[test]
@@ -427,13 +329,14 @@ mod tests {
                 h
             })],
         };
-        let s = chrome_json(&[t]);
+        let s = json::render(&trace_document(&[t]));
         assert!(s.contains("\"traceEvents\""));
-        assert!(s.contains("\"name\":\"NonLinear\""));
-        assert!(s.contains("\"cat\":\"stage\""));
-        assert!(s.contains("\"vt0\":0.5"));
-        assert!(s.contains("\"peer\":2"), "{s}");
-        assert!(s.contains("\"bytes\":4096"), "{s}");
+        assert!(s.contains("\"name\": \"NonLinear\""));
+        assert!(s.contains("\"cat\": \"stage\""));
+        assert!(s.contains("\"ts\": 10, \"dur\": 5"), "{s}");
+        assert!(s.contains("\"vt0\": 0.5"));
+        assert!(s.contains("\"peer\": 2"), "{s}");
+        assert!(s.contains("\"bytes\": 4096"), "{s}");
         assert!(s.contains("\"mpi.send.bytes\": 1024"));
         assert!(s.contains("\"counter_totals\""));
         assert!(s.contains("\"gauge_totals\""));
@@ -456,8 +359,8 @@ mod tests {
             gauges: vec![("g", v)],
             ..ThreadData::default()
         };
-        let a = chrome_json(&[mk(2, 20.0), mk(5, 50.0)]);
-        let b = chrome_json(&[mk(5, 50.0), mk(2, 20.0)]);
+        let a = json::render(&trace_document(&[mk(2, 20.0), mk(5, 50.0)]));
+        let b = json::render(&trace_document(&[mk(5, 50.0), mk(2, 20.0)]));
         assert!(a.contains("\"gauge_totals\": {\"g\": 50}"), "{a}");
         assert_eq!(
             a.lines().filter(|l| l.contains("gauge_totals")).next(),
@@ -547,9 +450,9 @@ mod tests {
             depth: 0,
             args: Vec::new(),
         };
-        let s = event_json(&e, 4);
-        assert!(s.contains("\"pid\":1"), "{s}");
-        assert!(s.contains("\"ts\":1000000.000"), "{s}");
-        assert!(s.contains("\"dur\":1000000.000"), "{s}");
+        let s = json::render(&event(&e, 4));
+        assert!(s.contains("\"pid\": 1"), "{s}");
+        assert!(s.contains("\"ts\": 1000000,"), "{s}");
+        assert!(s.contains("\"dur\": 1000000,"), "{s}");
     }
 }

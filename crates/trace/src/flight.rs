@@ -12,9 +12,9 @@
 //! abort in `nkt-mpi`, and by a checkpoint epoch falling back — every
 //! failure ships its own post-mortem.
 
-use crate::export::{json_f64_exact, json_str, out_dir};
+use crate::export::{keyed, out_dir};
+use crate::json::Value;
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -142,47 +142,27 @@ pub fn dump_current_to(dir: &std::path::Path, rank: usize, reason: &str) -> Opti
         (ring.ordered(), ring.total)
     });
     let counters = crate::span::with_buf(|b| b.data.counters.clone());
-    let mut body = String::new();
-    let _ = writeln!(body, "{{");
-    let _ = writeln!(body, "  \"schema\": \"nkt-flight-1\",");
-    let _ = writeln!(body, "  \"run\": {},", json_str(&run));
-    let _ = writeln!(body, "  \"rank\": {rank},");
-    let _ = writeln!(body, "  \"reason\": {},", json_str(reason));
-    let _ = writeln!(body, "  \"recorded\": {total},");
-    let _ = writeln!(body, "  \"dropped\": {},", total - entries.len() as u64);
-    let _ = writeln!(body, "  \"counters\": {{");
-    for (j, (n, v)) in counters.iter().enumerate() {
-        let c = if j + 1 < counters.len() { "," } else { "" };
-        let _ = writeln!(body, "    {}: {v}{c}", json_str(n));
-    }
-    let _ = writeln!(body, "  }},");
-    let _ = writeln!(body, "  \"entries\": [");
-    for (j, e) in entries.iter().enumerate() {
-        let c = if j + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(
-            body,
-            "    {{\"name\": {}, \"cat\": {}, \"vt0\": {}, \"vt1\": {}, \"arg\": {}}}{c}",
-            json_str(e.name),
-            json_str(e.cat),
-            json_f64_exact(e.vt0),
-            json_f64_exact(e.vt1),
-            json_f64_exact(e.arg),
-        );
-    }
-    let _ = writeln!(body, "  ]");
-    let _ = writeln!(body, "}}");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("flight: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("FLIGHT_{run}_r{rank}.json"));
-    match std::fs::write(&path, body) {
-        Ok(()) => {
+    let entry = |e: &FlightEntry| Value::from([
+        ("name", e.name.into()), ("cat", e.cat.into()),
+        ("vt0", e.vt0.into()), ("vt1", e.vt1.into()), ("arg", e.arg.into()),
+    ]);
+    let doc = Value::from([
+        ("schema", "nkt-flight-1".into()),
+        ("run", run.as_str().into()),
+        ("rank", rank.into()),
+        ("reason", reason.into()),
+        ("recorded", total.into()),
+        ("dropped", (total - entries.len() as u64).into()),
+        ("counters", keyed(&counters, |&v| v.into())),
+        ("entries", Value::Arr(entries.iter().map(entry).collect())),
+    ]);
+    match crate::json::write(dir, &format!("FLIGHT_{run}_r{rank}.json"), &doc) {
+        Ok((path, _)) => {
             eprintln!("flight rank {rank} ({reason}) -> {}", path.display());
             Some(path)
         }
         Err(e) => {
-            eprintln!("flight: cannot write {}: {e}", path.display());
+            eprintln!("flight: cannot write {e}");
             None
         }
     }

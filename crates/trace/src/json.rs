@@ -1,14 +1,18 @@
-//! Minimal JSON parser — enough to read back the workspace's own
-//! artifacts (`TRACE_*.json`, the `PROF_` / `STATS_` / `CALIB_` baselines
-//! the [`crate::gate`] extractors gate, serve manifests) with zero
-//! external dependencies.
-//!
-//! Recursive-descent over the full JSON grammar (objects, arrays,
-//! strings with escapes, numbers, booleans, null). Numbers are parsed as
-//! `f64`, matching what the writers emit. Not built for adversarial
-//! input — for the workspace's own machine-generated files.
+//! The workspace's one JSON syntax, both directions: [`parse`] reads
+//! the artifacts back (`TRACE_`, the `PROF_` / `STATS_` / `CALIB_`
+//! baselines the [`crate::gate`] extractors gate, serve manifests) and
+//! [`render`] / [`write`] produce every one of them from a [`Value`]
+//! document its owner builds. The layout depends on the value's shape
+//! alone: a container at depth 0 or 1 that holds a container is written
+//! one member per line, indented two spaces a level; every other
+//! container on one line with `, ` and `: `. Numbers are `f64` both ways
+//! at shortest round-trip, so an artifact's integers sit below 2^53.
+//! Not built for adversarial input — for the workspace's own files.
 
-/// A parsed JSON value.
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+
+/// A JSON value: what [`parse`] returns and what [`render`] writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -83,10 +87,127 @@ impl Value {
     }
 }
 
-/// Quotes and escapes a string as a JSON string literal (the writer-side
-/// twin of [`parse`], shared by the workspace's artifact writers).
-pub fn quote(s: &str) -> String {
-    crate::export::json_str(s)
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Value {
+                Value::Num(x as f64)
+            }
+        }
+    )*};
+}
+from_number!(f64, u64, usize, u32, i64);
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// An array of scalars.
+impl<T: Into<Value> + Copy> From<&[T]> for Value {
+    fn from(items: &[T]) -> Value {
+        Value::Arr(items.iter().map(|&x| x.into()).collect())
+    }
+}
+
+/// An object with a fixed list of fields, in order.
+impl<const N: usize> From<[(&str, Value); N]> for Value {
+    fn from(fields: [(&str, Value); N]) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+}
+
+/// Renders `v` as a document ending in one newline. It [`parse`]s back
+/// to `v`, except that non-finite numbers, which JSON cannot hold, are
+/// `null`.
+pub fn render(v: &Value) -> String {
+    let mut out = String::new();
+    emit(v, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+/// Renders `doc` into `dir/file`, creating `dir`. Returns the path and
+/// the bytes written (what a manifest entry hashes); an error names the
+/// path.
+pub fn write(dir: &Path, file: &str, doc: &Value) -> std::io::Result<(PathBuf, String)> {
+    let path = dir.join(file);
+    let text = render(doc);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, &text))
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    Ok((path, text))
+}
+
+/// Writes `v` nested `depth` containers deep (0 = the document itself).
+fn emit(v: &Value, depth: usize, out: &mut String) {
+    let (brackets, members): (_, Vec<(Option<&str>, &Value)>) = match v {
+        Value::Null => return out.push_str("null"),
+        Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(x) if x.is_finite() => return out.push_str(&x.to_string()),
+        Value::Num(_) => return out.push_str("null"),
+        Value::Str(s) => return escape(s, out),
+        Value::Arr(items) => ("[]", items.iter().map(|v| (None, v)).collect()),
+        Value::Obj(fields) => ("{}", fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect()),
+    };
+    let nests = members.iter().any(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)));
+    let tall = depth <= 1 && nests;
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    out.push_str(&brackets[..1]);
+    for (i, (key, v)) in members.iter().enumerate() {
+        if i > 0 {
+            out.push_str(if tall { "," } else { ", " });
+        }
+        if tall {
+            newline(out, depth + 1);
+        }
+        if let Some(k) = key {
+            escape(k, out);
+            out.push_str(": ");
+        }
+        emit(v, depth + 1, out);
+    }
+    if tall {
+        newline(out, depth);
+    }
+    out.push_str(&brackets[1..]);
+}
+
+/// A JSON string literal: quotes, backslashes and control characters
+/// escaped, everything else verbatim.
+fn escape(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Maximum container nesting depth. The recursive-descent parser uses
@@ -361,9 +482,36 @@ mod tests {
 
     #[test]
     fn roundtrips_writer_output() {
-        let s = crate::export::chrome_json(&[]);
-        let v = parse(&s).unwrap();
+        let doc = crate::export::trace_document(&[]);
+        let v = parse(&render(&doc)).unwrap();
+        assert_eq!(v, doc);
         assert!(v.get("traceEvents").unwrap().as_arr().is_some());
         assert!(v.get("metrics").is_some());
+    }
+
+    /// One case per arm of the layout rule.
+    #[test]
+    fn layout_depends_on_shape_alone() {
+        let scalars = || Value::from(&[1.5, -0.0, f64::NAN][..]);
+        let cases = [
+            // Empty containers, at any depth.
+            (Value::Arr(vec![]), "[]\n"),
+            (Value::from([("a", Value::Obj(vec![]))]), "{\n  \"a\": {}\n}\n"),
+            // A depth-0 object of scalars is one line (one JSONL record).
+            (
+                Value::from([("s", "q\"\n".into()), ("n", Value::Null), ("t", Value::Bool(true))]),
+                "{\"s\": \"q\\\"\\n\", \"n\": null, \"t\": true}\n",
+            ),
+            // A scalar array at depth 1 stays on its member's line.
+            (Value::from([("xs", scalars())]), "{\n  \"xs\": [1.5, -0, null]\n}\n"),
+            // At depth >= 2 every container is one line.
+            (
+                Value::Arr(vec![Value::Arr(vec![Value::from([("ys", scalars())])])]),
+                "[\n  [\n    {\"ys\": [1.5, -0, null]}\n  ]\n]\n",
+            ),
+        ];
+        for (v, want) in cases {
+            assert_eq!(render(&v), want);
+        }
     }
 }

@@ -46,7 +46,7 @@ pub mod metrics;
 pub mod span;
 
 pub use export::{
-    export, flush_thread, json_f64_exact, out_dir, results_dir, summary_digest,
+    export, flush_thread, out_dir, results_dir, summary_digest,
     take_collected, take_collected_for,
 };
 pub use metrics::{

@@ -1,10 +1,12 @@
-//! Property tests hardening the in-house JSON parser: random documents
-//! round-trip, random mutations/truncations never panic, escape
-//! sequences decode exactly, and nesting depth is bounded by an `Err`
-//! rather than a stack overflow.
+//! Property tests hardening the workspace's one JSON syntax: random
+//! documents round-trip through the production `render` and render back
+//! canonically, an object of scalars is one line, random
+//! mutations/truncations never panic the parser, escape sequences decode
+//! exactly, and nesting depth is bounded by an `Err` rather than a stack
+//! overflow.
 
 use nkt_testkit::{one_of, prop_check, vec_len_in, Rng};
-use nkt_trace::json::{parse, Value};
+use nkt_trace::json::{parse, render, Value};
 
 /// Generates a random JSON value. Width and depth are bounded so a case
 /// stays small enough to shrink meaningfully.
@@ -50,61 +52,11 @@ fn gen_string(rng: &mut Rng) -> String {
         .collect()
 }
 
-/// Serializer matching the workspace writers' escaping rules (see
-/// `export::json_str` / `json_f64_exact`).
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(x) => out.push_str(&format!("{x}")),
-        Value::Str(s) => write_str(s, out),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, it) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(it, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (k, it)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_str(k, out);
-                out.push(':');
-                write_value(it, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Duplicate object keys make generated docs compare unequal after a
 /// round trip through `Value::get`-style readers; the generator above
 /// never emits them (keys are index-prefixed), so plain equality holds.
 fn assert_roundtrip(v: &Value) {
-    let mut text = String::new();
-    write_value(v, &mut text);
+    let text = render(v);
     let back = parse(&text).unwrap_or_else(|e| panic!("roundtrip parse failed: {e}\ndoc: {text}"));
     assert_eq!(&back, v, "doc: {text}");
 }
@@ -116,15 +68,32 @@ prop_check! {
         assert_roundtrip(&v);
     }
 
+    fn rendering_is_canonical(seed in 0u64..u64::MAX, depth in 0usize..5) {
+        let mut rng = Rng::new(seed);
+        let text = render(&gen_value(&mut rng, depth));
+        assert_eq!(render(&parse(&text).unwrap()), text);
+    }
+
+    fn scalar_objects_render_as_one_line(seed in 0u64..u64::MAX) {
+        // The EVENTS contract: a depth-0 object of scalars is one JSONL
+        // record, whatever its strings hold.
+        let mut rng = Rng::new(seed);
+        let n = rng.below(6) as usize;
+        let v = Value::Obj(
+            (0..n).map(|i| (format!("k{i}_{}", gen_string(&mut rng)), gen_value(&mut rng, 0))).collect(),
+        );
+        let text = render(&v);
+        assert_eq!(text.matches('\n').count(), 1, "doc: {text}");
+        assert!(text.ends_with('\n'));
+    }
+
     fn mutated_docs_never_panic(
         seed in 0u64..u64::MAX,
         flips in vec_len_in(0usize..4096, 0..9),
     ) {
         let mut rng = Rng::new(seed);
         let v = gen_value(&mut rng, 3);
-        let mut text = String::new();
-        write_value(&v, &mut text);
-        let mut bytes = text.into_bytes();
+        let mut bytes = render(&v).into_bytes();
         for &f in &flips {
             if !bytes.is_empty() {
                 let pos = f % bytes.len();
@@ -138,8 +107,8 @@ prop_check! {
     fn truncated_containers_error(seed in 0u64..u64::MAX, cut in 1usize..4096) {
         let mut rng = Rng::new(seed);
         let v = Value::Arr(vec![gen_value(&mut rng, 3)]);
-        let mut text = String::new();
-        write_value(&v, &mut text);
+        let text = render(&v);
+        let text = text.trim_end();
         // Any strict prefix of a container document is malformed: the
         // parser must say Err (and not panic on the dangling state).
         let mut cut = cut % text.len();

@@ -43,7 +43,7 @@ fn span_nesting_and_ordering_roundtrip_chrome_json() {
 
     let collected = nkt_trace::take_collected();
     let mine: Vec<_> = collected.into_iter().filter(|t| t.tid == tid).collect();
-    let json_text = nkt_trace::export::chrome_json(&mine);
+    let json_text = json::render(&nkt_trace::export::trace_document(&mine));
     let doc = json::parse(&json_text).expect("exporter output must parse");
 
     // Pull the X events back out, skipping metadata records.
@@ -146,7 +146,7 @@ fn counters_saturate_and_merge_across_threads() {
     assert_eq!(total("ovf.bytes"), Some(u64::MAX));
 
     // The exporter reports the same totals.
-    let text = nkt_trace::export::chrome_json(&mine);
+    let text = json::render(&nkt_trace::export::trace_document(&mine));
     let doc = json::parse(&text).unwrap();
     let totals_obj = doc.get("metrics").unwrap().get("counter_totals").unwrap();
     assert_eq!(totals_obj.get("shared.msgs").unwrap().as_f64(), Some(7.0));

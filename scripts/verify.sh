@@ -389,6 +389,21 @@ if grep -rn '"NKT_' crates src examples --include='*.rs' \
     exit 1
 fi
 
+echo "== one JSON writer (artifacts are json::Value documents rendered in nkt_trace::json) =="
+# Escaping, number format and layout live in crates/trace/src/json.rs
+# alone; an artifact's owner builds a Value and calls render / write. A
+# JSON-shaped string literal ("\"key\": ") or a json_str / json_f64 /
+# json_f64_exact of its own is a second writer. Test modules (each file
+# from its first #[cfg(test)]) may spell JSON by hand.
+json_writers="$(find crates/*/src src examples -name '*.rs' ! -path crates/trace/src/json.rs -print0 \
+    | xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile }
+        /\\"[^" \\]+\\": |fn json_(str|f64|f64_exact)[<(]/ { print FILENAME ":" FNR ": " $0 }')"
+if [[ -n "$json_writers" ]]; then
+    echo "$json_writers" >&2
+    echo "FAIL: JSON written outside nkt_trace::json (lines above): build a json::Value" >&2
+    exit 1
+fi
+
 if [[ "$deep" == 1 ]]; then
     echo "== deep property sweep (NKT_PROP_CASES=1000) =="
     NKT_PROP_CASES=1000 cargo test -q --offline --workspace

@@ -37,9 +37,10 @@ pub fn report(run: &str, out: &Outcome) {
     if out.rec.every == 0 {
         return;
     }
-    match out.rec.write(run) {
-        Ok(path) => println!("stats: wrote {}", path.display()),
-        Err(e) => eprintln!("stats: cannot write STATS_{run}.json: {e}"),
+    let file = format!("STATS_{run}.json");
+    match trace::json::write(&trace::out_dir(), &file, &out.rec.document(run)) {
+        Ok((path, _)) => println!("stats: wrote {}", path.display()),
+        Err(e) => eprintln!("stats: cannot write {e}"),
     }
 }
 
