@@ -255,3 +255,22 @@ fn nkt_diff_gates_every_committed_family_and_has_no_knobs() {
         assert_eq!(run(bad).status.code(), Some(2), "{bad:?} must be a usage error");
     }
 }
+
+/// Every committed JSON baseline is exactly what the one writer renders
+/// from its parse: a hand-edited baseline, or an artifact written
+/// around `json::render`, fails here.
+#[test]
+fn committed_baselines_are_canonical() {
+    use nektar_repro::trace::json::{parse, render};
+    let mut seen = 0;
+    for entry in std::fs::read_dir(nektar_repro::trace::results_dir()).expect("results/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).expect("utf-8 baseline");
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(render(&doc) == text, "{} is not canonical", path.display());
+            seen += 1;
+        }
+    }
+    assert!(seen >= 10, "only {seen} JSON baselines under results/");
+}
