@@ -10,8 +10,9 @@
 
 mod common;
 
-use common::{allocs_in, Counting};
+use common::{allocs_in, op_stream_digest, Counting};
 use nektar::fourier::{FourierConfig, NektarF};
+use nektar::opstream::Recorder;
 use nektar::stats::{sample_fourier, FOURIER_CHANNELS};
 use nkt_ckpt::Checkpointable;
 use nkt_mesh::{rect_quads, BoundaryTag, Elem2d, ElemKind, Mesh2d};
@@ -157,6 +158,40 @@ fn five_steps_reproduce_the_recorded_twins_within_tolerance() {
                 );
             }
         }
+    }
+}
+
+/// The op stream of a warmed step (the fourth: past the ramp) on every
+/// rank of each world above, as one [`op_stream_digest`] per world, the
+/// pipelined transpose on. Tables 1–2 and Figures 12–14 replay what the
+/// recorder says a step ran, so a refactor of the step keeps every item,
+/// in order, on the slab and on the pencil.
+#[test]
+fn a_warmed_step_records_the_recorded_op_stream() {
+    let square = (rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2), cfg(8));
+    let skewed = (skewed_mesh(), cfg(8));
+    let ragged = ragged();
+    let cases = [
+        ("1 rank", &square, 1, 1, 0x67ed6bae3650734c),
+        ("2-rank slab", &square, 2, 1, 0xa5349ae25a478253),
+        ("2x2 pencil", &square, 2, 2, 0x382711ea5ebc5f45),
+        ("skewed", &skewed, 1, 1, 0x25fb1c64a4584bb3),
+        ("ragged 4-rank slab", &ragged, 4, 1, 0xcaf77e85218ca9ef),
+        ("ragged 2x2", &ragged, 2, 2, 0x6a2b46c5a3c850cb),
+    ];
+    for (what, (mesh, cfg), pr, pc, want) in cases {
+        let ranks = World::builder().ranks(pr * pc).net(cluster(NetId::RoadRunnerEth)).run(|c| {
+            let mut s =
+                NektarF::try_new_with_grid(c, mesh, cfg.clone(), pr, pc).expect("valid grid");
+            s.set_initial(busy_field);
+            for _ in 0..3 {
+                s.step(c);
+            }
+            s.recorder = Recorder::enabled();
+            s.step(c);
+            s.recorder.take().expect("enabled above")
+        });
+        assert_eq!(op_stream_digest(&ranks), want, "{what}");
     }
 }
 
