@@ -13,6 +13,11 @@
 //!   paper describes. The transpose itself lives behind the [`decomp`]
 //!   layer: the paper's 1-D slab, or a 2-D pencil process grid whose
 //!   row/column sub-communicator exchanges scale past P = nz.
+//! * `plane` — the one seven-stage plane step both 2-D solvers advance
+//!   through ("one Fourier mode … corresponds to two spectral/hp element
+//!   planes"): the serial solver is one mode of one real plane pair,
+//!   NekTar-F every owned mode's cos/sin planes of (u, v, w); stage 2's
+//!   products are the one part each brings itself.
 //! * [`hex3d`] + [`ale`] — *NekTar-ALE*: fully 3-D hexahedral spectral/hp
 //!   discretisation with element-based domain decomposition
 //!   (nkt-partition), gather-scatter halo exchange (nkt-gs), diagonally
@@ -35,6 +40,7 @@ pub mod drive;
 pub mod fourier;
 pub mod hex3d;
 pub mod opstream;
+pub(crate) mod plane;
 pub mod replay;
 pub mod serial2d;
 pub mod splitting;
