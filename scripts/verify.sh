@@ -394,13 +394,38 @@ echo "== one JSON writer (artifacts are json::Value documents rendered in nkt_tr
 # alone; an artifact's owner builds a Value and calls render / write. A
 # JSON-shaped string literal ("\"key\": ") or a json_str / json_f64 /
 # json_f64_exact of its own is a second writer. Test modules (each file
-# from its first #[cfg(test)]) may spell JSON by hand.
+# from its first column-0 #[cfg(test)]) may spell JSON by hand.
 json_writers="$(find crates/*/src src examples -name '*.rs' ! -path crates/trace/src/json.rs -print0 \
-    | xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile }
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
         /\\"[^" \\]+\\": |fn json_(str|f64|f64_exact)[<(]/ { print FILENAME ":" FNR ": " $0 }')"
 if [[ -n "$json_writers" ]]; then
     echo "$json_writers" >&2
     echo "FAIL: JSON written outside nkt_trace::json (lines above): build a json::Value" >&2
+    exit 1
+fi
+
+echo "== one plane step (the 2-D weak forms and direct solves are called from plane.rs only) =="
+# Both 2-D solvers advance through crates/core/src/plane.rs; a weak form or
+# a direct solve called from other non-test code under crates/core/src,
+# src or examples is a second step body.
+plane_calls="$(find crates/core/src src examples -name '*.rs' ! -path crates/core/src/plane.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /(weak_div_add|weak_mass_add|solve_banded_in_place)(::<[^>]*>)?\(/ { print FILENAME ":" FNR ": " $0 }')"
+if [[ -n "$plane_calls" ]]; then
+    echo "$plane_calls" >&2
+    echo "FAIL: a plane weak form or direct solve called outside plane.rs (lines above)" >&2
+    exit 1
+fi
+
+echo "== line budget (non-test lines per crate, held to scripts/line_budget.txt) =="
+# scripts/lines counts each crate's non-test lines in a rustfmt-normalised
+# temporary copy; a row over its budget, or a crate without one, fails.
+over_budget="$(scripts/lines | awk 'NR == FNR { if ($0 !~ /^#/) budget[$1] = $2; next }
+    !($1 in budget) || $2 > budget[$1] { print $1 ": " $2 " non-test lines, budget " budget[$1] }' \
+    scripts/line_budget.txt -)"
+if [[ -n "$over_budget" ]]; then
+    echo "$over_budget" >&2
+    echo "FAIL: over the line budget (rows above): simplify, or raise the row in scripts/line_budget.txt" >&2
     exit 1
 fi
 
