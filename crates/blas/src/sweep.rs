@@ -38,25 +38,52 @@ impl Axis {
 /// and the innermost loop is always the contiguous one. Inlined into
 /// callers whose mode count is a constant, every trip count is known.
 ///
+/// With `L > 1` lanes, `x` and `y` hold `L` tensors stored lane-fastest
+/// (`x[p, i, c]` is lane `p % L`'s) and each output of a block of lanes
+/// is summed in registers. `a` holds `mats` matrices: 1 shared by every
+/// lane, or `L` interleaved entry by entry (lane `l`'s `a[o, i]` at
+/// `a[(o + i·n_out)·L + l]`). Each output is the sum a one-lane sweep of
+/// its tensor and matrix forms, in the same order.
+///
 /// # Panics
-/// If `a`, `x` or `y` is shorter than `ax` describes.
+/// If `a`, `x` or `y` is shorter than `ax`, `L` and `mats` describe, `L`
+/// does not divide `pre`, or `mats` is neither 1 nor `L`.
 #[inline(always)]
-pub fn sweep<const ADD: bool>(a: &[f64], ax: Axis, x: &[f64], y: &mut [f64]) {
+pub fn sweep<const ADD: bool, const L: usize>(
+    a: &[f64],
+    mats: usize,
+    ax: Axis,
+    x: &[f64],
+    y: &mut [f64],
+) {
     let Axis { pre, n_in, n_out, post } = ax;
-    let a = &a[..n_out * n_in];
+    assert!(pre % L == 0 && (mats == 1 || mats == L), "{L} lanes, {mats} matrices, pre = {pre}");
+    let a = &a[..n_out * n_in * mats];
     let x = &x[..pre * n_in * post];
     let y = &mut y[..pre * n_out * post];
+    // Term `i` of a sum: the first is stored, unless adding.
+    let term = |y: &mut f64, i: usize, t: f64| *y = if i == 0 && !ADD { t } else { *y + t };
     for (xc, yc) in x.chunks_exact(pre * n_in).zip(y.chunks_exact_mut(pre * n_out)) {
-        if pre == 1 {
+        if L > 1 {
+            for (o, yo) in yc.chunks_exact_mut(pre).enumerate() {
+                for (p, yl) in yo.chunks_exact_mut(L).enumerate() {
+                    let mut acc: [f64; L] = std::array::from_fn(|l| if ADD { yl[l] } else { 0.0 });
+                    for i in 0..n_in {
+                        let al = &a[(o + i * n_out) * mats..][..mats];
+                        let xl = &xc[i * pre + p * L..][..L];
+                        for (l, acc) in acc.iter_mut().enumerate() {
+                            term(acc, i, al[l % mats] * xl[l]);
+                        }
+                    }
+                    yl.copy_from_slice(&acc);
+                }
+            }
+        } else if pre == 1 {
             // Contiguous axis: y_c (+)= A x_c, one column of A per term.
             for (i, &xv) in xc.iter().enumerate() {
                 let col = &a[i * n_out..(i + 1) * n_out];
                 for (yo, &av) in yc.iter_mut().zip(col) {
-                    if i == 0 && !ADD {
-                        *yo = av * xv;
-                    } else {
-                        *yo += av * xv;
-                    }
+                    term(yo, i, av * xv);
                 }
             }
         } else {
@@ -64,11 +91,7 @@ pub fn sweep<const ADD: bool>(a: &[f64], ax: Axis, x: &[f64], y: &mut [f64]) {
                 for (i, xi) in xc.chunks_exact(pre).enumerate() {
                     let av = a[o + i * n_out];
                     for (yp, &xp) in yo.iter_mut().zip(xi) {
-                        if i == 0 && !ADD {
-                            *yp = av * xp;
-                        } else {
-                            *yp += av * xp;
-                        }
+                        term(yp, i, av * xp);
                     }
                 }
             }
@@ -89,9 +112,9 @@ pub fn sweep3(
 ) {
     let [ax, ay, az] = Axis::tensor(n_in, n_out);
     let (t1, t2) = scratch.split_at_mut(n_out * n_in * n_in);
-    sweep::<false>(m[0], ax, x, t1);
-    sweep::<false>(m[1], ay, t1, t2);
-    sweep::<false>(m[2], az, t2, out);
+    sweep::<false, 1>(m[0], 1, ax, x, t1);
+    sweep::<false, 1>(m[1], 1, ay, t1, t2);
+    sweep::<false, 1>(m[2], 1, az, t2, out);
 }
 
 #[cfg(test)]
@@ -114,7 +137,7 @@ mod tests {
         let y0 = random(rng, pre * n_out * post);
         // A sweep that overwrites must not read what was there.
         let mut y = if ADD { y0.clone() } else { vec![f64::NAN; y0.len()] };
-        sweep::<ADD>(&a, ax, &x, &mut y);
+        sweep::<ADD, 1>(&a, 1, ax, &x, &mut y);
         let mut want = y0;
         let beta = if ADD { 1.0 } else { 0.0 };
         let at: Vec<f64> = (0..n_in * n_out).map(|k| a[k / n_in + (k % n_in) * n_out]).collect();
@@ -144,6 +167,44 @@ mod tests {
         }
     }
 
+    /// `L` lanes, with one shared matrix or one each, are `L` one-lane
+    /// sweeps of the de-interleaved tensors, bit for bit, with `ADD` and
+    /// without.
+    fn check_lanes<const L: usize>(rng: &mut Rng) {
+        for (pre, n_in, n_out, post) in [(1, 3, 3, 9), (3, 3, 4, 3), (16, 5, 2, 1)] {
+            for mats in [1, L] {
+                let ax = Axis { pre: pre * L, n_in, n_out, post };
+                let (a, x) = (random(rng, n_out * n_in * mats), random(rng, pre * L * n_in * post));
+                let y0 = random(rng, pre * L * n_out * post);
+                let (mut y, mut y_add) = (vec![f64::NAN; y0.len()], y0.clone());
+                sweep::<false, L>(&a, mats, ax, &x, &mut y);
+                sweep::<true, L>(&a, mats, ax, &x, &mut y_add);
+                let one = Axis { pre, ..ax };
+                let lane = |v: &[f64], l: usize, n: usize| -> Vec<f64> {
+                    v.iter().skip(l % n).step_by(n).copied().collect()
+                };
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                for l in 0..L {
+                    let (al, xl) = (lane(&a, l, mats), lane(&x, l, L));
+                    let (mut want, mut want_add) = (vec![f64::NAN; y0.len() / L], lane(&y0, l, L));
+                    sweep::<false, 1>(&al, 1, one, &xl, &mut want);
+                    sweep::<true, 1>(&al, 1, one, &xl, &mut want_add);
+                    let what = format!("{L} lanes, {mats} matrices, {one:?}, lane {l}");
+                    assert_eq!(bits(&lane(&y, l, L)), bits(&want), "{what}");
+                    assert_eq!(bits(&lane(&y_add, l, L)), bits(&want_add), "{what}, ADD");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_are_independent_one_lane_sweeps() {
+        let mut rng = Rng::new(0x1a7e5);
+        check_lanes::<2>(&mut rng);
+        check_lanes::<3>(&mut rng);
+        check_lanes::<8>(&mut rng);
+    }
+
     #[test]
     fn zeros_take_no_shortcut_and_sums_have_no_zero_seed() {
         for pre in [1, 2] {
@@ -152,12 +213,12 @@ mod tests {
             let a = [f64::INFINITY, 1.0, 3.0, 1.0];
             let x: Vec<f64> = [0.0, 1.0].iter().flat_map(|&v| vec![v; pre]).collect();
             let mut y = vec![0.0; 2 * pre];
-            sweep::<false>(&a, ax, &x, &mut y);
+            sweep::<false, 1>(&a, 1, ax, &x, &mut y);
             assert!(y[0].is_nan() && y[pre] == 1.0, "pre {pre}: {y:?}");
             // (−0) + (−0) is −0, but 0 + (−0) is +0: the first product is
             // stored, not added to a zero.
             let x = vec![-0.0; 2 * pre];
-            sweep::<false>(&[1.0; 4], ax, &x, &mut y);
+            sweep::<false, 1>(&[1.0; 4], 1, ax, &x, &mut y);
             assert!(y.iter().all(|v| *v == 0.0 && v.is_sign_negative()), "pre {pre}: {y:?}");
         }
     }

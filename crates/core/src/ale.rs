@@ -77,6 +77,8 @@ pub struct NektarAle {
     pub mesh: Mesh3d,
     /// Initial x-coordinates of every vertex (motion reference).
     verts0_x: Vec<f64>,
+    /// Their smallest and largest value.
+    x_range: (f64, f64),
     /// Viscous operator (λ = γ₀/(νΔt), Dirichlet velocity walls).
     pub vel_op: HexHelmholtz,
     /// Ramp-order viscous operators for BDF startup.
@@ -116,7 +118,40 @@ pub struct NektarAle {
     ws: HexWorkspace,
     /// One element's weighted integrand at its nq³ quadrature points.
     fq: Vec<f64>,
+    /// The step's other buffers.
+    bufs: StepBuffers,
     steps_taken: usize,
+}
+
+/// What a step computes into besides the history levels, kept from step
+/// to step so that a warmed step allocates nothing: gradients, weighted
+/// velocity and mesh velocity at the quadrature points, the pressure and
+/// viscous right-hand sides, and the mesh-velocity solve's zero
+/// right-hand side and iterate. Each is sized on first use and zeroed or
+/// overwritten before it is read.
+#[derive(Default)]
+struct StepBuffers {
+    g: [Vec<f64>; 3],
+    hat: [Vec<f64>; 3],
+    wmesh: Vec<f64>,
+    prhs: Vec<f64>,
+    vrhs: [Vec<f64>; 3],
+    zero: Vec<f64>,
+    eta: Vec<f64>,
+}
+
+/// `v` as `n` zeros, in the storage it already has.
+fn zeroed(v: &mut Vec<f64>, n: usize) -> &mut Vec<f64> {
+    v.clear();
+    v.resize(n, 0.0);
+    v
+}
+
+/// The level a full history ring is about to drop, for reuse as its next
+/// newest; a new one while the ring is still filling.
+fn spare_level(ring: &mut VecDeque<[Vec<f64>; 3]>, order: usize) -> [Vec<f64>; 3] {
+    ring.truncate(order);
+    (ring.len() == order).then(|| ring.pop_back()).flatten().unwrap_or_default()
 }
 
 /// Motion shape: 0 at the domain x-extents, 1 in the central band (where
@@ -198,6 +233,7 @@ impl NektarAle {
             scheme,
             mesh,
             verts0_x,
+            x_range: (x_min, x_max),
             vel_op,
             ramp_ops,
             press_op,
@@ -216,6 +252,7 @@ impl NektarAle {
             last_converged: true,
             ws: HexWorkspace::default(),
             fq: vec![0.0; nq3],
+            bufs: StepBuffers::default(),
             steps_taken: 0,
         }
     }
@@ -282,12 +319,14 @@ impl NektarAle {
         }
     }
 
-    /// Quadrature values of velocity component `c` on all owned elements
-    /// (flattened, `nq³` per element).
-    fn vel_to_quad(&mut self, c: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.vel_op.my_elems.len() * self.nq3()];
-        self.vel_op.to_quad(&self.u[c], None, &mut out, &mut self.ws.elem);
-        out
+    /// Quadrature values of the three velocity components on all owned
+    /// elements (flattened, `nq³` per element) into `uq`.
+    fn vel_to_quad(&mut self, uq: &mut [Vec<f64>; 3]) {
+        let n = self.vel_op.my_elems.len() * self.nq3();
+        for (out, u) in uq.iter_mut().zip(&self.u) {
+            out.resize(n, 0.0);
+            self.vel_op.to_quad(u, None, out, &mut self.ws.elem);
+        }
     }
 
     /// Physical-space gradient of `op`'s field `coeffs` at the quadrature
@@ -295,6 +334,7 @@ impl NektarAle {
     fn grad_quad(op: &HexHelmholtz, coeffs: &[f64], g: &mut [Vec<f64>; 3], scratch: &mut Vec<f64>) {
         let nq3 = op.op1.basis.nquad().pow(3);
         for (d, gd) in g.iter_mut().enumerate() {
+            gd.resize(op.my_elems.len() * nq3, 0.0);
             op.to_quad(coeffs, Some(d), gd, scratch);
             for (ge, h) in gd.chunks_exact_mut(nq3).zip(&op.scales) {
                 for v in ge {
@@ -305,14 +345,14 @@ impl NektarAle {
     }
 
     /// Mesh velocity (x-component) at the quadrature points of owned
-    /// elements under the plane-wise flapping motion.
-    fn mesh_velocity_quad(&self) -> Vec<f64> {
+    /// elements under the plane-wise flapping motion, into `out`.
+    fn mesh_velocity_quad(&self, out: &mut Vec<f64>) {
         let nq = self.vel_op.op1.basis.nquad();
         let nq3 = self.nq3();
         let speed = self.cfg.motion_amp * self.cfg.motion_omega * (self.cfg.motion_omega * self.time).cos();
-        let mut out = vec![0.0; self.vel_op.my_elems.len() * nq3];
+        zeroed(out, self.vel_op.my_elems.len() * nq3);
         if speed == 0.0 {
-            return out;
+            return;
         }
         for (le, &(s_lo, s_hi)) in self.motion_shape.iter().enumerate() {
             for qz in 0..nq {
@@ -325,7 +365,6 @@ impl NektarAle {
                 }
             }
         }
-        out
     }
 
     /// Advances one step. Collective. Returns the step's stage times
@@ -337,10 +376,13 @@ impl NektarAle {
         let nu = self.cfg.nu;
         let nq3 = self.nq3();
         let ne = self.vel_op.my_elems.len();
+        let order = self.scheme.order;
+        let mut b = std::mem::take(&mut self.bufs);
 
-        // Stage 1: modal -> quadrature.
+        // Stage 1: modal -> quadrature, into the level the history drops.
         let t0 = StageTimer::start(Stage::BwdTransform);
-        let uq: [Vec<f64>; 3] = std::array::from_fn(|c| self.vel_to_quad(c));
+        let mut uq = spare_level(&mut self.hist_vel, order);
+        self.vel_to_quad(&mut uq);
         let nm1 = self.cfg.order + 1;
         for _ in 0..3 * ne {
             self.recorder.work(
@@ -352,13 +394,15 @@ impl NektarAle {
 
         // Stage 2: nonlinear + ALE terms; vertex position update.
         let t0 = StageTimer::start(Stage::NonLinear);
-        let field3 = || -> [Vec<f64>; 3] { std::array::from_fn(|_| vec![0.0; ne * nq3]) };
-        let mut nl = field3();
-        let mut g = field3();
+        let mut nl = spare_level(&mut self.hist_n, order);
+        for c in &mut nl {
+            zeroed(c, ne * nq3);
+        }
         if self.cfg.advect {
-            let wmesh = self.mesh_velocity_quad();
+            self.mesh_velocity_quad(&mut b.wmesh);
+            let (wmesh, g) = (&b.wmesh, &mut b.g);
             for c in 0..3 {
-                Self::grad_quad(&self.vel_op, &self.u[c], &mut g, &mut self.ws.elem);
+                Self::grad_quad(&self.vel_op, &self.u[c], g, &mut self.ws.elem);
                 for i in 0..ne * nq3 {
                     // Relative (ALE) advection velocity in x.
                     let ax = uq[0][i] - wmesh[i];
@@ -376,23 +420,17 @@ impl NektarAle {
         }
         // Vertex updates ("updating of the positions of the vertices").
         if self.cfg.motion_amp != 0.0 {
-            let x_min = self.verts0_x.iter().copied().fold(f64::MAX, f64::min);
-            let x_max = self.verts0_x.iter().copied().fold(f64::MIN, f64::max);
+            let (x_min, x_max) = self.x_range;
             let disp = self.cfg.motion_amp * (self.cfg.motion_omega * (self.time + dt)).sin();
             for (v, x0) in self.verts0_x.iter().enumerate() {
                 self.mesh.verts[v][0] = x0 + disp * motion_shape_fn(*x0, x_min, x_max);
             }
             // Refresh element scales (elements stay axis-aligned boxes).
-            for (le, &e) in self.vel_op.my_elems.iter().enumerate() {
+            for le in 0..ne {
+                let e = self.vel_op.my_elems[le];
                 let (lo, hi) = elem_box(&self.mesh, e).expect("motion broke the box property");
                 let s = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
-                self.vel_op.scales[le] = s;
-                self.press_op.scales[le] = s;
-                self.mass_op.scales[le] = s;
-                self.mesh_op.scales[le] = s;
-                for r in &mut self.ramp_ops {
-                    r.scales[le] = s;
-                }
+                self.ops_mut().for_each(|op| op.scales[le] = s);
             }
             self.vel_op.rebuild_diag(comm);
             self.press_op.rebuild_diag(comm);
@@ -403,18 +441,21 @@ impl NektarAle {
         // History and ramp.
         self.hist_vel.push_front(uq);
         self.hist_n.push_front(nl);
-        let j = self.scheme.order.min(self.hist_vel.len());
-        while self.hist_vel.len() > self.scheme.order {
-            self.hist_vel.pop_back();
-        }
-        while self.hist_n.len() > self.scheme.order {
-            self.hist_n.pop_back();
-        }
-        let eff = StifflyStable::new(j);
+        let j = self.hist_vel.len();
+        let ramp;
+        let eff = if j == order {
+            &self.scheme
+        } else {
+            ramp = StifflyStable::new(j);
+            &ramp
+        };
 
         // Stage 3: stiffly-stable weighting (quadrature space).
         let t0 = StageTimer::start(Stage::StifflyStable);
-        let mut hat = field3();
+        let hat = &mut b.hat;
+        for h in hat.iter_mut() {
+            zeroed(h, ne * nq3);
+        }
         for lvl in 0..j {
             let al = eff.alpha[lvl];
             let be = eff.beta[lvl] * dt;
@@ -438,9 +479,9 @@ impl NektarAle {
 
         // Stage 4: pressure RHS = (1/dt) ∫ uhat·∇φ.
         let t0 = StageTimer::start(Stage::PressureRhs);
-        let mut prhs = vec![0.0; self.press_op.nlocal()];
-        self.divergence_rhs(&hat, 1.0 / dt, &mut prhs);
-        self.press_op.gs.exchange(comm, &mut prhs, ReduceOp::Sum);
+        let prhs = zeroed(&mut b.prhs, self.press_op.nlocal());
+        self.divergence_rhs(&b.hat, 1.0 / dt, prhs);
+        self.press_op.gs.exchange(comm, prhs, ReduceOp::Sum);
         sc.add(Stage::PressureRhs, t0.stop());
 
         // Stage 5: pressure PCG solve.
@@ -450,7 +491,7 @@ impl NektarAle {
         self.p.resize(self.press_op.nlocal(), 0.0);
         let pit = self.press_op.pcg(
             comm,
-            &prhs,
+            &b.prhs,
             &mut self.p,
             self.cfg.pcg_tol,
             self.cfg.pcg_max_iter,
@@ -462,9 +503,12 @@ impl NektarAle {
 
         // Stage 6: viscous RHS from u** = uhat - dt ∇p.
         let t0 = StageTimer::start(Stage::ViscousRhs);
-        Self::grad_quad(&self.press_op, &self.p, &mut g, &mut self.ws.elem);
+        let (hat, g, vrhs) = (&b.hat, &mut b.g, &mut b.vrhs);
+        Self::grad_quad(&self.press_op, &self.p, g, &mut self.ws.elem);
         let scale = 1.0 / (nu * dt);
-        let mut vrhs: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; self.vel_op.nlocal()]);
+        for v in vrhs.iter_mut() {
+            zeroed(v, self.vel_op.nlocal());
+        }
         {
             let NektarAle { vel_op, fq, ws, .. } = &mut *self;
             let op = &vel_op.op1;
@@ -497,7 +541,7 @@ impl NektarAle {
             // accrues while the previous ones drain. Per component the
             // combine order is unchanged, so the result is bitwise
             // identical to the blocking loop below.
-            let [v0, v1, v2] = &mut vrhs;
+            let [v0, v1, v2] = vrhs;
             let e0 = self.vel_op.gs.start(comm, v0, ReduceOp::Sum);
             let e1 = self.vel_op.gs.start(comm, v1, ReduceOp::Sum);
             let e2 = self.vel_op.gs.start(comm, v2, ReduceOp::Sum);
@@ -537,34 +581,34 @@ impl NektarAle {
             unconverged += u64::from(!out.converged);
         }
         // ALE extra: mesh-velocity Laplace solve (Dirichlet: body speed on
-        // the wall, zero on the outer boundary).
+        // the wall, zero — as built — on the outer boundary). The wall
+        // values change every step; which rows are Dirichlet never does.
         let mit = if self.cfg.motion_amp != 0.0 {
             let speed = self.cfg.motion_amp
                 * self.cfg.motion_omega
                 * (self.cfg.motion_omega * (self.time + dt)).cos();
-            let mut mop_dirichlet = self.mesh_op.dirichlet.clone();
-            for d in mop_dirichlet.iter_mut().flatten() {
-                *d = 0.0;
-            }
-            // Wall (body) dofs carry the body speed.
+            let mop = &mut self.mesh_op;
             for &l in &self.wall_local {
-                if let Some(d) = mop_dirichlet[l].as_mut() {
+                if let Some(d) = mop.dirichlet[l].as_mut() {
                     *d = speed;
                 }
             }
-            let saved = std::mem::replace(&mut self.mesh_op.dirichlet, mop_dirichlet);
-            let b = vec![0.0; self.mesh_op.nlocal()];
-            let mut eta = vec![0.0; self.mesh_op.nlocal()];
-            let out = self.mesh_op.pcg(
+            debug_assert!(
+                (mop.dirichlet.iter().enumerate())
+                    .filter_map(|(l, d)| d.map(|_| l))
+                    .eq(mop.dirichlet_rows.iter().copied()),
+                "the mesh-velocity Dirichlet rows moved"
+            );
+            let n = mop.nlocal();
+            let out = mop.pcg(
                 comm,
-                &b,
-                &mut eta,
+                zeroed(&mut b.zero, n),
+                zeroed(&mut b.eta, n),
                 self.cfg.pcg_tol,
                 self.cfg.pcg_max_iter,
                 &mut self.ws,
                 &mut self.recorder,
             );
-            self.mesh_op.dirichlet = saved;
             unconverged += u64::from(!out.converged);
             out.iters
         } else {
@@ -572,6 +616,7 @@ impl NektarAle {
         };
         let virt = comm.wtime() - w0;
         sc.add(Stage::ViscousSolve, t0.stop_v(comm.wtime()) + virt);
+        self.bufs = b;
         step_span.end_v(comm.wtime());
         self.last_iters = (pit.iters, vit, mit);
         self.last_converged = unconverged == 0;
@@ -613,7 +658,8 @@ impl NektarAle {
 
     /// Total kinetic energy (collective).
     pub fn kinetic_energy(&mut self, comm: &mut Comm) -> f64 {
-        let uq: [Vec<f64>; 3] = std::array::from_fn(|c| self.vel_to_quad(c));
+        let mut uq = Default::default();
+        self.vel_to_quad(&mut uq);
         let op = &self.vel_op.op1;
         let nq = op.basis.nquad();
         let nq3 = self.nq3();
@@ -663,13 +709,13 @@ impl NektarAle {
     /// Both settings produce bitwise-identical states (see
     /// [`HexHelmholtz::apply`]); only the virtual wall-clock differs.
     pub fn set_gs_overlap(&mut self, on: bool) {
-        self.vel_op.set_gs_overlap(on);
-        for r in &mut self.ramp_ops {
-            r.set_gs_overlap(on);
-        }
-        self.press_op.set_gs_overlap(on);
-        self.mass_op.set_gs_overlap(on);
-        self.mesh_op.set_gs_overlap(on);
+        self.ops_mut().for_each(|op| op.set_gs_overlap(on));
+    }
+
+    /// Every Helmholtz operator of this solver.
+    fn ops_mut(&mut self) -> impl Iterator<Item = &mut HexHelmholtz> {
+        let ops = [&mut self.vel_op, &mut self.press_op, &mut self.mass_op, &mut self.mesh_op];
+        ops.into_iter().chain(&mut self.ramp_ops)
     }
 
     /// Collective restore from the newest valid checkpoint epoch.
@@ -740,17 +786,9 @@ impl nkt_ckpt::Checkpointable for NektarAle {
         // "hist": stiffly-stable history (velocity and nonlinear terms
         // at quadrature points, newest first).
         let mut e = nkt_ckpt::Enc::new();
-        e.usize(self.hist_vel.len());
-        for level in &self.hist_vel {
-            for c in level {
-                e.f64s(c);
-            }
-        }
-        e.usize(self.hist_n.len());
-        for level in &self.hist_n {
-            for c in level {
-                e.f64s(c);
-            }
+        for ring in [&self.hist_vel, &self.hist_n] {
+            e.usize(ring.len());
+            ring.iter().flatten().for_each(|c| e.f64s(c));
         }
         w.section("hist", e.into_bytes());
 
@@ -761,17 +799,9 @@ impl nkt_ckpt::Checkpointable for NektarAle {
         let mut e = nkt_ckpt::Enc::new();
         e.f64(self.time);
         e.usize(self.mesh.verts.len());
-        for v in &self.mesh.verts {
-            e.f64(v[0]);
-            e.f64(v[1]);
-            e.f64(v[2]);
-        }
+        self.mesh.verts.iter().flatten().for_each(|&c| e.f64(c));
         e.usize(self.vel_op.scales.len());
-        for s in &self.vel_op.scales {
-            e.f64(s[0]);
-            e.f64(s[1]);
-            e.f64(s[2]);
-        }
+        self.vel_op.scales.iter().flatten().for_each(|&c| e.f64(c));
         e.usize(self.last_iters.0);
         e.usize(self.last_iters.1);
         e.usize(self.last_iters.2);
@@ -791,44 +821,24 @@ impl nkt_ckpt::Checkpointable for NektarAle {
         d.finish()?;
 
         let mut d = f.dec("hist")?;
-        let n_vel = d.len_prefix(64)?;
-        self.hist_vel.clear();
-        for _ in 0..n_vel {
-            let mut level: [Vec<f64>; 3] = Default::default();
-            for c in level.iter_mut() {
-                *c = d.f64s()?;
+        for ring in [&mut self.hist_vel, &mut self.hist_n] {
+            ring.clear();
+            for _ in 0..d.len_prefix(64)? {
+                ring.push_back([d.f64s()?, d.f64s()?, d.f64s()?]);
             }
-            self.hist_vel.push_back(level);
-        }
-        let n_n = d.len_prefix(64)?;
-        self.hist_n.clear();
-        for _ in 0..n_n {
-            let mut level: [Vec<f64>; 3] = Default::default();
-            for c in level.iter_mut() {
-                *c = d.f64s()?;
-            }
-            self.hist_n.push_back(level);
         }
         d.finish()?;
 
         let mut d = f.dec("mesh")?;
         self.time = d.f64()?;
         d.expect_u64(self.mesh.verts.len() as u64, "ale vertex count")?;
-        for v in self.mesh.verts.iter_mut() {
-            v[0] = d.f64()?;
-            v[1] = d.f64()?;
-            v[2] = d.f64()?;
+        for c in self.mesh.verts.iter_mut().flatten() {
+            *c = d.f64()?;
         }
         d.expect_u64(self.vel_op.scales.len() as u64, "ale element count")?;
         for le in 0..self.vel_op.scales.len() {
             let s = [d.f64()?, d.f64()?, d.f64()?];
-            self.vel_op.scales[le] = s;
-            self.press_op.scales[le] = s;
-            self.mass_op.scales[le] = s;
-            self.mesh_op.scales[le] = s;
-            for r in &mut self.ramp_ops {
-                r.scales[le] = s;
-            }
+            self.ops_mut().for_each(|op| op.scales[le] = s);
         }
         self.last_iters =
             (d.u64()? as usize, d.u64()? as usize, d.u64()? as usize);

@@ -66,12 +66,13 @@ impl Oper1d {
     }
 
     /// Scratch doubles the elemental operations of this order need: the
-    /// larger of the Helmholtz kernel's (two element vectors, four
-    /// intermediates, three scaled 1-D matrices) and a transform's (one
-    /// element vector, two intermediates of at most nq³).
+    /// larger of the Helmholtz kernel's (for each of [`LANES`] elements:
+    /// two element vectors, four intermediates, three scaled 1-D
+    /// matrices; and one element vector to scatter from) and a
+    /// transform's (one element vector, two intermediates of at most nq³).
     pub fn scratch_len(&self) -> usize {
         let (n2, n3) = (self.nm * self.nm, self.nm.pow(3));
-        (6 * n3 + 3 * n2).max(n3 + 2 * self.basis.nquad().pow(3))
+        (LANES * (6 * n3 + 3 * n2) + n3).max(n3 + 2 * self.basis.nquad().pow(3))
     }
 
     /// Modal → quadrature values of one element (B ⊗ B ⊗ B), with the
@@ -122,6 +123,12 @@ fn axis_class(i: usize, p: usize) -> usize {
     }
 }
 
+/// The (p, q, r) mode triple at each of a hex's eight vertices, in the
+/// mesh's local vertex order, at order `p` (at `p = 1`, the corners).
+fn hex_vertices(p: usize) -> [(usize, usize, usize); 8] {
+    [(0, 0, 0), (p, 0, 0), (p, p, 0), (0, p, 0), (0, 0, p), (p, 0, p), (p, p, p), (0, p, p)]
+}
+
 impl HexNumbering {
     /// Builds a global C0 numbering for an order-`p` expansion on `mesh`.
     /// Dofs on faces tagged with any of `dirichlet_tags` are constrained
@@ -147,17 +154,7 @@ impl HexNumbering {
         let mut key_to_id: HashMap<(u64, u64, u64, u64, u64), u64> = HashMap::new();
         let nm1 = p + 1;
         let mut elem_dofs = Vec::with_capacity(mesh.nelems());
-        // Hex vertex triple per local vertex (mesh ordering).
-        let vidx = [
-            (0, 0, 0),
-            (p, 0, 0),
-            (p, p, 0),
-            (0, p, 0),
-            (0, 0, p),
-            (p, 0, p),
-            (p, p, p),
-            (0, p, p),
-        ];
+        let vidx = hex_vertices(p);
         for el in &mesh.elems {
             let mut dofs = Vec::with_capacity(nm1 * nm1 * nm1);
             for r in 0..nm1 {
@@ -169,15 +166,11 @@ impl HexNumbering {
                         // The entity contains every hex vertex whose
                         // per-axis class matches the non-interior axes.
                         let mut corners: Vec<u64> = Vec::new();
-                        for &(vi, vj, vk) in &vidx {
+                        for (lv, &(vi, vj, vk)) in vidx.iter().enumerate() {
                             let m0 = cls.0 == 2 || axis_class(vi, p) == cls.0;
                             let m1 = cls.1 == 2 || axis_class(vj, p) == cls.1;
                             let m2 = cls.2 == 2 || axis_class(vk, p) == cls.2;
                             if m0 && m1 && m2 {
-                                let lv = vidx
-                                    .iter()
-                                    .position(|&t| t == (vi, vj, vk))
-                                    .expect("triple in list");
                                 corners.push(el.verts[lv] as u64);
                             }
                         }
@@ -268,20 +261,9 @@ impl HexNumbering {
         mesh: &Mesh3d,
         g: impl Fn([f64; 3]) -> f64,
     ) {
-        let p = self.p;
-        let nm1 = p + 1;
-        let vidx = [
-            (0, 0, 0),
-            (p, 0, 0),
-            (p, p, 0),
-            (0, p, 0),
-            (0, 0, p),
-            (p, 0, p),
-            (p, p, p),
-            (0, p, p),
-        ];
+        let nm1 = self.p + 1;
         for (ei, el) in mesh.elems.iter().enumerate() {
-            for (lv, &(i, j, k)) in vidx.iter().enumerate() {
+            for (lv, (i, j, k)) in hex_vertices(self.p).into_iter().enumerate() {
                 let m = i + j * nm1 + k * nm1 * nm1;
                 let gid = self.elem_dofs[ei][m];
                 if let Some(v) = self.dirichlet_global.get_mut(&gid) {
@@ -299,11 +281,10 @@ impl HexNumbering {
 
 /// Returns the (lo, hi) corners if element `ei` is an axis-aligned box.
 pub fn elem_box(mesh: &Mesh3d, ei: usize) -> Option<([f64; 3], [f64; 3])> {
-    let el = &mesh.elems[ei];
-    let vs: Vec<[f64; 3]> = el.verts.iter().map(|&v| mesh.verts[v]).collect();
-    let mut lo = vs[0];
-    let mut hi = vs[0];
-    for v in &vs {
+    let vs = || mesh.elems[ei].verts.iter().map(|&v| mesh.verts[v]);
+    let mut lo = vs().next()?;
+    let mut hi = lo;
+    for v in vs() {
         for d in 0..3 {
             lo[d] = lo[d].min(v[d]);
             hi[d] = hi[d].max(v[d]);
@@ -311,17 +292,8 @@ pub fn elem_box(mesh: &Mesh3d, ei: usize) -> Option<([f64; 3], [f64; 3])> {
     }
     // Each vertex must sit on a corner of the bounding box, in the
     // standard ordering.
-    let expect = [
-        [lo[0], lo[1], lo[2]],
-        [hi[0], lo[1], lo[2]],
-        [hi[0], hi[1], lo[2]],
-        [lo[0], hi[1], lo[2]],
-        [lo[0], lo[1], hi[2]],
-        [hi[0], lo[1], hi[2]],
-        [hi[0], hi[1], hi[2]],
-        [lo[0], hi[1], hi[2]],
-    ];
-    for (a, b) in vs.iter().zip(&expect) {
+    for (a, (i, j, k)) in vs().zip(hex_vertices(1)) {
+        let b = [[lo, hi][i][0], [lo, hi][j][1], [lo, hi][k][2]];
         for d in 0..3 {
             if (a[d] - b[d]).abs() > 1e-12 {
                 return None;
@@ -351,8 +323,12 @@ pub struct HexHelmholtz {
     pub elem_local: Vec<usize>,
     /// Global ids of this rank's local dofs.
     pub local_gids: Vec<u64>,
-    /// Dirichlet flags/values for local dofs.
+    /// Dirichlet flags/values for local dofs. Callers may change the
+    /// values; the pattern is fixed at construction.
     pub dirichlet: Vec<Option<f64>>,
+    /// The local dofs whose `dirichlet` entry is `Some`, ascending: the
+    /// identity rows of [`HexHelmholtz::apply`].
+    pub(crate) dirichlet_rows: Vec<usize>,
     /// 1-D operators.
     pub op1: Oper1d,
     /// Gather-scatter handle over shared dofs.
@@ -409,6 +385,7 @@ impl HexHelmholtz {
             .iter()
             .map(|g| numbering.dirichlet_global.get(g).copied())
             .collect();
+        let dirichlet_rows = (0..dirichlet.len()).filter(|&l| dirichlet[l].is_some()).collect();
         let gs = GsHandle::try_setup(comm, &local_gids, GsStrategy::Hybrid)
             .expect("hex numbering produces a consistent sharer table");
         // Multiplicity: GS-sum of ones.
@@ -440,6 +417,7 @@ impl HexHelmholtz {
             elem_local,
             local_gids,
             dirichlet,
+            dirichlet_rows,
             op1,
             gs,
             weight,
@@ -495,10 +473,8 @@ impl HexHelmholtz {
         }
         self.gs.exchange(comm, &mut diag, ReduceOp::Sum);
         // Dirichlet rows are identity.
-        for (l, d) in self.dirichlet.iter().enumerate() {
-            if d.is_some() {
-                diag[l] = 1.0;
-            }
+        for &l in &self.dirichlet_rows {
+            diag[l] = 1.0;
         }
         self.diag = diag;
     }
@@ -514,9 +490,10 @@ impl HexHelmholtz {
     /// canonical 100 Mflop/s the other virtual compute charges use (e.g.
     /// `fft_virtual_secs`). This is the *model's* charge — the four
     /// tensor terms applied one by one, 4 × 3 sweeps × 2·nm⁴ flops — not
-    /// a count of [`apply_elem`]'s 7 shared sweeps: like the recorder's
-    /// `Gemm` item it is deliberately unchanged, so every virtual-time
-    /// artifact (Table 3, Figures 15–16, PROF/CALIB) holds.
+    /// a count of what [`apply_elems`] runs (7 shared sweeps, over
+    /// [`LANES`] elements at a time): like the recorder's `Gemm` item it
+    /// is deliberately unchanged, so every virtual-time artifact (Table 3,
+    /// Figures 15–16, PROF/CALIB) holds.
     fn elem_virtual_secs(&self) -> f64 {
         let nm = (self.p + 1) as f64;
         24.0 * nm * nm * nm * nm / 1e8
@@ -571,7 +548,8 @@ impl HexHelmholtz {
     }
 
     /// One elemental sweep over `elems` (owned-element indices),
-    /// scatter-adding into `y`.
+    /// scatter-adding into `y`; the recorder gets the model's one
+    /// contraction item per element.
     fn apply_pass(
         &self,
         elems: &[usize],
@@ -581,21 +559,9 @@ impl HexHelmholtz {
         rec: &mut Recorder,
     ) {
         let nm1 = self.p + 1;
-        let (xl, rest) = scratch.split_at_mut(self.nm3());
-        let (yl, rest) = rest.split_at_mut(self.nm3());
-        for &le in elems {
-            let locals = self.elem_dofs(le);
-            for (xm, &l) in xl.iter_mut().zip(locals) {
-                *xm = x[l];
-            }
-            apply_elem(&self.op1, self.elem_coefs(le), xl, yl, rest);
-            for (ym, &l) in yl.iter().zip(locals) {
-                y[l] += ym;
-            }
-            rec.work(
-                Stage::PressureSolve,
-                WorkItem::Gemm { m: nm1 * nm1, n: nm1, k: nm1 },
-            );
+        apply_elems(&self.op1, elems, &self.elem_local, |le| self.elem_coefs(le), x, y, scratch);
+        for _ in elems {
+            rec.work(Stage::PressureSolve, WorkItem::Gemm { m: nm1 * nm1, n: nm1, k: nm1 });
         }
     }
 
@@ -672,10 +638,9 @@ impl HexHelmholtz {
             Stage::PressureSolve,
             CommItem::GsExchange { neighbors: 2, bytes: 8 * self.nlocal().min(1024), overlap },
         );
-        // Dirichlet rows are identity (a select, not a branch: the
-        // constrained pattern is irregular).
-        for ((yl, &xl), d) in y.iter_mut().zip(x).zip(&self.dirichlet) {
-            *yl = if d.is_some() { xl } else { *yl };
+        // Dirichlet rows are identity.
+        for &l in &self.dirichlet_rows {
+            y[l] = x[l];
         }
     }
 
@@ -804,9 +769,15 @@ pub fn helm_coefs([hx, hy, hz]: [f64; 3], lambda: f64, kc: f64) -> [f64; 4] {
     [kc * sy * sz / sx, kc * sx * sz / sy, kc * sx * sy / sz, lambda * sx * sy * sz]
 }
 
-/// Applies the elemental Helmholtz operator with [`helm_coefs`] `coef`
-/// by sum factorisation with shared intermediates — 7 sweeps, 14·nm⁴
-/// flops, where the four terms taken one by one cost 12 and 24·nm⁴:
+/// Elements the Helmholtz kernel contracts together: the lane count of
+/// its tiles, whose innermost, contiguous index is the element.
+const LANES: usize = 4;
+
+/// Scatter-adds the elemental Helmholtz operator of every element `e` of
+/// `elems` — [`helm_coefs`] `coefs(e)`, local dofs `dofs[e·nm³..][..nm³]`
+/// — applied to `x` into `y`, by sum factorisation with shared
+/// intermediates: 7 sweeps, 14·nm⁴ flops, where the four terms taken one
+/// by one cost 12 and 24·nm⁴:
 ///
 /// ```text
 /// u = Mₓ x          v = (a·Kₓ + d·Mₓ) x
@@ -814,49 +785,88 @@ pub fn helm_coefs([hx, hy, hz]: [f64; 3], lambda: f64, kc: f64) -> [f64; 4] {
 /// y = M_z s + c·K_z w
 /// ```
 ///
-/// `x`, `y` hold nm³ values; `scratch` at least 4·nm³ + 3·nm² doubles.
-/// The mode counts of the orders the solvers run (2–4) are compile-time
-/// constants of the one body below; any other order takes the same body
-/// with the count read from `op`.
-pub fn apply_elem(op: &Oper1d, coef: [f64; 4], x: &[f64], y: &mut [f64], scratch: &mut [f64]) {
-    match op.nm {
-        3 => apply_elem_n::<3>(op, coef, x, y, scratch),
-        4 => apply_elem_n::<4>(op, coef, x, y, scratch),
-        5 => apply_elem_n::<5>(op, coef, x, y, scratch),
-        _ => apply_elem_n::<0>(op, coef, x, y, scratch),
-    }
-}
-
-fn apply_elem_n<const NM: usize>(
+/// [`LANES`] elements at a time: each block is gathered into mode-major,
+/// element-minor tiles and every sweep runs over all lanes at once, each
+/// lane with its own scaled matrices. Every value sees the operations a
+/// lone element would, in the same order, and the block is scatter-added
+/// element by element in list order; the unused lanes of a short last
+/// block are computed and never read. `scratch` holds at least
+/// `LANES·(6·nm³ + 3·nm²) + nm³` doubles. The mode counts of the orders the
+/// solvers run (2–4) are compile-time constants of the one body below;
+/// any other order takes the same body with the count read from `op`.
+fn apply_elems(
     op: &Oper1d,
-    [a, b, c, d]: [f64; 4],
+    elems: &[usize],
+    dofs: &[usize],
+    coefs: impl Fn(usize) -> [f64; 4],
     x: &[f64],
     y: &mut [f64],
     scratch: &mut [f64],
 ) {
+    match op.nm {
+        3 => apply_elems_n::<3>(op, elems, dofs, coefs, x, y, scratch),
+        4 => apply_elems_n::<4>(op, elems, dofs, coefs, x, y, scratch),
+        5 => apply_elems_n::<5>(op, elems, dofs, coefs, x, y, scratch),
+        _ => apply_elems_n::<0>(op, elems, dofs, coefs, x, y, scratch),
+    }
+}
+
+fn apply_elems_n<const NM: usize>(
+    op: &Oper1d,
+    elems: &[usize],
+    dofs: &[usize],
+    coefs: impl Fn(usize) -> [f64; 4],
+    x: &[f64],
+    y: &mut [f64],
+    scratch: &mut [f64],
+) {
+    const L: usize = LANES;
     let nm = if NM == 0 { op.nm } else { NM };
     let (n2, n3) = (nm * nm, nm * nm * nm);
     let (mass, stiff) = (&op.mass[..n2], &op.stiff[..n2]);
-    let (mats, rest) = scratch.split_at_mut(3 * n2);
-    let (cx, rest2) = mats.split_at_mut(n2);
-    let (by, cz) = rest2.split_at_mut(n2);
-    for i in 0..n2 {
-        cx[i] = a * stiff[i] + d * mass[i];
-        by[i] = b * stiff[i];
-        cz[i] = c * stiff[i];
+    let mut rest = scratch;
+    let mut take = |n: usize| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        head
+    };
+    let (cx, by, cz) = (take(n2 * L), take(n2 * L), take(n2 * L));
+    let [xt, u, v, w, s, yt] = [(); 6].map(|_| take(n3 * L));
+    let ye = take(n3);
+    let [ax, ay, az] = Axis::tensor(nm, nm).map(|a| Axis { pre: a.pre * L, ..a });
+    let mut coef = [[0.0; L]; 4];
+    for block in elems.chunks(L) {
+        for (e, &le) in block.iter().enumerate() {
+            [coef[0][e], coef[1][e], coef[2][e], coef[3][e]] = coefs(le);
+            for (m, &l) in dofs[le * n3..][..n3].iter().enumerate() {
+                xt[m * L + e] = x[l];
+            }
+        }
+        let [a, b, c, d] = &coef;
+        let lane_mats = cx.chunks_exact_mut(L).zip(by.chunks_exact_mut(L));
+        for (i, ((cxi, byi), czi)) in lane_mats.zip(cz.chunks_exact_mut(L)).enumerate() {
+            for e in 0..L {
+                cxi[e] = a[e] * stiff[i] + d[e] * mass[i];
+                byi[e] = b[e] * stiff[i];
+                czi[e] = c[e] * stiff[i];
+            }
+        }
+        sweep::<false, L>(mass, 1, ax, xt, u);
+        sweep::<false, L>(cx, L, ax, xt, v);
+        sweep::<false, L>(mass, 1, ay, u, w);
+        sweep::<false, L>(mass, 1, ay, v, s);
+        sweep::<true, L>(by, L, ay, u, s);
+        sweep::<false, L>(mass, 1, az, s, yt);
+        sweep::<true, L>(cz, L, az, w, yt);
+        for (e, &le) in block.iter().enumerate() {
+            for (m, ym) in ye.iter_mut().enumerate() {
+                *ym = yt[m * L + e];
+            }
+            for (&l, ym) in dofs[le * n3..][..n3].iter().zip(&*ye) {
+                y[l] += ym;
+            }
+        }
     }
-    let (u, rest) = rest.split_at_mut(n3);
-    let (v, rest) = rest.split_at_mut(n3);
-    let (w, rest) = rest.split_at_mut(n3);
-    let s = &mut rest[..n3];
-    let [ax, ay, az] = Axis::tensor(nm, nm);
-    sweep::<false>(mass, ax, x, u);
-    sweep::<false>(cx, ax, x, v);
-    sweep::<false>(mass, ay, u, w);
-    sweep::<false>(mass, ay, v, s);
-    sweep::<true>(by, ay, u, s);
-    sweep::<false>(mass, az, s, y);
-    sweep::<true>(cz, az, w, y);
 }
 
 #[cfg(test)]
@@ -865,7 +875,7 @@ mod tests {
     use nkt_mesh::box_hexes;
     use nkt_net::{cluster, NetId};
     use nkt_partition::{partition_kway, Graph, PartitionOptions};
-    use nkt_testkit::{one_of, prop_assert, prop_check, vec_in, Rng};
+    use nkt_testkit::{one_of, prop_assert, prop_check, Rng};
 
     fn run<R: Send, F: Fn(&mut Comm) -> R + Sync>(
         p: usize,
@@ -914,41 +924,115 @@ mod tests {
         [m % n, (m / n) % n, m / (n * n)]
     }
 
-    prop_check! {
-        #![cases(48)]
-
-        /// The fused 7-sweep kernel against the dense matrix on every
-        /// row; orders 2–4 take the compile-time mode counts, 1, 5 and 6
-        /// the dynamic fallback.
-        fn apply_elem_matches_entries(
-            order in 1usize..7,
-            h in vec_in(0.1f64..3.0, 3),
-            lambda in 0.0f64..50.0,
-            kc in one_of(&[0.0f64, 1.0, 0.37]),
-            seed in 0u64..u64::MAX,
-        ) {
+    /// The lane kernel against the dense matrix on every row of every
+    /// element: lists of 1, L − 1, L, L + 1 and 2L + 3 elements, each with
+    /// its own box and (λ, kc), at orders 2–5 (the three compile-time
+    /// mode counts and the runtime one). Element `e` owns the dof block
+    /// `n − 1 − e`, so neither gather nor scatter is the identity. The
+    /// unused lanes of a short last block hold NaN (the scratch starts as
+    /// NaN) or the block before's elements; either reaching `y` fails.
+    #[test]
+    fn apply_elems_matches_entries() {
+        let mut rng = Rng::new(0x1a9e5);
+        for order in 2..=5 {
             let op = Oper1d::new(order);
             let (nm, n3) = (op.nm, op.nm.pow(3));
-            let h = [h[0], h[1], h[2]];
-            let mut rng = Rng::new(seed);
-            let x: Vec<f64> = (0..n3).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-            let mut y = vec![f64::NAN; n3];
-            let mut scratch = vec![f64::NAN; op.scratch_len()];
-            apply_elem(&op, helm_coefs(h, lambda, kc), &x, &mut y, &mut scratch);
-            for row in 0..n3 {
-                let (mut s, mut scale) = (0.0, 0.0);
-                for col in 0..n3 {
-                    let t = elem_entry(&op, h, (lambda, kc), triple(row, nm), triple(col, nm))
-                        * x[col];
-                    s += t;
-                    scale += t.abs();
+            for n in [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3] {
+                let elem: Vec<([f64; 3], f64, f64)> = (0..n)
+                    .map(|_| {
+                        let h = [(); 3].map(|_| rng.range_f64(0.1, 3.0));
+                        (h, rng.range_f64(0.0, 50.0), [0.0, 1.0, 0.37][rng.below(3) as usize])
+                    })
+                    .collect();
+                let dofs: Vec<usize> = (0..n).rev().flat_map(|b| b * n3..(b + 1) * n3).collect();
+                let elems: Vec<usize> = (0..n).collect();
+                let x: Vec<f64> = (0..n * n3).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+                let (mut y, mut scratch) = (vec![0.0; n * n3], vec![f64::NAN; op.scratch_len()]);
+                let coefs = |e: usize| helm_coefs(elem[e].0, elem[e].1, elem[e].2);
+                apply_elems(&op, &elems, &dofs, coefs, &x, &mut y, &mut scratch);
+                for (e, &(h, lambda, kc)) in elem.iter().enumerate() {
+                    let d = &dofs[e * n3..][..n3];
+                    for row in 0..n3 {
+                        let (mut s, mut scale) = (0.0, 0.0);
+                        for col in 0..n3 {
+                            let (r, c) = (triple(row, nm), triple(col, nm));
+                            let t = elem_entry(&op, h, (lambda, kc), r, c) * x[d[col]];
+                            s += t;
+                            scale += t.abs();
+                        }
+                        let got = y[d[row]];
+                        assert!(
+                            (got - s).abs() <= 1e-10 * scale,
+                            "order {order}, {n} elements, element {e} row {row}: {got} vs {s}"
+                        );
+                    }
                 }
-                prop_assert!(
-                    (y[row] - s).abs() <= 1e-10 * scale,
-                    "order {order} row {row}: {} vs {s}", y[row]
-                );
             }
         }
+    }
+
+    /// The per-element kernel the lanes replaced — one element's seven
+    /// sweeps, with its own scaled matrices — kept as the reference they
+    /// must equal bit for bit.
+    fn apply_elem(op: &Oper1d, [a, b, c, d]: [f64; 4], x: &[f64], y: &mut [f64]) {
+        let (nm, mass, stiff) = (op.nm, &op.mass[..], &op.stiff[..]);
+        let cx: Vec<f64> = stiff.iter().zip(mass).map(|(k, m)| a * k + d * m).collect();
+        let by: Vec<f64> = stiff.iter().map(|k| b * k).collect();
+        let cz: Vec<f64> = stiff.iter().map(|k| c * k).collect();
+        let mut t = vec![vec![0.0; nm.pow(3)]; 4];
+        let [u, v, w, s] = &mut t[..] else { unreachable!() };
+        let [ax, ay, az] = Axis::tensor(nm, nm);
+        sweep::<false, 1>(mass, 1, ax, x, u);
+        sweep::<false, 1>(&cx, 1, ax, x, v);
+        sweep::<false, 1>(mass, 1, ay, u, w);
+        sweep::<false, 1>(mass, 1, ay, v, s);
+        sweep::<true, 1>(&by, 1, ay, u, s);
+        sweep::<false, 1>(mass, 1, az, s, y);
+        sweep::<true, 1>(&cz, 1, az, w, y);
+    }
+
+    /// `apply` against [`apply_elem`] element by element in the same
+    /// boundary-then-interior order, then the exchange and the identity
+    /// rows: equal to the bit on `wing_box_mesh(1)`, on 1 and 2 ranks,
+    /// with the halo exchange overlapped and not.
+    #[test]
+    fn apply_equals_the_per_element_kernel_bit_for_bit() {
+        let mesh = nkt_mesh::wing_box_mesh(1);
+        let numbering = HexNumbering::build(&mesh, 2, &[BoundaryTag::Inflow, BoundaryTag::Wall]);
+        for ranks in [1, 2] {
+            let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
+            let part = partition_kway(&dual, ranks, &PartitionOptions::default());
+            run(ranks, cluster(NetId::T3e), |c| {
+                let mut h = HexHelmholtz::new(c, &mesh, &numbering, &part, 250.0);
+                let x: Vec<f64> = h.local_gids.iter().map(|&g| (g as f64 * 0.37).sin()).collect();
+                let mut want = vec![0.0; h.nlocal()];
+                let mut ye = vec![0.0; h.nm3()];
+                for &le in h.elem_boundary.iter().chain(&h.elem_interior) {
+                    let xe: Vec<f64> = h.elem_dofs(le).iter().map(|&l| x[l]).collect();
+                    apply_elem(&h.op1, h.elem_coefs(le), &xe, &mut ye);
+                    for (&l, v) in h.elem_dofs(le).iter().zip(&ye) {
+                        want[l] += v;
+                    }
+                }
+                h.gs.exchange(c, &mut want, ReduceOp::Sum);
+                for (l, d) in h.dirichlet.iter().enumerate() {
+                    if d.is_some() {
+                        want[l] = x[l];
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                for overlap in [true, false] {
+                    h.set_gs_overlap(overlap);
+                    let mut got = vec![f64::NAN; h.nlocal()];
+                    h.apply(c, &x, &mut got, &mut Vec::new(), &mut Recorder::disabled());
+                    assert!(bits(&got) == bits(&want), "{ranks} rank(s), overlap {overlap}");
+                }
+            });
+        }
+    }
+
+    prop_check! {
+        #![cases(48)]
 
         /// `to_quad` / `to_modal` (plain and with a derivative in each
         /// direction) against the tabulated basis, every output entry.
@@ -1084,17 +1168,7 @@ mod tests {
             for (le, &e) in h.my_elems.iter().enumerate() {
                 let el = &mesh.elems[e];
                 let nm1 = h.p + 1;
-                let vidx = [
-                    (0, 0, 0),
-                    (h.p, 0, 0),
-                    (h.p, h.p, 0),
-                    (0, h.p, 0),
-                    (0, 0, h.p),
-                    (h.p, 0, h.p),
-                    (h.p, h.p, h.p),
-                    (0, h.p, h.p),
-                ];
-                for (lv, &(i, j, k)) in vidx.iter().enumerate() {
+                for (lv, (i, j, k)) in hex_vertices(h.p).into_iter().enumerate() {
                     let m = i + j * nm1 + k * nm1 * nm1;
                     let l = h.elem_dofs(le)[m];
                     let xyz = mesh.verts[el.verts[lv]];
@@ -1196,19 +1270,7 @@ mod tests {
             for (le, &e) in h.my_elems.iter().enumerate() {
                 let el = &mesh.elems[e];
                 let nm1 = h.p + 1;
-                for (lv, &(i, j, k)) in [
-                    (0, 0, 0),
-                    (h.p, 0, 0),
-                    (h.p, h.p, 0),
-                    (0, h.p, 0),
-                    (0, 0, h.p),
-                    (h.p, 0, h.p),
-                    (h.p, h.p, h.p),
-                    (0, h.p, h.p),
-                ]
-                .iter()
-                .enumerate()
-                {
+                for (lv, (i, j, k)) in hex_vertices(h.p).into_iter().enumerate() {
                     let xyz = mesh.verts[el.verts[lv]];
                     if (xyz[0] - 0.5).abs() < 1e-12
                         && (xyz[1] - 0.5).abs() < 1e-12

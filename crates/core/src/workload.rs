@@ -419,9 +419,10 @@ fn pcg_workload(rec: &mut OpRecording, stage: Stage, s: &AleShape, iters: usize)
     for _ in 0..iters {
         // One elemental sum-factored Helmholtz apply: the model's unit is
         // one nm1² × nm1 × nm1 contraction item per element, exactly what
-        // `HexHelmholtz::apply` records. How many sweeps the native kernel
-        // takes (7 with shared intermediates, `hex3d::apply_elem`) is not
-        // part of the model, so the replay tables do not move with it.
+        // `HexHelmholtz::apply` records. How the native kernel runs it (7
+        // sweeps with shared intermediates, over a block of elements at a
+        // time, `hex3d::apply_elems`) is not part of the model, so the
+        // replay tables do not move with it.
         for _ in 0..s.nelems_local {
             rec.work(
                 stage,

@@ -1,9 +1,9 @@
-//! Two promises of the NekTar-ALE iterative path that only a whole
-//! process can check: a PCG iteration allocates nothing of its own
-//! (counted by a `#[global_allocator]`), and a solve that stops short of
-//! its tolerance says so (flag + `ale.pcg.unconverged` counter, read
-//! under the process-wide trace mode). Both tests touch process-global
-//! state, so they take turns.
+//! Promises of the NekTar-ALE iterative path that only a whole process
+//! can check: a PCG iteration allocates nothing of its own and a warmed
+//! one-rank step nothing at all (counted by a `#[global_allocator]`), and
+//! a solve that stops short of its tolerance says so (flag +
+//! `ale.pcg.unconverged` counter, read under the process-wide trace
+//! mode). The tests touch process-global state, so they take turns.
 
 mod common;
 
@@ -65,6 +65,34 @@ fn pcg_iteration_allocates_only_what_its_messages_do() {
     // One rank, unique ids: the exchange snapshots nothing and the
     // reductions are local, so the whole iteration is heap-free.
     assert_eq!(messages, 0);
+}
+
+#[test]
+fn a_warmed_step_allocates_nothing_on_one_rank() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let mesh = wing_box_mesh(1);
+    let part = vec![0u8; mesh.nelems()];
+    let cfg = AleConfig {
+        order: 2,
+        dt: 2e-3,
+        nu: 1e-3,
+        motion_amp: 0.05,
+        pcg_tol: 1e-6,
+        ..AleConfig::default()
+    };
+    let out = World::builder().ranks(1).net(cluster(NetId::T3e)).run(|c| {
+        let mut s = NektarAle::new(c, mesh.clone(), &part, cfg.clone());
+        s.set_initial(c, |_| [1.0, 0.0, 0.0]);
+        // Past the ramp: the history is full and every buffer is sized.
+        for _ in 0..3 {
+            s.step(c);
+        }
+        allocs_in(|| {
+            s.step(c);
+            s.step(c);
+        })
+    });
+    assert_eq!(out[0], 0, "two warmed steps allocated {} times", out[0]);
 }
 
 #[test]

@@ -182,11 +182,11 @@ fn transform<const ADD: bool>(
     mid: &mut [f64],
 ) {
     if dim == 1 {
-        sweep::<ADD>(m[0], Axis { pre: 1, n_in, n_out, post: planes }, x, out);
+        sweep::<ADD, 1>(m[0], 1, Axis { pre: 1, n_in, n_out, post: planes }, x, out);
     } else {
         let [first, second] = Axis::tensor::<2>(n_in, n_out);
-        sweep::<false>(m[0], Axis { post: first.post * planes, ..first }, x, mid);
-        sweep::<ADD>(m[1], Axis { post: planes, ..second }, mid, out);
+        sweep::<false, 1>(m[0], 1, Axis { post: first.post * planes, ..first }, x, mid);
+        sweep::<ADD, 1>(m[1], 1, Axis { post: planes, ..second }, mid, out);
     }
 }
 

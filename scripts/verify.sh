@@ -353,10 +353,20 @@ fi
 
 echo "== one small-matrix kernel (sweep is defined in nkt-blas and nowhere else) =="
 # The 3-D elemental operators and the 2-D plane kernels contract through
-# nkt_blas::sweep; a second definition (or a sweep3 / sweep2 beside it) is
-# a second kernel family to keep fast and correct.
-if grep -rnE 'fn sweep[0-9]*[<(]' crates src --include='*.rs' | grep -v '^crates/blas/src/'; then
-    echo "FAIL: fn sweep defined outside crates/blas/src (lines above): import nkt_blas::sweep" >&2
+# nkt_blas::sweep, whose lane count covers blocks of elements; a second
+# definition — a sweep3 / sweep2 beside it, or a lane or blocked copy
+# under any name containing "sweep" — is a second kernel family to keep
+# fast and correct. Non-test code only (each file up to its first
+# column-0 #[cfg(test)]); the parameter sweeps of the benchmarks and the
+# calibration and the table builder below are not contractions.
+sweep_defs="$(find crates/*/src src examples -name '*.rs' ! -path 'crates/blas/src/*' -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /fn [A-Za-z0-9_]*sweep[A-Za-z0-9_]*[<(]/ &&
+            !/fn (netpipe_sweep|host_sweep|kernel_sweep_bytes|sweep_matrices)\(/ {
+            print FILENAME ":" FNR ": " $0 }')"
+if [[ -n "$sweep_defs" ]]; then
+    echo "$sweep_defs" >&2
+    echo "FAIL: a sweep defined outside crates/blas/src (lines above): use nkt_blas::sweep" >&2
     exit 1
 fi
 
