@@ -18,7 +18,16 @@ fn main() {
             let vals: Vec<f64> = configs
                 .iter()
                 .map(|(_, net)| {
-                    let (_, wall) = comm_time(&CommItem::Alltoall { block_bytes: bytes }, net, p);
+                    // The slab's transpose: a p × 1 grid, one exchange.
+                    let item = CommItem::Transpose {
+                        col_block_bytes: bytes,
+                        row_block_bytes: 0,
+                        pr: p,
+                        pc: 1,
+                        fields: 1,
+                        pipelined: false,
+                    };
+                    let (_, wall) = comm_time(&item, net, p);
                     if wall > 0.0 {
                         // Average bandwidth: bytes each processor sends.
                         ((p - 1) * bytes) as f64 / wall / 1e6

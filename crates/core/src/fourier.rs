@@ -19,9 +19,7 @@
 //! Every other stage is the `plane` module's, the serial solver's too,
 //! over the owned modes' (u, v, w) × (cos, sin) planes.
 
-use crate::decomp::{
-    mode_coeffs, Decomposition, FourierCfgError, Pencil2D, Slab, TransposeCtx,
-};
+use crate::decomp::{mode_coeffs, FourierCfgError, Grid, TransposeCtx};
 use crate::opstream::{Recorder, WorkItem};
 use crate::plane::{split_planes, Coeffs, Layout, PlaneStep, Seam};
 use crate::timers::{Stage, StageClock};
@@ -88,10 +86,10 @@ fn wavenumber(k: usize, lz: f64) -> f64 {
 pub struct NektarF {
     /// Configuration.
     pub cfg: FourierConfig,
-    /// Mode/point layout and transpose plan ([`Slab`] or [`Pencil2D`]).
-    decomp: Box<dyn Decomposition>,
+    /// Process grid: mode/point layout and transpose plan.
+    grid: Grid,
     /// Modes owned by this rank (global indices, contiguous; mirror of
-    /// the decomposition's block for direct access).
+    /// the grid's block for direct access).
     pub my_modes: std::ops::Range<usize>,
     /// Mesh, bases, dof map and elemental operators of the x–y plane:
     /// one per rank, shared by every per-mode problem below.
@@ -127,7 +125,7 @@ pub struct NektarF {
 /// z-columns, the products there, and the nonlinear terms back.
 struct Exchange<'a> {
     comm: &'a mut Comm,
-    decomp: &'a mut dyn Decomposition,
+    grid: &'a mut Grid,
     overlap: bool,
     algo: AlltoallAlgo,
     phys: &'a mut [f64],
@@ -149,7 +147,7 @@ impl Seam for Exchange<'_> {
         });
         let plen = self.phys.len() / 15;
         let (phys, phys_nl) = self.phys.split_at_mut(12 * plen);
-        self.decomp.to_phys(self.comm, &mut ctx, &fields, phys);
+        self.grid.to_phys(self.comm, &mut ctx, &fields, phys);
         let field = |f: usize| &phys[f * plen..(f + 1) * plen];
         let (u, v, w) = (field(0), field(1), field(2));
         for c in 0..3 {
@@ -166,7 +164,7 @@ impl Seam for Exchange<'_> {
                 ws: 8 * 15 * plen.max(1),
             },
         );
-        self.decomp.to_modes(self.comm, &mut ctx, phys_nl, nl);
+        self.grid.to_modes(self.comm, &mut ctx, phys_nl, nl);
         self.comm.wtime() - wall0
     }
 
@@ -177,7 +175,7 @@ impl Seam for Exchange<'_> {
 }
 
 impl NektarF {
-    /// Builds the per-rank solver on the paper's [`Slab`] layout
+    /// Builds the per-rank solver on the paper's slab, a `P × 1` grid
     /// ("a straightforward mapping of Fourier modes to P processors"),
     /// pipelined transpose, pairwise alltoall — whatever the shell
     /// exports. Collective over `comm`. Panicking wrapper over
@@ -190,9 +188,9 @@ impl NektarF {
     }
 
     /// Builds the solver on an explicit `pr × pc` process grid. `pc = 1`
-    /// is the slab decomposition (one world alltoall per transpose);
-    /// `pc > 1` is the 2-D pencil decomposition (DESIGN.md §13), which
-    /// admits `P` up to `pc` times the mode count.
+    /// is the slab (one world alltoall per transpose); `pc > 1` is the
+    /// 2-D pencil (DESIGN.md §13), which admits `P` up to `pc` times the
+    /// mode count.
     pub fn try_new_with_grid(
         comm: &mut Comm,
         mesh: &Mesh2d,
@@ -204,30 +202,23 @@ impl NektarF {
             return Err(FourierCfgError::OddNz { nz: cfg.nz });
         }
         let nmodes = cfg.nz / 2;
-        if pr == 0 || pc == 0 || pr * pc != comm.size() {
-            return Err(FourierCfgError::GridMismatch { pr, pc, p: comm.size() });
-        }
         // The per-mode problems differ only in λ: one discretization, and
         // 1 + scheme_order members of it per owned mode.
         let disc = Discretization::new(mesh.clone(), cfg.order);
         let nq_total = disc.nquad_total();
-        let decomp: Box<dyn Decomposition> = if pc == 1 {
-            Box::new(Slab::new(comm, nmodes, nq_total)?)
-        } else {
-            Box::new(Pencil2D::new(comm, pr, pc, nmodes, nq_total)?)
-        };
-        let my_modes = decomp.my_modes();
+        let grid = Grid::new(comm, pr, pc, nmodes, nq_total)?;
+        let my_modes = grid.my_modes();
         let mpp = my_modes.len();
         let betas = my_modes.clone().map(|k| wavenumber(k, cfg.lz)).collect();
         let plane = PlaneStep::new(&disc, cfg.scheme_order, cfg.dt, cfg.nu, betas, 3, 2);
         let (pressure, viscous) = (0..mpp).map(|mi| plane.problems(&disc, mi)).unzip();
         let ndof = disc.asm.ndof;
-        let phys_len = decomp.my_points().len() * cfg.nz;
+        let phys_len = grid.my_points().len() * cfg.nz;
         let zeros = || ModeCoeffs { a: vec![0.0; ndof], b: vec![0.0; ndof] };
         let fields = (0..mpp).map(|_| [zeros(), zeros(), zeros()]).collect();
         Ok(NektarF {
             cfg,
-            decomp,
+            grid,
             my_modes,
             disc,
             pressure,
@@ -307,19 +298,19 @@ impl NektarF {
 
     /// The decomposition's short name ("slab" / "pencil").
     pub fn decomp_name(&self) -> &'static str {
-        self.decomp.name()
+        self.grid.name()
     }
 
     /// `(rows, cols)` of the process grid (slab: `(P, 1)`).
     pub fn grid(&self) -> (usize, usize) {
-        self.decomp.grid()
+        self.grid.grid()
     }
 
     /// True on the one rank per mode block whose diagnostics count
     /// (pencil grids replicate modes across `pc` columns; summing every
     /// rank's contribution would inflate mode sums `pc`-fold).
     pub fn is_primary(&self) -> bool {
-        self.decomp.is_primary()
+        self.grid.is_primary()
     }
 
     /// Advances one time step (collective). Returns this step's stage
@@ -328,7 +319,7 @@ impl NektarF {
     pub fn step(&mut self, comm: &mut Comm) -> StageClock {
         let mut exchange = Exchange {
             comm,
-            decomp: &mut *self.decomp,
+            grid: &mut self.grid,
             overlap: self.overlap,
             algo: self.a2a_algo,
             phys: &mut self.phys,

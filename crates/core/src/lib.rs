@@ -10,9 +10,10 @@
 //! * [`fourier`] — *NekTar-F*: Fourier × spectral/hp parallel solver
 //!   (Table 2, Figures 13–14). One rank per group of Fourier planes;
 //!   the nonlinear step transposes with `MPI_Alltoall` exactly as the
-//!   paper describes. The transpose itself lives behind the [`decomp`]
-//!   layer: the paper's 1-D slab, or a 2-D pencil process grid whose
-//!   row/column sub-communicator exchanges scale past P = nz.
+//!   paper describes. The transpose itself is [`decomp::Grid`]'s: one
+//!   `pr × pc` process grid whose one-column case is the paper's 1-D
+//!   slab, and whose row/column sub-communicator exchanges scale past
+//!   P = nz.
 //! * `plane` — the one seven-stage plane step both 2-D solvers advance
 //!   through ("one Fourier mode … corresponds to two spectral/hp element
 //!   planes"): the serial solver is one mode of one real plane pair,

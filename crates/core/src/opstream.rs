@@ -106,30 +106,18 @@ pub fn direct_solve_span_args(prob: &HelmholtzProblem, nrhs: usize) -> [(&'stati
 /// One communication operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CommItem {
-    /// `MPI_Alltoall` with the given per-pair block size in bytes.
-    Alltoall {
-        /// Bytes exchanged between each pair of ranks.
-        block_bytes: usize,
-    },
-    /// A transpose exchange split into `fields` back-to-back nonblocking
-    /// alltoalls of `block_bytes / fields` each, pipelined against the
-    /// per-field FFT work recorded in the same stage (DESIGN.md §11).
-    /// Replay may hide up to `(fields-1)/fields` of the wall time behind
-    /// that FFT work.
-    AlltoallPipelined {
-        /// Total bytes exchanged between each pair of ranks (all fields).
-        block_bytes: usize,
-        /// Number of per-field exchanges the transfer is split into.
-        fields: usize,
-    },
-    /// The two-stage pencil transpose of a `pr × pc` process grid
-    /// (DESIGN.md §13): a column-communicator alltoall (groups of `pr`,
-    /// one per grid column, all columns concurrent on the fabric)
-    /// followed by a row-communicator alltoall (groups of `pc`, one per
-    /// row). `row_block_bytes = 0` means the row stage degenerates — the
-    /// forward transpose needs no row exchange because modes are
-    /// replicated within a row.
-    AlltoallPencil {
+    /// One NekTar-F transpose on a `pr × pc` process grid (DESIGN.md
+    /// §13): a column-communicator alltoall (groups of `pr`, one per grid
+    /// column, all columns concurrent on the fabric) followed by a
+    /// row-communicator alltoall (groups of `pc`, one per row). A `pr × 1`
+    /// grid is the paper's slab: one world `MPI_Alltoall`, no row stage.
+    /// `row_block_bytes = 0` also means no row stage: the forward
+    /// transpose needs none because modes are replicated within a row.
+    ///
+    /// A stage with a 0-byte block charges nothing, where the slab-only
+    /// `Alltoall` item this replaced charged its latency. No caller
+    /// records a 0-byte column block.
+    Transpose {
         /// Total per-pair bytes of the column exchange (all fields).
         col_block_bytes: usize,
         /// Total per-pair bytes of the row exchange (all fields; 0 = no
@@ -141,9 +129,10 @@ pub enum CommItem {
         pc: usize,
         /// Number of per-field exchanges the transfer is split into.
         fields: usize,
-        /// Pipelined per field like [`CommItem::AlltoallPipelined`]:
-        /// replay may hide `(fields-1)/fields` of the wall time behind
-        /// same-stage FFT work.
+        /// Split into `fields` back-to-back nonblocking exchanges of
+        /// `1/fields` of each block, pipelined against the per-field FFT
+        /// work recorded in the same stage (DESIGN.md §11): replay may
+        /// hide `(fields-1)/fields` of the wall time behind that work.
         pipelined: bool,
     },
     /// Global reduction of `bytes` payload.
@@ -196,21 +185,10 @@ impl OpRecording {
         self.work.iter().map(|(_, w)| w.flops()).sum()
     }
 
-    /// Number of Alltoall transposes recorded (blocking, pipelined, or
-    /// two-stage pencil — one transpose counts once, not per field or
+    /// Number of transposes recorded (one counts once, not per field or
     /// per stage).
     pub fn alltoall_count(&self) -> usize {
-        self.comm
-            .iter()
-            .filter(|(_, c)| {
-                matches!(
-                    c,
-                    CommItem::Alltoall { .. }
-                        | CommItem::AlltoallPipelined { .. }
-                        | CommItem::AlltoallPencil { .. }
-                )
-            })
-            .count()
+        self.comm.iter().filter(|(_, c)| matches!(c, CommItem::Transpose { .. })).count()
     }
 }
 
@@ -293,32 +271,31 @@ mod tests {
         let mut r = Recorder::enabled();
         r.work(Stage::NonLinear, WorkItem::Stream { flops: 100.0, bytes: 800.0, ws: 800 });
         r.work(Stage::PressureSolve, WorkItem::BandedSolve { n: 10, kd: 2 });
-        r.comm(Stage::NonLinear, CommItem::Alltoall { block_bytes: 4096 });
+        r.comm(Stage::NonLinear, CommItem::Allreduce { bytes: 8 });
         let rec = r.take().unwrap();
         assert_eq!(rec.work.len(), 2);
-        assert_eq!(rec.alltoall_count(), 1);
+        assert_eq!(rec.comm.len(), 1);
+        assert_eq!(rec.alltoall_count(), 0);
         assert_eq!(rec.total_flops(), 100.0 + 4.0 * 10.0 * 3.0);
     }
 
     #[test]
     fn pipelined_transpose_counts_as_one_alltoall() {
         let mut r = Recorder::enabled();
-        r.comm(Stage::NonLinear, CommItem::Alltoall { block_bytes: 4096 });
-        r.comm(
-            Stage::NonLinear,
-            CommItem::AlltoallPipelined { block_bytes: 4096, fields: 12 },
-        );
-        r.comm(
-            Stage::NonLinear,
-            CommItem::AlltoallPencil {
-                col_block_bytes: 4096,
-                row_block_bytes: 8192,
-                pr: 4,
-                pc: 2,
-                fields: 3,
-                pipelined: true,
-            },
-        );
+        for (pc, row_block_bytes, pipelined) in [(1, 0, false), (1, 0, true), (2, 8192, true)] {
+            r.comm(
+                Stage::NonLinear,
+                CommItem::Transpose {
+                    col_block_bytes: 4096,
+                    row_block_bytes,
+                    pr: 4,
+                    pc,
+                    fields: 12,
+                    pipelined,
+                },
+            );
+        }
+        r.comm(Stage::PressureSolve, CommItem::Allreduce { bytes: 8 });
         assert_eq!(r.take().unwrap().alltoall_count(), 3);
     }
 

@@ -63,51 +63,19 @@ pub fn work_time(item: &WorkItem, m: &Machine) -> f64 {
 /// Charges one communication item: returns (cpu seconds, wall seconds).
 pub fn comm_time(item: &CommItem, net: &ClusterNetwork, p: usize) -> (f64, f64) {
     match *item {
-        CommItem::Alltoall { block_bytes } => {
-            // Pairwise exchange: P-1 rounds; round r pairs i <-> i ^ r
-            // (power of two) or a ring permutation otherwise.
-            if p <= 1 {
-                return (0.0, 0.0);
-            }
-            let mut wall = 0.0;
-            let mut cpu = 0.0;
-            for step in 1..p {
-                let pairs: Vec<(usize, usize)> = if p.is_power_of_two() {
-                    (0..p).filter(|&i| i < i ^ step).map(|i| (i, i ^ step)).collect()
-                } else {
-                    (0..p).map(|i| (i, (i + step) % p)).collect()
-                };
-                wall += net.round_time(&pairs, block_bytes);
-                // CPU: one send + one recv overhead per rank per round.
-                cpu += 2.0 * net.inter.overhead_us * 1e-6;
-            }
-            (cpu, wall)
-        }
-        CommItem::AlltoallPipelined { block_bytes, fields } => {
-            // `fields` back-to-back exchanges of block_bytes/fields each:
-            // same bandwidth volume as the aggregate exchange, one extra
-            // set of per-round latencies per extra field. The overlap
-            // credit against same-stage FFT work is applied by `replay`,
-            // which sees the whole stream; here we charge the full
-            // (unhidden) cost.
-            let nf = fields.max(1);
-            let (c, w) = comm_time(
-                &CommItem::Alltoall { block_bytes: block_bytes.div_ceil(nf) },
-                net,
-                p,
-            );
-            (c * nf as f64, w * nf as f64)
-        }
-        CommItem::AlltoallPencil { col_block_bytes, row_block_bytes, pr, pc, fields, pipelined } => {
-            // Two-stage pencil transpose on a pr × pc process grid with
-            // world rank = row * pc + col. The column stage runs one
+        CommItem::Transpose { col_block_bytes, row_block_bytes, pr, pc, fields, pipelined } => {
+            // World rank = row * pc + col. The column stage runs one
             // alltoall per grid column (groups of pr) — all pc columns
             // concurrently on the fabric, so each round's pair list spans
             // every column and `net.round_time` sees the full contention.
             // The row stage is symmetric (groups of pc, pr rows
-            // concurrent). When pipelined, both stages split per field
-            // like `AlltoallPipelined`; the overlap credit is applied by
-            // `replay`.
+            // concurrent); a pr × 1 grid has none, and its column stage
+            // is the slab's world exchange. A stage of g ranks runs g-1
+            // pairwise rounds, i <-> i ^ r when g is a power of two, a
+            // ring permutation otherwise. When pipelined, both stages split per field,
+            // paying one set of per-round latencies per field; the
+            // overlap credit is applied by `replay`, which sees the whole
+            // stream.
             let nf = if pipelined { fields.max(1) } else { 1 };
             let stage = |grp: usize, nsib: usize, block: usize, col_stage: bool| -> (f64, f64) {
                 if grp <= 1 || block == 0 {
@@ -199,8 +167,7 @@ pub fn replay(rec: &OpRecording, machine: &Machine, net: &ClusterNetwork, p: usi
         out.cpu.add(*stage, c);
         out.wall.add(*stage, w);
         match item {
-            CommItem::AlltoallPipelined { fields, .. }
-            | CommItem::AlltoallPencil { fields, pipelined: true, .. } => {
+            CommItem::Transpose { fields, pipelined: true, .. } => {
                 let nf = (*fields).max(1) as f64;
                 hideable[stage.index()] += w * (nf - 1.0) / nf;
             }
@@ -238,6 +205,11 @@ mod tests {
     use nkt_machine::{machine, MachineId};
     use nkt_net::{cluster, NetId};
 
+    /// The slab's transpose on `p` ranks: a `p × 1` grid.
+    fn slab(col_block_bytes: usize, p: usize, fields: usize, pipelined: bool) -> CommItem {
+        CommItem::Transpose { col_block_bytes, row_block_bytes: 0, pr: p, pc: 1, fields, pipelined }
+    }
+
     fn sample_rec() -> OpRecording {
         let mut r = OpRecording::new();
         r.work(Stage::BwdTransform, WorkItem::Gemm { m: 100, n: 2, k: 50 });
@@ -247,7 +219,7 @@ mod tests {
             Stage::StifflyStable,
             WorkItem::Stream { flops: 1e6, bytes: 4e6, ws: 4_000_000 },
         );
-        r.comm(Stage::NonLinear, CommItem::Alltoall { block_bytes: 65536 });
+        r.comm(Stage::NonLinear, slab(65536, 4, 1, false));
         r.comm(Stage::PressureSolve, CommItem::Allreduce { bytes: 8 });
         r
     }
@@ -290,7 +262,7 @@ mod tests {
 
     #[test]
     fn single_rank_comm_is_free() {
-        let (c, w) = comm_time(&CommItem::Alltoall { block_bytes: 1 << 20 }, &cluster(NetId::T3e), 1);
+        let (c, w) = comm_time(&slab(1 << 20, 1, 1, false), &cluster(NetId::T3e), 1);
         assert_eq!((c, w), (0.0, 0.0));
     }
 
@@ -317,14 +289,7 @@ mod tests {
         let mk = |overlap: bool| {
             let mut r = OpRecording::new();
             r.work(Stage::NonLinear, WorkItem::FftBatch { len: 64, batch: 20_000 });
-            r.comm(
-                Stage::NonLinear,
-                if overlap {
-                    CommItem::AlltoallPipelined { block_bytes: 12 * 65536, fields: 12 }
-                } else {
-                    CommItem::Alltoall { block_bytes: 12 * 65536 }
-                },
-            );
+            r.comm(Stage::NonLinear, slab(12 * 65536, 8, 12, overlap));
             r
         };
         let m = machine(MachineId::Muses);
@@ -380,26 +345,44 @@ mod tests {
         assert!(narrow.wall_total() > overlapped.wall_total());
     }
 
+    /// What the retired slab-only `Alltoall` item charged for one
+    /// exchange of `block` bytes a pair on `p` ranks: P-1 pairwise
+    /// rounds, XOR partners when p is a power of two and a ring
+    /// otherwise, one send and one receive overhead of CPU per round.
+    fn slab_alltoall_reference(block: usize, net: &ClusterNetwork, p: usize) -> (f64, f64) {
+        let (mut cpu, mut wall) = (0.0, 0.0);
+        for step in 1..p {
+            let pairs: Vec<(usize, usize)> = if p.is_power_of_two() {
+                (0..p).filter(|&i| i < i ^ step).map(|i| (i, i ^ step)).collect()
+            } else {
+                (0..p).map(|i| (i, (i + step) % p)).collect()
+            };
+            wall += net.round_time(&pairs, block);
+            cpu += 2.0 * net.inter.overhead_us * 1e-6;
+        }
+        (cpu, wall)
+    }
+
     #[test]
-    fn pencil_with_one_column_matches_slab_alltoall() {
-        // pr × 1 grid: the column stage is exactly the slab exchange and
-        // the row stage degenerates.
-        let net = cluster(NetId::RoadRunnerMyr);
-        for &p in &[4usize, 8, 6] {
-            let slab = comm_time(&CommItem::Alltoall { block_bytes: 65536 }, &net, p);
-            let pencil = comm_time(
-                &CommItem::AlltoallPencil {
-                    col_block_bytes: 65536,
-                    row_block_bytes: 0,
-                    pr: p,
-                    pc: 1,
-                    fields: 3,
-                    pipelined: false,
-                },
-                &net,
-                p,
-            );
-            assert_eq!(slab, pencil, "p = {p}");
+    fn a_one_column_transpose_charges_the_slab_alltoall_bit_for_bit() {
+        // Blocking: one exchange of the whole block. Pipelined: `fields`
+        // exchanges of a 1/fields share each (rounded up), as the retired
+        // `AlltoallPipelined` item charged them.
+        let bits = |(c, w): (f64, f64)| (c.to_bits(), w.to_bits());
+        for net in [cluster(NetId::RoadRunnerMyr), cluster(NetId::RoadRunnerEth)] {
+            for p in [1usize, 4, 6, 8] {
+                for block in [65536usize, 12 * 65536 + 5] {
+                    let (c, w) = slab_alltoall_reference(block, &net, p);
+                    let got = comm_time(&slab(block, p, 12, false), &net, p);
+                    assert_eq!(bits(got), bits((c, w)), "p = {p}, {block} B blocking");
+                    for nf in [3usize, 12] {
+                        let (c, w) = slab_alltoall_reference(block.div_ceil(nf), &net, p);
+                        let want = (c * nf as f64, w * nf as f64);
+                        let got = comm_time(&slab(block, p, nf, true), &net, p);
+                        assert_eq!(bits(got), bits(want), "p = {p}, {block} B in {nf} fields");
+                    }
+                }
+            }
         }
     }
 
@@ -407,7 +390,7 @@ mod tests {
     fn pencil_row_stage_adds_cost_and_pipelining_earns_credit() {
         let net = cluster(NetId::RoadRunnerMyr);
         let col_only = comm_time(
-            &CommItem::AlltoallPencil {
+            &CommItem::Transpose {
                 col_block_bytes: 65536,
                 row_block_bytes: 0,
                 pr: 4,
@@ -419,7 +402,7 @@ mod tests {
             16,
         );
         let both = comm_time(
-            &CommItem::AlltoallPencil {
+            &CommItem::Transpose {
                 col_block_bytes: 65536,
                 row_block_bytes: 65536,
                 pr: 4,
@@ -440,7 +423,7 @@ mod tests {
             r.work(Stage::NonLinear, WorkItem::FftBatch { len: 64, batch: 20_000 });
             r.comm(
                 Stage::NonLinear,
-                CommItem::AlltoallPencil {
+                CommItem::Transpose {
                     col_block_bytes: 12 * 65536,
                     row_block_bytes: 12 * 65536,
                     pr: 4,
@@ -461,8 +444,8 @@ mod tests {
     #[test]
     fn alltoall_wall_grows_with_ranks_on_shared_fabric() {
         let net = cluster(NetId::RoadRunnerEth);
-        let w4 = comm_time(&CommItem::Alltoall { block_bytes: 65536 }, &net, 4).1;
-        let w16 = comm_time(&CommItem::Alltoall { block_bytes: 65536 }, &net, 16).1;
+        let w4 = comm_time(&slab(65536, 4, 1, false), &net, 4).1;
+        let w16 = comm_time(&slab(65536, 16, 1, false), &net, 16).1;
         assert!(w16 > 3.0 * w4, "{w16} vs {w4}");
     }
 }

@@ -1,9 +1,9 @@
-//! Slab ↔ pencil equivalence: the 2-D pencil decomposition is pure
-//! data layout — for every `pr × pc` process grid, pencil rank `(r, c)`
-//! must end a run with **bitwise** the same state (FNV digest over all
-//! numerical checkpoint sections) as slab rank `r` on `pr` ranks, in
-//! both transpose paths. And grids with `pc > 1` must run where the
-//! slab cannot: P > nz/2.
+//! Slab ↔ pencil equivalence. NekTar-F has one decomposition, a `pr × pc`
+//! process grid, and the slab is its one-column case: the columns are
+//! pure data layout — for every grid, rank `(r, c)` must end a run with
+//! **bitwise** the same state (FNV digest over all numerical checkpoint
+//! sections) as rank `r` of the `pr × 1` slab, in both transpose paths.
+//! And grids with `pc > 1` must run where the slab cannot: P > nz/2.
 
 use nektar::decomp::FourierCfgError;
 use nektar::fourier::{FourierConfig, NektarF};
