@@ -44,7 +44,7 @@ fn ale_times(overlap: bool) -> (f64, f64, u64) {
 /// Table-3 replay wall at the given P with the gs overlap credit set to
 /// `frac` (0.0 = blocking).
 fn replay_wall(mid: MachineId, nid: NetId, p: usize, frac: f64) -> f64 {
-    let shape = AleShape { gs_overlap: frac, stage_overlap: None, ..nkt_bench::table3_shape(p) };
+    let shape = AleShape { overlap: [frac; 7], ..nkt_bench::table3_shape(p) };
     replay(&ale_step_workload(&shape), &machine(mid), &cluster(nid), p).wall_total()
 }
 

@@ -83,11 +83,10 @@ pub fn table3_shape(p: usize) -> AleShape {
         mesh_iters: 250,
         nm1: order + 1,
         j: 2,
-        // The interior-element share of a cubic partition, upgraded to
-        // measured per-stage windows when a native calibration is
-        // committed; the credit moves wall time only, never cpu.
-        gs_overlap: (1.0 - 6.0 / (nelems_local as f64).cbrt()).max(0.0),
-        stage_overlap: Some(ale_stage_overlap(nelems_local).0),
+        // Measured per-stage windows when a native calibration is
+        // committed, else the interior-element share of a cubic
+        // partition; the credit moves wall time only, never cpu.
+        overlap: ale_stage_overlap(nelems_local).0,
     }
 }
 
