@@ -376,49 +376,84 @@ impl Comm {
     ) -> Result<Message, MpiError> {
         nkt_trace::counter_add("mpi.req.wait", 1);
         let i = self.slot_index(req.id);
-        if let ReqState::Done(m) = &self.reqs[i].state {
-            return Ok(m.clone());
-        }
-        if matches!(self.reqs[i].state, ReqState::Posted) {
-            let (src, tag) = (self.reqs[i].src, self.reqs[i].tag);
-            let wait_start = Instant::now();
-            let mut published = false;
-            let mut ever_published = false;
-            while matches!(self.reqs[i].state, ReqState::Posted) {
-                match self.rx.recv_timeout(Duration::from_millis(10)) {
-                    Ok(msg) => {
-                        if let Some(msg) = self.intake(msg) {
-                            self.pending.push_back(msg);
-                            self.stats.pending_peak =
-                                self.stats.pending_peak.max(self.pending.len() as u64);
-                            published = false;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if !published {
-                            self.publish_block_site(src, tag);
-                            published = true;
-                            ever_published = true;
-                        }
-                        if self.poison.load(Ordering::SeqCst) {
-                            return Err(MpiError::Poisoned);
-                        }
-                        if let Some(d) = deadline {
-                            if wait_start.elapsed() >= d {
-                                return Err(MpiError::DeadlineExceeded(self.block_site(src, tag)));
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        panic!("wait: world torn down while waiting")
-                    }
-                }
-            }
-            if ever_published {
-                self.blocked.clear(self.rank);
+        match &self.reqs[i].state {
+            ReqState::Done(m) => return Ok(m.clone()),
+            ReqState::Bound(_) => {}
+            ReqState::Posted => {
+                let (src, tag) = (self.reqs[i].src, self.reqs[i].tag);
+                let bound = |c: &mut Comm| match c.reqs[i].state {
+                    ReqState::Posted => None,
+                    _ => Some(()),
+                };
+                self.block_until(src, tag, deadline, "wait", bound)?;
             }
         }
         Ok(self.complete_slot(i))
+    }
+
+    /// The one blocking loop under [`Comm::wait`] and [`Comm::recv`]. It
+    /// returns what `done` yields, asking first and again after every
+    /// arrival; an arrival binds to the oldest posted receive it matches
+    /// or joins the unmatched queue. Between arrivals it polls in 10 ms
+    /// slices and publishes the blocking site (`src`, `tag`) once per
+    /// queue change. A poisoned world or a passed `deadline` (host time)
+    /// ends the wait with an error and leaves the site published; `done`
+    /// clears it. `what` names the caller if the world is torn down.
+    fn block_until<T>(
+        &mut self,
+        src: Option<usize>,
+        tag: Option<Tag>,
+        deadline: Option<Duration>,
+        what: &str,
+        mut done: impl FnMut(&mut Comm) -> Option<T>,
+    ) -> Result<T, MpiError> {
+        if let Some(out) = done(self) {
+            return Ok(out);
+        }
+        let wait_start = Instant::now();
+        let mut published = false;
+        let mut ever_published = false;
+        loop {
+            match self.rx.recv_timeout(Duration::from_millis(10)) {
+                Ok(msg) => {
+                    if let Some(msg) = self.intake(msg) {
+                        self.pending.push_back(msg);
+                        // The queue changed; refresh the published site
+                        // next time we time out so the dump shows current
+                        // backlog.
+                        published = false;
+                    }
+                    if let Some(out) = done(self) {
+                        if ever_published {
+                            self.blocked.clear(self.rank);
+                        }
+                        return Ok(out);
+                    }
+                    let queued = self.pending.len() as u64;
+                    self.stats.pending_peak = self.stats.pending_peak.max(queued);
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    // We are genuinely waiting. Publish where (once) so
+                    // that whichever rank aborts first can report every
+                    // rank's blocking site. This sits on the already-slow
+                    // 10 ms poll path, never on a satisfied wait.
+                    if !published {
+                        self.publish_block_site(src, tag);
+                        published = true;
+                        ever_published = true;
+                    }
+                    if self.poison.load(Ordering::SeqCst) {
+                        return Err(MpiError::Poisoned);
+                    }
+                    if deadline.is_some_and(|d| wait_start.elapsed() >= d) {
+                        return Err(MpiError::DeadlineExceeded(self.block_site(src, tag)));
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("{what}: world torn down while waiting")
+                }
+            }
+        }
     }
 
     /// Completes slot `i` (must be `Bound`): charges the receiver-side
@@ -508,62 +543,19 @@ impl Comm {
     /// recv deadline and [`MpiError::Poisoned`] when a peer rank dies,
     /// leaving this rank's blocking site published for the next dump.
     pub fn try_recv(&mut self, src: Option<usize>, tag: Option<Tag>) -> Result<Message, MpiError> {
-        // First scan messages already buffered.
-        if let Some(pos) = self.pending.iter().position(|m| Self::matches(src, tag, m)) {
-            let msg = self.pending.remove(pos).expect("position came from iter");
-            let posted_at = self.clock;
-            self.note_recvd(&msg);
-            self.absorb_arrival(&msg, posted_at);
-            return Ok(msg);
-        }
-        let wait_start = Instant::now();
-        let mut published = false;
-        let mut ever_published = false;
-        loop {
-            let msg = match self.rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    // We are genuinely waiting. Publish where (once) so
-                    // that whichever rank aborts first can report every
-                    // rank's blocking site. This sits on the already-slow
-                    // 10 ms poll path, never on a satisfied recv.
-                    if !published {
-                        self.publish_block_site(src, tag);
-                        published = true;
-                        ever_published = true;
-                    }
-                    if self.poison.load(Ordering::SeqCst) {
-                        return Err(MpiError::Poisoned);
-                    }
-                    if let Some(d) = self.recv_deadline {
-                        if wait_start.elapsed() >= d {
-                            return Err(MpiError::DeadlineExceeded(self.block_site(src, tag)));
-                        }
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("recv: world torn down while waiting")
-                }
-            };
-            // A message that matches an older posted irecv belongs to it,
-            // not to this blocking recv (non-overtaking matching).
-            let Some(msg) = self.intake(msg) else { continue };
-            if Self::matches(src, tag, &msg) {
-                if ever_published {
-                    self.blocked.clear(self.rank);
-                }
-                let posted_at = self.clock;
-                self.note_recvd(&msg);
-                self.absorb_arrival(&msg, posted_at);
-                return Ok(msg);
-            }
-            self.pending.push_back(msg);
-            self.stats.pending_peak = self.stats.pending_peak.max(self.pending.len() as u64);
-            // The queue changed; refresh the published site next time we
-            // time out so the dump shows current backlog.
-            published = false;
-        }
+        // A buffered message that matches, the oldest first: what was
+        // queued before the call, else the arrival that just joined the
+        // queue (one matching an older posted irecv went to it instead —
+        // non-overtaking matching).
+        let matched = |c: &mut Comm| {
+            let pos = c.pending.iter().position(|m| Self::matches(src, tag, m))?;
+            c.pending.remove(pos)
+        };
+        let msg = self.block_until(src, tag, self.recv_deadline, "recv", matched)?;
+        let posted_at = self.clock;
+        self.note_recvd(&msg);
+        self.absorb_arrival(&msg, posted_at);
+        Ok(msg)
     }
 
     /// Panics with the world dump after a failed wait, preserving the
