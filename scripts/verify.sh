@@ -427,6 +427,19 @@ if [[ -n "$plane_calls" ]]; then
     exit 1
 fi
 
+echo "== one transpose (NekTar-F's exchanges are decomp::Grid's) =="
+# One process grid is NekTar-F's only decomposition; a pr x 1 grid is the
+# slab. An alltoall posted or a communicator split from other non-test
+# code under crates/core/src is a second transpose beside it.
+transposes="$(find crates/core/src -name '*.rs' ! -path crates/core/src/decomp.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /(ialltoall|alltoall_with|split_labeled)\(/ { print FILENAME ":" FNR ": " $0 }')"
+if [[ -n "$transposes" ]]; then
+    echo "$transposes" >&2
+    echo "FAIL: a transpose exchange or grid split outside decomp.rs (lines above): use decomp::Grid" >&2
+    exit 1
+fi
+
 echo "== line budget (non-test lines per crate, held to scripts/line_budget.txt) =="
 # scripts/lines counts each crate's non-test lines in a rustfmt-normalised
 # temporary copy; a row over its budget, or a crate without one, fails.
