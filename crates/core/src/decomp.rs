@@ -34,15 +34,18 @@
 //!
 //! Every grid of the same `pr` produces **bitwise identical** state:
 //! physical values are pointwise copies of the same mode data, the
-//! per-point FFT arithmetic does not depend on which rank executes it,
-//! and the assembled planes are permutation-free reassemblies. Rank
-//! `(r, c)` therefore hashes identically to slab rank `r` (see
+//! per-point FFT arithmetic does not depend on which rank executes it
+//! nor on which lane of a [`LANES`]-point block carries the point, and
+//! the assembled planes are permutation-free reassemblies. Rank `(r, c)`
+//! therefore hashes identically to slab rank `r` (see
 //! `tests/pencil_equiv.rs`).
 
 use crate::opstream::{CommItem, Recorder, WorkItem};
 use crate::timers::Stage;
-use nkt_fft::{Complex64, RealFft};
+use nkt_blas::isa::{dispatch, Kernel};
+use nkt_fft::RealFft;
 use nkt_mpi::prelude::*;
+use std::array::from_fn;
 use std::fmt;
 use std::ops::Range;
 
@@ -161,7 +164,9 @@ pub struct TransposeCtx<'a> {
 /// Both transposes fill caller buffers. With `mpp` owned modes, `nq`
 /// points a plane, `npts` = [`Grid::my_points`]`.len()` and `nz` planes,
 /// a mode-space field is `mpp × 2 × nq` values, `[mode][cos | sin][point]`,
-/// and a physical field is `npts × nz` values, `[point][z]`.
+/// and a physical field is `nz × npts` values, `[z][point]` (plane-major,
+/// like the exchange buffers, so the z-transforms load and store
+/// [`LANES`] consecutive points at a time).
 pub struct Grid {
     pr: usize,
     pc: usize,
@@ -175,8 +180,8 @@ pub struct Grid {
     /// This rank's point chunk.
     pts: Range<usize>,
     fft: RealFft,
-    spectrum: Vec<Complex64>,
-    fft_scratch: Vec<Complex64>,
+    /// The lane transforms' scratch (2 × `fft.scratch_len()` blocks).
+    fft_scratch: Vec<[f64; LANES]>,
     /// One field's column-stage send.
     send: Vec<f64>,
     /// Where a transpose's last stage lands: one column-stage receive per
@@ -249,8 +254,7 @@ impl Grid {
             nq: nq_total,
             nz: fft.len(),
             pts: (w * chunk).min(nq_total)..((w + 1) * chunk).min(nq_total),
-            spectrum: vec![Complex64::ZERO; fft.spectrum_len()],
-            fft_scratch: vec![Complex64::ZERO; fft.scratch_len()],
+            fft_scratch: vec![[0.0; LANES]; 2 * fft.scratch_len()],
             fft,
             send: vec![0.0; pr * fblock],
             recv: vec![0.0; pc * pr * fblock],
@@ -351,40 +355,21 @@ impl Grid {
         }
     }
 
-    /// Inverse of [`mode_coeffs`] + inverse FFT of the field in `recv`:
-    /// reassembles the spectrum at each of this rank's points from the
-    /// per-peer blocks and fills the physical z-columns `out`.
+    /// Inverse FFT of the field in `recv` into the physical field `out`
+    /// at this rank's points. Mode k's cos and sin runs start at
+    /// k·2·chunk: peer blocks are contiguous and hold their modes in order.
     fn unpack_phys(&mut self, out: &mut [f64]) {
-        let (chunk, nz) = (self.chunk, self.nz);
-        let Grid { fft, spectrum, fft_scratch, recv, .. } = self;
-        // Mode k's cos and sin runs start at k·2·chunk: peer blocks are
-        // contiguous and hold their modes in order. Nyquist stays dropped.
-        spectrum.fill(Complex64::ZERO);
-        for (pt, column) in out.chunks_exact_mut(nz).enumerate() {
-            let modes = spectrum[..nz / 2].iter_mut().zip(recv.chunks_exact(2 * chunk));
-            for (k, (sp, runs)) in modes.enumerate() {
-                let (a, b) = (runs[pt], runs[chunk + pt]);
-                *sp = if k == 0 {
-                    Complex64::new(a * nz as f64, 0.0)
-                } else {
-                    Complex64::new(a * nz as f64 / 2.0, -b * nz as f64 / 2.0)
-                };
-            }
-            fft.inverse_with(spectrum, column, fft_scratch);
-        }
+        let Grid { fft, fft_scratch, recv, chunk, .. } = self;
+        dispatch(ToPhys { fft, modes: recv, run: *chunk, phys: out, scratch: fft_scratch });
     }
 
     /// Forward FFT of one physical field at this rank's points into
     /// `send`: to column peer `g`, its modes at my points.
     fn pack_modes(&mut self, phys: &[f64]) {
-        let (chunk, nz, npts) = (self.chunk, self.nz, self.pts.len());
-        let Grid { fft, spectrum, fft_scratch, send, .. } = self;
-        for (pt, column) in phys.chunks_exact(nz).enumerate() {
-            fft.forward_with(column, spectrum, fft_scratch);
-            for (k, runs) in send.chunks_exact_mut(2 * chunk).enumerate() {
-                (runs[pt], runs[chunk + pt]) = mode_coeffs(spectrum, k, nz);
-            }
-        }
+        let (chunk, npts, nmodes) = (self.chunk, self.pts.len(), self.nz / 2);
+        let Grid { fft, fft_scratch, send, .. } = self;
+        let (modes, scratch) = (0..nmodes, fft_scratch);
+        dispatch(ToModes { fft, phys, modes, run: chunk, out: send, scratch });
         if npts < chunk {
             for run in send.chunks_exact_mut(chunk) {
                 run[npts..].fill(0.0);
@@ -531,21 +516,219 @@ impl Grid {
     }
 }
 
-/// The (cos, sin) coefficients of Fourier mode `k` in the forward
-/// spectrum `sp` of `nz` real samples, in the solver's plane convention
-/// (`k = 0` carries the mean and has no sine part; Nyquist dropped).
-#[inline]
-pub(crate) fn mode_coeffs(sp: &[Complex64], k: usize, nz: usize) -> (f64, f64) {
-    if k == 0 {
-        (sp[0].re / nz as f64, 0.0)
+/// Points a z-transform block carries as the lanes of one vector: four
+/// f64s to an AVX2 register.
+pub(crate) const LANES: usize = 4;
+
+/// The first `nl` values of `src` in lanes `0..nl` (`nl ≤ L`), zeros in
+/// the rest. Lane by lane, not a `copy_from_slice` of `nl` values: a
+/// variable-length copy into the block keeps it in memory on every path,
+/// which made the portable build slower than the scalar code it replaced.
+#[inline(always)]
+fn load<const L: usize>(src: &[f64], nl: usize) -> [f64; L] {
+    if nl == L {
+        src[..L].try_into().expect("a full block")
     } else {
-        (2.0 * sp[k].re / nz as f64, -2.0 * sp[k].im / nz as f64)
+        from_fn(|l| if l < nl { src[l] } else { 0.0 })
+    }
+}
+
+/// Lanes `0..nl` of `v` into `dst`; the other lanes are not stored.
+#[inline(always)]
+fn store<const L: usize>(dst: &mut [f64], v: [f64; L], nl: usize) {
+    if nl == L {
+        dst[..L].copy_from_slice(&v);
+    } else {
+        for (d, x) in dst[..nl].iter_mut().zip(v) {
+            *d = x;
+        }
+    }
+}
+
+/// The (cos, sin) coefficients of Fourier mode `k` from bin `k` (`re`,
+/// `im`) of the forward spectrum of `nz` real samples, lane by lane, in
+/// the solver's plane convention (`k = 0` carries the mean and has no sine
+/// part; Nyquist dropped).
+#[inline(always)]
+pub(crate) fn mode_coeffs<const L: usize>(
+    k: usize,
+    nz: usize,
+    re: [f64; L],
+    im: [f64; L],
+) -> ([f64; L], [f64; L]) {
+    let nz = nz as f64;
+    if k == 0 {
+        (from_fn(|l| re[l] / nz), [0.0; L])
+    } else {
+        (from_fn(|l| 2.0 * re[l] / nz), from_fn(|l| -2.0 * im[l] / nz))
+    }
+}
+
+/// Spectrum bin `k < nz/2` from mode `k`'s (cos, sin) coefficients: the
+/// inverse of [`mode_coeffs`].
+#[inline(always)]
+fn mode_bin<const L: usize>(k: usize, nz: usize, a: [f64; L], b: [f64; L]) -> ([f64; L], [f64; L]) {
+    let nz = nz as f64;
+    if k == 0 {
+        (from_fn(|l| a[l] * nz), [0.0; L])
+    } else {
+        (from_fn(|l| a[l] * nz / 2.0), from_fn(|l| -b[l] * nz / 2.0))
+    }
+}
+
+/// Inverse z-transforms of every mode of `modes` (`[mode][cos | sin]`
+/// runs of `run` values; modes `0..nz/2`, Nyquist dropped) into the
+/// plane-major field `phys` (`[z][point]`, `phys.len() / nz` points, at
+/// most `run`), `L` points a block. A short last block masks its lanes:
+/// zeros load, and only its points store. `scratch` holds 2 ×
+/// `fft.scratch_len()` blocks.
+struct ToPhys<'a, const L: usize> {
+    fft: &'a RealFft,
+    modes: &'a [f64],
+    run: usize,
+    phys: &'a mut [f64],
+    scratch: &'a mut [[f64; L]],
+}
+
+impl<const L: usize> Kernel for ToPhys<'_, L> {
+    type Output = ();
+
+    /// The one body of [`Grid::unpack_phys`], inlined into both builds.
+    #[inline(always)]
+    fn run(self) {
+        let Self { fft, modes, run, phys, scratch } = self;
+        let (nz, nh) = (fft.len(), fft.len() / 2);
+        let npts = phys.len() / nz;
+        for p0 in (0..npts).step_by(L) {
+            let nl = (npts - p0).min(L);
+            fft.inverse_lanes(
+                |k| {
+                    if k == nh {
+                        return ([0.0; L], [0.0; L]);
+                    }
+                    let runs = &modes[k * 2 * run..];
+                    mode_bin(k, nz, load(&runs[p0..], nl), load(&runs[run + p0..], nl))
+                },
+                |j, v| store(&mut phys[j * npts + p0..], v, nl),
+                scratch,
+            );
+        }
+    }
+}
+
+/// Forward z-transforms of the plane-major field `phys` (`[z][point]`,
+/// `npts = phys.len() / nz` points), `L` points a block, masked as
+/// [`ToPhys`]: mode `k` of `modes` lands in `out` at
+/// `(k − modes.start)·2·run`, a cos run and a sin run of `run ≥ npts`
+/// values, of which the first `npts` are stored.
+pub(crate) struct ToModes<'a, const L: usize> {
+    pub(crate) fft: &'a RealFft,
+    pub(crate) phys: &'a [f64],
+    pub(crate) modes: Range<usize>,
+    pub(crate) run: usize,
+    pub(crate) out: &'a mut [f64],
+    pub(crate) scratch: &'a mut [[f64; L]],
+}
+
+impl<const L: usize> Kernel for ToModes<'_, L> {
+    type Output = ();
+
+    /// The one body of [`Grid::pack_modes`] and of `NektarF::set_initial`'s
+    /// transforms, inlined into both builds.
+    #[inline(always)]
+    fn run(self) {
+        let Self { fft, phys, modes, run, out, scratch } = self;
+        let (nz, npts) = (fft.len(), phys.len() / fft.len());
+        for p0 in (0..npts).step_by(L) {
+            let nl = (npts - p0).min(L);
+            fft.forward_lanes(
+                |j| load(&phys[j * npts + p0..], nl),
+                |k, re, im| {
+                    if modes.contains(&k) {
+                        let (a, b) = mode_coeffs(k, nz, re, im);
+                        let runs = &mut out[(k - modes.start) * 2 * run..];
+                        store(&mut runs[p0..], a, nl);
+                        store(&mut runs[run + p0..], b, nl);
+                    }
+                },
+                scratch,
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nkt_blas::isa::Isa;
+    use nkt_fft::Complex64;
+
+    /// `Grid`'s two kernels at [`LANES`] lanes, in every build the host
+    /// runs, against the one-lane slice transforms point by point, bit for
+    /// bit: point counts with tails of 1–3 lanes, radix-2 and Bluestein
+    /// half lengths, NaN-filled scratch and outputs, runs padded past the
+    /// points whose padding must come back untouched.
+    #[test]
+    fn lane_kernels_equal_the_one_lane_transforms_bit_for_bit() {
+        const PAD: f64 = 7.5;
+        for nz in [8usize, 12, 32] {
+            let (fft, nh, nzf) = (RealFft::new(nz), nz / 2, nz as f64);
+            for npts in [1usize, 3, 4, 5, 13, 50, 324] {
+                let run = npts + 3;
+                let modes: Vec<f64> =
+                    (0..nh * 2 * run).map(|i| (i * 37 % 101) as f64 / 101.0 - 0.5).collect();
+                // The per-point reference: gather, scale, one slice transform.
+                let (mut want_phys, mut want_modes) =
+                    (vec![0.0; nz * npts], vec![PAD; nh * 2 * run]);
+                let (mut sp, mut column) = (vec![Complex64::ZERO; nh + 1], vec![0.0; nz]);
+                for p in 0..npts {
+                    sp[nh] = Complex64::ZERO;
+                    for (k, bin) in sp[..nh].iter_mut().enumerate() {
+                        let (a, b) = (modes[k * 2 * run + p], modes[k * 2 * run + run + p]);
+                        *bin = if k == 0 {
+                            Complex64::new(a * nzf, 0.0)
+                        } else {
+                            Complex64::new(a * nzf / 2.0, -b * nzf / 2.0)
+                        };
+                    }
+                    fft.inverse(&sp, &mut column);
+                    for (j, &v) in column.iter().enumerate() {
+                        want_phys[j * npts + p] = v;
+                    }
+                    fft.forward(&column, &mut sp);
+                    for k in 0..nh {
+                        let (a, b) = if k == 0 {
+                            (sp[0].re / nzf, 0.0)
+                        } else {
+                            (2.0 * sp[k].re / nzf, -2.0 * sp[k].im / nzf)
+                        };
+                        (want_modes[k * 2 * run + p], want_modes[k * 2 * run + run + p]) = (a, b);
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for isa in Isa::available() {
+                    let mut scratch = vec![[f64::NAN; LANES]; 2 * fft.scratch_len()];
+                    let mut phys = vec![f64::NAN; nz * npts];
+                    let (fft, modes, scratch) = (&fft, &modes, &mut scratch[..]);
+                    isa.run(ToPhys { fft, modes, run, phys: &mut phys, scratch });
+                    assert_eq!(
+                        bits(&phys),
+                        bits(&want_phys),
+                        "to_phys: nz {nz}, {npts} points, {isa:?}"
+                    );
+                    scratch.fill([f64::NAN; LANES]);
+                    let mut out = vec![PAD; nh * 2 * run];
+                    let phys = &want_phys;
+                    isa.run(ToModes { fft, phys, modes: 0..nh, run, out: &mut out, scratch });
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want_modes),
+                        "to_modes: nz {nz}, {npts} points, {isa:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn grid_spec_parses_and_rejects() {

@@ -19,11 +19,12 @@
 //! Every other stage is the `plane` module's, the serial solver's too,
 //! over the owned modes' (u, v, w) × (cos, sin) planes.
 
-use crate::decomp::{mode_coeffs, FourierCfgError, Grid, TransposeCtx};
+use crate::decomp::{FourierCfgError, Grid, ToModes, TransposeCtx, LANES};
 use crate::opstream::{Recorder, WorkItem};
 use crate::plane::{split_planes, Coeffs, Layout, PlaneStep, Seam};
 use crate::timers::{Stage, StageClock};
-use nkt_fft::{Complex64, RealFft};
+use nkt_blas::isa::dispatch;
+use nkt_fft::RealFft;
 use nkt_mesh::Mesh2d;
 use nkt_mpi::prelude::*;
 use nkt_spectral::{Discretization, HelmholtzProblem, PlaneScratch};
@@ -106,7 +107,7 @@ pub struct NektarF {
     /// exchange.
     plane: PlaneStep,
     /// The exchange's 12 transposed fields, then 3 nonlinear terms, each
-    /// `[point][z]` at this rank's points.
+    /// `[z][point]` at this rank's points.
     phys: Vec<f64>,
     /// Stage clock (host compute seconds + virtual comm seconds).
     pub clock: StageClock,
@@ -255,40 +256,42 @@ impl NektarF {
 
     /// Sets the initial velocity from a physical-space function
     /// `f([x,y,z]) -> [u,v,w]` by z-DFT sampling + per-mode 2-D L2
-    /// projection: `f` is sampled once per (quadrature point, plane) and
-    /// one forward FFT per (point, component) yields the coefficient of
-    /// every owned mode at that point.
+    /// projection: `f` is sampled once per (quadrature point, plane), and
+    /// the forward z-transforms of a block of [`LANES`] points, one per
+    /// component, yield the coefficient of every owned mode there.
     pub fn set_initial(&mut self, f: impl Fn([f64; 3]) -> [f64; 3]) {
         let nz = self.cfg.nz;
         let lz = self.cfg.lz;
         let nq = self.disc.nquad_total();
         let mpp = self.my_modes.len();
         let fft = RealFft::new(nz);
-        // Plane (mi, c, cos | sin) is row (mi·3 + c)·2 + (0 | 1) of `planes`,
-        // element-major quadrature values like every other plane here.
-        let mut planes = vec![0.0; mpp * 3 * 2 * nq];
-        let mut lines = [vec![0.0; nz], vec![0.0; nz], vec![0.0; nz]];
-        let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
-        for (q, x) in self.disc.quad_points().enumerate() {
-            for j in 0..nz {
-                let v = f([x[0], x[1], lz * j as f64 / nz as f64]);
-                for (line, vc) in lines.iter_mut().zip(v) {
-                    line[j] = vc;
+        let mut scratch = vec![[0.0; LANES]; 2 * fft.scratch_len()];
+        // Plane (c, mi, cos | sin) is row (c·mpp + mi)·2 + (0 | 1) of
+        // `planes`, element-major quadrature values like every other plane
+        // here; `block` holds one block's samples, `[c][z][point]`.
+        let mut planes = vec![0.0; 3 * mpp * 2 * nq];
+        let mut block = vec![0.0; 3 * nz * LANES];
+        let points: Vec<[f64; 2]> = self.disc.quad_points().collect();
+        for (b, xs) in points.chunks(LANES).enumerate() {
+            let (q0, nl) = (b * LANES, xs.len());
+            for (l, x) in xs.iter().enumerate() {
+                for j in 0..nz {
+                    let v = f([x[0], x[1], lz * j as f64 / nz as f64]);
+                    for (c, vc) in v.into_iter().enumerate() {
+                        block[(c * nz + j) * nl + l] = vc;
+                    }
                 }
             }
-            for (c, line) in lines.iter().enumerate() {
-                forward_fft(&fft, line, &mut sp);
-                for (mi, k) in self.my_modes.clone().enumerate() {
-                    let row = (mi * 3 + c) * 2;
-                    let (a, b) = mode_coeffs(&sp, k, nz);
-                    planes[row * nq + q] = a;
-                    planes[(row + 1) * nq + q] = b;
-                }
+            for (c, phys) in block[..3 * nz * nl].chunks_exact(nz * nl).enumerate() {
+                let out = &mut planes[c * mpp * 2 * nq + q0..];
+                let (modes, scratch) = (self.my_modes.clone(), &mut scratch[..]);
+                forward_lines(ToModes { fft: &fft, phys, modes, run: nq, out, scratch });
             }
         }
         let mut rows = planes.chunks_exact(nq);
-        for comps in self.fields.iter_mut() {
-            for mc in comps.iter_mut() {
+        for c in 0..3 {
+            for comps in self.fields.iter_mut() {
+                let mc = &mut comps[c];
                 mc.a = self.disc.l2_project_quad(rows.next().expect("a row per plane"));
                 mc.b = self.disc.l2_project_quad(rows.next().expect("a row per plane"));
             }
@@ -399,12 +402,12 @@ fn add_mode_energy(
     }
 }
 
-/// `fft.forward`, counted under test: how many transforms a set-up runs
-/// is asserted there.
-fn forward_fft(fft: &RealFft, x: &[f64], sp: &mut [Complex64]) {
+/// Runs the forward z-transforms of `kernel`, counted under test: how
+/// many lines a set-up transforms is asserted there.
+fn forward_lines(kernel: ToModes<'_, LANES>) {
     #[cfg(test)]
-    tests::FORWARD_FFTS.with(|n| n.set(n.get() + 1));
-    fft.forward(x, sp);
+    tests::FORWARD_FFTS.with(|n| n.set(n.get() + kernel.phys.len() / kernel.fft.len()));
+    dispatch(kernel);
 }
 
 impl nkt_ckpt::Checkpointable for NektarF {
@@ -457,6 +460,8 @@ impl nkt_ckpt::Checkpointable for NektarF {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::mode_coeffs;
+    use nkt_fft::Complex64;
     use nkt_mesh::rect_quads;
     use nkt_net::{cluster, ClusterNetwork, NetId};
 
@@ -491,7 +496,7 @@ mod tests {
     }
 
     thread_local! {
-        /// Forward FFTs `forward_fft` has run on this (rank) thread.
+        /// Lines `forward_lines` has transformed on this (rank) thread.
         pub(super) static FORWARD_FFTS: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
     }
@@ -511,8 +516,9 @@ mod tests {
                             .map(|j| f([x[0], x[1], lz * j as f64 / nz as f64])[c])
                             .collect();
                         let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
-                        forward_fft(&fft, &vals, &mut sp);
-                        mode_coeffs(&sp, k, nz)
+                        fft.forward(&vals, &mut sp);
+                        let ([a], [b]) = mode_coeffs(k, nz, [sp[k].re], [sp[k].im]);
+                        (a, b)
                     };
                     self.fields[mi][c].a = self.disc.l2_project(|x| coeff(x).0);
                     self.fields[mi][c].b = self.disc.l2_project(|x| coeff(x).1);

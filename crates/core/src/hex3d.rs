@@ -847,7 +847,11 @@ impl<C: Fn(usize) -> [f64; 4], const NM: usize> Kernel for ApplyElems<'_, C, NM>
             head
         };
         let (cx, by, cz) = (take(n2 * L), take(n2 * L), take(n2 * L));
-        let [xt, u, v, w, s, yt] = [(); 6].map(|_| take(n3 * L));
+        // Six calls, not `[(); 6].map(..)`: `array::map` is not inlined
+        // across codegen units, and out of line it cost ≈ 9 % of a step.
+        let n3l = n3 * L;
+        let [xt, u, v, w, s, yt] =
+            [take(n3l), take(n3l), take(n3l), take(n3l), take(n3l), take(n3l)];
         let ye = take(n3);
         let [ax, ay, az] = Axis::tensor(nm, nm).map(|a| Axis { pre: a.pre * L, ..a });
         let mut coef = [[0.0; L]; 4];

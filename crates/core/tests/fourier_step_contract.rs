@@ -232,7 +232,9 @@ fn a_k1_shear_mode_decays_at_the_viscous_rate() {
 
 #[test]
 fn a_warmed_step_allocates_only_what_its_exchanges_do() {
-    let counts = [8usize, 32].map(|nz| {
+    // nz 12 runs a Bluestein half transform (length 6): its padded
+    // convolution is caller scratch too.
+    let counts = [8usize, 12, 32].map(|nz| {
         let out = World::builder().ranks(1).net(cluster(NetId::RoadRunnerEth)).run(|c| {
             let square = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
             let mut s = NektarF::new(c, &square, cfg(nz));
@@ -265,11 +267,13 @@ fn a_warmed_step_allocates_only_what_its_exchanges_do() {
         });
         out[0]
     });
-    let [(step8, exch8), (step32, exch32)] = counts;
+    let [(step8, exch8), (step12, exch12), (step32, exch32)] = counts;
     assert_eq!(exch8, exch32, "the exchange count does not depend on nz");
+    assert_eq!(exch8, exch12, "the exchange count does not depend on nz");
     assert!(
         step8 <= exch8 + 8,
         "a warmed step allocated {step8} times; its 15 exchanges account for {exch8}"
     );
     assert_eq!(step8, step32, "allocations must not scale with nz");
+    assert_eq!(step8, step12, "a Bluestein half length allocates no more");
 }

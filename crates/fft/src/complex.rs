@@ -3,8 +3,9 @@
 
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A complex number with `f64` components.
+/// A complex number with `f64` components, laid out as `[re, im]`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,
@@ -129,6 +130,95 @@ impl From<f64> for Complex64 {
     #[inline]
     fn from(re: f64) -> Self {
         Complex64::new(re, 0.0)
+    }
+}
+
+/// `L` complex numbers as split re/im lanes, the value type of the lane
+/// transform body: every operation is [`Complex64`]'s, lane by lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes<const L: usize> {
+    pub(crate) re: [f64; L],
+    pub(crate) im: [f64; L],
+}
+
+impl<const L: usize> Lanes<L> {
+    /// Entry `j` of split storage.
+    #[inline(always)]
+    pub(crate) fn at(re: &[[f64; L]], im: &[[f64; L]], j: usize) -> Self {
+        Lanes { re: re[j], im: im[j] }
+    }
+
+    /// Stores into entry `j` of split storage.
+    #[inline(always)]
+    pub(crate) fn put(self, re: &mut [[f64; L]], im: &mut [[f64; L]], j: usize) {
+        (re[j], im[j]) = (self.re, self.im);
+    }
+
+    /// Complex conjugate.
+    #[inline(always)]
+    pub(crate) fn conj(self) -> Self {
+        Lanes { re: self.re, im: neg(self.im) }
+    }
+
+    /// Scales by a real factor.
+    #[inline(always)]
+    pub(crate) fn scale(self, s: f64) -> Self {
+        Lanes {
+            re: core::array::from_fn(|l| self.re[l] * s),
+            im: core::array::from_fn(|l| self.im[l] * s),
+        }
+    }
+
+    /// `(-im, re)`: multiplied by `i`.
+    #[inline(always)]
+    pub(crate) fn times_i(self) -> Self {
+        Lanes { re: neg(self.im), im: self.re }
+    }
+
+    /// `(im, -re)`: divided by `i`.
+    #[inline(always)]
+    pub(crate) fn over_i(self) -> Self {
+        Lanes { re: self.im, im: neg(self.re) }
+    }
+}
+
+/// Each lane negated (`array::map` is not inlined across codegen units).
+#[inline(always)]
+pub(crate) fn neg<const L: usize>(v: [f64; L]) -> [f64; L] {
+    core::array::from_fn(|l| -v[l])
+}
+
+impl<const L: usize> Add for Lanes<L> {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        Lanes {
+            re: core::array::from_fn(|l| self.re[l] + o.re[l]),
+            im: core::array::from_fn(|l| self.im[l] + o.im[l]),
+        }
+    }
+}
+
+impl<const L: usize> Sub for Lanes<L> {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        Lanes {
+            re: core::array::from_fn(|l| self.re[l] - o.re[l]),
+            im: core::array::from_fn(|l| self.im[l] - o.im[l]),
+        }
+    }
+}
+
+/// Lanes times one complex factor, as `Complex64 * Complex64` per lane.
+impl<const L: usize> Mul<Complex64> for Lanes<L> {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, o: Complex64) -> Self {
+        Lanes {
+            re: core::array::from_fn(|l| self.re[l] * o.re - self.im[l] * o.im),
+            im: core::array::from_fn(|l| self.re[l] * o.im + self.im[l] * o.re),
+        }
     }
 }
 

@@ -13,8 +13,11 @@
 //!   packing trick, the layout NekTar-F stores its Fourier planes in
 //!   ("the real and imaginary parts of a Fourier mode share the same
 //!   matrices").
-//! * Batched variants ([`FftPlan::forward_batch`]) for the Nxy-many
-//!   transforms per step.
+//! * The lane batch for the Nxy-many transforms per step:
+//!   [`RealFft::forward_lanes`] / [`RealFft::inverse_lanes`] run `L`
+//!   signals as the lanes of one vector, in caller scratch, each lane bit
+//!   for bit the one-signal transform. The transform body is written once,
+//!   generic over `L`; the slice forms are its `L = 1` instance.
 
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::too_many_arguments)]

@@ -1,7 +1,14 @@
 //! FFT plans: precomputed twiddles + bit-reversal for radix-2 sizes,
 //! Bluestein chirp-z fallback for everything else.
+//!
+//! There is one transform body. It runs `L` independent signals as the
+//! lanes of split re/im blocks: entry `j` of a signal is `re[j][lane]`,
+//! `im[j][lane]`. Every lane performs the scalar transform's IEEE
+//! operations in the scalar order, so the lane count (and the vector width
+//! it compiles to) changes no bit. [`FftPlan::forward`] and
+//! [`FftPlan::inverse`] are its `L = 1` instance.
 
-use crate::complex::Complex64;
+use crate::complex::{neg, Complex64, Lanes};
 
 /// A reusable FFT plan for a fixed length.
 ///
@@ -14,20 +21,24 @@ pub struct FftPlan {
     kind: PlanKind,
 }
 
+/// An iterative radix-2 transform of a power-of-two length.
+#[derive(Debug, Clone)]
+struct Radix2 {
+    /// Bit-reversal permutation.
+    rev: Vec<u32>,
+    /// Twiddles w^j for each stage, concatenated (stage of half-size m
+    /// contributes m factors e^{-πi j/m}).
+    twiddles: Vec<Complex64>,
+}
+
 #[derive(Debug, Clone)]
 enum PlanKind {
-    /// Iterative radix-2 with precomputed per-stage twiddles.
-    Radix2 {
-        /// Bit-reversal permutation.
-        rev: Vec<u32>,
-        /// Twiddles w^j for each stage, concatenated (stage of half-size m
-        /// contributes m factors e^{-πi j/m}).
-        twiddles: Vec<Complex64>,
-    },
+    Radix2(Radix2),
     /// Bluestein chirp-z: x_k → chirp · conv(chirp·x, inverse-chirp) via a
-    /// padded radix-2 FFT of length ≥ 2n−1.
+    /// padded radix-2 FFT of length m ≥ 2n−1.
     Bluestein {
-        inner: Box<FftPlan>,
+        inner: Radix2,
+        m: usize,
         /// chirp_j = e^{−πi j²/n}.
         chirp: Vec<Complex64>,
         /// Forward FFT of the zero-padded conjugate-chirp kernel.
@@ -39,11 +50,12 @@ impl FftPlan {
     /// Builds a plan for length `n` (any n ≥ 1).
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "FftPlan: length must be >= 1");
-        if n.is_power_of_two() {
-            Self::new_radix2(n)
+        let kind = if n.is_power_of_two() {
+            PlanKind::Radix2(Radix2::new(n))
         } else {
-            Self::new_bluestein(n)
-        }
+            bluestein_plan(n)
+        };
+        FftPlan { n, kind }
     }
 
     /// Transform length.
@@ -51,12 +63,145 @@ impl FftPlan {
         self.n
     }
 
-    /// True when the plan length is 1 (transform is the identity).
+    /// Always false: a plan has length ≥ 1 (the companion of [`Self::len`]).
     pub fn is_empty(&self) -> bool {
         false
     }
 
-    fn new_radix2(n: usize) -> Self {
+    /// Lane blocks of scratch, per re/im half, that [`Self::forward_lanes`]
+    /// and [`Self::inverse_lanes`] take: the padded length of a Bluestein
+    /// plan, 0 for a radix-2 one.
+    pub(crate) fn scratch_len(&self) -> usize {
+        match &self.kind {
+            PlanKind::Radix2(_) => 0,
+            PlanKind::Bluestein { m, .. } => *m,
+        }
+    }
+
+    /// In-place forward DFT.
+    ///
+    /// Runs the lane body at `L = 1` on a split copy of `data`, which it
+    /// allocates: the per-step transforms go through
+    /// [`crate::RealFft`]'s lane forms instead.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.len()`.
+    pub fn forward(&self, data: &mut [Complex64]) {
+        assert_eq!(data.len(), self.n, "FftPlan::forward: wrong length");
+        self.on_split_copy(data, |re, im, s| self.forward_lanes(re, im, s));
+    }
+
+    /// In-place inverse DFT (normalized by 1/N).
+    pub fn inverse(&self, data: &mut [Complex64]) {
+        assert_eq!(data.len(), self.n, "FftPlan::inverse: wrong length");
+        self.on_split_copy(data, |re, im, s| self.inverse_lanes(re, im, s));
+    }
+
+    /// Runs `body` on one-lane split copies of `data` and writes them back.
+    fn on_split_copy(
+        &self,
+        data: &mut [Complex64],
+        body: impl FnOnce(&mut [[f64; 1]], &mut [[f64; 1]], &mut [[f64; 1]]),
+    ) {
+        let mut re: Vec<[f64; 1]> = data.iter().map(|c| [c.re]).collect();
+        let mut im: Vec<[f64; 1]> = data.iter().map(|c| [c.im]).collect();
+        let mut scratch = vec![[0.0]; 2 * self.scratch_len()];
+        body(&mut re, &mut im, &mut scratch);
+        for ((c, r), i) in data.iter_mut().zip(&re).zip(&im) {
+            *c = Complex64::new(r[0], i[0]);
+        }
+    }
+
+    /// In-place forward DFT of `L` signals, the lanes of `re` / `im`
+    /// (`len()` blocks each). `scratch` holds 2·`scratch_len()` blocks;
+    /// what it held is ignored.
+    #[inline(always)]
+    pub(crate) fn forward_lanes<const L: usize>(
+        &self,
+        re: &mut [[f64; L]],
+        im: &mut [[f64; L]],
+        scratch: &mut [[f64; L]],
+    ) {
+        match &self.kind {
+            PlanKind::Radix2(r) => r.forward(re, im),
+            PlanKind::Bluestein { inner, m, chirp, kernel_fft } => {
+                let (ar, ai) = scratch[..2 * m].split_at_mut(*m);
+                bluestein(inner, chirp, kernel_fft, re, im, ar, ai);
+            }
+        }
+    }
+
+    /// In-place inverse DFT (normalized by 1/N) of `L` signals; operands
+    /// as [`Self::forward_lanes`].
+    #[inline(always)]
+    pub(crate) fn inverse_lanes<const L: usize>(
+        &self,
+        re: &mut [[f64; L]],
+        im: &mut [[f64; L]],
+        scratch: &mut [[f64; L]],
+    ) {
+        // inverse(x) = conj(forward(conj(x))) / n.
+        conj(im);
+        self.forward_lanes(re, im, scratch);
+        conj_scale(self.n, re, im);
+    }
+}
+
+/// Bluestein's forward transform of `re` / `im` (`chirp.len()` blocks)
+/// through the padded convolution in `ar` / `ai`.
+///
+/// The one body, generic over `L` like the rest, but not inlined: its
+/// three pointwise products draw LLVM's loop vectorizer, whose runtime
+/// alias checks cost ≈ 2 500 instructions per inlined copy, in every
+/// kernel of every build. Out of line, a non-power-of-two half length
+/// runs in the baseline build; NekTar-F's power-of-two ones never call it.
+#[inline(never)]
+fn bluestein<const L: usize>(
+    inner: &Radix2,
+    chirp: &[Complex64],
+    kernel_fft: &[Complex64],
+    re: &mut [[f64; L]],
+    im: &mut [[f64; L]],
+    ar: &mut [[f64; L]],
+    ai: &mut [[f64; L]],
+) {
+    for (j, &c) in chirp.iter().enumerate() {
+        (Lanes::at(re, im, j) * c).put(ar, ai, j);
+    }
+    ar[chirp.len()..].fill([0.0; L]);
+    ai[chirp.len()..].fill([0.0; L]);
+    inner.forward(ar, ai);
+    for (j, &k) in kernel_fft.iter().enumerate() {
+        (Lanes::at(ar, ai, j) * k).put(ar, ai, j);
+    }
+    conj(ai);
+    inner.forward(ar, ai);
+    conj_scale(ar.len(), ar, ai);
+    for (j, &c) in chirp.iter().enumerate() {
+        (Lanes::at(ar, ai, j) * c).put(re, im, j);
+    }
+}
+
+/// Conjugates split values: negates their imaginary lanes.
+#[inline(always)]
+fn conj<const L: usize>(im: &mut [[f64; L]]) {
+    for v in im.iter_mut() {
+        *v = neg(*v);
+    }
+}
+
+/// Conjugates split values, then scales them by 1/n: an inverse
+/// transform's last step.
+#[inline(always)]
+fn conj_scale<const L: usize>(n: usize, re: &mut [[f64; L]], im: &mut [[f64; L]]) {
+    let s = 1.0 / n as f64;
+    for j in 0..re.len() {
+        Lanes::at(re, im, j).conj().scale(s).put(re, im, j);
+    }
+}
+
+impl Radix2 {
+    fn new(n: usize) -> Self {
         let bits = n.trailing_zeros();
         let mut rev = vec![0u32; n];
         for i in 0..n {
@@ -74,120 +219,63 @@ impl FftPlan {
             }
             m <<= 1;
         }
-        FftPlan { n, kind: PlanKind::Radix2 { rev, twiddles } }
+        Radix2 { rev, twiddles }
     }
 
-    fn new_bluestein(n: usize) -> Self {
-        let m = (2 * n - 1).next_power_of_two();
-        let inner = FftPlan::new_radix2(m);
-        // chirp_j = e^{-πi j^2 / n}; index j^2 mod 2n to avoid overflow.
-        let chirp: Vec<Complex64> = (0..n)
-            .map(|j| {
-                let idx = (j * j) % (2 * n);
-                Complex64::cis(-core::f64::consts::PI * idx as f64 / n as f64)
-            })
-            .collect();
-        // Kernel b_j = conj(chirp_|j|) arranged circularly on length m.
-        let mut kernel = vec![Complex64::ZERO; m];
-        kernel[0] = chirp[0].conj();
-        for j in 1..n {
-            let c = chirp[j].conj();
-            kernel[j] = c;
-            kernel[m - j] = c;
+    /// The one butterfly loop: bit-reversal, then the stages in place.
+    #[inline(always)]
+    fn forward<const L: usize>(&self, re: &mut [[f64; L]], im: &mut [[f64; L]]) {
+        let n = re.len();
+        if n == 1 {
+            return;
         }
-        inner.forward(&mut kernel);
-        FftPlan {
-            n,
-            kind: PlanKind::Bluestein { inner: Box::new(inner), chirp, kernel_fft: kernel },
-        }
-    }
-
-    /// In-place forward DFT.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != self.len()`.
-    pub fn forward(&self, data: &mut [Complex64]) {
-        assert_eq!(data.len(), self.n, "FftPlan::forward: wrong length");
-        match &self.kind {
-            PlanKind::Radix2 { rev, twiddles } => radix2_inplace(data, rev, twiddles),
-            PlanKind::Bluestein { inner, chirp, kernel_fft } => {
-                let n = self.n;
-                let m = inner.len();
-                let mut a = vec![Complex64::ZERO; m];
-                for j in 0..n {
-                    a[j] = data[j] * chirp[j];
-                }
-                inner.forward(&mut a);
-                for (av, kv) in a.iter_mut().zip(kernel_fft) {
-                    *av *= *kv;
-                }
-                inner.inverse(&mut a);
-                for k in 0..n {
-                    data[k] = a[k] * chirp[k];
-                }
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                re.swap(i, j);
+                im.swap(i, j);
             }
         }
-    }
-
-    /// In-place inverse DFT (normalized by 1/N).
-    pub fn inverse(&self, data: &mut [Complex64]) {
-        assert_eq!(data.len(), self.n, "FftPlan::inverse: wrong length");
-        // inverse(x) = conj(forward(conj(x))) / N.
-        for v in data.iter_mut() {
-            *v = v.conj();
-        }
-        self.forward(data);
-        let s = 1.0 / self.n as f64;
-        for v in data.iter_mut() {
-            *v = v.conj().scale(s);
-        }
-    }
-
-    /// Forward transform of `batch` contiguous signals of length `n` stored
-    /// back-to-back in `data` (the NekTar-F "Nxy 1D FFTs" pattern).
-    pub fn forward_batch(&self, data: &mut [Complex64]) {
-        assert!(data.len().is_multiple_of(self.n), "forward_batch: length not a multiple of n");
-        for chunk in data.chunks_exact_mut(self.n) {
-            self.forward(chunk);
-        }
-    }
-
-    /// Inverse transform of back-to-back signals.
-    pub fn inverse_batch(&self, data: &mut [Complex64]) {
-        assert!(data.len().is_multiple_of(self.n), "inverse_batch: length not a multiple of n");
-        for chunk in data.chunks_exact_mut(self.n) {
-            self.inverse(chunk);
+        let mut m = 1;
+        let mut toff = 0;
+        while m < n {
+            let stage = &self.twiddles[toff..toff + m];
+            for base in (0..n).step_by(2 * m) {
+                for (j, &w) in stage.iter().enumerate() {
+                    let (u, v) = (base + j, base + j + m);
+                    let t = Lanes::at(re, im, v) * w;
+                    let a = Lanes::at(re, im, u);
+                    (a + t).put(re, im, u);
+                    (a - t).put(re, im, v);
+                }
+            }
+            toff += m;
+            m <<= 1;
         }
     }
 }
 
-fn radix2_inplace(data: &mut [Complex64], rev: &[u32], twiddles: &[Complex64]) {
-    let n = data.len();
-    if n == 1 {
-        return;
+fn bluestein_plan(n: usize) -> PlanKind {
+    let m = (2 * n - 1).next_power_of_two();
+    let inner = Radix2::new(m);
+    // chirp_j = e^{-πi j^2 / n}; index j^2 mod 2n to avoid overflow.
+    let chirp: Vec<Complex64> = (0..n)
+        .map(|j| {
+            let idx = (j * j) % (2 * n);
+            Complex64::cis(-core::f64::consts::PI * idx as f64 / n as f64)
+        })
+        .collect();
+    // Kernel b_j = conj(chirp_|j|) arranged circularly on length m.
+    let (mut re, mut im) = (vec![[0.0]; m], vec![[0.0]; m]);
+    let mut put = |j: usize, c: Complex64| (re[j], im[j]) = ([c.re], [c.im]);
+    put(0, chirp[0].conj());
+    for j in 1..n {
+        put(j, chirp[j].conj());
+        put(m - j, chirp[j].conj());
     }
-    for i in 0..n {
-        let j = rev[i] as usize;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    let mut m = 1;
-    let mut toff = 0;
-    while m < n {
-        let stage = &twiddles[toff..toff + m];
-        for block in data.chunks_exact_mut(2 * m) {
-            let (lo, hi) = block.split_at_mut(m);
-            for ((u, v), &w) in lo.iter_mut().zip(hi).zip(stage) {
-                let t = *v * w;
-                let a = *u;
-                *u = a + t;
-                *v = a - t;
-            }
-        }
-        toff += m;
-        m <<= 1;
-    }
+    inner.forward(&mut re, &mut im);
+    let kernel_fft = re.iter().zip(&im).map(|(r, i)| Complex64::new(r[0], i[0])).collect();
+    PlanKind::Bluestein { inner, m, chirp, kernel_fft }
 }
 
 #[cfg(test)]
@@ -312,24 +400,6 @@ mod tests {
                 assert!((v.re - n as f64).abs() < 1e-9);
             } else {
                 assert!(v.abs() < 1e-9, "leakage at bin {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matches_individual() {
-        let n = 16;
-        let batch = 5;
-        let plan = FftPlan::new(n);
-        let mut all: Vec<Complex64> = signal(n * batch);
-        let mut parts: Vec<Vec<Complex64>> =
-            all.chunks(n).map(|c| c.to_vec()).collect();
-        plan.forward_batch(&mut all);
-        for (b, part) in parts.iter_mut().enumerate() {
-            plan.forward(part);
-            for i in 0..n {
-                let g = all[b * n + i];
-                assert!((g.re - part[i].re).abs() < 1e-12 && (g.im - part[i].im).abs() < 1e-12);
             }
         }
     }

@@ -4,8 +4,12 @@
 //! with one half-length complex FFT, then unpacked with the split formulas.
 //! This is the classic memory-saving layout the paper alludes to: "the real
 //! and imaginary parts of a Fourier mode sharing the same matrices".
+//!
+//! Pack, half transform and unpack are one body over `L` signals as lanes
+//! ([`RealFft::forward_lanes`], [`RealFft::inverse_lanes`]); the
+//! slice-at-a-time forms are its `L = 1` instance.
 
-use crate::complex::Complex64;
+use crate::complex::{Complex64, Lanes};
 use crate::plan::FftPlan;
 
 /// Plan for forward/inverse real FFTs of even length `n`.
@@ -52,9 +56,11 @@ impl RealFft {
     }
 
     /// Length of the scratch [`Self::forward_with`] and
-    /// [`Self::inverse_with`] take (`n/2`).
+    /// [`Self::inverse_with`] take: `n/2` complex values, plus the padded
+    /// convolution length when `n/2` is not a power of two. The lane forms
+    /// take twice as many lane blocks.
     pub fn scratch_len(&self) -> usize {
-        self.n / 2
+        self.n / 2 + self.half.scratch_len()
     }
 
     /// Forward real-to-complex transform.
@@ -64,37 +70,18 @@ impl RealFft {
     }
 
     /// [`Self::forward`] with caller scratch `z` ([`Self::scratch_len`]
-    /// values, contents ignored): a batch of transforms allocates once —
-    /// and not at all when `n/2` is a power of two (a Bluestein half plan
-    /// still allocates its padded convolution).
+    /// values, contents ignored): it allocates nothing.
     pub fn forward_with(&self, x: &[f64], spectrum: &mut [Complex64], z: &mut [Complex64]) {
         assert_eq!(x.len(), self.n, "RealFft::forward: wrong input length");
         assert!(
             spectrum.len() >= self.spectrum_len(),
             "RealFft::forward: spectrum buffer too short"
         );
-        let nh = self.n / 2;
-        // Pack x into complex pairs z_j = x_{2j} + i x_{2j+1}.
-        let z = &mut z[..nh];
-        for (zj, pair) in z.iter_mut().zip(x.chunks_exact(2)) {
-            *zj = Complex64::new(pair[0], pair[1]);
-        }
-        self.half.forward(z);
-        // Unpack: X_k = (Z_k + conj(Z_{nh-k}))/2 + w_k (Z_k - conj(Z_{nh-k}))/(2i)
-        for k in 0..=nh {
-            let zk = if k == nh { z[0] } else { z[k] };
-            let zm = if k == 0 { z[0] } else { z[nh - k] };
-            let even = (zk + zm.conj()).scale(0.5);
-            let odd = (zk - zm.conj()).scale(0.5);
-            // odd/(i) = -i*odd.
-            let odd_rot = Complex64::new(odd.im, -odd.re);
-            let wk = if k == nh {
-                Complex64::new(-1.0, 0.0)
-            } else {
-                self.w[k]
-            };
-            spectrum[k] = even + wk * odd_rot;
-        }
+        self.forward_lanes(
+            |j| [x[j]],
+            |k, re, im| spectrum[k] = Complex64::new(re[0], im[0]),
+            one_lane(z),
+        );
     }
 
     /// Inverse complex-to-real transform, normalized so that
@@ -111,29 +98,103 @@ impl RealFft {
             "RealFft::inverse: spectrum buffer too short"
         );
         assert_eq!(x.len(), self.n, "RealFft::inverse: wrong output length");
+        self.inverse_lanes(
+            |k| ([spectrum[k].re], [spectrum[k].im]),
+            |j, v| x[j] = v[0],
+            one_lane(z),
+        );
+    }
+
+    /// Forward transforms of `L` real signals at once, each one lane:
+    /// `x(j)` is sample `j` of every lane (`j < n`, each asked for once),
+    /// and `bin(k, re, im)` receives spectrum bin `k` (`k = 0..=n/2`, in
+    /// order). `scratch` holds 2·[`Self::scratch_len`] blocks; what it held
+    /// is ignored. Each lane performs the `L = 1` operations in the same
+    /// order, so every lane's bits are those of [`Self::forward`].
+    #[inline(always)]
+    pub fn forward_lanes<const L: usize>(
+        &self,
+        x: impl Fn(usize) -> [f64; L],
+        mut bin: impl FnMut(usize, [f64; L], [f64; L]),
+        scratch: &mut [[f64; L]],
+    ) {
         let nh = self.n / 2;
-        // Repack into half-length complex spectrum:
-        // Z_k = (X_k + conj(X_{nh-k})) + i w_k^{-1} ... inverse of the unpack.
-        let z = &mut z[..nh];
-        for k in 0..nh {
-            let xk = spectrum[k];
-            let xm = spectrum[nh - k].conj();
-            let even = xk + xm;
-            let diff = xk - xm;
-            // Z_k = even/... : invert X_k = E + w O' with O' = -i O:
-            // E = (X_k + conj(X_{nh-k}))/2, w_k O' = (X_k - conj(X_{nh-k}))/2.
-            let e = even.scale(0.5);
-            let wo = diff.scale(0.5);
-            let o_rot = wo * self.w[k].conj(); // O' = -i O
-            let o = Complex64::new(-o_rot.im, o_rot.re); // O = i * O'
-            z[k] = e + o;
+        let (z, rest) = scratch.split_at_mut(2 * nh);
+        let (zr, zi) = z.split_at_mut(nh);
+        // Pack x into complex pairs z_j = x_{2j} + i x_{2j+1}.
+        for j in 0..self.n {
+            let half = if j % 2 == 0 { &mut *zr } else { &mut *zi };
+            half[j / 2] = x(j);
         }
-        self.half.inverse(z);
-        for j in 0..nh {
-            x[2 * j] = z[j].re;
-            x[2 * j + 1] = z[j].im;
+        self.half.forward_lanes(zr, zi, rest);
+        // Unpack: X_k = (Z_k + conj(Z_{nh-k}))/2 + w_k (Z_k - conj(Z_{nh-k}))/(2i)
+        for k in 0..=nh {
+            let (k0, m0) = (if k == nh { 0 } else { k }, if k == 0 { 0 } else { nh - k });
+            let wk = if k == nh { Complex64::new(-1.0, 0.0) } else { self.w[k] };
+            let (zk, zm) = (Lanes::at(zr, zi, k0), Lanes::at(zr, zi, m0));
+            let even = (zk + zm.conj()).scale(0.5);
+            let odd = (zk - zm.conj()).scale(0.5);
+            let xk = even + odd.over_i() * wk;
+            bin(k, xk.re, xk.im);
         }
     }
+
+    /// Inverse transforms of `L` spectra at once, normalized as
+    /// [`Self::inverse`]: `bin(k)` is spectrum bin `k` of every lane (`k =
+    /// 0..=n/2`, each asked for once), and `x(j, v)` receives sample `j`
+    /// (`j < n`, in order). Scratch and bits as [`Self::forward_lanes`].
+    #[inline(always)]
+    pub fn inverse_lanes<const L: usize>(
+        &self,
+        bin: impl Fn(usize) -> ([f64; L], [f64; L]),
+        mut x: impl FnMut(usize, [f64; L]),
+        scratch: &mut [[f64; L]],
+    ) {
+        let nh = self.n / 2;
+        let (z, rest) = scratch.split_at_mut(2 * nh);
+        let (zr, zi) = z.split_at_mut(nh);
+        // Repack into the half-length spectrum ([`repack`]): bins 0..nh
+        // into z, the Nyquist bin aside, then in place, bins k and nh - k
+        // making Z_k and Z_{nh-k}.
+        let mut nyquist = Lanes { re: [0.0; L], im: [0.0; L] };
+        for k in 0..=nh {
+            let (re, im) = bin(k);
+            if k < nh {
+                (zr[k], zi[k]) = (re, im);
+            } else {
+                nyquist = Lanes { re, im };
+            }
+        }
+        repack(Lanes::at(zr, zi, 0), nyquist, self.w[0]).put(zr, zi, 0);
+        for k in 1..=nh / 2 {
+            let (xk, xm) = (Lanes::at(zr, zi, k), Lanes::at(zr, zi, nh - k));
+            repack(xk, xm, self.w[k]).put(zr, zi, k);
+            if k != nh - k {
+                repack(xm, xk, self.w[nh - k]).put(zr, zi, nh - k);
+            }
+        }
+        self.half.inverse_lanes(zr, zi, rest);
+        for j in 0..self.n {
+            x(j, if j % 2 == 0 { zr[j / 2] } else { zi[j / 2] });
+        }
+    }
+}
+
+/// Half-length bin Z_k from spectrum bins X_k and X_{nh-k}, inverting the
+/// forward unpack: E = (X_k + conj(X_{nh-k}))/2,
+/// w_k O' = (X_k - conj(X_{nh-k}))/2, O' = -i O, Z_k = E + O.
+#[inline(always)]
+fn repack<const L: usize>(xk: Lanes<L>, xm: Lanes<L>, w: Complex64) -> Lanes<L> {
+    let xm = xm.conj();
+    let o_rot = (xk - xm).scale(0.5) * w.conj();
+    (xk + xm).scale(0.5) + o_rot.times_i()
+}
+
+/// `z` as one-lane scratch: 2·`z.len()` blocks over the same memory.
+fn one_lane(z: &mut [Complex64]) -> &mut [[f64; 1]] {
+    // SAFETY: `Complex64` is `repr(C)` {re, im}: two f64s without padding,
+    // aligned as f64, so its memory is 2·len `[f64; 1]`s, borrowed as `z` is.
+    unsafe { std::slice::from_raw_parts_mut(z.as_mut_ptr().cast(), 2 * z.len()) }
 }
 
 #[cfg(test)]
@@ -222,6 +283,61 @@ mod tests {
                 back_with.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "inverse, n={n}"
             );
+        }
+    }
+
+    /// Four lanes against the `L = 1` slice forms, bit for bit, both
+    /// directions, radix-2 and Bluestein half lengths: `nl` live lanes (a
+    /// masked last block when `nl < 4`: the other lanes load zeros and are
+    /// not read), NaN-filled scratch.
+    #[test]
+    fn four_lanes_equal_one_lane_bit_for_bit() {
+        let sample = |l: usize, j: usize| ((7 * l + 3 * j) as f64 * 0.37).sin() + 0.25 * l as f64;
+        for n in [2usize, 4, 6, 8, 12, 20, 32, 64] {
+            let plan = RealFft::new(n);
+            let nb = plan.spectrum_len();
+            for nl in 1..=4 {
+                let live = |l: usize, v: f64| if l < nl { v } else { 0.0 };
+                let mut scratch = vec![[f64::NAN; 4]; 2 * plan.scratch_len()];
+                let mut bins = vec![([0.0; 4], [0.0; 4]); nb];
+                plan.forward_lanes(
+                    |j| std::array::from_fn(|l| live(l, sample(l, j))),
+                    |k, re, im| bins[k] = (re, im),
+                    &mut scratch,
+                );
+                // Spectra of the live lanes, scaled so the inverse has work.
+                let spec = |l: usize, k: usize| {
+                    Complex64::new(1.5 * bins[k].0[l] - 0.5, bins[k].1[l] + 0.125 * k as f64)
+                };
+                scratch.fill([f64::NAN; 4]);
+                let mut back = vec![[0.0; 4]; n];
+                plan.inverse_lanes(
+                    |k| {
+                        let c: [Complex64; 4] = std::array::from_fn(|l| spec(l, k));
+                        (
+                            std::array::from_fn(|l| live(l, c[l].re)),
+                            std::array::from_fn(|l| live(l, c[l].im)),
+                        )
+                    },
+                    |j, v| back[j] = v,
+                    &mut scratch,
+                );
+                for l in 0..nl {
+                    let x: Vec<f64> = (0..n).map(|j| sample(l, j)).collect();
+                    let mut want = vec![Complex64::ZERO; nb];
+                    plan.forward(&x, &mut want);
+                    for (k, w) in want.iter().enumerate() {
+                        let got = (bins[k].0[l].to_bits(), bins[k].1[l].to_bits());
+                        assert_eq!(got, (w.re.to_bits(), w.im.to_bits()), "n {n} lane {l} bin {k}");
+                    }
+                    let sp: Vec<Complex64> = (0..nb).map(|k| spec(l, k)).collect();
+                    let mut want = vec![0.0; n];
+                    plan.inverse(&sp, &mut want);
+                    for (j, w) in want.iter().enumerate() {
+                        assert_eq!(back[j][l].to_bits(), w.to_bits(), "n {n} lane {l} sample {j}");
+                    }
+                }
+            }
         }
     }
 

@@ -102,6 +102,16 @@ if [[ "$slab8" != "$grid81" ]]; then
     echo "FAIL: NKT_GRID=8x1 diverges from the default slab" >&2
     exit 1
 fi
+# nz 12: a Bluestein half transform (length 6) and ragged point chunks, so
+# short lane blocks; a 3x2 pencil must match the 3-rank slab.
+slab3="$(NKT_RANKS=3 NKT_NZ=12 cargo run --release --offline --example fourier_dns | grep 'state hash')"
+pencil32="$(NKT_RANKS=6 NKT_NZ=12 NKT_GRID=3x2 cargo run --release --offline --example fourier_dns | grep 'state hash')"
+if [[ "$slab3" != "$pencil32" ]]; then
+    echo "FAIL: 3x2 pencil diverges from the 3-rank slab at nz 12" >&2
+    echo "slab 3x1:   $slab3" >&2
+    echo "pencil 3x2: $pencil32" >&2
+    exit 1
+fi
 
 echo "== checkpoint smoke (write -> corrupt -> detect -> fallback -> bitwise resume) =="
 # restart_dns runs the whole drill in-process: a 2-rank DNS checkpoints
