@@ -1,14 +1,14 @@
 //! Figure 12: percentage of each of the 7 stages within a serial time
-//! step, for the SGI Onyx2 and the Pentium II (modeled replay).
+//! step, for the SGI Onyx2 and the Pentium II — model replay of the
+//! solver's recorded op stream at paper scale, the step Table 1 replays
+//! (`nkt_bench::paper_serial_step`).
 
 use nektar::replay::replay_serial;
-use nektar::workload::serial_step_workload;
-use nkt_bench::paper_serial_shape;
+use nkt_bench::paper_serial_step;
 use nkt_machine::{machine, MachineId};
 
 fn main() {
-    let shape = paper_serial_shape();
-    let rec = serial_step_workload(&shape);
+    let rec = paper_serial_step();
     // Paper Figure 12 reference percentages (stages 1-7).
     let paper: [(&str, [f64; 7]); 2] = [
         ("SGI Onyx 2", [4.0, 11.0, 3.0, 9.0, 30.0, 12.0, 31.0]),

@@ -3,29 +3,14 @@
 //! and RoadRunner-myrinet — model replay.
 
 use nektar::replay::replay;
-use nektar::workload::{fourier_step_workload, FourierShape};
-use nkt_bench::paper_serial_shape;
+use nektar::workload::fourier_step_workload;
+use nkt_bench::paper_fourier_shape;
 use nkt_machine::{machine, MachineId};
 use nkt_net::{cluster, NetId};
 
 fn main() {
-    let serial = paper_serial_shape();
     let p = 4;
-    let shape = FourierShape {
-        nelems: serial.nelems,
-        nm: serial.nm,
-        nq: serial.nq,
-        nq_total: serial.nelems * serial.nq,
-        ndof: serial.nboundary,
-        kd: serial.kd_condensed,
-        modes_per_rank: 1,
-        nz: 2 * p,
-        p,
-        pc: 1,
-        j: 2,
-        nm_interior: serial.nm_interior,
-    };
-    let rec = fourier_step_workload(&shape);
+    let rec = fourier_step_workload(&paper_fourier_shape(p, 1, 1));
     // Paper percentages (CPU timing), stages 1-7.
     let systems: [(&str, MachineId, NetId, [f64; 7]); 4] = [
         ("NCSA (Fig 13)", MachineId::Ncsa, NetId::Ncsa, [4.0, 41.0, 4.0, 6.0, 15.0, 9.0, 22.0]),

@@ -1,13 +1,14 @@
 //! Table 1: CPU time per step of the serial bluff-body simulation
 //! (902 elements, order 8, 230k dof) across seven machines — model
-//! replay of the solver's recorded op stream at paper scale.
+//! replay of the solver's recorded op stream at paper scale: one warmed
+//! native step on 972 elements at order 8 (`nkt_bench::paper_serial_step`).
 
-use nkt_bench::table1_model;
+use nkt_bench::{paper_serial_step, table1_model};
 
 fn main() {
     println!("Table 1: serial bluff-body CPU time per step [modeled]");
     println!("{:<14} {:>12} {:>14} {:>12}", "machine", "paper (s)", "modeled (s)", "ratio vs PC");
-    let rows = table1_model();
+    let rows = table1_model(&paper_serial_step());
     let pc = rows.iter().find(|(n, _, _)| *n == "Muses").map(|r| r.2).unwrap();
     for (name, paper, model) in &rows {
         println!(

@@ -3,8 +3,8 @@
 //! (461,000 dof per processor), P = 2..128 — model replay.
 
 use nektar::replay::replay;
-use nektar::workload::{fourier_step_workload, FourierShape};
-use nkt_bench::paper_serial_shape;
+use nektar::workload::fourier_step_workload;
+use nkt_bench::paper_fourier_shape;
 use nkt_machine::{machine, MachineId};
 use nkt_net::{cluster, NetId};
 
@@ -107,8 +107,8 @@ fn systems() -> Vec<(&'static str, MachineId, NetId, [Option<(f64, f64)>; 7])> {
 
 fn main() {
     let cfg = nkt_trace::config::RunConfig::init_from_env();
-    let serial = paper_serial_shape();
     let ps = [2usize, 4, 8, 16, 32, 64, 128];
+    let shapes = ps.map(|p| paper_fourier_shape(p, 1, 1)); // one mode a rank, on a slab
     println!("Table 2: NekTar-F CPU/wall seconds per step, 2 Fourier planes per");
     println!("processor (weak scaling) [modeled]. '-' = not run in the paper.\n");
     for (label, mid, nid, paper) in systems() {
@@ -128,22 +128,7 @@ fn main() {
             if label == "Muses" && p > 4 {
                 continue;
             }
-            let shape = FourierShape {
-                nelems: serial.nelems,
-                nm: serial.nm,
-                nq: serial.nq,
-                nq_total: serial.nelems * serial.nq,
-                ndof: serial.nboundary,
-                kd: serial.kd_condensed,
-                modes_per_rank: 1,
-                nz: 2 * p,
-                p,
-                pc: 1,
-                j: 2,
-                nm_interior: serial.nm_interior,
-            };
-            let rec = fourier_step_workload(&shape);
-            let t = replay(&rec, &m, &net, p);
+            let t = replay(&fourier_step_workload(&shapes[col]), &m, &net, p);
             if cfg.prof {
                 vt_end = t.record_trace_spans(vt_end);
             }
@@ -177,9 +162,12 @@ fn main() {
 /// DESIGN.md §13) continues past P = nz with two-stage sub-communicator
 /// transposes and per-rank FFT batches that keep shrinking by pc.
 fn pencil_extension() {
-    let serial = paper_serial_shape();
     let nz = 64usize;
     let nmodes = nz / 2;
+    let shapes = [8usize, 16, 32, 64, 128, 256].map(|p| {
+        let pc = p.div_ceil(nmodes); // 1 until P = 32, then 2, 4, 8
+        paper_fourier_shape(p, pc, nmodes / (p / pc))
+    });
     println!();
     println!("Table 2 extension: pencil decomposition, strong scaling at nz = {nz}");
     println!("(fixed problem). grid = PRxPC; slab is PRx1; the slab cannot run");
@@ -193,25 +181,10 @@ fn pencil_extension() {
         let net = cluster(nid);
         println!("== {label} ==");
         println!("{:>6} {:>8} {:>16}", "P", "grid", "model cpu/wall");
-        for p in [8usize, 16, 32, 64, 128, 256] {
-            let pc = p.div_ceil(nmodes); // 1 until P = 32, then 2, 4, 8
+        for shape in &shapes {
+            let (p, pc) = (shape.p, shape.pc);
             let pr = p / pc;
-            let shape = FourierShape {
-                nelems: serial.nelems,
-                nm: serial.nm,
-                nq: serial.nq,
-                nq_total: serial.nelems * serial.nq,
-                ndof: serial.nboundary,
-                kd: serial.kd_condensed,
-                modes_per_rank: nmodes / pr,
-                nz,
-                p,
-                pc,
-                j: 2,
-                nm_interior: serial.nm_interior,
-            };
-            let rec = fourier_step_workload(&shape);
-            let t = replay(&rec, &m, &net, p);
+            let t = replay(&fourier_step_workload(shape), &m, &net, p);
             println!("{:>6} {:>8} {:>13.2}/{:.2}", p, format!("{pr}x{pc}"), t.cpu_total(), t.wall_total());
         }
         println!();

@@ -11,11 +11,14 @@ use nkt_mpi::Comm;
 use nkt_partition::{edge_cut, partition_kway, Graph, PartitionOptions};
 
 /// Serial bluff-body wake (Table 1 / Figure 12): the Figure 11 (left)
-/// domain, unit inflow, Re = 100 on the unit body.
-pub fn wake() -> Serial2dSolver {
-    let cfg = SolverConfig { order: 4, dt: 2e-3, nu: 0.01, scheme_order: 2, advect: true };
+/// domain at `bluff_body_mesh(refine)` and polynomial `order`, unit
+/// inflow, Re = 100 on the unit body. The demo runs `(1, 4)`; Table 1
+/// and Figure 12 replay a recorded step of `(3, 8)`, 972 elements at
+/// the paper's order (paper: 902).
+pub fn wake(refine: usize, order: usize) -> Serial2dSolver {
+    let cfg = SolverConfig { order, dt: 2e-3, nu: 0.01, scheme_order: 2, advect: true };
     let mut solver = Serial2dSolver::new(
-        bluff_body_mesh(1),
+        bluff_body_mesh(refine),
         cfg,
         |x| if x[0] < -14.0 { 1.0 } else { 0.0 },
         |_| 0.0,

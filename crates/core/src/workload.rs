@@ -1,121 +1,40 @@
-//! Analytic workload generators: produce the operation stream of one time
-//! step at *paper scale* without running the (100-million-dof-class)
-//! simulation natively.
+//! Analytic workload generators for the two parallel solvers: the
+//! operation stream of one NekTar-F or NekTar-ALE step at *paper scale*,
+//! produced without running the (100-million-dof-class) simulation
+//! natively. The replay module charges these streams against the 1999
+//! machine/network models to regenerate Tables 2–3 and Figures 13–16.
 //!
-//! Each generator mirrors, loop for loop, what the corresponding
-//! instrumented solver records — validated by tests that compare against
-//! actual recordings at small scale, the statically condensed solves
-//! included: the native solvers run what [`solve_items`] charges. The
-//! replay module charges these streams against the 1999 machine/network
-//! models to regenerate Tables 1–3 and Figures 12–16.
+//! The serial step has no generator: Table 1 and Figure 12 replay a
+//! native recording of the paper-shape step. NekTar-F stays generated
+//! because its items depend on the rank count P, not only through its
+//! transposes (stage 2's `FftBatch { len: 2P, batch: nq_total / P }`),
+//! and because its model charges zero-flop pack/unpack streams that no
+//! native kernel records; `fourier_workload_matches_recorder` holds it to
+//! the instrumented solver at small scale, condensed solves included.
+//! NekTar-ALE stays generated because Table 3's mesh is never built
+//! natively and its PCG iteration counts are measured inputs.
 
 use crate::opstream::{CommItem, OpRecording, WorkItem};
 use crate::timers::Stage;
 
-/// Discretisation parameters of a serial 2-D run (paper Table 1:
-/// "902 elements and polynomial order of 8 ... 230,000 degrees of
-/// freedom").
-#[derive(Debug, Clone, Copy)]
-pub struct Serial2dShape {
-    /// Element count.
-    pub nelems: usize,
-    /// Modes per element.
-    pub nm: usize,
-    /// Quadrature points per element.
-    pub nq: usize,
-    /// Velocity (and pressure) system size: the run's degrees of freedom.
-    /// Reported, not charged — no solve sees the full system.
-    pub ndof_v: usize,
-    /// Splitting history depth in effect (2 after startup).
-    pub j: usize,
-    /// Boundary-system size of the statically condensed solves.
-    pub nboundary: usize,
-    /// RCM bandwidth of the condensed boundary system.
-    pub kd_condensed: usize,
-    /// Interior modes per element (the per-element dense solves of
-    /// static condensation; 0 = none, an order-2 triangle).
-    pub nm_interior: usize,
-}
+/// Splitting history depth in effect after start-up: every paper-scale
+/// step is charged with two levels.
+const J: usize = 2;
 
 /// Emits the per-element interior half of `nrhs` right-hand sides through
 /// one statically condensed solve: two triangular solves with the
 /// nm_i × nm_i elemental factor per rhs, and the coupling products with
 /// the nm_i × (nm − nm_i) block on the way in and on the way out.
-fn interior_items(
-    rec: &mut OpRecording,
-    stage: Stage,
-    nelems: usize,
-    nm: usize,
-    nm_i: usize,
-    nrhs: usize,
-) {
+fn interior_items(rec: &mut OpRecording, stage: Stage, s: &FourierShape, nrhs: usize) {
+    let (nm_i, nm_b) = (s.nm_interior, s.nm - s.nm_interior);
     if nm_i == 0 {
         return;
     }
-    for _ in 0..nelems {
+    for _ in 0..s.nelems {
         rec.work(stage, WorkItem::Gemm { m: nm_i, n: 2 * nrhs, k: nm_i });
-        rec.work(stage, WorkItem::Gemm { m: nm - nm_i, n: nrhs, k: nm_i });
-        rec.work(stage, WorkItem::Gemm { m: nm_i, n: nrhs, k: nm - nm_i });
+        rec.work(stage, WorkItem::Gemm { m: nm_b, n: nrhs, k: nm_i });
+        rec.work(stage, WorkItem::Gemm { m: nm_i, n: nrhs, k: nm_b });
     }
-}
-
-/// Emits the op stream of one direct solve of `nrhs` right-hand sides:
-/// a statically condensed boundary solve plus the per-element interior
-/// items — what `HelmholtzProblem::solve_banded_in_place` executes.
-fn solve_items(rec: &mut OpRecording, stage: Stage, s: &Serial2dShape, nrhs: usize) {
-    for _ in 0..nrhs {
-        rec.work(stage, WorkItem::BandedSolve { n: s.nboundary, kd: s.kd_condensed });
-    }
-    interior_items(rec, stage, s.nelems, s.nm, s.nm_interior, nrhs);
-}
-
-/// One serial time step's op stream (mirrors
-/// [`crate::serial2d::Serial2dSolver::step`] with advection on).
-pub fn serial_step_workload(s: &Serial2dShape) -> OpRecording {
-    let mut rec = OpRecording::new();
-    // Stage 1: two modal->quadrature transforms (u, v).
-    for _ in 0..2 * s.nelems {
-        rec.work(Stage::BwdTransform, WorkItem::Gemm { m: s.nq, n: 1, k: s.nm });
-    }
-    // Stage 2: two gradient evaluations + pointwise products.
-    for _ in 0..2 * s.nelems {
-        rec.work(Stage::NonLinear, WorkItem::Gemm { m: s.nq, n: 2, k: s.nm });
-    }
-    for _ in 0..s.nelems {
-        rec.work(
-            Stage::NonLinear,
-            WorkItem::Stream {
-                flops: 6.0 * s.nq as f64,
-                bytes: 48.0 * s.nq as f64,
-                ws: 48 * s.nq,
-            },
-        );
-    }
-    // Stage 3: stiffly-stable weighting.
-    for _ in 0..s.nelems {
-        rec.work(
-            Stage::StifflyStable,
-            WorkItem::Stream {
-                flops: 8.0 * s.j as f64 * s.nq as f64,
-                bytes: 32.0 * s.j as f64 * s.nq as f64,
-                ws: 32 * s.nq,
-            },
-        );
-    }
-    // Stage 4: pressure RHS projection.
-    for _ in 0..s.nelems {
-        rec.work(Stage::PressureRhs, WorkItem::Gemm { m: s.nm, n: 2, k: s.nq });
-    }
-    // Stage 5: one banded pressure solve.
-    solve_items(&mut rec, Stage::PressureSolve, s, 1);
-    // Stage 6: pressure gradient + two RHS projections.
-    for _ in 0..s.nelems {
-        rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nq, n: 2, k: s.nm });
-        rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nm, n: 2, k: s.nq });
-    }
-    // Stage 7: two banded viscous solves.
-    solve_items(&mut rec, Stage::ViscousSolve, s, 2);
-    rec
 }
 
 /// Parameters of a per-rank NekTar-F step (paper Table 2: "2 planes ...
@@ -129,8 +48,6 @@ pub struct FourierShape {
     pub nm: usize,
     /// Quadrature points per element.
     pub nq: usize,
-    /// Total quadrature points per plane.
-    pub nq_total: usize,
     /// Boundary-system size of the statically condensed 2-D solves.
     pub ndof: usize,
     /// Its semi-bandwidth.
@@ -147,8 +64,6 @@ pub struct FourierShape {
     /// `pr = p / pc` rows and two-stage sub-communicator transposes
     /// (DESIGN.md §13), which admits `p` beyond the mode count.
     pub pc: usize,
-    /// Splitting depth.
-    pub j: usize,
     /// Interior modes per element (0 = none to eliminate).
     pub nm_interior: usize,
 }
@@ -157,7 +72,7 @@ pub struct FourierShape {
 /// [`crate::fourier::NektarF::step`]).
 pub fn fourier_step_workload(s: &FourierShape) -> OpRecording {
     let mut rec = OpRecording::new();
-    let mpp = s.modes_per_rank;
+    let (mpp, nq_total) = (s.modes_per_rank, s.nelems * s.nq);
     // Stage 1: per element, 3 components × cos/sin planes per mode.
     for _ in 0..3 * mpp * s.nelems {
         rec.work(Stage::BwdTransform, WorkItem::Gemm { m: s.nq, n: 2, k: s.nm });
@@ -170,7 +85,7 @@ pub fn fourier_step_workload(s: &FourierShape) -> OpRecording {
     }
     let pc = s.pc.max(1);
     let pr = s.p / pc;
-    let chunk = s.nq_total.div_ceil(s.p);
+    let chunk = nq_total.div_ceil(s.p);
     // One transpose of `block` values a column pair and `row_block` a row
     // pair (0: no row stage), with its pack and unpack traffic: pure data
     // movement, but at paper scale tens of MB per step. The column stage
@@ -222,9 +137,9 @@ pub fn fourier_step_workload(s: &FourierShape) -> OpRecording {
     rec.work(
         Stage::StifflyStable,
         WorkItem::Stream {
-            flops: (8 * s.j * mpp * 6 * s.nq_total) as f64,
-            bytes: (32 * s.j * mpp * 6 * s.nq_total) as f64,
-            ws: 32 * s.nq_total,
+            flops: (8 * J * mpp * 6 * nq_total) as f64,
+            bytes: (32 * J * mpp * 6 * nq_total) as f64,
+            ws: 32 * nq_total,
         },
     );
     // Stages 4-7 per mode.
@@ -244,7 +159,7 @@ pub fn fourier_step_workload(s: &FourierShape) -> OpRecording {
                 ws: 8 * s.ndof * (s.kd + 1),
             },
         );
-        interior_items(&mut rec, Stage::PressureSolve, s.nelems, s.nm, s.nm_interior, 2);
+        interior_items(&mut rec, Stage::PressureSolve, s, 2);
         for _ in 0..s.nelems {
             rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nq, n: 4, k: s.nm });
             rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nm, n: 6, k: s.nq });
@@ -261,7 +176,7 @@ pub fn fourier_step_workload(s: &FourierShape) -> OpRecording {
                 },
             );
         }
-        interior_items(&mut rec, Stage::ViscousSolve, s.nelems, s.nm, s.nm_interior, 6);
+        interior_items(&mut rec, Stage::ViscousSolve, s, 6);
     }
     rec
 }
@@ -272,8 +187,6 @@ pub fn fourier_step_workload(s: &FourierShape) -> OpRecording {
 pub struct AleShape {
     /// Elements owned by this rank.
     pub nelems_local: usize,
-    /// Modes per element ((P+1)³).
-    pub nm: usize,
     /// Quadrature points per element.
     pub nq3: usize,
     /// Local dof count.
@@ -288,10 +201,9 @@ pub struct AleShape {
     pub visc_iters: usize,
     /// PCG iterations for the mesh-velocity solve.
     pub mesh_iters: usize,
-    /// 1-D mode count (P+1) for the sum-factored apply cost.
+    /// 1-D mode count (P+1) for the sum-factored apply cost; an
+    /// element has `nm1³` modes.
     pub nm1: usize,
-    /// Splitting depth.
-    pub j: usize,
     /// The split-phase gather-scatter window of each stage's exchanges
     /// (indexed by [`Stage::index`]; 0.0 = blocking; see
     /// [`crate::opstream::CommItem::GsExchange`]): measured windows from
@@ -325,8 +237,8 @@ pub fn ale_step_workload(s: &AleShape) -> OpRecording {
     rec.work(
         Stage::StifflyStable,
         WorkItem::Stream {
-            flops: (12 * s.j * s.nelems_local * s.nq3) as f64,
-            bytes: (48 * s.j * s.nelems_local * s.nq3) as f64,
+            flops: (12 * J * s.nelems_local * s.nq3) as f64,
+            bytes: (48 * J * s.nelems_local * s.nq3) as f64,
             ws: 48 * s.nq3,
         },
     );
@@ -348,7 +260,7 @@ pub fn ale_step_workload(s: &AleShape) -> OpRecording {
     // Stage 6: viscous RHS (gradient of p + 3 projections) + GS.
     for _ in 0..s.nelems_local {
         rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nq3, n: 3, k: s.nm1 });
-        rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nm, n: 3, k: s.nq3 });
+        rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nm1.pow(3), n: 3, k: s.nq3 });
     }
     rec.comm(
         Stage::ViscousRhs,
@@ -409,7 +321,6 @@ fn pcg_workload(rec: &mut OpRecording, stage: Stage, s: &AleShape, iters: usize)
 mod tests {
     use super::*;
     use crate::opstream::Recorder;
-    use crate::serial2d::{Serial2dSolver, SolverConfig};
     use nkt_mesh::rect_quads;
 
     /// Stage by stage, a native recording and a generated workload hold
@@ -429,39 +340,7 @@ mod tests {
         }
     }
 
-    /// The generated serial workload must match the instrumented solver's
-    /// actual op stream — the statically condensed solves it runs against
-    /// the condensed solves the model charges, shape taken from the
-    /// native problem.
-    #[test]
-    fn serial_workload_matches_recorder() {
-        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
-        let order = 4;
-        let cfg = SolverConfig { order, dt: 1e-3, nu: 0.01, scheme_order: 2, advect: true };
-        let mut s = Serial2dSolver::new(mesh, cfg, |_| 0.0, |_| 0.0);
-        s.set_initial(|_| 1.0, |_| 0.0);
-        s.step(); // warm up so j = 2
-        s.recorder = Recorder::enabled();
-        s.step();
-        let actual = s.recorder.take().unwrap();
-        let basis = s.viscous.basis(0);
-        let solve = s.viscous.solve_shape();
-        assert_eq!(s.pressure.solve_shape(), solve, "one band ordering for every member");
-        let shape = Serial2dShape {
-            nelems: s.viscous.mesh.nelems(),
-            nm: basis.nmodes(),
-            nq: basis.nquad(),
-            ndof_v: s.viscous.asm.ndof,
-            j: 2,
-            nboundary: solve.nboundary,
-            kd_condensed: solve.kd,
-            nm_interior: s.viscous.asm.interior(0).len(),
-        };
-        assert!(shape.nboundary > 0 && shape.nboundary < shape.ndof_v && shape.nm_interior == 9);
-        assert_same_work(&actual, &serial_step_workload(&shape));
-    }
-
-    /// The NekTar-F counterpart: one rank's recorded step against
+    /// One rank's recorded NekTar-F step against
     /// [`fourier_step_workload`], condensed solves included.
     #[test]
     fn fourier_workload_matches_recorder() {
@@ -483,14 +362,12 @@ mod tests {
                 nelems: s.disc.mesh.nelems(),
                 nm: basis.nmodes(),
                 nq: basis.nquad(),
-                nq_total: s.disc.nquad_total(),
                 ndof: solve.nboundary,
                 kd: solve.kd,
                 modes_per_rank: s.my_modes.len(),
                 nz: 8,
                 p: 2,
                 pc: 1,
-                j: 2,
                 nm_interior: s.disc.asm.interior(0).len(),
             };
             // The model also charges each transpose's pack/unpack traffic,
@@ -512,14 +389,12 @@ mod tests {
             nelems: 902,
             nm: 81,
             nq: 100,
-            nq_total: 90_200,
             ndof: 57_000,
             kd: 600,
             modes_per_rank: 1,
             nz: 8,
             p: 4,
             pc: 1,
-            j: 2,
             nm_interior: 0,
         };
         let rec = fourier_step_workload(&shape);
@@ -536,7 +411,6 @@ mod tests {
     fn ale_workload_scales_with_iterations() {
         let base = AleShape {
             nelems_local: 100,
-            nm: 125,
             nq3: 216,
             nlocal: 10_000,
             halo: 800,
@@ -545,7 +419,6 @@ mod tests {
             visc_iters: 30,
             mesh_iters: 50,
             nm1: 5,
-            j: 2,
             overlap: [0.0; 7],
         };
         let rec1 = ale_step_workload(&base);
@@ -560,7 +433,6 @@ mod tests {
     fn ale_workload_threads_gs_overlap_through_every_exchange() {
         let base = AleShape {
             nelems_local: 50,
-            nm: 125,
             nq3: 216,
             nlocal: 5_000,
             halo: 400,
@@ -569,7 +441,6 @@ mod tests {
             visc_iters: 5,
             mesh_iters: 8,
             nm1: 5,
-            j: 2,
             overlap: [0.0; 7],
         };
         let blocking = ale_step_workload(&base);

@@ -28,8 +28,8 @@ pub fn rect_tris(x0: f64, x1: f64, y0: f64, y1: f64, nx: usize, ny: usize) -> Me
 /// `[-15, 25] × [-5, 5]` with a unit square body at the origin
 /// (substitution for the cylinder cross-section — see crate docs).
 ///
-/// `refine` scales resolution; `refine = 1` gives a coarse mesh
-/// (~60 elements), `refine = 4` approaches the paper's 902-element count.
+/// `refine` scales resolution: `refine = 1` gives 108 elements, and
+/// `refine = 3` gives 972, the closest to the paper's 902.
 /// Grid lines are geometrically graded toward the body.
 pub fn bluff_body_mesh(refine: usize) -> Mesh2d {
     let r = refine.max(1);

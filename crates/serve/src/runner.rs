@@ -194,7 +194,7 @@ fn run_job(jc: &JobCtx, link: &Link) -> Result<RankEnd, String> {
             // Name the worker thread so its spans read like a one-rank
             // world in the per-job timeline.
             nkt_trace::set_thread_meta(format!("{} rank 0", spec.name), Some(0));
-            run_rank(jc, link, cases::wake(), &mut Serial)
+            run_rank(jc, link, cases::wake(1, 4), &mut Serial)
         }
         SolverKind::Ale => {
             let case = cases::wing(spec.ranks);

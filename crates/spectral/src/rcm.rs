@@ -7,9 +7,9 @@
 //! [`boundary_band_order`] orders the statically condensed boundary
 //! system (vertex and edge dofs; the interiors are eliminated element by
 //! element and never enter a band). `solve::Discretization` stores,
-//! factors and solves every Schur complement in that order, and the model
-//! replay (`nkt-bench::paper_serial_shape`) sizes the paper-scale mesh's
-//! banded solves with the same call.
+//! factors and solves every Schur complement in that order (the serial
+//! tables replay its recorded solves), and NekTar-F's model replay
+//! (`nkt-bench::paper_fourier_shape`) sizes its banded solves the same way.
 
 use crate::assembly::Assembly;
 use std::collections::VecDeque;

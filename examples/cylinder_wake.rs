@@ -63,7 +63,7 @@ fn main() {
         // its stage spans land on a profiled timeline.
         nektar_repro::trace::set_thread_meta("serial".to_string(), Some(0));
     }
-    let mut solver = cases::wake();
+    let mut solver = cases::wake(1, 4);
     println!(
         "bluff-body domain [-15,25]x[-5,5], {} elements (paper: 902; scale with refine)",
         solver.viscous.mesh.nelems()

@@ -392,8 +392,9 @@ fi
 
 echo "== one solve shape (BandedSolve items come from the recorder helper, the model or the replay) =="
 # What a direct solve executes becomes work items in one place per side:
-# opstream.rs for the native recording (from the problem's solve_shape),
-# workload.rs for the model; replay.rs charges them. A solver that builds
+# opstream.rs for the native recording (from the problem's solve_shape;
+# the serial tables replay it), workload.rs for NekTar-F's model only;
+# replay.rs charges them. A solver that builds
 # its own BandedSolve item has its own idea of the band.
 if grep -rn 'WorkItem::BandedSolve {' crates/core/src \
     | grep -v '^crates/core/src/\(opstream\|workload\|replay\)\.rs:'; then
