@@ -1,27 +1,17 @@
 //! # nkt-bench — the experiment harness
 //!
-//! One binary per table and figure of the paper's evaluation (see
-//! DESIGN.md §4 for the index):
-//!
-//! | binary | regenerates |
-//! |---|---|
-//! | `fig1_dcopy` … `fig6_dgemm_small` | Figures 1–6 (BLAS kernel sweeps) |
-//! | `fig7_pingpong` | Figure 7 (NetPIPE latency/bandwidth) |
-//! | `fig8_alltoall` | Figure 8 (Alltoall average bandwidth, P = 4, 8) |
-//! | `table1_serial` | Table 1 (serial bluff-body CPU/step) |
-//! | `fig12_serial_stages` | Figure 12 (serial stage breakdown) |
-//! | `table2_nektar_f` | Table 2 (NekTar-F CPU/wall, P = 2–128) |
-//! | `fig13_14_f_stages` | Figures 13–14 (NekTar-F stage breakdowns) |
-//! | `table3_nektar_ale` | Table 3 (NekTar-ALE CPU/wall, P = 16–128) |
-//! | `fig15_16_ale_stages` | Figures 15–16 (ALE stage breakdowns) |
-//! | `ablation_alltoall` / `ablation_gs` / `ablation_partition` | design-choice ablations (DESIGN.md §6) |
-//! | `ablation_overlap` / `ablation_gs_overlap` | blocking vs pipelined transpose (§11) and vs split-phase gather-scatter (§16), on the virtual clock |
-//!
-//! Every binary prints `modeled` numbers only (1999-machine replay,
-//! virtual clock) and says so; its stdout is committed as
-//! `results/<bin>.txt` and held byte for byte by
-//! `scripts/check_baselines`. EXPERIMENTS.md records paper-vs-ours for
-//! each. Host timing of the native kernels is `perfbench/`'s job.
+//! One binary, `nkt-bench <dir>`, writes every table and figure of the
+//! paper's evaluation, plus the design-choice ablations (DESIGN.md §6),
+//! as `<dir>/<name>.txt`: [`ARTIFACTS`] is the index. Every artifact
+//! holds `modeled` numbers only (1999-machine replay, virtual clock) and
+//! says so; each is committed as `results/<name>.txt` and held byte for
+//! byte by `scripts/check_baselines`. EXPERIMENTS.md records
+//! paper-vs-ours for each. Host timing of the native kernels is
+//! `perfbench/`'s job.
+
+mod ablations;
+mod apps;
+mod kernels;
 
 use nektar::drive::cases;
 use nektar::opstream::{OpRecording, Recorder};
@@ -30,6 +20,46 @@ use nkt_machine::{machine, MachineId};
 use nkt_mesh::bluff_body_mesh;
 use nkt_spectral::element::Expansion;
 use nkt_spectral::{boundary_band_order, Assembly, QuadBasis};
+use std::fmt::{self, Write as _};
+
+/// What the artifacts share: the run's one reading of the environment
+/// and the one paper-shape serial step Table 1 and Figure 12 replay.
+pub struct Run {
+    /// `NKT_PROF`: Tables 2 and 3 profile their replayed timelines into
+    /// `PROF_<table>_<system>.json`.
+    pub prof: bool,
+    /// [`paper_serial_step`], recorded once a run.
+    pub serial_step: OpRecording,
+}
+
+/// An artifact's writer: its text, into the buffer.
+pub type Artifact = fn(&Run, &mut String) -> fmt::Result;
+
+/// Every artifact, `(name, writer)`, in the paper's order: kernels
+/// (Figures 1–6), communication (Figures 7–8), applications (Tables 1–3
+/// and Figures 12–16), then the ablations. `nkt-bench <dir>` writes each
+/// to `<dir>/<name>.txt`.
+pub const ARTIFACTS: &[(&str, Artifact)] = &[
+    ("fig1_dcopy", kernels::figure::<1>),
+    ("fig2_daxpy", kernels::figure::<2>),
+    ("fig3_ddot", kernels::figure::<3>),
+    ("fig4_dgemv", kernels::figure::<4>),
+    ("fig5_dgemm", kernels::figure::<5>),
+    ("fig6_dgemm_small", kernels::figure::<6>),
+    ("fig7_pingpong", kernels::fig7_pingpong),
+    ("fig8_alltoall", kernels::fig8_alltoall),
+    ("table1_serial", apps::table1_serial),
+    ("fig12_serial_stages", apps::fig12_serial_stages),
+    ("table2_nektar_f", apps::table2_nektar_f),
+    ("fig13_14_f_stages", apps::fig13_14_f_stages),
+    ("table3_nektar_ale", apps::table3_nektar_ale),
+    ("fig15_16_ale_stages", apps::fig15_16_ale_stages),
+    ("ablation_alltoall", ablations::alltoall),
+    ("ablation_gs", ablations::gs),
+    ("ablation_gs_overlap", ablations::gs_overlap),
+    ("ablation_overlap", ablations::overlap),
+    ("ablation_partition", ablations::partition),
+];
 
 /// Per-stage split-phase overlap windows for an ALE replay with
 /// `nelems_local` elements per rank.
@@ -103,47 +133,30 @@ pub fn kernel_sweep_bytes() -> Vec<usize> {
     v
 }
 
-/// Machines in the left panels of Figures 1–6.
-pub fn left_panel() -> Vec<MachineId> {
-    vec![
-        MachineId::Sp2Thin2,
-        MachineId::Sp2Silver,
-        MachineId::Muses,
-        MachineId::Ap3000,
-        MachineId::Onyx2,
-    ]
-}
-
-/// Machines in the right panels of Figures 1–6.
-pub fn right_panel() -> Vec<MachineId> {
-    vec![MachineId::T3e, MachineId::P2sc, MachineId::Muses]
-}
-
-/// Prints a table header row.
-pub fn header(cols: &[&str]) {
-    let mut line = String::new();
+/// Writes a table header row and its rule.
+pub(crate) fn header(o: &mut String, cols: &[&str]) -> fmt::Result {
     for c in cols {
-        line.push_str(&format!("{c:>14}"));
+        write!(o, "{c:>14}")?;
     }
-    println!("{line}");
-    println!("{}", "-".repeat(14 * cols.len()));
+    writeln!(o)?;
+    writeln!(o, "{}", "-".repeat(14 * cols.len()))
 }
 
-/// Prints a data row of f64s after a leading label/number column.
-pub fn row(first: impl std::fmt::Display, vals: &[f64]) {
-    let mut line = format!("{first:>14}");
+/// Writes a data row of f64s after a leading label/number column.
+pub(crate) fn row(o: &mut String, first: impl fmt::Display, vals: &[f64]) -> fmt::Result {
+    write!(o, "{first:>14}")?;
     for v in vals {
         if *v == 0.0 {
-            line.push_str(&format!("{:>14}", "-"));
+            write!(o, "{:>14}", "-")?;
         } else if *v >= 100.0 {
-            line.push_str(&format!("{v:>14.0}"));
+            write!(o, "{v:>14.0}")?;
         } else if *v >= 1.0 {
-            line.push_str(&format!("{v:>14.2}"));
+            write!(o, "{v:>14.2}")?;
         } else {
-            line.push_str(&format!("{v:>14.4}"));
+            write!(o, "{v:>14.4}")?;
         }
     }
-    println!("{line}");
+    writeln!(o)
 }
 
 /// `cases::wake`'s `(refine, order)` at the paper's shape: "902 elements
@@ -232,6 +245,23 @@ mod tests {
     fn paper_step() -> &'static OpRecording {
         static REC: std::sync::OnceLock<OpRecording> = std::sync::OnceLock::new();
         REC.get_or_init(paper_serial_step)
+    }
+
+    /// `nkt-bench` writes exactly the committed model outputs: one
+    /// artifact per `results/*.txt` (`HASHES.txt` aside, the examples'
+    /// state hashes), under distinct names.
+    #[test]
+    fn artifacts_are_the_committed_baselines() {
+        let names: std::collections::BTreeSet<String> =
+            ARTIFACTS.iter().map(|(name, _)| format!("{name}.txt")).collect();
+        assert_eq!(names.len(), ARTIFACTS.len(), "artifact names must be unique");
+        let committed: std::collections::BTreeSet<String> =
+            std::fs::read_dir(nkt_trace::results_dir())
+                .expect("the workspace has a results/ directory")
+                .map(|e| e.expect("a readable directory entry").file_name().into_string().unwrap())
+                .filter(|f| f.ends_with(".txt") && f != "HASHES.txt")
+                .collect();
+        assert_eq!(names, committed);
     }
 
     /// The recording is the paper-scale step ("902 elements and

@@ -9,7 +9,7 @@
 //! element and never enter a band). `solve::Discretization` stores,
 //! factors and solves every Schur complement in that order (the serial
 //! tables replay its recorded solves), and NekTar-F's model replay
-//! (`nkt-bench::paper_fourier_shape`) sizes its banded solves the same way.
+//! (`nkt_bench::paper_fourier_shape`) sizes its banded solves the same way.
 
 use crate::assembly::Assembly;
 use std::collections::VecDeque;

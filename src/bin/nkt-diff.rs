@@ -18,8 +18,8 @@ const FAMILIES: [Family; 4] = [
     Family { prefix: "PROF_", suffix: ".json", kind: Kind::Rows(prof::gates) },
     Family { prefix: "STATS_", suffix: ".json", kind: Kind::Rows(stats::gates) },
     Family { prefix: "CALIB_", suffix: ".json", kind: Kind::Rows(calib::gates) },
-    // Model outputs: stdout of the same-named `nkt-bench` bin, plus the
-    // examples' state hashes.
+    // Model outputs: the same-named `nkt_bench::ARTIFACTS` entry, plus
+    // the examples' state hashes.
     Family { prefix: "", suffix: ".txt", kind: Kind::Bytes },
 ];
 
