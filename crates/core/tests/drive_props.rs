@@ -217,6 +217,46 @@ fn plan_health_arms_the_watchdog_on_every_rank() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// This rank's `state_hash` after `steps` steps of `build()`'s run
+/// sampled every step (watchdog armed) and after the same run unsampled.
+fn sampled_and_unsampled<S: Simulation>(
+    ctx: &mut S::Ctx,
+    build: impl Fn(&mut S::Ctx) -> S,
+    steps: u64,
+) -> [u64; 2] {
+    [1, 0].map(|stats_every| {
+        let plan = Plan {
+            steps,
+            stats_every,
+            health: stats_every > 0,
+            ckpt: CkptConfig::new(std::env::temp_dir(), "observe", None),
+        };
+        let mut sim = build(ctx);
+        let out = drive(&mut sim, ctx, &plan, &mut ()).expect("a healthy run");
+        assert_eq!(out.rec.samples().len() as u64, steps * stats_every);
+        sim.state_hash()
+    })
+}
+
+/// Sampling only observes: the sampler reuses the step's scratch, and a
+/// run sampled every step ends in the state an unsampled run does, for
+/// all three solvers.
+#[test]
+fn sampling_every_step_leaves_the_state_alone() {
+    let [sampled, unsampled] = sampled_and_unsampled(&mut Serial, |_| serial_solver(), 4);
+    assert_eq!(sampled, unsampled, "serial");
+    for (rank, [sampled, unsampled]) in
+        run(2, |c| sampled_and_unsampled(c, fourier_solver, 4)).into_iter().enumerate()
+    {
+        assert_eq!(sampled, unsampled, "fourier rank {rank}");
+    }
+    for (rank, [sampled, unsampled]) in
+        run(2, |c| sampled_and_unsampled(c, ale_solver, 3)).into_iter().enumerate()
+    {
+        assert_eq!(sampled, unsampled, "ale rank {rank}");
+    }
+}
+
 prop_check! {
     #![cases(6)]
 
