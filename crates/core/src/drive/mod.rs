@@ -18,11 +18,12 @@ use crate::ale::NektarAle;
 use crate::fourier::NektarF;
 use crate::serial2d::Serial2dSolver;
 use crate::stats::{
-    sample_ale, sample_fourier, sample_serial2d, ALE_CHANNELS, FOURIER_CHANNELS, SERIAL2D_CHANNELS,
+    ale_probe, fourier_probe, serial2d_probe, Probe, ALE_CHANNELS, FOURIER_CHANNELS,
+    SERIAL2D_CHANNELS,
 };
 use nkt_ckpt::{Checkpointable, CkptConfig, CkptError, RestoreInfo, TandemMut};
 use nkt_mpi::Comm;
-use nkt_stats::{HealthError, RuleLimits, StatsRecorder};
+use nkt_stats::{RuleLimits, StatsRecorder};
 use std::error::Error;
 use std::ops::ControlFlow;
 
@@ -58,26 +59,28 @@ impl Ctx for Serial {
 }
 
 /// A solver [`drive`] can run: thin delegations to the inherent methods
-/// and the `sample_*` functions of [`Serial2dSolver`], [`NektarF`] and
-/// [`NektarAle`]. The step counter is [`Checkpointable::ckpt_step`].
+/// and the probes of `crate::stats` for [`Serial2dSolver`], [`NektarF`]
+/// and [`NektarAle`], which `crate::stats::sample` — the one sampling
+/// protocol — calls. The step counter is [`Checkpointable::ckpt_step`].
 pub trait Simulation: Checkpointable + Sized {
     /// What the solver runs on.
     type Ctx: Ctx;
-    /// Stats channels [`Simulation::sample`] pushes, in column order.
+    /// Stats channels [`Simulation::probe`] measures, in column order,
+    /// `ke` first.
     const CHANNELS: &'static [&'static str];
+    /// The state fields the watchdog's finiteness scan names, in scan
+    /// order.
+    const FIELDS: &'static [&'static str];
 
     /// Advances one time step.
     fn step(&mut self, ctx: &mut Self::Ctx);
 
-    /// Takes one stats sample (see `crate::stats` for the protocol);
-    /// `health` arms the watchdog scan and rules.
-    fn sample(
-        &mut self,
-        ctx: &mut Self::Ctx,
-        rec: &mut StatsRecorder,
-        step: u64,
-        health: bool,
-    ) -> Result<(), HealthError>;
+    /// This rank's first field (an index into [`Simulation::FIELDS`])
+    /// holding a NaN or an infinity.
+    fn non_finite(&self) -> Option<usize>;
+
+    /// Measures the stats channels (collective over `ctx`).
+    fn probe(&mut self, ctx: &mut Self::Ctx) -> Probe;
 
     /// Restores solver and `rec` from the newest valid tandem epoch.
     fn restore(
@@ -97,21 +100,24 @@ pub trait Simulation: Checkpointable + Sized {
     fn kinetic_energy(&mut self, ctx: &mut Self::Ctx) -> f64;
 }
 
+/// Whether `values` holds a NaN or an infinity.
+fn non_finite(values: &[f64]) -> bool {
+    values.iter().any(|v| !v.is_finite())
+}
+
 impl Simulation for Serial2dSolver {
     type Ctx = Serial;
     const CHANNELS: &'static [&'static str] = SERIAL2D_CHANNELS;
+    const FIELDS: &'static [&'static str] = &["u", "v", "p"];
 
     fn step(&mut self, _: &mut Serial) {
         Serial2dSolver::step(self);
     }
-    fn sample(
-        &mut self,
-        _: &mut Serial,
-        rec: &mut StatsRecorder,
-        step: u64,
-        health: bool,
-    ) -> Result<(), HealthError> {
-        sample_serial2d(self, rec, step, &RuleLimits::default(), health)
+    fn non_finite(&self) -> Option<usize> {
+        [&self.u, &self.v, &self.p].into_iter().position(|f| non_finite(f))
+    }
+    fn probe(&mut self, _: &mut Serial) -> Probe {
+        serial2d_probe(self)
     }
     fn kinetic_energy(&mut self, _: &mut Serial) -> f64 {
         Serial2dSolver::kinetic_energy(self)
@@ -121,18 +127,18 @@ impl Simulation for Serial2dSolver {
 impl Simulation for NektarF {
     type Ctx = Comm;
     const CHANNELS: &'static [&'static str] = FOURIER_CHANNELS;
+    const FIELDS: &'static [&'static str] = &["u", "v", "w"];
 
     fn step(&mut self, c: &mut Comm) {
         NektarF::step(self, c);
     }
-    fn sample(
-        &mut self,
-        c: &mut Comm,
-        rec: &mut StatsRecorder,
-        step: u64,
-        health: bool,
-    ) -> Result<(), HealthError> {
-        sample_fourier(self, c, rec, step, &RuleLimits::default(), health)
+    /// The component of the first bad mode, modes in order.
+    fn non_finite(&self) -> Option<usize> {
+        let mut comps = self.fields.iter().flat_map(|comps| comps.iter().enumerate());
+        comps.find(|(_, mc)| non_finite(&mc.a) || non_finite(&mc.b)).map(|(c, _)| c)
+    }
+    fn probe(&mut self, c: &mut Comm) -> Probe {
+        fourier_probe(self, c)
     }
     fn kinetic_energy(&mut self, c: &mut Comm) -> f64 {
         NektarF::kinetic_energy(self, c)
@@ -142,18 +148,16 @@ impl Simulation for NektarF {
 impl Simulation for NektarAle {
     type Ctx = Comm;
     const CHANNELS: &'static [&'static str] = ALE_CHANNELS;
+    const FIELDS: &'static [&'static str] = &["u", "v", "w", "p"];
 
     fn step(&mut self, c: &mut Comm) {
         NektarAle::step(self, c);
     }
-    fn sample(
-        &mut self,
-        c: &mut Comm,
-        rec: &mut StatsRecorder,
-        step: u64,
-        health: bool,
-    ) -> Result<(), HealthError> {
-        sample_ale(self, c, rec, step, &RuleLimits::default(), health)
+    fn non_finite(&self) -> Option<usize> {
+        self.u.iter().chain([&self.p]).position(|f| non_finite(f))
+    }
+    fn probe(&mut self, c: &mut Comm) -> Probe {
+        ale_probe(self, c)
     }
     /// The ALE restore also rebuilds the moved-mesh operators, so it
     /// goes through the solver's own entry point.
@@ -179,7 +183,7 @@ pub struct Plan {
     /// Stats sampling cadence in steps; 0 records nothing.
     pub stats_every: u64,
     /// Arms the watchdog scan and rules at every sample; a trip ends the
-    /// run with the same [`HealthError`] on every rank.
+    /// run with the same [`nkt_stats::HealthError`] on every rank.
     pub health: bool,
     /// Checkpoint cadence and location. With a cadence set, the run
     /// first resumes from the newest valid epoch, if there is one.
@@ -217,7 +221,7 @@ pub struct Outcome {
     pub stopped_at: Option<u64>,
 }
 
-/// Why a [`drive`] call gave up: a tripped watchdog ([`HealthError`]) or
+/// Why a [`drive`] call gave up: a tripped watchdog ([`nkt_stats::HealthError`]) or
 /// a failed epoch write ([`CkptError`]). Both are collective — every
 /// rank returns the same error.
 pub type DriveError = Box<dyn Error + Send + Sync>;
@@ -246,7 +250,7 @@ pub fn drive<S: Simulation>(
         sim.step(ctx);
         hook.stepped(sim, step);
         if rec.due(step) {
-            sim.sample(ctx, &mut rec, step, plan.health)?;
+            crate::stats::sample(sim, ctx, &mut rec, step, &RuleLimits::default(), plan.health)?;
         }
         if step < plan.steps && plan.ckpt.should(step as usize) {
             if let Some(c) = ctx.comm() {

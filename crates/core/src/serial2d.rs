@@ -13,7 +13,8 @@
 //! when no outflow exists).
 
 use crate::opstream::{Recorder, WorkItem};
-use crate::plane::{Layout, PlaneStep, Seam};
+use crate::plane::{split_planes, Layout, PlaneStep, Seam};
+use crate::stats::Speeds;
 use crate::timers::{Stage, StageClock};
 use nkt_ckpt::CkptError;
 use nkt_mesh::Mesh2d;
@@ -61,6 +62,20 @@ pub struct Serial2dSolver {
     pub clock: StageClock,
     /// Operation-stream recorder.
     pub recorder: Recorder,
+}
+
+/// The serial diagnostics' sums ([`Serial2dSolver::flow_sums`]).
+pub(crate) struct FlowSums {
+    /// ½∫|u|².
+    pub ke: f64,
+    /// ∫ω², ω = ∂x v − ∂y u.
+    pub enstrophy: f64,
+    /// ‖∇·u‖ in L2.
+    pub div: f64,
+    /// ⟨uu⟩, ⟨vv⟩, ⟨uv⟩: ∫ u_i u_j over the area.
+    pub moments: [f64; 3],
+    /// |u| at every quadrature point.
+    pub speeds: Speeds,
 }
 
 /// The serial solver's stage 2: `−(u·∇)u` point by point (none in Stokes mode).
@@ -186,26 +201,46 @@ impl Serial2dSolver {
     }
 
     /// Total kinetic energy ½∫|u|².
-    pub fn kinetic_energy(&self) -> f64 {
-        let (uq, vq) = (self.disc.to_quad(&self.u), self.disc.to_quad(&self.v));
-        let mut e = 0.0;
-        for ((w, &uu), &vv) in self.disc.quad_weights().zip(&uq).zip(&vq) {
-            e += 0.5 * w * (uu * uu + vv * vv);
-        }
-        e
+    pub fn kinetic_energy(&mut self) -> f64 {
+        self.flow_sums().ke
     }
 
     /// L2 norm of the velocity divergence (a splitting-scheme health
     /// metric: should stay small).
-    pub fn divergence_norm(&self) -> f64 {
-        let (dux, _) = self.disc.grad_quad(&self.u);
-        let (_, dvy) = self.disc.grad_quad(&self.v);
-        let mut d2 = 0.0;
-        for ((w, &ux), &vy) in self.disc.quad_weights().zip(&dux).zip(&dvy) {
-            let d = ux + vy;
-            d2 += w * d * d;
+    pub fn divergence_norm(&mut self) -> f64 {
+        self.flow_sums().div
+    }
+
+    /// Every sum the serial diagnostics read, from one pass over the
+    /// quadrature points: one value and one gradient transform per field,
+    /// into the step's scratch planes (never its history), so a warmed
+    /// call allocates nothing and records nothing.
+    pub(crate) fn flow_sums(&mut self) -> FlowSums {
+        let (disc, plane) = (&self.disc, &mut self.plane);
+        let nq = disc.nquad_total();
+        let [uq, vq] = split_planes(&mut plane.planes, nq);
+        let [ux, uy, vx, vy] = split_planes(&mut plane.grad, nq);
+        for (f, q, gx, gy) in [(&self.u, &mut *uq, &mut *ux, &mut *uy), (&self.v, vq, vx, vy)] {
+            disc.to_quad_into(f, q, &mut plane.scratch);
+            disc.grad_quad_into(f, gx, gy, &mut plane.scratch);
         }
-        d2.sqrt()
+        let (mut ke, mut enstrophy, mut d2, mut area) = (0.0, 0.0, 0.0, 0.0);
+        let mut sums = [0.0f64; 3];
+        let mut speeds = Speeds::default();
+        for (q, w) in disc.quad_weights().enumerate() {
+            let (u, v) = (uq[q], vq[q]);
+            ke += 0.5 * w * (u * u + v * v);
+            let d = ux[q] + vy[q];
+            d2 += w * d * d;
+            let omega = vx[q] - uy[q];
+            enstrophy += w * omega * omega;
+            sums[0] += w * u * u;
+            sums[1] += w * v * v;
+            sums[2] += w * u * v;
+            area += w;
+            speeds.push((u * u + v * v).sqrt());
+        }
+        FlowSums { ke, enstrophy, div: d2.sqrt(), moments: sums.map(|s| s / area), speeds }
     }
 
     /// Steps taken so far.
@@ -467,7 +502,7 @@ mod tests {
         s.set_initial(|x| x[1], |x| -x[0]);
         s.recorder = Recorder::enabled();
         let mut stats = StatsRecorder::new(SERIAL2D_CHANNELS.to_vec(), 1, 1);
-        sample_serial2d(&s, &mut stats, 0, &RuleLimits::default(), true).unwrap();
+        sample_serial2d(&mut s, &mut stats, 0, &RuleLimits::default(), true).unwrap();
         assert!(s.divergence_norm().is_finite() && s.kinetic_energy() > 0.0);
         let rec = s.recorder.take().unwrap();
         assert!(rec.work.is_empty(), "diagnostics recorded {} work items", rec.work.len());

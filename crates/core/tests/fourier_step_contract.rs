@@ -13,7 +13,7 @@ mod common;
 use common::{allocs_in, op_stream_digest, Counting};
 use nektar::fourier::{FourierConfig, NektarF};
 use nektar::opstream::Recorder;
-use nektar::stats::{sample_fourier, FOURIER_CHANNELS};
+use nektar::stats::{sample, FOURIER_CHANNELS};
 use nkt_ckpt::Checkpointable;
 use nkt_mesh::{rect_quads, BoundaryTag, Elem2d, ElemKind, Mesh2d};
 use nkt_mpi::prelude::*;
@@ -90,7 +90,7 @@ fn after_5(
         let e = s.kinetic_energy(c);
         assert!(e.is_finite() && e > 0.0, "a hash of garbage pins nothing: energy {e}");
         let mut rec = StatsRecorder::new(FOURIER_CHANNELS.to_vec(), 1, c.size());
-        sample_fourier(&mut s, c, &mut rec, 5, &RuleLimits::default(), false).expect("no rules");
+        sample(&mut s, c, &mut rec, 5, &RuleLimits::default(), false).expect("no rules");
         let channel = |name| {
             let i = FOURIER_CHANNELS.iter().position(|&ch| ch == name).expect("a sampled channel");
             rec.samples()[0].scalars[i]

@@ -138,14 +138,14 @@ fn pencil_spectrum_and_energy_agree_with_slab() {
         let mut s = NektarF::try_new_with_grid(c, &mesh(), cfg(nz), 2, 1).unwrap();
         s.set_initial(init_field);
         s.step(c);
-        let spec = nektar::stats::spanwise_energy_spectrum(&mut s, c);
+        let spec = nektar::drive::Simulation::probe(&mut s, c).spectrum;
         (spec, s.kinetic_energy(c))
     });
     let pencil = run(4, cluster(NetId::T3e), move |c| {
         let mut s = NektarF::try_new_with_grid(c, &mesh(), cfg(nz), 2, 2).unwrap();
         s.set_initial(init_field);
         s.step(c);
-        let spec = nektar::stats::spanwise_energy_spectrum(&mut s, c);
+        let spec = nektar::drive::Simulation::probe(&mut s, c).spectrum;
         (spec, s.kinetic_energy(c))
     });
     for (w, (spec, e)) in pencil.iter().enumerate() {

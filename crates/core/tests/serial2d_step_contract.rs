@@ -76,7 +76,7 @@ fn stepped(mut s: Serial2dSolver, n: usize) -> Serial2dSolver {
 /// their own Helmholtz matrices, and full-order ones after them — as its
 /// hash and its tolerance twin: kinetic energy, divergence norm, ‖p‖.
 fn after_5(mesh: &Mesh2d, scheme_order: usize, advect: bool) -> (u64, [f64; 3]) {
-    let s = stepped(solver(mesh, scheme_order, advect), 5);
+    let mut s = stepped(solver(mesh, scheme_order, advect), 5);
     let e = s.kinetic_energy();
     assert!(e.is_finite() && e > 0.0, "a hash of garbage pins nothing: energy {e}");
     (s.state_hash(), [e, s.divergence_norm(), s.pressure.l2_error(&s.p, |_| 0.0)])

@@ -6,7 +6,8 @@
 //! flight-recorder ring dumps to disk.
 
 use nektar::fourier::{FourierConfig, NektarF};
-use nektar::stats::{sample_fourier, spanwise_energy_spectrum, FOURIER_CHANNELS};
+use nektar::drive::Simulation;
+use nektar::stats::{sample, FOURIER_CHANNELS};
 use nkt_mesh::rect_quads;
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, ClusterNetwork, NetId};
@@ -57,7 +58,7 @@ fn spectrum_vs_ke(pr: usize, pc: usize, nz: usize, amp: f64, kz: f64) -> Vec<(f6
             ]
         });
         s.step(c);
-        let spec: f64 = spanwise_energy_spectrum(&mut s, c).iter().sum();
+        let spec: f64 = s.probe(c).spectrum.iter().sum();
         (spec, s.kinetic_energy(c))
     })
 }
@@ -109,7 +110,7 @@ prop_check! {
                 if step == trip && c.rank() == 0 {
                     s.fields[0][1].a[0] = f64::NAN;
                 }
-                if let Err(e) = sample_fourier(&mut s, c, &mut rec, step, &limits, true) {
+                if let Err(e) = sample(&mut s, c, &mut rec, step, &limits, true) {
                     // The sampler's own dump is gated on a run name (not
                     // set under tests); dump this rank's ring explicitly
                     // where the property can see it.

@@ -10,7 +10,7 @@
 //! breaks one of the equalities.
 
 use nektar::fourier::{FourierConfig, NektarF};
-use nektar::stats::{sample_fourier, FOURIER_CHANNELS};
+use nektar::stats::{sample, FOURIER_CHANNELS};
 use nkt_ckpt::Checkpointable;
 use nkt_mesh::rect_quads;
 use nkt_mpi::World;
@@ -62,7 +62,7 @@ fn dns(scope: u64, net: NetId, nz: usize, steps: u64, run: &str) -> (Vec<u64>, S
             rec.rebaseline(c);
             for step in 1..=steps {
                 s.step(c);
-                sample_fourier(&mut s, c, &mut rec, step, &limits, false).expect("sample");
+                sample(&mut s, c, &mut rec, step, &limits, false).expect("sample");
             }
             (s.state_hash(), (c.rank() == 0).then(|| nkt_trace::json::render(&rec.document(run))))
         });
