@@ -144,10 +144,9 @@ pub fn parse_grid(spec: &str) -> Result<(usize, usize), FourierCfgError> {
 /// beyond its own layout. Passed by the caller so the grid and the
 /// recorder can be borrowed disjointly.
 pub struct TransposeCtx<'a> {
-    /// Pipeline the exchanges against per-field FFT work.
+    /// Pipeline the exchanges against per-field FFT work (the blocking
+    /// path's alltoall is pairwise).
     pub overlap: bool,
-    /// Alltoall algorithm for the blocking path.
-    pub algo: AlltoallAlgo,
     /// Model-replay recorder.
     pub recorder: &'a mut Recorder,
 }
@@ -450,8 +449,8 @@ impl Grid {
                 self.pack_phys(field);
                 let (send, recv) = (&self.send, &mut self.recv);
                 match &mut self.rows {
-                    None => comm.alltoall_with(ctx.algo, send, fblock, recv),
-                    Some(r) => r.col.alltoall_with(comm, ctx.algo, send, fblock, recv),
+                    None => comm.alltoall(send, fblock, recv),
+                    Some(r) => r.col.alltoall(comm, send, fblock, recv),
                 }
                 unpack(self, comm, fi);
             }
@@ -503,11 +502,11 @@ impl Grid {
             for (fi, out) in modes.chunks_exact_mut(mlen).enumerate() {
                 self.pack_modes_field(comm, ctx, phys, fi);
                 match &mut self.rows {
-                    None => comm.alltoall_with(ctx.algo, &self.send, fblock, &mut self.recv),
+                    None => comm.alltoall(&self.send, fblock, &mut self.recv),
                     Some(r) => {
-                        r.col.alltoall_with(comm, ctx.algo, &self.send, fblock, &mut r.recv);
+                        r.col.alltoall(comm, &self.send, fblock, &mut r.recv);
                         r.replicate();
-                        r.row.alltoall_with(comm, ctx.algo, &r.send, rblock, &mut self.recv);
+                        r.row.alltoall(comm, &r.send, rblock, &mut self.recv);
                     }
                 }
                 self.unpack_modes(out);

@@ -152,9 +152,20 @@ impl AllreduceHandle {
     }
 }
 
-/// `MPI_Alltoall` algorithm selector; defined beside the parser of
-/// `NKT_A2A_ALGO` so there is one enum, not a twin to convert.
-pub use nkt_trace::config::AlltoallAlgo;
+/// `MPI_Alltoall` algorithm selector: the ablation axis of
+/// `ablation_alltoall`, through [`Comm::alltoall_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AlltoallAlgo {
+    /// XOR pairwise exchange (power-of-two rank counts; falls back to ring
+    /// otherwise). One disjoint-pairs round per step — bandwidth-optimal.
+    Pairwise,
+    /// Ring: step s sends to rank+s, receives from rank−s. Works for any
+    /// P; each round is a full permutation.
+    Ring,
+    /// Bruck's algorithm: ⌈log₂P⌉ rounds of aggregated blocks — fewer,
+    /// larger messages; wins in the latency-bound regime.
+    Bruck,
+}
 
 impl Comm {
     /// The trivial [`Grp`]: the world itself (identity rank map, tag

@@ -18,7 +18,6 @@ const TRACE: &str = "`off`, `counters`, `spans`, `summary` or a flag (`on` = `sp
 const CADENCE: &str = "a positive integer `N` or a flag (`on` = 1)";
 const COUNT: &str = "a non-negative integer";
 const POSITIVE: &str = "a positive integer";
-const ALGO: &str = "`pairwise`, `ring` or `bruck`";
 const GRID: &str = "`PRxPC` with both positive, e.g. `4x2`";
 const PATH: &str = "a path";
 /// Read by `nkt-testkit` under `cargo test`; [`RunConfig`] only knows
@@ -58,15 +57,6 @@ fn trace(v: &str) -> Option<(TraceMode, bool)> {
     })
 }
 
-fn algo(v: &str) -> Option<AlltoallAlgo> {
-    match v.to_ascii_lowercase().as_str() {
-        "pairwise" => Some(AlltoallAlgo::Pairwise),
-        "ring" => Some(AlltoallAlgo::Ring),
-        "bruck" => Some(AlltoallAlgo::Bruck),
-        _ => None,
-    }
-}
-
 /// Parses a `"PRxPC"` process grid (`4x2`, `1X8`, ` 2 x 3 `); both
 /// factors must be positive.
 pub fn parse_grid(spec: &str) -> Option<(usize, usize)> {
@@ -74,21 +64,6 @@ pub fn parse_grid(spec: &str) -> Option<(usize, usize)> {
     let pr: usize = a.trim().parse().ok()?;
     let pc: usize = b.trim().parse().ok()?;
     (pr > 0 && pc > 0).then_some((pr, pc))
-}
-
-/// `MPI_Alltoall` algorithm selector (`nkt_mpi::AlltoallAlgo` is this
-/// type; the ablation axis of `ablation_alltoall`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlltoallAlgo {
-    /// XOR pairwise exchange (power-of-two rank counts; falls back to ring
-    /// otherwise). One disjoint-pairs round per step — bandwidth-optimal.
-    Pairwise,
-    /// Ring: step s sends to rank+s, receives from rank−s. Works for any
-    /// P; each round is a full permutation.
-    Ring,
-    /// Bruck's algorithm: ⌈log₂P⌉ rounds of aggregated blocks — fewer,
-    /// larger messages; wins in the latency-bound regime.
-    Bruck,
 }
 
 /// One row of the name table.
@@ -111,7 +86,7 @@ const fn var(name: &'static str, expected: &'static str, default: &'static str, 
 
 /// Every `NKT_*` name the workspace accepts. README's "Run
 /// configuration" table is held to these rows by a test.
-pub const VARS: [Var; 21] = [
+pub const VARS: [Var; 20] = [
     var("NKT_TRACE", TRACE, "`off`", |c, v| trace(v).map(|t| (c.trace, c.summary) = t),
         "recording mode; `summary` records spans and prints a per-stage digest instead of writing `TRACE_<run>.json`"),
     var("NKT_TRACE_DIR", PATH, "`<workspace>/results`", |c, v| path(&mut c.trace_dir, v),
@@ -132,8 +107,6 @@ pub const VARS: [Var; 21] = [
         "host-time cap on any single `recv`/`wait`; a rank that waits longer panics with every rank's blocking site"),
     var("NKT_OVERLAP", FLAG, "on", |c, v| flag(v).map(|on| c.overlap = on),
         "`fourier_dns`: pipeline the transpose exchanges against per-field FFT work (bitwise-neutral)"),
-    var("NKT_A2A_ALGO", ALGO, "`pairwise`", |c, v| algo(v).map(|a| c.a2a_algo = a),
-        "`fourier_dns`: alltoall algorithm of the blocking transpose"),
     var("NKT_GRID", GRID, "`Px1` (slab)", |c, v| parse_grid(v).map(|g| c.grid = Some(g)),
         "`fourier_dns`: 2-D pencil decomposition on a `PR x PC` process grid"),
     var("NKT_GS_OVERLAP", FLAG, "on", |c, v| flag(v).map(|on| c.gs_overlap = on),
@@ -193,7 +166,6 @@ pub struct RunConfig {
     pub ckpt_dir: Option<PathBuf>,
     pub recv_deadline: Option<Duration>,
     pub overlap: bool,
-    pub a2a_algo: AlltoallAlgo,
     pub grid: Option<(usize, usize)>,
     pub gs_overlap: bool,
     pub ranks: usize,
@@ -218,7 +190,6 @@ impl Default for RunConfig {
             ckpt_dir: None,
             recv_deadline: None,
             overlap: true,
-            a2a_algo: AlltoallAlgo::Pairwise,
             grid: None,
             gs_overlap: true,
             ranks: 4,
@@ -373,15 +344,6 @@ mod tests {
             ),
             ("NKT_OVERLAP", flag(|c| c.overlap), "no"),
             (
-                "NKT_A2A_ALGO",
-                vec![
-                    ("pairwise", ok(|c| c.a2a_algo == AlltoallAlgo::Pairwise)),
-                    ("Ring", ok(|c| c.a2a_algo == AlltoallAlgo::Ring)),
-                    ("bruck", ok(|c| c.a2a_algo == AlltoallAlgo::Bruck)),
-                ],
-                "brucks",
-            ),
-            (
                 "NKT_GRID",
                 vec![
                     ("4x2", ok(|c| c.grid == Some((4, 2)))),
@@ -436,6 +398,9 @@ mod tests {
         );
         let text = err.to_string();
         assert!(text.contains("NKT_STATTS") && text.contains('1'), "{text}");
+        // A deleted knob is an unknown name, not a silent no-op.
+        let gone = parse(&[("NKT_A2A_ALGO", "ring")]).expect_err("deleted knob accepted");
+        assert_eq!(gone.expected, KNOWN_NAME);
         let cfg = parse(&[("NKT_PROP_CASES", "1000"), ("PATH", "/bin"), ("NKTX", "?"), ("nkt_prof", "1")]);
         assert_eq!(cfg, Ok(RunConfig::default()));
     }
@@ -444,7 +409,7 @@ mod tests {
     fn defaults_are_the_ones_every_reader_had() {
         let c = parse(&[]).unwrap();
         assert!(c.overlap && c.gs_overlap);
-        assert_eq!((c.a2a_algo, c.grid), (AlltoallAlgo::Pairwise, None));
+        assert_eq!(c.grid, None);
         assert_eq!((c.ranks, c.nz, c.steps, c.inject_nan), (4, 8, 3, None));
         assert_eq!((c.ckpt_every, c.ckpt_dir()), (None, crate::results_dir()));
         assert_eq!((c.trace_mode(), c.summary, c.trace_dir.clone()), (TraceMode::Off, false, None));

@@ -35,8 +35,8 @@
 //! NKT_GRID=4x2` runs 8 ranks where the slab would need nz >= 16.
 //! Pencil runs suffix the profile/stats name with the grid so slab
 //! baselines stay untouched. `NKT_OVERLAP=0` runs the blocking
-//! transpose, whose alltoall `NKT_A2A_ALGO` picks. A misspelt name or
-//! value exits 2 before any world is built (README "Run configuration").
+//! transpose (pairwise alltoall). A misspelt name or value exits 2
+//! before any world is built (README "Run configuration").
 
 use nektar_repro::ckpt::Checkpointable;
 use nektar_repro::nektar::drive::{cases, drive, DriveError, Hook};
@@ -81,7 +81,6 @@ fn main() {
         let out: Vec<Result<RunOutcome, DriveError>> = world.run(|c| {
             let mut solver = cases::fourier(c, cfg.nz, cfg.grid)?;
             solver.set_overlap(cfg.overlap);
-            solver.set_alltoall_algo(cfg.a2a_algo);
             let mut hook = InjectNan(cfg.inject_nan.filter(|_| c.rank() == 0));
             let out = drive(&mut solver, c, &plan, &mut hook)?;
             if c.rank() == 0 {
