@@ -90,7 +90,10 @@ fn scaling_blocks<const N: usize>(
         writeln!(o)?;
         if run.prof {
             let name = format!("{table}_{}", nkt_prof::slug(label));
-            nkt_prof::profile_and_write(&name, &nkt_trace::take_collected());
+            let ranks = nkt_prof::from_threads(&nkt_trace::take_collected());
+            let profile = nkt_prof::Profile::from_ranks(&name, &ranks);
+            print!("{}", profile.report());
+            nkt_trace::json::write_artifact("PROF", &name, &profile.document());
         }
     }
     Ok(())

@@ -68,19 +68,19 @@ pub const ARTIFACTS: &[(&str, Artifact)] = &[
 /// native calibration (`results/CALIB_flapping_wing_ale.json`, written
 /// by `NKT_CALIB=1 NKT_GS_OVERLAP=1` runs of the flapping-wing
 /// example), re-expanded at this volume via
-/// [`nkt_calib::window_at`]; stages the native run never measured get
+/// [`nkt_prof::window_at`]; stages the native run never measured get
 /// the apply-weighted merged coefficient. Falls back to the analytic
 /// `1 − 6/V^{1/3}` estimate everywhere when no calibration is
 /// committed. Returns the windows plus whether they are measured.
 pub fn ale_stage_overlap(nelems_local: usize) -> ([f64; 7], bool) {
     use nektar::timers::Stage;
     let vol = nelems_local as f64;
-    let mut w = [nkt_calib::window_at(nkt_calib::ANALYTIC_COEF, vol); 7];
+    let mut w = [nkt_prof::window_at(nkt_prof::ANALYTIC_COEF, vol); 7];
     let path = nkt_trace::results_dir().join("CALIB_flapping_wing_ale.json");
-    let Ok(windows) = nkt_calib::load_windows(&path) else {
+    let Ok(windows) = nkt_prof::load_windows(&path) else {
         return (w, false);
     };
-    let Some(merged) = nkt_calib::merged_coef(&windows) else {
+    let Some(merged) = nkt_prof::merged_coef(&windows) else {
         return (w, false);
     };
     for s in Stage::ALL {
@@ -89,7 +89,7 @@ pub fn ale_stage_overlap(nelems_local: usize) -> ([f64; 7], bool) {
             .find(|x| x.stage == s.name())
             .map(|x| x.coef())
             .unwrap_or(merged);
-        w[s.index()] = nkt_calib::window_at(coef, vol);
+        w[s.index()] = nkt_prof::window_at(coef, vol);
     }
     (w, true)
 }

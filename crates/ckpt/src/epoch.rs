@@ -1,5 +1,7 @@
-//! Coordinated checkpoint epochs over `nkt-mpi`, plus the serial
-//! (single-process) variants the 2-D solver uses.
+//! Coordinated checkpoint epochs over `nkt-mpi`. The protocol is written
+//! once ([`write_epoch_on`], [`restore_latest_on`]): given a communicator
+//! it runs the collectives below; given `None` (the serial 2-D solver) it
+//! writes and reads the same files as rank 0 of 1 and skips them.
 //!
 //! ## Write protocol (barrier-delimited epoch)
 //!
@@ -101,8 +103,7 @@ fn check_meta(
     Ok(step)
 }
 
-/// Builds the shard container for one rank (shared by the parallel and
-/// serial writers).
+/// Builds the shard container for one rank.
 fn build_shard(state: &dyn Checkpointable, epoch: u64, rank: usize, nranks: usize) -> CkptWriter {
     let mut w = CkptWriter::new();
     w.section(META_SECTION, meta_section(state, epoch, rank, nranks));
@@ -153,32 +154,75 @@ fn read_manifest(cfg: &CkptConfig, epoch: u64) -> Result<(u64, usize), CkptError
     Ok((step, nranks))
 }
 
-/// Coordinated epoch write for a rank-parallel solver. Call from every
-/// rank with the same `step`; returns only after the epoch is either
-/// fully committed (manifest on disk) or collectively abandoned.
+/// Epoch write, called from every rank with the same `step`: the
+/// coordinated protocol over `comm`, or with `None` the same files from
+/// one process (`rank = 0`, `nranks = 1`) and no collectives. Returns only
+/// after the epoch is either fully committed (manifest on disk) or
+/// collectively abandoned.
+pub fn write_epoch_on(
+    mut comm: Option<&mut Comm>,
+    cfg: &CkptConfig,
+    step: usize,
+    state: &dyn Checkpointable,
+) -> Result<(), CkptError> {
+    let sp = nkt_trace::span_v("ckpt.write", "ckpt", wtime(&comm));
+    let result = write_epoch_inner(comm.as_deref_mut(), cfg, step as u64, state);
+    sp.end_v(wtime(&comm));
+    result
+}
+
+/// [`write_epoch_on`] over `comm`. New code calls `write_epoch_on`;
+/// `perfbench` compiles against this name.
 pub fn write_epoch(
     comm: &mut Comm,
     cfg: &CkptConfig,
     step: usize,
     state: &dyn Checkpointable,
 ) -> Result<(), CkptError> {
-    let epoch = step as u64;
-    let sp = nkt_trace::span_v("ckpt.write", "ckpt", comm.wtime());
-    let result = write_epoch_inner(comm, cfg, epoch, state);
-    sp.end_v(comm.wtime());
-    result
+    write_epoch_on(Some(comm), cfg, step, state)
+}
+
+/// [`write_epoch_on`] without a communicator. New code calls
+/// `write_epoch_on(None, ..)`; `perfbench` compiles against this name.
+pub fn write_epoch_serial(
+    cfg: &CkptConfig,
+    step: usize,
+    state: &dyn Checkpointable,
+) -> Result<(), CkptError> {
+    write_epoch_on(None, cfg, step, state)
+}
+
+/// The virtual clock of `comm`; `NaN` (a host-only span) without one.
+fn wtime(comm: &Option<&mut Comm>) -> f64 {
+    comm.as_ref().map_or(f64::NAN, |c| c.wtime())
+}
+
+/// `(rank, nranks)` of `comm`; a serial run is rank 0 of 1.
+fn identity(comm: &Option<&mut Comm>) -> (usize, usize) {
+    comm.as_ref().map_or((0, 1), |c| (c.rank(), c.size()))
+}
+
+/// Whether every rank's `ok` holds (the allreduce-Min of the flags;
+/// the flag itself without a communicator).
+fn all_ok(comm: &mut Option<&mut Comm>, ok: bool) -> bool {
+    let mut flag = [if ok { 1.0 } else { 0.0 }];
+    if let Some(c) = comm {
+        c.allreduce(&mut flag, ReduceOp::Min);
+    }
+    flag[0] >= 1.0
 }
 
 fn write_epoch_inner(
-    comm: &mut Comm,
+    mut comm: Option<&mut Comm>,
     cfg: &CkptConfig,
     epoch: u64,
     state: &dyn Checkpointable,
 ) -> Result<(), CkptError> {
-    comm.quiesce();
+    if let Some(c) = comm.as_deref_mut() {
+        c.quiesce();
+    }
 
-    let rank = comm.rank();
-    let nranks = comm.size();
+    let (rank, nranks) = identity(&comm);
     let shard_result: Result<u64, CkptError> = (|| {
         ensure_dir(&cfg.dir)?;
         let w = build_shard(state, epoch, rank, nranks);
@@ -186,9 +230,7 @@ fn write_epoch_inner(
         Ok(bytes)
     })();
 
-    let mut ok = [if shard_result.is_ok() { 1.0 } else { 0.0 }];
-    comm.allreduce(&mut ok, ReduceOp::Min);
-    match (&shard_result, ok[0] >= 1.0) {
+    match (&shard_result, all_ok(&mut comm, shard_result.is_ok())) {
         (Ok(bytes), true) => {
             nkt_trace::counter_add("ckpt.write.bytes", *bytes);
             nkt_trace::counter_add("ckpt.write.shards", 1);
@@ -203,63 +245,83 @@ fn write_epoch_inner(
     }
 
     // All shards are durably in place past this barrier; commit.
-    comm.barrier();
-    let mut commit_ok = [1.0f64];
-    if rank == 0 {
-        if write_manifest(cfg, epoch, state.ckpt_step(), nranks).is_err() {
-            commit_ok[0] = 0.0;
-        } else {
+    if let Some(c) = comm.as_deref_mut() {
+        c.barrier();
+    }
+    let commit = if rank == 0 {
+        write_manifest(cfg, epoch, state.ckpt_step(), nranks).map(|()| {
             for old in cfg.list_epochs().into_iter().skip(cfg.keep) {
                 cfg.remove_epoch(old, nranks);
             }
-        }
-    }
-    comm.bcast(0, &mut commit_ok);
+        })
+    } else {
+        Ok(())
+    };
+    let Some(c) = comm else { return commit };
+    let mut commit_ok = [if commit.is_ok() { 1.0 } else { 0.0 }];
+    c.bcast(0, &mut commit_ok);
     if commit_ok[0] < 1.0 {
         return Err(CkptError::PeerFailed { epoch });
     }
     Ok(())
 }
 
-/// Collectively finds the newest epoch every rank can restore from and
-/// applies it to `state`. Returns [`RestoreInfo`] or
-/// [`CkptError::NoValidEpoch`] when nothing on disk survives validation.
+/// Finds the newest epoch every rank can restore from — collectively
+/// over `comm`, or with `None` in one process — and applies it to
+/// `state`. Returns [`RestoreInfo`] or [`CkptError::NoValidEpoch`] when
+/// nothing on disk survives validation.
+pub fn restore_latest_on(
+    mut comm: Option<&mut Comm>,
+    cfg: &CkptConfig,
+    state: &mut dyn Checkpointable,
+) -> Result<RestoreInfo, CkptError> {
+    let sp = nkt_trace::span_v("ckpt.restore", "ckpt", wtime(&comm));
+    let result = restore_latest_inner(comm.as_deref_mut(), cfg, state);
+    sp.end_v(wtime(&comm));
+    result
+}
+
+/// [`restore_latest_on`] over `comm`. New code calls
+/// `restore_latest_on`; `perfbench` compiles against this name.
 pub fn restore_latest(
     comm: &mut Comm,
     cfg: &CkptConfig,
     state: &mut dyn Checkpointable,
 ) -> Result<RestoreInfo, CkptError> {
-    let sp = nkt_trace::span_v("ckpt.restore", "ckpt", comm.wtime());
-    let result = restore_latest_inner(comm, cfg, state);
-    sp.end_v(comm.wtime());
-    result
+    restore_latest_on(Some(comm), cfg, state)
 }
 
-fn restore_latest_inner(
-    comm: &mut Comm,
+/// [`restore_latest_on`] without a communicator. New code calls
+/// `restore_latest_on(None, ..)`; `perfbench` compiles against this name.
+pub fn restore_latest_serial(
     cfg: &CkptConfig,
     state: &mut dyn Checkpointable,
 ) -> Result<RestoreInfo, CkptError> {
-    let rank = comm.rank();
-    let nranks = comm.size();
+    restore_latest_on(None, cfg, state)
+}
+
+fn restore_latest_inner(
+    mut comm: Option<&mut Comm>,
+    cfg: &CkptConfig,
+    state: &mut dyn Checkpointable,
+) -> Result<RestoreInfo, CkptError> {
+    let (rank, nranks) = identity(&comm);
 
     // Rank 0 lists candidate epochs (newest first) and broadcasts them.
     // Epochs are step numbers — far below 2^53, so the f64 transport the
     // collectives use is exact.
-    let mut count = [0.0f64];
-    let epochs_r0: Vec<u64> = if rank == 0 { cfg.list_epochs() } else { Vec::new() };
-    if rank == 0 {
-        count[0] = epochs_r0.len() as f64;
+    let mut epochs: Vec<u64> = if rank == 0 { cfg.list_epochs() } else { Vec::new() };
+    if let Some(c) = comm.as_deref_mut() {
+        let mut count = [epochs.len() as f64];
+        c.bcast(0, &mut count);
+        let mut buf: Vec<f64> = if rank == 0 {
+            epochs.iter().map(|&e| e as f64).collect()
+        } else {
+            vec![0.0; count[0] as usize]
+        };
+        c.bcast(0, &mut buf);
+        epochs = buf.iter().map(|&e| e as u64).collect();
     }
-    comm.bcast(0, &mut count);
-    let n = count[0] as usize;
-    let mut buf: Vec<f64> = if rank == 0 {
-        epochs_r0.iter().map(|&e| e as f64).collect()
-    } else {
-        vec![0.0; n]
-    };
-    comm.bcast(0, &mut buf);
-    let epochs: Vec<u64> = buf.iter().map(|&e| e as u64).collect();
 
     let mut tried = Vec::new();
     let mut last_cause: Option<String> = None;
@@ -283,9 +345,8 @@ fn restore_latest_inner(
             Ok((f, step))
         })();
 
-        let mut ok = [if local.is_ok() { 1.0 } else { 0.0 }];
-        comm.allreduce(&mut ok, ReduceOp::Min);
-        match (local, ok[0] >= 1.0) {
+        let agreed = all_ok(&mut comm, local.is_ok());
+        match (local, agreed) {
             (Ok((f, step)), true) => {
                 state.read_sections(&f)?;
                 nkt_trace::counter_add("ckpt.restore.bytes", f.payload_bytes());
@@ -310,80 +371,4 @@ fn restore_latest_inner(
         }
     }
     Err(CkptError::NoValidEpoch { tried, last_cause })
-}
-
-/// Serial (single-process) epoch write for the 2-D solver: same file
-/// layout with `rank = 0`, `nranks = 1`, no collectives.
-pub fn write_epoch_serial(
-    cfg: &CkptConfig,
-    step: usize,
-    state: &dyn Checkpointable,
-) -> Result<(), CkptError> {
-    let epoch = step as u64;
-    let sp = nkt_trace::span("ckpt.write", "ckpt");
-    let result = (|| {
-        ensure_dir(&cfg.dir)?;
-        let w = build_shard(state, epoch, 0, 1);
-        let bytes = w.write_to(&cfg.shard_path(epoch, 0))?;
-        write_manifest(cfg, epoch, state.ckpt_step(), 1)?;
-        nkt_trace::counter_add("ckpt.write.bytes", bytes);
-        nkt_trace::counter_add("ckpt.write.shards", 1);
-        for old in cfg.list_epochs().into_iter().skip(cfg.keep) {
-            cfg.remove_epoch(old, 1);
-        }
-        Ok(())
-    })();
-    sp.end();
-    result
-}
-
-/// Serial restore: newest epoch that validates, with the same
-/// fall-back-to-previous behaviour as the coordinated path.
-pub fn restore_latest_serial(
-    cfg: &CkptConfig,
-    state: &mut dyn Checkpointable,
-) -> Result<RestoreInfo, CkptError> {
-    let sp = nkt_trace::span("ckpt.restore", "ckpt");
-    let result = (|| {
-        let mut tried = Vec::new();
-        let mut last_cause = None;
-        let mut fell_back = false;
-        for epoch in cfg.list_epochs() {
-            tried.push(epoch);
-            let attempt: Result<(CkptFile, u64), CkptError> = (|| {
-                let (step, man_ranks) = read_manifest(cfg, epoch)?;
-                if man_ranks != 1 {
-                    return Err(CkptError::Manifest {
-                        what: format!("epoch {epoch} was written by {man_ranks} ranks, expected 1"),
-                    });
-                }
-                let (f, shard_step) = open_shard(&cfg.shard_path(epoch, 0), state.kind(), epoch, 0, 1)?;
-                if shard_step != step {
-                    return Err(CkptError::Manifest {
-                        what: format!("epoch {epoch}: shard records step {shard_step}, manifest {step}"),
-                    });
-                }
-                Ok((f, step))
-            })();
-            match attempt {
-                Ok((f, step)) => {
-                    state.read_sections(&f)?;
-                    nkt_trace::counter_add("ckpt.restore.bytes", f.payload_bytes());
-                    nkt_trace::counter_add("ckpt.restore.shards", 1);
-                    if fell_back {
-                        nkt_trace::counter_add("ckpt.restore.fallbacks", 1);
-                        nkt_trace::flight::dump_current(0, "ckpt epoch fell back");
-                    }
-                    return Ok(RestoreInfo { epoch, step, fell_back });
-                }
-                Err(e) => {
-                    last_cause.get_or_insert_with(|| e.to_string());
-                    fell_back = true;
-                }
-            }
-        }
-        Err(CkptError::NoValidEpoch { tried, last_cause })
-    })();
-    sp.end();
-    result
 }

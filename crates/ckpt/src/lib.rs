@@ -13,10 +13,11 @@
 //! * the [`Checkpointable`] trait ([`traits`]) the three solver state
 //!   machines implement, with a deterministic [`state_hash`] that
 //!   excludes the wall-clock ledger;
-//! * a **coordinated epoch protocol** ([`epoch`]) for the rank-parallel
-//!   solvers: barrier-delimited quiesce, per-rank shards, a rank-0
-//!   manifest as the commit record, CRC-validated collective restore
-//!   with fall-back to the previous epoch on a torn or corrupted set;
+//! * one **coordinated epoch protocol** ([`epoch`]): barrier-delimited
+//!   quiesce, per-rank shards, a rank-0 manifest as the commit record,
+//!   CRC-validated collective restore with fall-back to the previous
+//!   epoch on a torn or corrupted set — the serial 2-D solver runs the
+//!   same protocol without a communicator, as rank 0 of 1;
 //! * env-driven **policy** ([`policy`]): `NKT_CKPT_EVERY` /
 //!   `NKT_CKPT_DIR`.
 //!
@@ -37,7 +38,8 @@ pub mod traits;
 
 pub use codec::{Dec, Enc};
 pub use epoch::{
-    restore_latest, restore_latest_serial, write_epoch, write_epoch_serial, RestoreInfo,
+    restore_latest, restore_latest_on, restore_latest_serial, write_epoch, write_epoch_on,
+    write_epoch_serial, RestoreInfo,
 };
 pub use error::CkptError;
 pub use format::{crc32, CkptFile, CkptWriter, FORMAT_VERSION, MAGIC};

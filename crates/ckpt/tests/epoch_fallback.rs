@@ -6,7 +6,8 @@
 //! property: `CkptFile::parse` never panics, whatever the bytes.
 
 use nkt_ckpt::{
-    restore_latest, write_epoch, Checkpointable, CkptConfig, CkptError, CkptFile, CkptWriter, Enc,
+    restore_latest_on, write_epoch_on, Checkpointable, CkptConfig, CkptError, CkptFile,
+    CkptWriter, Enc,
 };
 use nkt_net::{cluster, ClusterNetwork, NetId};
 use std::path::{Path, PathBuf};
@@ -77,13 +78,13 @@ fn write_two_epochs(cfg: &CkptConfig) {
     run(2, net(), |c| {
         for step in [2usize, 4] {
             let s = Toy::at(c.rank(), step as u64);
-            write_epoch(c, cfg, step, &s).expect("write_epoch");
+            write_epoch_on(Some(c), cfg, step, &s).expect("write_epoch");
         }
     });
 }
 
 /// An epoch cut taken while a nonblocking receive is posted and its
-/// payload is still in flight: the quiesce inside `write_epoch` must
+/// payload is still in flight: the quiesce inside `write_epoch_on` must
 /// bind the message to the posted request (drained, not lost), the
 /// epoch must commit, and the wait after the cut must still deliver.
 #[test]
@@ -96,7 +97,7 @@ fn epoch_cut_preserves_posted_irecv() {
             c.send(1, 9, &[4.25, 8.5]);
         }
         let s = Toy::at(c.rank(), 3);
-        write_epoch(c, &cfg, 3, &s).expect("write_epoch with an irecv posted");
+        write_epoch_on(Some(c), &cfg, 3, &s).expect("write_epoch with an irecv posted");
         match req {
             Some(r) => c.wait(&r).data.clone(),
             None => Vec::new(),
@@ -105,7 +106,7 @@ fn epoch_cut_preserves_posted_irecv() {
     assert_eq!(out[1], vec![4.25, 8.5], "payload must survive the epoch cut");
     let restored = run(2, net(), |c| {
         let mut s = Toy { vals: Vec::new(), step: 0 };
-        let info = restore_latest(c, &cfg, &mut s).expect("restore after irecv epoch");
+        let info = restore_latest_on(Some(c), &cfg, &mut s).expect("restore after irecv epoch");
         (info.epoch, s.state_hash())
     });
     for (rank, (epoch, hash)) in restored.iter().enumerate() {
@@ -128,7 +129,8 @@ fn corrupt_shard_falls_back_collectively() {
 
     let out: Vec<(u64, u64, bool, u64)> = run(2, net(), |c| {
         let mut s = Toy { vals: Vec::new(), step: 0 };
-        let info = restore_latest(c, &cfg, &mut s).expect("restore must fall back, not fail");
+        let info =
+            restore_latest_on(Some(c), &cfg, &mut s).expect("restore must fall back, not fail");
         (info.epoch, info.step, info.fell_back, s.state_hash())
     });
     for (rank, (epoch, step, fell_back, hash)) in out.iter().enumerate() {
@@ -153,7 +155,7 @@ fn truncated_shard_falls_back() {
 
     let out = run(2, net(), |c| {
         let mut s = Toy { vals: Vec::new(), step: 0 };
-        restore_latest(c, &cfg, &mut s).expect("fallback expected").epoch
+        restore_latest_on(Some(c), &cfg, &mut s).expect("fallback expected").epoch
     });
     assert_eq!(out, vec![2, 2]);
     std::fs::remove_dir_all(&dir).ok();
@@ -173,7 +175,7 @@ fn all_epochs_corrupt_is_no_valid_epoch() {
 
     let out: Vec<Vec<u64>> = run(2, net(), |c| {
         let mut s = Toy { vals: Vec::new(), step: 0 };
-        match restore_latest(c, &cfg, &mut s) {
+        match restore_latest_on(Some(c), &cfg, &mut s) {
             Ok(info) => panic!("restored epoch {} from all-corrupt set", info.epoch),
             Err(CkptError::NoValidEpoch { tried, .. }) => tried,
             Err(other) => panic!("expected NoValidEpoch, got: {other}"),
@@ -195,7 +197,7 @@ fn empty_dir_is_no_valid_epoch_with_empty_tried() {
     let cfg = CkptConfig::new(&dir, "toyrun", None);
     let out = run(2, net(), |c| {
         let mut s = Toy { vals: Vec::new(), step: 0 };
-        match restore_latest(c, &cfg, &mut s) {
+        match restore_latest_on(Some(c), &cfg, &mut s) {
             Err(CkptError::NoValidEpoch { tried, .. }) => tried.is_empty(),
             other => panic!("expected NoValidEpoch, got: {other:?}"),
         }
@@ -214,7 +216,7 @@ fn writer_prunes_beyond_keep() {
     run(2, net(), |c| {
         for step in [2usize, 4, 6] {
             let s = Toy::at(c.rank(), step as u64);
-            write_epoch(c, &cfg, step, &s).expect("write_epoch");
+            write_epoch_on(Some(c), &cfg, step, &s).expect("write_epoch");
         }
     });
     assert!(!cfg.manifest_path(2).exists(), "epoch 2 manifest should be pruned");
@@ -223,7 +225,7 @@ fn writer_prunes_beyond_keep() {
 
     let out = run(2, net(), |c| {
         let mut s = Toy { vals: Vec::new(), step: 0 };
-        restore_latest(c, &cfg, &mut s).expect("restore").epoch
+        restore_latest_on(Some(c), &cfg, &mut s).expect("restore").epoch
     });
     assert_eq!(out, vec![6, 6]);
     std::fs::remove_dir_all(&dir).ok();

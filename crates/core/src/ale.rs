@@ -720,7 +720,7 @@ impl NektarAle {
 
     /// Collective restore from the newest valid checkpoint epoch.
     ///
-    /// Wraps [`nkt_ckpt::restore_latest`] because rebuilding the moving
+    /// Wraps [`nkt_ckpt::restore_latest_on`] because rebuilding the moving
     /// mesh needs the communicator: after the sections are read back
     /// (vertex positions, per-element scales), the Helmholtz diagonal
     /// preconditioners that [`NektarAle::step`] keeps in sync with the
@@ -734,7 +734,7 @@ impl NektarAle {
         comm: &mut Comm,
         cfg: &nkt_ckpt::CkptConfig,
     ) -> Result<nkt_ckpt::RestoreInfo, nkt_ckpt::CkptError> {
-        let info = nkt_ckpt::restore_latest(comm, cfg, self)?;
+        let info = nkt_ckpt::restore_latest_on(Some(comm), cfg, self)?;
         self.rebuild_after_restore(comm);
         Ok(info)
     }
@@ -751,7 +751,7 @@ impl NektarAle {
     ) -> Result<nkt_ckpt::RestoreInfo, nkt_ckpt::CkptError> {
         let info = {
             let mut t = nkt_ckpt::TandemMut { main: self, rider };
-            nkt_ckpt::restore_latest(comm, cfg, &mut t)?
+            nkt_ckpt::restore_latest_on(Some(comm), cfg, &mut t)?
         };
         self.rebuild_after_restore(comm);
         Ok(info)

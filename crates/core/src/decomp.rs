@@ -60,8 +60,8 @@ pub(crate) fn fft_virtual_secs(len: usize, batch: usize) -> f64 {
 /// Runs one field's host-side FFT work (pack or unpack closure) inside
 /// a `kernel`-cat span carrying the modeled flop count, then charges
 /// the modeled virtual seconds. The span's host duration measures the
-/// real transform work, so `nkt-calib` can put measured next to modeled
-/// for the FFT kernel family.
+/// real transform work, so the calibration (`nkt-prof`) can put measured
+/// next to modeled for the FFT kernel family.
 pub(crate) fn fft_kernel<T>(
     comm: &mut Comm,
     len: usize,

@@ -89,11 +89,7 @@ pub trait Simulation: Checkpointable + Sized {
         ckpt: &CkptConfig,
         rec: &mut StatsRecorder,
     ) -> Result<RestoreInfo, CkptError> {
-        let mut both = TandemMut { main: self, rider: rec };
-        match ctx.comm() {
-            Some(c) => nkt_ckpt::restore_latest(c, ckpt, &mut both),
-            None => nkt_ckpt::restore_latest_serial(ckpt, &mut both),
-        }
+        nkt_ckpt::restore_latest_on(ctx.comm(), ckpt, &mut TandemMut { main: self, rider: rec })
     }
 
     /// Global kinetic energy.
@@ -257,10 +253,7 @@ pub fn drive<S: Simulation>(
                 rec.fold(c);
             }
             let both = TandemMut { main: &mut *sim, rider: &mut rec };
-            match ctx.comm() {
-                Some(c) => nkt_ckpt::write_epoch(c, &plan.ckpt, step as usize, &both)?,
-                None => nkt_ckpt::write_epoch_serial(&plan.ckpt, step as usize, &both)?,
-            }
+            nkt_ckpt::write_epoch_on(ctx.comm(), &plan.ckpt, step as usize, &both)?;
             let flow = hook.cut(ctx, step);
             if let Some(c) = ctx.comm() {
                 rec.rebaseline(c);

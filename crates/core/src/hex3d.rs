@@ -611,7 +611,7 @@ impl HexHelmholtz {
             ex.finish(comm, y);
             // The measured overlap window: how many elements this apply
             // really had available to hide the exchange behind, consumed
-            // per stage by nkt-calib (`gs.window` records).
+            // per stage by the calibration in nkt-prof (`gs.window` records).
             nkt_trace::record_vspan_args(
                 "gs.window",
                 "gs",

@@ -11,8 +11,8 @@ use nektar::ale::{AleConfig, NektarAle};
 use nektar::fourier::{FourierConfig, NektarF};
 use nektar::{Serial2dSolver, SolverConfig};
 use nkt_ckpt::{
-    restore_latest, restore_latest_serial, write_epoch, write_epoch_serial, Checkpointable,
-    CkptConfig, CkptError, CkptFile, CkptWriter, Dec, Enc,
+    restore_latest_on, write_epoch_on, Checkpointable, CkptConfig, CkptError, CkptFile,
+    CkptWriter, Dec, Enc,
 };
 use nkt_mesh::{box_hexes, rect_quads, Mesh2d, Mesh3d};
 use nkt_net::{cluster, ClusterNetwork, NetId};
@@ -139,12 +139,12 @@ prop_check! {
         for _ in 0..kill {
             victim.step();
         }
-        write_epoch_serial(&cfg, kill, &victim).expect("write_epoch_serial");
+        write_epoch_on(None, &cfg, kill, &victim).expect("serial write_epoch_on");
         drop(victim);
 
         // Restore into a fresh solver and continue.
         let mut restored = serial_solver();
-        let info = restore_latest_serial(&cfg, &mut restored).expect("restore_latest_serial");
+        let info = restore_latest_on(None, &cfg, &mut restored).expect("serial restore_latest_on");
         prop_assert_eq!(info.step, kill as u64);
         prop_assert!(!info.fell_back, "single-epoch restore must not fall back");
         prop_assert_eq!(restored.state_hash(), ref_hashes[kill - 1],
@@ -185,13 +185,13 @@ prop_check! {
             for _ in 0..kill {
                 s.step(c);
             }
-            write_epoch(c, &cfg, kill, &s).expect("write_epoch");
+            write_epoch_on(Some(c), &cfg, kill, &s).expect("write_epoch");
         });
 
         // Restored world: fresh solvers, restore, continue, hash.
         let got: Vec<(u64, bool, Vec<u64>)> = run(np, net(), |c| {
             let mut s = NektarF::new(c, &mesh, fourier_cfg());
-            let info = restore_latest(c, &cfg, &mut s).expect("restore_latest");
+            let info = restore_latest_on(Some(c), &cfg, &mut s).expect("restore_latest");
             let mut hashes = vec![s.state_hash()];
             for _ in kill..NSTEPS {
                 s.step(c);
@@ -242,7 +242,7 @@ prop_check! {
             for _ in 0..kill {
                 s.step(c);
             }
-            write_epoch(c, &cfg, kill, &s).expect("write_epoch");
+            write_epoch_on(Some(c), &cfg, kill, &s).expect("write_epoch");
         });
 
         let got: Vec<(u64, Vec<u64>)> = run(P, net(), |c| {
@@ -278,12 +278,12 @@ fn serial2d_restore_into_wrong_discretisation_is_typed_error() {
     let cfg = CkptConfig::new(&dir, "wrong_disc", None);
     let mut donor = serial_solver();
     donor.step();
-    write_epoch_serial(&cfg, 1, &donor).expect("write");
+    write_epoch_on(None, &cfg, 1, &donor).expect("write");
 
     // Same mesh, higher order: different ndof.
     let scfg = SolverConfig { order: 6, dt: 2e-3, nu: 0.05, scheme_order: 2, advect: true };
     let mut other = Serial2dSolver::new(mesh2d(), scfg, |_| 0.0, |_| 0.0);
-    let err = restore_latest_serial(&cfg, &mut other)
+    let err = restore_latest_on(None, &cfg, &mut other)
         .expect_err("dof mismatch must be detected");
     assert!(
         matches!(err, nkt_ckpt::CkptError::StateMismatch { .. }),

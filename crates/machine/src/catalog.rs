@@ -7,6 +7,7 @@
 //! paper-vs-model record).
 
 use crate::model::{CacheLevel, KernelEfficiency, Machine};
+use nkt_net::NetId;
 
 /// Identifiers for the machines compared in the paper (§2 items 1–10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,6 +53,23 @@ impl MachineId {
     /// Paper display name.
     pub fn name(self) -> &'static str {
         machine(self).name
+    }
+
+    /// The machine whose nodes sit on `net`: every catalog network
+    /// belongs to exactly one paper machine (both RoadRunner fabrics to
+    /// RoadRunner, both Muses MPI stacks to Muses).
+    pub fn hosting(net: NetId) -> MachineId {
+        match net {
+            NetId::RoadRunnerEth | NetId::RoadRunnerMyr => MachineId::RoadRunner,
+            NetId::MusesMpich | NetId::MusesLam => MachineId::Muses,
+            NetId::Sp2Silver => MachineId::Sp2Silver,
+            NetId::Sp2Thin2 => MachineId::Sp2Thin2,
+            NetId::Onyx2 => MachineId::Onyx2,
+            NetId::Ncsa => MachineId::Ncsa,
+            NetId::Ap3000 => MachineId::Ap3000,
+            NetId::T3e => MachineId::T3e,
+            NetId::Hitachi => MachineId::Hitachi,
+        }
     }
 }
 
@@ -230,6 +248,18 @@ pub fn machines_fig_right() -> Vec<Machine> {
 mod tests {
     use super::*;
     use crate::model::Kernel;
+
+    #[test]
+    fn machine_mapping_covers_every_net() {
+        for id in NetId::ALL {
+            // Every catalog network maps without panicking, and the two
+            // RoadRunner fabrics share the RoadRunner nodes.
+            let m = MachineId::hosting(id);
+            if matches!(id, NetId::RoadRunnerEth | NetId::RoadRunnerMyr) {
+                assert_eq!(m, MachineId::RoadRunner);
+            }
+        }
+    }
 
     #[test]
     fn all_ten_machines_build() {

@@ -37,24 +37,18 @@ pub struct WorldOpts {
     pub recv_deadline: Option<Duration>,
 }
 
-/// Per-rank hook invoked by the harness around the rank closure (e.g. a
-/// checkpoint restore on entry, a final flush/quiesce on exit).
-type RankHook = Arc<dyn Fn(&mut Comm) + Send + Sync>;
-
 /// A virtual-time MPI world. Construct one run at a time through
 /// [`World::builder`] (or the [`World::from_env`] preset).
 pub struct World;
 
 impl World {
     /// A builder with defaults: 1 rank, no network (must be set), no
-    /// recv deadline, no hooks.
+    /// recv deadline.
     pub fn builder() -> WorldBuilder {
         WorldBuilder {
             ranks: 1,
             net: None,
             opts: WorldOpts::default(),
-            on_rank_start: None,
-            on_rank_exit: None,
             trace_scope: None,
             trace_dir: None,
             flight_run: None,
@@ -75,8 +69,6 @@ pub struct WorldBuilder {
     ranks: usize,
     net: Option<ClusterNetwork>,
     opts: WorldOpts,
-    on_rank_start: Option<RankHook>,
-    on_rank_exit: Option<RankHook>,
     trace_scope: Option<u64>,
     trace_dir: Option<std::path::PathBuf>,
     flight_run: Option<String>,
@@ -109,15 +101,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Hook run on every rank after its [`Comm`] is created and before
-    /// the rank closure — the checkpoint-restore seam: restore solver
-    /// state from the newest epoch here so every entry path resumes
-    /// identically.
-    pub fn on_rank_start(mut self, f: impl Fn(&mut Comm) + Send + Sync + 'static) -> Self {
-        self.on_rank_start = Some(Arc::new(f));
-        self
-    }
-
     /// Tags every rank thread with a trace isolation scope (see
     /// `nkt_trace::set_thread_scope`): the world's spans/counters drain
     /// into the collector under this scope, so concurrent worlds in one
@@ -147,20 +130,15 @@ impl WorldBuilder {
         self
     }
 
-    /// Hook run on every rank after the rank closure returns — e.g.
-    /// flush a final checkpoint epoch or assert quiescence
-    /// ([`Comm::quiesce`]) before the world tears down.
-    pub fn on_rank_exit(mut self, f: impl Fn(&mut Comm) + Send + Sync + 'static) -> Self {
-        self.on_rank_exit = Some(Arc::new(f));
-        self
-    }
-
     /// Spawns the world and runs `f` on every rank, returning each
     /// rank's result in rank order.
     ///
     /// Data exchange is real (`std::sync::mpsc` channels — unbounded, so
     /// eager sends never block); time is virtual (see [`Comm`]). The
-    /// closure gets a mutable [`Comm`] bound to its rank.
+    /// closure gets a mutable [`Comm`] bound to its rank and is the
+    /// rank's whole life: anything to do on entry or before teardown (a
+    /// checkpoint restore, a final epoch — `nektar::drive::drive` does
+    /// both) happens inside it.
     ///
     /// # Panics
     /// Panics if no network was set; propagates a panic from any rank
@@ -175,8 +153,6 @@ impl WorldBuilder {
         assert!(p >= 1, "World: need at least one rank");
         let net = Arc::new(self.net.expect("World: no network set — call .net(...)"));
         let opts = self.opts;
-        let on_start = self.on_rank_start;
-        let on_exit = self.on_rank_exit;
         let trace_scope = self.trace_scope;
         let trace_dir = self.trace_dir;
         let flight_run = self.flight_run;
@@ -197,8 +173,6 @@ impl WorldBuilder {
                 let net = Arc::clone(&net);
                 let poison = Arc::clone(&poison);
                 let blocked = Arc::clone(&blocked);
-                let on_start = on_start.clone();
-                let on_exit = on_exit.clone();
                 let trace_dir = trace_dir.clone();
                 let flight_run = flight_run.clone();
                 handles.push(scope.spawn(move || {
@@ -222,13 +196,7 @@ impl WorldBuilder {
                     nkt_trace::set_thread_meta(format!("rank {rank}"), Some(rank));
                     let mut comm =
                         Comm::new(rank, p, net, txs, rx, poison, blocked, opts.recv_deadline);
-                    if let Some(hook) = &on_start {
-                        hook(&mut comm);
-                    }
                     let out = f(&mut comm);
-                    if let Some(hook) = &on_exit {
-                        hook(&mut comm);
-                    }
                     comm.publish_trace_counters();
                     nkt_trace::flush_thread();
                     out
@@ -288,33 +256,6 @@ mod tests {
             (c.rank(), v[0])
         });
         assert_eq!(out, vec![(0, 3.0)]);
-    }
-
-    #[test]
-    fn rank_hooks_bracket_the_closure() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let started = Arc::new(AtomicUsize::new(0));
-        let exited = Arc::new(AtomicUsize::new(0));
-        let (s, e) = (Arc::clone(&started), Arc::clone(&exited));
-        let out = World::builder()
-            .ranks(3)
-            .net(testnet())
-            .on_rank_start(move |c| {
-                s.fetch_add(1 + c.rank(), Ordering::SeqCst);
-            })
-            .on_rank_exit(move |c| {
-                // All ranks' closures ran before any exit hook can see a
-                // quiesced world; just count.
-                e.fetch_add(1, Ordering::SeqCst);
-                c.barrier();
-            })
-            .run(|c| {
-                c.barrier();
-                c.rank()
-            });
-        assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(started.load(Ordering::SeqCst), 1 + 2 + 3);
-        assert_eq!(exited.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! timeline, so every number here is bit-reproducible across runs of
 //! the same seeded simulation.
 
-use crate::model::PRank;
+use crate::model::{entry, PRank};
 
 /// Per-op MPI attribution across all ranks (one row of the profile's
 /// Table-2-style attribution table).
@@ -36,7 +36,7 @@ pub struct OpStat {
 }
 
 /// One cell of the communication matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatrixCell {
     /// Sending rank.
     pub src: usize,
@@ -169,13 +169,10 @@ pub fn comm_matrix(ranks: &[PRank]) -> Vec<MatrixCell> {
             let Some(peer) = s.arg("peer") else { continue };
             let (src, dst) = (r.rank, peer as usize);
             let bytes = s.arg("bytes").unwrap_or(0.0) as u64;
-            match cells.iter_mut().find(|c| c.src == src && c.dst == dst) {
-                Some(c) => {
-                    c.msgs += 1;
-                    c.bytes += bytes;
-                }
-                None => cells.push(MatrixCell { src, dst, msgs: 1, bytes }),
-            }
+            let new = || MatrixCell { src, dst, ..MatrixCell::default() };
+            let c = entry(&mut cells, |c| c.src == src && c.dst == dst, new);
+            c.msgs += 1;
+            c.bytes += bytes;
         }
     }
     cells.sort_by_key(|c| (c.src, c.dst));

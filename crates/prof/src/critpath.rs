@@ -10,7 +10,7 @@
 //! into op/stage buckets by interval intersection with each rank's
 //! recorded spans.
 
-use crate::model::{PRank, PSpan};
+use crate::model::{entry, PRank, PSpan};
 
 /// One segment of the critical path, in walk (reverse-time) order.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,10 +189,7 @@ fn compose(ranks: &[PRank], segments: &[CpSegment]) -> Vec<(String, f64)> {
         if dt <= 0.0 {
             return;
         }
-        match buckets.iter_mut().find(|(l, _)| l == label) {
-            Some((_, v)) => *v += dt,
-            None => buckets.push((label.to_string(), dt)),
-        }
+        entry(buckets, |(l, _)| l == label, || (label.to_string(), 0.0)).1 += dt;
     };
     for seg in segments {
         if seg.kind == "wire" {

@@ -1,10 +1,14 @@
-//! # nkt-prof — cluster-wide post-run profiler over nkt-trace
+//! # nkt-prof — one post-run analysis over nkt-trace
 //!
-//! The paper's question — *is a PC/Linux cluster a real DNS platform?* —
-//! is answered with time attribution tables (Tables 2 and 3): where do
-//! the seconds of a NekTar-F or NekTar-ALE step actually go, and how
-//! much of that is the network's fault? This crate reproduces that kind
-//! of analysis automatically for every traced run:
+//! The paper's method is layered measurement, each level checked
+//! against the next, and its title is a question: does the modeled
+//! story — kernel rooflines (Figures 1–6), α–β networks (Figures 7–8),
+//! the time attribution of Tables 2 and 3 — survive contact with a real
+//! machine? This crate answers both halves for every traced run, as two
+//! documents folded from one conversion of the run's spans.
+//!
+//! **The profile** ([`Profile`], `PROF_<run>.json`): where the seconds
+//! of a step go, and how much of that is the network's fault.
 //!
 //! * **MPI time attribution** (mpiP-style): per-op virtual time split
 //!   into protocol overhead, wire latency, and receiver wait, with
@@ -17,33 +21,64 @@
 //!   span DAG (edges = matched send/receive pairs that waited),
 //!   decomposed into op/stage buckets.
 //!
+//! **The calibration** ([`Calibration`], `CALIB_<run>.json`): the
+//! measured story next to the modeled one.
+//!
+//! * **Drift tracking**: per-stage, per-comm-op and per-kernel rows of
+//!   modeled virtual seconds next to measured host seconds, with the
+//!   drift ratio in the report.
+//! * **Machine-model calibration**: deterministic least-squares fits —
+//!   an α–β latency/bandwidth channel recovered from the run's own p2p
+//!   spans (compared against the static `nkt-net` catalog), and
+//!   Hockney-form `R∞`/`n½` compressions of every `nkt-machine` kernel
+//!   curve, checked against a native BLAS sweep in the report.
+//! * **Measured overlap windows**: the interior/boundary element split
+//!   each split-phase gather-scatter apply actually had, folded per
+//!   stage — the Table 3 / Figures 15–16 replays consume these instead
+//!   of the analytic `1 − 6/V^{1/3}` estimate.
+//!
 //! ## Data flow
 //!
 //! ```text
-//! nkt-mpi / solvers ──spans──▶ nkt-trace ──┬─ take_collected() ─▶ Profile::build      (in-process)
-//!                                          └─ TRACE_<run>.json ─▶ Profile::from_trace_json (offline)
-//!                                                                    │
-//!                                          results/PROF_<run>.json ◀─┴─▶ Profile::report()
+//! nkt-mpi / solvers ──spans──▶ nkt-trace ──┬─ take_collected() ─▶ from_threads     (in-process)
+//!                                          └─ TRACE_<run>.json ─▶ from_trace_json  (offline)
+//!                                                                    │ &[PRank], converted once
+//!                                         ┌──────────────────────────┴────────────┐
+//!                                Profile::from_ranks                  Calibration::from_ranks
+//!                                         │                                       │
+//!                      results/PROF_<run>.json, report()      results/CALIB_<run>.json, report()
 //! ```
 //!
-//! Everything serialized lives on the **virtual** timeline, so
-//! `PROF_<run>.json` is byte-identical across runs of the same seeded
-//! simulation; host wall times appear only in the printed report and in
-//! the [`Profile::stage_ledger_check`] self-check against `StageClock`
-//! ledgers.
+//! Everything serialized lives on the **virtual** timeline (or is an
+//! exact counter), so both documents are byte-identical across runs of
+//! the same seeded simulation and [`gates`] / [`calib_gates`] can hold
+//! them against committed baselines. Host wall times appear only in the
+//! printed reports and in the [`Profile::stage_ledger_check`] self-check
+//! against `StageClock` ledgers.
 //!
-//! `NKT_PROF` is `nkt_trace::config::RunConfig::prof`, which also raises
-//! the recording mode to spans; the caller that parsed it decides
-//! whether to call [`profile_and_write`].
+//! `NKT_PROF` and `NKT_CALIB` are `nkt_trace::config::RunConfig::{prof,
+//! calib}`; each raises the recording mode to spans, and the caller that
+//! parsed them converts its one collector drain once and builds the
+//! documents asked for.
 
 pub mod attrib;
 pub mod critpath;
+pub mod document;
+pub mod drift;
+pub mod fit;
 pub mod model;
+pub mod overlap;
 pub mod profile;
 
 pub use attrib::{comm_matrix, op_stats, stage_stats, MatrixCell, OpStat, StageStat};
 pub use critpath::{critical_path, CpSegment, CriticalPath, MAX_SEGMENTS};
+pub use document::{calib_gates, net_from_run, Calibration};
+pub use drift::{drift_rows, DriftRow, CANONICAL_MFLOPS};
+pub use fit::{alpha_beta_fit, host_sweep, kernel_fits, AlphaBetaFit, HostPoint, KernelFit};
 pub use model::{from_threads, from_trace_json, PRank, PSpan};
+pub use overlap::{
+    load_windows, merged_coef, overlap_windows, window_at, OverlapWindow, ANALYTIC_COEF,
+};
 pub use profile::{gates, Profile};
 
 /// Filesystem-safe run name: lowercase alphanumerics, everything else
@@ -58,20 +93,6 @@ pub fn slug(s: &str) -> String {
         }
     }
     out.trim_matches('_').to_string()
-}
-
-/// Builds the profile of `run` from already-drained thread data (the
-/// collector drains once; `nkt-calib` reads the same snapshot), prints
-/// the report and writes `PROF_<run>.json` into [`nkt_trace::out_dir`].
-pub fn profile_and_write(run: &str, threads: &[nkt_trace::ThreadData]) -> Profile {
-    let p = Profile::build(run, threads);
-    print!("{}", p.report());
-    let file = format!("PROF_{run}.json");
-    match nkt_trace::json::write(&nkt_trace::out_dir(), &file, &p.document()) {
-        Ok((path, _)) => println!("prof: wrote {}", path.display()),
-        Err(e) => eprintln!("prof: cannot write {e}"),
-    }
-    p
 }
 
 #[cfg(test)]

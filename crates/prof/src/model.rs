@@ -49,6 +49,23 @@ pub struct PRank {
     pub spans: Vec<PSpan>,
 }
 
+/// The first element of `rows` that `is` picks, pushed from `new` when
+/// there is none: every fold of the analysis buckets this way, so a
+/// bucket's position is the order its key first appeared in.
+pub(crate) fn entry<'a, T>(
+    rows: &'a mut Vec<T>,
+    is: impl Fn(&T) -> bool,
+    new: impl FnOnce() -> T,
+) -> &'a mut T {
+    match rows.iter().position(is) {
+        Some(i) => &mut rows[i],
+        None => {
+            rows.push(new());
+            rows.last_mut().unwrap()
+        }
+    }
+}
+
 /// Builds rank timelines from in-process collected thread data.
 /// Threads without a rank tag (the main thread, helpers) are dropped;
 /// several `ThreadData` entries for the same rank (checkpoint restarts,
@@ -67,10 +84,8 @@ pub fn from_threads(threads: &[ThreadData]) -> Vec<PRank> {
             depth: e.depth,
             args: e.args.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
         });
-        match out.iter_mut().find(|r| r.rank == rank) {
-            Some(r) => r.spans.extend(spans),
-            None => out.push(PRank { rank, spans: spans.collect() }),
-        }
+        let new = || PRank { rank, spans: Vec::new() };
+        entry(&mut out, |r| r.rank == rank, new).spans.extend(spans);
     }
     out.sort_by_key(|r| r.rank);
     out
@@ -138,10 +153,8 @@ pub fn from_trace_json(text: &str) -> Result<Vec<PRank>, String> {
             depth: get_arg("depth").unwrap_or(0.0) as u32,
             args: extra,
         };
-        match out.iter_mut().find(|r| r.rank == rank) {
-            Some(r) => r.spans.push(span),
-            None => out.push(PRank { rank, spans: vec![span] }),
-        }
+        let new = || PRank { rank, spans: Vec::new() };
+        entry(&mut out, |r| r.rank == rank, new).spans.push(span);
     }
     out.sort_by_key(|r| r.rank);
     Ok(out)

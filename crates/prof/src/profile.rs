@@ -1,13 +1,12 @@
-//! The assembled profile: construction from either trace source, the
-//! deterministic `PROF_<run>.json` document, the human-readable report,
-//! and the StageClock self-check.
+//! The profile document: its construction from a run's rank timelines,
+//! the deterministic `PROF_<run>.json` document, the human-readable
+//! report, and the StageClock self-check.
 
 use crate::attrib::{comm_matrix, op_stats, stage_attributed, stage_stats, MatrixCell, OpStat, StageStat};
 use crate::critpath::{critical_path, CpSegment, CriticalPath};
-use crate::model::{from_threads, from_trace_json, PRank};
+use crate::model::PRank;
 use nkt_trace::gate::{parse_schema, Gate, Sense};
 use nkt_trace::json::Value;
-use nkt_trace::ThreadData;
 use std::fmt::Write as _;
 
 /// Schema tag written into every `PROF_<run>.json`.
@@ -59,18 +58,9 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Builds a profile from in-process collected thread data (the
-    /// in-memory twin of the offline JSON path).
-    pub fn build(run: &str, threads: &[ThreadData]) -> Profile {
-        Self::from_ranks(run, from_threads(threads))
-    }
-
-    /// Builds a profile from an exported `TRACE_<run>.json` document.
-    pub fn from_trace_json(run: &str, text: &str) -> Result<Profile, String> {
-        Ok(Self::from_ranks(run, from_trace_json(text)?))
-    }
-
-    fn from_ranks(run: &str, ranks: Vec<PRank>) -> Profile {
+    /// The profile of `run` from its rank timelines
+    /// ([`crate::from_threads`] or [`crate::from_trace_json`]).
+    pub fn from_ranks(run: &str, ranks: &[PRank]) -> Profile {
         let rank_ends = ranks
             .iter()
             .map(|r| {
@@ -80,12 +70,12 @@ impl Profile {
         Profile {
             run: run.to_string(),
             rank_ends,
-            ops: op_stats(&ranks),
-            matrix: comm_matrix(&ranks),
-            stages: stage_stats(&ranks),
-            critical_path: critical_path(&ranks),
-            stage_attrib: stage_attributed(&ranks),
-            ranks: ranks.into_iter().map(|r| r.rank).collect(),
+            ops: op_stats(ranks),
+            matrix: comm_matrix(ranks),
+            stages: stage_stats(ranks),
+            critical_path: critical_path(ranks),
+            stage_attrib: stage_attributed(ranks),
+            ranks: ranks.iter().map(|r| r.rank).collect(),
         }
     }
 

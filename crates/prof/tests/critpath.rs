@@ -1,9 +1,14 @@
 //! Critical-path and attribution contracts on hand-built span sets,
 //! where every expected number is known in closed form.
 
-use nkt_prof::Profile;
+use nkt_prof::{from_threads, Profile};
 use nkt_trace::json::render;
 use nkt_trace::{SpanEvent, ThreadData};
+
+/// The profile of in-process thread data.
+fn profile(run: &str, threads: &[ThreadData]) -> Profile {
+    Profile::from_ranks(run, &from_threads(threads))
+}
 
 fn vspan(
     name: &'static str,
@@ -85,7 +90,7 @@ fn late_sender_world() -> Vec<ThreadData> {
 
 #[test]
 fn late_sender_wait_is_attributed_to_the_receiver() {
-    let p = Profile::build("ls", &late_sender_world());
+    let p = profile("ls", &late_sender_world());
     let op = p.ops.iter().find(|o| o.op == "p2p").expect("p2p op row");
     assert_eq!(op.sends, 1);
     assert_eq!(op.recvs, 1);
@@ -98,7 +103,7 @@ fn late_sender_wait_is_attributed_to_the_receiver() {
 
 #[test]
 fn late_sender_path_routes_through_the_sender() {
-    let p = Profile::build("ls", &late_sender_world());
+    let p = profile("ls", &late_sender_world());
     let cp = &p.critical_path;
     assert_eq!(cp.end_rank, 1, "rank 1 finishes last");
     assert!((cp.length - 2.0).abs() < 1e-12);
@@ -169,7 +174,7 @@ fn late_receiver_keeps_the_path_local() {
             ),
         ],
     );
-    let p = Profile::build("lr", &[r0, r1]);
+    let p = profile("lr", &[r0, r1]);
     let op = p.ops.iter().find(|o| o.op == "p2p").unwrap();
     assert_eq!(op.late, 0);
     assert_eq!(op.wait, 0.0);
@@ -182,7 +187,7 @@ fn late_receiver_keeps_the_path_local() {
 
 #[test]
 fn comm_matrix_and_stage_stats_from_hand_built_spans() {
-    let p = Profile::build("m", &late_sender_world());
+    let p = profile("m", &late_sender_world());
     assert_eq!(p.matrix.len(), 1);
     let c = p.matrix[0];
     assert_eq!((c.src, c.dst, c.msgs, c.bytes), (0, 1, 1, 24));
@@ -198,9 +203,9 @@ fn comm_matrix_and_stage_stats_from_hand_built_spans() {
 
 #[test]
 fn profile_json_is_stable_and_parses() {
-    let p = Profile::build("j", &late_sender_world());
+    let p = profile("j", &late_sender_world());
     let a = render(&p.document());
-    let b = render(&Profile::build("j", &late_sender_world()).document());
+    let b = render(&profile("j", &late_sender_world()).document());
     assert_eq!(a, b, "same input, byte-identical document");
     let doc = nkt_trace::json::parse(&a).expect("profile json parses");
     assert_eq!(

@@ -6,7 +6,7 @@
 
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
-use nkt_prof::Profile;
+use nkt_prof::{from_threads, from_trace_json, Profile};
 use nkt_trace::json::render;
 use std::sync::Mutex;
 
@@ -20,7 +20,7 @@ fn profile_world(run: &str, f: impl Fn(&mut nkt_mpi::Comm) + Sync) -> Profile {
     World::builder().ranks(4).net(cluster(NetId::T3e)).run(|c| f(c));
     let threads = nkt_trace::take_collected();
     nkt_trace::set_mode(nkt_trace::TraceMode::Off);
-    Profile::build(run, &threads)
+    Profile::from_ranks(run, &from_threads(&threads))
 }
 
 /// A small step with an engineered hot spot: every rank works 1 ms in
@@ -142,7 +142,7 @@ fn offline_profile_from_trace_json_matches_in_process_analysis() {
     nkt_trace::set_mode(nkt_trace::TraceMode::Off);
 
     let text = std::fs::read_to_string(&path).unwrap();
-    let p = Profile::from_trace_json("offline", &text).expect("offline parse");
+    let p = Profile::from_ranks("offline", &from_trace_json(&text).expect("offline parse"));
     assert_eq!(p.ranks, vec![0, 1, 2, 3]);
     let nl = p.stages.iter().find(|s| s.stage == "NonLinear").expect("NonLinear row");
     assert_eq!(p.ranks[nl.slowest_index()], 2);
@@ -165,9 +165,9 @@ fn offline_profile_of_the_rendered_trace_equals_the_in_process_profile() {
     let threads = nkt_trace::take_collected();
     nkt_trace::set_mode(nkt_trace::TraceMode::Off);
 
-    let live = Profile::build("twin", &threads);
+    let live = Profile::from_ranks("twin", &from_threads(&threads));
     let trace = render(&nkt_trace::export::trace_document(&threads));
-    let offline = Profile::from_trace_json("twin", &trace).expect("offline parse");
+    let offline = Profile::from_ranks("twin", &from_trace_json(&trace).expect("offline parse"));
     assert_eq!(render(&offline.document()), render(&live.document()));
     let bits = |p: &Profile| -> Vec<(String, Vec<u64>)> {
         let row = |(s, v): &(String, Vec<f64>)| (s.clone(), v.iter().map(|x| x.to_bits()).collect());

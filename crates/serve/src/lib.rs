@@ -45,6 +45,6 @@ pub use events::{render_events, EventLog};
 pub use runner::{JobOpts, JobResult};
 pub use sched::{serve, serve_with, JobReport, ServeConfig, ServeError, ServeReport};
 pub use spec::{
-    host_machine, load_jobs, parse_jobs, JobSpec, SolverKind, SpecError, SPEC_SCHEMA,
+    load_jobs, parse_jobs, JobSpec, SolverKind, SpecError, SPEC_SCHEMA,
 };
 pub use store::{fnv1a, manifest_document, ArtifactEntry, ManifestData, Store, MANIFEST_SCHEMA};

@@ -21,7 +21,7 @@
 //! sees exactly one event per running job per tick.
 
 use crate::sched::{Directive, Event};
-use crate::spec::{host_machine, JobSpec, SolverKind};
+use crate::spec::{JobSpec, SolverKind};
 use crate::store::{manifest_document, ArtifactEntry, ManifestData};
 use nektar::drive::{cases, drive, Ctx, Hook, Plan, Serial, Simulation};
 use nkt_ckpt::CkptConfig;
@@ -117,7 +117,7 @@ pub(crate) fn run_slice(jc: JobCtx, event_tx: Sender<Event>, directive_rx: Recei
             artifacts.extend(export_job_observability(&jc));
             let m = ManifestData {
                 spec: &jc.spec,
-                machine: nkt_machine::machine(host_machine(jc.spec.net)).name,
+                machine: nkt_machine::MachineId::hosting(jc.spec.net).name(),
                 state_hash: result.state_hash,
                 steps_done: result.steps,
                 preemptions: jc.preemptions,
@@ -324,7 +324,8 @@ fn export_job_observability(jc: &JobCtx) -> Vec<ArtifactEntry> {
         emit("TRACE", nkt_trace::export::trace_document(&threads));
     }
     if jc.opts.profile {
-        emit("PROF", nkt_prof::Profile::build(&jc.spec.name, &threads).document());
+        let ranks = nkt_prof::from_threads(&threads);
+        emit("PROF", nkt_prof::Profile::from_ranks(&jc.spec.name, &ranks).document());
     }
     written
 }

@@ -276,23 +276,6 @@ fn parse_one(j: &Value, idx: usize) -> Result<JobSpec, SpecError> {
     })
 }
 
-/// The host machine whose kernel-rate model backs a job's net choice —
-/// nets in the catalog belong to exactly one paper machine.
-pub fn host_machine(net: NetId) -> nkt_machine::MachineId {
-    use nkt_machine::MachineId as M;
-    match net {
-        NetId::Ap3000 => M::Ap3000,
-        NetId::Sp2Thin2 => M::Sp2Thin2,
-        NetId::Sp2Silver => M::Sp2Silver,
-        NetId::MusesMpich | NetId::MusesLam => M::Muses,
-        NetId::Onyx2 => M::Onyx2,
-        NetId::RoadRunnerEth | NetId::RoadRunnerMyr => M::RoadRunner,
-        NetId::T3e => M::T3e,
-        NetId::Ncsa => M::Ncsa,
-        NetId::Hitachi => M::Hitachi,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,7 +368,7 @@ mod tests {
             // Panics (unreachable match) would fail the test; also make
             // sure the mapping is consistent with the catalog display
             // name actually resolving.
-            let m = nkt_machine::machine(host_machine(net));
+            let m = nkt_machine::machine(nkt_machine::MachineId::hosting(net));
             assert!(!m.name.is_empty());
         }
     }

@@ -187,7 +187,7 @@ pub fn manifest_document(m: &ManifestData) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{host_machine, parse_jobs, SPEC_SCHEMA};
+    use crate::spec::{parse_jobs, SPEC_SCHEMA};
     use nkt_trace::json::render;
 
     fn spec() -> JobSpec {
@@ -213,7 +213,7 @@ mod tests {
         let s = spec();
         let m = ManifestData {
             spec: &s,
-            machine: nkt_machine::machine(host_machine(s.net)).name,
+            machine: nkt_machine::MachineId::hosting(s.net).name(),
             state_hash: 0xdead_beef,
             steps_done: 5,
             preemptions: 1,

@@ -420,8 +420,9 @@ mod tests {
 
     #[test]
     fn trace_mode_is_the_request_raised_by_the_observers() {
-        // What `prof::prepare`, `calib::prepare` and `stats::prepare`
-        // armed one after the other, over every combination.
+        // `trace_mode` is the requested mode raised to spans by PROF or
+        // CALIB and to counters by STATS or the watchdog, over every
+        // combination of the four switches.
         for (trace, requested) in [
             ("off", TraceMode::Off),
             ("counters", TraceMode::Counters),

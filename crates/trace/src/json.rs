@@ -153,6 +153,17 @@ pub fn write(dir: &Path, file: &str, doc: &Value) -> std::io::Result<(PathBuf, S
     Ok((path, text))
 }
 
+/// Writes an observer's `doc` as `<KIND>_<run>.json` into
+/// [`crate::out_dir`] and says so on stdout (`<kind>: wrote <path>`), or
+/// on stderr when it cannot: the one epilogue of PROF, CALIB and STATS.
+pub fn write_artifact(kind: &str, run: &str, doc: &Value) {
+    let tag = kind.to_ascii_lowercase();
+    match write(&crate::out_dir(), &format!("{kind}_{run}.json"), doc) {
+        Ok((path, _)) => println!("{tag}: wrote {}", path.display()),
+        Err(e) => eprintln!("{tag}: cannot write {e}"),
+    }
+}
+
 /// Writes `v` nested `depth` containers deep (0 = the document itself).
 fn emit(v: &Value, depth: usize, out: &mut String) {
     let (brackets, members): (_, Vec<(Option<&str>, &Value)>) = match v {

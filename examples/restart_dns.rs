@@ -64,7 +64,7 @@ fn interrupted_run(cfg: &RunConfig, ckpt: &CkptConfig) -> String {
             for step in 1..=NSTEPS {
                 s.step(c);
                 if ckpt.should(step) {
-                    nektar_repro::ckpt::write_epoch(c, ckpt, step, &s)
+                    nektar_repro::ckpt::write_epoch_on(Some(c), ckpt, step, &s)
                         .expect("checkpoint write");
                 }
                 if step == KILL_AT && c.rank() == 1 {
@@ -87,7 +87,7 @@ fn interrupted_run(cfg: &RunConfig, ckpt: &CkptConfig) -> String {
 fn restored_run(cfg: &RunConfig, ckpt: &CkptConfig) -> Vec<(RankLog, u64, bool)> {
     world(cfg).run(|c| {
         let mut s = fresh_solver(c);
-        let info = nektar_repro::ckpt::restore_latest(c, ckpt, &mut s)
+        let info = nektar_repro::ckpt::restore_latest_on(Some(c), ckpt, &mut s)
             .expect("restore from checkpoint");
         let mut hashes = vec![(info.step as usize, s.state_hash())];
         for step in (info.step as usize + 1)..=NSTEPS {

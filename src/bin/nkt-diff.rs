@@ -9,7 +9,7 @@
 //! ```
 
 use nektar_repro::trace::gate::{diff, load, Family, Kind};
-use nektar_repro::{calib, prof, stats};
+use nektar_repro::{prof, stats};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 const FAMILIES: [Family; 4] = [
     Family { prefix: "PROF_", suffix: ".json", kind: Kind::Rows(prof::gates) },
     Family { prefix: "STATS_", suffix: ".json", kind: Kind::Rows(stats::gates) },
-    Family { prefix: "CALIB_", suffix: ".json", kind: Kind::Rows(calib::gates) },
+    Family { prefix: "CALIB_", suffix: ".json", kind: Kind::Rows(prof::calib_gates) },
     // Model outputs: the same-named `nkt_bench::ARTIFACTS` entry, plus
     // the examples' state hashes.
     Family { prefix: "", suffix: ".txt", kind: Kind::Bytes },

@@ -8,7 +8,6 @@ pub mod observe;
 
 pub use nektar;
 pub use nkt_blas as blas;
-pub use nkt_calib as calib;
 pub use nkt_ckpt as ckpt;
 pub use nkt_fft as fft;
 pub use nkt_gs as gs;

@@ -6,7 +6,7 @@
 use crate::mpi::{World, WorldBuilder, WorldOpts};
 use crate::nektar::drive::{Outcome, Plan};
 use crate::trace::config::RunConfig;
-use crate::{calib, ckpt, prof, trace};
+use crate::{ckpt, prof, trace};
 
 /// Names the run for flight-recorder dumps and returns the [`Plan`] of a
 /// `steps`-step run under `run`'s artifact names: stats cadence and
@@ -34,29 +34,30 @@ pub fn report(run: &str, out: &Outcome) {
     if let Some(info) = out.resumed {
         println!("resumed from checkpoint epoch {} (step {})", info.epoch, info.step);
     }
-    if out.rec.every == 0 {
-        return;
-    }
-    let file = format!("STATS_{run}.json");
-    match trace::json::write(&trace::out_dir(), &file, &out.rec.document(run)) {
-        Ok((path, _)) => println!("stats: wrote {}", path.display()),
-        Err(e) => eprintln!("stats: cannot write {e}"),
+    if out.rec.every != 0 {
+        trace::json::write_artifact("STATS", run, &out.rec.document(run));
     }
 }
 
 /// After the world joined: prints and writes the `PROF_` and `CALIB_`
-/// artifacts of `run`, whichever `cfg` asks for. Both observe the same
-/// collector, which `take_collected` empties — so it is drained once
-/// here and both get the snapshot. Returns the profile (if profiling)
-/// for run-specific self-checks.
+/// artifacts of `run`, whichever `cfg` asks for. Both are folds of one
+/// analysis: the collector, which `take_collected` empties, is drained
+/// once here and converted to rank timelines once. Returns the profile
+/// (if profiling) for run-specific self-checks.
 pub fn finish(cfg: &RunConfig, run: &str) -> Option<prof::Profile> {
     if !cfg.prof && !cfg.calib {
         return None;
     }
-    let threads = trace::take_collected();
-    let profile = cfg.prof.then(|| prof::profile_and_write(run, &threads));
+    let ranks = prof::from_threads(&trace::take_collected());
+    let profile = cfg.prof.then(|| prof::Profile::from_ranks(run, &ranks));
+    if let Some(p) = &profile {
+        print!("{}", p.report());
+        trace::json::write_artifact("PROF", run, &p.document());
+    }
     if cfg.calib {
-        calib::calibrate_and_write(run, &threads);
+        let c = prof::Calibration::from_ranks(run, &ranks);
+        print!("{}", c.report());
+        trace::json::write_artifact("CALIB", run, &c.document());
     }
     profile
 }
