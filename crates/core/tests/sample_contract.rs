@@ -225,4 +225,4 @@ const PENCIL: ([u64; 13], u64, u64) = (
     0x935df121cf7004e8,
     0xa85bd176d304a129,
 );
-const WING: ([u64; 2], u64) = ([0x3fbb59e0fb4a4352, 0x406e45f5471f99df], 0x5924cd0487fc8d99);
+const WING: ([u64; 2], u64) = ([0x3fbb5a02d95f00be, 0x406e45f5471f99df], 0x519e36c14168a3bd);

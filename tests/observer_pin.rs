@@ -69,7 +69,7 @@ fn prof_and_calib_documents_are_pinned() {
 
     let want = [
         ("pin_fourier_roadrunner_eth", (0xd42e_f0e9_934d_7dd9, 0xb2b3_1669_187d_ea2f)),
-        ("pin_wing_muses_lam", (0xd899_2f9c_1bb7_2075, 0x10e6_c269_7c3f_aaeb)),
+        ("pin_wing_muses_lam", (0x92bb_926e_8638_074e, 0xbf41_53fc_a9f3_22cd)),
     ];
     assert_eq!(got, want, "(PROF, CALIB) digests");
 }
