@@ -1,6 +1,6 @@
 //! NekTar-ALE flapping-wing run (paper §4.2.2, Table 3) at demo scale:
 //! 3-D moving-mesh Navier–Stokes with element-based domain decomposition,
-//! gather-scatter exchanges and diagonal-PCG solves.
+//! gather-scatter exchanges and preconditioned CG solves.
 //!
 //! ```sh
 //! cargo run --release --example flapping_wing_ale
