@@ -45,11 +45,11 @@ fn pcg_iteration_allocates_only_what_its_messages_do() {
         };
         solve(c, 5);
         let (short, long) = (solve(c, 5), solve(c, 50));
-        // What one λ > 0 iteration's communication allocates on this
-        // communicator: two gather-scatters (the apply's and the
-        // preconditioner's) and three 1-double allreduces.
+        // What one iteration's communication allocates on this
+        // communicator: three gather-scatters (the apply's and the
+        // preconditioner's two) and three 1-double allreduces.
         let messages = allocs_in(|| {
-            for _ in 0..2 {
+            for _ in 0..3 {
                 h.gs.exchange(c, &mut probe, ReduceOp::Sum);
             }
             for _ in 0..3 {
