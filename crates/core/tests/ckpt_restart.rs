@@ -95,7 +95,7 @@ fn ale_cfg() -> AleConfig {
         advect: true,
         // Nonzero so the checkpoint's "mesh" section (vertex positions,
         // per-op scales, mesh velocity history) actually varies and the
-        // restore path's rebuild_diag runs.
+        // restored solves precondition on the moved mesh.
         motion_amp: 0.02,
         ..Default::default()
     }
@@ -215,8 +215,10 @@ prop_check! {
 
     /// NekTar-ALE with a moving mesh (`motion_amp` ≠ 0) on 2 ranks: the
     /// checkpoint carries vertex positions, operator scales, and mesh
-    /// history; `restore_ckpt` rebuilds the Helmholtz diagonals; the
-    /// continued run hashes identically to the uninterrupted one.
+    /// history; the generic `restore_latest_on` leaves nothing to rebuild
+    /// (each solve builds its preconditioner's diagonal from the restored
+    /// mesh); the continued run hashes identically to the uninterrupted
+    /// one.
     fn ale_restore_is_bitwise(kill in 1usize..3) {
         const NSTEPS: usize = 3;
         const P: usize = 2;
@@ -247,7 +249,7 @@ prop_check! {
 
         let got: Vec<(u64, Vec<u64>)> = run(P, net(), |c| {
             let mut s = NektarAle::new(c, mesh.clone(), &part, ale_cfg());
-            let info = s.restore_ckpt(c, &cfg).expect("restore_ckpt");
+            let info = restore_latest_on(Some(c), &cfg, &mut s).expect("restore_latest");
             let mut hashes = vec![s.state_hash()];
             for _ in kill..NSTEPS {
                 s.step(c);

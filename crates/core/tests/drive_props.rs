@@ -140,7 +140,7 @@ fn ale_solver(c: &mut Comm) -> NektarAle {
         nu: 0.05,
         scheme_order: 2,
         advect: true,
-        // Nonzero so the restore path's moved-mesh rebuild runs.
+        // Nonzero so the restored state includes a moved mesh.
         motion_amp: 0.02,
         ..Default::default()
     };

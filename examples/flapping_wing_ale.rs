@@ -28,8 +28,7 @@ use nektar_repro::observe;
 use nektar_repro::trace::config::RunConfig;
 
 fn main() {
-    // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; the ALE
-    // restore additionally rebuilds the moving-mesh operators. The
+    // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; the
     // stats recorder rides in the same tandem shard.
     let cfg = RunConfig::init_from_env();
     let plan = observe::plan(&cfg, "flapping_wing_ale", 2);
