@@ -21,7 +21,8 @@
 
 use crate::decomp::{FourierCfgError, Grid, ToModes, TransposeCtx, LANES};
 use crate::opstream::{Recorder, WorkItem};
-use crate::plane::{Coeffs, Layout, PlaneStep, Seam};
+use crate::plane::{Coeffs, PlaneStep, Seam};
+use crate::splitting::Layout;
 use crate::timers::{Stage, StageClock};
 use nkt_blas::isa::dispatch;
 use nkt_fft::RealFft;
@@ -284,7 +285,7 @@ impl NektarF {
                 mc.b = self.disc.l2_project_quad(rows.next().expect("a row per plane"));
             }
         }
-        self.plane.reset();
+        self.plane.hist.reset();
     }
 
     /// The decomposition's short name ("slab" / "pencil").
@@ -370,7 +371,7 @@ impl NektarF {
 
     /// Steps taken.
     pub fn steps(&self) -> usize {
-        self.plane.steps
+        self.plane.hist.steps
     }
 }
 
@@ -413,7 +414,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         e.usize(self.my_modes.start);
         e.usize(self.my_modes.len());
         e.usize(self.disc.asm.ndof);
-        e.usize(self.plane.layout.nq);
+        e.usize(self.plane.hist.layout.nq);
         for comps in &self.fields {
             for mc in comps {
                 e.f64s(&mc.a);
@@ -422,7 +423,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         }
         w.section("fields", e.into_bytes());
 
-        self.plane.write_sections(w, &self.clock);
+        self.plane.hist.write_sections(w, &self.clock);
     }
 
     fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), nkt_ckpt::CkptError> {
@@ -430,7 +431,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         d.expect_u64(self.my_modes.start as u64, "fourier mode-block start")?;
         d.expect_u64(self.my_modes.len() as u64, "fourier mode-block length")?;
         d.expect_u64(self.disc.asm.ndof as u64, "fourier dof count")?;
-        d.expect_u64(self.plane.layout.nq as u64, "fourier plane quadrature size")?;
+        d.expect_u64(self.plane.hist.layout.nq as u64, "fourier plane quadrature size")?;
         for comps in self.fields.iter_mut() {
             for mc in comps.iter_mut() {
                 mc.a = d.f64s()?;
@@ -439,12 +440,12 @@ impl nkt_ckpt::Checkpointable for NektarF {
         }
         d.finish()?;
 
-        self.clock = self.plane.read_sections(f)?;
+        self.clock = self.plane.hist.read_sections(f)?;
         Ok(())
     }
 
     fn ckpt_step(&self) -> u64 {
-        self.plane.steps as u64
+        self.plane.hist.steps as u64
     }
 }
 
@@ -606,7 +607,7 @@ mod tests {
                     calls.set(calls.get() + 1);
                     busy_field(x)
                 });
-                (s.plane.layout.nq, calls.get(), FORWARD_FFTS.with(|n| n.get()))
+                (s.plane.hist.layout.nq, calls.get(), FORWARD_FFTS.with(|n| n.get()))
             });
             for &(nq, calls, ffts) in &out {
                 assert_eq!(nq, 324);

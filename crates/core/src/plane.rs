@@ -7,42 +7,11 @@
 //! solver's Dirichlet lift and the w/β coupling when `ncomp = 3`.
 
 use crate::opstream::{direct_solve_span_args, Recorder, WorkItem};
-use crate::splitting::StifflyStable;
-use crate::timers::{read_progress, write_progress, Stage, StageClock, StageTimer};
-use nkt_ckpt::{CkptError, CkptFile, CkptWriter, Dec, Enc};
+use crate::splitting::{History, Layout, StifflyStable};
+use crate::timers::{Stage, StageClock, StageTimer};
 use nkt_mesh::BoundaryTag;
 use nkt_spectral::{Discretization, HelmholtzProblem, PlaneScratch};
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// A level is `ncomp` fields of `[mode][phase][point]`, `nq` points a
-/// plane: the shape NekTar-F's transposes take a field in.
-#[derive(Clone, Copy)]
-pub(crate) struct Layout {
-    pub nmodes: usize,
-    pub ncomp: usize,
-    pub nphase: usize,
-    pub nq: usize,
-}
-
-impl Layout {
-    pub fn level_len(self) -> usize {
-        self.ncomp * self.nmodes * self.nphase * self.nq
-    }
-
-    /// Plane (component `c`, mode `mi`, phase `ab`) of a level.
-    pub fn at(self, c: usize, mi: usize, ab: usize) -> std::ops::Range<usize> {
-        let o = ((c * self.nmodes + mi) * self.nphase + ab) * self.nq;
-        o..o + self.nq
-    }
-
-    /// Every plane of a level, mode by mode: the checkpoint's order.
-    fn by_mode(self) -> impl Iterator<Item = std::ops::Range<usize>> {
-        let ph = self.nphase;
-        let mode = move |mi| (0..self.ncomp * ph).map(move |i| self.at(i / ph, mi, i % ph));
-        (0..self.nmodes).flat_map(mode)
-    }
-}
 
 /// `N` disjoint planes of `nq` points from the front of `buf`.
 pub(crate) fn split_planes<const N: usize>(buf: &mut [f64], nq: usize) -> [&mut [f64]; N] {
@@ -56,16 +25,6 @@ fn dz(beta: f64, src: &[f64], dst: &mut [f64]) {
     let ((a, b), (da, db)) = (src.split_at(src.len() / 2), dst.split_at_mut(dst.len() / 2));
     for (((da, db), &a), &b) in da.iter_mut().zip(db).zip(a).zip(b) {
         (*da, *db) = (beta * b, -beta * a);
-    }
-}
-
-/// The buffer for a new history level: the oldest level's once `order`
-/// are kept, a fresh one while the history is still filling.
-fn recycle_level(levels: &mut VecDeque<Vec<f64>>, order: usize, len: usize) -> Vec<f64> {
-    if levels.len() >= order {
-        levels.pop_back().expect("a scheme keeps at least one level")
-    } else {
-        vec![0.0; len]
     }
 }
 
@@ -104,9 +63,8 @@ pub(crate) trait Seam {
     fn record_weighting(&self, rec: &mut Recorder, l: Layout, j: usize);
 }
 
-/// The history rings, ramp problems and workspace of a 2-D solver's step.
+/// The history, ramp problems and workspace of a 2-D solver's step.
 pub(crate) struct PlaneStep {
-    scheme: StifflyStable,
     dt: f64,
     nu: f64,
     /// Each mode's spanwise wavenumber β.
@@ -114,10 +72,9 @@ pub(crate) struct PlaneStep {
     /// Each mode's start-up viscous problems: index j − 1 holds the
     /// order-j scheme's. Lazy: a resumed run never solves them.
     pub ramp: Vec<Vec<HelmholtzProblem>>,
-    pub layout: Layout,
-    /// Quadrature-space velocity and nonlinear-term levels, newest first.
-    hist_vel: VecDeque<Vec<f64>>,
-    hist_n: VecDeque<Vec<f64>>,
+    /// Quadrature-space velocity and nonlinear-term levels, the scheme and
+    /// the steps taken.
+    pub hist: History,
     /// Stage 2's derivatives: a level a direction, a direction a component.
     /// Between steps, the stats probes' gradient planes.
     pub grad: Vec<f64>,
@@ -129,7 +86,6 @@ pub(crate) struct PlaneStep {
     pub planes: Vec<f64>,
     band: Vec<f64>,
     pub scratch: PlaneScratch,
-    pub steps: usize,
 }
 
 /// `xs` through one direct solve of `prob`, in place, inside a
@@ -166,20 +122,16 @@ impl PlaneStep {
         let layout = Layout { nmodes: betas.len(), ncomp, nphase, nq: disc.nquad_total() };
         let nplanes = ncomp * nphase;
         let mut plane = PlaneStep {
-            scheme: StifflyStable::new(scheme_order),
             dt,
             nu,
             betas,
             ramp: Vec::new(),
-            layout,
-            hist_vel: VecDeque::new(),
-            hist_n: VecDeque::new(),
+            hist: History::new(scheme_order, layout),
             grad: vec![0.0; ncomp * layout.level_len()],
             hat: vec![0.0; layout.level_len()],
             planes: vec![0.0; nplanes * layout.nq],
             band: vec![0.0; nplanes * disc.asm.nboundary],
             scratch: disc.plane_scratch(nplanes),
-            steps: 0,
         };
         let ramp = |mi| (1..scheme_order).map(|j| plane.viscous(disc, mi, j)).collect();
         plane.ramp = (0..layout.nmodes).map(ramp).collect();
@@ -208,17 +160,10 @@ impl PlaneStep {
         if pressure.ndirichlet() == 0 && beta == 0.0 {
             pressure.pin_dof(0);
         }
-        let mut viscous = self.viscous(disc, mi, self.scheme.order);
+        let mut viscous = self.viscous(disc, mi, self.hist.scheme.order);
         pressure.factorize();
         viscous.factorize();
         (pressure, viscous)
-    }
-
-    /// Forgets the history: the next step starts the ramp again.
-    pub fn reset(&mut self) {
-        self.hist_vel.clear();
-        self.hist_n.clear();
-        self.steps = 0;
     }
 
     /// One time step of `PH` planes a component, `PL` a mode. Stage 7
@@ -236,15 +181,15 @@ impl PlaneStep {
         seam: &mut impl Seam,
         rec: &mut Recorder,
     ) -> StageClock {
-        let l = self.layout;
+        let l = self.hist.layout;
         assert_eq!((l.nphase, l.ncomp * l.nphase), (PH, PL), "the layout's planes");
         let step_span = nkt_trace::span_v("step", "step", seam.wtime());
         let mut sc = StageClock::new();
-        let (dt, nu, order, nq, ndof) = (self.dt, self.nu, self.scheme.order, l.nq, disc.asm.ndof);
+        let (dt, nu, nq, ndof) = (self.dt, self.nu, l.nq, disc.asm.ndof);
+        let order = self.hist.scheme.order;
         // This step's velocity and nonlinear planes are the next history
         // level: written in place, never copied.
-        let mut vel = recycle_level(&mut self.hist_vel, order, l.level_len());
-        let mut nonlin = recycle_level(&mut self.hist_n, order, l.level_len());
+        let (mut vel, mut nonlin) = self.hist.levels();
 
         // Stage 1: modal -> quadrature, every plane.
         let t0 = StageTimer::start(Stage::BwdTransform);
@@ -292,13 +237,11 @@ impl PlaneStep {
 
         // History push: `j` levels are in effect, fewer than the scheme's
         // order over the first steps.
-        self.hist_vel.push_front(vel);
-        self.hist_n.push_front(nonlin);
-        let j = self.hist_vel.len();
+        let j = self.hist.push(vel, nonlin);
 
         // Stage 3: û = Σ α u + Δt Σ β N, all in quadrature space.
         let t0 = StageTimer::start(Stage::StifflyStable);
-        self.scheme.weight_history(dt, &self.hist_vel, &self.hist_n, &mut self.hat);
+        self.hist.weight(dt, &mut self.hat);
         seam.record_weighting(rec, l, j);
         sc.add(Stage::StifflyStable, t0.stop());
 
@@ -376,59 +319,6 @@ impl PlaneStep {
             sc.add(Stage::ViscousSolve, t0.stop());
         }
         step_span.end_v(seam.wtime());
-        self.steps += 1;
         sc
-    }
-
-    /// Writes the `hist` section — for each ring (velocity, then nonlinear
-    /// terms) its level count, then per level the mode count and every
-    /// plane, mode by mode, length-prefixed — and the steps taken with the
-    /// solver's `clock`.
-    pub fn write_sections(&self, w: &mut CkptWriter, clock: &StageClock) {
-        let mut e = Enc::new();
-        for ring in [&self.hist_vel, &self.hist_n] {
-            e.usize(ring.len());
-            for level in ring {
-                e.usize(self.layout.nmodes);
-                self.layout.by_mode().for_each(|r| e.f64s(&level[r]));
-            }
-        }
-        w.section("hist", e.into_bytes());
-        write_progress(w, self.steps, clock);
-    }
-
-    /// Reads what [`Self::write_sections`] wrote and returns the clock,
-    /// holding the rings' depth to the scheme's (and to each other's), and
-    /// every mode count and plane length to this step's: a step indexes the
-    /// levels without looking.
-    pub fn read_sections(&mut self, f: &CkptFile) -> Result<StageClock, CkptError> {
-        let mut d = f.dec("hist")?;
-        let nlevels = d.len_prefix(64)?;
-        if nlevels > self.scheme.order {
-            let what = format!("history: {nlevels} levels, the scheme keeps {}", self.scheme.order);
-            return Err(CkptError::StateMismatch { what });
-        }
-        let vel = self.read_levels(&mut d, nlevels)?;
-        d.expect_u64(nlevels as u64, "nonlinear-term history levels")?;
-        let nonlin = self.read_levels(&mut d, nlevels)?;
-        d.finish()?;
-        (self.hist_vel, self.hist_n) = (vel, nonlin);
-        let (steps, clock) = read_progress(f)?;
-        self.steps = steps;
-        Ok(clock)
-    }
-
-    fn read_levels(&self, d: &mut Dec<'_>, n: usize) -> Result<VecDeque<Vec<f64>>, CkptError> {
-        let l = self.layout;
-        (0..n)
-            .map(|_| {
-                d.expect_u64(l.nmodes as u64, "history mode count")?;
-                let mut level = vec![0.0; l.level_len()];
-                for r in l.by_mode() {
-                    d.f64s_into(&mut level[r], "history plane size")?;
-                }
-                Ok(level)
-            })
-            .collect()
     }
 }

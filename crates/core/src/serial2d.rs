@@ -13,7 +13,8 @@
 //! when no outflow exists).
 
 use crate::opstream::{Recorder, WorkItem};
-use crate::plane::{split_planes, Layout, PlaneStep, Seam};
+use crate::plane::{split_planes, PlaneStep, Seam};
+use crate::splitting::Layout;
 use crate::stats::Speeds;
 use crate::timers::{Stage, StageClock};
 use nkt_ckpt::CkptError;
@@ -154,7 +155,7 @@ impl Serial2dSolver {
     ) {
         self.u = self.disc.l2_project(f_u);
         self.v = self.disc.l2_project(f_v);
-        self.plane.reset();
+        self.plane.hist.reset();
     }
 
     /// Recomputes the velocity Dirichlet data (time-dependent boundary
@@ -245,7 +246,7 @@ impl Serial2dSolver {
 
     /// Steps taken so far.
     pub fn steps(&self) -> usize {
-        self.plane.steps
+        self.plane.hist.steps
     }
 }
 
@@ -266,7 +267,7 @@ impl nkt_ckpt::Checkpointable for Serial2dSolver {
         }
         w.section("fields", e.into_bytes());
 
-        self.plane.write_sections(w, &self.clock);
+        self.plane.hist.write_sections(w, &self.clock);
     }
 
     fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), CkptError> {
@@ -286,12 +287,12 @@ impl nkt_ckpt::Checkpointable for Serial2dSolver {
         }
         d.finish()?;
 
-        self.clock = self.plane.read_sections(f)?;
+        self.clock = self.plane.hist.read_sections(f)?;
         Ok(())
     }
 
     fn ckpt_step(&self) -> u64 {
-        self.plane.steps as u64
+        self.plane.hist.steps as u64
     }
 }
 
