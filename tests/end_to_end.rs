@@ -175,7 +175,7 @@ fn wing_mesh_parallel_poisson() {
     let g = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
     let part = partition_kway(&g, 2, &PartitionOptions::default());
     let out = run(2, cluster(NetId::T3e), |c| {
-        let h = HexHelmholtz::new(c, &mesh, &numbering, &part, 1.0);
+        let h = HexHelmholtz::new(c, &mesh, &numbering, &part);
         let mut rec = nektar_repro::nektar::opstream::Recorder::disabled();
         // Solve (−∇² + 1)u = 1 with u = 0 on the boundary: u is bounded by
         // the max principle (0 ≤ u < 1).
@@ -200,7 +200,8 @@ fn wing_mesh_parallel_poisson() {
         }
         h.gs.exchange(c, &mut b, ReduceOp::Sum);
         let mut x = vec![0.0; h.nlocal()];
-        let solve = h.pcg(c, &b, &mut x, 1e-8, 2000, &mut HexWorkspace::default(), &mut rec);
+        let ws = &mut HexWorkspace::default();
+        let solve = h.pcg(c, [1.0, 1.0], &b, &mut x, 1e-8, 2000, ws, &mut rec);
         // Max principle check on vertex dofs only (vertex modes are
         // interpolatory; bubble coefficients are not point values).
         let nm1 = h.p + 1;

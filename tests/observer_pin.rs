@@ -69,7 +69,7 @@ fn prof_and_calib_documents_are_pinned() {
 
     let want = [
         ("pin_fourier_roadrunner_eth", (0xd42e_f0e9_934d_7dd9, 0xb2b3_1669_187d_ea2f)),
-        ("pin_wing_muses_lam", (0x3baa_716f_4fa7_c785, 0x521e_26e8_6369_37b4)),
+        ("pin_wing_muses_lam", (0xacef_f504_cbd4_b899, 0xd725_9441_2a00_9b75)),
     ];
     assert_eq!(got, want, "(PROF, CALIB) digests");
 }
