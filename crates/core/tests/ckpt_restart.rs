@@ -476,3 +476,64 @@ fn fourier_restore_checks_the_history_depth() {
         }
     });
 }
+
+/// An ALE "fields" payload with its first velocity component one value
+/// short: the two dof counts, then u (three components) and p.
+fn ale_fields_with_short_u(fields: &[u8]) -> Vec<u8> {
+    let mut d = Dec::new("fields", 0, fields);
+    let mut e = Enc::new();
+    e.u64(d.u64().unwrap());
+    e.u64(d.u64().unwrap());
+    let mut u0 = d.f64s().unwrap();
+    u0.pop();
+    e.f64s(&u0);
+    for _ in 0..3 {
+        e.f64s(&d.f64s().unwrap());
+    }
+    d.finish().unwrap();
+    e.into_bytes()
+}
+
+/// A CRC-valid NekTar-ALE shard whose history is deeper than the scheme
+/// keeps, whose rings differ in depth, whose history level is short or
+/// whose velocity is short is a typed `StateMismatch` — not a ring the
+/// scheme cannot weight, nor a panic on an index inside the next step.
+#[test]
+fn ale_restore_checks_every_shape() {
+    let mesh = mesh3d();
+    let part = partition_for(&mesh, 1);
+    run(1, net(), |c| {
+        let mut donor = NektarAle::new(c, mesh.clone(), &part, ale_cfg());
+        donor.set_initial(c, psi_field);
+        donor.step(c);
+        donor.step(c);
+        let good = Hist::of(&donor, 3);
+        let mut restored = NektarAle::new(c, mesh.clone(), &part, ale_cfg());
+        restored.read_sections(&shard_with(&donor, &[("hist", good.bytes())])).expect("own");
+        assert_eq!(restored.state_hash(), donor.state_hash());
+        type Tamper = fn(&mut Hist);
+        let cases: [(&str, Tamper); 3] = [
+            ("more levels than the scheme keeps", |h| {
+                for ring in &mut h.rings {
+                    let newest = ring[0].clone();
+                    ring.push(newest);
+                }
+            }),
+            ("rings differ", |h| h.rings[1].truncate(1)),
+            ("a history level short", |h| h.rings[0][1].1[2].truncate(3)),
+        ];
+        let mut shards: Vec<(&str, CkptFile)> = Vec::new();
+        for (what, tamper) in cases {
+            let mut bad = good.clone();
+            tamper(&mut bad);
+            shards.push((what, shard_with(&donor, &[("hist", bad.bytes())])));
+        }
+        let fields = ale_fields_with_short_u(&own_section(&donor, "fields"));
+        shards.push(("u short", shard_with(&donor, &[("fields", fields)])));
+        for (what, file) in shards {
+            let mut solver = NektarAle::new(c, mesh.clone(), &part, ale_cfg());
+            let err = solver.read_sections(&file).expect_err(what);
+            assert!(matches!(err, CkptError::StateMismatch { .. }), "{what}: {err}");
+        }
+    });
+}
