@@ -19,16 +19,14 @@
 //! * [`solve`] — one shared [`Discretization`] and the global
 //!   Helmholtz/Poisson problems on it, statically condensed: interiors
 //!   eliminated element by element, the boundary Schur complement solved
-//!   in RCM band order, banded direct (LAPACK-style `dpbtrf`, the
-//!   paper's serial solver) or by diagonally preconditioned conjugate
-//!   gradients (the paper's ALE solver).
+//!   in RCM band order by banded direct Cholesky (LAPACK-style `dpbtrf`,
+//!   the paper's serial and Fourier solver).
 
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::too_many_arguments)]
 pub mod assembly;
 pub mod basis1d;
 pub mod element;
-pub mod pcg;
 pub mod quadbasis;
 pub mod rcm;
 pub mod solve;

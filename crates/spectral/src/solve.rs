@@ -28,7 +28,6 @@
 use crate::assembly::Assembly;
 use crate::basis1d::sweep_matrices;
 use crate::element::{elem_geometry, ElemOps, ElementMatrices, Expansion};
-use crate::pcg::pcg;
 use crate::quadbasis::QuadBasis;
 use crate::rcm::boundary_band_order;
 use crate::tribasis::TriBasis;
@@ -39,19 +38,13 @@ use std::borrow::Cow;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-/// Linear solver choice (the paper uses both: banded direct for the
-/// serial/Fourier code, diagonal PCG for ALE).
+/// Linear solver choice: the banded direct solve of the serial and
+/// Fourier codes. (NekTar-ALE's diagonally preconditioned CG runs on its
+/// own matrix-free 3-D operators, `nektar::hex3d::HexHelmholtz::pcg`.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveMethod {
     /// Banded symmetric Cholesky (`dpbtrf`/`dpbtrs`) of the boundary system.
     BandedDirect,
-    /// Diagonally preconditioned conjugate gradients on the boundary system.
-    Pcg {
-        /// Relative residual tolerance.
-        tol: f64,
-        /// Iteration cap.
-        max_iter: usize,
-    },
 }
 
 /// Statistics from a solve.
@@ -61,8 +54,6 @@ pub struct SolveStats {
     pub nfree: usize,
     /// Semi-bandwidth of the boundary system in its RCM band order.
     pub bandwidth: usize,
-    /// PCG iterations (0 for the direct path).
-    pub iterations: usize,
 }
 
 /// The λ- and tag-independent half of a Helmholtz problem: mesh, bases,
@@ -928,32 +919,14 @@ impl HelmholtzProblem {
         }
     }
 
-    /// Diagonally preconditioned conjugate gradients on the constrained
-    /// Schur band for the band-order right-hand side `b`, overwritten by
-    /// the solution. Returns the iterations taken.
-    fn pcg_boundary(&self, b: &mut [f64], tol: f64, max_iter: usize) -> usize {
-        let m = &self.matrix;
-        let diag: Vec<f64> = (0..m.n()).map(|i| m.get(i, i)).collect();
-        let rhs = b.to_vec();
-        // Seed the constrained entries so identity rows are exact.
-        for (d, &r) in self.disc.pos.iter().enumerate() {
-            b[r] = if self.dirichlet[d] { rhs[r] } else { 0.0 };
-        }
-        let res = pcg(|p, out| m.matvec(p, out), &diag, &rhs, b, tol, max_iter);
-        assert!(res.converged, "PCG failed to converge: {res:?}");
-        res.iterations
-    }
-
     /// The one solve pipeline: every right-hand side of `xs` through the
-    /// condensed operator, the boundary system by `method`. Returns the
-    /// PCG iterations taken (0 for the direct path).
+    /// condensed operator, the boundary system by one sweep of its factor.
     fn solve_in_place(
         &mut self,
         xs: &mut [&mut [f64]],
         u_d: Option<&[&[f64]]>,
         band: &mut Vec<f64>,
-        method: SolveMethod,
-    ) -> usize {
+    ) {
         let ndof = self.asm.ndof;
         for x in xs.iter() {
             assert_eq!(x.len(), ndof, "rhs: one value per dof, in assembly order");
@@ -964,24 +937,14 @@ impl HelmholtzProblem {
                 assert_eq!(d.len(), ndof, "u_d: one value per dof, in assembly order");
             }
         }
-        if method == SolveMethod::BandedDirect {
-            self.factorize();
-        }
-        let (this, nrhs, mut iterations) = (&*self, xs.len(), 0);
+        self.factorize();
+        let (this, nrhs) = (&*self, xs.len());
         let constrain = |i: usize, b: &mut [f64]| this.impose_dirichlet(b, u_d.map(|u_d| u_d[i]));
-        let boundary = |band: &mut [f64]| match method {
-            SolveMethod::BandedDirect => {
-                dpbtrs_multi(this.factor.as_ref().expect("factored above"), band, nrhs)
-                    .expect("banded solve");
-            }
-            SolveMethod::Pcg { tol, max_iter } => {
-                for b in band.chunks_exact_mut(this.matrix.n()) {
-                    iterations += this.pcg_boundary(b, tol, max_iter);
-                }
-            }
+        let boundary = |band: &mut [f64]| {
+            dpbtrs_multi(this.factor.as_ref().expect("factored above"), band, nrhs)
+                .expect("banded solve");
         };
         this.disc.solve_condensed(&this.interior, xs, band, constrain, boundary);
-        iterations
     }
 
     /// Direct solves of K u = rhs for every right-hand side in `xs` at
@@ -1000,7 +963,7 @@ impl HelmholtzProblem {
         u_d: Option<&[&[f64]]>,
         band: &mut Vec<f64>,
     ) {
-        self.solve_in_place(xs, u_d, band, SolveMethod::BandedDirect);
+        self.solve_in_place(xs, u_d, band);
     }
 
     /// Solves K u = rhs with Dirichlet values `u_d` imposed.
@@ -1013,10 +976,10 @@ impl HelmholtzProblem {
         u_d: &[f64],
         method: SolveMethod,
     ) -> (Vec<f64>, SolveStats) {
-        let iterations =
-            self.solve_in_place(&mut [&mut rhs[..]], Some(&[u_d]), &mut Vec::new(), method);
+        let SolveMethod::BandedDirect = method;
+        self.solve_in_place(&mut [&mut rhs[..]], Some(&[u_d]), &mut Vec::new());
         let nfree = self.asm.ndof - self.ndirichlet();
-        (rhs, SolveStats { nfree, bandwidth: self.matrix.kd(), iterations })
+        (rhs, SolveStats { nfree, bandwidth: self.matrix.kd() })
     }
 
     /// Pins dof `d` to a Dirichlet value (used to remove the null space of
@@ -1104,22 +1067,6 @@ mod tests {
         let (u, _) = prob.solve(f, |_| 0.0, SolveMethod::BandedDirect);
         let err = prob.l2_error(&u, exact);
         assert!(err < 1e-5, "L2 error {err}");
-    }
-
-    #[test]
-    fn pcg_matches_direct() {
-        let pi = std::f64::consts::PI;
-        let exact = move |x: [f64; 2]| (pi * x[0]).sin() * (pi * x[1]).sin();
-        let f = move |x: [f64; 2]| 2.0 * pi * pi * exact(x);
-        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
-        let mut p1 = HelmholtzProblem::new(mesh.clone(), 5, 0.0, ALL_DIRICHLET);
-        let (ud, _) = p1.solve(f, |_| 0.0, SolveMethod::BandedDirect);
-        let mut p2 = HelmholtzProblem::new(mesh, 5, 0.0, ALL_DIRICHLET);
-        let (up, stats) = p2.solve(f, |_| 0.0, SolveMethod::Pcg { tol: 1e-12, max_iter: 2000 });
-        assert!(stats.iterations > 0);
-        for i in 0..ud.len() {
-            assert!((ud[i] - up[i]).abs() < 1e-7, "dof {i}: {} vs {}", ud[i], up[i]);
-        }
     }
 
     #[test]
