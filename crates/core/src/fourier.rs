@@ -434,8 +434,8 @@ impl nkt_ckpt::Checkpointable for NektarF {
         d.expect_u64(self.plane.hist.layout.nq as u64, "fourier plane quadrature size")?;
         for comps in self.fields.iter_mut() {
             for mc in comps.iter_mut() {
-                mc.a = d.f64s()?;
-                mc.b = d.f64s()?;
+                d.f64s_into(&mut mc.a, "fourier mode coefficients")?;
+                d.f64s_into(&mut mc.b, "fourier mode coefficients")?;
             }
         }
         d.finish()?;

@@ -426,8 +426,10 @@ fn serial2d_restore_checks_every_shape_it_will_index() {
         ("ud_u short", |s| s.fields[3].truncate(3)),
         ("ud_v empty", |s| s.fields[4].clear()),
         ("more levels than the scheme keeps", |s| {
-            let newest = s.hist.rings[0][0].clone();
-            s.hist.rings[0].push(newest);
+            for ring in &mut s.hist.rings {
+                let newest = ring[0].clone();
+                ring.push(newest);
+            }
         }),
         ("velocity and nonlinear rings differ", |s| s.hist.rings[1].truncate(1)),
         ("a mode too many", |s| s.hist.rings[0][1].0 = 2),
@@ -442,9 +444,29 @@ fn serial2d_restore_checks_every_shape_it_will_index() {
     }
 }
 
-/// A NekTar-F shard whose history is deeper than the scheme keeps, or
-/// whose two rings differ in depth, is a typed `StateMismatch`: a step
-/// would weight levels its scheme has no coefficients for.
+/// A "fields" payload of `guards` counts and then `vectors`
+/// length-prefixed vectors, with its first vector one value short.
+fn fields_with_first_vector_short(fields: &[u8], guards: usize, vectors: usize) -> Vec<u8> {
+    let mut d = Dec::new("fields", 0, fields);
+    let mut e = Enc::new();
+    for _ in 0..guards {
+        e.u64(d.u64().unwrap());
+    }
+    for i in 0..vectors {
+        let mut v = d.f64s().unwrap();
+        if i == 0 {
+            v.pop();
+        }
+        e.f64s(&v);
+    }
+    d.finish().unwrap();
+    e.into_bytes()
+}
+
+/// A NekTar-F shard whose history is deeper than the scheme keeps, whose
+/// two rings differ in depth, or whose first mode coefficients are short
+/// is a typed `StateMismatch`: a step would weight levels its scheme has
+/// no coefficients for, or index past a mode's end.
 #[test]
 fn fourier_restore_checks_the_history_depth() {
     run(1, net(), |c| {
@@ -467,32 +489,24 @@ fn fourier_restore_checks_the_history_depth() {
             }),
             ("rings differ", |h| h.rings[1].truncate(1)),
         ];
+        let mut shards: Vec<(&str, CkptFile)> = Vec::new();
         for (what, tamper) in cases {
             let mut bad = good.clone();
             tamper(&mut bad);
-            let file = shard_with(&donor, &[("hist", bad.bytes())]);
+            shards.push((what, shard_with(&donor, &[("hist", bad.bytes())])));
+        }
+        // Four layout guards, then a cos and a sin vector per component
+        // per mode.
+        let fields = own_section(&donor, "fields");
+        let fields = fields_with_first_vector_short(&fields, 4, 6 * donor.fields.len());
+        shards.push(("a mode's coefficients short", shard_with(&donor, &[("fields", fields)])));
+        for (what, file) in shards {
             let err = NektarF::new(c, &mesh, fourier_cfg()).read_sections(&file).expect_err(what);
             assert!(matches!(err, CkptError::StateMismatch { .. }), "{what}: {err}");
         }
     });
 }
 
-/// An ALE "fields" payload with its first velocity component one value
-/// short: the two dof counts, then u (three components) and p.
-fn ale_fields_with_short_u(fields: &[u8]) -> Vec<u8> {
-    let mut d = Dec::new("fields", 0, fields);
-    let mut e = Enc::new();
-    e.u64(d.u64().unwrap());
-    e.u64(d.u64().unwrap());
-    let mut u0 = d.f64s().unwrap();
-    u0.pop();
-    e.f64s(&u0);
-    for _ in 0..3 {
-        e.f64s(&d.f64s().unwrap());
-    }
-    d.finish().unwrap();
-    e.into_bytes()
-}
 
 /// A CRC-valid NekTar-ALE shard whose history is deeper than the scheme
 /// keeps, whose rings differ in depth, whose history level is short or
@@ -528,7 +542,8 @@ fn ale_restore_checks_every_shape() {
             tamper(&mut bad);
             shards.push((what, shard_with(&donor, &[("hist", bad.bytes())])));
         }
-        let fields = ale_fields_with_short_u(&own_section(&donor, "fields"));
+        // The two dof counts, then u (three components) and p.
+        let fields = fields_with_first_vector_short(&own_section(&donor, "fields"), 2, 4);
         shards.push(("u short", shard_with(&donor, &[("fields", fields)])));
         for (what, file) in shards {
             let mut solver = NektarAle::new(c, mesh.clone(), &part, ale_cfg());
