@@ -13,7 +13,7 @@
 //! predominantly used"). The paper's Jacobi is applied in the nodal basis
 //! at the GLL points, which spans the same C0 space with the same dofs
 //! per entity and whose mass matrix its diagonal scales well: z = V⁻¹
-//! D⁻¹ V⁻ᵀ r, one preconditioner for every operator
+//! D⁻¹ V⁻ᵀ r, one preconditioner for every solve
 //! ([`HexHelmholtz::precondition`], DESIGN §8).
 
 use crate::opstream::{CommItem, Recorder, WorkItem};
@@ -25,7 +25,7 @@ use nkt_mesh::{BoundaryTag, Mesh3d};
 use nkt_mpi::prelude::*;
 use nkt_poly::quadrature::zwglj;
 use nkt_spectral::basis1d::{sweep_matrices, Basis1d};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// 1-D building blocks: mass and stiffness matrices of the modified
 /// basis on [−1, 1], the basis tables as [`sweep`] matrices, and the
@@ -159,9 +159,6 @@ pub struct HexNumbering {
     pub elem_dofs: Vec<Vec<u64>>,
     /// Total number of distinct global dofs.
     pub ndof_global: u64,
-    /// Dirichlet flag per element-local mode (same global dof always
-    /// agrees).
-    pub dirichlet_global: HashMap<u64, f64>,
 }
 
 /// Classifies each (p, q, r) index as lying on a vertex/edge/face/interior
@@ -184,15 +181,13 @@ fn hex_vertices(p: usize) -> [(usize, usize, usize); 8] {
 }
 
 impl HexNumbering {
-    /// Builds a global C0 numbering for an order-`p` expansion on `mesh`.
-    /// Dofs on faces tagged with any of `dirichlet_tags` are constrained
-    /// with value 0 (homogeneous; the ALE solver lifts inhomogeneous data
-    /// separately via [`HexNumbering::set_dirichlet_values`]).
+    /// Builds a global C0 numbering for an order-`p` expansion on `mesh`,
+    /// free of boundary conditions (see [`HexNumbering::tagged`]).
     ///
     /// # Panics
     /// Panics if any element is not an axis-aligned box (the supported
     /// class — see module docs).
-    pub fn build(mesh: &Mesh3d, p: usize, dirichlet_tags: &[BoundaryTag]) -> HexNumbering {
+    pub fn build(mesh: &Mesh3d, p: usize) -> HexNumbering {
         for ei in 0..mesh.nelems() {
             assert!(
                 elem_box(mesh, ei).is_some(),
@@ -239,48 +234,34 @@ impl HexNumbering {
             }
             elem_dofs.push(dofs);
         }
-        // Dirichlet: modes whose support lies in a tagged boundary face.
+        HexNumbering { p, elem_dofs, ndof_global: key_to_id.len() as u64 }
+    }
+
+    /// The global dofs whose modes lie in a boundary face of `mesh` tagged
+    /// with any of `tags`: the same set on every rank, from the whole mesh.
+    pub fn tagged(&self, mesh: &Mesh3d, tags: &[BoundaryTag]) -> HashSet<u64> {
         // Local face `fi` (matched by vertex set) fixes axis 2 − fi/2 at
         // its low end (even `fi`) or its high end.
         let local_faces =
             [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 5, 4], [3, 2, 6, 7], [0, 3, 7, 4], [1, 2, 6, 5]];
-        let mut dirichlet_global = HashMap::new();
-        for f in mesh.faces.iter().filter(|f| f.tag.is_some_and(|t| dirichlet_tags.contains(&t))) {
+        let (p, nm1) = (self.p, self.p + 1);
+        let mut tagged = HashSet::new();
+        for f in mesh.faces.iter().filter(|f| f.tag.is_some_and(|t| tags.contains(&t))) {
             let ei = f.elems[0];
             for (fi, lf) in local_faces.iter().enumerate() {
                 let mut vs = lf.map(|l| mesh.elems[ei].verts[l]);
                 vs.sort_unstable();
                 if vs == f.v {
                     let (axis, end) = (2 - fi / 2, fi % 2 * p);
-                    for (m, &g) in elem_dofs[ei].iter().enumerate() {
+                    for (m, &g) in self.elem_dofs[ei].iter().enumerate() {
                         if [m % nm1, m / nm1 % nm1, m / (nm1 * nm1)][axis] == end {
-                            dirichlet_global.insert(g, 0.0);
+                            tagged.insert(g);
                         }
                     }
                 }
             }
         }
-        HexNumbering { p, elem_dofs, ndof_global: key_to_id.len() as u64, dirichlet_global }
-    }
-
-    /// Overrides Dirichlet values using a vertex-value function (only the
-    /// vertex dofs get nonzero data; edge/face corrections are omitted —
-    /// adequate for the low-order boundary data the ALE runs use).
-    pub fn set_dirichlet_values(
-        &mut self,
-        mesh: &Mesh3d,
-        g: impl Fn([f64; 3]) -> f64,
-    ) {
-        let nm1 = self.p + 1;
-        for (ei, el) in mesh.elems.iter().enumerate() {
-            for (lv, (i, j, k)) in hex_vertices(self.p).into_iter().enumerate() {
-                let m = i + j * nm1 + k * nm1 * nm1;
-                let gid = self.elem_dofs[ei][m];
-                if let Some(v) = self.dirichlet_global.get_mut(&gid) {
-                    *v = g(mesh.verts[el.verts[lv]]);
-                }
-            }
-        }
+        tagged
     }
 
     /// Number of local modes per element.
@@ -319,9 +300,29 @@ pub const MASS: [f64; 2] = [1.0, 0.0];
 /// `[λ, kc]` of the Laplacian −∇², the pressure and mesh-velocity solves.
 pub const LAPLACE: [f64; 2] = [0.0, 1.0];
 
-/// The distributed Helmholtz operators kc·K + λM of one Dirichlet pattern
-/// on a partitioned hex mesh (matrix-free, per-rank element storage): its
-/// members differ only in the `[λ, kc]` each apply and solve takes.
+/// One Dirichlet pattern: the local dofs it constrains, ascending and fixed
+/// by [`HexHelmholtz::dirichlet`], and the value each takes.
+#[derive(Debug, Clone)]
+pub struct Dirichlet {
+    rows: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Dirichlet {
+    /// The constrained local dofs, ascending: [`HexHelmholtz::apply`]'s identity rows.
+    pub fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// The values of the constrained dofs, one per row (0 as built).
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+}
+
+/// The distributed Helmholtz operators kc·K + λM on a partitioned hex mesh
+/// (matrix-free, per-rank element storage): every apply and solve takes
+/// its member `[λ, kc]` and its [`Dirichlet`] pattern.
 pub struct HexHelmholtz {
     /// Polynomial order.
     pub p: usize,
@@ -335,12 +336,6 @@ pub struct HexHelmholtz {
     pub elem_local: Vec<usize>,
     /// Global ids of this rank's local dofs.
     pub local_gids: Vec<u64>,
-    /// Dirichlet flags/values for local dofs. Callers may change the
-    /// values; the pattern is fixed at construction.
-    pub dirichlet: Vec<Option<f64>>,
-    /// The local dofs whose `dirichlet` entry is `Some`, ascending: the
-    /// identity rows of [`HexHelmholtz::apply`].
-    pub(crate) dirichlet_rows: Vec<usize>,
     /// 1-D operators.
     pub op1: Oper1d,
     /// Gather-scatter handle over shared dofs.
@@ -393,11 +388,6 @@ impl HexHelmholtz {
                 })
             }));
         }
-        let dirichlet: Vec<Option<f64>> = local_gids
-            .iter()
-            .map(|g| numbering.dirichlet_global.get(g).copied())
-            .collect();
-        let dirichlet_rows = (0..dirichlet.len()).filter(|&l| dirichlet[l].is_some()).collect();
         let gs = GsHandle::try_setup(comm, &local_gids, GsStrategy::Hybrid)
             .expect("hex numbering produces a consistent sharer table");
         // Multiplicity: GS-sum of ones.
@@ -423,8 +413,6 @@ impl HexHelmholtz {
             scales,
             elem_local,
             local_gids,
-            dirichlet,
-            dirichlet_rows,
             op1,
             gs,
             weight,
@@ -433,6 +421,14 @@ impl HexHelmholtz {
             elem_interior,
             gs_overlap: true,
         }
+    }
+
+    /// The pattern constraining this rank's local dofs among the global
+    /// dofs `gids` (e.g. [`HexNumbering::tagged`]), every value 0.
+    pub fn dirichlet(&self, gids: &HashSet<u64>) -> Dirichlet {
+        let rows: Vec<usize> =
+            (0..self.nlocal()).filter(|&l| gids.contains(&self.local_gids[l])).collect();
+        Dirichlet { values: vec![0.0; rows.len()], rows }
     }
 
     /// Number of local dofs on this rank.
@@ -459,8 +455,8 @@ impl HexHelmholtz {
     /// D, the assembled diagonal of the member `coefs` in the nodal basis,
     /// into `diag`: from the 1-D nodal diagonals and the coefficients the
     /// kernel applies to each element's current box, GS-summed, with the
-    /// Dirichlet rows 1. Collective.
-    fn nodal_diag(&self, comm: &mut Comm, coefs: [f64; 2], diag: &mut Vec<f64>) {
+    /// rows of `bc` 1. Collective.
+    fn nodal_diag(&self, comm: &mut Comm, coefs: [f64; 2], bc: &Dirichlet, diag: &mut Vec<f64>) {
         let nm1 = self.p + 1;
         let [md, kd] = &self.op1.nodal_diag;
         diag.clear();
@@ -476,7 +472,7 @@ impl HexHelmholtz {
             }
         }
         self.gs.exchange(comm, diag, ReduceOp::Sum);
-        for &l in &self.dirichlet_rows {
+        for &l in &bc.rows {
             diag[l] = 1.0;
         }
     }
@@ -550,15 +546,17 @@ impl HexHelmholtz {
     }
 
     /// Applies the assembled member `coefs` = `[λ, kc]`: y =
-    /// GS-sum(elemental (kc·K + λM) x), with Dirichlet rows replaced by
+    /// GS-sum(elemental (kc·K + λM) x), with the rows of `bc` replaced by
     /// identity. Collective.
     ///
     /// `scratch` is the caller's elemental work buffer (grown here on
     /// first use, never shrunk), so repeated applies touch no heap.
+    #[allow(clippy::too_many_arguments)]
     pub fn apply(
         &self,
         comm: &mut Comm,
         coefs: [f64; 2],
+        bc: &Dirichlet,
         x: &[f64],
         y: &mut [f64],
         scratch: &mut Vec<f64>,
@@ -571,7 +569,7 @@ impl HexHelmholtz {
         self.assemble(comm, "helmholtz", self.elem_virtual_secs(), item, y, rec, |elems, y| {
             apply_elems(&self.op1, elems, &self.elem_local, elem_coefs, x, y, scratch);
         });
-        for &l in &self.dirichlet_rows {
+        for &l in &bc.rows {
             y[l] = x[l];
         }
     }
@@ -580,12 +578,15 @@ impl HexHelmholtz {
     /// operator's assembled nodal diagonal `diag` ([`HexHelmholtz::nodal_diag`]).
     /// With W the inverse element multiplicity, V⁻ᵀ r = GS-sum(Σ_e R_eᵀ
     /// V_e⁻ᵀ R_e W r) and V⁻¹ s = W GS-sum(Σ_e R_eᵀ V_e⁻¹ R_e s), so P is
-    /// symmetric by construction. Dirichlet rows of s are zeroed, and those
-    /// of z come out 0: V⁻¹'s end-node rows are exact unit vectors. Each
-    /// [`basis_elems`] pass is charged 6·nm⁴ flops an element. Collective.
+    /// symmetric by construction. The rows of `bc` in s are zeroed, and
+    /// those of z come out 0: V⁻¹'s end-node rows are exact unit vectors.
+    /// Each [`basis_elems`] pass is charged 6·nm⁴ flops an element.
+    /// Collective.
+    #[allow(clippy::too_many_arguments)]
     fn precondition(
         &self,
         comm: &mut Comm,
+        bc: &Dirichlet,
         diag: &[f64],
         r: &[f64],
         z: &mut [f64],
@@ -608,7 +609,7 @@ impl HexHelmholtz {
         for (si, di) in s.iter_mut().zip(diag) {
             *si /= di;
         }
-        for &l in &self.dirichlet_rows {
+        for &l in &bc.rows {
             s[l] = 0.0;
         }
         self.assemble(comm, "precond", esecs, item, z, rec, |elems, z| {
@@ -695,12 +696,12 @@ impl HexHelmholtz {
         global_sum(comm, s)
     }
 
-    /// Solves (kc·K + λM) x = b, the member `coefs` = `[λ, kc]`, by
-    /// preconditioned CG (see [`HexHelmholtz::precondition`]), whose nodal
-    /// diagonal it first builds from the elements' current boxes. `b` must
-    /// be GS-consistent (already summed); `x` enters as the initial guess.
-    /// Collective. An iteration reduces `p·Ap`, `r·r` and, unless that
-    /// converged, `r·z`.
+    /// Solves (kc·K + λM) x = b, the member `coefs` = `[λ, kc]`, with the
+    /// rows of `bc` held at its values, by preconditioned CG (see
+    /// [`HexHelmholtz::precondition`]), whose nodal diagonal it first builds
+    /// from the elements' current boxes. `b` must be GS-consistent (already
+    /// summed); `x` enters as the initial guess. Collective. An iteration
+    /// reduces `p·Ap`, `r·r` and, unless that converged, `r·z`.
     ///
     /// Every vector the iteration needs lives in `ws`, so a solve
     /// allocates nothing beyond what `nkt-gs` / `nkt-mpi` do per message.
@@ -712,6 +713,7 @@ impl HexHelmholtz {
         &self,
         comm: &mut Comm,
         coefs: [f64; 2],
+        bc: &Dirichlet,
         b: &[f64],
         x: &mut [f64],
         tol: f64,
@@ -724,20 +726,18 @@ impl HexHelmholtz {
         for v in [&mut *bb, &mut *r, &mut *ap, &mut *z, &mut *pv] {
             v.resize(n, 0.0);
         }
-        self.nodal_diag(comm, coefs, diag);
+        self.nodal_diag(comm, coefs, bc, diag);
         // Impose Dirichlet values on the iterate and the residual target.
         bb.copy_from_slice(b);
-        for (l, d) in self.dirichlet.iter().enumerate() {
-            if let Some(v) = *d {
-                x[l] = v;
-                bb[l] = v;
-            }
+        for (&l, &v) in bc.rows.iter().zip(&bc.values) {
+            x[l] = v;
+            bb[l] = v;
         }
-        self.apply(comm, coefs, x, ap, elem, rec);
+        self.apply(comm, coefs, bc, x, ap, elem, rec);
         for i in 0..n {
             r[i] = bb[i] - ap[i];
         }
-        self.precondition(comm, diag, r, z, elem, rec);
+        self.precondition(comm, bc, diag, r, z, elem, rec);
         pv.copy_from_slice(z);
         let bnorm = self.dot(comm, bb, bb).sqrt().max(1e-300);
         let mut rz = self.dot(comm, r, z);
@@ -749,7 +749,7 @@ impl HexHelmholtz {
         let (x, r, z, ap, pv) = (&mut x[..n], &mut r[..n], &mut z[..n], &mut ap[..n], &mut pv[..n]);
         let weight = &self.weight[..n];
         for it in 1..=max_iter {
-            self.apply(comm, coefs, pv, ap, elem, rec);
+            self.apply(comm, coefs, bc, pv, ap, elem, rec);
             let pap = self.dot(comm, pv, ap);
             if pap <= 0.0 {
                 return PcgOutcome { iters: it, converged: false };
@@ -768,7 +768,7 @@ impl HexHelmholtz {
             if rnorm / bnorm <= tol {
                 return PcgOutcome { iters: it, converged: true };
             }
-            self.precondition(comm, diag, r, z, elem, rec);
+            self.precondition(comm, bc, diag, r, z, elem, rec);
             let rz2 = self.dot(comm, r, z);
             let beta = rz2 / rz;
             rz = rz2;
@@ -799,7 +799,7 @@ pub struct PcgOutcome {
 /// The buffers of one [`HexHelmholtz::pcg`] solve (`bb, r, ap, z, pv`),
 /// its preconditioner's nodal diagonal and the elemental scratch of
 /// [`HexHelmholtz::apply`]. Lives as long as the solver that owns it and
-/// is shared by all its operators; every buffer is sized on first use and
+/// is shared by all its solves; every buffer is sized on first use and
 /// overwritten before it is read.
 #[derive(Debug, Default)]
 pub struct HexWorkspace {
@@ -1265,13 +1265,14 @@ mod tests {
     #[test]
     fn apply_equals_the_per_element_kernel_bit_for_bit() {
         let mesh = nkt_mesh::wing_box_mesh(1);
-        let numbering = HexNumbering::build(&mesh, 2, &[BoundaryTag::Inflow, BoundaryTag::Wall]);
+        let numbering = HexNumbering::build(&mesh, 2);
+        let tagged = numbering.tagged(&mesh, &[BoundaryTag::Inflow, BoundaryTag::Wall]);
         for ranks in [1, 2] {
             let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
             let part = partition_kway(&dual, ranks, &PartitionOptions::default());
             run(ranks, cluster(NetId::T3e), |c| {
                 let mut h = HexHelmholtz::new(c, &mesh, &numbering, &part);
-                let coefs = [250.0, 1.0];
+                let (coefs, bc) = ([250.0, 1.0], h.dirichlet(&tagged));
                 let x: Vec<f64> = h.local_gids.iter().map(|&g| (g as f64 * 0.37).sin()).collect();
                 let mut want = vec![0.0; h.nlocal()];
                 let mut ye = vec![0.0; h.nm3()];
@@ -1283,16 +1284,15 @@ mod tests {
                     }
                 }
                 h.gs.exchange(c, &mut want, ReduceOp::Sum);
-                for (l, d) in h.dirichlet.iter().enumerate() {
-                    if d.is_some() {
-                        want[l] = x[l];
-                    }
+                for &l in &bc.rows {
+                    want[l] = x[l];
                 }
                 let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
                 for overlap in [true, false] {
                     h.set_gs_overlap(overlap);
                     let mut got = vec![f64::NAN; h.nlocal()];
-                    h.apply(c, coefs, &x, &mut got, &mut Vec::new(), &mut Recorder::disabled());
+                    let (scratch, rec) = (&mut Vec::new(), &mut Recorder::disabled());
+                    h.apply(c, coefs, &bc, &x, &mut got, scratch, rec);
                     assert!(bits(&got) == bits(&want), "{ranks} rank(s), overlap {overlap}");
                 }
             });
@@ -1305,16 +1305,18 @@ mod tests {
     #[test]
     fn a_two_rank_solve_is_bitwise_equal_with_overlap_on_and_off() {
         let mesh = nkt_mesh::wing_box_mesh(1);
-        let numbering = HexNumbering::build(&mesh, 2, &[BoundaryTag::Inflow, BoundaryTag::Wall]);
+        let numbering = HexNumbering::build(&mesh, 2);
+        let tagged = numbering.tagged(&mesh, &[BoundaryTag::Inflow, BoundaryTag::Wall]);
         let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
         let part = partition_kway(&dual, 2, &PartitionOptions::default());
         run(2, cluster(NetId::T3e), |c| {
             let mut h = HexHelmholtz::new(c, &mesh, &numbering, &part);
+            let bc = h.dirichlet(&tagged);
             let b: Vec<f64> = h.local_gids.iter().map(|&g| (g as f64 * 0.11).cos()).collect();
             let solve = |h: &HexHelmholtz, c: &mut Comm| {
                 let (mut x, mut ws) = (vec![0.0; h.nlocal()], HexWorkspace::default());
                 let rec = &mut Recorder::disabled();
-                let out = h.pcg(c, [250.0, 1.0], &b, &mut x, 1e-10, 500, &mut ws, rec);
+                let out = h.pcg(c, [250.0, 1.0], &bc, &b, &mut x, 1e-10, 500, &mut ws, rec);
                 (out, x.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
             };
             let on = solve(&h, c);
@@ -1374,12 +1376,14 @@ mod tests {
     /// λ = 0 operator; P's Dirichlet rows are 0.
     fn apply_symmetry_test(p_ranks: usize) {
         let mesh = box_hexes(0.0, 2.0, 0.0, 1.0, 0.0, 1.5, 3, 2, 2);
-        let numbering = HexNumbering::build(&mesh, 3, &[BoundaryTag::Inflow, BoundaryTag::Side]);
+        let numbering = HexNumbering::build(&mesh, 3);
+        let tagged = numbering.tagged(&mesh, &[BoundaryTag::Inflow, BoundaryTag::Side]);
         let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
         let part = partition_kway(&dual, p_ranks, &PartitionOptions::default());
         let out = run(p_ranks, cluster(NetId::T3e), |c| {
             let h = HexHelmholtz::new(c, &mesh, &numbering, &part);
-            [7.5, 0.0].map(|lambda| symmetry_probe(c, &h, [lambda, 1.0]))
+            let bc = h.dirichlet(&tagged);
+            [7.5, 0.0].map(|lambda| symmetry_probe(c, &h, &bc, [lambda, 1.0]))
         });
         let ops = ["apply", "precond"].into_iter().cycle();
         for (op, (axy, xay)) in ops.zip(out.into_iter().flatten().flatten()) {
@@ -1389,27 +1393,31 @@ mod tests {
     }
 
     /// (⟨Ax, y⟩, ⟨x, Ay⟩) and (⟨Px, y⟩, ⟨x, Py⟩) of `h`'s member `coefs`
-    /// for two fields vanishing on its Dirichlet dofs; fails unless Px and
-    /// Py vanish there too. Collective.
-    fn symmetry_probe(c: &mut Comm, h: &HexHelmholtz, coefs: [f64; 2]) -> [(f64, f64); 2] {
+    /// with pattern `bc` for two fields vanishing on its rows; fails unless
+    /// Px and Py vanish there too. Collective.
+    fn symmetry_probe(
+        c: &mut Comm,
+        h: &HexHelmholtz,
+        bc: &Dirichlet,
+        coefs: [f64; 2],
+    ) -> [(f64, f64); 2] {
         // GS-consistent by construction: a function of the global id.
         let field = |phase: f64| -> Vec<f64> {
-            h.local_gids
-                .iter()
-                .zip(&h.dirichlet)
-                .map(|(&g, d)| if d.is_some() { 0.0 } else { (g as f64 * 0.37 + phase).sin() })
-                .collect()
+            let mut f: Vec<f64> =
+                h.local_gids.iter().map(|&g| (g as f64 * 0.37 + phase).sin()).collect();
+            bc.rows.iter().for_each(|&l| f[l] = 0.0);
+            f
         };
         let (x, y) = (field(0.0), field(1.3));
         let (mut ax, mut ay) = (vec![0.0; h.nlocal()], vec![0.0; h.nlocal()]);
         let (mut scratch, mut diag, mut rec) = (Vec::new(), Vec::new(), Recorder::disabled());
-        h.apply(c, coefs, &x, &mut ax, &mut scratch, &mut rec);
-        h.apply(c, coefs, &y, &mut ay, &mut scratch, &mut rec);
+        h.apply(c, coefs, bc, &x, &mut ax, &mut scratch, &mut rec);
+        h.apply(c, coefs, bc, &y, &mut ay, &mut scratch, &mut rec);
         let (mut px, mut py) = (vec![0.0; h.nlocal()], vec![0.0; h.nlocal()]);
-        h.nodal_diag(c, coefs, &mut diag);
-        h.precondition(c, &diag, &x, &mut px, &mut scratch, &mut rec);
-        h.precondition(c, &diag, &y, &mut py, &mut scratch, &mut rec);
-        for &l in &h.dirichlet_rows {
+        h.nodal_diag(c, coefs, bc, &mut diag);
+        h.precondition(c, bc, &diag, &x, &mut px, &mut scratch, &mut rec);
+        h.precondition(c, bc, &diag, &y, &mut py, &mut scratch, &mut rec);
+        for &l in &bc.rows {
             assert!(px[l] == 0.0 && py[l] == 0.0, "Dirichlet row {l}: {} {}", px[l], py[l]);
         }
         [(h.dot(c, &ax, &y), h.dot(c, &x, &ay)), (h.dot(c, &px, &y), h.dot(c, &x, &py))]
@@ -1430,14 +1438,16 @@ mod tests {
     /// `tags`, on the fixed right-hand side b_g = cos(0.11 g).
     fn wing_solve(order: usize, tags: &[BoundaryTag], coefs: [f64; 2]) -> PcgOutcome {
         let mesh = nkt_mesh::wing_box_mesh(1);
-        let numbering = HexNumbering::build(&mesh, order, tags);
+        let numbering = HexNumbering::build(&mesh, order);
+        let tagged = numbering.tagged(&mesh, tags);
         let part = vec![0u8; mesh.nelems()];
         let out = run(1, cluster(NetId::T3e), |c| {
             let h = HexHelmholtz::new(c, &mesh, &numbering, &part);
+            let bc = h.dirichlet(&tagged);
             let b: Vec<f64> = h.local_gids.iter().map(|&g| (g as f64 * 0.11).cos()).collect();
             let mut x = vec![0.0; h.nlocal()];
             let mut ws = HexWorkspace::default();
-            h.pcg(c, coefs, &b, &mut x, 1e-6, 2000, &mut ws, &mut Recorder::disabled())
+            h.pcg(c, coefs, &bc, &b, &mut x, 1e-6, 2000, &mut ws, &mut Recorder::disabled())
         });
         out[0]
     }
@@ -1467,7 +1477,7 @@ mod tests {
     fn numbering_counts_on_two_hexes() {
         let mesh = box_hexes(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, 2, 1, 1);
         let p = 3;
-        let n = HexNumbering::build(&mesh, p, &[]);
+        let n = HexNumbering::build(&mesh, p);
         // Expected: 12 vertices + 20 edges*(p-1) + 11 faces*(p-1)^2 +
         // 2 interiors*(p-1)^3.
         let expect = 12 + 20 * (p - 1) as u64 + 11 * ((p - 1) * (p - 1)) as u64
@@ -1479,7 +1489,7 @@ mod tests {
     fn shared_face_dofs_coincide() {
         let mesh = box_hexes(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, 2, 1, 1);
         let p = 2;
-        let n = HexNumbering::build(&mesh, p, &[]);
+        let n = HexNumbering::build(&mesh, p);
         // Count how many dofs appear in both elements: a full face worth:
         // (p+1)^2 distinct dofs.
         use std::collections::HashSet;
@@ -1495,7 +1505,8 @@ mod tests {
         let order = 3;
         let mesh = box_hexes(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2, 2, 2);
         let tags = [BoundaryTag::Inflow, BoundaryTag::Outflow, BoundaryTag::Side];
-        let numbering = HexNumbering::build(&mesh, order, &tags);
+        let numbering = HexNumbering::build(&mesh, order);
+        let tagged = numbering.tagged(&mesh, &tags);
         let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
         let part = partition_kway(&dual, p_ranks, &PartitionOptions::default());
         let errs = run(p_ranks, cluster(NetId::T3e), |c| {
@@ -1509,7 +1520,8 @@ mod tests {
             h.gs.exchange(c, &mut b, ReduceOp::Sum);
             let mut x = vec![0.0; h.nlocal()];
             let mut ws = HexWorkspace::default();
-            let out = h.pcg(c, LAPLACE, &b, &mut x, 1e-10, 500, &mut ws, &mut rec);
+            let bc = h.dirichlet(&tagged);
+            let out = h.pcg(c, LAPLACE, &bc, &b, &mut x, 1e-10, 500, &mut ws, &mut rec);
             assert!(out.converged, "PCG did not converge: {out:?}");
             // Check at element vertices (vertex dofs are interpolatory).
             let mut max_err = 0.0f64;
@@ -1596,7 +1608,8 @@ mod tests {
         let order = 3;
         let mesh = box_hexes(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2, 2, 2);
         let tags = [BoundaryTag::Inflow, BoundaryTag::Outflow, BoundaryTag::Side];
-        let numbering = HexNumbering::build(&mesh, order, &tags);
+        let numbering = HexNumbering::build(&mesh, order);
+        let tagged = numbering.tagged(&mesh, &tags);
         let part = vec![0u8; mesh.nelems()];
         let lam = 25.0;
         let err = run(1, cluster(NetId::T3e), |c| {
@@ -1612,7 +1625,8 @@ mod tests {
             h.gs.exchange(c, &mut b, ReduceOp::Sum);
             let mut x = vec![0.0; h.nlocal()];
             let ws = &mut HexWorkspace::default();
-            let out = h.pcg(c, [lam, 1.0], &b, &mut x, 1e-10, 500, ws, &mut rec);
+            let bc = h.dirichlet(&tagged);
+            let out = h.pcg(c, [lam, 1.0], &bc, &b, &mut x, 1e-10, 500, ws, &mut rec);
             assert!(out.converged, "{out:?}");
             // Probe the center vertex value: u(.5,.5,.5) = 1.
             let mut best = f64::MAX;

@@ -27,10 +27,12 @@ fn pcg_iteration_allocates_only_what_its_messages_do() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let mesh = wing_box_mesh(1);
     let tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
-    let numbering = HexNumbering::build(&mesh, 2, &tags);
+    let numbering = HexNumbering::build(&mesh, 2);
+    let tagged = numbering.tagged(&mesh, &tags);
     let part = vec![0u8; mesh.nelems()];
     let out = World::builder().ranks(1).net(cluster(NetId::T3e)).run(|c| {
         let h = HexHelmholtz::new(c, &mesh, &numbering, &part);
+        let bc = h.dirichlet(&tagged);
         let n = h.nlocal();
         let b: Vec<f64> = h.local_gids.iter().map(|&g| (g as f64 * 0.11).cos()).collect();
         let (mut x, mut probe) = (vec![0.0; n], vec![1.0; n]);
@@ -40,7 +42,7 @@ fn pcg_iteration_allocates_only_what_its_messages_do() {
         let mut solve = |c: &mut Comm, iters: usize| {
             x.fill(0.0);
             allocs_in(|| {
-                let out = h.pcg(c, [250.0, 1.0], &b, &mut x, 0.0, iters, &mut ws, &mut rec);
+                let out = h.pcg(c, [250.0, 1.0], &bc, &b, &mut x, 0.0, iters, &mut ws, &mut rec);
                 assert_eq!((out.iters, out.converged), (iters, false));
             })
         };

@@ -171,11 +171,13 @@ fn wing_mesh_parallel_poisson() {
         BoundaryTag::Side,
         BoundaryTag::Wall,
     ];
-    let numbering = HexNumbering::build(&mesh, order, &tags);
+    let numbering = HexNumbering::build(&mesh, order);
+    let tagged = numbering.tagged(&mesh, &tags);
     let g = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
     let part = partition_kway(&g, 2, &PartitionOptions::default());
     let out = run(2, cluster(NetId::T3e), |c| {
         let h = HexHelmholtz::new(c, &mesh, &numbering, &part);
+        let bc = h.dirichlet(&tagged);
         let mut rec = nektar_repro::nektar::opstream::Recorder::disabled();
         // Solve (−∇² + 1)u = 1 with u = 0 on the boundary: u is bounded by
         // the max principle (0 ≤ u < 1).
@@ -201,7 +203,7 @@ fn wing_mesh_parallel_poisson() {
         h.gs.exchange(c, &mut b, ReduceOp::Sum);
         let mut x = vec![0.0; h.nlocal()];
         let ws = &mut HexWorkspace::default();
-        let solve = h.pcg(c, [1.0, 1.0], &b, &mut x, 1e-8, 2000, ws, &mut rec);
+        let solve = h.pcg(c, [1.0, 1.0], &bc, &b, &mut x, 1e-8, 2000, ws, &mut rec);
         // Max principle check on vertex dofs only (vertex modes are
         // interpolatory; bubble coefficients are not point values).
         let nm1 = h.p + 1;
