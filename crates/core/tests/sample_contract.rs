@@ -225,4 +225,4 @@ const PENCIL: ([u64; 13], u64, u64) = (
     0x935df121cf7004e8,
     0xa85bd176d304a129,
 );
-const WING: ([u64; 2], u64) = ([0x3fbb59851616707d, 0x406e45f5471f99df], 0x6599fba089225661);
+const WING: ([u64; 2], u64) = ([0x3fbb59e6e1d6011b, 0x406e45f5471f99df], 0x58f73d1f627e1ff5);

@@ -69,7 +69,7 @@ fn prof_and_calib_documents_are_pinned() {
 
     let want = [
         ("pin_fourier_roadrunner_eth", (0xd42e_f0e9_934d_7dd9, 0xb2b3_1669_187d_ea2f)),
-        ("pin_wing_muses_lam", (0x0ef2_97a0_59e0_5a19, 0xde13_e3d9_e87e_679d)),
+        ("pin_wing_muses_lam", (0x661e_8379_0876_e3f7, 0x6db4_8086_5e1b_7e30)),
     ];
     assert_eq!(got, want, "(PROF, CALIB) digests");
 }
