@@ -79,6 +79,13 @@ impl Fnv1a {
     pub fn finish(&self) -> u64 {
         self.0
     }
+
+    /// The digest of `bytes` alone.
+    pub fn digest(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.update(bytes);
+        h.finish()
+    }
 }
 
 impl Default for Fnv1a {
@@ -124,6 +131,14 @@ mod tests {
         fn ckpt_step(&self) -> u64 {
             self.steps
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a test vectors.
+        assert_eq!(Fnv1a::digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::digest(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv1a::digest(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

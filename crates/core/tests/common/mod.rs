@@ -46,13 +46,12 @@ pub fn allocs_in<T>(f: impl FnOnce() -> T) -> u64 {
 /// item for item.
 #[allow(dead_code)]
 pub fn op_stream_digest(ranks: &[nektar::opstream::OpRecording]) -> u64 {
-    let items = ranks.iter().flat_map(|rec| {
+    let mut h = nkt_ckpt::Fnv1a::new();
+    for rec in ranks {
         let work = rec.work.iter().map(|item| format!("{item:?}"));
-        work.chain(rec.comm.iter().map(|item| format!("{item:?}")))
-    });
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in items.flat_map(String::into_bytes) {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        for item in work.chain(rec.comm.iter().map(|item| format!("{item:?}"))) {
+            h.update(item.as_bytes());
+        }
     }
-    h
+    h.finish()
 }

@@ -1,11 +1,12 @@
 //! What one stats sample records, held bit for bit: every scalar channel
 //! (`to_bits`), the spanwise spectrum and the per-rank MPI rows of a
 //! warmed sample, for each solver's demo case — the serial wake, NekTar-F
-//! on a 2-rank slab and on a 4×2 pencil, NekTar-ALE on the wing. The
-//! values were recorded before the three samplers became one protocol;
-//! a refactor of the sampler must not move one bit of them. Beside them:
-//! what a warmed sample allocates (counted by a `#[global_allocator]`),
-//! and the watchdog's finiteness scan on NekTar-ALE.
+//! on a 2-rank slab and on a 4×2 pencil, NekTar-ALE on the wing — as rows
+//! of the pin ledger (`scripts/pins.txt`), recorded before the three
+//! samplers became one protocol; a refactor of the sampler must not move
+//! one bit of them. Beside them: what a warmed sample allocates (counted
+//! by a `#[global_allocator]`), and the watchdog's finiteness scan on
+//! NekTar-ALE.
 
 mod common;
 
@@ -13,21 +14,18 @@ use common::{allocs_in, Counting};
 use nektar::ale::NektarAle;
 use nektar::drive::{cases, drive, Hook, Plan, Serial, Simulation};
 use nektar::stats::{sample, sample_serial2d, FOURIER_CHANNELS, SERIAL2D_CHANNELS};
-use nkt_ckpt::CkptConfig;
+use nkt_ckpt::{CkptConfig, Fnv1a};
 use nkt_mpi::{Comm, World};
 use nkt_net::{cluster, NetId};
 use nkt_stats::{HealthError, RuleLimits, Sample, StatsRecorder};
+use nkt_testkit::assert_pin;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
 /// FNV-1a over the `{:?}` of `v`.
 fn digest(v: &impl std::fmt::Debug) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in format!("{v:?}").into_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    Fnv1a::digest(format!("{v:?}").as_bytes())
 }
 
 /// The last sample of a `steps`-step run sampled every step, watchdog
@@ -67,31 +65,30 @@ fn bits(s: &Sample) -> Vec<u64> {
     s.scalars.iter().map(|x| x.to_bits()).collect()
 }
 
-/// `(scalar bits, spectrum digest, MPI-row digest)` of a sample.
-fn pinned(s: &Sample) -> (Vec<u64>, u64, u64) {
-    (bits(s), digest(&s.spectrum), digest(&s.mpi))
-}
-
 #[test]
 fn serial_wake_sample_is_pinned() {
     let s = last_sample(&mut cases::wake(1, 4), &mut Serial, 3);
     assert_eq!(s.step, 3);
     assert!(s.spectrum.is_empty() && s.mpi.is_empty());
-    assert_eq!(bits(&s), WAKE);
+    assert_pin("sample_contract/wake/scalars", &bits(&s));
 }
 
 #[test]
 fn fourier_slab_sample_is_pinned() {
     let s = root_sample(2, |c| cases::fourier(c, 8, None).expect("a valid slab"), 3);
     assert_eq!(s.mpi.len(), 2);
-    assert_eq!(pinned(&s), (SLAB.0.to_vec(), SLAB.1, SLAB.2));
+    assert_pin("sample_contract/slab/scalars", &bits(&s));
+    assert_pin("sample_contract/slab/spectrum", &[digest(&s.spectrum)]);
+    assert_pin("sample_contract/slab/mpi", &[digest(&s.mpi)]);
 }
 
 #[test]
 fn fourier_pencil_sample_is_pinned() {
     let s = root_sample(8, |c| cases::fourier(c, 8, Some((4, 2))).expect("a valid grid"), 3);
     assert_eq!(s.mpi.len(), 8);
-    assert_eq!(pinned(&s), (PENCIL.0.to_vec(), PENCIL.1, PENCIL.2));
+    assert_pin("sample_contract/pencil/scalars", &bits(&s));
+    assert_pin("sample_contract/pencil/spectrum", &[digest(&s.spectrum)]);
+    assert_pin("sample_contract/pencil/mpi", &[digest(&s.mpi)]);
 }
 
 #[test]
@@ -100,7 +97,8 @@ fn ale_wing_sample_is_pinned() {
     let s = root_sample(2, |c| case.build(c), 2);
     assert!(s.spectrum.is_empty());
     assert_eq!(s.mpi.len(), 2);
-    assert_eq!((bits(&s), digest(&s.mpi)), (WING.0.to_vec(), WING.1));
+    assert_pin("sample_contract/wing/scalars", &bits(&s));
+    assert_pin("sample_contract/wing/mpi", &[digest(&s.mpi)]);
 }
 
 /// A warmed serial sample allocates only the sample's own scalars (a
@@ -173,56 +171,3 @@ fn a_nan_in_ale_pressure_is_named_on_every_rank() {
     let trip = HealthError::NonFinite { step: 1, rank: 1, field: "p" };
     assert_eq!(out, vec![(0, trip.clone()), (1, trip)]);
 }
-
-// Recorded at 3206482, before the one protocol.
-const WAKE: [u64; 10] = [
-    0x3ff7f5e73a882447,
-    0x40205463b3efd267,
-    0x401e87c578122195,
-    0x3f640ba5f27df378,
-    0,
-    0x3ff0000000000000,
-    0x3fa25f6c7d7cf8f0,
-    0x3f7eb9ffaac68f72,
-    0x3ed44cee67731d81,
-    0x3c3e7df7681d2806,
-];
-const SLAB: ([u64; 13], u64, u64) = (
-    [
-        0x402825eb0146c00c,
-        0x40397034bacd9630,
-        0x3fbf978002fde4d0,
-        0x3f827b44e0159364,
-        0,
-        0x40081081ae716d3a,
-        0x3fcf86fa65a8829e,
-        0x3ffebf0978d862dd,
-        0x3ffebf0978d862de,
-        0x3eea0e2e04a1b450,
-        0xbc95398fed2c6c5a,
-        0x3bd1fd445315222e,
-        0xbbe3907c30139e0c,
-    ],
-    0x935df121cf7004e8,
-    0x02482a24019e6291,
-);
-const PENCIL: ([u64; 13], u64, u64) = (
-    [
-        0x402825eb0146c01d,
-        0x40397034bacd962c,
-        0x3fbf978002fde4d0,
-        0x3f827b44e0159364,
-        0,
-        0x40081081ae716d3a,
-        0x3fcf86fa65a882a1,
-        0x3ffebf0978d862de,
-        0x3ffebf0978d862e2,
-        0x3eea0e2e04a1b44f,
-        0xbc95575aa19efa51,
-        0x3bd1fd445315222f,
-        0xbbe3907c30139e0c,
-    ],
-    0x935df121cf7004e8,
-    0xa85bd176d304a129,
-);
-const WING: ([u64; 2], u64) = ([0x3fbb59e6e1d6011b, 0x406e45f5471f99df], 0x58f73d1f627e1ff5);

@@ -8,7 +8,7 @@
 use nkt_gs::prelude::*;
 use nkt_mpi::prelude::*;
 use nkt_net::{cluster, NetId};
-use nkt_testkit::{one_of, prop_assert, prop_assert_eq, prop_check, splitmix64};
+use nkt_testkit::{one_of, prop_assert, prop_assert_eq, prop_check, splitmix64, Rng};
 
 fn net() -> nkt_net::ClusterNetwork {
     cluster(NetId::Sp2Silver)
@@ -21,12 +21,11 @@ fn net() -> nkt_net::ClusterNetwork {
 /// also exercises the exact hi/lo id exchange.
 fn ids_for(rank: usize, p: usize, seed: u64) -> Vec<u64> {
     const BASE: u64 = (1 << 53) + 11;
-    let mut s = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut rng = Rng::new(seed);
     let mut ids = Vec::new();
     for g in 0..12u64 {
-        let mut h = splitmix64(&mut s);
         // Each candidate gid is held by this rank with probability ~1/2.
-        h ^= rank as u64;
+        let mut h = rng.next_u64() ^ rank as u64;
         if splitmix64(&mut h) % 2 == 0 {
             ids.push(BASE + g);
             if splitmix64(&mut h) % 4 == 0 {
@@ -42,10 +41,11 @@ fn ids_for(rank: usize, p: usize, seed: u64) -> Vec<u64> {
 }
 
 fn values_for(rank: usize, n: usize, seed: u64) -> Vec<f64> {
-    let mut s = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ (rank as u64) << 17;
+    // Seeds below 2^32, so each (seed, rank) has a stream of its own.
+    let mut rng = Rng::new(seed ^ (rank as u64) << 32);
     (0..n)
         .map(|_| {
-            let u = splitmix64(&mut s);
+            let u = rng.next_u64();
             // Spread magnitudes so summation order matters at the bit level.
             let m = (u % 2000) as f64 / 1000.0 - 1.0;
             m * 10f64.powi((u >> 32) as i32 % 6 - 3)

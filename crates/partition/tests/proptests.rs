@@ -2,21 +2,15 @@
 //! invariants over random graphs.
 
 use nkt_partition::{edge_cut, imbalance, partition_kway, Graph, PartitionOptions};
-use nkt_testkit::{prop_assert, prop_assert_eq, prop_check};
+use nkt_testkit::{prop_assert, prop_assert_eq, prop_check, Rng};
 
 /// Random connected graph: a spanning path plus extra random edges.
 fn random_connected(n: usize, extra: usize, seed: u64) -> Graph {
     let mut edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
-    let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rng = Rng::new(seed);
     for _ in 0..extra {
-        let a = (next() % n as u64) as usize;
-        let b = (next() % n as u64) as usize;
+        let a = rng.below(n as u64) as usize;
+        let b = rng.below(n as u64) as usize;
         if a != b {
             edges.push((a.min(b), a.max(b)));
         }

@@ -47,4 +47,4 @@ pub use sched::{serve, serve_with, JobReport, ServeConfig, ServeError, ServeRepo
 pub use spec::{
     load_jobs, parse_jobs, JobSpec, SolverKind, SpecError, SPEC_SCHEMA,
 };
-pub use store::{fnv1a, manifest_document, ArtifactEntry, ManifestData, Store, MANIFEST_SCHEMA};
+pub use store::{manifest_document, ArtifactEntry, ManifestData, Store, MANIFEST_SCHEMA};

@@ -20,17 +20,6 @@ use std::path::{Path, PathBuf};
 /// Manifest schema tag.
 pub const MANIFEST_SCHEMA: &str = "nkt-serve-1";
 
-/// FNV-1a over a byte slice — same constants as the checkpoint codec,
-/// so manifest hashes and state hashes speak one dialect.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The serve root: one directory per job underneath.
 #[derive(Debug, Clone)]
 pub struct Store {
@@ -90,7 +79,7 @@ impl ArtifactEntry {
         ArtifactEntry {
             name: name.into(),
             bytes: Some(bytes.len() as u64),
-            fnv: Some(fnv1a(bytes)),
+            fnv: Some(nkt_ckpt::Fnv1a::digest(bytes)),
         }
     }
 
@@ -198,14 +187,6 @@ mod tests {
         ))
         .unwrap()
         .remove(0)
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

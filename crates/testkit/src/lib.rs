@@ -10,16 +10,20 @@
 //!   generation, seed reporting, and recursive multi-pass shrinking
 //!   (budgeted descent to a minimal counterexample; vectors also shrink
 //!   their length — see [`Strategy`] / [`vec_in`] / [`vec_len_in`] /
-//!   [`one_of`]).
+//!   [`one_of`]);
+//! * [`assert_pin`] — the pin ledger, `scripts/pins.txt`: every
+//!   bitwise pin the tests hold, one reviewed row each.
 //!
 //! Host timing lives in `perfbench/`, which borrows [`Rng`] from here.
 //!
 //! Environment knobs: `NKT_PROP_SEED`, `NKT_PROP_CASES`.
 
+pub mod pins;
 pub mod prop;
 pub mod rng;
 pub mod strategy;
 
+pub use pins::assert_pin;
 pub use prop::{base_seed, case_count, pin_prop, run_prop, CaseOutcome, DEFAULT_CASES};
 pub use rng::{splitmix64, Rng};
 pub use strategy::{one_of, vec_in, vec_len_in, OneOf, Strategy, TupleStrategy, VecIn, VecLenIn};

@@ -52,7 +52,8 @@ pub fn base_seed(test_name: &str) -> u64 {
             return seed;
         }
     }
-    // FNV-1a over the name, finished with a SplitMix64 scramble.
+    // FNV-1a over the name, finished with a SplitMix64 scramble. Spelled
+    // out here, not nkt_ckpt::Fnv1a: nkt-testkit depends on nothing.
     let mut h: u64 = 0xcbf29ce484222325;
     for b in test_name.bytes() {
         h ^= b as u64;

@@ -325,14 +325,15 @@ echo "== benchmark smoke (perfbench builds against the workspace and its checks 
 # its operators' gs handles, the drive loop, the serve engine); a change
 # that breaks it must fail here, not in the benchmark driver: every gated
 # workload, a second each. The build refreshes perfbench/Cargo.lock, which
-# a change outside perfbench/ may not touch, so it is put back.
-# scripts/perfbench_hashes.txt holds the `state hash` line each of these
-# runs prints (state digest and the three energies): a bitwise-neutral
-# change leaves that file alone, a reassociating one regenerates it in
-# the same reviewed diff as results/HASHES.txt.
+# a change outside perfbench/ may not touch, so it is put back. Each run's
+# `state hash` line (state digest and the three energies) is the value of
+# its perfbench/<workload> row of the pin ledger, scripts/pins.txt: a
+# bitwise-neutral change leaves the rows alone, a reassociating one
+# replaces them in the same reviewed diff as results/HASHES.txt.
 lock_keep="$(mktemp)"
 cp perfbench/Cargo.lock "$lock_keep"
-for workload in wake2d fourier_slab ale_wing; do
+for row in "perfbench/wake2d" "perfbench/fourier_slab" "perfbench/ale_wing"; do
+    workload="${row#perfbench/}"
     bench_rc=0
     bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1999 --seconds 1)" || bench_rc=$?
@@ -342,11 +343,13 @@ for workload in wake2d fourier_slab ale_wing; do
         tail -n 5 <<< "$bench_out" >&2
         exit 1
     fi
-    hash_got="$workload | $(sed -n 's/^ *\(state hash.*\)/\1/p' <<< "$bench_out")"
-    if ! grep -qxF "$hash_got" scripts/perfbench_hashes.txt; then
-        echo "FAIL: perfbench $workload state moved (seed 1999, --seconds 1):" >&2
-        echo "  fresh:     $hash_got" >&2
-        echo "  committed: $(grep "^$workload |" scripts/perfbench_hashes.txt)" >&2
+    hash_got="$(sed -n 's/^ *\(state hash.*\)/\1/p' <<< "$bench_out")"
+    pinned="$(grep -F "$row | " scripts/pins.txt || true)"
+    if [[ "$pinned" != "$row | $hash_got | "* ]]; then
+        echo "FAIL: perfbench $workload state moved (seed 1999, --seconds 1). Committed:" >&2
+        echo "$pinned" >&2
+        echo "If the move is meant, replace that row of scripts/pins.txt and rewrite its reason:" >&2
+        echo "$row | $hash_got | ${pinned#*| *| }" >&2
         exit 1
     fi
 done
@@ -471,6 +474,23 @@ budget_diff="$(diff <(awk '!/^#/ && NF { print $1, $2 }' scripts/line_budget.txt
 if [[ -n "$budget_diff" ]]; then
     echo "$budget_diff" >&2
     echo "FAIL: scripts/line_budget.txt (<) is not scripts/lines (>): simplify, or move the rows in the same diff" >&2
+    exit 1
+fi
+
+echo "== pin ledger (every row of scripts/pins.txt is read at exactly one site) =="
+# Each pin's name is a string literal at its one read site: a test under
+# crates/*/tests or tests/ (nkt_testkit::assert_pin) or the benchmark
+# smoke above. A row nothing reads is dead weight that still looks
+# reviewed; a name read at two sites is two pins under one reason. The
+# ledger's format and unique names are nkt-testkit's unit test.
+pin_sites="$(find crates/*/tests tests -name '*.rs' -print0 | xargs -0 cat scripts/verify.sh)"
+pin_faults="$(awk '!/^#/ && NF { print $1 }' scripts/pins.txt | while read -r name; do
+    n="$(grep -oF "\"$name\"" <<< "$pin_sites" | wc -l)"
+    [[ "$n" == 1 ]] || echo "$name: read at $n sites"
+done)"
+if [[ -n "$pin_faults" ]]; then
+    echo "$pin_faults" >&2
+    echo "FAIL: a scripts/pins.txt row is not read at exactly one site (lines above)" >&2
     exit 1
 fi
 
