@@ -672,11 +672,12 @@ impl HexHelmholtz {
 
     /// Global (deduplicated) dot product. Collective.
     pub fn dot(&self, comm: &mut Comm, a: &[f64], b: &[f64]) -> f64 {
-        let mut s = 0.0;
+        let mut s = [0.0];
         for ((&w, &ai), &bi) in self.weight.iter().zip(a).zip(b) {
-            s += w * ai * bi;
+            s[0] += w * ai * bi;
         }
-        global_sum(comm, s)
+        comm.allreduce(&mut s, ReduceOp::Sum);
+        s[0]
     }
 
     /// Solves (kc·K + λM) x = b, the member `coefs` = `[λ, kc]`, with the
@@ -692,8 +693,9 @@ impl HexHelmholtz {
     /// are x̃₀'s, in; x = T x̃, whose pattern rows then take `bc`'s values
     /// again, exactly, out. The stopping test reads the nodal residual.
     /// `b` must be GS-consistent (already summed); `x` enters as the
-    /// initial guess. Collective. An iteration sends one gs exchange and
-    /// reduces `p·Ap`, then `[r·r, r·z]` in one allreduce.
+    /// initial guess. Collective. The start reduces `[b̃·b̃, r·z, r·r]` in
+    /// one allreduce; an iteration sends one gs exchange and reduces `p·Ap`,
+    /// then `[r·r, r·z]` in one allreduce.
     ///
     /// Every vector the iteration needs lives in `ws`, so a solve
     /// allocates nothing beyond what `nkt-gs` / `nkt-mpi` do per message.
@@ -733,17 +735,23 @@ impl HexHelmholtz {
             bb[l] = xt[l];
         }
         self.apply(true, comm, coefs, bc, xt, ap, elem, rec);
-        for i in 0..n {
-            r[i] = bb[i] - ap[i];
-            z[i] = r[i] * dinv[i];
-        }
-        pv.copy_from_slice(z);
-        let bnorm = self.dot(comm, bb, bb).sqrt().max(1e-300);
-        let mut rz = self.dot(comm, r, z);
-        let rnorm = self.dot(comm, r, r).sqrt();
         // Cut to `n` once, so the passes below index without bounds checks.
         let (xt, r, z, ap, pv) = (&mut xt[..n], &mut r[..n], &mut z[..n], &mut ap[..n], &mut pv[..n]);
-        let (dinv, weight) = (&dinv[..n], &self.weight[..n]);
+        let (bb, dinv, weight) = (&bb[..n], &dinv[..n], &self.weight[..n]);
+        // One pass: r̃₀, z = r/D and the local parts of b̃·b̃, r·z and r·r,
+        // each accumulated in index order exactly as `dot` would, then
+        // reduced together.
+        let mut s = [0.0; 3];
+        for i in 0..n {
+            let ri = bb[i] - ap[i];
+            (r[i], z[i]) = (ri, ri * dinv[i]);
+            s[0] += weight[i] * bb[i] * bb[i];
+            s[1] += weight[i] * ri * z[i];
+            s[2] += weight[i] * ri * ri;
+        }
+        comm.allreduce(&mut s, ReduceOp::Sum);
+        pv.copy_from_slice(z);
+        let (bnorm, mut rz, rnorm) = (s[0].sqrt().max(1e-300), s[1], s[2].sqrt());
         let out = 'cg: {
             if rnorm / bnorm <= tol {
                 break 'cg PcgOutcome { iters: 0, converged: true };
@@ -787,13 +795,6 @@ impl HexHelmholtz {
         }
         out
     }
-}
-
-/// Sum of one scalar over all ranks. Collective.
-fn global_sum(comm: &mut Comm, s: f64) -> f64 {
-    let mut buf = [s];
-    comm.allreduce(&mut buf, ReduceOp::Sum);
-    buf[0]
 }
 
 /// What a [`HexHelmholtz::pcg`] solve did.
