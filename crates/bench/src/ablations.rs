@@ -144,7 +144,7 @@ pub(crate) fn gs_overlap(_: &Run, o: &mut String) -> fmt::Result {
     // virtual times — allow ulp-level drift (cf. `overlap`).
     assert!(
         (busy_block - busy_split).abs() <= 1e-12 * busy_block,
-        "busy must not depend on NKT_GS_OVERLAP ({busy_block} vs {busy_split})"
+        "busy must not depend on the gs overlap ({busy_block} vs {busy_split})"
     );
     assert!(
         wall_split < wall_block,
@@ -248,7 +248,7 @@ pub(crate) fn overlap(_: &Run, o: &mut String) -> fmt::Result {
             // ulp-level drift here (the eth unit test pins exact equality).
             assert!(
                 (busy_block - busy_pipe).abs() <= 1e-12 * busy_block,
-                "{tag} {pr}x{pc}: busy must not depend on NKT_OVERLAP \
+                "{tag} {pr}x{pc}: busy must not depend on the transpose overlap \
                  ({busy_block} vs {busy_pipe})"
             );
             assert!(

@@ -66,11 +66,10 @@ pub const ARTIFACTS: &[(&str, Artifact)] = &[
 ///
 /// Prefers the *measured* surface coefficients from the committed
 /// native calibration (`results/CALIB_flapping_wing_ale.json`, written
-/// by `NKT_CALIB=1 NKT_GS_OVERLAP=1` runs of the flapping-wing
-/// example), re-expanded at this volume via
-/// [`nkt_prof::window_at`]; stages the native run never measured get
-/// the apply-weighted merged coefficient. Falls back to the analytic
-/// `1 − 6/V^{1/3}` estimate everywhere when no calibration is
+/// by `NKT_CALIB=1` runs of the flapping-wing example), re-expanded at
+/// this volume via [`nkt_prof::window_at`]; stages the native run never
+/// measured get the apply-weighted merged coefficient. Falls back to the
+/// analytic `1 − 6/V^{1/3}` estimate everywhere when no calibration is
 /// committed. Returns the windows plus whether they are measured.
 pub fn ale_stage_overlap(nelems_local: usize) -> ([f64; 7], bool) {
     use nektar::timers::Stage;

@@ -67,11 +67,6 @@ impl ColMajor {
         &self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Mutable column `j`.
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[j * self.nrows..(j + 1) * self.nrows]
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> ColMajor {
         ColMajor::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
@@ -92,11 +87,6 @@ impl ColMajor {
             &mut y,
         );
         y
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        crate::level1::dnrm2(&self.data)
     }
 
     /// Maximum absolute elementwise difference against another matrix.

@@ -132,14 +132,14 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// One parsed section: name, payload slice bounds, recorded CRC.
+/// One parsed section (its CRC checked at load): name and payload slice
+/// bounds.
 #[derive(Debug)]
 struct SectionEntry {
     name: String,
     /// Absolute file offset of the payload.
     offset: u64,
     len: u64,
-    crc: u32,
 }
 
 /// A checkpoint file loaded and fully validated: magic, version, header
@@ -237,7 +237,7 @@ impl CkptFile {
             if found != crc {
                 return Err(CkptError::Crc { section: name, offset: payload_off, expected: crc, found });
             }
-            entries.push(SectionEntry { name, offset: payload_off, len, crc });
+            entries.push(SectionEntry { name, offset: payload_off, len });
             payload_off = end;
         }
 
@@ -274,11 +274,6 @@ impl CkptFile {
     /// Total payload bytes across all sections.
     pub fn payload_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.len).sum()
-    }
-
-    /// Recorded CRC of section `name` (for manifest cross-checks).
-    pub fn section_crc(&self, name: &str) -> Option<u32> {
-        self.entries.iter().find(|e| e.name == name).map(|e| e.crc)
     }
 }
 

@@ -622,7 +622,7 @@ impl NektarAle {
     }
 
     /// Turns split-phase halo/compute overlap on or off (on at
-    /// construction; `flapping_wing_ale` passes `RunConfig::gs_overlap`).
+    /// construction; off is the reference of `ablation_gs_overlap`).
     /// Both settings produce bitwise-identical states (see
     /// [`HexHelmholtz::apply`]); only the virtual wall-clock differs.
     pub fn set_gs_overlap(&mut self, on: bool) {
@@ -999,6 +999,33 @@ mod tests {
         };
         let (loose, tight) = (energy(1e-6), energy(1e-12));
         assert!((loose - tight).abs() <= 1e-3 * tight, "{loose} vs {tight}");
+    }
+
+    /// Split-phase gather-scatter is pure scheduling over a whole step:
+    /// two steps of the wing demo on two ranks — the Helmholtz applies and
+    /// the viscous RHS's three pipelined component exchanges — end in the
+    /// same state, bit for bit, and charge the same busy time with it on
+    /// and off (the same charges at other virtual times: ulp-level drift,
+    /// as in `ablation_gs_overlap`).
+    #[test]
+    fn a_two_rank_wing_step_is_bitwise_equal_with_gs_overlap_on_and_off() {
+        use crate::drive::cases::{wing, WingCase};
+        use nkt_ckpt::Checkpointable;
+        let two_steps = |gs_overlap: bool| {
+            let case = WingCase { gs_overlap, ..wing(2) };
+            run(2, cluster(NetId::T3e), |c| {
+                let mut s = case.build(c);
+                s.step(c);
+                s.step(c);
+                (s.state_hash(), c.busy())
+            })
+        };
+        let pairs = two_steps(false).into_iter().zip(two_steps(true));
+        for (rank, ((hash_off, busy_off), (hash_on, busy_on))) in pairs.enumerate() {
+            assert_eq!(hash_off, hash_on, "rank {rank}: state hash");
+            let drift = (busy_off - busy_on).abs();
+            assert!(drift <= 1e-12 * busy_off, "rank {rank}: busy {busy_off} vs {busy_on}");
+        }
     }
 
     #[test]

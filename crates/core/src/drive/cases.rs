@@ -72,7 +72,7 @@ pub struct WingCase {
     /// Solver configuration (paper: Re = 1000).
     pub cfg: AleConfig,
     /// Split-phase gather-scatter from the first exchange on (`wing`
-    /// says yes; `flapping_wing_ale` stores `RunConfig::gs_overlap`).
+    /// says yes; `ablation_gs_overlap` sets it off for its reference).
     pub gs_overlap: bool,
 }
 

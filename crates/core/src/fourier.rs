@@ -232,8 +232,8 @@ impl NektarF {
     }
 
     /// Selects the pipelined (`true`, the constructors' choice) or
-    /// blocking (`false`) transpose; `fourier_dns` passes
-    /// `RunConfig::overlap` (`NKT_OVERLAP`).
+    /// blocking (`false`) transpose; the blocking one is the reference
+    /// of `ablation_overlap` and of the bitwise tests.
     pub fn set_overlap(&mut self, on: bool) {
         self.overlap = on;
     }

@@ -212,8 +212,10 @@ pub struct AleShape {
     pub overlap: [f64; 7],
 }
 
-/// One NekTar-ALE per-rank step (mirrors
-/// [`crate::ale::NektarAle::step`]).
+/// One NekTar-ALE per-rank step at Table 3's shape, generated, not
+/// recorded: its stages follow [`crate::ale::NektarAle::step`], but the
+/// PCG counts are inputs and each iteration charges three allreduces,
+/// where the native PCG runs two (and its recording has none).
 pub fn ale_step_workload(s: &AleShape) -> OpRecording {
     let mut rec = OpRecording::new();
     // Stage 1: 3 sum-factorized transforms (tensor contractions scale

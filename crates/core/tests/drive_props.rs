@@ -174,8 +174,7 @@ fn parallel_ends<S: Simulation<Ctx = Comm>>(
     ends
 }
 
-/// Poisons rank 0's v-field after step `.0` (what `fourier_dns` does
-/// under `NKT_INJECT_NAN`).
+/// Poisons rank 0's v-field after step `.0`.
 struct Poison(u64);
 
 impl Hook<NektarF> for Poison {
@@ -187,15 +186,17 @@ impl Hook<NektarF> for Poison {
 }
 
 /// `Plan::health` is the watchdog's only switch: armed, a poisoned value
-/// ends `drive` with the same typed error on every rank; unarmed, the
-/// same input runs to the budget.
+/// ends `drive` with the same typed error on every rank, and every rank
+/// dumps its flight ring; unarmed, the same input runs to the budget.
 #[test]
 fn plan_health_arms_the_watchdog_on_every_rank() {
     const STEPS: u64 = 4;
     let dir = fresh_dir();
     let poisoned_run = |health: bool| {
-        // Flight dumps of the trip land in `dir`, not in results/.
-        World::builder().ranks(2).net(cluster(NetId::T3e)).trace_dir(&dir).run(|c| {
+        // The trip's flight dumps land in `dir` under the run's name, not
+        // in results/.
+        let world = World::builder().ranks(2).net(cluster(NetId::T3e));
+        world.trace_dir(&dir).flight_run("health").run(|c| {
             let plan = Plan {
                 steps: STEPS,
                 stats_every: 1,
@@ -212,7 +213,14 @@ fn plan_health_arms_the_watchdog_on_every_rank() {
         })
     };
     let trip = HealthError::NonFinite { step: 2, rank: 0, field: "v" };
-    assert_eq!(poisoned_run(true), vec![(2, Err(trip.clone())), (2, Err(trip))]);
+    assert_eq!(poisoned_run(true), vec![(2, Err(trip.clone())), (2, Err(trip.clone()))]);
+    for rank in 0..2 {
+        let path = dir.join(format!("FLIGHT_health_r{rank}.json"));
+        let text = std::fs::read_to_string(&path).expect("the trip dumps every rank's ring");
+        let dump = nkt_trace::json::parse(&text).expect("a JSON document");
+        assert_eq!(dump.req_str("schema"), Ok("nkt-flight-1"), "rank {rank}");
+        assert_eq!(dump.req_str("reason"), Ok(trip.to_string().as_str()), "rank {rank}");
+    }
     assert_eq!(poisoned_run(false), vec![(STEPS, Ok(())), (STEPS, Ok(()))]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //! one-rank step nothing at all (counted by a `#[global_allocator]`), and
 //! a solve that stops short of its tolerance says so (flag +
 //! `ale.pcg.unconverged` counter, read under the process-wide trace
-//! mode), and a step records the op stream the replay charges for it.
+//! mode), and a step's recorded op stream is held to its pin.
 //! The tests touch process-global state, so they take turns.
 
 mod common;
@@ -147,9 +147,12 @@ fn a_solve_that_stops_short_is_flagged_and_counted() {
 /// The op stream of a wing step on every rank, as one [`op_stream_digest`]
 /// per world: the ramp step (the first, one history level) and a
 /// full-order one (the fourth), on 1 and 2 ranks, one ledger row of the
-/// two per rank count. Table 3 and Figures 15–16 replay what the recorder
-/// says a step ran, and a PCG iteration records its items, so the digest
+/// two per rank count. A PCG iteration records its items, so the digest
 /// holds the items, their order and the iteration counts of every solve.
+/// Nothing replays this recording: Table 3 and Figures 15–16 replay the
+/// generated `workload::ale_step_workload`. The recording also has no
+/// `CommItem::Allreduce` (the PCG's reductions are not recorded), so a
+/// change to the reductions moves no row here.
 #[test]
 fn a_wing_step_records_the_recorded_op_stream() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());

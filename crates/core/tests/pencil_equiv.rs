@@ -6,6 +6,7 @@
 //! And grids with `pc > 1` must run where the slab cannot: P > nz/2.
 
 use nektar::decomp::FourierCfgError;
+use nektar::drive::cases;
 use nektar::fourier::{FourierConfig, NektarF};
 use nkt_ckpt::Checkpointable;
 use nkt_mesh::{rect_quads, Mesh2d};
@@ -74,6 +75,33 @@ fn pencil_state_hash_matches_slab_over_grid_sweep() {
                     "grid {pr}x{pc} overlap={overlap}: rank {w} (row {r}) diverged from slab"
                 );
             }
+        }
+    }
+}
+
+/// `fourier_dns`'s case at nz 12: a Bluestein half transform (length 6),
+/// and 324 points a plane in chunks of 54 over six ranks, so every chunk
+/// ends in a short lane block. A 3×2 pencil matches the 3-rank slab in
+/// both transpose paths, and no grid (`None`, `fourier_dns` without
+/// `NKT_GRID`) is the `P × 1` slab.
+#[test]
+fn the_demo_case_at_nz_12_matches_its_slab() {
+    let demo = |p: usize, grid: Option<(usize, usize)>, overlap: bool| {
+        run(p, cluster(NetId::RoadRunnerEth), move |c| {
+            let mut s = cases::fourier(c, 12, grid).expect("a valid grid");
+            s.set_overlap(overlap);
+            s.step(c);
+            s.step(c);
+            s.state_hash()
+        })
+    };
+    let slab = demo(3, Some((3, 1)), true);
+    assert_eq!(demo(3, None, true), slab, "no grid is the 3x1 slab");
+    for overlap in [false, true] {
+        let pencil = demo(6, Some((3, 2)), overlap);
+        for (w, &h) in pencil.iter().enumerate() {
+            let r = w / 2;
+            assert_eq!(h, slab[r], "3x2 overlap={overlap}: rank {w} diverged from slab row {r}");
         }
     }
 }

@@ -273,13 +273,6 @@ impl Comm {
         sums.copy_from_slice(&buf[nm + nx..]);
     }
 
-    /// Reduces into `data` on `root` (other ranks' buffers are left with
-    /// partial reductions, as in MPI_Reduce).
-    pub fn reduce_to(&mut self, root: usize, data: &mut [f64], op: ReduceOp) {
-        let g = self.world_grp();
-        self.traced("reduce", "mpi.coll.reduce", |c| c.grp_reduce_to(g, root, data, op))
-    }
-
     pub(crate) fn grp_reduce_to(&mut self, g: Grp<'_>, root: usize, data: &mut [f64], op: ReduceOp) {
         self.grp_reduce_with(g, root, data, |acc, other| op.apply(acc, other))
     }

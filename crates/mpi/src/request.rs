@@ -60,9 +60,4 @@ impl SendRequest {
     pub fn id(&self) -> u64 {
         self.id
     }
-
-    /// Always true: eager sends complete at post time.
-    pub fn is_complete(&self) -> bool {
-        true
-    }
 }

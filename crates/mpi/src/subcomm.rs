@@ -33,7 +33,6 @@ use crate::comm::{Comm, Tag};
 struct SubOps {
     barrier: (&'static str, &'static str),
     allreduce: (&'static str, &'static str),
-    reduce: (&'static str, &'static str),
     bcast: (&'static str, &'static str),
     gather: (&'static str, &'static str),
     alltoall: (&'static str, &'static str),
@@ -52,7 +51,6 @@ impl SubOps {
         SubOps {
             barrier: mk("barrier"),
             allreduce: mk("allreduce"),
-            reduce: mk("reduce"),
             bcast: mk("bcast"),
             gather: mk("gather"),
             alltoall: mk("alltoall"),
@@ -159,11 +157,6 @@ impl SubComm {
         &self.ranks
     }
 
-    /// World rank of group rank `g`.
-    pub fn world_rank(&self, g: usize) -> usize {
-        self.ranks[g]
-    }
-
     fn grp(&self) -> Grp<'_> {
         Grp {
             ranks: Some(&self.ranks),
@@ -185,14 +178,6 @@ impl SubComm {
         comm.traced(self.ops.allreduce.0, self.ops.allreduce.1, |c| {
             c.grp_reduce_to(g, 0, data, op);
             c.grp_bcast(g, 0, data);
-        })
-    }
-
-    /// Reduces into `data` on group rank `root`.
-    pub fn reduce_to(&self, comm: &mut Comm, root: usize, data: &mut [f64], op: ReduceOp) {
-        let g = self.grp();
-        comm.traced(self.ops.reduce.0, self.ops.reduce.1, |c| {
-            c.grp_reduce_to(g, root, data, op)
         })
     }
 

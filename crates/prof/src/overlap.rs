@@ -1,7 +1,7 @@
 //! Measured overlap windows: how much interior work each stage really
 //! had available to hide behind its halo exchange.
 //!
-//! When split-phase gather-scatter is on (`NKT_GS_OVERLAP=1`), every
+//! When split-phase gather-scatter is on (the solvers' default), every
 //! Helmholtz apply emits a `gs.window` record carrying the interior /
 //! boundary element split it actually used. Folding those records per
 //! stage yields a *measured* hideable-work fraction, replacing the

@@ -86,7 +86,7 @@ const fn var(name: &'static str, expected: &'static str, default: &'static str, 
 
 /// Every `NKT_*` name the workspace accepts. README's "Run
 /// configuration" table is held to these rows by a test.
-pub const VARS: [Var; 20] = [
+pub const VARS: [Var; 15] = [
     var("NKT_TRACE", TRACE, "`off`", |c, v| trace(v).map(|t| (c.trace, c.summary) = t),
         "recording mode; `summary` records spans and prints a per-stage digest instead of writing `TRACE_<run>.json`"),
     var("NKT_TRACE_DIR", PATH, "`<workspace>/results`", |c, v| path(&mut c.trace_dir, v),
@@ -105,24 +105,14 @@ pub const VARS: [Var; 20] = [
         "directory of checkpoint shards and manifests"),
     var("NKT_MPI_DEADLINE_MS", POSITIVE, "none", |c, v| positive(v).map(|ms| c.recv_deadline = Some(Duration::from_millis(ms))),
         "host-time cap on any single `recv`/`wait`; a rank that waits longer panics with every rank's blocking site"),
-    var("NKT_OVERLAP", FLAG, "on", |c, v| flag(v).map(|on| c.overlap = on),
-        "`fourier_dns`: pipeline the transpose exchanges against per-field FFT work (bitwise-neutral)"),
     var("NKT_GRID", GRID, "`Px1` (slab)", |c, v| parse_grid(v).map(|g| c.grid = Some(g)),
         "`fourier_dns`: 2-D pencil decomposition on a `PR x PC` process grid"),
-    var("NKT_GS_OVERLAP", FLAG, "on", |c, v| flag(v).map(|on| c.gs_overlap = on),
-        "`flapping_wing_ale`: overlap the gather-scatter halo exchange with interior elemental work (bitwise-neutral)"),
     var("NKT_RANKS", POSITIVE, "4", |c, v| positive(v).map(|n| c.ranks = n as usize),
         "`fourier_dns`: ranks of the virtual cluster"),
     var("NKT_NZ", POSITIVE, "8", |c, v| positive(v).map(|n| c.nz = n as usize),
         "`fourier_dns`: Fourier planes (even)"),
-    var("NKT_STEPS", COUNT, "3", |c, v| count(v).map(|n| c.steps = n),
-        "`fourier_dns`: time steps"),
-    var("NKT_INJECT_NAN", COUNT, "never", |c, v| count(v).map(|n| c.inject_nan = Some(n)),
-        "`fourier_dns`: poison rank 0's v-field after step `N` (watchdog demo)"),
     var("NKT_SERVE_OUT", PATH, "`<workspace>/results/serve_farm`", |c, v| path(&mut c.serve_out, v),
         "`serve_farm`: serve root"),
-    var("NKT_SERVE_MAX_WORLDS", POSITIVE, "2", |c, v| positive(v).map(|n| c.serve_max_worlds = n as usize),
-        "`serve_farm`: concurrently running worlds"),
     var("NKT_PROP_SEED", FOREIGN, "per-test", |_, _| Some(()), "property tests: replay a reported failure"),
     var("NKT_PROP_CASES", FOREIGN, "per-suite", |_, _| Some(()), "property tests: cases per property"),
 ];
@@ -165,15 +155,10 @@ pub struct RunConfig {
     pub ckpt_every: Option<usize>,
     pub ckpt_dir: Option<PathBuf>,
     pub recv_deadline: Option<Duration>,
-    pub overlap: bool,
     pub grid: Option<(usize, usize)>,
-    pub gs_overlap: bool,
     pub ranks: usize,
     pub nz: usize,
-    pub steps: u64,
-    pub inject_nan: Option<u64>,
     pub serve_out: Option<PathBuf>,
-    pub serve_max_worlds: usize,
 }
 
 impl Default for RunConfig {
@@ -189,15 +174,10 @@ impl Default for RunConfig {
             ckpt_every: None,
             ckpt_dir: None,
             recv_deadline: None,
-            overlap: true,
             grid: None,
-            gs_overlap: true,
             ranks: 4,
             nz: 8,
-            steps: 3,
-            inject_nan: None,
             serve_out: None,
-            serve_max_worlds: 2,
         }
     }
 }
@@ -342,7 +322,6 @@ mod tests {
                 vec![("5000", ok(|c| c.recv_deadline == Some(Duration::from_secs(5))))],
                 "5s",
             ),
-            ("NKT_OVERLAP", flag(|c| c.overlap), "no"),
             (
                 "NKT_GRID",
                 vec![
@@ -352,13 +331,9 @@ mod tests {
                 ],
                 "4x0",
             ),
-            ("NKT_GS_OVERLAP", flag(|c| c.gs_overlap), "blocking"),
             ("NKT_RANKS", vec![("8", ok(|c| c.ranks == 8))], "four"),
             ("NKT_NZ", vec![("16", ok(|c| c.nz == 16))], "0"),
-            ("NKT_STEPS", vec![("10", ok(|c| c.steps == 10)), ("0", ok(|c| c.steps == 0))], "1e1"),
-            ("NKT_INJECT_NAN", vec![("2", ok(|c| c.inject_nan == Some(2)))], "-1"),
             ("NKT_SERVE_OUT", vec![("/tmp/s", ok(|c| c.serve_out == Some("/tmp/s".into())))], ""),
-            ("NKT_SERVE_MAX_WORLDS", vec![("1", ok(|c| c.serve_max_worlds == 1))], "0"),
             ("NKT_PROP_SEED", vec![("42", ok(|c| *c == RunConfig::default()))], ""),
             ("NKT_PROP_CASES", vec![("1000", ok(|c| *c == RunConfig::default()))], ""),
         ]
@@ -399,8 +374,17 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("NKT_STATTS") && text.contains('1'), "{text}");
         // A deleted knob is an unknown name, not a silent no-op.
-        let gone = parse(&[("NKT_A2A_ALGO", "ring")]).expect_err("deleted knob accepted");
-        assert_eq!(gone.expected, KNOWN_NAME);
+        for (name, value) in [
+            ("NKT_A2A_ALGO", "ring"),
+            ("NKT_OVERLAP", "0"),
+            ("NKT_GS_OVERLAP", "0"),
+            ("NKT_STEPS", "10"),
+            ("NKT_INJECT_NAN", "2"),
+            ("NKT_SERVE_MAX_WORLDS", "1"),
+        ] {
+            let gone = parse(&[(name, value)]).expect_err("deleted knob accepted");
+            assert_eq!(gone.expected, KNOWN_NAME, "{name}");
+        }
         let cfg = parse(&[("NKT_PROP_CASES", "1000"), ("PATH", "/bin"), ("NKTX", "?"), ("nkt_prof", "1")]);
         assert_eq!(cfg, Ok(RunConfig::default()));
     }
@@ -408,14 +392,13 @@ mod tests {
     #[test]
     fn defaults_are_the_ones_every_reader_had() {
         let c = parse(&[]).unwrap();
-        assert!(c.overlap && c.gs_overlap);
         assert_eq!(c.grid, None);
-        assert_eq!((c.ranks, c.nz, c.steps, c.inject_nan), (4, 8, 3, None));
+        assert_eq!((c.ranks, c.nz), (4, 8));
         assert_eq!((c.ckpt_every, c.ckpt_dir()), (None, crate::results_dir()));
         assert_eq!((c.trace_mode(), c.summary, c.trace_dir.clone()), (TraceMode::Off, false, None));
         assert!(!c.prof && !c.calib && !c.health);
         assert_eq!((c.stats, c.stats_every(), c.recv_deadline), (0, 0, None));
-        assert_eq!((c.serve_out.clone(), c.serve_max_worlds), (None, 2));
+        assert_eq!(c.serve_out, None);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! `results/STATS_flapping_wing_ale.json`; `NKT_HEALTH=1` arms the
 //! NaN/Inf and KE-growth watchdog rules.
 //!
-//! With `NKT_CALIB=1` (and `NKT_GS_OVERLAP=1`, the default) the run is
-//! calibrated into `results/CALIB_flapping_wing_ale.json` — including
-//! the **measured** per-stage gather-scatter overlap windows that the
-//! Table 3 / Figures 15–16 replays consume instead of the analytic
-//! `1 − 6/V^{1/3}` estimate.
+//! With `NKT_CALIB=1` the run is calibrated into
+//! `results/CALIB_flapping_wing_ale.json` — including the **measured**
+//! per-stage windows of the split-phase gather-scatter (`cases::wing`
+//! turns it on) that the Table 3 / Figures 15–16 replays consume instead
+//! of the analytic `1 − 6/V^{1/3}` estimate.
 
 use nektar_repro::ckpt::Checkpointable;
 use nektar_repro::nektar::drive::{cases, drive, DriveError};
@@ -33,7 +33,7 @@ fn main() {
     let cfg = RunConfig::init_from_env();
     let plan = observe::plan(&cfg, "flapping_wing_ale", 2);
     let p = 4;
-    let case = cases::WingCase { gs_overlap: cfg.gs_overlap, ..cases::wing(p) };
+    let case = cases::wing(p);
     println!(
         "flapping-wing domain 10x5x5, {} hex elements (paper: 15,870 at order 4)",
         case.mesh.nelems()
@@ -61,9 +61,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Fold the per-rank FNV digests into one run-level state hash: the
-    // gs-overlap smoke in verify.sh pins this line across NKT_GS_OVERLAP
-    // modes (split-phase gather-scatter must be bitwise neutral), and
+    // Fold the per-rank FNV digests into one run-level state hash:
     // scripts/check_baselines pins its value in results/HASHES.txt.
     let state_hash = out
         .iter()

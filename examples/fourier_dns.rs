@@ -26,21 +26,22 @@
 //! gates it against the committed baseline. `NKT_HEALTH=1` arms the watchdog:
 //! a NaN/Inf in the state, runaway KE growth, or a divergence/CFL
 //! excursion aborts with a typed error naming step/rank/field and every
-//! rank dumps its flight-recorder ring. `NKT_INJECT_NAN=<s>` poisons
-//! the state after step s (rank 0, v-field) to demonstrate the trip.
+//! rank dumps its flight-recorder ring (`drive_props`'
+//! `plan_health_arms_the_watchdog_on_every_rank` trips it on purpose).
 //!
-//! Knobs: `NKT_RANKS=<p>` (default 4), `NKT_NZ=<nz>` (default 8),
-//! `NKT_STEPS=<n>` (default 3), and `NKT_GRID=PRxPC` to run the 2-D
-//! pencil decomposition instead of the slab — e.g. `NKT_RANKS=8
-//! NKT_GRID=4x2` runs 8 ranks where the slab would need nz >= 16.
-//! Pencil runs suffix the profile/stats name with the grid so slab
-//! baselines stay untouched. `NKT_OVERLAP=0` runs the blocking
-//! transpose (pairwise alltoall). A misspelt name or value exits 2
-//! before any world is built (README "Run configuration").
+//! Knobs: `NKT_RANKS=<p>` (default 4), `NKT_NZ=<nz>` (default 8), and
+//! `NKT_GRID=PRxPC` to run the 2-D pencil decomposition instead of the
+//! slab — e.g. `NKT_RANKS=8 NKT_GRID=4x2` runs 8 ranks where the slab
+//! would need nz >= 16. Pencil runs suffix the profile/stats name with
+//! the grid so slab baselines stay untouched. The run is 3 steps of the
+//! pipelined transpose; the blocking one is a scheduling change only
+//! (`fourier`'s unit tests and `pencil_equiv` hold the two to the bit,
+//! `ablation_overlap` prints the wall it costs). A misspelt name or
+//! value exits 2 before any world is built (README "Run
+//! configuration").
 
 use nektar_repro::ckpt::Checkpointable;
-use nektar_repro::nektar::drive::{cases, drive, DriveError, Hook};
-use nektar_repro::nektar::fourier::NektarF;
+use nektar_repro::nektar::drive::{cases, drive, DriveError};
 use nektar_repro::nektar::timers::{Stage, StageClock};
 use nektar_repro::net::{cluster, NetId};
 use nektar_repro::observe;
@@ -48,20 +49,9 @@ use nektar_repro::trace::config::RunConfig;
 
 type RunOutcome = (f64, StageClock, f64, f64, u64, (&'static str, (usize, usize)));
 
-/// `NKT_INJECT_NAN=<s>`: poisons the v-field after step `s`.
-struct InjectNan(Option<u64>);
-
-impl Hook<NektarF> for InjectNan {
-    fn stepped(&mut self, solver: &mut NektarF, step: u64) {
-        if self.0 == Some(step) {
-            solver.fields[0][1].a[0] = f64::NAN;
-        }
-    }
-}
-
 fn main() {
     let cfg = RunConfig::init_from_env();
-    let (p, nsteps) = (cfg.ranks, cfg.steps);
+    let (p, nsteps) = (cfg.ranks, 3);
 
     for net_id in [NetId::RoadRunnerMyr, NetId::RoadRunnerEth] {
         let net = cluster(net_id);
@@ -80,9 +70,7 @@ fn main() {
         let world = observe::world(&cfg).ranks(p).net(net);
         let out: Vec<Result<RunOutcome, DriveError>> = world.run(|c| {
             let mut solver = cases::fourier(c, cfg.nz, cfg.grid)?;
-            solver.set_overlap(cfg.overlap);
-            let mut hook = InjectNan(cfg.inject_nan.filter(|_| c.rank() == 0));
-            let out = drive(&mut solver, c, &plan, &mut hook)?;
+            let out = drive(&mut solver, c, &plan, &mut ())?;
             if c.rank() == 0 {
                 observe::report(&run_name, &out);
             }
@@ -108,9 +96,8 @@ fn main() {
         println!("== {name}: {p} ranks, {decomp} decomposition ({pr}x{pc} grid) ==");
         println!("   kinetic energy after {nsteps} steps: {energy:.5}");
         println!("   rank-0 CPU {busy:.4}s vs wall {wall:.4}s (difference = network idle)");
-        // The FNV state hash is overlap-invariant: scripts/verify.sh
-        // reruns this example with NKT_OVERLAP=0 and diffs these lines;
-        // scripts/check_baselines pins them in results/HASHES.txt.
+        // scripts/check_baselines pins the FNV state hash in
+        // results/HASHES.txt.
         println!("   rank-0 state hash: {hash:016x}");
         let pct = clock.percentages();
         println!(

@@ -14,7 +14,7 @@
 //!
 //! ```sh
 //! cargo run --release --example serve_farm
-//! # optional: NKT_SERVE_OUT=/somewhere NKT_SERVE_MAX_WORLDS=2
+//! # optional: NKT_SERVE_OUT=/somewhere
 //! #           NKT_TRACE=spans for per-job TRACE_ artifacts, NKT_PROF=1
 //! #           for TRACE_ and PROF_ (a profile is built from spans)
 //! ```
@@ -42,6 +42,10 @@ const JOB_FILE: &str = r#"{
   ]
 }"#;
 
+/// World slots of the contended farm: both are busy when the ALE
+/// latecomer arrives, so it must evict a slot holder.
+const MAX_WORLDS: usize = 2;
+
 fn stats_bytes(r: &JobReport) -> Option<Vec<u8>> {
     std::fs::read(r.dir.join(format!("STATS_{}.json", r.name))).ok()
 }
@@ -50,17 +54,20 @@ fn main() -> ExitCode {
     let cfg = RunConfig::init_from_env();
     let root =
         cfg.serve_out.clone().unwrap_or_else(|| nkt_trace::results_dir().join("serve_farm"));
-    let max_worlds = cfg.serve_max_worlds;
     let opts =
         JobOpts { profile: cfg.prof, health: cfg.health, recv_deadline: cfg.recv_deadline };
     let jobs = parse_jobs(JOB_FILE).expect("job file parses");
-    println!("=== serve_farm: {} jobs, {} world slots ===", jobs.len(), max_worlds);
+    println!("=== serve_farm: {} jobs, {} world slots ===", jobs.len(), MAX_WORLDS);
     println!("root: {}\n", root.display());
 
     // --- The contended farm (with its scheduler timeline on disk). ---
     let farm = serve_with(
         jobs.clone(),
-        &ServeConfig { root: root.join("farm"), max_worlds, events: Some("farm".into()) },
+        &ServeConfig {
+            root: root.join("farm"),
+            max_worlds: MAX_WORLDS,
+            events: Some("farm".into()),
+        },
         opts,
     )
     .expect("farm serve");
@@ -104,7 +111,7 @@ fn main() -> ExitCode {
             failures += 1;
         }
     }
-    if max_worlds == 2 && farm.preemptions == 0 {
+    if farm.preemptions == 0 {
         eprintln!("FAIL: the wing job should have preempted a slot holder");
         failures += 1;
     }

@@ -20,6 +20,10 @@ deep=0
 # rebuild the workspace each time it toggles).
 export RUSTFLAGS="-D warnings"
 
+# Every smoke's scratch directories live under one root, removed on exit.
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+
 echo "== tier-1: build (release, offline) =="
 cargo build --release --offline
 
@@ -32,47 +36,27 @@ for ex in quickstart cylinder_wake fourier_dns flapping_wing_ale cluster_compare
     cargo run --release --offline --example "$ex" > /dev/null
 done
 
-echo "== overlap smoke (NKT_OVERLAP=1 vs 0: identical state, pipelined no slower) =="
-# The pipelined transpose must be a pure scheduling change: rerunning
-# fourier_dns with the nonblocking exchange disabled has to print the
-# same FNV state hashes (DESIGN.md §11).
-overlap_on="$(NKT_OVERLAP=1 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-overlap_off="$(NKT_OVERLAP=0 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-if [[ "$overlap_on" != "$overlap_off" ]]; then
-    echo "FAIL: state hash depends on NKT_OVERLAP" >&2
-    echo "NKT_OVERLAP=1: $overlap_on" >&2
-    echo "NKT_OVERLAP=0: $overlap_off" >&2
-    exit 1
-fi
-
+echo "== config smoke (a rejected value is named on stderr before any world is built) =="
 # A value outside the flag dialect is an error, not a run with the
-# default: the example exits nonzero and names the variable on stderr
-# before any world is built.
-if overlap_err="$(NKT_OVERLAP=blocking cargo run --release --offline --example fourier_dns 2>&1 > /dev/null)"; then
-    echo "FAIL: NKT_OVERLAP=blocking was accepted" >&2
+# default: the example exits nonzero and names the variable on stderr.
+if config_err="$(NKT_PROF=blocking cargo run --release --offline --example fourier_dns 2>&1 > /dev/null)"; then
+    echo "FAIL: NKT_PROF=blocking was accepted" >&2
     exit 1
 fi
-if ! grep -q 'NKT_OVERLAP' <<< "$overlap_err"; then
-    echo "FAIL: the rejected NKT_OVERLAP is not named on stderr:" >&2
-    echo "$overlap_err" >&2
+if ! grep -q 'NKT_PROF' <<< "$config_err"; then
+    echo "FAIL: the rejected NKT_PROF is not named on stderr:" >&2
+    echo "$config_err" >&2
     exit 1
 fi
 
-echo "== gs smoke (NKT_GS_OVERLAP=1 vs 0: identical state, split-phase spans) =="
-# The split-phase gather-scatter must be a pure scheduling change: the
-# ALE example prints a folded per-rank FNV state hash that cannot depend
-# on NKT_GS_OVERLAP (DESIGN.md §16).
-gs_on="$(NKT_GS_OVERLAP=1 cargo run --release --offline --example flapping_wing_ale | grep 'state hash')"
-gs_off="$(NKT_GS_OVERLAP=0 cargo run --release --offline --example flapping_wing_ale | grep 'state hash')"
-if [[ "$gs_on" != "$gs_off" ]]; then
-    echo "FAIL: state hash depends on NKT_GS_OVERLAP" >&2
-    echo "NKT_GS_OVERLAP=1: $gs_on" >&2
-    echo "NKT_GS_OVERLAP=0: $gs_off" >&2
-    exit 1
-fi
+echo "== gs smoke (split-phase gather-scatter ops in the ALE profile) =="
 # The two phases must be attributed as first-class ops: the profiled run
-# has gs.start and gs.finish rows in the MPI attribution table.
-gs_prof="$(mktemp -d)"
+# has gs.start and gs.finish rows in the MPI attribution table (DESIGN.md
+# §16). That the split phase is bitwise neutral is tier-1's
+# a_two_rank_wing_step_is_bitwise_equal_with_gs_overlap_on_and_off and
+# the baseline gate's ablation_gs_overlap.
+gs_prof="$work/gs_prof"
+mkdir "$gs_prof"
 NKT_PROF=1 NKT_TRACE_DIR="$gs_prof" \
     cargo run --release --offline --example flapping_wing_ale > /dev/null
 for op in '"gs.start"' '"gs.finish"'; do
@@ -81,37 +65,6 @@ for op in '"gs.start"' '"gs.finish"'; do
         exit 1
     fi
 done
-rm -rf "$gs_prof"
-
-echo "== pencil smoke (2-D grid: bitwise slab equality, runs past P = nz/2) =="
-# A 4x2 pencil grid runs 8 ranks where the slab caps at P = nz/2 = 4;
-# pencil rank (r, c) must end with the same FNV state hash as slab rank
-# r (DESIGN.md §13) — the example prints rank 0's.
-slab4="$(NKT_RANKS=4 NKT_NZ=8 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-pencil42="$(NKT_RANKS=8 NKT_NZ=8 NKT_GRID=4x2 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-if [[ "$slab4" != "$pencil42" ]]; then
-    echo "FAIL: 4x2 pencil diverges from the 4-rank slab" >&2
-    echo "slab 4x1:   $slab4" >&2
-    echo "pencil 4x2: $pencil42" >&2
-    exit 1
-fi
-# An explicit PRx1 grid is the slab: NKT_GRID=8x1 must match no grid.
-slab8="$(NKT_RANKS=8 NKT_NZ=16 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-grid81="$(NKT_RANKS=8 NKT_NZ=16 NKT_GRID=8x1 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-if [[ "$slab8" != "$grid81" ]]; then
-    echo "FAIL: NKT_GRID=8x1 diverges from the default slab" >&2
-    exit 1
-fi
-# nz 12: a Bluestein half transform (length 6) and ragged point chunks, so
-# short lane blocks; a 3x2 pencil must match the 3-rank slab.
-slab3="$(NKT_RANKS=3 NKT_NZ=12 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-pencil32="$(NKT_RANKS=6 NKT_NZ=12 NKT_GRID=3x2 cargo run --release --offline --example fourier_dns | grep 'state hash')"
-if [[ "$slab3" != "$pencil32" ]]; then
-    echo "FAIL: 3x2 pencil diverges from the 3-rank slab at nz 12" >&2
-    echo "slab 3x1:   $slab3" >&2
-    echo "pencil 3x2: $pencil32" >&2
-    exit 1
-fi
 
 echo "== checkpoint smoke (write -> corrupt -> detect -> fallback -> bitwise resume) =="
 # restart_dns runs the whole drill in-process: a 2-rank DNS checkpoints
@@ -124,8 +77,8 @@ echo "== trace smoke pass (spans mode + exported-JSON round-trip) =="
 # quickstart under NKT_TRACE=spans exports TRACE_quickstart.json and
 # asserts per-stage span totals match its StageClock ledger within 1%;
 # trace_timeline then re-parses the artifact like a consumer would.
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
+trace_dir="$work/trace"
+mkdir "$trace_dir"
 NKT_TRACE=spans NKT_TRACE_DIR="$trace_dir" \
     cargo run --release --offline --example quickstart > /dev/null
 cargo run --release --offline --example trace_timeline -- \
@@ -137,9 +90,9 @@ echo "== prof smoke (NKT_PROF=1: determinism, ledger agreement) =="
 # per-stage attributed times against the StageClock ledgers (<1%), and
 # writes PROF_*.json. Two runs must produce byte-identical profiles —
 # everything serialized lives on the virtual timeline.
-prof_a="$(mktemp -d)"
-prof_b="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$prof_a" "$prof_b"' EXIT
+prof_a="$work/prof_a"
+prof_b="$work/prof_b"
+mkdir "$prof_a" "$prof_b"
 NKT_PROF=1 NKT_TRACE_DIR="$prof_a" \
     cargo run --release --offline --example fourier_dns > "$prof_a/out.txt"
 grep -q 'prof: wrote' "$prof_a/out.txt"
@@ -171,14 +124,15 @@ for f in "$prof_a"/PROF_*.json; do
     fi
 done
 
-echo "== stats smoke (NKT_STATS=1: byte determinism, restart identity, watchdog trip) =="
+echo "== stats smoke (NKT_STATS=1: byte determinism, restart identity) =="
 # Online statistics are serialized from the virtual timeline: two fresh
 # instrumented runs must write byte-identical STATS_*.json (DESIGN.md
-# §14).
-stats_a="$(mktemp -d)"
-stats_b="$(mktemp -d)"
-stats_ck="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$prof_a" "$prof_b" "$stats_a" "$stats_b" "$stats_ck"' EXIT
+# §14). The watchdog's trip and every rank's flight dump are tier-1's
+# drive_props::plan_health_arms_the_watchdog_on_every_rank.
+stats_a="$work/stats_a"
+stats_b="$work/stats_b"
+stats_ck="$work/stats_ck"
+mkdir "$stats_a" "$stats_b" "$stats_ck"
 NKT_STATS=1 NKT_TRACE_DIR="$stats_a" \
     cargo run --release --offline --example fourier_dns > /dev/null
 NKT_STATS=1 NKT_TRACE_DIR="$stats_b" \
@@ -205,21 +159,6 @@ for f in "$stats_b"/STATS_*.json; do
         exit 1
     fi
 done
-# Watchdog trip: poisoning the state at step 2 must abort with a typed
-# error naming step/rank/field, and every rank dumps its flight ring.
-nan_out="$(NKT_HEALTH=1 NKT_INJECT_NAN=2 NKT_TRACE_DIR="$stats_a" \
-    cargo run --release --offline --example fourier_dns || true)"
-if ! grep -q "non-finite value in field 'v' on rank 0 at step 2" <<< "$nan_out"; then
-    echo "FAIL: NaN injection did not trip the watchdog with the typed error" >&2
-    echo "$nan_out" >&2
-    exit 1
-fi
-for r in 0 1 2 3; do
-    if [[ ! -f "$stats_a/FLIGHT_fourier_dns_roadrunner_myr_r$r.json" ]]; then
-        echo "FAIL: rank $r did not dump its flight recorder on the watchdog trip" >&2
-        exit 1
-    fi
-done
 
 echo "== serve smoke (job farm: preemption, then byte-identical manifests on rerun) =="
 # serve_farm runs a four-job contended batch (two world slots, a
@@ -228,9 +167,9 @@ echo "== serve smoke (job farm: preemption, then byte-identical manifests on rer
 # state hash and STATS bytes match its solo run bitwise. Two farm runs
 # must also produce byte-identical MANIFEST_*.json: the schedule and the
 # hashed artifacts are pure functions of the batch (DESIGN.md §15).
-serve_a="$(mktemp -d)"
-serve_b="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$prof_a" "$prof_b" "$stats_a" "$stats_b" "$stats_ck" "$serve_a" "$serve_b"' EXIT
+serve_a="$work/serve_a"
+serve_b="$work/serve_b"
+mkdir "$serve_a" "$serve_b"
 NKT_SERVE_OUT="$serve_a" cargo run --release --offline --example serve_farm > /dev/null
 NKT_SERVE_OUT="$serve_b" cargo run --release --offline --example serve_farm > /dev/null
 for m in "$serve_a"/farm/*/MANIFEST_*.json; do
@@ -260,16 +199,16 @@ echo "== calib smoke (NKT_CALIB=1: byte determinism, measured windows) =="
 # Calibrations serialize only virtual-timeline quantities and exact
 # counters: two instrumented runs must write byte-identical CALIB_*.json
 # (DESIGN.md §17).
-calib_a="$(mktemp -d)"
-calib_b="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$prof_a" "$prof_b" "$stats_a" "$stats_b" "$stats_ck" "$serve_a" "$serve_b" "$calib_a" "$calib_b"' EXIT
+calib_a="$work/calib_a"
+calib_b="$work/calib_b"
+mkdir "$calib_a" "$calib_b"
 NKT_CALIB=1 NKT_TRACE_DIR="$calib_a" \
     cargo run --release --offline --example fourier_dns > /dev/null
 NKT_CALIB=1 NKT_TRACE_DIR="$calib_b" \
     cargo run --release --offline --example fourier_dns > /dev/null
-NKT_CALIB=1 NKT_GS_OVERLAP=1 NKT_TRACE_DIR="$calib_a" \
+NKT_CALIB=1 NKT_TRACE_DIR="$calib_a" \
     cargo run --release --offline --example flapping_wing_ale > /dev/null
-NKT_CALIB=1 NKT_GS_OVERLAP=1 NKT_TRACE_DIR="$calib_b" \
+NKT_CALIB=1 NKT_TRACE_DIR="$calib_b" \
     cargo run --release --offline --example flapping_wing_ale > /dev/null
 for f in "$calib_a"/CALIB_*.json; do
     name="$(basename "$f")"
@@ -330,7 +269,7 @@ echo "== benchmark smoke (perfbench builds against the workspace and its checks 
 # its perfbench/<workload> row of the pin ledger, scripts/pins.txt: a
 # bitwise-neutral change leaves the rows alone, a reassociating one
 # replaces them in the same reviewed diff as results/HASHES.txt.
-lock_keep="$(mktemp)"
+lock_keep="$work/perfbench.Cargo.lock"
 cp perfbench/Cargo.lock "$lock_keep"
 for row in "perfbench/wake2d" "perfbench/fourier_slab" "perfbench/ale_wing"; do
     workload="${row#perfbench/}"
@@ -353,7 +292,6 @@ for row in "perfbench/wake2d" "perfbench/fourier_slab" "perfbench/ale_wing"; do
         exit 1
     fi
 done
-rm -f "$lock_keep"
 
 echo "== one plane pipeline (the basis tables are read inside nkt-spectral only) =="
 # Every modal <-> quadrature, gradient and weak-form loop of the solvers,
