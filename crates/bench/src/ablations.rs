@@ -117,7 +117,7 @@ fn ale_times(overlap: bool) -> (f64, f64, u64) {
 /// `frac` (0.0 = blocking).
 fn replay_wall(mid: MachineId, nid: NetId, p: usize, frac: f64) -> f64 {
     let shape = AleShape { overlap: [frac; 7], ..table3_shape(p) };
-    replay(&ale_step_workload(&shape), &machine(mid), &cluster(nid), p).wall_total()
+    replay(&ale_step_workload(&shape), &machine(mid), &cluster(nid), p).wall.total()
 }
 
 /// Blocking vs split-phase gather-scatter in NekTar-ALE (DESIGN.md §16):

@@ -85,7 +85,7 @@ fn scaling_blocks<const N: usize>(
             }
             let paper_s =
                 paper[col].map(|(c, w)| format!("{c:.2}/{w:.2}")).unwrap_or_else(|| "-".into());
-            writeln!(o, "{:>6} {:>16} {:>13.2}/{:.2}", p, paper_s, t.cpu_total(), t.wall_total())?;
+            writeln!(o, "{:>6} {:>16} {:>13.2}/{:.2}", p, paper_s, t.cpu.total(), t.wall.total())?;
         }
         writeln!(o)?;
         if run.prof {
@@ -170,7 +170,7 @@ fn pencil_extension(o: &mut String) -> fmt::Result {
             let pr = p / pc;
             let t = replay(&fourier_step_workload(shape), &m, &net, p);
             let grid = format!("{pr}x{pc}");
-            writeln!(o, "{:>6} {:>8} {:>13.2}/{:.2}", p, grid, t.cpu_total(), t.wall_total())?;
+            writeln!(o, "{:>6} {:>8} {:>13.2}/{:.2}", p, grid, t.cpu.total(), t.wall.total())?;
         }
         writeln!(o)?;
     }

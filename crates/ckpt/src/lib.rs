@@ -11,8 +11,8 @@
 //! * a **bitwise-exact codec** ([`codec`]): `f64`s round-trip as raw
 //!   IEEE bits so a restored run continues bit-identically;
 //! * the [`Checkpointable`] trait ([`traits`]) the three solver state
-//!   machines implement, with a deterministic [`state_hash`] that
-//!   excludes the wall-clock ledger;
+//!   machines implement, with a deterministic [`state_hash`] over every
+//!   section (a shard holds state only, no host time);
 //! * one **coordinated epoch protocol** ([`epoch`]): barrier-delimited
 //!   quiesce, per-rank shards, a rank-0 manifest as the commit record,
 //!   CRC-validated collective restore with fall-back to the previous
@@ -45,4 +45,4 @@ pub use error::CkptError;
 pub use format::{crc32, CkptFile, CkptWriter, FORMAT_VERSION, MAGIC};
 pub use policy::CkptConfig;
 pub use tandem::TandemMut;
-pub use traits::{Checkpointable, Fnv1a, CLOCK_SECTION};
+pub use traits::{Checkpointable, Fnv1a};

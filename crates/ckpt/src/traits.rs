@@ -4,13 +4,6 @@
 use crate::error::CkptError;
 use crate::format::{CkptFile, CkptWriter};
 
-/// Section name under which solvers store their [`StageClock`] wall-time
-/// ledger. It is saved and restored like any other section but
-/// **excluded** from [`Checkpointable::state_hash`]: the ledger holds
-/// host wall times, which differ between an interrupted and an
-/// uninterrupted run even when the numerical state is bitwise identical.
-pub const CLOCK_SECTION: &str = "clock";
-
 /// A solver state machine that can snapshot itself into checkpoint
 /// sections and rebuild itself from them.
 ///
@@ -36,18 +29,14 @@ pub trait Checkpointable {
     fn ckpt_step(&self) -> u64;
 
     /// Deterministic digest of the numerical state: FNV-1a over every
-    /// section's name and payload **except** [`CLOCK_SECTION`]. Two
-    /// states hash equal iff their persisted numerical content is
-    /// byte-identical — the yardstick the interrupted-vs-uninterrupted
-    /// property tests compare step by step.
+    /// section's name, length and payload. Two states hash equal iff their
+    /// persisted content is byte-identical — the yardstick the
+    /// interrupted-vs-uninterrupted property tests compare step by step.
     fn state_hash(&self) -> u64 {
         let mut w = CkptWriter::new();
         self.write_sections(&mut w);
         let mut h = Fnv1a::new();
         for (name, payload) in w.sections() {
-            if name == CLOCK_SECTION {
-                continue;
-            }
             h.update(name.as_bytes());
             h.update(&(payload.len() as u64).to_le_bytes());
             h.update(payload);
@@ -102,7 +91,6 @@ mod tests {
     struct Toy {
         x: Vec<f64>,
         steps: u64,
-        wall: f64,
     }
 
     impl Checkpointable for Toy {
@@ -114,18 +102,12 @@ mod tests {
             e.f64s(&self.x);
             e.u64(self.steps);
             w.section("fields", e.into_bytes());
-            let mut c = Enc::new();
-            c.f64(self.wall);
-            w.section(CLOCK_SECTION, c.into_bytes());
         }
         fn read_sections(&mut self, f: &CkptFile) -> Result<(), CkptError> {
             let mut d = f.dec("fields")?;
             self.x = d.f64s()?;
             self.steps = d.u64()?;
             d.finish()?;
-            let mut c = f.dec(CLOCK_SECTION)?;
-            self.wall = c.f64()?;
-            c.finish()?;
             Ok(())
         }
         fn ckpt_step(&self) -> u64 {
@@ -143,20 +125,18 @@ mod tests {
 
     #[test]
     fn clock_section_excluded_from_hash() {
-        let a = Toy { x: vec![1.0, 2.0], steps: 5, wall: 0.123 };
-        let b = Toy { x: vec![1.0, 2.0], steps: 5, wall: 99.9 };
-        assert_eq!(a.state_hash(), b.state_hash(), "wall time must not affect the digest");
-        let c = Toy { x: vec![1.0, 2.5], steps: 5, wall: 0.123 };
-        assert_ne!(a.state_hash(), c.state_hash(), "numerical state must");
+        let a = Toy { x: vec![1.0, 2.0], steps: 5 };
+        let c = Toy { x: vec![1.0, 2.5], steps: 5 };
+        assert_ne!(a.state_hash(), c.state_hash(), "numerical state must move the digest");
     }
 
     #[test]
     fn roundtrip_restores_hash() {
-        let a = Toy { x: vec![3.0; 7], steps: 11, wall: 1.0 };
+        let a = Toy { x: vec![3.0; 7], steps: 11 };
         let mut w = CkptWriter::new();
         a.write_sections(&mut w);
         let f = CkptFile::parse(std::path::Path::new("mem"), w.to_bytes()).unwrap();
-        let mut b = Toy { x: vec![], steps: 0, wall: 0.0 };
+        let mut b = Toy { x: vec![], steps: 0 };
         b.read_sections(&f).unwrap();
         assert_eq!(a.state_hash(), b.state_hash());
         assert_eq!(b.steps, 11);

@@ -110,7 +110,7 @@ pub struct NektarAle {
     motion_shape: Vec<(f64, f64)>,
     /// Simulated time.
     pub time: f64,
-    /// Stage clock.
+    /// Stage clock (host seconds of the steps this process ran).
     pub clock: StageClock,
     /// Recorder for model replay.
     pub recorder: Recorder,
@@ -339,7 +339,7 @@ impl NektarAle {
     }
 
     /// Advances one step. Collective. Returns the step's stage times
-    /// (host compute; solve stages additionally carry virtual comm time).
+    /// (host seconds).
     pub fn step(&mut self, comm: &mut Comm) -> StageClock {
         let step_span = nkt_trace::span_v("step", "step", comm.wtime());
         let mut sc = StageClock::new();
@@ -431,14 +431,12 @@ impl NektarAle {
         sc.add(Stage::PressureRhs, t0.stop());
 
         // Stage 5: pressure PCG solve.
-        let w0 = comm.wtime();
-        let t0 = StageTimer::start_v(Stage::PressureSolve, w0);
+        let t0 = StageTimer::start_v(Stage::PressureSolve, comm.wtime());
         // Warm start from the previous step's pressure.
         self.p.resize(self.vel_op.nlocal(), 0.0);
         let (op, bc, ws, rec) = (&self.vel_op, &self.press_bc, &mut self.ws, &mut self.recorder);
         let pit = op.pcg(comm, LAPLACE, bc, &b.prhs, &mut self.p, tol, max_iter, ws, rec);
-        let virt = comm.wtime() - w0;
-        sc.add(Stage::PressureSolve, t0.stop_v(comm.wtime()) + virt);
+        sc.add(Stage::PressureSolve, t0.stop_v(comm.wtime()));
 
         // Stage 6: viscous RHS from u** = uhat - dt ∇p.
         let t0 = StageTimer::start(Stage::ViscousRhs);
@@ -496,8 +494,7 @@ impl NektarAle {
 
         // Stage 7: three velocity Helmholtz PCG solves + the ALE extra
         // mesh-velocity Helmholtz solve.
-        let w0 = comm.wtime();
-        let t0 = StageTimer::start_v(Stage::ViscousSolve, w0);
+        let t0 = StageTimer::start_v(Stage::ViscousSolve, comm.wtime());
         // The order-j scheme's λ: the ramp's while the history is filling.
         let coefs = [self.lambdas[j - 1], 1.0];
         let mut vit = 0usize;
@@ -525,8 +522,7 @@ impl NektarAle {
         } else {
             0
         };
-        let virt = comm.wtime() - w0;
-        sc.add(Stage::ViscousSolve, t0.stop_v(comm.wtime()) + virt);
+        sc.add(Stage::ViscousSolve, t0.stop_v(comm.wtime()));
         self.bufs = b;
         step_span.end_v(comm.wtime());
         self.last_iters = (pit.iters, vit, mit);
@@ -662,7 +658,7 @@ impl nkt_ckpt::Checkpointable for NektarAle {
         e.usize(self.last_iters.2);
         w.section("mesh", e.into_bytes());
 
-        self.hist.write_sections(w, &self.clock);
+        self.hist.write_sections(w);
     }
 
     fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), nkt_ckpt::CkptError> {
@@ -697,8 +693,7 @@ impl nkt_ckpt::Checkpointable for NektarAle {
             (d.u64()? as usize, d.u64()? as usize, d.u64()? as usize);
         d.finish()?;
 
-        self.clock = self.hist.read_sections(f)?;
-        Ok(())
+        self.hist.read_sections(f)
     }
 
     fn ckpt_step(&self) -> u64 {
@@ -893,7 +888,7 @@ mod tests {
     #[test]
     fn pcg_solves_dominate_step_time() {
         // Figures 15-16: stages b (pressure) + c (Helmholtz solves) carry
-        // ~90% of the ALE step.
+        // ~90% of the ALE step; here the shares are host seconds.
         let mesh = small_mesh();
         let part = partition_for(&mesh, 1);
         let out = run(1, cluster(NetId::T3e), |c| {

@@ -110,7 +110,7 @@ pub struct NektarF {
     /// The exchange's 12 transposed fields, then 3 nonlinear terms, each
     /// `[z][point]` at this rank's points.
     phys: Vec<f64>,
-    /// Stage clock (host compute seconds + virtual comm seconds).
+    /// Stage clock (host seconds of the steps this process ran).
     pub clock: StageClock,
     /// Recorder for the model replay.
     pub recorder: Recorder,
@@ -134,8 +134,7 @@ impl Seam for Exchange<'_> {
         self.comm.wtime()
     }
 
-    fn products(&mut self, vel: &[f64], grad: &[f64], nl: &mut [f64], rec: &mut Recorder) -> f64 {
-        let wall0 = self.comm.wtime();
+    fn products(&mut self, vel: &[f64], grad: &[f64], nl: &mut [f64], rec: &mut Recorder) {
         let mut ctx = TransposeCtx { overlap: self.overlap, recorder: rec };
         // u, v, w straight from this step's level, then ∂x, ∂y, ∂z of each.
         let flen = vel.len() / 3;
@@ -163,7 +162,6 @@ impl Seam for Exchange<'_> {
             },
         );
         self.grid.to_modes(self.comm, &mut ctx, phys_nl, nl);
-        self.comm.wtime() - wall0
     }
 
     fn record_weighting(&self, rec: &mut Recorder, l: Layout, j: usize) {
@@ -306,8 +304,8 @@ impl NektarF {
     }
 
     /// Advances one time step (collective). Returns this step's stage
-    /// times (host compute seconds; the NonLinear stage additionally
-    /// carries the virtual communication time).
+    /// times (host seconds; the transposes' virtual time is on the stage
+    /// span).
     pub fn step(&mut self, comm: &mut Comm) -> StageClock {
         let mut exchange = Exchange {
             comm,
@@ -423,7 +421,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         }
         w.section("fields", e.into_bytes());
 
-        self.plane.hist.write_sections(w, &self.clock);
+        self.plane.hist.write_sections(w);
     }
 
     fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), nkt_ckpt::CkptError> {
@@ -440,8 +438,7 @@ impl nkt_ckpt::Checkpointable for NektarF {
         }
         d.finish()?;
 
-        self.clock = self.plane.hist.read_sections(f)?;
-        Ok(())
+        self.plane.hist.read_sections(f)
     }
 
     fn ckpt_step(&self) -> u64 {

@@ -55,8 +55,8 @@ pub(crate) trait Seam {
 
     /// The nonlinear level from this step's velocity level and its
     /// derivatives (∂x, ∂y, for three components ∂z: a level each),
-    /// recorded. Returns the virtual seconds it took.
-    fn products(&mut self, vel: &[f64], grad: &[f64], nl: &mut [f64], rec: &mut Recorder) -> f64;
+    /// recorded.
+    fn products(&mut self, vel: &[f64], grad: &[f64], nl: &mut [f64], rec: &mut Recorder);
 
     /// Records stage 3 over `j` levels in the solver's own shape (one item
     /// an element or one a rank: `workload.rs` mirrors each).
@@ -168,8 +168,7 @@ impl PlaneStep {
 
     /// One time step of `PH` planes a component, `PL` a mode. Stage 7
     /// imposes `lift` (a vector a plane) if given; `p` is left holding the
-    /// last mode's pressure. Returns the step's stage times (host seconds,
-    /// plus stage 2's virtual ones).
+    /// last mode's pressure. Returns the step's stage times (host seconds).
     pub fn step<const PH: usize, const PL: usize>(
         &mut self,
         disc: &Discretization,
@@ -204,7 +203,7 @@ impl PlaneStep {
 
         // Stage 2: derivatives of every plane, then the solver's products.
         let t0 = StageTimer::start_v(Stage::NonLinear, seam.wtime());
-        let virt = if seam.advects() {
+        if seam.advects() {
             let (gx, rest) = self.grad.split_at_mut(l.level_len());
             let (gy, gz) = rest.split_at_mut(l.level_len());
             for mi in 0..l.nmodes {
@@ -227,13 +226,11 @@ impl PlaneStep {
             for (i, (v, d)) in pairs.enumerate() {
                 dz(self.betas[i % l.nmodes], v, d);
             }
-            seam.products(&vel, &self.grad, &mut nonlin, rec)
+            seam.products(&vel, &self.grad, &mut nonlin, rec);
         } else {
             nonlin.fill(0.0);
-            0.0
-        };
-        let host = t0.stop_v(seam.wtime());
-        sc.add(Stage::NonLinear, host + virt);
+        }
+        sc.add(Stage::NonLinear, t0.stop_v(seam.wtime()));
 
         // History push: `j` levels are in effect, fewer than the scheme's
         // order over the first steps.

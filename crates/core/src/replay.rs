@@ -4,7 +4,7 @@
 //! (DESIGN.md §2 substitution).
 
 use crate::opstream::{CommItem, OpRecording, WorkItem};
-use crate::timers::{Stage, StageClock};
+use crate::timers::{ModeledClock, Stage};
 use nkt_machine::Machine;
 use nkt_net::ClusterNetwork;
 
@@ -14,22 +14,12 @@ use nkt_net::ClusterNetwork;
 #[derive(Debug, Clone, Default)]
 pub struct ReplayTimes {
     /// CPU ledger per stage (compute + protocol overhead).
-    pub cpu: StageClock,
+    pub cpu: ModeledClock,
     /// Wall-clock ledger per stage (CPU + network transfer/latency).
-    pub wall: StageClock,
+    pub wall: ModeledClock,
 }
 
 impl ReplayTimes {
-    /// Total CPU seconds.
-    pub fn cpu_total(&self) -> f64 {
-        self.cpu.total()
-    }
-
-    /// Total wall seconds.
-    pub fn wall_total(&self) -> f64 {
-        self.wall.total()
-    }
-
     /// Records one virtual-time trace span per nonzero stage, laid out
     /// back-to-back from `vt0` (virtual seconds); returns the end time.
     /// Paper-scale replayed steps thereby render on the same Perfetto
@@ -189,8 +179,8 @@ pub fn replay(rec: &OpRecording, machine: &Machine, net: &ClusterNetwork, p: usi
 }
 
 /// Serial replay (no network).
-pub fn replay_serial(rec: &OpRecording, machine: &Machine) -> StageClock {
-    let mut clock = StageClock::new();
+pub fn replay_serial(rec: &OpRecording, machine: &Machine) -> ModeledClock {
+    let mut clock = ModeledClock::new();
     for (stage, item) in &rec.work {
         clock.add(*stage, work_time(item, machine));
     }
@@ -230,7 +220,7 @@ mod tests {
         let net = cluster(NetId::T3e);
         let slow = replay(&rec, &machine(MachineId::Sp2Thin2), &net, 4);
         let fast = replay(&rec, &machine(MachineId::T3e), &net, 4);
-        assert!(fast.cpu_total() < slow.cpu_total());
+        assert!(fast.cpu.total() < slow.cpu.total());
     }
 
     #[test]
@@ -239,7 +229,7 @@ mod tests {
         let m = machine(MachineId::Muses);
         let eth = replay(&rec, &m, &cluster(NetId::RoadRunnerEth), 8);
         let myr = replay(&rec, &m, &cluster(NetId::RoadRunnerMyr), 8);
-        assert!(eth.wall_total() > myr.wall_total());
+        assert!(eth.wall.total() > myr.wall.total());
         // Pure-compute part identical: compare work-only replays.
         let w_eth: f64 = rec.work.iter().map(|(_, i)| work_time(i, &m)).sum();
         let w_myr = w_eth;
@@ -267,12 +257,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_trace_spans_tile_the_wall_total() {
+    fn replay_trace_spans_tile_the_wall_ledger() {
         nkt_trace::set_mode(nkt_trace::TraceMode::Spans);
         let rec = sample_rec();
         let t = replay(&rec, &machine(MachineId::Muses), &cluster(NetId::T3e), 4);
         let end = t.record_trace_spans(1.5);
-        assert!((end - 1.5 - t.wall_total()).abs() < 1e-12);
+        assert!((end - 1.5 - t.wall.total()).abs() < 1e-12);
         let tid = nkt_trace::current_tid();
         let mine: Vec<_> =
             nkt_trace::take_collected().into_iter().filter(|d| d.tid == tid).collect();
@@ -280,7 +270,7 @@ mod tests {
             mine.iter().flat_map(|d| &d.events).filter(|e| e.cat == "replay").collect();
         assert!(spans.len() >= 4, "one span per nonzero stage");
         let vsum: f64 = spans.iter().map(|e| e.vdur().unwrap()).sum();
-        assert!((vsum - t.wall_total()).abs() < 1e-12);
+        assert!((vsum - t.wall.total()).abs() < 1e-12);
         nkt_trace::set_mode(nkt_trace::TraceMode::Off);
     }
 
@@ -297,15 +287,15 @@ mod tests {
         let blocking = replay(&mk(false), &m, &net, 8);
         let pipelined = replay(&mk(true), &m, &net, 8);
         assert!(
-            pipelined.wall_total() < blocking.wall_total(),
+            pipelined.wall.total() < blocking.wall.total(),
             "overlap credit should shrink wall: {} vs {}",
-            pipelined.wall_total(),
-            blocking.wall_total()
+            pipelined.wall.total(),
+            blocking.wall.total()
         );
-        assert!(pipelined.wall_total() >= pipelined.cpu_total() - 1e-15);
+        assert!(pipelined.wall.total() >= pipelined.cpu.total() - 1e-15);
         // CPU is honest: the pipelined split pays *more* protocol
         // overhead (one per-round charge per field), never less.
-        assert!(pipelined.cpu_total() >= blocking.cpu_total());
+        assert!(pipelined.cpu.total() >= blocking.cpu.total());
     }
 
     #[test]
@@ -331,18 +321,18 @@ mod tests {
         let blocking = replay(&mk(0.0), &m, &net, 16);
         let overlapped = replay(&mk(0.8), &m, &net, 16);
         assert!(
-            overlapped.wall_total() < blocking.wall_total(),
+            overlapped.wall.total() < blocking.wall.total(),
             "gs overlap credit should shrink wall: {} vs {}",
-            overlapped.wall_total(),
-            blocking.wall_total()
+            overlapped.wall.total(),
+            blocking.wall.total()
         );
-        assert!(overlapped.wall_total() >= overlapped.cpu_total() - 1e-15);
+        assert!(overlapped.wall.total() >= overlapped.cpu.total() - 1e-15);
         // CPU (protocol overhead) is identical: the same messages move.
-        assert!((overlapped.cpu_total() - blocking.cpu_total()).abs() < 1e-15);
+        assert!((overlapped.cpu.total() - blocking.cpu.total()).abs() < 1e-15);
         // The credit is capped by overlap × gemm work: a tiny window
         // hides less than a wide one.
         let narrow = replay(&mk(1e-4), &m, &net, 16);
-        assert!(narrow.wall_total() > overlapped.wall_total());
+        assert!(narrow.wall.total() > overlapped.wall.total());
     }
 
     /// What the retired slab-only `Alltoall` item charged for one
@@ -437,8 +427,8 @@ mod tests {
         let m = machine(MachineId::Muses);
         let blocking = replay(&mk(false), &m, &net, 16);
         let pipelined = replay(&mk(true), &m, &net, 16);
-        assert!(pipelined.wall_total() < blocking.wall_total());
-        assert!(pipelined.wall_total() >= pipelined.cpu_total() - 1e-15);
+        assert!(pipelined.wall.total() < blocking.wall.total());
+        assert!(pipelined.wall.total() >= pipelined.cpu.total() - 1e-15);
     }
 
     #[test]

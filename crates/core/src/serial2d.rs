@@ -90,7 +90,7 @@ impl Seam for Pointwise<'_> {
         self.advect
     }
 
-    fn products(&mut self, vel: &[f64], grad: &[f64], nl: &mut [f64], rec: &mut Recorder) -> f64 {
+    fn products(&mut self, vel: &[f64], grad: &[f64], nl: &mut [f64], rec: &mut Recorder) {
         let nq = self.disc.nquad_total();
         let (u, v) = vel.split_at(nq);
         let (gx, gy) = grad.split_at(2 * nq);
@@ -105,7 +105,6 @@ impl Seam for Pointwise<'_> {
             bytes: 48.0 * nq as f64,
             ws: 48 * nq,
         });
-        0.0
     }
 
     fn record_weighting(&self, rec: &mut Recorder, _: Layout, j: usize) {
@@ -267,7 +266,7 @@ impl nkt_ckpt::Checkpointable for Serial2dSolver {
         }
         w.section("fields", e.into_bytes());
 
-        self.plane.hist.write_sections(w, &self.clock);
+        self.plane.hist.write_sections(w);
     }
 
     fn read_sections(&mut self, f: &nkt_ckpt::CkptFile) -> Result<(), CkptError> {
@@ -287,8 +286,7 @@ impl nkt_ckpt::Checkpointable for Serial2dSolver {
         }
         d.finish()?;
 
-        self.clock = self.plane.hist.read_sections(f)?;
-        Ok(())
+        self.plane.hist.read_sections(f)
     }
 
     fn ckpt_step(&self) -> u64 {

@@ -14,7 +14,6 @@
 //! extrapolation weights β_q. [`History`] keeps the levels u^{n−q} and
 //! N(u^{n−q}) of every solver — the serial one, NekTar-F and NekTar-ALE.
 
-use crate::timers::{read_progress, write_progress, StageClock};
 use nkt_ckpt::{CkptError, CkptFile, CkptWriter, Dec, Enc};
 use std::collections::VecDeque;
 
@@ -171,9 +170,8 @@ impl History {
 
     /// Writes the `hist` section — for each ring (velocity, then nonlinear
     /// terms) its level count, then per level the mode count and every
-    /// plane, mode by mode, length-prefixed — and the steps taken with the
-    /// solver's `clock`.
-    pub fn write_sections(&self, w: &mut CkptWriter, clock: &StageClock) {
+    /// plane, mode by mode, length-prefixed — and the `steps` section.
+    pub fn write_sections(&self, w: &mut CkptWriter) {
         let mut e = Enc::new();
         for ring in [&self.vel, &self.nl] {
             e.usize(ring.len());
@@ -183,14 +181,16 @@ impl History {
             }
         }
         w.section("hist", e.into_bytes());
-        write_progress(w, self.steps, clock);
+        let mut e = Enc::new();
+        e.usize(self.steps);
+        w.section("steps", e.into_bytes());
     }
 
-    /// Reads what [`Self::write_sections`] wrote and returns the clock,
-    /// holding the rings' depth to the scheme's (and to each other's), and
-    /// every mode count and plane length to this history's: a step indexes
-    /// the levels without looking.
-    pub fn read_sections(&mut self, f: &CkptFile) -> Result<StageClock, CkptError> {
+    /// Reads what [`Self::write_sections`] wrote, holding the rings' depth
+    /// to the scheme's (and to each other's), and every mode count and
+    /// plane length to this history's: a step indexes the levels without
+    /// looking.
+    pub fn read_sections(&mut self, f: &CkptFile) -> Result<(), CkptError> {
         let mut d = f.dec("hist")?;
         let nlevels = d.len_prefix(64)?;
         if nlevels > self.scheme.order {
@@ -202,9 +202,9 @@ impl History {
         let nl = self.read_levels(&mut d, nlevels)?;
         d.finish()?;
         (self.vel, self.nl) = (vel, nl);
-        let (steps, clock) = read_progress(f)?;
-        self.steps = steps;
-        Ok(clock)
+        let mut d = f.dec("steps")?;
+        self.steps = d.u64()? as usize;
+        d.finish()
     }
 
     fn read_levels(&self, d: &mut Dec<'_>, n: usize) -> Result<VecDeque<Vec<f64>>, CkptError> {

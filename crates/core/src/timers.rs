@@ -105,7 +105,8 @@ impl StageTimer {
     }
 
     /// Ends the region stamping the virtual end time `vt1`; returns host
-    /// seconds (the caller charges the virtual delta to its clock).
+    /// seconds. The virtual delta stays on the span: a ledger never mixes
+    /// it with host seconds.
     pub fn stop_v(self, vt1: f64) -> f64 {
         let secs = self.t0.elapsed().as_secs_f64();
         self.sp.end_v(vt1);
@@ -113,32 +114,39 @@ impl StageTimer {
     }
 }
 
-/// Accumulated per-stage time (seconds — host wall time for native runs,
-/// virtual time for simulated runs).
+/// Unit of a [`StageClock`]: host wall seconds, measured.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Host;
+
+/// Unit of a [`ModeledClock`]: seconds the 1999 machine and network
+/// models charge in a replay.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Modeled;
+
+/// Accumulated per-stage seconds of one unit `U`: the type keeps measured
+/// and modeled seconds apart, so no [`Ledger::merge`] crosses units.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageClock {
+pub struct Ledger<U> {
     /// Per-stage totals, indexed by [`Stage::index`].
     pub totals: [f64; 7],
+    unit: std::marker::PhantomData<U>,
 }
 
-impl StageClock {
-    /// Creates a zeroed clock.
-    pub fn new() -> StageClock {
-        StageClock::default()
+/// A solver's ledger: host seconds of the steps this process ran.
+pub type StageClock = Ledger<Host>;
+
+/// A replay's ledger: modeled seconds.
+pub type ModeledClock = Ledger<Modeled>;
+
+impl<U: Default> Ledger<U> {
+    /// Creates a zeroed ledger.
+    pub fn new() -> Ledger<U> {
+        Ledger::default()
     }
 
     /// Adds `seconds` to a stage.
     pub fn add(&mut self, stage: Stage, seconds: f64) {
         self.totals[stage.index()] += seconds;
-    }
-
-    /// Runs `f`, charging its host wall time to `stage` (and recording a
-    /// trace span when `NKT_TRACE=spans`).
-    pub fn time<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        let t = StageTimer::start(stage);
-        let r = f();
-        self.add(stage, t.stop());
-        r
     }
 
     /// Total across stages.
@@ -179,42 +187,12 @@ impl StageClock {
         (a, b, c)
     }
 
-    /// Elementwise sum with another clock.
-    pub fn merge(&mut self, other: &StageClock) {
+    /// Elementwise sum with another ledger of the same unit.
+    pub fn merge(&mut self, other: &Ledger<U>) {
         for i in 0..7 {
             self.totals[i] += other.totals[i];
         }
     }
-}
-
-/// The two sections every solver's shard ends with: its step counter
-/// (`"steps"`) and its wall-time ledger ([`nkt_ckpt::CLOCK_SECTION`], the
-/// one section a state hash leaves out).
-pub(crate) fn write_progress(w: &mut nkt_ckpt::CkptWriter, steps: usize, clock: &StageClock) {
-    let mut e = nkt_ckpt::Enc::new();
-    e.usize(steps);
-    w.section("steps", e.into_bytes());
-    let mut e = nkt_ckpt::Enc::new();
-    for t in clock.totals {
-        e.f64(t);
-    }
-    w.section(nkt_ckpt::CLOCK_SECTION, e.into_bytes());
-}
-
-/// Reads what [`write_progress`] wrote.
-pub(crate) fn read_progress(
-    f: &nkt_ckpt::CkptFile,
-) -> Result<(usize, StageClock), nkt_ckpt::CkptError> {
-    let mut d = f.dec("steps")?;
-    let steps = d.u64()? as usize;
-    d.finish()?;
-    let mut d = f.dec(nkt_ckpt::CLOCK_SECTION)?;
-    let mut clock = StageClock::new();
-    for t in clock.totals.iter_mut() {
-        *t = d.f64()?;
-    }
-    d.finish()?;
-    Ok((steps, clock))
 }
 
 #[cfg(test)]
@@ -261,18 +239,38 @@ mod tests {
     }
 
     #[test]
-    fn time_accumulates() {
-        let mut c = StageClock::new();
-        let v = c.time(Stage::NonLinear, || {
-            std::hint::black_box((0..10000).map(|i| i as f64).sum::<f64>())
-        });
-        assert!(v > 0.0);
-        assert!(c.totals[1] > 0.0);
-    }
-
-    #[test]
     fn zero_clock_percentages() {
         assert_eq!(StageClock::new().percentages(), [0.0; 7]);
+    }
+
+    /// A solver's ledger holds host seconds only: on a network whose
+    /// every inter-node message waits a virtual second, a warmed step's
+    /// ledger stays within the host time the step took, for the NekTar-F
+    /// slab and the wing-shaped NekTar-ALE alike.
+    #[test]
+    fn solver_ledgers_hold_host_seconds_only() {
+        use crate::drive::cases;
+        use nkt_mpi::Comm;
+        // (ledger, host) seconds of the second of two steps.
+        fn warmed(c: &mut Comm, mut step: impl FnMut(&mut Comm) -> StageClock) -> (f64, f64) {
+            step(c);
+            let t0 = std::time::Instant::now();
+            let clock = step(c);
+            (clock.total(), t0.elapsed().as_secs_f64())
+        }
+        let mut net = nkt_net::cluster(nkt_net::NetId::T3e);
+        net.inter.latency_us = 1e6;
+        let wing = cases::wing(2);
+        let out = nkt_mpi::World::builder().ranks(2).net(net).run(|c| {
+            let mut f = cases::fourier(c, 8, None).expect("a 2-rank slab");
+            let mut a = wing.build(c);
+            [("NekTar-F", warmed(c, |c| f.step(c))), ("NekTar-ALE", warmed(c, |c| a.step(c)))]
+        });
+        for (rank, rows) in out.iter().enumerate() {
+            for (solver, (ledger, host)) in rows {
+                assert!(ledger <= host, "{solver} rank {rank}: ledger {ledger} s > host {host} s");
+            }
+        }
     }
 
     #[test]

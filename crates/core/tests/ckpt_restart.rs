@@ -1,11 +1,11 @@
 //! The checkpoint/restart contract, as properties: a run interrupted at
 //! step `k` and restored from its `CKPT_*` files continues **bitwise
 //! identically** to the run that was never interrupted — the FNV state
-//! hash (all sections except the wall-clock ledger) matches step for
-//! step, on every rank, for all three solvers. The kill step and (for
-//! NekTar-F) the rank count are drawn by `prop_check!`, so the property
-//! covers checkpoints taken at ramp-up steps (partial multistep
-//! history) as well as steady-state ones.
+//! hash matches step for step, on every rank, for all three solvers, and
+//! at the last step the checkpoint bytes themselves are equal. The kill
+//! step and (for NekTar-F) the rank count are drawn by `prop_check!`, so
+//! the property covers checkpoints taken at ramp-up steps (partial
+//! multistep history) as well as steady-state ones.
 
 use nektar::ale::{AleConfig, NektarAle};
 use nektar::fourier::{FourierConfig, NektarF};
@@ -154,6 +154,8 @@ prop_check! {
             prop_assert_eq!(restored.state_hash(), ref_hashes[step],
                 "hash diverges at step {} after restoring from {kill}", step + 1);
         }
+        prop_assert!(shard_bytes(&restored) == shard_bytes(&reference),
+            "the resumed run's checkpoint bytes differ at the last step (kill={kill})");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -167,15 +169,16 @@ prop_check! {
         let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
 
         // Reference: per-rank hash vectors of the uninterrupted run.
-        let ref_hashes: Vec<Vec<u64>> = run(np, net(), |c| {
+        let reference: Vec<(Vec<u64>, Vec<u8>)> = run(np, net(), |c| {
             let mut s = NektarF::new(c, &mesh, fourier_cfg());
             s.set_initial(fourier_init);
-            (0..NSTEPS)
+            let hashes = (0..NSTEPS)
                 .map(|_| {
                     s.step(c);
                     s.state_hash()
                 })
-                .collect()
+                .collect();
+            (hashes, shard_bytes(&s))
         });
 
         // Interrupted: step to `kill`, write the coordinated epoch.
@@ -189,7 +192,7 @@ prop_check! {
         });
 
         // Restored world: fresh solvers, restore, continue, hash.
-        let got: Vec<(u64, bool, Vec<u64>)> = run(np, net(), |c| {
+        let got: Vec<(u64, bool, Vec<u64>, Vec<u8>)> = run(np, net(), |c| {
             let mut s = NektarF::new(c, &mesh, fourier_cfg());
             let info = restore_latest_on(Some(c), &cfg, &mut s).expect("restore_latest");
             let mut hashes = vec![s.state_hash()];
@@ -197,18 +200,21 @@ prop_check! {
                 s.step(c);
                 hashes.push(s.state_hash());
             }
-            (info.step, info.fell_back, hashes)
+            (info.step, info.fell_back, hashes, shard_bytes(&s))
         });
 
-        for (rank, (step, fell_back, hashes)) in got.iter().enumerate() {
+        for (rank, (step, fell_back, hashes, bytes)) in got.iter().enumerate() {
+            let (ref_hashes, ref_bytes) = &reference[rank];
             prop_assert_eq!(*step, kill as u64, "rank {rank} restored wrong epoch");
             prop_assert!(!*fell_back, "rank {rank} fell back with only one epoch on disk");
-            prop_assert_eq!(hashes[0], ref_hashes[rank][kill - 1],
+            prop_assert_eq!(hashes[0], ref_hashes[kill - 1],
                 "np={np} rank {rank}: hash diverges at the restore point");
             for (i, step_idx) in (kill..NSTEPS).enumerate() {
-                prop_assert_eq!(hashes[i + 1], ref_hashes[rank][step_idx],
+                prop_assert_eq!(hashes[i + 1], ref_hashes[step_idx],
                     "np={np} rank {rank}: hash diverges at step {}", step_idx + 1);
             }
+            prop_assert!(bytes == ref_bytes,
+                "np={np} rank {rank}: the resumed run's checkpoint bytes differ at the last step");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -227,15 +233,16 @@ prop_check! {
         let mesh = mesh3d();
         let part = partition_for(&mesh, P);
 
-        let ref_hashes: Vec<Vec<u64>> = run(P, net(), |c| {
+        let reference: Vec<(Vec<u64>, Vec<u8>)> = run(P, net(), |c| {
             let mut s = NektarAle::new(c, mesh.clone(), &part, ale_cfg());
             s.set_initial(c, psi_field);
-            (0..NSTEPS)
+            let hashes = (0..NSTEPS)
                 .map(|_| {
                     s.step(c);
                     s.state_hash()
                 })
-                .collect()
+                .collect();
+            (hashes, shard_bytes(&s))
         });
 
         run(P, net(), |c| {
@@ -247,7 +254,7 @@ prop_check! {
             write_epoch_on(Some(c), &cfg, kill, &s).expect("write_epoch");
         });
 
-        let got: Vec<(u64, Vec<u64>)> = run(P, net(), |c| {
+        let got: Vec<(u64, Vec<u64>, Vec<u8>)> = run(P, net(), |c| {
             let mut s = NektarAle::new(c, mesh.clone(), &part, ale_cfg());
             let info = restore_latest_on(Some(c), &cfg, &mut s).expect("restore_latest");
             let mut hashes = vec![s.state_hash()];
@@ -255,17 +262,20 @@ prop_check! {
                 s.step(c);
                 hashes.push(s.state_hash());
             }
-            (info.step, hashes)
+            (info.step, hashes, shard_bytes(&s))
         });
 
-        for (rank, (step, hashes)) in got.iter().enumerate() {
+        for (rank, (step, hashes, bytes)) in got.iter().enumerate() {
+            let (ref_hashes, ref_bytes) = &reference[rank];
             prop_assert_eq!(*step, kill as u64, "rank {rank} restored wrong epoch");
-            prop_assert_eq!(hashes[0], ref_hashes[rank][kill - 1],
+            prop_assert_eq!(hashes[0], ref_hashes[kill - 1],
                 "rank {rank}: hash diverges at the restore point (kill={kill})");
             for (i, step_idx) in (kill..NSTEPS).enumerate() {
-                prop_assert_eq!(hashes[i + 1], ref_hashes[rank][step_idx],
+                prop_assert_eq!(hashes[i + 1], ref_hashes[step_idx],
                     "rank {rank}: hash diverges at step {}", step_idx + 1);
             }
+            prop_assert!(bytes == ref_bytes,
+                "rank {rank}: the resumed run's checkpoint bytes differ at the last step");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -292,6 +302,14 @@ fn serial2d_restore_into_wrong_discretisation_is_typed_error() {
         "expected StateMismatch, got: {err}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The bytes `solver`'s checkpoint shard holds: a pure function of its
+/// state, so a resumed run and the uninterrupted one write the same file.
+fn shard_bytes(solver: &impl Checkpointable) -> Vec<u8> {
+    let mut w = CkptWriter::new();
+    solver.write_sections(&mut w);
+    w.to_bytes()
 }
 
 /// `solver`'s own payload of section `name`.

@@ -355,10 +355,18 @@ mod tests {
 
     #[test]
     fn concurrent_row_and_col_ialltoalls_do_not_alias() {
-        // A 2×3 process grid: every rank posts a row exchange and a
-        // column exchange simultaneously, then finishes both in reverse.
-        // Distinct split generations must keep the tag spaces disjoint.
-        let (pr, pc) = (2usize, 3usize);
+        // Every rank posts a row exchange and a column exchange
+        // simultaneously, then finishes both in reverse. Distinct split
+        // generations must keep the tag spaces disjoint. The 3×2 grid's
+        // size-3 columns are the strided world ranks c, c + 2, c + 4: a
+        // non-power-of-two exchange over a group that is not a block of
+        // world ranks.
+        for (pr, pc) in [(2, 3), (3, 2)] {
+            check_row_and_col_ialltoalls(pr, pc);
+        }
+    }
+
+    fn check_row_and_col_ialltoalls(pr: usize, pc: usize) {
         let p = pr * pc;
         let out = run(p, move |c| {
             let r = c.rank();
@@ -383,11 +391,13 @@ mod tests {
             let (row, col) = (r / pc, r % pc);
             for src_c in 0..pc {
                 let src_w = row * pc + src_c;
-                assert_eq!(rrow[src_c], (src_w * 10 + col) as f64, "rank {r} row exchange");
+                let want = (src_w * 10 + col) as f64;
+                assert_eq!(rrow[src_c], want, "{pr}x{pc} rank {r} row exchange");
             }
             for src_r in 0..pr {
                 let src_w = src_r * pc + col;
-                assert_eq!(rcol[src_r], (1000 + src_w * 10 + row) as f64, "rank {r} col exchange");
+                let want = (1000 + src_w * 10 + row) as f64;
+                assert_eq!(rcol[src_r], want, "{pr}x{pc} rank {r} col exchange");
             }
         }
     }

@@ -229,18 +229,17 @@ pub fn stage_stats(ranks: &[PRank]) -> Vec<StageStat> {
     stats
 }
 
-/// Host + virtual attributed seconds per stage per rank (for the
-/// StageClock self-check and the printed host table; never serialized —
-/// host times are not reproducible).
+/// Host seconds per stage per rank: the stage spans' measured durations
+/// (for the StageClock self-check and the printed host table; never
+/// serialized — host times are not reproducible). Virtual-only spans, a
+/// replay's among them, carry no host time and are skipped.
 pub fn stage_attributed(ranks: &[PRank]) -> Vec<(String, Vec<f64>)> {
     let mut out: Vec<(String, Vec<f64>)> = Vec::new();
     for (idx, r) in ranks.iter().enumerate() {
         for s in &r.spans {
-            if s.cat != "stage" && s.cat != "replay" {
+            if s.cat != "stage" || !s.dur_s.is_finite() {
                 continue;
             }
-            let host = if s.dur_s.is_finite() { s.dur_s } else { 0.0 };
-            let t = host + s.vdur().unwrap_or(0.0);
             let i = match out.iter().position(|(n, _)| *n == s.name) {
                 Some(i) => i,
                 None => {
@@ -248,7 +247,7 @@ pub fn stage_attributed(ranks: &[PRank]) -> Vec<(String, Vec<f64>)> {
                     out.len() - 1
                 }
             };
-            out[i].1[idx] += t;
+            out[i].1[idx] += s.dur_s;
         }
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));

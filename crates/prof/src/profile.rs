@@ -52,8 +52,8 @@ pub struct Profile {
     pub stages: Vec<StageStat>,
     /// The longest dependency chain through the run.
     pub critical_path: CriticalPath,
-    /// Host+virtual attributed seconds per stage per rank (report and
-    /// ledger check only — **not** serialized).
+    /// Host seconds per stage per rank (report and ledger check only —
+    /// **not** serialized).
     pub stage_attrib: Vec<(String, Vec<f64>)>,
 }
 
@@ -147,8 +147,8 @@ impl Profile {
         ])
     }
 
-    /// Cross-checks the per-stage attributed times (host + virtual span
-    /// sums across ranks) against an externally kept ledger (e.g. merged
+    /// Cross-checks the per-stage attributed host times (span sums across
+    /// ranks) against an externally kept host ledger (e.g. merged
     /// `StageClock` totals). Returns the worst relative error over
     /// ledger entries above `min_secs`; stages the spans never saw count
     /// as 100% error.
@@ -254,7 +254,7 @@ impl Profile {
         }
 
         if !self.stage_attrib.is_empty() {
-            let _ = writeln!(out, "\nStage attributed time (host+virtual, summed over ranks)");
+            let _ = writeln!(out, "\nStage attributed time (host seconds, summed over ranks)");
             for (name, per_rank) in &self.stage_attrib {
                 let _ = writeln!(out, "  {:<16} {:>12.6}", name, per_rank.iter().sum::<f64>());
             }

@@ -154,7 +154,7 @@ fn offline_profile_from_trace_json_matches_in_process_analysis() {
 
 /// TRACE has no committed baseline, so this is its guard: the offline
 /// profile built from the rendered trace document equals the in-process
-/// one — the same document bytes, and the host+virtual stage ledger bit
+/// one — the same document bytes, and the host stage ledger bit
 /// for bit (host `ts`/`dur` print at full precision like every number).
 #[test]
 fn offline_profile_of_the_rendered_trace_equals_the_in_process_profile() {

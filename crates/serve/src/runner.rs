@@ -272,26 +272,14 @@ fn finish_rank0(
         let mut epochs = ckpt.list_epochs();
         epochs.sort_unstable();
         for e in epochs {
-            for r in 0..spec.ranks {
-                let shard = ckpt
-                    .shard_path(e, r)
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
+            let shards = (0..spec.ranks).map(|r| ckpt.shard_path(e, r));
+            for path in shards.chain([ckpt.manifest_path(e)]) {
+                let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
                 artifacts.push(
-                    ArtifactEntry::hashed_shard(&jc.dir, shard)
-                        .map_err(|err| format!("hash shard e{e} r{r}: {err}"))?,
+                    ArtifactEntry::hashed_file(&jc.dir, name.unwrap_or_default())
+                        .map_err(|err| format!("hash {}: {err}", path.display()))?,
                 );
             }
-            let man = ckpt
-                .manifest_path(e)
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            artifacts.push(
-                ArtifactEntry::hashed_file(&jc.dir, man)
-                    .map_err(|err| format!("hash ckpt manifest e{e}: {err}"))?,
-            );
         }
     }
     Ok(artifacts)

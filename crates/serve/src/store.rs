@@ -8,9 +8,10 @@
 //! manifest (schema [`MANIFEST_SCHEMA`]) that inventories the artifacts
 //! and records the final state hash. The manifest is **byte
 //! deterministic**: no timestamps, artifacts in a fixed order, and
-//! content hashes (FNV-1a) only for files whose bytes are themselves
-//! deterministic (STATS and checkpoint files — `TRACE_`/`PROF_` carry
-//! host wall-clock times, so they are listed by name only).
+//! content hashes (FNV-1a) of whole files only for files whose bytes are
+//! themselves deterministic (STATS, checkpoint shards and manifests —
+//! `TRACE_`/`PROF_` carry host wall-clock times, so they are listed by
+//! name only).
 
 use crate::spec::JobSpec;
 use nkt_trace::json::Value;
@@ -88,32 +89,6 @@ impl ArtifactEntry {
         let name = name.into();
         let bytes = std::fs::read(dir.join(&name))?;
         Ok(ArtifactEntry::hashed(name, &bytes))
-    }
-
-    /// Entry for a checkpoint *shard*: `bytes` is the file length, but
-    /// `fnv` digests the sections **excluding** the wall-clock ledger —
-    /// the same recipe as `Checkpointable::state_hash`. A shard's clock
-    /// section records host wall times, the one part of a checkpoint
-    /// that is not a pure function of the physics; hashing around it
-    /// keeps the manifest byte-deterministic across scheduler reruns.
-    pub fn hashed_shard(dir: &Path, name: impl Into<String>) -> io::Result<ArtifactEntry> {
-        let name = name.into();
-        let path = dir.join(&name);
-        let len = std::fs::metadata(&path)?.len();
-        let file = nkt_ckpt::CkptFile::open(&path)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let sections: Vec<String> = file.section_names().map(str::to_string).collect();
-        let mut h = nkt_ckpt::Fnv1a::new();
-        for s in &sections {
-            if s == nkt_ckpt::CLOCK_SECTION {
-                continue;
-            }
-            let payload = file.section(s).unwrap_or(&[]);
-            h.update(s.as_bytes());
-            h.update(&(payload.len() as u64).to_le_bytes());
-            h.update(payload);
-        }
-        Ok(ArtifactEntry { name, bytes: Some(len), fnv: Some(h.finish()) })
     }
 }
 

@@ -71,7 +71,7 @@ fn main() {
     println!("after 2 ALE steps on modeled RoadRunner/Myrinet:");
     println!("  kinetic energy {energy:.4}, mesh volume {volume:.4} (conserved)");
     println!("  PCG iterations: pressure {pit}, velocity (3 comps) {vit}, mesh-velocity {mit}");
-    println!("  stage shares (paper Figures 15-16 grouping):");
+    println!("  host stage shares of this run (paper Figures 15-16 grouping):");
     println!("    a (steps 1-4,6)      {a:>5.1}%");
     println!("    b (pressure solve)   {b:>5.1}%");
     println!("    c (Helmholtz solves) {cgrp:>5.1}%");

@@ -2,8 +2,10 @@
 //! (Table 2, Figures 13–14) at demo scale.
 //!
 //! Runs the same turbulent-wake-style problem on two modeled networks —
-//! RoadRunner's Fast Ethernet and its Myrinet — and shows how the
-//! Alltoall-heavy nonlinear step dominates on the slower fabric.
+//! RoadRunner's Fast Ethernet and its Myrinet — and shows the network
+//! idle time the Alltoall-heavy nonlinear step costs on the slower fabric
+//! (rank-0 CPU vs wall on the virtual clock; the stage shares are host
+//! seconds of this run, the paper's are `results/fig13_14_f_stages.txt`).
 //!
 //! ```sh
 //! cargo run --release --example fourier_dns
@@ -101,19 +103,16 @@ fn main() {
         println!("   rank-0 state hash: {hash:016x}");
         let pct = clock.percentages();
         println!(
-            "   nonlinear step (Alltoall + FFTs) share: {:.0}%  (paper Fig 13-14: \
-             60%+ on ethernet)",
-            pct[Stage::NonLinear.index()]
-        );
-        println!(
-            "   solves share: {:.0}%",
+            "   host share of this run: nonlinear step (Alltoall + FFTs) {:.0}%, solves {:.0}%",
+            pct[Stage::NonLinear.index()],
             pct[Stage::PressureSolve.index()] + pct[Stage::ViscousSolve.index()]
         );
         println!();
         if let Some(prof) = observe::finish(&cfg, &run_name) {
-            // Self-check: the profile's per-stage attributed times must
-            // agree with the solvers' own StageClock ledgers (merged
-            // over ranks) — the same 1% contract the trace smoke keeps.
+            // Self-check: the profile's per-stage host times must agree
+            // with the solvers' own StageClock ledgers (host seconds,
+            // merged over ranks) — the same 1% contract the trace smoke
+            // keeps.
             let mut ledger = StageClock::new();
             for r in out.iter().flatten() {
                 ledger.merge(&r.1);

@@ -75,8 +75,9 @@ cargo run --release --offline --example restart_dns > /dev/null
 
 echo "== trace smoke pass (spans mode + exported-JSON round-trip) =="
 # quickstart under NKT_TRACE=spans exports TRACE_quickstart.json and
-# asserts per-stage span totals match its StageClock ledger within 1%;
-# trace_timeline then re-parses the artifact like a consumer would.
+# asserts per-stage span host totals match its StageClock ledger (host
+# seconds) within 1%; trace_timeline then re-parses the artifact like a
+# consumer would.
 trace_dir="$work/trace"
 mkdir "$trace_dir"
 NKT_TRACE=spans NKT_TRACE_DIR="$trace_dir" \
@@ -87,9 +88,10 @@ cargo run --release --offline --example trace_timeline -- \
 echo "== prof smoke (NKT_PROF=1: determinism, ledger agreement) =="
 # fourier_dns under NKT_PROF=1 profiles each network's run (MPI
 # attribution, comm matrix, imbalance, critical path), self-checks the
-# per-stage attributed times against the StageClock ledgers (<1%), and
-# writes PROF_*.json. Two runs must produce byte-identical profiles —
-# everything serialized lives on the virtual timeline.
+# per-stage host seconds of its stage spans against the StageClock
+# ledgers, host seconds too (<1%), and writes PROF_*.json. Two runs must
+# produce byte-identical profiles — everything serialized lives on the
+# virtual timeline.
 prof_a="$work/prof_a"
 prof_b="$work/prof_b"
 mkdir "$prof_a" "$prof_b"
@@ -112,7 +114,7 @@ for op in '"ialltoall.col"' '"ialltoall.row"'; do
 done
 ledger_fail="$(awk '/stage ledger max rel err/ { if ($7+0 > 1.0) print }' "$prof_a/out.txt")"
 if [[ -n "$ledger_fail" ]]; then
-    echo "FAIL: profiler stage attribution disagrees with StageClock ledger by >1%" >&2
+    echo "FAIL: profiler stage host seconds disagree with the StageClock host ledger by >1%" >&2
     echo "$ledger_fail" >&2
     exit 1
 fi
