@@ -56,7 +56,7 @@ pub use level1::{daxpy, dcopy, ddot, dnrm2, dscal};
 pub use level2::{dgemv, dtrsv, Trans, Uplo};
 pub use level3::{dgemm, dgemm_small};
 pub use matrix::{BandedSym, ColMajor};
-pub use sweep::{sweep, sweep3, Axis};
+pub use sweep::{sweep, Axis};
 
 /// Error type for factorization routines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

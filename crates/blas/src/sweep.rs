@@ -99,24 +99,6 @@ pub fn sweep<const ADD: bool, const L: usize>(
     }
 }
 
-/// `out = (m[2] ⊗ m[1] ⊗ m[0]) x`: three sweeps taking an `n_in³` tensor
-/// to an `n_out³` one through two intermediates in `scratch` (at least
-/// `n_out·n_in² + n_out²·n_in` doubles).
-pub fn sweep3(
-    m: [&[f64]; 3],
-    n_in: usize,
-    n_out: usize,
-    x: &[f64],
-    out: &mut [f64],
-    scratch: &mut [f64],
-) {
-    let [ax, ay, az] = Axis::tensor(n_in, n_out);
-    let (t1, t2) = scratch.split_at_mut(n_out * n_in * n_in);
-    sweep::<false, 1>(m[0], 1, ax, x, t1);
-    sweep::<false, 1>(m[1], 1, ay, t1, t2);
-    sweep::<false, 1>(m[2], 1, az, t2, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,15 +218,21 @@ mod tests {
         assert_eq!(Axis::tensor::<2>(5, 3)[1], Axis { pre: 3, n_in: 5, n_out: 3, post: 1 });
     }
 
+    /// Three sweeps along `Axis::tensor`'s axes, first index first, are
+    /// `(m[2] ⊗ m[1] ⊗ m[0]) x`.
     #[test]
-    fn sweep3_is_the_kronecker_product() {
+    fn three_tensor_sweeps_are_the_kronecker_product() {
         let mut rng = Rng::new(7);
         let (n_in, n_out) = (3, 4);
         let m: Vec<Vec<f64>> = (0..3).map(|_| random(&mut rng, n_out * n_in)).collect();
         let x = random(&mut rng, n_in.pow(3));
         let mut out = vec![f64::NAN; n_out.pow(3)];
-        let mut scratch = vec![f64::NAN; n_out * n_in * n_in + n_out * n_out * n_in];
-        sweep3([&m[0], &m[1], &m[2]], n_in, n_out, &x, &mut out, &mut scratch);
+        let [ax, ay, az] = Axis::tensor(n_in, n_out);
+        let mut t1 = vec![f64::NAN; n_out * n_in * n_in];
+        let mut t2 = vec![f64::NAN; n_out * n_out * n_in];
+        sweep::<false, 1>(&m[0], 1, ax, &x, &mut t1);
+        sweep::<false, 1>(&m[1], 1, ay, &t1, &mut t2);
+        sweep::<false, 1>(&m[2], 1, az, &t2, &mut out);
         for (o, got) in out.iter().enumerate() {
             let (o0, o1, o2) = (o % n_out, o / n_out % n_out, o / (n_out * n_out));
             let mut want = 0.0;

@@ -122,19 +122,18 @@ pub struct NektarAle {
     pub last_converged: bool,
     /// Solve and transform buffers, shared by every solve.
     ws: HexWorkspace,
-    /// One element's weighted integrand at its nq³ quadrature points.
-    fq: Vec<f64>,
     /// The step's other buffers.
     bufs: StepBuffers,
 }
 
 /// What a step computes into besides the history levels, kept from step
-/// to step so that a warmed step allocates nothing: gradients, the
-/// weighted level û (three components, as a history level) and mesh
-/// velocity at the quadrature points, the pressure and
-/// viscous right-hand sides, and the mesh-velocity solve's zero
-/// right-hand side and iterate. Each is sized on first use and zeroed or
-/// overwritten before it is read.
+/// to step so that a warmed step allocates nothing: gradients (also the
+/// weighted integrands the projections read, and the velocity a
+/// kinetic-energy sample reads), the weighted level û (three
+/// components, as a history level) and mesh velocity at the quadrature
+/// points, the pressure and viscous right-hand sides, and the
+/// mesh-velocity solve's zero right-hand side and iterate. Each is sized
+/// on first use and zeroed or overwritten before it is read.
 #[derive(Default)]
 struct StepBuffers {
     g: [Vec<f64>; 3],
@@ -227,7 +226,6 @@ impl NektarAle {
             last_iters: (0, 0, 0),
             last_converged: true,
             ws: HexWorkspace::default(),
-            fq: vec![0.0; nq3],
             bufs: StepBuffers::default(),
         }
     }
@@ -261,12 +259,16 @@ impl NektarAle {
 
     /// Builds ∫ f φ elementwise into `rhs` (local, unsummed).
     fn project_rhs(&mut self, rhs: &mut [f64], f: impl Fn([f64; 3]) -> f64) {
-        let NektarAle { vel_op, mesh, fq, ws, .. } = self;
+        let NektarAle { vel_op, mesh, ws, bufs, .. } = self;
         let op = &vel_op.op1;
         let nq = op.basis.nquad();
-        for (le, &e) in vel_op.my_elems.iter().enumerate() {
+        let nq3 = nq * nq * nq;
+        let fq = &mut bufs.g[0];
+        fq.resize(vel_op.my_elems.len() * nq3, 0.0);
+        for ((&e, fe), [hx, hy, hz]) in
+            vel_op.my_elems.iter().zip(fq.chunks_exact_mut(nq3)).zip(&vel_op.scales)
+        {
             let (lo, _) = elem_box(mesh, e).expect("box");
-            let [hx, hy, hz] = vel_op.scales[le];
             let jac = hx * hy * hz / 8.0;
             // Evaluate f at the tensor points once.
             for qz in 0..nq {
@@ -277,64 +279,60 @@ impl NektarAle {
                             lo[1] + hy * (op.basis.z[qy] + 1.0) / 2.0,
                             lo[2] + hz * (op.basis.z[qz] + 1.0) / 2.0,
                         ];
-                        fq[qx + qy * nq + qz * nq * nq] = f(x)
-                            * op.basis.w[qx]
-                            * op.basis.w[qy]
-                            * op.basis.w[qz]
-                            * jac;
+                        fe[qx + qy * nq + qz * nq * nq] =
+                            f(x) * op.basis.w[qx] * op.basis.w[qy] * op.basis.w[qz] * jac;
                     }
                 }
             }
-            // Project: rhs_m += sum_q B_m(q) fq(q), sum-factorized.
-            vel_op.elem_project_add(le, fq, None, rhs, &mut ws.elem);
         }
+        // Project: rhs_m += sum_q B_m(q) fq(q), sum-factorized.
+        vel_op.project_pass(&[fq], false, rhs, &mut ws.elem);
     }
 
     /// Quadrature values of the three velocity components on all owned
-    /// elements (`nq³` per element, a component after the other) into
-    /// `uq`, a history level.
-    fn vel_to_quad(&mut self, uq: &mut [f64]) {
-        let n = self.hist.layout.nq;
-        for (c, u) in self.u.iter().enumerate() {
-            self.vel_op.to_quad(u, None, &mut uq[c * n..][..n], &mut self.ws.elem);
+    /// elements (`nq³` per element) into `outs`, one pass a component.
+    fn vel_to_quad(
+        op: &HexHelmholtz,
+        u: &[Vec<f64>; 3],
+        outs: [&mut [f64]; 3],
+        scratch: &mut Vec<f64>,
+    ) {
+        for (u, out) in u.iter().zip(outs) {
+            op.quad_pass(u, false, &mut [out], scratch);
         }
     }
 
     /// Physical-space gradient of `op`'s field `coeffs` at the quadrature
-    /// points, one component per entry of `g`.
+    /// points, one component per entry of `g`: one pass.
     fn grad_quad(op: &HexHelmholtz, coeffs: &[f64], g: &mut [Vec<f64>; 3], scratch: &mut Vec<f64>) {
-        let nq3 = op.op1.basis.nquad().pow(3);
-        for (d, gd) in g.iter_mut().enumerate() {
-            gd.resize(op.my_elems.len() * nq3, 0.0);
-            op.to_quad(coeffs, Some(d), gd, scratch);
-            for (ge, h) in gd.chunks_exact_mut(nq3).zip(&op.scales) {
-                for v in ge {
-                    *v = *v * 2.0 / h[d];
-                }
-            }
-        }
+        let n = op.my_elems.len() * op.op1.basis.nquad().pow(3);
+        let [g0, g1, g2] = g.each_mut().map(|gd| {
+            gd.resize(n, 0.0);
+            &mut gd[..]
+        });
+        op.quad_pass(coeffs, true, &mut [g0, g1, g2], scratch);
     }
 
     /// Mesh velocity (x-component) at the quadrature points of owned
-    /// elements under the plane-wise flapping motion, into `out`.
+    /// elements under the plane-wise flapping motion, into `out`: it
+    /// varies along x only, so each element's first row of nq points is
+    /// computed and copied to the others.
     fn mesh_velocity_quad(&self, out: &mut Vec<f64>) {
-        let nq = self.vel_op.op1.basis.nquad();
+        let z = &self.vel_op.op1.basis.z;
         let nq3 = self.nq3();
         let speed = self.cfg.motion_amp * self.cfg.motion_omega * (self.cfg.motion_omega * self.time).cos();
         zeroed(out, self.vel_op.my_elems.len() * nq3);
         if speed == 0.0 {
             return;
         }
-        for (le, &(s_lo, s_hi)) in self.motion_shape.iter().enumerate() {
-            for qz in 0..nq {
-                for qy in 0..nq {
-                    for qx in 0..nq {
-                        let t = (self.vel_op.op1.basis.z[qx] + 1.0) / 2.0;
-                        let s = s_lo + (s_hi - s_lo) * t;
-                        out[le * nq3 + qx + qy * nq + qz * nq * nq] = speed * s;
-                    }
-                }
+        for (oe, &(s_lo, s_hi)) in out.chunks_exact_mut(nq3).zip(&self.motion_shape) {
+            let (row, rest) = oe.split_at_mut(z.len());
+            for (o, zq) in row.iter_mut().zip(z) {
+                let t = (zq + 1.0) / 2.0;
+                let s = s_lo + (s_hi - s_lo) * t;
+                *o = speed * s;
             }
+            rest.chunks_exact_mut(z.len()).for_each(|r| r.copy_from_slice(row));
         }
     }
 
@@ -353,7 +351,9 @@ impl NektarAle {
         // Stage 1: modal -> quadrature, into the level the history drops.
         let t0 = StageTimer::start(Stage::BwdTransform);
         let (mut uq, mut nl) = self.hist.levels();
-        self.vel_to_quad(&mut uq);
+        let (u0, rest) = uq.split_at_mut(n);
+        let (u1, u2) = rest.split_at_mut(n);
+        Self::vel_to_quad(&self.vel_op, &self.u, [u0, u1, u2], &mut self.ws.elem);
         let nm1 = self.cfg.order + 1;
         for _ in 0..3 * ne {
             self.recorder.work(
@@ -371,11 +371,13 @@ impl NektarAle {
             let (u, v, w) = (&uq[..n], &uq[n..2 * n], &uq[2 * n..]);
             for c in 0..3 {
                 Self::grad_quad(&self.vel_op, &self.u[c], g, &mut self.ws.elem);
-                let nl = &mut nl[c * n..][..n];
-                for i in 0..n {
+                let [gx, gy, gz] = g.each_ref().map(|gd| &gd[..n]);
+                let vel = u.iter().zip(&wmesh[..n]).zip(v).zip(w);
+                let terms = nl[c * n..][..n].iter_mut().zip(vel).zip(gx.iter().zip(gy).zip(gz));
+                for ((nl, (((u, wm), v), w)), ((gx, gy), gz)) in terms {
                     // Relative (ALE) advection velocity in x.
-                    let ax = u[i] - wmesh[i];
-                    nl[i] = -(ax * g[0][i] + v[i] * g[1][i] + w[i] * g[2][i]);
+                    let ax = u - wm;
+                    *nl = -(ax * gx + v * gy + w * gz);
                 }
             }
             self.recorder.work(
@@ -426,7 +428,7 @@ impl NektarAle {
         // Stage 4: pressure RHS = (1/dt) ∫ uhat·∇φ.
         let t0 = StageTimer::start(Stage::PressureRhs);
         let prhs = zeroed(&mut b.prhs, self.vel_op.nlocal());
-        self.divergence_rhs(&b.hat, 1.0 / dt, prhs);
+        self.divergence_rhs(&b.hat, 1.0 / dt, &mut b.g, prhs);
         self.vel_op.gs.exchange(comm, prhs, ReduceOp::Sum);
         sc.add(Stage::PressureRhs, t0.stop());
 
@@ -443,34 +445,19 @@ impl NektarAle {
         let (hat, g, vrhs) = (&b.hat, &mut b.g, &mut b.vrhs);
         Self::grad_quad(&self.vel_op, &self.p, g, &mut self.ws.elem);
         let scale = 1.0 / (nu * dt);
-        for v in vrhs.iter_mut() {
-            zeroed(v, self.vel_op.nlocal());
-        }
-        {
-            let NektarAle { vel_op, fq, ws, .. } = &mut *self;
-            let op = &vel_op.op1;
-            let nq = op.basis.nquad();
-            for le in 0..ne {
-                let [hx, hy, hz] = vel_op.scales[le];
+        let op = &self.vel_op;
+        for (c, (gc, v)) in g.iter_mut().zip(vrhs.iter_mut()).enumerate() {
+            // u** = û − Δt ∇p, weighted in place of ∇p, then projected.
+            let (gc, hat_c) = (&mut gc[..n], &hat[c * n..][..n]);
+            let elems = gc.chunks_exact_mut(nq3).zip(hat_c.chunks_exact(nq3)).zip(&op.scales);
+            for ((ge, he), [hx, hy, hz]) in elems {
                 let jac = hx * hy * hz / 8.0;
-                for c in 0..3 {
-                    for qz in 0..nq {
-                        for qy in 0..nq {
-                            for qx in 0..nq {
-                                let q = qx + qy * nq + qz * nq * nq;
-                                let ustar = hat[c * n + le * nq3 + q] - dt * g[c][le * nq3 + q];
-                                fq[q] = ustar
-                                    * op.basis.w[qx]
-                                    * op.basis.w[qy]
-                                    * op.basis.w[qz]
-                                    * jac
-                                    * scale;
-                            }
-                        }
-                    }
-                    vel_op.elem_project_add(le, fq, None, &mut vrhs[c], &mut ws.elem);
+                for ((gq, hq), [wx, wy, wz]) in ge.iter_mut().zip(he).zip(&op.op1.wpts) {
+                    let ustar = hq - dt * *gq;
+                    *gq = ustar * wx * wy * wz * jac * scale;
                 }
             }
+            op.project_pass(&[gc], false, zeroed(v, op.nlocal()), &mut self.ws.elem);
         }
         if self.vel_op.gs_overlap {
             // Split-phase pipeline: post all three component exchanges,
@@ -541,56 +528,50 @@ impl NektarAle {
         }
     }
 
-    /// Assembles rhs_m += c · ∫ hat·∇φ_m over owned elements; `hat` is
-    /// shaped as a history level.
-    fn divergence_rhs(&mut self, hat: &[f64], c: f64, rhs: &mut [f64]) {
-        let NektarAle { vel_op, fq, ws, recorder, .. } = self;
-        let op = &vel_op.op1;
-        let nq = op.basis.nquad();
-        let nq3 = nq * nq * nq;
+    /// Assembles rhs_m += c · ∫ hat·∇φ_m over owned elements, each
+    /// element's three directions in turn; `hat` is shaped as a history
+    /// level, and `fq` takes the weighted integrand of each direction.
+    fn divergence_rhs(&mut self, hat: &[f64], c: f64, fq: &mut [Vec<f64>; 3], rhs: &mut [f64]) {
+        let NektarAle { vel_op: op, ws, recorder, .. } = self;
+        let nq3 = op.op1.basis.nquad().pow(3);
         let n = hat.len() / 3;
-        for le in 0..vel_op.my_elems.len() {
-            let h = vel_op.scales[le];
-            let jac = h[0] * h[1] * h[2] / 8.0;
-            // One direction at a time: the weighted component, then its
-            // projection against ∂φ in that direction.
-            for d in 0..3 {
-                let hat_d = &hat[d * n..][..n];
-                for qz in 0..nq {
-                    for qy in 0..nq {
-                        for qx in 0..nq {
-                            let q = qx + qy * nq + qz * nq * nq;
-                            let wq = op.basis.w[qx] * op.basis.w[qy] * op.basis.w[qz] * jac * c;
-                            fq[q] = hat_d[le * nq3 + q] * wq * 2.0 / h[d];
-                        }
-                    }
+        for (d, fd) in fq.iter_mut().enumerate() {
+            fd.resize(n, 0.0);
+            let elems = fd.chunks_exact_mut(nq3).zip(hat[d * n..][..n].chunks_exact(nq3));
+            for ((fe, he), h) in elems.zip(&op.scales) {
+                let jac = h[0] * h[1] * h[2] / 8.0;
+                for ((f, hq), [wx, wy, wz]) in fe.iter_mut().zip(he).zip(&op.op1.wpts) {
+                    let wq = wx * wy * wz * jac * c;
+                    *f = hq * wq * 2.0 / h[d];
                 }
-                vel_op.elem_project_add(le, fq, Some(d), rhs, &mut ws.elem);
             }
-            recorder.work(Stage::PressureRhs, WorkItem::Gemm { m: nq3, n: 3, k: op.nm });
+        }
+        let [f0, f1, f2] = fq.each_ref().map(|f| &f[..n]);
+        op.project_pass(&[f0, f1, f2], true, rhs, &mut ws.elem);
+        for _ in 0..op.my_elems.len() {
+            recorder.work(Stage::PressureRhs, WorkItem::Gemm { m: nq3, n: 3, k: op.op1.nm });
         }
     }
 
-    /// Total kinetic energy (collective).
+    /// Total kinetic energy (collective): the velocity at the quadrature
+    /// points goes through the step's gradient buffers.
     pub fn kinetic_energy(&mut self, comm: &mut Comm) -> f64 {
-        let mut uq = vec![0.0; self.hist.layout.level_len()];
-        self.vel_to_quad(&mut uq);
-        let (n, op) = (self.hist.layout.nq, &self.vel_op.op1);
-        let nq = op.basis.nquad();
-        let nq3 = self.nq3();
+        let n = self.hist.layout.nq;
+        let NektarAle { vel_op: op, u, ws, bufs, .. } = self;
+        let [u0, u1, u2] = bufs.g.each_mut().map(|gd| {
+            gd.resize(n, 0.0);
+            &mut gd[..]
+        });
+        Self::vel_to_quad(op, u, [u0, u1, u2], &mut ws.elem);
+        let [uq, vq, wq] = bufs.g.each_ref().map(|gd| &gd[..n]);
+        let nq3 = op.op1.basis.nquad().pow(3);
         let mut local = 0.0;
-        for (le, _) in self.vel_op.my_elems.iter().enumerate() {
-            let [hx, hy, hz] = self.vel_op.scales[le];
+        let elems = uq.chunks_exact(nq3).zip(vq.chunks_exact(nq3)).zip(wq.chunks_exact(nq3));
+        for (((ue, ve), we), [hx, hy, hz]) in elems.zip(&op.scales) {
             let jac = hx * hy * hz / 8.0;
-            for qz in 0..nq {
-                for qy in 0..nq {
-                    for qx in 0..nq {
-                        let q = le * nq3 + qx + qy * nq + qz * nq * nq;
-                        let w = op.basis.w[qx] * op.basis.w[qy] * op.basis.w[qz] * jac;
-                        let (u, v, w3) = (uq[q], uq[n + q], uq[2 * n + q]);
-                        local += 0.5 * w * (u * u + v * v + w3 * w3);
-                    }
-                }
+            for (((u, v), w3), [wx, wy, wz]) in ue.iter().zip(ve).zip(we).zip(&op.op1.wpts) {
+                let w = wx * wy * wz * jac;
+                local += 0.5 * w * (u * u + v * v + w3 * w3);
             }
         }
         let mut buf = [local];
@@ -752,32 +733,35 @@ mod tests {
 
     #[test]
     fn tensor_roundtrip_consistency() {
-        // to_quad of a constant-one vertex combination gives 1.
-        let op = crate::hex3d::Oper1d::new(3);
-        let nm = op.nm;
-        let mut x = vec![0.0; nm * nm * nm];
-        // u = 1 is the sum of all 8 vertex modes:
-        // (psi_0 + psi_P) = 1 in each direction.
-        for k in [0, nm - 1] {
-            for j in [0, nm - 1] {
-                for i in [0, nm - 1] {
-                    x[i + j * nm + k * nm * nm] = 1.0;
+        // The quadrature values of a constant-one vertex combination are
+        // 1, and its gradient 0, on a one-element operator.
+        let mesh = box_hexes(0.0, 2.0, 0.0, 1.0, 0.0, 0.5, 1, 1, 1);
+        let numbering = HexNumbering::build(&mesh, 3);
+        run(1, cluster(NetId::T3e), |c| {
+            let op = HexHelmholtz::new(c, &mesh, &numbering, &[0]);
+            let nm = op.op1.nm;
+            let mut x = vec![0.0; op.nlocal()];
+            // u = 1 is the sum of all 8 vertex modes:
+            // (psi_0 + psi_P) = 1 in each direction.
+            for k in [0, nm - 1] {
+                for j in [0, nm - 1] {
+                    for i in [0, nm - 1] {
+                        x[op.elem_dofs(0)[i + j * nm + k * nm * nm]] = 1.0;
+                    }
                 }
             }
-        }
-        let mut q = vec![f64::NAN; op.basis.nquad().pow(3)];
-        let mut scratch = vec![0.0; op.scratch_len()];
-        op.to_quad(&x, None, &mut q, &mut scratch);
-        for &v in &q {
-            assert!((v - 1.0).abs() < 1e-13, "{v}");
-        }
-        // Its gradient is zero.
-        for d in 0..3 {
-            op.to_quad(&x, Some(d), &mut q, &mut scratch);
-            for v in &q {
+            let scratch = &mut Vec::new();
+            let mut q = vec![vec![f64::NAN; op.op1.basis.nquad().pow(3)]; 3];
+            op.quad_pass(&x, false, &mut [&mut q[0]], scratch);
+            for &v in &q[0] {
+                assert!((v - 1.0).abs() < 1e-13, "{v}");
+            }
+            let [q0, q1, q2] = &mut q[..] else { unreachable!() };
+            op.quad_pass(&x, true, &mut [q0, q1, q2], scratch);
+            for v in q.iter().flatten() {
                 assert!(v.abs() < 1e-12);
             }
-        }
+        });
     }
 
     #[test]

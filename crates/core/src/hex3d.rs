@@ -19,8 +19,8 @@
 
 use crate::opstream::{CommItem, Recorder, WorkItem};
 use crate::timers::Stage;
-use nkt_blas::isa::{dispatch, Kernel};
-use nkt_blas::{sweep, sweep3, Axis};
+use nkt_blas::isa::{dispatch, Isa, Kernel};
+use nkt_blas::{sweep, Axis};
 use nkt_gs::{GsHandle, GsStrategy};
 use nkt_mesh::{BoundaryTag, Mesh3d};
 use nkt_mpi::prelude::*;
@@ -29,8 +29,9 @@ use nkt_spectral::basis1d::{sweep_matrices, Basis1d};
 use std::collections::{HashMap, HashSet};
 
 /// 1-D building blocks: mass and stiffness matrices of the modified
-/// basis on [−1, 1], the basis tables as [`sweep`] matrices, and the
-/// change to the nodal basis at the GLL points with the two matrices in it.
+/// basis on [−1, 1], the basis tables as [`sweep`] matrices, the
+/// quadrature weights of every point of an element, and the change to
+/// the nodal basis at the GLL points with the two matrices in it.
 #[derive(Debug, Clone)]
 pub struct Oper1d {
     /// Number of modes (P + 1).
@@ -46,6 +47,10 @@ pub struct Oper1d {
     to_quad: [Vec<f64>; 2],
     /// Quadrature → modal: `[Bᵀ, Dᵀ]`, column-major nm × nq.
     to_modal: [Vec<f64>; 2],
+    /// The 1-D weights `[w(qx), w(qy), w(qz)]` of each of an element's
+    /// nq³ points `q = qx + qy·nq + qz·nq²`, kept as three factors so a
+    /// weighted integrand multiplies them in the order it always has.
+    pub(crate) wpts: Vec<[f64; 3]>,
     /// The change of basis as sweep tables `[V⁻ᵀ, V⁻¹, V]`, column-major
     /// nm × nm, where `V[i + j·nm]` = ψ_j(ξ_i) at the P + 1 GLL nodes ξ_i:
     /// V takes modal coefficients to nodal values, V⁻¹ back, and V⁻ᵀ a
@@ -78,6 +83,8 @@ impl Oper1d {
         }
         let ([b, bt], [d, dt]) = (sweep_matrices(&basis.val), sweep_matrices(&basis.dval));
         let (to_quad, to_modal) = ([b, d], [bt, dt]);
+        let wpts = (0..nq.pow(3)).map(|q| [q % nq, q / nq % nq, q / (nq * nq)].map(|i| basis.w[i]));
+        let wpts = wpts.collect();
         let nodes = zwglj(nm, 0.0, 0.0);
         let [v, _] = sweep_matrices(&Basis1d::tabulate(p, &nodes.z, &nodes.w).val);
         let vi = invert(nm, v.clone());
@@ -89,35 +96,27 @@ impl Oper1d {
             (0..nm * nm).map(|k| entry((k % nm).min(k / nm), (k % nm).max(k / nm))).collect()
         };
         let nodal_mats = [nodal_mat(&mass), nodal_mat(&stiff)];
-        Oper1d { nm, mass, stiff, basis, to_quad, to_modal, nodal: [vit, vi, v], nodal_mats }
+        Oper1d { nm, mass, stiff, basis, to_quad, to_modal, wpts, nodal: [vit, vi, v], nodal_mats }
     }
 
     /// Scratch doubles the elemental operations of this order need: the
     /// larger of the Helmholtz kernel's (for each of [`LANES`] elements:
     /// two element vectors, four intermediates, three scaled 1-D
     /// matrices; and one element vector to scatter from) and a
-    /// transform's (one element vector, two intermediates of at most nq³).
+    /// [`transform_elems`] pass's (for each lane: an input, two
+    /// intermediates and three outputs of at most nq³; and one element
+    /// vector to scatter from).
     pub fn scratch_len(&self) -> usize {
-        let (n2, n3) = (self.nm * self.nm, self.nm.pow(3));
-        (LANES * (6 * n3 + 3 * n2) + n3).max(n3 + 2 * self.basis.nquad().pow(3))
+        let (n2, n3, q3) = (self.nm * self.nm, self.nm.pow(3), self.basis.nquad().pow(3));
+        (LANES * (6 * n3 + 3 * n2) + n3).max(LANES * 6 * q3 + q3)
     }
 
-    /// Modal → quadrature values of one element (B ⊗ B ⊗ B), with the
-    /// derivative table D in reference direction `deriv` if given. `x`
-    /// holds nm³ coefficients, `out` nq³ values; `scratch` at least
-    /// 2·nq³ doubles.
-    pub fn to_quad(&self, x: &[f64], deriv: Option<usize>, out: &mut [f64], scratch: &mut [f64]) {
-        let m = |d: usize| &self.to_quad[usize::from(deriv == Some(d))][..];
-        sweep3([m(0), m(1), m(2)], self.nm, self.basis.nquad(), x, out, scratch);
-    }
-
-    /// Quadrature → modal projection Σ_q fq(q) φ_m(q) of one element
-    /// (Bᵀ in every direction; Dᵀ in `deriv`, for ∫ f ∂φ terms). `fq`
-    /// holds nq³ weighted values, `out` nm³ sums; `scratch` as in
-    /// [`Oper1d::to_quad`].
-    pub fn to_modal(&self, fq: &[f64], deriv: Option<usize>, out: &mut [f64], scratch: &mut [f64]) {
-        let m = |d: usize| &self.to_modal[usize::from(deriv == Some(d))][..];
-        sweep3([m(0), m(1), m(2)], self.basis.nquad(), self.nm, fq, out, scratch);
+    /// The x, y and z sweep tables of one output of a transform to the
+    /// quadrature points (`to_quad`) or back to the modes: B (Bᵀ) in
+    /// every direction, D (Dᵀ) in direction `deriv` if given.
+    fn tables(&self, to_quad: bool, deriv: Option<usize>) -> [&[f64]; 3] {
+        let t = if to_quad { &self.to_quad } else { &self.to_modal };
+        [0, 1, 2].map(|d| &t[usize::from(deriv == Some(d))][..])
     }
 }
 
@@ -334,6 +333,9 @@ pub struct HexHelmholtz {
     /// owned element, flat: element `le` owns
     /// `elem_local[le * nm³..(le + 1) * nm³]` ([`HexHelmholtz::elem_dofs`]).
     pub elem_local: Vec<usize>,
+    /// Every owned element in order, `0..my_elems.len()`: the element
+    /// list of a pass over all of them.
+    elem_all: Vec<usize>,
     /// Global ids of this rank's local dofs.
     pub local_gids: Vec<u64>,
     /// 1-D operators.
@@ -409,6 +411,7 @@ impl HexHelmholtz {
         let elem_weight = count.iter().map(|&m| 1.0 / m).collect();
         HexHelmholtz {
             p,
+            elem_all: (0..my_elems.len()).collect(),
             my_elems,
             scales,
             elem_local,
@@ -507,45 +510,52 @@ impl HexHelmholtz {
         }
     }
 
-    /// Quadrature values of the field `coeffs` — or of its reference-space
-    /// derivative in direction `deriv` — on every owned element, nq³ per
-    /// element into `out`.
-    pub(crate) fn to_quad(
+    /// Quadrature values of the field `x` on every owned element, nq³
+    /// per element into `outs[0]` — or, with `grad`, its physical
+    /// gradient, direction `d` into `outs[d]` (the metric (v·2)/h_d makes
+    /// each reference derivative physical).
+    pub(crate) fn quad_pass(
         &self,
-        coeffs: &[f64],
-        deriv: Option<usize>,
-        out: &mut [f64],
+        x: &[f64],
+        grad: bool,
+        outs: &mut [&mut [f64]],
         scratch: &mut Vec<f64>,
     ) {
-        self.fit(scratch);
-        let (xl, rest) = scratch.split_at_mut(self.nm3());
-        let nq3 = self.op1.basis.nquad().pow(3);
-        let elems = self.elem_local.chunks_exact(self.nm3());
-        for (locals, oe) in elems.zip(out.chunks_exact_mut(nq3)) {
-            for (xm, &l) in xl.iter_mut().zip(locals) {
-                *xm = coeffs[l];
-            }
-            self.op1.to_quad(xl, deriv, oe, rest);
-        }
+        let metric = grad.then_some(&self.scales[..]);
+        self.pass(true, grad, Gather::Dofs(x), Scatter::Points(outs, metric), scratch);
     }
 
-    /// Scatter-adds owned element `le`'s projection Σ_q fq(q) φ_m(q) of
-    /// the weighted quadrature values `fq` (∂φ_m in reference direction
-    /// `deriv` if given) into the local vector `rhs`.
-    pub(crate) fn elem_project_add(
+    /// Scatter-adds every owned element's projection Σ_q fq(q) φ_m(q) of
+    /// the weighted quadrature values `fq[0]` (nq³ per element) into the
+    /// local vector `rhs` — or, with `grad`, Σ_d Σ_q fq[d](q) ∂_d φ_m(q),
+    /// each element's three directions added in turn.
+    pub(crate) fn project_pass(
         &self,
-        le: usize,
-        fq: &[f64],
-        deriv: Option<usize>,
+        fq: &[&[f64]],
+        grad: bool,
         rhs: &mut [f64],
         scratch: &mut Vec<f64>,
     ) {
+        self.pass(false, grad, Gather::Points(fq), Scatter::Dofs(rhs), scratch);
+    }
+
+    /// One [`transform_elems`] pass over every owned element, to the
+    /// quadrature points (`to_quad`) or back to the modes: of the values,
+    /// or with `grad` of the reference derivative in each direction.
+    fn pass(
+        &self,
+        to_quad: bool,
+        grad: bool,
+        gather: Gather,
+        scatter: Scatter,
+        scratch: &mut Vec<f64>,
+    ) {
         self.fit(scratch);
-        let (proj, rest) = scratch.split_at_mut(self.nm3());
-        self.op1.to_modal(fq, deriv, proj, rest);
-        for (pm, &l) in proj.iter().zip(self.elem_dofs(le)) {
-            rhs[l] += pm;
-        }
+        let (op, outs) = (&self.op1, if grad { 3 } else { 1 });
+        let tabs = [0, 1, 2].map(|d| op.tables(to_quad, grad.then_some(d)));
+        let n = if to_quad { [op.nm, op.basis.nquad()] } else { [op.basis.nquad(), op.nm] };
+        let (tabs, elems, dofs) = (&tabs[..outs], &self.elem_all[..], &self.elem_local[..]);
+        transform_elems(Isa::host(), Pass { n, tabs, elems, dofs, gather, scatter, scratch });
     }
 
     /// Applies the assembled member `coefs` = `[λ, kc]`: y =
@@ -954,11 +964,8 @@ impl<C: Fn(usize) -> [f64; 4], const NM: usize> Kernel for ApplyElems<'_, C, NM>
 
 /// Scatter-adds T ⊗ T ⊗ T x_e of every element `e` of `elems` (local dofs
 /// `dofs[e·nm³..][..nm³]`) into `y`, where `table` is the column-major
-/// nm × nm sweep table T — [`Oper1d`]'s V⁻ᵀ, V⁻¹ or V. Three sweeps of the one
-/// table, 6·nm⁴ flops, over [`LANES`] elements at a time in
-/// [`apply_elems`]'s tiles, gathered and scattered as there; the unused
-/// lanes of a short last block are computed and never read. `scratch`:
-/// `LANES·3·nm³ + nm³` doubles; `NM` as there.
+/// nm × nm sweep table T — [`Oper1d`]'s V⁻ᵀ, V⁻¹ or V: one
+/// [`transform_elems`] pass, three sweeps of the one table, 6·nm⁴ flops.
 fn basis_elems(
     nm: usize,
     table: &[f64],
@@ -968,57 +975,153 @@ fn basis_elems(
     y: &mut [f64],
     scratch: &mut [f64],
 ) {
-    match nm {
-        3 => dispatch(BasisElems::<3>(nm, table, elems, dofs, x, y, scratch)),
-        4 => dispatch(BasisElems::<4>(nm, table, elems, dofs, x, y, scratch)),
-        5 => dispatch(BasisElems::<5>(nm, table, elems, dofs, x, y, scratch)),
-        _ => dispatch(BasisElems::<0>(nm, table, elems, dofs, x, y, scratch)),
+    let (tabs, gather, scatter) = (&[[table; 3]], Gather::Dofs(x), Scatter::Dofs(y));
+    transform_elems(Isa::host(), Pass { n: [nm, nm], tabs, elems, dofs, gather, scatter, scratch });
+}
+
+/// What a [`transform_elems`] pass reads of each element.
+#[derive(Clone, Copy)]
+enum Gather<'a> {
+    /// Its modes' values in a dof vector, through its local dofs: the
+    /// input of every output.
+    Dofs(&'a [f64]),
+    /// Values at its points, `n_in³` an element (owned element `le` at
+    /// `le·n_in³`): output `k` reads the `k`-th.
+    Points(&'a [&'a [f64]]),
+}
+
+/// Where a [`transform_elems`] pass puts each element's outputs.
+enum Scatter<'a, 'b> {
+    /// Output `k` of owned element `le` into `outs[k][le·n_out³..]`; with
+    /// a metric `h` (the elements' box sizes), as (v·2)/h[le][k], a
+    /// reference derivative in direction `k` made physical.
+    Points(&'a mut [&'b mut [f64]], Option<&'a [[f64; 3]]>),
+    /// Every output scatter-added into a dof vector through the element's
+    /// local dofs: element by element in list order, then output by
+    /// output.
+    Dofs(&'a mut [f64]),
+}
+
+/// The operands of one [`transform_elems`] pass.
+struct Pass<'a, 'b> {
+    /// `[n_in, n_out]`: points or modes per direction in and out.
+    n: [usize; 2],
+    /// Per output, its x, y and z sweep tables (column-major n_out × n_in).
+    tabs: &'a [[&'a [f64]; 3]],
+    /// The elements, in the order their outputs scatter.
+    elems: &'a [usize],
+    /// Local dofs of every element, nm³ each.
+    dofs: &'a [usize],
+    gather: Gather<'a>,
+    scatter: Scatter<'a, 'b>,
+    scratch: &'a mut [f64],
+}
+
+/// Runs the elemental tensor transform `pass` in the build `isa`: for
+/// every element and every output `k`, the three sweeps of `tabs[k]` (x,
+/// then y, then z) take the element's `n_in³` input to `n_out³` values —
+/// modes to quadrature points, points to modes, or modes to modes.
+/// [`LANES`] elements at a time, in [`apply_elems`]'s tiles: each block is
+/// gathered into point-major, element-minor tiles, each sweep runs over
+/// all lanes at once, and every value sees the operations a lone
+/// element's sweeps would, in the same order. The unused lanes of a short
+/// last block are computed and never read. `scratch` holds at least
+/// `LANES·(n_in³ + n_out·n_in² + n_out²·n_in + outputs·n_out³) + n_out³`
+/// doubles ([`Oper1d::scratch_len`]). The counts of the orders the
+/// solvers run (2–4) are compile-time constants of the one body below —
+/// (nm, nq), (nq, nm) and (nm, nm) — and any other order takes the same
+/// body with the counts of `pass`.
+fn transform_elems(isa: Isa, pass: Pass) {
+    match pass.n {
+        [3, 4] => isa.run(Transform::<3, 4>(pass)),
+        [4, 5] => isa.run(Transform::<4, 5>(pass)),
+        [5, 6] => isa.run(Transform::<5, 6>(pass)),
+        [4, 3] => isa.run(Transform::<4, 3>(pass)),
+        [5, 4] => isa.run(Transform::<5, 4>(pass)),
+        [6, 5] => isa.run(Transform::<6, 5>(pass)),
+        [3, 3] => isa.run(Transform::<3, 3>(pass)),
+        [4, 4] => isa.run(Transform::<4, 4>(pass)),
+        [5, 5] => isa.run(Transform::<5, 5>(pass)),
+        _ => isa.run(Transform::<0, 0>(pass)),
     }
 }
 
-/// [`basis_elems`]'s operands, in its order, for the mode count `NM`
-/// (`0`: read from the first).
-struct BasisElems<'a, const NM: usize>(
-    usize,
-    &'a [f64],
-    &'a [usize],
-    &'a [usize],
-    &'a [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-);
+/// [`transform_elems`]'s pass for the counts `NI`, `NO` (`0`: read from
+/// the pass).
+struct Transform<'a, 'b, const NI: usize, const NO: usize>(Pass<'a, 'b>);
 
-impl<const NM: usize> Kernel for BasisElems<'_, NM> {
+impl<const NI: usize, const NO: usize> Kernel for Transform<'_, '_, NI, NO> {
     type Output = ();
 
-    /// The one body of [`basis_elems`], inlined into both builds.
+    /// The one body of [`transform_elems`], inlined into both builds.
     #[inline(always)]
     fn run(self) {
-        let Self(nm, table, elems, dofs, x, y, scratch) = self;
+        let Pass { n: [ni, no], tabs, elems, dofs, gather, mut scatter, scratch } = self.0;
         const L: usize = LANES;
-        let nm = if NM == 0 { nm } else { NM };
-        let n3 = nm * nm * nm;
-        let t = &table[..nm * nm];
-        let (t0, rest) = scratch.split_at_mut(n3 * L);
-        let (t1, rest) = rest.split_at_mut(n3 * L);
-        let (t2, ye) = rest.split_at_mut(n3 * L);
-        let ye = &mut ye[..n3];
-        let [ax, ay, az] = Axis::tensor(nm, nm).map(|a| Axis { pre: a.pre * L, ..a });
+        let (ni, no) = if NI == 0 { (ni, no) } else { (NI, NO) };
+        let (ni3, no3) = (ni * ni * ni, no * no * no);
+        if let Gather::Points(fq) = gather {
+            assert_eq!(fq.len(), tabs.len(), "one input per output");
+        }
+        // Compile-time counts fix the way: modes to points read a dof
+        // vector and store points, points to modes the reverse, modes to
+        // modes dof vector to dof vector. Held here, the branches a pair
+        // never runs drop out of its body.
+        let (from_dofs, to_dofs) =
+            (matches!(gather, Gather::Dofs(_)), matches!(scatter, Scatter::Dofs(_)));
+        assert!(
+            NI == 0 || (from_dofs == (NI <= NO) && to_dofs == (NI >= NO)),
+            "a pass of the wrong way"
+        );
+        let mut rest = scratch;
+        let mut take = |n: usize| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            head
+        };
+        let (xt, t1, t2) = (take(ni3 * L), take(no * ni * ni * L), take(no * no * ni * L));
+        let (yt, ye) = (take(no3 * L * tabs.len()), take(no3));
+        let [ax, ay, az] = Axis::tensor(ni, no).map(|a| Axis { pre: a.pre * L, ..a });
         for block in elems.chunks(L) {
-            for (e, &le) in block.iter().enumerate() {
-                for (m, &l) in dofs[le * n3..][..n3].iter().enumerate() {
-                    t0[m * L + e] = x[l];
+            if let Gather::Dofs(x) = gather {
+                for (e, &le) in block.iter().enumerate() {
+                    let md = dofs[le * ni3..][..ni3].iter();
+                    md.enumerate().for_each(|(m, &l)| xt[m * L + e] = x[l]);
                 }
             }
-            sweep::<false, L>(t, 1, ax, t0, t1);
-            sweep::<false, L>(t, 1, ay, t1, t2);
-            sweep::<false, L>(t, 1, az, t2, t0);
-            for (e, &le) in block.iter().enumerate() {
-                for (m, ym) in ye.iter_mut().enumerate() {
-                    *ym = t0[m * L + e];
+            for (k, ([tx, ty, tz], yk)) in tabs.iter().zip(yt.chunks_exact_mut(no3 * L)).enumerate()
+            {
+                if let Gather::Points(fq) = gather {
+                    for (e, &le) in block.iter().enumerate() {
+                        let fe = fq[k][le * ni3..][..ni3].iter();
+                        fe.enumerate().for_each(|(q, &f)| xt[q * L + e] = f);
+                    }
                 }
-                for (&l, ym) in dofs[le * n3..][..n3].iter().zip(&*ye) {
-                    y[l] += ym;
+                sweep::<false, L>(tx, 1, ax, xt, t1);
+                sweep::<false, L>(ty, 1, ay, t1, t2);
+                sweep::<false, L>(tz, 1, az, t2, yk);
+                if let Scatter::Points(outs, metric) = &mut scatter {
+                    for (e, &le) in block.iter().enumerate() {
+                        let out = outs[k][le * no3..][..no3].iter_mut().enumerate();
+                        if let Some(h) = metric {
+                            let hk = h[le][k];
+                            out.for_each(|(q, o)| *o = yk[q * L + e] * 2.0 / hk);
+                        } else {
+                            out.for_each(|(q, o)| *o = yk[q * L + e]);
+                        }
+                    }
+                }
+            }
+            if let Scatter::Dofs(y) = &mut scatter {
+                for (e, &le) in block.iter().enumerate() {
+                    for yk in yt.chunks_exact(no3 * L) {
+                        for (m, ym) in ye.iter_mut().enumerate() {
+                            *ym = yk[m * L + e];
+                        }
+                        for (&l, ym) in dofs[le * no3..][..no3].iter().zip(&*ye) {
+                            y[l] += ym;
+                        }
+                    }
                 }
             }
         }
@@ -1210,7 +1313,16 @@ mod tests {
                     let (mut y, mut scratch) = (y0.to_vec(), vec![f64::NAN; op.scratch_len()]);
                     let (coefs, y, s) = (|e: usize| coef[e], &mut y[..], &mut scratch[..]);
                     if let Some(t) = table {
-                        isa.run(BasisElems::<NM>(op.nm, &op.nodal[t], &elems, &dofs, x, y, s));
+                        let tabs = &[[&op.nodal[t][..]; 3]];
+                        run_pass(
+                            isa,
+                            [op.nm; 2],
+                            tabs,
+                            &elems,
+                            &dofs,
+                            Gather::Dofs(x),
+                            Scatter::Dofs(y),
+                        );
                     } else {
                         let mats = [&op.mass[..], &op.stiff];
                         isa.run(ApplyElems::<_, NM>(op.nm, mats, &elems, &dofs, coefs, x, y, s));
@@ -1349,11 +1461,55 @@ mod tests {
         });
     }
 
+    /// Runs one [`transform_elems`] pass in the build `isa`, on NaN scratch.
+    fn run_pass(
+        isa: Isa,
+        n: [usize; 2],
+        tabs: &[[&[f64]; 3]],
+        elems: &[usize],
+        dofs: &[usize],
+        gather: Gather,
+        scatter: Scatter,
+    ) {
+        let big = n[0].max(n[1]).pow(3);
+        let scratch = &mut vec![f64::NAN; LANES * 6 * big + big];
+        transform_elems(isa, Pass { n, tabs, elems, dofs, gather, scatter, scratch });
+    }
+
+    /// Quadrature values of one element's modes `x` (`deriv`: the
+    /// reference derivative in that direction), through [`transform_elems`].
+    fn elem_to_quad(op: &Oper1d, x: &[f64], deriv: Option<usize>) -> Vec<f64> {
+        let (nm, nq) = (op.nm, op.basis.nquad());
+        let (dofs, mut out) = ((0..nm.pow(3)).collect::<Vec<_>>(), vec![f64::NAN; nq.pow(3)]);
+        let scatter = Scatter::Points(&mut [&mut out[..]], None);
+        run_pass(
+            Isa::host(),
+            [nm, nq],
+            &[op.tables(true, deriv)],
+            &[0],
+            &dofs,
+            Gather::Dofs(x),
+            scatter,
+        );
+        out
+    }
+
+    /// One element's projection Σ_q fq(q) φ_m(q) (∂φ_m in `deriv`),
+    /// through [`transform_elems`].
+    fn elem_to_modal(op: &Oper1d, fq: &[f64], deriv: Option<usize>) -> Vec<f64> {
+        let (nm, nq) = (op.nm, op.basis.nquad());
+        let (dofs, mut out) = ((0..nm.pow(3)).collect::<Vec<_>>(), vec![0.0; nm.pow(3)]);
+        let (tabs, gather) = (&[op.tables(false, deriv)], Gather::Points(&[fq]));
+        run_pass(Isa::host(), [nq, nm], tabs, &[0], &dofs, gather, Scatter::Dofs(&mut out));
+        out
+    }
+
     prop_check! {
         #![cases(48)]
 
-        /// `to_quad` / `to_modal` (plain and with a derivative in each
-        /// direction) against the tabulated basis, every output entry.
+        /// One element to the quadrature points and back (plain and with
+        /// a derivative in each direction) against the tabulated basis,
+        /// every output entry.
         fn transforms_match_tabulated_basis(
             order in 1usize..7,
             deriv in one_of(&[None, Some(0usize), Some(1), Some(2)]),
@@ -1373,22 +1529,138 @@ mod tests {
                     .product()
             };
             let mut rng = Rng::new(seed);
-            let mut scratch = vec![f64::NAN; op.scratch_len()];
             let x: Vec<f64> = (0..n3).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-            let mut uq = vec![f64::NAN; q3];
-            op.to_quad(&x, deriv, &mut uq, &mut scratch);
+            let uq = elem_to_quad(&op, &x, deriv);
             for q in 0..q3 {
                 let terms: Vec<f64> = (0..n3).map(|m| phi(m, q) * x[m]).collect();
                 let (s, scale) = (terms.iter().sum::<f64>(), terms.iter().map(|t| t.abs()).sum::<f64>());
                 prop_assert!((uq[q] - s).abs() <= 1e-10 * scale, "to_quad {deriv:?} point {q}");
             }
             let fq: Vec<f64> = (0..q3).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-            let mut proj = vec![f64::NAN; n3];
-            op.to_modal(&fq, deriv, &mut proj, &mut scratch);
+            let proj = elem_to_modal(&op, &fq, deriv);
             for m in 0..n3 {
                 let terms: Vec<f64> = (0..q3).map(|q| phi(m, q) * fq[q]).collect();
                 let (s, scale) = (terms.iter().sum::<f64>(), terms.iter().map(|t| t.abs()).sum::<f64>());
                 prop_assert!((proj[m] - s).abs() <= 1e-10 * scale, "to_modal {deriv:?} mode {m}");
+            }
+        }
+    }
+
+    /// The per-element transform the lane pass replaced — the three
+    /// one-lane sweeps of `m` taking an `n_in³` tensor to an `n_out³` one —
+    /// kept as the reference it must equal bit for bit.
+    fn sweep3(m: [&[f64]; 3], n_in: usize, n_out: usize, x: &[f64], out: &mut [f64]) {
+        let [ax, ay, az] = Axis::tensor(n_in, n_out);
+        let mut t1 = vec![0.0; n_out * n_in * n_in];
+        let mut t2 = vec![0.0; n_out * n_out * n_in];
+        sweep::<false, 1>(m[0], 1, ax, x, &mut t1);
+        sweep::<false, 1>(m[1], 1, ay, &t1, &mut t2);
+        sweep::<false, 1>(m[2], 1, az, &t2, out);
+    }
+
+    /// Every way [`transform_elems`] runs in the solver against the
+    /// per-element [`sweep3`] loop nests it replaced, in every build the
+    /// host has, every output to the bit: the values and the physical
+    /// gradient ((v·2)/h of each reference derivative) at the quadrature
+    /// points, and projections scatter-adding one and three directions
+    /// (element by element, then direction by direction) onto nonzero
+    /// values. Orders 2–4 (the compile-time counts) and 6 (the runtime
+    /// body); 1, L + 1 and 2L + 3 elements (a full block and short last
+    /// ones), each with its own box; element `e` owns dof block
+    /// `n − 1 − e`, whole or overlapping half of the next element's (so
+    /// the order in which a shared dof's contributions arrive shows); NaN
+    /// scratch.
+    #[test]
+    fn transform_equals_the_per_element_sweeps_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng::new(0x7a5f);
+        for order in [2, 3, 4, 6] {
+            let op = Oper1d::new(order);
+            let (nm, nq) = (op.nm, op.basis.nquad());
+            let (n3, q3) = (nm.pow(3), nq.pow(3));
+            let numberings = [1, LANES + 1, 2 * LANES + 3].map(|n| {
+                [false, true].map(|shared| {
+                    let (dofs, elems) = reversed_blocks(n, n3);
+                    let step = if shared { n3 / 2 } else { n3 };
+                    (n, dofs.iter().map(|l| l / n3 * step + l % n3).collect::<Vec<_>>(), elems)
+                })
+            });
+            for (n, dofs, elems) in numberings.into_iter().flatten() {
+                let ndof = dofs.iter().max().map_or(0, |l| l + 1);
+                let mut random = |len: usize| -> Vec<f64> {
+                    (0..len).map(|_| rng.range_f64(-1.0, 1.0)).collect()
+                };
+                let (x, y0) = (random(ndof), random(ndof));
+                let fq = [random(n * q3), random(n * q3), random(n * q3)];
+                let h: Vec<[f64; 3]> =
+                    (0..n).map(|_| [(); 3].map(|_| rng.range_f64(0.1, 3.0))).collect();
+                let case =
+                    |what: &str| format!("order {order}, {n} elements on {ndof} dofs, {what}");
+                // The references, one element at a time.
+                let elem_x =
+                    |e: usize| -> Vec<f64> { dofs[e * n3..][..n3].iter().map(|&l| x[l]).collect() };
+                let mut want_val = vec![0.0; n * q3];
+                let mut want_grad = vec![vec![0.0; n * q3]; 3];
+                let (mut want_one, mut want_three) = (y0.clone(), y0.clone());
+                let mut proj = vec![0.0; n3];
+                for e in 0..n {
+                    let xe = elem_x(e);
+                    sweep3(op.tables(true, None), nm, nq, &xe, &mut want_val[e * q3..][..q3]);
+                    for (d, wg) in want_grad.iter_mut().enumerate() {
+                        let wg = &mut wg[e * q3..][..q3];
+                        sweep3(op.tables(true, Some(d)), nm, nq, &xe, wg);
+                        wg.iter_mut().for_each(|v| *v = *v * 2.0 / h[e][d]);
+                    }
+                    sweep3(op.tables(false, None), nq, nm, &fq[0][e * q3..][..q3], &mut proj);
+                    for (&l, p) in dofs[e * n3..][..n3].iter().zip(&proj) {
+                        want_one[l] += p;
+                    }
+                    for (d, fd) in fq.iter().enumerate() {
+                        sweep3(op.tables(false, Some(d)), nq, nm, &fd[e * q3..][..q3], &mut proj);
+                        for (&l, p) in dofs[e * n3..][..n3].iter().zip(&proj) {
+                            want_three[l] += p;
+                        }
+                    }
+                }
+                let quad = |d| op.tables(true, d);
+                let modal = |d| op.tables(false, d);
+                let (to_q, to_m, elems, dofs) = ([nm, nq], [nq, nm], &elems[..], &dofs[..]);
+                for isa in Isa::available() {
+                    let mut val = vec![f64::NAN; n * q3];
+                    let scatter = Scatter::Points(&mut [&mut val[..]], None);
+                    run_pass(isa, to_q, &[quad(None)], elems, dofs, Gather::Dofs(&x), scatter);
+                    assert!(bits(&val) == bits(&want_val), "{isa:?}, {}", case("values"));
+                    let mut grad = vec![vec![f64::NAN; n * q3]; 3];
+                    if let [g0, g1, g2] = &mut grad[..] {
+                        let (tabs, scatter) = (
+                            [0, 1, 2].map(|k| quad(Some(k))),
+                            Scatter::Points(&mut [g0, g1, g2], Some(&h)),
+                        );
+                        run_pass(isa, to_q, &tabs, elems, dofs, Gather::Dofs(&x), scatter);
+                    }
+                    let ok = bits(&grad.concat()) == bits(&want_grad.concat());
+                    assert!(ok, "{isa:?}, {}", case("gradient"));
+                    let mut one = y0.clone();
+                    let gather = Gather::Points(&[&fq[0]]);
+                    run_pass(
+                        isa,
+                        to_m,
+                        &[modal(None)],
+                        elems,
+                        dofs,
+                        gather,
+                        Scatter::Dofs(&mut one),
+                    );
+                    assert!(bits(&one) == bits(&want_one), "{isa:?}, {}", case("one direction"));
+                    let mut three = y0.clone();
+                    let (tabs, gather) = (
+                        [0, 1, 2].map(|k| modal(Some(k))),
+                        Gather::Points(&[&fq[0], &fq[1], &fq[2]]),
+                    );
+                    run_pass(isa, to_m, &tabs, elems, dofs, gather, Scatter::Dofs(&mut three));
+                    let ok = bits(&three) == bits(&want_three);
+                    assert!(ok, "{isa:?}, {}", case("three directions"));
+                }
             }
         }
     }

@@ -13,7 +13,7 @@ mod common;
 use common::{allocs_in, Counting};
 use nektar::ale::NektarAle;
 use nektar::drive::{cases, drive, Hook, Plan, Serial, Simulation};
-use nektar::stats::{sample, sample_serial2d, FOURIER_CHANNELS, SERIAL2D_CHANNELS};
+use nektar::stats::{sample, sample_serial2d, ALE_CHANNELS, FOURIER_CHANNELS, SERIAL2D_CHANNELS};
 use nkt_ckpt::{CkptConfig, Fnv1a};
 use nkt_mpi::{Comm, World};
 use nkt_net::{cluster, NetId};
@@ -133,6 +133,28 @@ fn a_warmed_fourier_sample_allocates_per_collective_not_per_mode() {
     for (rank, n) in counts.into_iter().enumerate() {
         assert!(n <= 40, "rank {rank}: a warmed sample made {n} allocations");
     }
+}
+
+/// A warmed NekTar-ALE sample on the one-rank wing allocates only what
+/// the recorder keeps: the scalars (one vector) and the MPI rows (four:
+/// this rank's row, the gather's list and its copy of the row, the rows
+/// kept); the sample list, four long after the first push, does not grow.
+/// The velocity at the quadrature points goes through the step's
+/// buffers, not a fresh history level.
+#[test]
+fn a_warmed_wing_sample_allocates_only_what_it_records() {
+    nkt_trace::set_mode(nkt_trace::TraceMode::Counters);
+    let case = cases::wing(1);
+    let counts = World::builder().ranks(1).net(cluster(NetId::RoadRunnerEth)).run(|c| {
+        let mut s = case.build(c);
+        s.step(c);
+        let mut rec = StatsRecorder::new(ALE_CHANNELS.to_vec(), 1, c.size());
+        let limits = RuleLimits::default();
+        rec.rebaseline(c);
+        sample(&mut s, c, &mut rec, 1, &limits, true).expect("healthy");
+        allocs_in(|| sample(&mut s, c, &mut rec, 2, &limits, true).expect("healthy"))
+    });
+    assert!(counts[0] <= 5, "a warmed wing sample made {} allocations", counts[0]);
 }
 
 /// Poisons rank 1's pressure after step 1.
