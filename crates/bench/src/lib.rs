@@ -193,7 +193,7 @@ pub fn paper_fourier_shape(p: usize, pc: usize, modes_per_rank: usize) -> Fourie
         nm: basis.nmodes(),
         nq: basis.nquad(),
         ndof: asm.nboundary,
-        kd: boundary_band_order(&asm).1,
+        kd: boundary_band_order(&asm).kd,
         modes_per_rank,
         nz: 2 * modes_per_rank * (p / pc),
         p,

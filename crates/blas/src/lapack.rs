@@ -6,9 +6,11 @@
 //! Cholesky ([`dpotrf`]/[`dpotrs`]) solves the small edge-projection
 //! systems of the Dirichlet data.
 //!
-//! [`dpbtrf`] is row-blocked and gives the bits of the unblocked loop the
-//! tests keep as its oracle. It is the one routine here that runs through
-//! [`crate::isa`]; the solves stream a factor once per sweep.
+//! Both run over the envelope [`BandedSym`] stores — each column from its
+//! first structural row — and give the bits of the full band's
+//! factorization and solve, which the tests keep as their oracles.
+//! [`dpbtrf`] is row-blocked and is the one routine here that runs
+//! through [`crate::isa`]; the solves stream a factor once per sweep.
 
 use crate::isa::{self, Kernel};
 use crate::level1::{daxpy, ddot};
@@ -20,36 +22,51 @@ use crate::LapackError;
 /// them take their updates.
 const NB: usize = 4;
 
-/// Cholesky factorization of a symmetric positive-definite **band** matrix
-/// in upper `SB` storage: A = UᵀU where U is banded upper triangular.
-/// Overwrites the band storage of `a` with U. (LAPACK `dpbtrf`, uplo='U'.)
+/// Cholesky factorization of a symmetric positive-definite band matrix
+/// in upper envelope storage ([`BandedSym`]): A = UᵀU where U is upper
+/// triangular with A's envelope — Cholesky fills nothing above a
+/// column's first nonzero. Overwrites the stored entries of `a` with U.
+/// (LAPACK `dpbtrf`, uplo='U', over the envelope.)
 ///
-/// Right-looking, rows in groups of four: each row of the group is
-/// finished in turn (pivot square root, then the row divided by it) and
-/// its rank-1 update goes at once to the group's later rows; then every
-/// entry below the group takes the group's updates with one load and one
-/// store, along a stored column of the band. Every entry of U is its
-/// entry of A minus `u_ij · u_ik` for exactly the in-band rows i that
-/// reach it, one `mul` then one `sub` each, in ascending i, then divided
-/// by its pivot: the operations, and so the bits, of the unblocked
-/// left-looking loop. Runs at the host's vector width ([`crate::isa`]).
+/// Right-looking, rows in groups of four, one pass over the stored
+/// columns the group reaches, in ascending order: a column's entries in
+/// the group's rows (contiguous) are finished first — each minus the
+/// group's earlier rows' terms, then divided by its pivot, or, on the
+/// diagonal, its square root the pivot — and gathered into a small buffer
+/// of the group's rows; then the column's entries below the group take
+/// all the group's updates with one load and one store, down the column.
+/// Every entry of U is its entry of A minus `u_ij · u_ik` for exactly the
+/// rows i that both columns store, one `mul` then one `sub` each, in
+/// ascending i, then divided by its pivot: the operations, and so the
+/// bits, of the unblocked left-looking loop over the band, less the terms
+/// with a factor above a column's first row — a +0.0 that the band
+/// subtracts as a `±0.0` product, which leaves any entry but −0.0
+/// unchanged. Runs at the host's vector width ([`crate::isa`]).
 ///
 /// # Errors
 /// [`LapackError::Singular`] (1-based pivot index) if a non-positive pivot
-/// is hit — the matrix is not positive definite. The band then holds a
-/// partial factor: the rows above the pivot are U's, and the entries below
-/// them have taken some of their updates.
+/// is hit — the matrix is not positive definite. The matrix then holds a
+/// partial factor: the columns left of the pivot are U's, and the entries
+/// right of it have taken some of their updates.
 pub fn dpbtrf(a: &mut BandedSym) -> Result<(), LapackError> {
-    let (n, kd) = (a.n(), a.kd());
-    isa::dispatch(BandFactor { ab: a.ab_mut(), n, kd })
+    isa::dispatch(BandFactor::new(a))
 }
 
-/// [`dpbtrf`]'s operands: the `SB` band storage, the order and the
-/// bandwidth.
+/// [`dpbtrf`]'s operands: the packed entries, each column's first stored
+/// row and diagonal offset, and the bandwidth.
 struct BandFactor<'a> {
     ab: &'a mut [f64],
-    n: usize,
+    top: &'a [usize],
+    diag: &'a [usize],
     kd: usize,
+}
+
+impl<'a> BandFactor<'a> {
+    fn new(a: &'a mut BandedSym) -> Self {
+        let kd = a.kd();
+        let (ab, top, diag) = a.packed_mut();
+        BandFactor { ab, top, diag, kd }
+    }
 }
 
 impl Kernel for BandFactor<'_> {
@@ -57,41 +74,51 @@ impl Kernel for BandFactor<'_> {
 
     #[inline(always)]
     fn run(self) -> Self::Output {
-        let BandFactor { ab, n, kd } = self;
-        // A(i, j), i ≤ j ≤ i + kd, is ab[kd + i − j + j·(kd + 1)]: a
-        // column's rows are contiguous, a row's columns kd apart.
-        let at = |i: usize, j: usize| kd + i + j * kd;
-        // rows[t·w + c] = u(i0 + t, i0 + c): the group's finished rows.
+        let BandFactor { ab, top, diag, kd } = self;
+        let n = top.len();
+        // A(i, k), top_k ≤ i ≤ k, is ab[diag_k + i − k]: a column's rows
+        // are contiguous.
+        let at = |i: usize, k: usize| diag[k] + i - k;
+        // rows[t·w + c] = u(i0 + t, i0 + c): the group's finished rows,
+        // 0 where column i0 + c does not store row i0 + t.
         let w = kd + NB;
         let mut rows = vec![0.0; NB * w];
         for i0 in (0..n).step_by(NB) {
             let i1 = (i0 + NB).min(n);
-            for i in i0..i1 {
-                let d = ab[at(i, i)];
-                if d <= 0.0 {
-                    return Err(LapackError::Singular(i + 1));
+            let nb = i1 - i0;
+            for k in i0..=(i1 - 1 + kd).min(n - 1) {
+                let c = k - i0;
+                // Column k stores the group's rows t0.., tk of them on or
+                // above its diagonal.
+                let t0 = (top[k].max(i0) - i0).min(nb);
+                let tk = nb.min(c + 1);
+                for t in 0..t0 {
+                    rows[t * w + c] = 0.0;
                 }
-                let uii = d.sqrt();
-                ab[at(i, i)] = uii;
-                let hi = (i + kd).min(n - 1);
-                let r = &mut rows[(i - i0) * w..][..w];
-                for k in i + 1..=hi {
-                    r[k - i0] = ab[at(i, k)] / uii;
-                    ab[at(i, k)] = r[k - i0];
-                }
-                for j in i + 1..i1.min(hi + 1) {
-                    for k in j..=hi {
-                        ab[at(j, k)] -= r[j - i0] * r[k - i0];
+                for t in t0..tk {
+                    let mut v = ab[at(i0 + t, k)];
+                    for s in t0..t {
+                        v -= rows[s * w + t] * rows[s * w + c];
                     }
+                    if t == c {
+                        if v <= 0.0 {
+                            return Err(LapackError::Singular(k + 1));
+                        }
+                        v = v.sqrt();
+                    } else {
+                        v /= rows[t * w + t];
+                    }
+                    ab[at(i0 + t, k)] = v;
+                    rows[t * w + c] = v;
                 }
-            }
-            // Column k below the group, rows i1..=k, takes the updates of
-            // the group's rows that reach it: t0.. of them.
-            for k in i1..=(i1 - 1 + kd).min(n - 1) {
+                if k < i1 || t0 == nb {
+                    continue;
+                }
+                // Column k below the group, rows i1..=k, takes the updates
+                // of the group's rows it stores.
                 let col = &mut ab[at(i1, k)..=at(k, k)];
-                let (t0, c) = (k.saturating_sub(kd).max(i0) - i0, i1 - i0);
-                let row = |t: usize| &rows[t * w + c..=t * w + k - i0];
-                if t0 == 0 && i1 - i0 == NB {
+                let row = |t: usize| &rows[t * w + nb..=t * w + c];
+                if t0 == 0 && nb == NB {
                     let [r0, r1, r2, r3] = [0, 1, 2, 3].map(row);
                     let [s0, s1, s2, s3] = [r0, r1, r2, r3].map(|r| r[r.len() - 1]);
                     let terms = col.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3);
@@ -99,7 +126,7 @@ impl Kernel for BandFactor<'_> {
                         *a = *a - x0 * s0 - x1 * s1 - x2 * s2 - x3 * s3;
                     }
                 } else {
-                    for r in (t0..i1 - i0).map(row) {
+                    for r in (t0..nb).map(row) {
                         let s = r[r.len() - 1];
                         for (a, x) in col.iter_mut().zip(r) {
                             *a -= x * s;
@@ -112,51 +139,39 @@ impl Kernel for BandFactor<'_> {
     }
 }
 
-/// Column j of the banded factor U above the diagonal (rows lo..j,
-/// contiguous in `SB` storage), its diagonal entry, and lo.
+/// Column j of the factor U above the diagonal (its stored rows
+/// top..j, contiguous), its diagonal entry, and top.
 #[inline(always)]
-fn factor_column(ab: &[f64], kd: usize, ldab: usize, j: usize) -> (&[f64], f64, usize) {
-    let lo = j.saturating_sub(kd);
-    let diag = kd + j * ldab;
-    (&ab[diag - (j - lo)..diag], ab[diag], lo)
+fn factor_column(u: &BandedSym, j: usize) -> (&[f64], f64, usize) {
+    let (col, ujj) = u.column(j).split_at(j - u.top(j));
+    (col, ujj[0], u.top(j))
 }
 
-/// Solves A x = b given the [`dpbtrf`] factorization (A = UᵀU banded).
-/// `b` is overwritten with x. (LAPACK `dpbtrs` single-RHS.)
-///
-/// Both sweeps read U one stored column at a time — the in-band rows
-/// `lo..j` of column j are contiguous in `SB` storage — so the factor is
-/// streamed once forward and once backward at unit stride.
+/// Solves A x = b given the [`dpbtrf`] factorization (A = UᵀU).
+/// `b` is overwritten with x. (LAPACK `dpbtrs` single-RHS:
+/// [`dpbtrs_multi`] with one column.)
 pub fn dpbtrs(u: &BandedSym, b: &mut [f64]) -> Result<(), LapackError> {
-    let n = u.n();
-    if b.len() < n {
-        return Err(LapackError::Dimension("dpbtrs: rhs shorter than n"));
-    }
-    let (kd, ldab, ab) = (u.kd(), u.ldab(), u.ab());
-    let column = |j: usize| factor_column(ab, kd, ldab, j);
-    // Forward, Uᵀ y = b: y_j = (b_j − U[lo..j, j] · y[lo..j]) / u_jj.
-    for j in 0..n {
-        let (col, ujj, lo) = column(j);
-        b[j] = (b[j] - ddot(col, &b[lo..j])) / ujj;
-    }
-    // Backward, U x = y, by columns: once x_j is known its column leaves
-    // every earlier row, b[lo..j] −= x_j · U[lo..j, j].
-    for j in (0..n).rev() {
-        let (col, ujj, lo) = column(j);
-        let xj = b[j] / ujj;
-        b[j] = xj;
-        daxpy(-xj, col, &mut b[lo..j]);
-    }
-    Ok(())
+    dpbtrs_multi(u, b, 1)
 }
 
-/// [`dpbtrs`] for the `nrhs` columns of the column-major `n × nrhs`
-/// array `b` (leading dimension `n`) in one forward and one backward
-/// sweep over U: each factor column is read once and applied to every
-/// right-hand side while it is in cache. Every right-hand side sees
-/// exactly the arithmetic of a single [`dpbtrs`] — the same [`ddot`] and
-/// [`daxpy`] calls on the same operands — so the columns are bitwise the
-/// single solves.
+/// Solves A X = B for the `nrhs` columns of the column-major `n × nrhs`
+/// array `b` (leading dimension `n`) given the [`dpbtrf`] factorization,
+/// in one forward and one backward sweep over U: each factor column is
+/// read once, at unit stride from its first stored row, and applied to
+/// every right-hand side while it is in cache. Every right-hand side sees
+/// the same [`ddot`] and [`daxpy`] calls on the same operands, so the
+/// columns are bitwise the single solves.
+///
+/// Against the same sweeps over the full band: a column starts at the
+/// band's first row plus a multiple of four, so each stored term keeps
+/// its lane of [`ddot`]'s four partial sums (and the tail its terms), and
+/// the skipped terms are `±0.0` products that a lane, starting at +0.0,
+/// absorbs. The forward sweep is therefore the band's to the bit. The
+/// back sweep skips adding `(−x_j)·(+0.0)` to the rows above column j's
+/// first: an identity unless that row holds −0.0, where the band's sum
+/// gives +0.0. So on finite input the solution is the band's bit for bit,
+/// except that an exactly-zero entry may be −0.0 where the band's is +0.0
+/// (from a −0.0 right-hand-side entry).
 pub fn dpbtrs_multi(u: &BandedSym, b: &mut [f64], nrhs: usize) -> Result<(), LapackError> {
     let n = u.n();
     if b.len() < n * nrhs {
@@ -165,20 +180,22 @@ pub fn dpbtrs_multi(u: &BandedSym, b: &mut [f64], nrhs: usize) -> Result<(), Lap
     if n == 0 {
         return Ok(());
     }
-    let (kd, ldab, ab) = (u.kd(), u.ldab(), u.ab());
     let b = &mut b[..n * nrhs];
+    // Forward, Uᵀ y = b: y_j = (b_j − U[top..j, j] · y[top..j]) / u_jj.
     for j in 0..n {
-        let (col, ujj, lo) = factor_column(ab, kd, ldab, j);
+        let (col, ujj, top) = factor_column(u, j);
         for x in b.chunks_exact_mut(n) {
-            x[j] = (x[j] - ddot(col, &x[lo..j])) / ujj;
+            x[j] = (x[j] - ddot(col, &x[top..j])) / ujj;
         }
     }
+    // Backward, U x = y, by columns: once x_j is known its column leaves
+    // every earlier row, b[top..j] −= x_j · U[top..j, j].
     for j in (0..n).rev() {
-        let (col, ujj, lo) = factor_column(ab, kd, ldab, j);
+        let (col, ujj, top) = factor_column(u, j);
         for x in b.chunks_exact_mut(n) {
             let xj = x[j] / ujj;
             x[j] = xj;
-            daxpy(-xj, col, &mut x[lo..j]);
+            daxpy(-xj, col, &mut x[top..j]);
         }
     }
     Ok(())
@@ -324,38 +341,69 @@ mod tests {
 
     /// The unblocked left-looking loop [`dpbtrf`] replaced, kept as the
     /// oracle it must equal bit for bit: u_jk = (a_jk − Σ u_ij·u_ik) / u_jj
-    /// over the in-band i < j in ascending order.
+    /// over the in-band i < j in ascending order. `a` is a full band.
     fn dpbtrf_unblocked(a: &mut BandedSym) -> Result<(), LapackError> {
-        let n = a.n();
-        let kd = a.kd();
-        let ldab = a.ldab();
-        let ab = a.ab_mut();
+        let (n, kd) = (a.n(), a.kd());
         for j in 0..n {
             // u_jj = sqrt(a_jj - sum_{i<j} u_ij^2) over in-band i.
-            let mut d = ab[kd + j * ldab];
+            let mut d = a.get(j, j);
             let lo = j.saturating_sub(kd);
             for i in lo..j {
-                let u = ab[(kd + i - j) + j * ldab];
+                let u = a.get(i, j);
                 d -= u * u;
             }
             if d <= 0.0 {
                 return Err(LapackError::Singular(j + 1));
             }
             let ujj = d.sqrt();
-            ab[kd + j * ldab] = ujj;
+            a.set(j, j, ujj);
             // Update column entries of subsequent columns that see row j:
             // for each k in (j, j+kd]: u_jk = (a_jk - sum u_ij u_ik) / u_jj.
             let hi = (j + kd).min(n.saturating_sub(1));
             for kcol in (j + 1)..=hi {
-                let mut s = ab[(kd + j - kcol) + kcol * ldab];
+                let mut s = a.get(j, kcol);
                 let lo2 = kcol.saturating_sub(kd).max(lo);
                 for i in lo2..j {
-                    s -= ab[(kd + i - j) + j * ldab] * ab[(kd + i - kcol) + kcol * ldab];
+                    s -= a.get(i, j) * a.get(i, kcol);
                 }
-                ab[(kd + j - kcol) + kcol * ldab] = s / ujj;
+                a.set(j, kcol, s / ujj);
             }
         }
         Ok(())
+    }
+
+    /// The sweeps of [`dpbtrs_multi`] before the envelope, kept as the
+    /// oracle of the envelope's: `u`'s entries copied into LAPACK `SB`
+    /// storage, `(kd + 1) × n` with A(i, j) at `kd + i − j + j·(kd + 1)`,
+    /// and every column swept from its band row `lo = j − kd`.
+    fn band_solve_reference(u: &BandedSym, b: &mut [f64], nrhs: usize) {
+        let (n, kd, ldab) = (u.n(), u.kd(), u.kd() + 1);
+        let mut ab = vec![0.0; ldab * n];
+        for j in 0..n {
+            for i in j.saturating_sub(kd)..=j {
+                ab[kd + i - j + j * ldab] = u.get(i, j);
+            }
+        }
+        let factor_column = |j: usize| {
+            let lo = j.saturating_sub(kd);
+            let diag = kd + j * ldab;
+            (&ab[diag - (j - lo)..diag], ab[diag], lo)
+        };
+        let b = &mut b[..n * nrhs];
+        for j in 0..n {
+            let (col, ujj, lo) = factor_column(j);
+            for x in b.chunks_exact_mut(n) {
+                x[j] = (x[j] - ddot(col, &x[lo..j])) / ujj;
+            }
+        }
+        for j in (0..n).rev() {
+            let (col, ujj, lo) = factor_column(j);
+            for x in b.chunks_exact_mut(n) {
+                let xj = x[j] / ujj;
+                x[j] = xj;
+                daxpy(-xj, col, &mut x[lo..j]);
+            }
+        }
     }
 
     /// A diagonally dominant band whose off-diagonal entries are in
@@ -405,7 +453,7 @@ mod tests {
                     assert_eq!(ok.is_ok(), bad.is_none());
                     for isa in Isa::available() {
                         let mut got = a.clone();
-                        let res = isa.run(BandFactor { ab: got.ab_mut(), n, kd });
+                        let res = isa.run(BandFactor::new(&mut got));
                         let case = format!("{isa:?}, n {n}, kd {kd}, {bad:?}, {neg_zeros}");
                         assert_eq!(res, ok, "{case}");
                         assert!(res.is_err() || bits(&got) == bits(&want), "{case}");
@@ -452,6 +500,101 @@ mod tests {
         }
         let f = spd_band(4, 1);
         assert!(dpbtrs_multi(&f, &mut [0.0; 7], 2).is_err(), "short rhs array");
+    }
+
+    /// A diagonally dominant SPD matrix whose column j is structurally
+    /// nonzero from row `first[j]`, as its envelope and as the full band
+    /// of the same kd: off-diagonal entries in (−0.9, 0.9), one in five an
+    /// exact +0.0 (a condensed matrix stores no −0.0).
+    fn envelope_and_band(first: &[usize]) -> (BandedSym, BandedSym) {
+        let mut env = BandedSym::envelope(first);
+        let mut band = BandedSym::zeros(first.len(), env.kd());
+        let pivot = 2.0 * env.kd() as f64 + 1.5;
+        for (j, &f) in first.iter().enumerate() {
+            for i in f..=j {
+                let v = match (i * 31 + j * 17) % 5 {
+                    _ if i == j => pivot + (j % 3) as f64,
+                    0 => 0.0,
+                    _ => ((i * 7 + j * 3) as f64 * 0.37).sin() * 0.9,
+                };
+                env.set(i, j, v);
+                band.set(i, j, v);
+            }
+        }
+        (env, band)
+    }
+
+    /// The envelope factor and solve against the full band's, every bit,
+    /// in every build: orders 0–130, first rows drawn up to 0, 1, 3, 4, 7,
+    /// 13 and n rows above the diagonal (kd < 4 and kd past the 4-wide
+    /// `ddot` body; non-monotone), every third column or every column
+    /// diagonal-only, one to three right-hand sides with +0.0 entries.
+    #[test]
+    fn envelope_factor_and_solve_equal_the_full_band_bit_for_bit() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |m: usize| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % m
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0usize, 1, 2, 3, 4, 5, 8, 9, 37, 130] {
+            for reach in [0, 1, 3, 4, 7, 13, n] {
+                for diagonal_every in [3, 1] {
+                    let first: Vec<usize> = (0..n)
+                        .map(|j| if j % diagonal_every == 0 { j } else { j - draw(reach.min(j) + 1) })
+                        .collect();
+                    let (env, band) = envelope_and_band(&first);
+                    let kd = band.kd();
+                    let mut want = band;
+                    dpbtrf_unblocked(&mut want).unwrap();
+                    for isa in Isa::available() {
+                        let case = format!("{isa:?}, n {n}, reach {reach}, every {diagonal_every}");
+                        let mut got = env.clone();
+                        assert_eq!(isa.run(BandFactor::new(&mut got)), Ok(()), "{case}");
+                        for j in 0..n {
+                            for i in j.saturating_sub(kd)..=j {
+                                let (g, w) = (got.get(i, j), want.get(i, j));
+                                assert_eq!(g.to_bits(), w.to_bits(), "{case}: U({i},{j})");
+                            }
+                        }
+                        for nrhs in 1..=3 {
+                            let rhs: Vec<f64> = (0..n * nrhs)
+                                .map(|i| if i % 4 == 1 { 0.0 } else { (i as f64 * 0.29).cos() })
+                                .collect();
+                            let (mut x, mut x_band) = (rhs.clone(), rhs);
+                            dpbtrs_multi(&got, &mut x, nrhs).unwrap();
+                            band_solve_reference(&want, &mut x_band, nrhs);
+                            assert_eq!(bits(&x), bits(&x_band), "{case}, nrhs {nrhs}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one place the envelope's bits leave the band's: the sign of an
+    /// exactly-zero solution entry. Column 5 stores its diagonal only (its
+    /// first row is four past the band's `lo`, 1), and row 1's right-hand
+    /// side is −0.0 with solution 0. The band's back sweep adds
+    /// `(−x₅)·(+0.0)` = +0.0 to it (x₅ < 0) and returns +0.0; the
+    /// envelope skips that term and returns −0.0. Every other entry is the
+    /// band's to the bit.
+    #[test]
+    fn a_negative_zero_rhs_entry_with_a_zero_solution_is_the_one_divergence() {
+        let mut u = BandedSym::envelope(&[0, 0, 0, 0, 0, 5]);
+        assert_eq!((u.kd(), u.top(5)), (4, 5));
+        for j in 0..6 {
+            u.set(j, j, 1.0);
+        }
+        dpbtrf(&mut u).unwrap();
+        let rhs = [1.0, -0.0, 1.0, 1.0, 1.0, -2.0];
+        let (mut x, mut x_band) = (rhs, rhs);
+        dpbtrs_multi(&u, &mut x, 1).unwrap();
+        band_solve_reference(&u, &mut x_band, 1);
+        assert_eq!((x[1].to_bits(), x_band[1].to_bits()), ((-0.0f64).to_bits(), 0));
+        for i in [0, 2, 3, 4, 5] {
+            assert_eq!(x[i].to_bits(), x_band[i].to_bits(), "row {i}");
+        }
     }
 
     #[test]

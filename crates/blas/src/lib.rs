@@ -30,9 +30,9 @@
 //! * [`level2`] — matrix-vector: `dgemv`, `dtrsv`
 //! * [`level3`] — matrix-matrix: `dgemm` (blocked + small-n path)
 //! * [`mod@sweep`] — the small-matrix kernel: [`sweep`] over an [`Axis`]
-//! * [`lapack`] — `dpbtrf`/`dpbtrs`/`dpbtrs_multi` (banded Cholesky),
+//! * [`lapack`] — `dpbtrf`/`dpbtrs`/`dpbtrs_multi` (banded Cholesky, over the envelope),
 //!   `dpotrf`/`dpotrs` (dense Cholesky)
-//! * [`matrix`] — owned column-major and symmetric-banded containers
+//! * [`matrix`] — owned column-major and symmetric-banded (envelope) containers
 //! * [`isa`] — the portable / AVX2 builds of a [`isa::Kernel`] and the
 //!   one host check that picks between them
 //!

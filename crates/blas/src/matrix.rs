@@ -2,8 +2,8 @@
 //!
 //! The paper's Poisson/Helmholtz solvers exploit "the symmetric and banded
 //! nature" of the spectral/hp Laplacian (Figure 10); [`BandedSym`] is the
-//! LAPACK `SB` (symmetric band, upper) storage those solvers factor with
-//! [`crate::dpbtrf`].
+//! storage those solvers factor with [`crate::dpbtrf`]: the upper band,
+//! packed by columns from each column's first structural row.
 
 /// Dense column-major matrix (the BLAS/LAPACK native layout).
 ///
@@ -119,92 +119,150 @@ impl core::ops::IndexMut<(usize, usize)> for ColMajor {
     }
 }
 
-/// Symmetric banded matrix in LAPACK `SB` **upper** storage.
+/// Symmetric matrix in packed **envelope** (profile, skyline) storage of
+/// its upper triangle: column j stores rows `top_j..=j` contiguously,
+/// diagonal last, and every A(i, j) with `i < top_j` is a structural zero
+/// that is not stored.
 ///
-/// An n × n symmetric matrix with bandwidth `kd` (number of super-diagonals)
-/// is stored in a `(kd+1) × n` column-major array `ab` with
-/// `A(i,j) = ab[kd + i - j, j]` for `max(0, j-kd) ≤ i ≤ j`.
+/// The LAPACK `SB` band with `kd` super-diagonals is the case
+/// `top_j = lo_j = max(0, j − kd)` ([`BandedSym::zeros`]). An envelope
+/// ([`BandedSym::envelope`]) starts column j at its first structural row
+/// `first_j` rounded down to `lo_j` plus a multiple of four, so that its
+/// rows fall in the same lanes of [`crate::ddot`]'s four partial sums as
+/// in the band: that alignment is what keeps [`crate::dpbtrs_multi`] on
+/// an envelope bitwise the band's solve (see [`crate::lapack`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BandedSym {
-    n: usize,
     kd: usize,
-    /// `(kd + 1) × n` column-major band storage.
+    /// First stored row of each column.
+    top: Vec<usize>,
+    /// Offset of each column's diagonal in `ab`.
+    diag: Vec<usize>,
+    /// The stored entries, column after column.
     ab: Vec<f64>,
 }
 
 impl BandedSym {
-    /// Creates an n × n zero matrix with `kd` super-diagonals.
+    /// Creates an n × n zero matrix with `kd` super-diagonals, every one
+    /// stored: the full band.
     pub fn zeros(n: usize, kd: usize) -> Self {
-        Self { n, kd, ab: vec![0.0; (kd + 1) * n] }
+        Self::with_tops(kd, (0..n).map(|j| j.saturating_sub(kd)).collect())
+    }
+
+    /// Creates a zero matrix whose column j has its first structural
+    /// nonzero at row `first[j]`; `kd` is the largest `j − first[j]`.
+    ///
+    /// # Panics
+    /// If some `first[j] > j`.
+    pub fn envelope(first: &[usize]) -> Self {
+        let width = |(j, &f): (usize, &usize)| j.checked_sub(f).expect("first[j] ≤ j");
+        let kd = first.iter().enumerate().map(width).max().unwrap_or(0);
+        let top = first.iter().enumerate().map(|(j, &f)| {
+            let lo = j.saturating_sub(kd);
+            lo + (f - lo) / 4 * 4
+        });
+        Self::with_tops(kd, top.collect())
+    }
+
+    fn with_tops(kd: usize, top: Vec<usize>) -> Self {
+        let mut len = 0;
+        let diag = top.iter().enumerate().map(|(j, &t)| {
+            len += j + 1 - t;
+            len - 1
+        });
+        let diag = diag.collect();
+        Self { kd, top, diag, ab: vec![0.0; len] }
     }
 
     /// Matrix order.
     pub fn n(&self) -> usize {
-        self.n
+        self.top.len()
     }
 
-    /// Number of super-diagonals.
+    /// Number of super-diagonals: no column stores a row above `j − kd`.
     pub fn kd(&self) -> usize {
         self.kd
     }
 
-    /// Raw band storage (`(kd+1) × n`, column-major).
+    /// First stored row of column `j`.
+    pub fn top(&self, j: usize) -> usize {
+        self.top[j]
+    }
+
+    /// The stored entries, packed column after column (column j: rows
+    /// `top(j)..=j`).
     pub fn ab(&self) -> &[f64] {
         &self.ab
     }
 
-    /// Mutable raw band storage.
-    pub fn ab_mut(&mut self) -> &mut [f64] {
-        &mut self.ab
+    /// Column `j`'s stored rows `top(j)..=j`, diagonal last.
+    pub(crate) fn column(&self, j: usize) -> &[f64] {
+        &self.ab[self.diag[j] + self.top[j] - j..=self.diag[j]]
     }
 
-    /// Leading dimension of the band storage (`kd + 1`).
-    pub fn ldab(&self) -> usize {
-        self.kd + 1
+    /// The stored entries, with each column's first row and the offset of
+    /// its diagonal.
+    pub(crate) fn packed_mut(&mut self) -> (&mut [f64], &[usize], &[usize]) {
+        (&mut self.ab, &self.top, &self.diag)
     }
 
-    /// Reads A(i, j); returns 0 outside the band. Symmetric access: callers
-    /// may pass either triangle.
+    /// Offset of A(i, j) (either triangle) in `ab`, if it is stored.
+    fn offset(&self, i: usize, j: usize) -> Option<usize> {
+        let (i, j) = (i.min(j), i.max(j));
+        (i >= self.top[j]).then(|| self.diag[j] + i - j)
+    }
+
+    /// Offset of a stored A(i, j).
+    ///
+    /// # Panics
+    /// If (i, j) is outside the envelope.
+    fn entry(&self, i: usize, j: usize) -> usize {
+        self.offset(i, j).unwrap_or_else(|| panic!("BandedSym: ({i},{j}) is outside the envelope"))
+    }
+
+    /// Whether A(i, j) is stored (either triangle).
+    pub fn stores(&self, i: usize, j: usize) -> bool {
+        self.offset(i, j).is_some()
+    }
+
+    /// Reads A(i, j); returns 0 outside the envelope. Symmetric access:
+    /// callers may pass either triangle.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (i, j) = if i <= j { (i, j) } else { (j, i) };
-        if j - i > self.kd {
-            0.0
-        } else {
-            self.ab[(self.kd + i - j) + j * (self.kd + 1)]
-        }
+        self.offset(i, j).map_or(0.0, |k| self.ab[k])
     }
 
     /// Adds `v` to A(i, j) (and by symmetry A(j, i)).
     ///
     /// # Panics
-    /// Panics if |i − j| exceeds the bandwidth.
+    /// Panics if (i, j) is outside the envelope.
     pub fn add(&mut self, i: usize, j: usize, v: f64) {
-        let (i, j) = if i <= j { (i, j) } else { (j, i) };
-        assert!(j - i <= self.kd, "BandedSym::add outside band: ({i},{j}) kd={}", self.kd);
-        self.ab[(self.kd + i - j) + j * (self.kd + 1)] += v;
+        let k = self.entry(i, j);
+        self.ab[k] += v;
     }
 
     /// Sets A(i, j) (and A(j, i)).
+    ///
+    /// # Panics
+    /// Panics if (i, j) is outside the envelope.
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        let (i, j) = if i <= j { (i, j) } else { (j, i) };
-        assert!(j - i <= self.kd, "BandedSym::set outside band: ({i},{j}) kd={}", self.kd);
-        self.ab[(self.kd + i - j) + j * (self.kd + 1)] = v;
+        let k = self.entry(i, j);
+        self.ab[k] = v;
     }
 
     /// Dense expansion (testing / small problems).
     pub fn to_dense(&self) -> ColMajor {
-        ColMajor::from_fn(self.n, self.n, |i, j| self.get(i, j))
+        ColMajor::from_fn(self.n(), self.n(), |i, j| self.get(i, j))
     }
 
-    /// y ← A x exploiting the band (symmetric band matvec, `dsbmv`-like).
+    /// y ← A x over the stored entries (symmetric band matvec,
+    /// `dsbmv`-like).
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        assert!(x.len() >= self.n && y.len() >= self.n);
-        y[..self.n].fill(0.0);
-        for j in 0..self.n {
-            let lo = j.saturating_sub(self.kd);
-            // Diagonal + super-diagonal entries of column j couple rows lo..=j.
-            for i in lo..=j {
-                let a = self.ab[(self.kd + i - j) + j * (self.kd + 1)];
+        let n = self.n();
+        assert!(x.len() >= n && y.len() >= n);
+        y[..n].fill(0.0);
+        for j in 0..n {
+            // Diagonal + super-diagonal entries of column j couple rows top..=j.
+            for (i, &a) in (self.top[j]..=j).zip(self.column(j)) {
                 y[i] += a * x[j];
                 if i != j {
                     y[j] += a * x[i];
@@ -213,7 +271,8 @@ impl BandedSym {
         }
     }
 
-    /// Builds from a dense symmetric matrix, taking bandwidth `kd`.
+    /// Builds the full band of bandwidth `kd` from a dense symmetric
+    /// matrix.
     ///
     /// # Panics
     /// Panics (in debug) if the dense matrix has entries outside the band.
@@ -276,6 +335,32 @@ mod tests {
     fn banded_set_outside_band_panics() {
         let mut b = BandedSym::zeros(5, 1);
         b.set(0, 3, 1.0);
+    }
+
+    /// kd is the widest column; each column starts at `lo_j = j − kd` plus
+    /// a multiple of four at or above its first row, and packs only that.
+    #[test]
+    fn envelope_starts_each_column_on_a_lane_of_the_band() {
+        let first = [0, 0, 1, 3, 0, 5, 6, 1, 8];
+        let mut b = BandedSym::envelope(&first);
+        assert_eq!((b.n(), b.kd()), (9, 6));
+        let tops: Vec<usize> = (0..9).map(|j| b.top(j)).collect();
+        assert_eq!(tops, [0, 0, 0, 0, 0, 4, 4, 1, 6]);
+        assert_eq!(b.ab().len(), 30);
+        b.set(6, 8, 2.0);
+        b.add(8, 6, 0.5);
+        assert_eq!(b.get(6, 8), 2.5);
+        assert_eq!(b.get(5, 8), 0.0);
+        assert!(b.stores(4, 5) && !b.stores(5, 3) && !b.stores(8, 0));
+        let zeros = BandedSym::zeros(4, 2);
+        assert_eq!((zeros.ab().len(), zeros.top(3)), (3 + 3 + 2 + 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the envelope")]
+    fn envelope_set_above_the_first_row_panics() {
+        let mut b = BandedSym::envelope(&[0, 0, 1, 3, 0, 5, 6, 1, 8]);
+        b.set(5, 8, 1.0);
     }
 
     #[test]

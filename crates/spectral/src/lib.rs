@@ -36,7 +36,7 @@ pub use assembly::{Assembly, DofKind};
 pub use basis1d::Basis1d;
 pub use element::{ElemOps, ElementMatrices};
 pub use quadbasis::QuadBasis;
-pub use rcm::{boundary_band_order, rcm_order};
+pub use rcm::{boundary_band_order, rcm_order, BandOrder};
 pub use solve::{
     Discretization, HelmholtzProblem, PlaneScratch, SolveMethod, SolveShape, SolveStats,
 };

@@ -89,30 +89,24 @@ pub fn rcm_order(adj: &[Vec<usize>]) -> Vec<usize> {
     order
 }
 
-/// Bandwidth of the matrix under a permutation `perm[new] = old`:
-/// max |pos(a) − pos(b)| over coupled pairs.
-pub fn bandwidth_under(perm: &[usize], cliques: &[Vec<usize>]) -> usize {
-    let n = perm.len();
-    let mut pos = vec![0usize; n];
-    for (newi, &old) in perm.iter().enumerate() {
-        pos[old] = newi;
-    }
-    let mut kd = 0usize;
-    for clique in cliques {
-        for &a in clique {
-            for &b in clique {
-                kd = kd.max(pos[a].abs_diff(pos[b]));
-            }
-        }
-    }
-    kd
+/// Where a Schur complement assembled on the boundary system sits in its
+/// band order ([`boundary_band_order`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BandOrder {
+    /// Band row of every boundary-class dof (`nboundary` entries).
+    pub pos: Vec<usize>,
+    /// Per band row j: the first row of column j that any element couples
+    /// to it — the least band row of every element holding that dof.
+    /// Cholesky fills nothing above it.
+    pub first: Vec<usize>,
+    /// Semi-bandwidth: the largest `j − first[j]`.
+    pub kd: usize,
 }
 
 /// The band order of `asm`'s boundary system: RCM over the vertex and
-/// edge dofs each element couples. Returns the band row of every
-/// boundary-class dof (`nboundary` entries) and the semi-bandwidth of any
-/// Schur complement assembled at those rows.
-pub fn boundary_band_order(asm: &Assembly) -> (Vec<usize>, usize) {
+/// edge dofs each element couples, and the envelope and semi-bandwidth of
+/// any Schur complement assembled at those rows.
+pub fn boundary_band_order(asm: &Assembly) -> BandOrder {
     let cliques: Vec<Vec<usize>> = asm
         .elem_dofs
         .iter()
@@ -123,12 +117,38 @@ pub fn boundary_band_order(asm: &Assembly) -> (Vec<usize>, usize) {
     for (row, &dof) in perm.iter().enumerate() {
         pos[dof] = row;
     }
-    (pos, bandwidth_under(&perm, &cliques))
+    let mut first: Vec<usize> = (0..asm.nboundary).collect();
+    for clique in &cliques {
+        let lo = clique.iter().map(|&g| pos[g]).min().unwrap_or(0);
+        for &g in clique {
+            first[pos[g]] = first[pos[g]].min(lo);
+        }
+    }
+    let kd = first.iter().enumerate().map(|(j, &f)| j - f).max().unwrap_or(0);
+    BandOrder { pos, first, kd }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bandwidth of the matrix under a permutation `perm[new] = old`:
+    /// max |pos(a) − pos(b)| over coupled pairs.
+    fn bandwidth_under(perm: &[usize], cliques: &[Vec<usize>]) -> usize {
+        let mut pos = vec![0usize; perm.len()];
+        for (newi, &old) in perm.iter().enumerate() {
+            pos[old] = newi;
+        }
+        let mut kd = 0usize;
+        for clique in cliques {
+            for &a in clique {
+                for &b in clique {
+                    kd = kd.max(pos[a].abs_diff(pos[b]));
+                }
+            }
+        }
+        kd
+    }
 
     /// RCM bandwidth of a clique-defined system.
     fn rcm_bandwidth(n: usize, cliques: &[Vec<usize>]) -> usize {

@@ -29,7 +29,7 @@ use crate::assembly::Assembly;
 use crate::basis1d::sweep_matrices;
 use crate::element::{elem_geometry, ElemOps, ElementMatrices, Expansion};
 use crate::quadbasis::QuadBasis;
-use crate::rcm::boundary_band_order;
+use crate::rcm::{boundary_band_order, BandOrder};
 use crate::tribasis::TriBasis;
 use nkt_blas::{daxpy, ddot, dpbtrf, dpbtrs_multi, dpotrf, dpotrs, sweep, Axis, BandedSym};
 use nkt_mesh::{BoundaryTag, ElemKind, Mesh2d};
@@ -88,8 +88,10 @@ pub struct Discretization {
     quad_off: Vec<usize>,
     /// Band row of each boundary-class dof (`asm.nboundary` entries).
     pos: Vec<usize>,
-    /// Semi-bandwidth of any Schur complement assembled at `pos`.
-    kd: usize,
+    /// First structural row of each band column: the envelope every
+    /// Schur complement assembled at `pos` is stored and factored in (its
+    /// semi-bandwidth is the largest `j − first[j]`).
+    first: Vec<usize>,
     /// The condensed global mass matrix with its Schur band factored
     /// (filled by the first L2 projection).
     mass: OnceLock<(Condensed, BandedSym)>,
@@ -359,7 +361,7 @@ impl Discretization {
             };
             ops.push(ElemOps { basis_id, geom, mats });
         }
-        let (pos, kd) = boundary_band_order(&asm);
+        let BandOrder { pos, first, .. } = boundary_band_order(&asm);
         let mut quad_off = vec![0usize; ops.len() + 1];
         for (ei, op) in ops.iter().enumerate() {
             quad_off[ei + 1] = quad_off[ei] + op.geom.jw.len();
@@ -375,7 +377,7 @@ impl Discretization {
             ops,
             quad_off,
             pos,
-            kd,
+            first,
             mass: OnceLock::new(),
         })
     }
@@ -403,10 +405,11 @@ impl Discretization {
     /// Statically condenses the operator whose elemental matrices are
     /// `elem(ei)` (nm × nm, column-major, SPD on the interior modes): the
     /// per-element interior blocks, and the Schur complement summed into
-    /// a band at the rows `pos` gives each boundary dof.
+    /// a band at the rows `pos` gives each boundary dof, stored over its
+    /// envelope `first`.
     fn condense<'a>(&'a self, elem: impl Fn(usize) -> Cow<'a, [f64]>) -> (Condensed, BandedSym) {
         let (asm, pos) = (&self.asm, &self.pos);
-        let mut band = BandedSym::zeros(asm.nboundary, self.kd);
+        let mut band = BandedSym::envelope(&self.first);
         let mut blocks = Vec::new();
         let mut off = Vec::with_capacity(asm.elem_dofs.len() + 1);
         for (ei, dofs) in asm.elem_dofs.iter().enumerate() {
@@ -788,6 +791,9 @@ impl HelmholtzProblem {
             let r = pos[d];
             let kd = self.matrix.kd();
             for i in r.saturating_sub(kd)..=(r + kd).min(self.matrix.n() - 1) {
+                if !self.matrix.stores(i, r) {
+                    continue;
+                }
                 let k = self.matrix.get(i, r);
                 if i != r && k != 0.0 {
                     self.lift.push((i, d, k));
@@ -1479,12 +1485,12 @@ mod tests {
         // Order-2 triangles have no interior mode: nothing to eliminate.
         for (mesh, order) in [(skewed_mesh(), 4), (rect_tris(0.0, 1.0, 0.0, 1.0, 2, 2), 2)] {
             let disc = Discretization::new(mesh, order);
-            let nb = disc.asm.nboundary;
+            let (nb, kd) = (disc.asm.nboundary, boundary_band_order(&disc.asm).kd);
             let mut pinned = HelmholtzProblem::member(&disc, 0.0, &[]);
             pinned.pin_dof(0);
             for prob in [&pinned, &HelmholtzProblem::member(&disc, 40.0, &[BoundaryTag::Wall])] {
-                assert_eq!((prob.matrix.n(), prob.matrix.kd()), (nb, disc.kd));
-                assert_eq!(prob.solve_shape(), SolveShape { nboundary: nb, kd: disc.kd });
+                assert_eq!((prob.matrix.n(), prob.matrix.kd()), (nb, kd));
+                assert_eq!(prob.solve_shape(), SolveShape { nboundary: nb, kd });
             }
             disc.l2_project(|x| x[0]);
             assert_eq!(disc.mass.get().expect("factored by the projection").1.n(), nb);
@@ -1507,9 +1513,8 @@ mod tests {
         prob.solve_with_rhs(vec![0.0; ndof], &vec![0.0; ndof - 1], SolveMethod::BandedDirect);
     }
 
-    #[test]
-    fn mixed_tri_quad_mesh() {
-        // Quads on the left half, triangles on the right.
+    /// Quads on the left half, triangles on the right.
+    fn mixed_mesh() -> Mesh2d {
         use nkt_mesh::{Elem2d, Mesh2d};
         let q = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
         let mut verts = q.verts.clone();
@@ -1534,6 +1539,63 @@ mod tests {
         }
         let mesh = Mesh2d::new(verts, elems, |_| BoundaryTag::Wall);
         mesh.validate().unwrap();
+        mesh
+    }
+
+    /// Every member's band and the mass band, stored over the envelope,
+    /// factor and solve to the bits of a full-band copy of the same Schur
+    /// complement: a condensed band stores no −0.0, and these right-hand
+    /// sides hold +0.0 but no −0.0. On the wake mesh the envelope is at
+    /// most 40 % of the band.
+    #[test]
+    fn envelope_factor_and_solve_equal_a_full_band_rebuild_bit_for_bit() {
+        let wake = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
+        let wall = [BoundaryTag::Wall];
+        for (mesh, tags) in [
+            (skewed_mesh(), &wall[..]),
+            (mixed_mesh(), &wall[..]),
+            (nkt_mesh::bluff_body_mesh(1), &wake[..]),
+        ] {
+            let is_wake = tags.len() == 3;
+            let disc = Discretization::new(mesh, 4);
+            let mut pressure = HelmholtzProblem::member(&disc, 0.0, &[]);
+            pressure.pin_dof(0);
+            let viscous = HelmholtzProblem::member(&disc, 40.0, tags);
+            let (_, mass) = disc.condense(|ei| disc.ops[ei].mats.mass.as_slice().into());
+            for (what, a) in [("pressure", &pressure.matrix), ("viscous", &viscous.matrix), ("mass", &mass)] {
+                let (n, kd) = (a.n(), a.kd());
+                assert_eq!(kd, boundary_band_order(&disc.asm).kd);
+                let mut full = BandedSym::zeros(n, kd);
+                for j in 0..n {
+                    for i in a.top(j)..=j {
+                        full.set(i, j, a.get(i, j));
+                    }
+                }
+                let mut envelope = a.clone();
+                dpbtrf(&mut envelope).expect("SPD");
+                dpbtrf(&mut full).expect("SPD");
+                for j in 0..n {
+                    for i in j.saturating_sub(kd)..=j {
+                        let (e, f) = (envelope.get(i, j), full.get(i, j));
+                        assert_eq!(e.to_bits(), f.to_bits(), "{what}: U({i},{j})");
+                    }
+                }
+                let nrhs = 2;
+                let rhs: Vec<f64> =
+                    (0..n * nrhs).map(|i| if i % 7 == 0 { 0.0 } else { (i as f64 * 0.37).sin() }).collect();
+                let (mut x, mut x_full) = (rhs.clone(), rhs);
+                dpbtrs_multi(&envelope, &mut x, nrhs).expect("solve");
+                dpbtrs_multi(&full, &mut x_full, nrhs).expect("solve");
+                assert_eq!(bits(&x), bits(&x_full), "{what}");
+                let share = a.ab().len() as f64 / ((kd + 1) * n) as f64;
+                assert!(!is_wake || share <= 0.40, "{what}: the envelope is {share:.3} of the band");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_tri_quad_mesh() {
+        let mesh = mixed_mesh();
         let exact = |x: [f64; 2]| 1.0 + 2.0 * x[0] - x[1];
         let mut prob = HelmholtzProblem::new(mesh, 3, 0.0, ALL_DIRICHLET);
         let (u, _) = prob.solve(|_| 0.0, exact, SolveMethod::BandedDirect);

@@ -6,8 +6,8 @@ use nkt_blas::{dpotrf, dpotrs};
 use nkt_mesh::{bluff_body_mesh, rect_quads, rect_tris, BoundaryTag, Elem2d, ElemKind, Mesh2d};
 use nkt_spectral::element::Expansion;
 use nkt_spectral::{
-    boundary_band_order, Assembly, Discretization, HelmholtzProblem, QuadBasis, SolveMethod,
-    TriBasis,
+    boundary_band_order, Assembly, BandOrder, Discretization, HelmholtzProblem, QuadBasis,
+    SolveMethod, TriBasis,
 };
 use nkt_testkit::{one_of, prop_assert, prop_assert_eq, prop_assume, prop_check};
 
@@ -111,7 +111,7 @@ fn wake_mesh_band_is_rcm_narrow() {
     let tags = [BoundaryTag::Inflow, BoundaryTag::Wall, BoundaryTag::Side];
     let viscous = HelmholtzProblem::new(bluff_body_mesh(1), 4, 100.0, &tags);
     assert_eq!(viscous.matrix.n(), viscous.asm.nboundary);
-    assert_eq!(viscous.matrix.kd(), boundary_band_order(&viscous.asm).1);
+    assert_eq!(viscous.matrix.kd(), boundary_band_order(&viscous.asm).kd);
     assert!(viscous.matrix.kd() <= 150, "band {}", viscous.matrix.kd());
     assert!(viscous.asm.bandwidth() > 1000, "natural band {}", viscous.asm.bandwidth());
 }
@@ -224,7 +224,7 @@ prop_check! {
             dpotrf(ni, &mut kii, ni).expect("interior block SPD");
         }
         // `matrix` is in band order; the permutation is the one ordering's.
-        let (pos, kd) = boundary_band_order(&member.asm);
+        let BandOrder { pos, kd, .. } = boundary_band_order(&member.asm);
         prop_assert_eq!((member.matrix.n(), member.matrix.kd()), (nb, kd));
         for j in 0..nb {
             let mut x = k[nb + j * n..(j + 1) * n].to_vec();
