@@ -1,23 +1,25 @@
 //! # nkt-bench — the experiment harness
 //!
-//! One binary, `nkt-bench <dir>`, writes every table and figure of the
-//! paper's evaluation, plus the design-choice ablations (DESIGN.md §6),
-//! as `<dir>/<name>.txt`: [`ARTIFACTS`] is the index. Every artifact
-//! holds `modeled` numbers only (1999-machine replay, virtual clock) and
-//! says so; each is committed as `results/<name>.txt` and held byte for
-//! byte by `scripts/check_baselines`. EXPERIMENTS.md records
-//! paper-vs-ours for each. Host timing of the native kernels is
-//! `perfbench/`'s job.
+//! One binary, `nkt-bench <dir>`, writes every file of `results/`: every
+//! table and figure of the paper's evaluation, plus the design-choice
+//! ablations (DESIGN.md §6), as `<dir>/<name>.txt` ([`ARTIFACTS`], each
+//! `modeled` numbers only and saying so; EXPERIMENTS.md records
+//! paper-vs-ours), then the native runs' `PROF_`, `CALIB_` and `STATS_`
+//! documents and `HASHES.txt` ([`BASELINES`]). `scripts/check_baselines`
+//! holds each to its committed copy. Host timing is `perfbench/`'s job.
 
 mod ablations;
 mod apps;
+pub mod baseline;
 mod kernels;
 
+use baseline::{Baseline, Case};
 use nektar::drive::cases;
 use nektar::opstream::{OpRecording, Recorder};
 use nektar::workload::{AleShape, FourierShape};
 use nkt_machine::{machine, MachineId};
 use nkt_mesh::bluff_body_mesh;
+use nkt_net::NetId;
 use nkt_spectral::element::Expansion;
 use nkt_spectral::{boundary_band_order, Assembly, QuadBasis};
 use std::fmt::{self, Write as _};
@@ -61,12 +63,37 @@ pub const ARTIFACTS: &[(&str, Artifact)] = &[
     ("ablation_partition", ablations::partition),
 ];
 
+/// NekTar-F's demo slab (4 ranks, 8 planes) on `net`.
+const fn slab(net: NetId) -> Case {
+    Case::Fourier { net, ranks: 4, nz: 8, grid: None }
+}
+
+/// The same planes on a 4 × 2 pencil grid of 8 ranks.
+const fn pencil(net: NetId) -> Case {
+    Case::Fourier { net, ranks: 8, nz: 8, grid: Some((4, 2)) }
+}
+
+/// Every native baseline run, run after [`ARTIFACTS`]: the demo problems
+/// at the examples' scale. A sampled run is separate from its profiled
+/// twin, because a sample adds traffic the profile would see.
+#[rustfmt::skip]
+pub const BASELINES: [Baseline; 8] = [
+    Baseline { run: "fourier_dns_roadrunner_myr", case: slab(NetId::RoadRunnerMyr), steps: 3, prof: true, calib: true, stats_every: 0 },
+    Baseline { run: "fourier_dns_roadrunner_eth", case: slab(NetId::RoadRunnerEth), steps: 3, prof: true, calib: true, stats_every: 0 },
+    Baseline { run: "fourier_dns_roadrunner_myr_grid4x2", case: pencil(NetId::RoadRunnerMyr), steps: 3, prof: true, calib: false, stats_every: 0 },
+    Baseline { run: "fourier_dns_roadrunner_eth_grid4x2", case: pencil(NetId::RoadRunnerEth), steps: 3, prof: true, calib: false, stats_every: 0 },
+    Baseline { run: "fourier_dns_roadrunner_myr", case: slab(NetId::RoadRunnerMyr), steps: 3, prof: false, calib: false, stats_every: 1 },
+    Baseline { run: "fourier_dns_roadrunner_eth", case: slab(NetId::RoadRunnerEth), steps: 3, prof: false, calib: false, stats_every: 1 },
+    Baseline { run: "flapping_wing_ale", case: Case::Wing { net: NetId::RoadRunnerMyr, ranks: 4 }, steps: 2, prof: true, calib: true, stats_every: 0 },
+    Baseline { run: "cylinder_wake", case: Case::Wake { refine: 1, order: 4 }, steps: 10, prof: false, calib: false, stats_every: 1 },
+];
+
 /// Per-stage split-phase overlap windows for an ALE replay with
 /// `nelems_local` elements per rank.
 ///
 /// Prefers the *measured* surface coefficients from the committed
 /// native calibration (`results/CALIB_flapping_wing_ale.json`, written
-/// by `NKT_CALIB=1` runs of the flapping-wing example), re-expanded at
+/// by the `flapping_wing_ale` row of [`BASELINES`]), re-expanded at
 /// this volume via [`nkt_prof::window_at`]; stages the native run never
 /// measured get the apply-weighted merged coefficient. Falls back to the
 /// analytic `1 − 6/V^{1/3}` estimate everywhere when no calibration is
@@ -246,20 +273,33 @@ mod tests {
         REC.get_or_init(paper_serial_step)
     }
 
-    /// `nkt-bench` writes exactly the committed model outputs: one
-    /// artifact per `results/*.txt` (`HASHES.txt` aside, the examples'
-    /// state hashes), under distinct names.
+    /// `nkt-bench` writes exactly the committed baselines, each once: one
+    /// `<name>.txt` per artifact, each baseline row's documents and
+    /// `HASHES.txt` are the files of `nkt-diff`'s families under
+    /// `results/` (what runs without an output directory leave there,
+    /// `TRACE_*` and the like, aside). Starts no run.
     #[test]
     fn artifacts_are_the_committed_baselines() {
-        let names: std::collections::BTreeSet<String> =
+        let mut names: Vec<String> =
             ARTIFACTS.iter().map(|(name, _)| format!("{name}.txt")).collect();
-        assert_eq!(names.len(), ARTIFACTS.len(), "artifact names must be unique");
-        let committed: std::collections::BTreeSet<String> =
-            std::fs::read_dir(nkt_trace::results_dir())
-                .expect("the workspace has a results/ directory")
-                .map(|e| e.expect("a readable directory entry").file_name().into_string().unwrap())
-                .filter(|f| f.ends_with(".txt") && f != "HASHES.txt")
-                .collect();
+        for b in &BASELINES {
+            for (kind, on) in [("PROF", b.prof), ("CALIB", b.calib), ("STATS", b.stats_every > 0)] {
+                if on {
+                    names.push(format!("{kind}_{}.json", b.run));
+                }
+            }
+        }
+        names.push("HASHES.txt".into());
+        names.sort();
+        let gated = |f: &String| {
+            f.ends_with(".txt") || ["PROF_", "CALIB_", "STATS_"].iter().any(|p| f.starts_with(p))
+        };
+        let mut committed: Vec<String> = std::fs::read_dir(nkt_trace::results_dir())
+            .expect("the workspace has a results/ directory")
+            .map(|e| e.expect("a readable directory entry").file_name().into_string().unwrap())
+            .filter(gated)
+            .collect();
+        committed.sort();
         assert_eq!(names, committed);
     }
 

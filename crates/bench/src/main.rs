@@ -1,6 +1,7 @@
-//! Writes every table and figure of the paper's evaluation, and the
-//! ablations, into one directory: `<dir>/<name>.txt` for each entry of
-//! [`nkt_bench::ARTIFACTS`].
+//! Writes every committed baseline into one directory: `<dir>/<name>.txt`
+//! for each entry of [`nkt_bench::ARTIFACTS`] (the paper's tables and
+//! figures, and the ablations), then the documents of each row of
+//! [`nkt_bench::BASELINES`] and `<dir>/HASHES.txt`.
 //!
 //! ```sh
 //! cargo run --release -p nkt-bench -- <dir>
@@ -33,6 +34,10 @@ fn main() -> ExitCode {
             eprintln!("nkt-bench: {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
+    }
+    if let Err(e) = nkt_bench::baseline::write_all(&dir) {
+        eprintln!("nkt-bench: {e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

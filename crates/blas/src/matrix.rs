@@ -270,30 +270,6 @@ impl BandedSym {
             }
         }
     }
-
-    /// Builds the full band of bandwidth `kd` from a dense symmetric
-    /// matrix.
-    ///
-    /// # Panics
-    /// Panics (in debug) if the dense matrix has entries outside the band.
-    pub fn from_dense(a: &ColMajor, kd: usize) -> Self {
-        assert_eq!(a.nrows(), a.ncols());
-        let n = a.nrows();
-        let mut b = Self::zeros(n, kd);
-        for j in 0..n {
-            for i in 0..n {
-                let v = a[(i, j)];
-                if i <= j {
-                    if j - i <= kd {
-                        b.set(i, j, v);
-                    } else {
-                        debug_assert!(v == 0.0, "entry ({i},{j}) outside band is nonzero");
-                    }
-                }
-            }
-        }
-        b
-    }
 }
 
 #[cfg(test)]
@@ -380,21 +356,5 @@ mod tests {
         for i in 0..n {
             assert!((y[i] - yd[i]).abs() < 1e-12, "row {i}: {} vs {}", y[i], yd[i]);
         }
-    }
-
-    #[test]
-    fn from_dense_roundtrip() {
-        let n = 6;
-        let kd = 2;
-        let dense = ColMajor::from_fn(n, n, |i, j| {
-            let d = i.abs_diff(j);
-            if d <= kd {
-                1.0 / (1.0 + d as f64) + if i == j { 3.0 } else { 0.0 }
-            } else {
-                0.0
-            }
-        });
-        let band = BandedSym::from_dense(&dense, kd);
-        assert_eq!(band.to_dense(), dense);
     }
 }

@@ -12,8 +12,8 @@
 //! `stats.`-prefixed), identity metadata (kind, epoch/step) delegates to
 //! the main state, and a shard written *without* a rider restores
 //! cleanly into a tandem whose rider tolerates missing sections — the
-//! rider simply resets, which is the right behaviour when `NKT_STATS`
-//! was off during the original run.
+//! rider simply resets, which is the right behaviour when sampling was
+//! off during the original run.
 
 use crate::error::CkptError;
 use crate::format::{CkptFile, CkptWriter};

@@ -133,10 +133,12 @@ impl fmt::Display for FourierCfgError {
 
 impl std::error::Error for FourierCfgError {}
 
-/// Parses a `"PRxPC"` grid specification (a job file's `grid`; the
-/// `NKT_GRID` format, through the same parser).
+/// Parses a job file's `"PRxPC"` process grid (`4x2`, `1X8`, ` 2 x 3 `);
+/// both factors must be positive.
 pub fn parse_grid(spec: &str) -> Result<(usize, usize), FourierCfgError> {
-    nkt_trace::config::parse_grid(spec)
+    let factor = |f: &str| f.trim().parse().ok().filter(|&n: &usize| n > 0);
+    spec.split_once(['x', 'X'])
+        .and_then(|(a, b)| Some((factor(a)?, factor(b)?)))
         .ok_or_else(|| FourierCfgError::BadGridSpec { spec: spec.to_string() })
 }
 

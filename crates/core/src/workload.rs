@@ -207,7 +207,7 @@ pub struct AleShape {
     /// The split-phase gather-scatter window of each stage's exchanges
     /// (indexed by [`Stage::index`]; 0.0 = blocking; see
     /// [`crate::opstream::CommItem::GsExchange`]): measured windows from
-    /// a native `NKT_CALIB` run, or one analytic surface-to-volume
+    /// a native calibrated run, or one analytic surface-to-volume
     /// estimate for every stage.
     pub overlap: [f64; 7],
 }

@@ -82,8 +82,8 @@ fn pencil_state_hash_matches_slab_over_grid_sweep() {
 /// `fourier_dns`'s case at nz 12: a Bluestein half transform (length 6),
 /// and 324 points a plane in chunks of 54 over six ranks, so every chunk
 /// ends in a short lane block. A 3×2 pencil matches the 3-rank slab in
-/// both transpose paths, and no grid (`None`, `fourier_dns` without
-/// `NKT_GRID`) is the `P × 1` slab.
+/// both transpose paths, and no grid (`None`, the `fourier_dns` demo's)
+/// is the `P × 1` slab.
 #[test]
 fn the_demo_case_at_nz_12_matches_its_slab() {
     let demo = |p: usize, grid: Option<(usize, usize)>, overlap: bool| {

@@ -53,13 +53,13 @@
 //! exact counter), so both documents are byte-identical across runs of
 //! the same seeded simulation and [`gates`] / [`calib_gates`] can hold
 //! them against committed baselines. Host wall times appear only in the
-//! printed reports and in the [`Profile::stage_ledger_check`] self-check
-//! against `StageClock` ledgers.
+//! printed reports and in [`Profile::stage_attrib`], which tier-1 holds
+//! to the solvers' `StageClock` ledgers.
 //!
-//! `NKT_PROF` and `NKT_CALIB` are `nkt_trace::config::RunConfig::{prof,
-//! calib}`; each raises the recording mode to spans, and the caller that
-//! parsed them converts its one collector drain once and builds the
-//! documents asked for.
+//! A caller that wants either document records spans, drains the
+//! collector once, converts it once and builds the documents asked for:
+//! `nkt_bench::baseline::finish` for the committed baselines, the
+//! `NKT_PROF` replays of Tables 2 and 3, and `nkt-serve`'s jobs.
 
 pub mod attrib;
 pub mod critpath;

@@ -34,8 +34,9 @@ pub fn gates(text: &str) -> Result<Vec<Gate>, String> {
 ///
 /// Everything in [`Profile::document`] lives on the virtual
 /// timeline and is therefore byte-identical across runs of the same
-/// seeded simulation; host-time material (per-stage host sums) is kept
-/// only for [`Profile::report`] and [`Profile::stage_ledger_check`].
+/// seeded simulation; host-time material (per-stage host sums,
+/// [`Profile::stage_attrib`]) is kept only for [`Profile::report`] and
+/// for checks against the solvers' own host ledgers.
 #[derive(Debug, Clone)]
 pub struct Profile {
     /// Run name (`PROF_<run>.json`).
@@ -145,28 +146,6 @@ impl Profile {
                 ("composition", Value::Arr(cp.composition.iter().map(part).collect())),
             ])),
         ])
-    }
-
-    /// Cross-checks the per-stage attributed host times (span sums across
-    /// ranks) against an externally kept host ledger (e.g. merged
-    /// `StageClock` totals). Returns the worst relative error over
-    /// ledger entries above `min_secs`; stages the spans never saw count
-    /// as 100% error.
-    pub fn stage_ledger_check(&self, ledger: &[(&str, f64)], min_secs: f64) -> f64 {
-        let mut worst = 0.0f64;
-        for &(name, want) in ledger {
-            if want <= min_secs {
-                continue;
-            }
-            let got: f64 = self
-                .stage_attrib
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, per_rank)| per_rank.iter().sum())
-                .unwrap_or(0.0);
-            worst = worst.max((got - want).abs() / want);
-        }
-        worst
     }
 
     /// Renders the human-readable report: the Table-2/3-style MPI

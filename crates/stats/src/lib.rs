@@ -28,9 +28,10 @@
 //! `STATS_<run>.json` that `scripts/check_baselines` holds against the
 //! committed baselines.
 //!
-//! The sampling cadence (`NKT_STATS`) and the watchdog switch
-//! (`NKT_HEALTH`) arrive as `StatsRecorder::new`'s `every` and the
-//! samplers' `health` argument; `nektar::drive::Plan` carries both.
+//! The sampling cadence (a baseline row's `stats_every`, or every step
+//! under `NKT_HEALTH`) and the watchdog switch arrive as
+//! `StatsRecorder::new`'s `every` and the samplers' `health` argument;
+//! `nektar::drive::Plan` carries both.
 
 pub mod accum;
 pub mod health;

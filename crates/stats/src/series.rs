@@ -104,7 +104,7 @@ pub struct Sample {
 pub struct StatsRecorder {
     /// Channel names, fixed at construction (also the JSON key order).
     pub channels: Vec<&'static str>,
-    /// Sample every N steps (from `NKT_STATS=N`).
+    /// Sample every N steps (`Plan::stats_every`).
     pub every: u64,
     /// World size (number of MPI rows per sample on rank 0).
     pub nranks: usize,
@@ -156,8 +156,8 @@ impl StatsRecorder {
 
     /// Raw counter snapshot: this rank's [`Comm`] traffic totals plus
     /// its collective-invocation count from the trace layer (requires
-    /// the counters mode `RunConfig::trace_mode` arms under `NKT_STATS`
-    /// / `NKT_HEALTH`; 0 with tracing off, which
+    /// the counters mode a sampling run arms (`RunConfig::trace_mode`
+    /// under `NKT_HEALTH`, a sampled baseline row); 0 with tracing off, which
     /// only zeroes the collectives column, never breaks identity —
     /// both runs of a diff see the same mode).
     fn raw_now(comm: &Comm) -> [u64; MPI_COLS] {
@@ -308,7 +308,7 @@ impl Checkpointable for StatsRecorder {
     }
 
     fn read_sections(&mut self, f: &CkptFile) -> Result<(), CkptError> {
-        // A shard written without a rider (NKT_STATS was off) restores as
+        // A shard written without a rider (sampling was off) restores as
         // a reset recorder — tolerated, not an error.
         if f.section(SERIES_SECTION).is_none() {
             let n = self.channels.len();

@@ -15,10 +15,8 @@ use std::time::Duration;
 // The kinds of value, as the error message and README print them.
 const FLAG: &str = "`1`/`on`/`true` or `0`/`off`/`false`";
 const TRACE: &str = "`off`, `counters`, `spans`, `summary` or a flag (`on` = `spans`)";
-const CADENCE: &str = "a positive integer `N` or a flag (`on` = 1)";
 const COUNT: &str = "a non-negative integer";
 const POSITIVE: &str = "a positive integer";
-const GRID: &str = "`PRxPC` with both positive, e.g. `4x2`";
 const PATH: &str = "a path";
 /// Read by `nkt-testkit` under `cargo test`; [`RunConfig`] only knows
 /// the names, so `verify.sh --deep` is not an unknown-variable error.
@@ -36,10 +34,6 @@ fn count(v: &str) -> Option<u64> {
     v.parse().ok()
 }
 
-fn positive(v: &str) -> Option<u64> {
-    count(v).filter(|&n| n > 0)
-}
-
 fn path(slot: &mut Option<PathBuf>, v: &str) -> Option<()> {
     *slot = Some(v.into());
     Some(())
@@ -55,15 +49,6 @@ fn trace(v: &str) -> Option<(TraceMode, bool)> {
         ("summary", _) => (TraceMode::Spans, true),
         _ => return None,
     })
-}
-
-/// Parses a `"PRxPC"` process grid (`4x2`, `1X8`, ` 2 x 3 `); both
-/// factors must be positive.
-pub fn parse_grid(spec: &str) -> Option<(usize, usize)> {
-    let (a, b) = spec.split_once(['x', 'X'])?;
-    let pr: usize = a.trim().parse().ok()?;
-    let pc: usize = b.trim().parse().ok()?;
-    (pr > 0 && pc > 0).then_some((pr, pc))
 }
 
 /// One row of the name table.
@@ -86,31 +71,21 @@ const fn var(name: &'static str, expected: &'static str, default: &'static str, 
 
 /// Every `NKT_*` name the workspace accepts. README's "Run
 /// configuration" table is held to these rows by a test.
-pub const VARS: [Var; 15] = [
+pub const VARS: [Var; 10] = [
     var("NKT_TRACE", TRACE, "`off`", |c, v| trace(v).map(|t| (c.trace, c.summary) = t),
         "recording mode; `summary` records spans and prints a per-stage digest instead of writing `TRACE_<run>.json`"),
     var("NKT_TRACE_DIR", PATH, "`<workspace>/results`", |c, v| path(&mut c.trace_dir, v),
-        "where `TRACE_`, `PROF_`, `STATS_`, `CALIB_` and `FLIGHT_` files land"),
+        "where `TRACE_`, `PROF_` and `FLIGHT_` files land"),
     var("NKT_PROF", FLAG, "off", |c, v| flag(v).map(|on| c.prof = on),
-        "profile the run into `PROF_<run>.json` (raises the recording mode to `spans`)"),
-    var("NKT_CALIB", FLAG, "off", |c, v| flag(v).map(|on| c.calib = on),
-        "calibrate the run against the machine model into `CALIB_<run>.json` (raises the recording mode to `spans`)"),
-    var("NKT_STATS", CADENCE, "off", |c, v| flag(v).map(u64::from).or_else(|| count(v)).map(|n| c.stats = n),
-        "sample online statistics every `N` steps into `STATS_<run>.json` (raises the recording mode to `counters`)"),
+        "`nkt-bench`, `serve_farm`: profile the Table 2/3 replays and each served job into `PROF_<run>.json` (raises the recording mode to `spans`)"),
     var("NKT_HEALTH", FLAG, "off", |c, v| flag(v).map(|on| c.health = on),
-        "evaluate the watchdog rules at every sample; samples every step when `NKT_STATS` is unset"),
+        "sample every step and evaluate the watchdog rules at each sample (raises the recording mode to `counters`)"),
     var("NKT_CKPT_EVERY", COUNT, "0 (off)", |c, v| count(v).map(|n| c.ckpt_every = (n > 0).then_some(n as usize)),
         "write a checkpoint epoch every `N` steps and resume from the newest valid one"),
     var("NKT_CKPT_DIR", PATH, "`<workspace>/results`", |c, v| path(&mut c.ckpt_dir, v),
         "directory of checkpoint shards and manifests"),
-    var("NKT_MPI_DEADLINE_MS", POSITIVE, "none", |c, v| positive(v).map(|ms| c.recv_deadline = Some(Duration::from_millis(ms))),
+    var("NKT_MPI_DEADLINE_MS", POSITIVE, "none", |c, v| count(v).filter(|&n| n > 0).map(|ms| c.recv_deadline = Some(Duration::from_millis(ms))),
         "host-time cap on any single `recv`/`wait`; a rank that waits longer panics with every rank's blocking site"),
-    var("NKT_GRID", GRID, "`Px1` (slab)", |c, v| parse_grid(v).map(|g| c.grid = Some(g)),
-        "`fourier_dns`: 2-D pencil decomposition on a `PR x PC` process grid"),
-    var("NKT_RANKS", POSITIVE, "4", |c, v| positive(v).map(|n| c.ranks = n as usize),
-        "`fourier_dns`: ranks of the virtual cluster"),
-    var("NKT_NZ", POSITIVE, "8", |c, v| positive(v).map(|n| c.nz = n as usize),
-        "`fourier_dns`: Fourier planes (even)"),
     var("NKT_SERVE_OUT", PATH, "`<workspace>/results/serve_farm`", |c, v| path(&mut c.serve_out, v),
         "`serve_farm`: serve root"),
     var("NKT_PROP_SEED", FOREIGN, "per-test", |_, _| Some(()), "property tests: replay a reported failure"),
@@ -148,16 +123,10 @@ pub struct RunConfig {
     pub summary: bool,
     pub trace_dir: Option<PathBuf>,
     pub prof: bool,
-    pub calib: bool,
-    /// `NKT_STATS` cadence; 0 = not asked for.
-    pub stats: u64,
     pub health: bool,
     pub ckpt_every: Option<usize>,
     pub ckpt_dir: Option<PathBuf>,
     pub recv_deadline: Option<Duration>,
-    pub grid: Option<(usize, usize)>,
-    pub ranks: usize,
-    pub nz: usize,
     pub serve_out: Option<PathBuf>,
 }
 
@@ -168,15 +137,10 @@ impl Default for RunConfig {
             summary: false,
             trace_dir: None,
             prof: false,
-            calib: false,
-            stats: 0,
             health: false,
             ckpt_every: None,
             ckpt_dir: None,
             recv_deadline: None,
-            grid: None,
-            ranks: 4,
-            nz: 8,
             serve_out: None,
         }
     }
@@ -219,28 +183,18 @@ impl RunConfig {
     }
 
     /// The recording mode the run needs: the requested one, raised to
-    /// spans by `NKT_PROF` / `NKT_CALIB` (their inputs are spans) and to
-    /// counters by `NKT_STATS` / `NKT_HEALTH` (the per-rank
-    /// collective-invocation column).
+    /// spans by `NKT_PROF` (its input is spans) and to counters by
+    /// `NKT_HEALTH` (the samples' per-rank collective-invocation column).
     pub fn trace_mode(&self) -> TraceMode {
-        let floor = if self.prof || self.calib {
-            TraceMode::Spans
-        } else if self.stats_every() > 0 {
-            TraceMode::Counters
-        } else {
-            TraceMode::Off
-        };
-        self.trace.max(floor)
+        let spans = if self.prof { TraceMode::Spans } else { TraceMode::Off };
+        let counters = if self.stats_every() > 0 { TraceMode::Counters } else { TraceMode::Off };
+        self.trace.max(spans).max(counters)
     }
 
-    /// Sampling cadence in steps, 0 = none: `NKT_STATS`, or every step
-    /// when only the watchdog is on (rules run at sample points).
+    /// Sampling cadence in steps, 0 = none: every step when the watchdog
+    /// is on (rules run at sample points).
     pub fn stats_every(&self) -> u64 {
-        if self.stats > 0 {
-            self.stats
-        } else {
-            u64::from(self.health)
-        }
+        u64::from(self.health)
     }
 
     /// `NKT_CKPT_DIR`, defaulting to the workspace `results/`.
@@ -297,19 +251,6 @@ mod tests {
             ),
             ("NKT_TRACE_DIR", vec![("/tmp/t", ok(|c| c.trace_dir == Some("/tmp/t".into())))], ""),
             ("NKT_PROF", flag(|c| c.prof), "yes"),
-            ("NKT_CALIB", flag(|c| c.calib), "2"),
-            (
-                "NKT_STATS",
-                vec![
-                    ("1", ok(|c| c.stats == 1)),
-                    ("on", ok(|c| c.stats == 1)),
-                    ("true", ok(|c| c.stats == 1)),
-                    ("5", ok(|c| c.stats == 5)),
-                    ("0", ok(|c| c.stats == 0)),
-                    ("off", ok(|c| c.stats == 0)),
-                ],
-                "every2",
-            ),
             ("NKT_HEALTH", flag(|c| c.health), "enabled"),
             (
                 "NKT_CKPT_EVERY",
@@ -322,17 +263,6 @@ mod tests {
                 vec![("5000", ok(|c| c.recv_deadline == Some(Duration::from_secs(5))))],
                 "5s",
             ),
-            (
-                "NKT_GRID",
-                vec![
-                    ("4x2", ok(|c| c.grid == Some((4, 2)))),
-                    ("1X8", ok(|c| c.grid == Some((1, 8)))),
-                    (" 2 x 3 ", ok(|c| c.grid == Some((2, 3)))),
-                ],
-                "4x0",
-            ),
-            ("NKT_RANKS", vec![("8", ok(|c| c.ranks == 8))], "four"),
-            ("NKT_NZ", vec![("16", ok(|c| c.nz == 16))], "0"),
             ("NKT_SERVE_OUT", vec![("/tmp/s", ok(|c| c.serve_out == Some("/tmp/s".into())))], ""),
             ("NKT_PROP_SEED", vec![("42", ok(|c| *c == RunConfig::default()))], ""),
             ("NKT_PROP_CASES", vec![("1000", ok(|c| *c == RunConfig::default()))], ""),
@@ -366,13 +296,13 @@ mod tests {
 
     #[test]
     fn unknown_nkt_names_error_and_other_variables_are_skipped() {
-        let err = parse(&[("NKT_STATTS", "1")]).expect_err("typo accepted");
+        let err = parse(&[("NKT_PROFF", "1")]).expect_err("typo accepted");
         assert_eq!(
             err,
-            ConfigError { name: "NKT_STATTS".into(), value: "1".into(), expected: KNOWN_NAME }
+            ConfigError { name: "NKT_PROFF".into(), value: "1".into(), expected: KNOWN_NAME }
         );
         let text = err.to_string();
-        assert!(text.contains("NKT_STATTS") && text.contains('1'), "{text}");
+        assert!(text.contains("NKT_PROFF") && text.contains('1'), "{text}");
         // A deleted knob is an unknown name, not a silent no-op.
         for (name, value) in [
             ("NKT_A2A_ALGO", "ring"),
@@ -381,6 +311,11 @@ mod tests {
             ("NKT_STEPS", "10"),
             ("NKT_INJECT_NAN", "2"),
             ("NKT_SERVE_MAX_WORLDS", "1"),
+            ("NKT_CALIB", "1"),
+            ("NKT_STATS", "1"),
+            ("NKT_RANKS", "8"),
+            ("NKT_NZ", "8"),
+            ("NKT_GRID", "4x2"),
         ] {
             let gone = parse(&[(name, value)]).expect_err("deleted knob accepted");
             assert_eq!(gone.expected, KNOWN_NAME, "{name}");
@@ -392,49 +327,40 @@ mod tests {
     #[test]
     fn defaults_are_the_ones_every_reader_had() {
         let c = parse(&[]).unwrap();
-        assert_eq!(c.grid, None);
-        assert_eq!((c.ranks, c.nz), (4, 8));
         assert_eq!((c.ckpt_every, c.ckpt_dir()), (None, crate::results_dir()));
         assert_eq!((c.trace_mode(), c.summary, c.trace_dir.clone()), (TraceMode::Off, false, None));
-        assert!(!c.prof && !c.calib && !c.health);
-        assert_eq!((c.stats, c.stats_every(), c.recv_deadline), (0, 0, None));
+        assert!(!c.prof && !c.health);
+        assert_eq!((c.stats_every(), c.recv_deadline), (0, None));
         assert_eq!(c.serve_out, None);
     }
 
     #[test]
     fn trace_mode_is_the_request_raised_by_the_observers() {
-        // `trace_mode` is the requested mode raised to spans by PROF or
-        // CALIB and to counters by STATS or the watchdog, over every
-        // combination of the four switches.
+        // `trace_mode` is the requested mode raised to spans by PROF and
+        // to counters by the watchdog, over every combination of the two
+        // switches.
         for (trace, requested) in [
             ("off", TraceMode::Off),
             ("counters", TraceMode::Counters),
             ("spans", TraceMode::Spans),
             ("summary", TraceMode::Spans),
         ] {
-            for bits in 0..16u32 {
+            for bits in 0..4u32 {
                 let on = |b: u32| if bits & (1 << b) != 0 { "1" } else { "0" };
-                let c = parse(&[
-                    ("NKT_TRACE", trace),
-                    ("NKT_PROF", on(0)),
-                    ("NKT_CALIB", on(1)),
-                    ("NKT_STATS", on(2)),
-                    ("NKT_HEALTH", on(3)),
-                ])
-                .unwrap();
+                let c =
+                    parse(&[("NKT_TRACE", trace), ("NKT_PROF", on(0)), ("NKT_HEALTH", on(1))]).unwrap();
                 let mut want = requested;
-                if c.prof || c.calib {
+                if c.prof {
                     want = want.max(TraceMode::Spans);
                 }
-                if c.stats > 0 || c.health {
+                if c.health {
                     want = want.max(TraceMode::Counters);
                 }
-                assert_eq!(c.trace_mode(), want, "NKT_TRACE={trace} bits {bits:04b}");
-                assert_eq!(c.stats_every(), u64::from(c.stats > 0 || c.health));
+                assert_eq!(c.trace_mode(), want, "NKT_TRACE={trace} bits {bits:02b}");
+                assert_eq!(c.stats_every(), u64::from(c.health));
                 assert_eq!(c.summary, trace == "summary");
             }
         }
-        assert_eq!(parse(&[("NKT_STATS", "4"), ("NKT_HEALTH", "1")]).unwrap().stats_every(), 4);
     }
 
     #[test]

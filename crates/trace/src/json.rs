@@ -155,7 +155,7 @@ pub fn write(dir: &Path, file: &str, doc: &Value) -> std::io::Result<(PathBuf, S
 
 /// Writes an observer's `doc` as `<KIND>_<run>.json` into
 /// [`crate::out_dir`] and says so on stdout (`<kind>: wrote <path>`), or
-/// on stderr when it cannot: the one epilogue of PROF, CALIB and STATS.
+/// on stderr when it cannot.
 pub fn write_artifact(kind: &str, run: &str, doc: &Value) {
     let tag = kind.to_ascii_lowercase();
     match write(&crate::out_dir(), &format!("{kind}_{run}.json"), doc) {

@@ -11,17 +11,9 @@
 //! cargo run --release --example cylinder_wake
 //! ```
 //!
-//! With `NKT_PROF=1` the run is profiled: the serial solver has no MPI
-//! traffic, so the report reduces to the per-stage attributed-time
-//! table, written to `results/PROF_cylinder_wake.json`.
-//!
-//! With `NKT_STATS=<n>` the run samples online statistics (KE,
-//! enstrophy, divergence, CFL, Reynolds stresses) every n steps and
-//! writes a byte-deterministic `results/STATS_cylinder_wake.json`;
-//! `NKT_HEALTH=1` arms the watchdog rules on every sample.
-//!
-//! With `NKT_CALIB=1` the run is calibrated (measured-vs-modeled drift,
-//! fitted machine constants) into `results/CALIB_cylinder_wake.json`.
+//! Its sampled statistics are a row of `nkt_bench::BASELINES`
+//! (`STATS_cylinder_wake.json`); `NKT_HEALTH=1` samples every step and
+//! arms the watchdog rules on each sample.
 
 use nektar_repro::nektar::drive::{cases, drive, Hook, Serial};
 use nektar_repro::nektar::serial2d::Serial2dSolver;
@@ -58,11 +50,6 @@ fn main() {
     // survives a restart bitwise.
     let cfg = RunConfig::init_from_env();
     let plan = observe::plan(&cfg, "cylinder_wake", 10);
-    if cfg.prof || cfg.calib {
-        // The serial solver runs on the main thread; tag it as rank 0 so
-        // its stage spans land on a profiled timeline.
-        nektar_repro::trace::set_thread_meta("serial".to_string(), Some(0));
-    }
     let mut solver = cases::wake(1, 4);
     println!(
         "bluff-body domain [-15,25]x[-5,5], {} elements (paper: 902; scale with refine)",
@@ -78,7 +65,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    observe::report("cylinder_wake", &out);
+    observe::say_resumed(&out);
 
     println!("\nper-stage share of CPU time after step 1 (paper Figure 12):");
     let mut steady = solver.clock.clone();
@@ -103,5 +90,4 @@ fn main() {
         "\nmatrix inversions take {solves:.0}% of a steady step (paper, 902 elements \
          at order 8: \"the matrix inversions account for 60% of the total CPU time\")"
     );
-    observe::finish(&cfg, "cylinder_wake");
 }

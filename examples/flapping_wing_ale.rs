@@ -6,20 +6,13 @@
 //! cargo run --release --example flapping_wing_ale
 //! ```
 //!
-//! With `NKT_PROF=1` the run is profiled — the gather-scatter exchanges
-//! show up as a first-class `gs` op in the MPI attribution table — and
-//! a deterministic `results/PROF_flapping_wing_ale.json` is written.
-//!
-//! With `NKT_STATS=<n>` the run samples kinetic energy and mesh volume
-//! (the ALE invariant) every n steps into a byte-deterministic
-//! `results/STATS_flapping_wing_ale.json`; `NKT_HEALTH=1` arms the
-//! NaN/Inf and KE-growth watchdog rules.
-//!
-//! With `NKT_CALIB=1` the run is calibrated into
-//! `results/CALIB_flapping_wing_ale.json` — including the **measured**
-//! per-stage windows of the split-phase gather-scatter (`cases::wing`
-//! turns it on) that the Table 3 / Figures 15–16 replays consume instead
-//! of the analytic `1 − 6/V^{1/3}` estimate.
+//! Its profile and calibration are a row of `nkt_bench::BASELINES`:
+//! the profile attributes the split-phase gather-scatter exchanges as
+//! first-class `gs.start` / `gs.finish` ops, and the calibration's
+//! **measured** per-stage windows (`cases::wing` turns the split phase
+//! on) are what the Table 3 / Figures 15–16 replays consume instead of
+//! the analytic `1 − 6/V^{1/3}` estimate. `NKT_HEALTH=1` arms the NaN/Inf
+//! and KE-growth watchdog rules.
 
 use nektar_repro::ckpt::Checkpointable;
 use nektar_repro::nektar::drive::{cases, drive, DriveError};
@@ -44,7 +37,7 @@ fn main() {
         let mut solver = case.build(c);
         let out = drive(&mut solver, c, &plan, &mut ())?;
         if c.rank() == 0 {
-            observe::report("flapping_wing_ale", &out);
+            observe::say_resumed(&out);
         }
         Ok::<_, DriveError>((
             solver.kinetic_energy(c),
@@ -61,8 +54,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Fold the per-rank FNV digests into one run-level state hash:
-    // scripts/check_baselines pins its value in results/HASHES.txt.
+    // Fold the per-rank FNV digests into one run-level state hash: the
+    // flapping_wing_ale row of results/HASHES.txt holds its value.
     let state_hash = out
         .iter()
         .filter_map(|r| r.as_ref().ok().map(|v| v.4))
@@ -75,5 +68,4 @@ fn main() {
     println!("    a (steps 1-4,6)      {a:>5.1}%");
     println!("    b (pressure solve)   {b:>5.1}%");
     println!("    c (Helmholtz solves) {cgrp:>5.1}%");
-    observe::finish(&cfg, "flapping_wing_ale");
 }

@@ -11,36 +11,19 @@
 //! cargo run --release --example fourier_dns
 //! ```
 //!
-//! With `NKT_PROF=1` each network's run is additionally profiled
-//! (MPI attribution, comm matrix, imbalance, critical path) and a
-//! deterministic `results/PROF_fourier_dns_<net>.json` is written.
+//! The run is 3 steps of the pipelined transpose on a 4-rank slab; the
+//! blocking transpose is a scheduling change only (`fourier`'s unit tests
+//! and `pencil_equiv` hold the two to the bit, `ablation_overlap` prints
+//! the wall it costs). The committed profiles, calibrations and samples of
+//! this configuration, and of its 4 × 2 pencil on 8 ranks, are rows of
+//! `nkt_bench::BASELINES`, which `nkt-bench <dir>` runs.
 //!
-//! With `NKT_CALIB=1` each run is calibrated against the machine model:
-//! a measured-vs-modeled drift report plus fitted α–β / kernel-roofline
-//! constants, written to a byte-deterministic
-//! `results/CALIB_fourier_dns_<net>.json` that `scripts/check_baselines`
-//! gates against the committed baseline.
-//!
-//! With `NKT_STATS=<n>` each run samples online turbulence statistics
-//! (KE, dissipation, spectrum, divergence, CFL, Reynolds stresses,
-//! per-rank MPI counters) every n steps and writes a byte-deterministic
-//! `results/STATS_fourier_dns_<net>.json` — `scripts/check_baselines`
-//! gates it against the committed baseline. `NKT_HEALTH=1` arms the watchdog:
-//! a NaN/Inf in the state, runaway KE growth, or a divergence/CFL
-//! excursion aborts with a typed error naming step/rank/field and every
-//! rank dumps its flight-recorder ring (`drive_props`'
-//! `plan_health_arms_the_watchdog_on_every_rank` trips it on purpose).
-//!
-//! Knobs: `NKT_RANKS=<p>` (default 4), `NKT_NZ=<nz>` (default 8), and
-//! `NKT_GRID=PRxPC` to run the 2-D pencil decomposition instead of the
-//! slab — e.g. `NKT_RANKS=8 NKT_GRID=4x2` runs 8 ranks where the slab
-//! would need nz >= 16. Pencil runs suffix the profile/stats name with
-//! the grid so slab baselines stay untouched. The run is 3 steps of the
-//! pipelined transpose; the blocking one is a scheduling change only
-//! (`fourier`'s unit tests and `pencil_equiv` hold the two to the bit,
-//! `ablation_overlap` prints the wall it costs). A misspelt name or
-//! value exits 2 before any world is built (README "Run
-//! configuration").
+//! `NKT_HEALTH=1` arms the watchdog: a NaN/Inf in the state, runaway KE
+//! growth, or a divergence/CFL excursion aborts with a typed error naming
+//! step/rank/field and every rank dumps its flight-recorder ring
+//! (`drive_props`' `plan_health_arms_the_watchdog_on_every_rank` trips it
+//! on purpose). A misspelt name or value exits 2 before any world is
+//! built (README "Run configuration").
 
 use nektar_repro::ckpt::Checkpointable;
 use nektar_repro::nektar::drive::{cases, drive, DriveError};
@@ -53,17 +36,13 @@ type RunOutcome = (f64, StageClock, f64, f64, u64, (&'static str, (usize, usize)
 
 fn main() {
     let cfg = RunConfig::init_from_env();
-    let (p, nsteps) = (cfg.ranks, 3);
+    let (p, nsteps) = (4, 3);
 
     for net_id in [NetId::RoadRunnerMyr, NetId::RoadRunnerEth] {
         let net = cluster(net_id);
         let name = net.name;
-        // The run name keys every artifact of this configuration: the
-        // profile, the STATS series, the flight-recorder dumps.
-        let mut run_name = format!("fourier_dns_{}", nektar_repro::prof::slug(name));
-        if let Some((pr, pc)) = cfg.grid.filter(|&(_, pc)| pc != 1) {
-            run_name.push_str(&format!("_grid{pr}x{pc}"));
-        }
+        // The run name keys the checkpoints and the flight-recorder dumps.
+        let run_name = format!("fourier_dns_{}", nektar_repro::prof::slug(name));
         // NKT_CKPT_EVERY=<n> enables coordinated checkpoint epochs; a
         // restart of this example resumes from the newest one. The
         // stats recorder rides in the same tandem shard, so the series
@@ -71,10 +50,10 @@ fn main() {
         let plan = observe::plan(&cfg, &run_name, nsteps);
         let world = observe::world(&cfg).ranks(p).net(net);
         let out: Vec<Result<RunOutcome, DriveError>> = world.run(|c| {
-            let mut solver = cases::fourier(c, cfg.nz, cfg.grid)?;
+            let mut solver = cases::fourier(c, 8, None)?;
             let out = drive(&mut solver, c, &plan, &mut ())?;
             if c.rank() == 0 {
-                observe::report(&run_name, &out);
+                observe::say_resumed(&out);
             }
             Ok((
                 solver.kinetic_energy(c),
@@ -98,8 +77,7 @@ fn main() {
         println!("== {name}: {p} ranks, {decomp} decomposition ({pr}x{pc} grid) ==");
         println!("   kinetic energy after {nsteps} steps: {energy:.5}");
         println!("   rank-0 CPU {busy:.4}s vs wall {wall:.4}s (difference = network idle)");
-        // scripts/check_baselines pins the FNV state hash in
-        // results/HASHES.txt.
+        // The fourier_dns_* rows of results/HASHES.txt hold this hash.
         println!("   rank-0 state hash: {hash:016x}");
         let pct = clock.percentages();
         println!(
@@ -108,19 +86,5 @@ fn main() {
             pct[Stage::PressureSolve.index()] + pct[Stage::ViscousSolve.index()]
         );
         println!();
-        if let Some(prof) = observe::finish(&cfg, &run_name) {
-            // Self-check: the profile's per-stage host times must agree
-            // with the solvers' own StageClock ledgers (host seconds,
-            // merged over ranks) — the same 1% contract the trace smoke
-            // keeps.
-            let mut ledger = StageClock::new();
-            for r in out.iter().flatten() {
-                ledger.merge(&r.1);
-            }
-            let rows: Vec<(&str, f64)> =
-                Stage::ALL.iter().map(|s| (s.name(), ledger.totals[s.index()])).collect();
-            let err = prof.stage_ledger_check(&rows, 1e-3);
-            println!("prof: stage ledger max rel err {:.4}%", 100.0 * err);
-        }
     }
 }

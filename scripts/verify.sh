@@ -49,23 +49,6 @@ if ! grep -q 'NKT_PROF' <<< "$config_err"; then
     exit 1
 fi
 
-echo "== gs smoke (split-phase gather-scatter ops in the ALE profile) =="
-# The two phases must be attributed as first-class ops: the profiled run
-# has gs.start and gs.finish rows in the MPI attribution table (DESIGN.md
-# §16). That the split phase is bitwise neutral is tier-1's
-# a_two_rank_wing_step_is_bitwise_equal_with_gs_overlap_on_and_off and
-# the baseline gate's ablation_gs_overlap.
-gs_prof="$work/gs_prof"
-mkdir "$gs_prof"
-NKT_PROF=1 NKT_TRACE_DIR="$gs_prof" \
-    cargo run --release --offline --example flapping_wing_ale > /dev/null
-for op in '"gs.start"' '"gs.finish"'; do
-    if ! grep -q "$op" "$gs_prof"/PROF_flapping_wing_ale.json; then
-        echo "FAIL: ALE profile is missing the $op split-phase op" >&2
-        exit 1
-    fi
-done
-
 echo "== checkpoint smoke (write -> corrupt -> detect -> fallback -> bitwise resume) =="
 # restart_dns runs the whole drill in-process: a 2-rank DNS checkpoints
 # epochs, a rank is killed and the run resumes bitwise; then a shard is
@@ -84,83 +67,6 @@ NKT_TRACE=spans NKT_TRACE_DIR="$trace_dir" \
     cargo run --release --offline --example quickstart > /dev/null
 cargo run --release --offline --example trace_timeline -- \
     "$trace_dir/TRACE_quickstart.json" > /dev/null
-
-echo "== prof smoke (NKT_PROF=1: determinism, ledger agreement) =="
-# fourier_dns under NKT_PROF=1 profiles each network's run (MPI
-# attribution, comm matrix, imbalance, critical path), self-checks the
-# per-stage host seconds of its stage spans against the StageClock
-# ledgers, host seconds too (<1%), and writes PROF_*.json. Two runs must
-# produce byte-identical profiles — everything serialized lives on the
-# virtual timeline.
-prof_a="$work/prof_a"
-prof_b="$work/prof_b"
-mkdir "$prof_a" "$prof_b"
-NKT_PROF=1 NKT_TRACE_DIR="$prof_a" \
-    cargo run --release --offline --example fourier_dns > "$prof_a/out.txt"
-grep -q 'prof: wrote' "$prof_a/out.txt"
-NKT_PROF=1 NKT_TRACE_DIR="$prof_b" \
-    cargo run --release --offline --example fourier_dns > /dev/null
-# Pencil profiles (grid-suffixed names): same determinism contract, and
-# the two-stage exchange must show up as distinct sub-communicator ops.
-NKT_PROF=1 NKT_TRACE_DIR="$prof_a" NKT_RANKS=8 NKT_NZ=8 NKT_GRID=4x2 \
-    cargo run --release --offline --example fourier_dns >> "$prof_a/out.txt"
-NKT_PROF=1 NKT_TRACE_DIR="$prof_b" NKT_RANKS=8 NKT_NZ=8 NKT_GRID=4x2 \
-    cargo run --release --offline --example fourier_dns > /dev/null
-for op in '"ialltoall.col"' '"ialltoall.row"'; do
-    if ! grep -q "$op" "$prof_a"/PROF_fourier_dns_roadrunner_myr_grid4x2.json; then
-        echo "FAIL: pencil profile is missing the $op sub-communicator op" >&2
-        exit 1
-    fi
-done
-ledger_fail="$(awk '/stage ledger max rel err/ { if ($7+0 > 1.0) print }' "$prof_a/out.txt")"
-if [[ -n "$ledger_fail" ]]; then
-    echo "FAIL: profiler stage host seconds disagree with the StageClock host ledger by >1%" >&2
-    echo "$ledger_fail" >&2
-    exit 1
-fi
-for f in "$prof_a"/PROF_*.json; do
-    name="$(basename "$f")"
-    if ! cmp -s "$f" "$prof_b/$name"; then
-        echo "FAIL: $name differs between two identical profiled runs" >&2
-        exit 1
-    fi
-done
-
-echo "== stats smoke (NKT_STATS=1: byte determinism, restart identity) =="
-# Online statistics are serialized from the virtual timeline: two fresh
-# instrumented runs must write byte-identical STATS_*.json (DESIGN.md
-# §14). The watchdog's trip and every rank's flight dump are tier-1's
-# drive_props::plan_health_arms_the_watchdog_on_every_rank.
-stats_a="$work/stats_a"
-stats_b="$work/stats_b"
-stats_ck="$work/stats_ck"
-mkdir "$stats_a" "$stats_b" "$stats_ck"
-NKT_STATS=1 NKT_TRACE_DIR="$stats_a" \
-    cargo run --release --offline --example fourier_dns > /dev/null
-NKT_STATS=1 NKT_TRACE_DIR="$stats_b" \
-    cargo run --release --offline --example fourier_dns > /dev/null
-for f in "$stats_a"/STATS_*.json; do
-    name="$(basename "$f")"
-    if ! cmp -s "$f" "$stats_b/$name"; then
-        echo "FAIL: $name differs between two identical instrumented runs" >&2
-        exit 1
-    fi
-done
-# Restart identity: the recorder rides in the checkpoint tandem shard,
-# so a run resumed from the epoch-2 cut must reproduce the full series
-# bitwise — samples before the cut restored, ledger counters rebased.
-NKT_STATS=1 NKT_CKPT_EVERY=2 NKT_CKPT_DIR="$stats_ck" NKT_TRACE_DIR="$stats_b" \
-    cargo run --release --offline --example fourier_dns > /dev/null
-NKT_STATS=1 NKT_CKPT_EVERY=2 NKT_CKPT_DIR="$stats_ck" NKT_TRACE_DIR="$stats_ck" \
-    cargo run --release --offline --example fourier_dns > "$stats_ck/out.txt"
-grep -q 'resumed from checkpoint' "$stats_ck/out.txt"
-for f in "$stats_b"/STATS_*.json; do
-    name="$(basename "$f")"
-    if ! cmp -s "$f" "$stats_ck/$name"; then
-        echo "FAIL: $name differs between a straight run and a restart from the cut" >&2
-        exit 1
-    fi
-done
 
 echo "== serve smoke (job farm: preemption, then byte-identical manifests on rerun) =="
 # serve_farm runs a four-job contended batch (two world slots, a
@@ -197,35 +103,6 @@ for ev in admit cut complete; do
     fi
 done
 
-echo "== calib smoke (NKT_CALIB=1: byte determinism, measured windows) =="
-# Calibrations serialize only virtual-timeline quantities and exact
-# counters: two instrumented runs must write byte-identical CALIB_*.json
-# (DESIGN.md §17).
-calib_a="$work/calib_a"
-calib_b="$work/calib_b"
-mkdir "$calib_a" "$calib_b"
-NKT_CALIB=1 NKT_TRACE_DIR="$calib_a" \
-    cargo run --release --offline --example fourier_dns > /dev/null
-NKT_CALIB=1 NKT_TRACE_DIR="$calib_b" \
-    cargo run --release --offline --example fourier_dns > /dev/null
-NKT_CALIB=1 NKT_TRACE_DIR="$calib_a" \
-    cargo run --release --offline --example flapping_wing_ale > /dev/null
-NKT_CALIB=1 NKT_TRACE_DIR="$calib_b" \
-    cargo run --release --offline --example flapping_wing_ale > /dev/null
-for f in "$calib_a"/CALIB_*.json; do
-    name="$(basename "$f")"
-    if ! cmp -s "$f" "$calib_b/$name"; then
-        echo "FAIL: $name differs between two identical calibrated runs" >&2
-        exit 1
-    fi
-done
-# The ALE calibration must carry the measured split-phase gs windows the
-# Table 3 / Fig 15-16 replays consume.
-if ! grep -q '"stage": "PressureSolve", "applies"' "$calib_a/CALIB_flapping_wing_ale.json"; then
-    echo "FAIL: ALE calibration has no measured overlap windows" >&2
-    exit 1
-fi
-
 echo "== oracle suite (run before regenerating a hash: these say \"still right\", a hash only \"changed\") =="
 # A change that reassociates a solver moves its pinned state hashes on
 # purpose; what licenses regenerating them is this suite passing first,
@@ -251,9 +128,37 @@ cargo test -q --offline -p nektar --lib -- taylor_green_tracks_exact_solution \
     kinetic_energy_decays_at_viscous_rate k0_mode_matches_serial_2d_solver
 cargo test -q --offline -p nkt-spectral --lib -- poisson_spectral_convergence_in_p
 
+echo "== baseline determinism (two nkt-bench runs, the same bytes; the split-phase and pencil ops attributed) =="
+# Everything nkt-bench writes lives on the virtual timeline: two runs into
+# two directories must agree byte for byte (tables, PROF, CALIB, STATS,
+# HASHES.txt). The profiles attribute the ALE's split-phase
+# gather-scatter as gs.start / gs.finish (DESIGN.md §16) and the pencil
+# transpose as two sub-communicator exchanges (§13). The calibration's
+# measured PressureSolve window is tier-1's observer_pin, STATS restart
+# identity drive_props' *_stop_and_resume_is_invisible, and the profile's
+# 1% agreement with the StageClock ledgers nkt-bench's stage_ledger test.
+bench_a="$work/bench_a"
+bench_b="$work/bench_b"
+cargo run --release --offline --quiet -p nkt-bench -- "$bench_a" > /dev/null
+cargo run --release --offline --quiet -p nkt-bench -- "$bench_b" > /dev/null
+if ! diff -r "$bench_a" "$bench_b" >&2; then
+    echo "FAIL: two nkt-bench runs wrote different files (above)" >&2
+    exit 1
+fi
+for want in 'PROF_flapping_wing_ale.json "gs.start"' 'PROF_flapping_wing_ale.json "gs.finish"' \
+    'PROF_fourier_dns_roadrunner_myr_grid4x2.json "ialltoall.col"' \
+    'PROF_fourier_dns_roadrunner_myr_grid4x2.json "ialltoall.row"'; do
+    file="${want%% *}"
+    op="${want#* }"
+    if ! grep -qF "$op" "$bench_a/$file"; then
+        echo "FAIL: $file is missing the $op op" >&2
+        exit 1
+    fi
+done
+
 echo "== baseline gate (every file under results/ regenerated and held to its baseline) =="
 # PROF/STATS/CALIB rows inside their bands, every model table/figure and
-# the examples' state hashes byte for byte, no file or row on one side
+# the baseline runs' state hashes byte for byte, no file or row on one side
 # only. Gating: an intended change commits the regenerated baseline.
 gate_out="$(scripts/check_baselines)" || {
     grep -E 'REGRESSED|MISSING|NEW \(|nkt-diff:|check_baselines:' <<< "$gate_out" >&2
