@@ -70,7 +70,7 @@ fn scaling_blocks<const N: usize>(
         let (m, net) = (machine(*mid), cluster(*nid));
         writeln!(o, "== {label} ==")?;
         writeln!(o, "{:>6} {:>16} {:>16}", "P", "paper cpu/wall", "model cpu/wall")?;
-        if run.prof {
+        if run.prof.is_some() {
             nkt_trace::set_thread_meta(format!("replay {label}"), Some(0));
         }
         let mut vt_end = 0.0;
@@ -80,7 +80,7 @@ fn scaling_blocks<const N: usize>(
                 continue;
             }
             let t = replay(&steps[col], &m, &net, p);
-            if run.prof {
+            if run.prof.is_some() {
                 vt_end = t.record_trace_spans(vt_end);
             }
             let paper_s =
@@ -88,12 +88,15 @@ fn scaling_blocks<const N: usize>(
             writeln!(o, "{:>6} {:>16} {:>13.2}/{:.2}", p, paper_s, t.cpu.total(), t.wall.total())?;
         }
         writeln!(o)?;
-        if run.prof {
+        if let Some(dir) = &run.prof {
             let name = format!("{table}_{}", nkt_prof::slug(label));
             let ranks = nkt_prof::from_threads(&nkt_trace::take_collected());
             let profile = nkt_prof::Profile::from_ranks(&name, &ranks);
             print!("{}", profile.report());
-            nkt_trace::json::write_artifact("PROF", &name, &profile.document());
+            match nkt_trace::json::write(dir, &format!("PROF_{name}.json"), &profile.document()) {
+                Ok((path, _)) => println!("prof: wrote {}", path.display()),
+                Err(e) => eprintln!("prof: cannot write {e}"),
+            }
         }
     }
     Ok(())
@@ -213,7 +216,7 @@ pub(crate) fn fig13_14_f_stages(_: &Run, o: &mut String) -> fmt::Result {
 }
 
 #[rustfmt::skip]
-const TABLE3: [System<4>; 5] = [
+pub(crate) const TABLE3: [System<4>; 5] = [
     ("AP3000", MachineId::Ap3000, NetId::Ap3000, [Some((43.23, 43.674)), None, None, None]),
     ("NCSA", MachineId::Ncsa, NetId::Ncsa,
         [Some((25.71, 25.79)), Some((9.87, 10.08)), Some((6.97, 6.99)), Some((5.72, 6.04))]),

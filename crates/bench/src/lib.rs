@@ -28,8 +28,8 @@ use std::fmt::{self, Write as _};
 /// and the one paper-shape serial step Table 1 and Figure 12 replay.
 pub struct Run {
     /// `NKT_PROF`: Tables 2 and 3 profile their replayed timelines into
-    /// `PROF_<table>_<system>.json`.
-    pub prof: bool,
+    /// `PROF_<table>_<system>.json` in this directory, the run's own.
+    pub prof: Option<std::path::PathBuf>,
     /// [`paper_serial_step`], recorded once a run.
     pub serial_step: OpRecording,
 }
@@ -301,6 +301,32 @@ mod tests {
             .collect();
         committed.sort();
         assert_eq!(names, committed);
+    }
+
+    /// Under `NKT_PROF` the replay profiles land in the run's own
+    /// directory, never in `results/`: Table 3's (the cheaper of the two
+    /// profiled tables) into a fresh directory, one per system.
+    #[test]
+    fn replay_profiles_land_in_the_run_directory() {
+        let dir = std::env::temp_dir().join(format!("nkt-bench-prof-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("a fresh directory");
+        let profiles = |d: &std::path::Path| -> Vec<String> {
+            let names = std::fs::read_dir(d).expect("a readable directory");
+            let mut names: Vec<String> = names
+                .map(|e| e.expect("a readable directory entry").file_name().into_string().unwrap())
+                .filter(|f| f.starts_with("PROF_table"))
+                .collect();
+            names.sort();
+            names
+        };
+        let before = profiles(&nkt_trace::results_dir());
+        let run = Run { prof: Some(dir.clone()), serial_step: OpRecording::new() };
+        apps::table3_nektar_ale(&run, &mut String::new()).expect("writing to a String cannot fail");
+        let written = profiles(&dir);
+        std::fs::remove_dir_all(&dir).expect("the directory this test made");
+        assert_eq!(written.len(), apps::TABLE3.len(), "{written:?}");
+        assert!(written.iter().all(|f| f.starts_with("PROF_table3_nektar_ale_") && f.ends_with(".json")));
+        assert_eq!(profiles(&nkt_trace::results_dir()), before);
     }
 
     /// The recording is the paper-scale step ("902 elements and

@@ -22,7 +22,8 @@ fn main() -> ExitCode {
         eprintln!("nkt-bench: {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
-    let run = nkt_bench::Run { prof: cfg.prof, serial_step: nkt_bench::paper_serial_step() };
+    let prof = cfg.prof.then(|| dir.clone());
+    let run = nkt_bench::Run { prof, serial_step: nkt_bench::paper_serial_step() };
     for (name, write) in nkt_bench::ARTIFACTS {
         // Under NKT_PROF=1 an artifact's profiles see its own spans only,
         // not the paper step's or an earlier artifact's native worlds'.

@@ -57,7 +57,9 @@ impl Isa {
     ///
     /// # Panics
     /// If `self` is [`Isa::Avx2`] and the host does not support it.
-    #[inline]
+    /// Inlined, so that a caller that has matched on `self` builds only
+    /// the arm it takes.
+    #[inline(always)]
     pub fn run<K: Kernel>(self, kernel: K) -> K::Output {
         match self {
             Isa::Portable => kernel.run(),

@@ -77,6 +77,11 @@ impl Coeffs<6> for [[ModeCoeffs; 3]] {
         let [u, v, w] = &mut self[mi];
         [&mut u.a, &mut u.b, &mut v.a, &mut v.b, &mut w.a, &mut w.b]
     }
+
+    fn plane(&self, mi: usize, i: usize) -> &[f64] {
+        let c = &self[mi][i / 2];
+        if i.is_multiple_of(2) { &c.a } else { &c.b }
+    }
 }
 
 /// Spanwise wavenumber β = 2πk/L_z of global mode `k`.
@@ -357,13 +362,9 @@ impl NektarF {
         let ng = if grad { 12 * nq } else { 0 };
         let (gx, gy) = plane.grad[..ng].split_at_mut(ng / 2);
         let [u, v, w] = &self.fields[mi];
-        for (i, coef) in [&u.a, &u.b, &v.a, &v.b, &w.a, &w.b].into_iter().enumerate() {
-            let r = i * nq..(i + 1) * nq;
-            disc.to_quad_into(coef, &mut plane.planes[r.clone()], &mut plane.scratch);
-            if grad {
-                disc.grad_quad_into(coef, &mut gx[r.clone()], &mut gy[r], &mut plane.scratch);
-            }
-        }
+        let coefs = [&u.a, &u.b, &v.a, &v.b, &w.a, &w.b];
+        let (vals, grad) = (Some(&mut plane.planes[..6 * nq]), grad.then_some([gx, gy]));
+        disc.quad_planes_into(6, |i| coefs[i], vals, grad, &mut plane.scratch);
         (&plane.planes, &plane.grad[..ng])
     }
 

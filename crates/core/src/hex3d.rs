@@ -20,6 +20,7 @@
 use crate::opstream::{CommItem, Recorder, WorkItem};
 use crate::timers::Stage;
 use nkt_blas::isa::{dispatch, Isa, Kernel};
+use nkt_blas::transform::{transform, Pass, Run, Steps, LANES};
 use nkt_blas::{sweep, Axis};
 use nkt_gs::{GsHandle, GsStrategy};
 use nkt_mesh::{BoundaryTag, Mesh3d};
@@ -103,12 +104,11 @@ impl Oper1d {
     /// larger of the Helmholtz kernel's (for each of [`LANES`] elements:
     /// two element vectors, four intermediates, three scaled 1-D
     /// matrices; and one element vector to scatter from) and a
-    /// [`transform_elems`] pass's (for each lane: an input, two
-    /// intermediates and three outputs of at most nq³; and one element
-    /// vector to scatter from).
+    /// [`hex_pass`]'s of three outputs, either way.
     pub fn scratch_len(&self) -> usize {
-        let (n2, n3, q3) = (self.nm * self.nm, self.nm.pow(3), self.basis.nquad().pow(3));
-        (LANES * (6 * n3 + 3 * n2) + n3).max(LANES * 6 * q3 + q3)
+        let (nm, nq) = (self.nm, self.basis.nquad());
+        let pass = |n_in, n_out| nkt_blas::transform::scratch_len::<3>(n_in, n_out, 3);
+        (LANES * (6 * nm.pow(3) + 3 * nm * nm) + nm.pow(3)).max(pass(nm, nq)).max(pass(nq, nm))
     }
 
     /// The x, y and z sweep tables of one output of a transform to the
@@ -539,7 +539,7 @@ impl HexHelmholtz {
         self.pass(false, grad, Gather::Points(fq), Scatter::Dofs(rhs), scratch);
     }
 
-    /// One [`transform_elems`] pass over every owned element, to the
+    /// One [`hex_pass`] over every owned element, to the
     /// quadrature points (`to_quad`) or back to the modes: of the values,
     /// or with `grad` of the reference derivative in each direction.
     fn pass(
@@ -555,7 +555,7 @@ impl HexHelmholtz {
         let tabs = [0, 1, 2].map(|d| op.tables(to_quad, grad.then_some(d)));
         let n = if to_quad { [op.nm, op.basis.nquad()] } else { [op.basis.nquad(), op.nm] };
         let (tabs, elems, dofs) = (&tabs[..outs], &self.elem_all[..], &self.elem_local[..]);
-        transform_elems(Isa::host(), Pass { n, tabs, elems, dofs, gather, scatter, scratch });
+        hex_pass(Isa::host(), n, tabs, elems, dofs, gather, scatter, scratch);
     }
 
     /// Applies the assembled member `coefs` = `[λ, kc]`: y =
@@ -842,10 +842,6 @@ pub fn helm_coefs([hx, hy, hz]: [f64; 3], lambda: f64, kc: f64) -> [f64; 4] {
     [kc * sy * sz / sx, kc * sx * sz / sy, kc * sx * sy / sz, lambda * sx * sy * sz]
 }
 
-/// Elements the Helmholtz kernel contracts together: the lane count of
-/// its tiles, whose innermost, contiguous index is the element.
-const LANES: usize = 4;
-
 /// Scatter-adds the elemental Helmholtz operator of every element `e` of
 /// `elems` — [`helm_coefs`] `coefs(e)` of the 1-D `mats` `[M, K]` (nm × nm,
 /// modal or nodal), local dofs `dofs[e·nm³..][..nm³]` — applied to `x`
@@ -964,8 +960,8 @@ impl<C: Fn(usize) -> [f64; 4], const NM: usize> Kernel for ApplyElems<'_, C, NM>
 
 /// Scatter-adds T ⊗ T ⊗ T x_e of every element `e` of `elems` (local dofs
 /// `dofs[e·nm³..][..nm³]`) into `y`, where `table` is the column-major
-/// nm × nm sweep table T — [`Oper1d`]'s V⁻ᵀ, V⁻¹ or V: one
-/// [`transform_elems`] pass, three sweeps of the one table, 6·nm⁴ flops.
+/// nm × nm sweep table T — [`Oper1d`]'s V⁻ᵀ, V⁻¹ or V: one [`hex_pass`],
+/// three sweeps of the one table, 6·nm⁴ flops.
 fn basis_elems(
     nm: usize,
     table: &[f64],
@@ -976,10 +972,10 @@ fn basis_elems(
     scratch: &mut [f64],
 ) {
     let (tabs, gather, scatter) = (&[[table; 3]], Gather::Dofs(x), Scatter::Dofs(y));
-    transform_elems(Isa::host(), Pass { n: [nm, nm], tabs, elems, dofs, gather, scatter, scratch });
+    hex_pass(Isa::host(), [nm, nm], tabs, elems, dofs, gather, scatter, scratch);
 }
 
-/// What a [`transform_elems`] pass reads of each element.
+/// What a [`hex_pass`] reads of each element.
 #[derive(Clone, Copy)]
 enum Gather<'a> {
     /// Its modes' values in a dof vector, through its local dofs: the
@@ -990,7 +986,7 @@ enum Gather<'a> {
     Points(&'a [&'a [f64]]),
 }
 
-/// Where a [`transform_elems`] pass puts each element's outputs.
+/// Where a [`hex_pass`] puts each element's outputs.
 enum Scatter<'a, 'b> {
     /// Output `k` of owned element `le` into `outs[k][le·n_out³..]`; with
     /// a metric `h` (the elements' box sizes), as (v·2)/h[le][k], a
@@ -1002,130 +998,87 @@ enum Scatter<'a, 'b> {
     Dofs(&'a mut [f64]),
 }
 
-/// The operands of one [`transform_elems`] pass.
-struct Pass<'a, 'b> {
-    /// `[n_in, n_out]`: points or modes per direction in and out.
-    n: [usize; 2],
-    /// Per output, its x, y and z sweep tables (column-major n_out × n_in).
-    tabs: &'a [[&'a [f64]; 3]],
-    /// The elements, in the order their outputs scatter.
-    elems: &'a [usize],
-    /// Local dofs of every element, nm³ each.
+/// A hex pass's per-lane steps: one plane an element, its modes through
+/// `dofs` (nm³ each) on the dof side and `points` values on the other.
+struct HexSteps<'a, 'b> {
+    modes: usize,
+    points: usize,
     dofs: &'a [usize],
     gather: Gather<'a>,
     scatter: Scatter<'a, 'b>,
-    scratch: &'a mut [f64],
 }
 
-/// Runs the elemental tensor transform `pass` in the build `isa`: for
-/// every element and every output `k`, the three sweeps of `tabs[k]` (x,
-/// then y, then z) take the element's `n_in³` input to `n_out³` values —
-/// modes to quadrature points, points to modes, or modes to modes.
-/// [`LANES`] elements at a time, in [`apply_elems`]'s tiles: each block is
-/// gathered into point-major, element-minor tiles, each sweep runs over
-/// all lanes at once, and every value sees the operations a lone
-/// element's sweeps would, in the same order. The unused lanes of a short
-/// last block are computed and never read. `scratch` holds at least
-/// `LANES·(n_in³ + n_out·n_in² + n_out²·n_in + outputs·n_out³) + n_out³`
-/// doubles ([`Oper1d::scratch_len`]). The counts of the orders the
-/// solvers run (2–4) are compile-time constants of the one body below —
-/// (nm, nq), (nq, nm) and (nm, nm) — and any other order takes the same
-/// body with the counts of `pass`.
-fn transform_elems(isa: Isa, pass: Pass) {
-    match pass.n {
-        [3, 4] => isa.run(Transform::<3, 4>(pass)),
-        [4, 5] => isa.run(Transform::<4, 5>(pass)),
-        [5, 6] => isa.run(Transform::<5, 6>(pass)),
-        [4, 3] => isa.run(Transform::<4, 3>(pass)),
-        [5, 4] => isa.run(Transform::<5, 4>(pass)),
-        [6, 5] => isa.run(Transform::<6, 5>(pass)),
-        [3, 3] => isa.run(Transform::<3, 3>(pass)),
-        [4, 4] => isa.run(Transform::<4, 4>(pass)),
-        [5, 5] => isa.run(Transform::<5, 5>(pass)),
-        _ => isa.run(Transform::<0, 0>(pass)),
-    }
-}
-
-/// [`transform_elems`]'s pass for the counts `NI`, `NO` (`0`: read from
-/// the pass).
-struct Transform<'a, 'b, const NI: usize, const NO: usize>(Pass<'a, 'b>);
-
-impl<const NI: usize, const NO: usize> Kernel for Transform<'_, '_, NI, NO> {
-    type Output = ();
-
-    /// The one body of [`transform_elems`], inlined into both builds.
+impl Steps for HexSteps<'_, '_> {
     #[inline(always)]
-    fn run(self) {
-        let Pass { n: [ni, no], tabs, elems, dofs, gather, mut scatter, scratch } = self.0;
-        const L: usize = LANES;
-        let (ni, no) = if NI == 0 { (ni, no) } else { (NI, NO) };
-        let (ni3, no3) = (ni * ni * ni, no * no * no);
-        if let Gather::Points(fq) = gather {
-            assert_eq!(fq.len(), tabs.len(), "one input per output");
+    fn gather(&mut self, run: &Run, k: usize, x: &mut [f64]) {
+        let (le, e) = (run.elem, run.lane);
+        match self.gather {
+            Gather::Dofs(v) => {
+                let md = self.dofs[le * self.modes..][..self.modes].iter();
+                md.enumerate().for_each(|(m, &l)| x[m * LANES + e] = v[l]);
+            }
+            Gather::Points(fq) => {
+                let fe = fq[k][le * self.points..][..self.points].iter();
+                fe.enumerate().for_each(|(q, &f)| x[q * LANES + e] = f);
+            }
         }
-        // Compile-time counts fix the way: modes to points read a dof
-        // vector and store points, points to modes the reverse, modes to
-        // modes dof vector to dof vector. Held here, the branches a pair
-        // never runs drop out of its body.
-        let (from_dofs, to_dofs) =
-            (matches!(gather, Gather::Dofs(_)), matches!(scatter, Scatter::Dofs(_)));
-        assert!(
-            NI == 0 || (from_dofs == (NI <= NO) && to_dofs == (NI >= NO)),
-            "a pass of the wrong way"
-        );
-        let mut rest = scratch;
-        let mut take = |n: usize| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
-            rest = tail;
-            head
-        };
-        let (xt, t1, t2) = (take(ni3 * L), take(no * ni * ni * L), take(no * no * ni * L));
-        let (yt, ye) = (take(no3 * L * tabs.len()), take(no3));
-        let [ax, ay, az] = Axis::tensor(ni, no).map(|a| Axis { pre: a.pre * L, ..a });
-        for block in elems.chunks(L) {
-            if let Gather::Dofs(x) = gather {
-                for (e, &le) in block.iter().enumerate() {
-                    let md = dofs[le * ni3..][..ni3].iter();
-                    md.enumerate().for_each(|(m, &l)| xt[m * L + e] = x[l]);
-                }
-            }
-            for (k, ([tx, ty, tz], yk)) in tabs.iter().zip(yt.chunks_exact_mut(no3 * L)).enumerate()
-            {
-                if let Gather::Points(fq) = gather {
-                    for (e, &le) in block.iter().enumerate() {
-                        let fe = fq[k][le * ni3..][..ni3].iter();
-                        fe.enumerate().for_each(|(q, &f)| xt[q * L + e] = f);
-                    }
-                }
-                sweep::<false, L>(tx, 1, ax, xt, t1);
-                sweep::<false, L>(ty, 1, ay, t1, t2);
-                sweep::<false, L>(tz, 1, az, t2, yk);
-                if let Scatter::Points(outs, metric) = &mut scatter {
-                    for (e, &le) in block.iter().enumerate() {
-                        let out = outs[k][le * no3..][..no3].iter_mut().enumerate();
-                        if let Some(h) = metric {
-                            let hk = h[le][k];
-                            out.for_each(|(q, o)| *o = yk[q * L + e] * 2.0 / hk);
-                        } else {
-                            out.for_each(|(q, o)| *o = yk[q * L + e]);
-                        }
+    }
+
+    #[inline(always)]
+    fn scatter(&mut self, run: &Run, y: &[f64]) {
+        let (le, e) = (run.elem, run.lane);
+        match &mut self.scatter {
+            Scatter::Points(outs, metric) => {
+                let n = self.points;
+                for (k, (out, yk)) in outs.iter_mut().zip(y.chunks_exact(n * LANES)).enumerate() {
+                    let out = out[le * n..][..n].iter_mut().enumerate();
+                    if let Some(h) = metric {
+                        let hk = h[le][k];
+                        out.for_each(|(q, o)| *o = yk[q * LANES + e] * 2.0 / hk);
+                    } else {
+                        out.for_each(|(q, o)| *o = yk[q * LANES + e]);
                     }
                 }
             }
-            if let Scatter::Dofs(y) = &mut scatter {
-                for (e, &le) in block.iter().enumerate() {
-                    for yk in yt.chunks_exact(no3 * L) {
-                        for (m, ym) in ye.iter_mut().enumerate() {
-                            *ym = yk[m * L + e];
-                        }
-                        for (&l, ym) in dofs[le * no3..][..no3].iter().zip(&*ye) {
-                            y[l] += ym;
-                        }
+            Scatter::Dofs(v) => {
+                let n = self.modes;
+                for yk in y.chunks_exact(n * LANES) {
+                    for (m, &l) in self.dofs[le * n..][..n].iter().enumerate() {
+                        v[l] += yk[m * LANES + e];
                     }
                 }
             }
         }
     }
+}
+
+/// Runs the elemental tensor transform of every element of `elems`
+/// through [`nkt_blas::transform`] in the build `isa`: for every output
+/// `k`, the three sweeps of `tabs[k]` (x, then y, then z) take the
+/// element's `n_in³` input to `n_out³` values — modes to quadrature
+/// points, points to modes, or modes to modes, `[n_in, n_out]` = `n` —
+/// [`LANES`] elements a block. `scratch` holds at least
+/// [`nkt_blas::transform::scratch_len`] doubles of three outputs
+/// ([`Oper1d::scratch_len`]).
+#[allow(clippy::too_many_arguments)]
+fn hex_pass(
+    isa: Isa,
+    n: [usize; 2],
+    tabs: &[[&[f64]; 3]],
+    elems: &[usize],
+    dofs: &[usize],
+    gather: Gather,
+    scatter: Scatter,
+    scratch: &mut [f64],
+) {
+    let shared = matches!(gather, Gather::Dofs(_));
+    if let Gather::Points(fq) = gather {
+        assert_eq!(fq.len(), tabs.len(), "one input per output");
+    }
+    let [modes, points] = [n[0].min(n[1]), n[0].max(n[1])].map(|c| c * c * c);
+    let steps = &mut HexSteps { modes, points, dofs, gather, scatter };
+    let (sum, planes) = (false, 1);
+    transform(isa, Pass { n, tabs, shared, sum, elems, planes, steps, scratch });
 }
 
 #[cfg(test)]
@@ -1461,7 +1414,7 @@ mod tests {
         });
     }
 
-    /// Runs one [`transform_elems`] pass in the build `isa`, on NaN scratch.
+    /// Runs one [`hex_pass`] in the build `isa`, on NaN scratch.
     fn run_pass(
         isa: Isa,
         n: [usize; 2],
@@ -1471,13 +1424,12 @@ mod tests {
         gather: Gather,
         scatter: Scatter,
     ) {
-        let big = n[0].max(n[1]).pow(3);
-        let scratch = &mut vec![f64::NAN; LANES * 6 * big + big];
-        transform_elems(isa, Pass { n, tabs, elems, dofs, gather, scatter, scratch });
+        let scratch = &mut vec![f64::NAN; nkt_blas::transform::scratch_len::<3>(n[0], n[1], 3)];
+        hex_pass(isa, n, tabs, elems, dofs, gather, scatter, scratch);
     }
 
     /// Quadrature values of one element's modes `x` (`deriv`: the
-    /// reference derivative in that direction), through [`transform_elems`].
+    /// reference derivative in that direction), through [`hex_pass`].
     fn elem_to_quad(op: &Oper1d, x: &[f64], deriv: Option<usize>) -> Vec<f64> {
         let (nm, nq) = (op.nm, op.basis.nquad());
         let (dofs, mut out) = ((0..nm.pow(3)).collect::<Vec<_>>(), vec![f64::NAN; nq.pow(3)]);
@@ -1495,7 +1447,7 @@ mod tests {
     }
 
     /// One element's projection Σ_q fq(q) φ_m(q) (∂φ_m in `deriv`),
-    /// through [`transform_elems`].
+    /// through [`hex_pass`].
     fn elem_to_modal(op: &Oper1d, fq: &[f64], deriv: Option<usize>) -> Vec<f64> {
         let (nm, nq) = (op.nm, op.basis.nquad());
         let (dofs, mut out) = ((0..nm.pow(3)).collect::<Vec<_>>(), vec![0.0; nm.pow(3)]);
@@ -1558,7 +1510,7 @@ mod tests {
         sweep::<false, 1>(m[2], 1, az, &t2, out);
     }
 
-    /// Every way [`transform_elems`] runs in the solver against the
+    /// Every way [`hex_pass`] runs in the solver against the
     /// per-element [`sweep3`] loop nests it replaced, in every build the
     /// host has, every output to the bit: the values and the physical
     /// gradient ((v·2)/h of each reference derivative) at the quadrature

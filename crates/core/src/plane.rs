@@ -33,11 +33,18 @@ fn dz(beta: f64, src: &[f64], dst: &mut [f64]) {
 pub(crate) trait Coeffs<const PL: usize> {
     /// Mode `mi`'s `ncomp × nphase` vectors, component-major.
     fn mode(&mut self, mi: usize) -> [&mut [f64]; PL];
+
+    /// Vector `i` of mode `mi`'s.
+    fn plane(&self, mi: usize, i: usize) -> &[f64];
 }
 
 impl<const N: usize> Coeffs<N> for [&mut Vec<f64>; N] {
     fn mode(&mut self, _mi: usize) -> [&mut [f64]; N] {
         self.each_mut().map(|v| v.as_mut_slice())
+    }
+
+    fn plane(&self, _mi: usize, i: usize) -> &[f64] {
+        self[i]
     }
 }
 
@@ -131,7 +138,7 @@ impl PlaneStep {
             hat: vec![0.0; layout.level_len()],
             planes: vec![0.0; nplanes * layout.nq],
             band: vec![0.0; nplanes * disc.asm.nboundary],
-            scratch: disc.plane_scratch(nplanes),
+            scratch: disc.plane_scratch(),
         };
         let ramp = |mi| (1..scheme_order).map(|j| plane.viscous(disc, mi, j)).collect();
         plane.ramp = (0..layout.nmodes).map(ramp).collect();
@@ -190,13 +197,14 @@ impl PlaneStep {
         // level: written in place, never copied.
         let (mut vel, mut nonlin) = self.hist.levels();
 
-        // Stage 1: modal -> quadrature, every plane.
+        // Stage 1: modal -> quadrature, every plane of the level in one
+        // call (level plane `i` is component i / (nmodes·PH), mode
+        // i / PH % nmodes, phase i % PH).
         let t0 = StageTimer::start(Stage::BwdTransform);
-        for mi in 0..l.nmodes {
-            for (i, coef) in coeffs.mode(mi).iter().enumerate() {
-                disc.to_quad_into(coef, &mut vel[l.at(i / PH, mi, i % PH)], &mut self.scratch);
-            }
-        }
+        let nplanes = l.nmodes * PL;
+        let cf = &*coeffs;
+        let plane = |i: usize| cf.plane(i / PH % l.nmodes, i / (l.nmodes * PH) * PH + i % PH);
+        disc.quad_planes_into(nplanes, plane, Some(&mut vel), None, &mut self.scratch);
         let values = |nm, nq| WorkItem::Gemm { m: nq, n: PH, k: nm };
         (0..l.nmodes * l.ncomp).for_each(|_| rec.work_per_elem(disc, Stage::BwdTransform, values));
         sc.add(Stage::BwdTransform, t0.stop());
@@ -206,12 +214,7 @@ impl PlaneStep {
         if seam.advects() {
             let (gx, rest) = self.grad.split_at_mut(l.level_len());
             let (gy, gz) = rest.split_at_mut(l.level_len());
-            for mi in 0..l.nmodes {
-                for (i, coef) in coeffs.mode(mi).iter().enumerate() {
-                    let r = l.at(i / PH, mi, i % PH);
-                    disc.grad_quad_into(coef, &mut gx[r.clone()], &mut gy[r], &mut self.scratch);
-                }
-            }
+            disc.quad_planes_into(nplanes, plane, None, Some([gx, gy]), &mut self.scratch);
             if rec.rec.is_some() {
                 for _ in 0..l.nmodes * l.ncomp {
                     for ei in 0..disc.mesh.nelems() {
@@ -276,19 +279,15 @@ impl PlaneStep {
             // Stage 6: viscous right-hand sides (1/νΔt) ∫ u**·φ, with
             // u** = û − Δt ∇p formed once per point over the planes of ∇p.
             let t0 = StageTimer::start(Stage::ViscousRhs);
+            // ∇p of every phase and, for three components, p's values (in
+            // stage 2's derivatives, dead by now) from one gather, then ∂z p.
             let pq: [&[f64]; PH] = split_planes::<PH>(p, ndof).map(|f| &*f);
             let (gx, rest) = self.planes.split_at_mut(PH * nq);
             let (gy, pz) = rest.split_at_mut(PH * nq);
-            for (ab, (gx, gy)) in gx.chunks_exact_mut(nq).zip(gy.chunks_exact_mut(nq)).enumerate() {
-                disc.grad_quad_into(pq[ab], gx, gy, &mut self.scratch);
-            }
+            let pw = (l.ncomp == 3).then(|| &mut self.grad[..PH * nq]);
+            disc.quad_planes_into(PH, |ab| pq[ab], pw, Some([gx, gy]), &mut self.scratch);
             if l.ncomp == 3 {
-                // p's values, in stage 2's derivatives (dead by now), then ∂z p.
-                let pw = &mut self.grad[..PH * nq];
-                for (ab, out) in pw.chunks_exact_mut(nq).enumerate() {
-                    disc.to_quad_into(pq[ab], out, &mut self.scratch);
-                }
-                dz(beta, pw, pz);
+                dz(beta, &self.grad[..PH * nq], pz);
             }
             for (i, star) in self.planes.chunks_exact_mut(nq).enumerate() {
                 for (s, &h) in star.iter_mut().zip(hat(i / PH, i % PH)) {

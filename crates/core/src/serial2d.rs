@@ -212,18 +212,17 @@ impl Serial2dSolver {
     }
 
     /// Every sum the serial diagnostics read, from one pass over the
-    /// quadrature points: one value and one gradient transform per field,
-    /// into the step's scratch planes (never its history), so a warmed
+    /// quadrature points: the values and gradients of both fields in one
+    /// plane-kernel call, into the step's scratch planes (never its history), so a warmed
     /// call allocates nothing and records nothing.
     pub(crate) fn flow_sums(&mut self) -> FlowSums {
         let (disc, plane) = (&self.disc, &mut self.plane);
         let nq = disc.nquad_total();
+        let (fields, (gx, gy)) = ([&self.u, &self.v], plane.grad[..4 * nq].split_at_mut(2 * nq));
+        let vals = Some(&mut plane.planes[..2 * nq]);
+        disc.quad_planes_into(2, |i| fields[i], vals, Some([gx, gy]), &mut plane.scratch);
         let [uq, vq] = split_planes(&mut plane.planes, nq);
-        let [ux, uy, vx, vy] = split_planes(&mut plane.grad, nq);
-        for (f, q, gx, gy) in [(&self.u, &mut *uq, &mut *ux, &mut *uy), (&self.v, vq, vx, vy)] {
-            disc.to_quad_into(f, q, &mut plane.scratch);
-            disc.grad_quad_into(f, gx, gy, &mut plane.scratch);
-        }
+        let [ux, vx, uy, vy] = split_planes(&mut plane.grad, nq);
         let (mut ke, mut enstrophy, mut d2, mut area) = (0.0, 0.0, 0.0, 0.0);
         let mut sums = [0.0f64; 3];
         let mut speeds = Speeds::default();
