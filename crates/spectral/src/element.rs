@@ -76,10 +76,8 @@ pub fn elem_geometry(basis: &dyn Expansion, mesh: &Mesh2d, ei: usize) -> ElemGeo
                 let l0 = -0.5 * (xi1 + xi2);
                 let l1 = 0.5 * (1.0 + xi1);
                 let l2 = 0.5 * (1.0 + xi2);
-                let x = [
-                    l0 * v0[0] + l1 * v1[0] + l2 * v2[0],
-                    l0 * v0[1] + l1 * v1[1] + l2 * v2[1],
-                ];
+                let x =
+                    [l0 * v0[0] + l1 * v1[0] + l2 * v2[0], l0 * v0[1] + l1 * v1[1] + l2 * v2[1]];
                 // dX/dxi is constant for the affine triangle.
                 let dxdxi1 = [0.5 * (v1[0] - v0[0]), 0.5 * (v1[1] - v0[1])];
                 let dxdxi2 = [0.5 * (v2[0] - v0[0]), 0.5 * (v2[1] - v0[1])];
@@ -184,11 +182,7 @@ impl ElementMatrices {
 
     /// Helmholtz matrix L + λM.
     pub fn helmholtz(&self, lambda: f64) -> Vec<f64> {
-        self.laplace
-            .iter()
-            .zip(&self.mass)
-            .map(|(l, m)| l + lambda * m)
-            .collect()
+        self.laplace.iter().zip(&self.mass).map(|(l, m)| l + lambda * m).collect()
     }
 }
 
@@ -225,9 +219,8 @@ mod tests {
     fn tri_geometry_measure() {
         let mesh = rect_tris(0.0, 1.0, 0.0, 1.0, 1, 1);
         let basis = TriBasis::new(4);
-        let total: f64 = (0..2)
-            .map(|e| elem_geometry(&basis, &mesh, e).jw.iter().sum::<f64>())
-            .sum();
+        let total: f64 =
+            (0..2).map(|e| elem_geometry(&basis, &mesh, e).jw.iter().sum::<f64>()).sum();
         assert!((total - 1.0).abs() < 1e-10, "{total}");
     }
 
@@ -262,7 +255,17 @@ mod tests {
             coef[i] = 1.0;
         }
         let mut lc = vec![0.0; m.nm];
-        nkt_blas::dgemv(nkt_blas::Trans::No, m.nm, m.nm, 1.0, &m.laplace, m.nm, &coef, 0.0, &mut lc);
+        nkt_blas::dgemv(
+            nkt_blas::Trans::No,
+            m.nm,
+            m.nm,
+            1.0,
+            &m.laplace,
+            m.nm,
+            &coef,
+            0.0,
+            &mut lc,
+        );
         for v in lc {
             assert!(v.abs() < 1e-11, "{v}");
         }
@@ -276,9 +279,8 @@ mod tests {
         let basis = QuadBasis::new(5);
         let geom = elem_geometry(&basis, &mesh, 0);
         let m = ElementMatrices::build(&basis, &geom);
-        let interior: Vec<usize> = (0..m.nm)
-            .filter(|&i| matches!(basis.class()[i], ModeClass::Interior))
-            .collect();
+        let interior: Vec<usize> =
+            (0..m.nm).filter(|&i| matches!(basis.class()[i], ModeClass::Interior)).collect();
         let ni = interior.len();
         let mut sub = vec![0.0; ni * ni];
         for (a, &i) in interior.iter().enumerate() {
