@@ -141,9 +141,79 @@ pub struct ElementMatrices {
     pub laplace: Vec<f64>,
 }
 
+/// Mode pairs [`ElementMatrices::build`] sums side by side.
+const PAIRS: usize = 8;
+
 impl ElementMatrices {
-    /// Computes mass and stiffness for one mapped element.
+    /// Computes mass and stiffness for one mapped element, [`PAIRS`] mode
+    /// pairs `(i0.., j)` at a time over q-major tables: each pair is its
+    /// own chain summed over the points in order, so every entry has the
+    /// bits of a loop over that pair alone (lanes past `j` are not stored).
     pub fn build(basis: &dyn Expansion, geom: &ElemGeom) -> ElementMatrices {
+        let (nm, nq) = (basis.nmodes(), basis.nquad());
+        let s = nm.div_ceil(PAIRS) * PAIRS;
+        // Row q holds every mode's value and physical gradient at point q.
+        let (mut v, mut gx, mut gy) = (vec![0.0; nq * s], vec![0.0; nq * s], vec![0.0; nq * s]);
+        for m in 0..nm {
+            let (vm, d1, d2) = (&basis.val()[m], &basis.dxi1()[m], &basis.dxi2()[m]);
+            for q in 0..nq {
+                let [a, b, c, d] = geom.dxi_dx[q];
+                v[q * s + m] = vm[q];
+                gx[q * s + m] = d1[q] * a + d2[q] * c;
+                gy[q * s + m] = d1[q] * b + d2[q] * d;
+            }
+        }
+        let (mut mass, mut laplace) = (vec![0.0; nm * nm], vec![0.0; nm * nm]);
+        for j in 0..nm {
+            for i0 in (0..=j).step_by(PAIRS) {
+                let (mut ms, mut ls) = ([0.0; PAIRS], [0.0; PAIRS]);
+                for (r, &w) in (0..).step_by(s).zip(&geom.jw) {
+                    let (vj, xj, yj) = (v[r + j], gx[r + j], gy[r + j]);
+                    let (vi, xi, yi) =
+                        (&v[r + i0..][..PAIRS], &gx[r + i0..][..PAIRS], &gy[r + i0..][..PAIRS]);
+                    for l in 0..PAIRS {
+                        ms[l] += w * vi[l] * vj;
+                        ls[l] += w * (xi[l] * xj + yi[l] * yj);
+                    }
+                }
+                for (i, (m, l)) in (i0..=j).zip(ms.into_iter().zip(ls)) {
+                    (mass[i + j * nm], mass[j + i * nm]) = (m, m);
+                    (laplace[i + j * nm], laplace[j + i * nm]) = (l, l);
+                }
+            }
+        }
+        ElementMatrices { nm, mass, laplace }
+    }
+
+    /// Helmholtz matrix L + λM.
+    pub fn helmholtz(&self, lambda: f64) -> Vec<f64> {
+        self.laplace.iter().zip(&self.mass).map(|(l, m)| l + lambda * m).collect()
+    }
+}
+
+/// Per-element operator bundle cached by the solvers: basis reference
+/// index, geometry and matrices.
+#[derive(Debug, Clone)]
+pub struct ElemOps {
+    /// Which cached basis this element uses (index into the solver's
+    /// basis table, one per element kind present).
+    pub basis_id: usize,
+    /// Mapped geometry.
+    pub geom: ElemGeom,
+    /// Elemental matrices.
+    pub mats: ElementMatrices,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::quadbasis::QuadBasis;
+    use crate::tribasis::TriBasis;
+    use nkt_mesh::{rect_quads, rect_tris, BoundaryTag, Elem2d};
+
+    /// The loop [`ElementMatrices::build`] replaced: each mode pair one
+    /// quadrature loop on two accumulators, over mode-major tables.
+    fn build_pairwise(basis: &dyn Expansion, geom: &ElemGeom) -> ElementMatrices {
         let nm = basis.nmodes();
         let nq = basis.nquad();
         // Physical gradients per mode: gx[m][q], gy[m][q].
@@ -180,31 +250,49 @@ impl ElementMatrices {
         ElementMatrices { nm, mass, laplace }
     }
 
-    /// Helmholtz matrix L + λM.
-    pub fn helmholtz(&self, lambda: f64) -> Vec<f64> {
-        self.laplace.iter().zip(&self.mass).map(|(l, m)| l + lambda * m).collect()
+    /// [`ElementMatrices::build`] against the pair loop it replaced, bit
+    /// for bit, on quadrilaterals and triangles at orders 1–9.
+    #[test]
+    fn element_matrices_equal_the_pair_loop_bit_for_bit() {
+        // Quadrilaterals bent by (x, y) ↦ (x + 0.3xy, y + 0.2x²): no longer
+        // parallelograms, so the bilinear map's Jacobian varies.
+        let mut skewed = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+        for v in &mut skewed.verts {
+            *v = [v[0] + 0.3 * v[0] * v[1], v[1] + 0.2 * v[0] * v[0]];
+        }
+        let g = elem_geometry(&QuadBasis::new(2), &skewed, 3);
+        assert!(g.dxi_dx.iter().any(|d| d != &g.dxi_dx[0]), "the Jacobian must vary");
+        let mixed = Mesh2d::new(
+            vec![[0.0, 0.0], [1.0, 0.0], [1.2, 1.1], [-0.1, 0.9], [2.0, 0.2]],
+            vec![
+                Elem2d { kind: ElemKind::Quad, verts: vec![0, 1, 2, 3] },
+                Elem2d { kind: ElemKind::Tri, verts: vec![1, 4, 2] },
+            ],
+            |_| BoundaryTag::Wall,
+        );
+        let tris = rect_tris(0.0, 1.0, 0.0, 0.5, 1, 1);
+        let bits = |m: &ElementMatrices| -> Vec<u64> {
+            m.mass.iter().chain(&m.laplace).map(|v| v.to_bits()).collect()
+        };
+        // Orders 1–9: 4–100 quadrilateral and 3–55 triangle modes, some
+        // fewer than the pairs a block sums and most not a multiple of it.
+        for order in 1..=9 {
+            let (quad, tri) = (QuadBasis::new(order), TriBasis::new(order));
+            for (k, mesh) in [&skewed, &mixed, &tris].into_iter().enumerate() {
+                for ei in 0..mesh.nelems() {
+                    let basis: &dyn Expansion = match mesh.elems[ei].kind {
+                        ElemKind::Quad => &quad,
+                        _ => &tri,
+                    };
+                    let geom = elem_geometry(basis, mesh, ei);
+                    let (got, want) =
+                        (ElementMatrices::build(basis, &geom), build_pairwise(basis, &geom));
+                    assert_eq!(got.nm, want.nm);
+                    assert!(bits(&got) == bits(&want), "mesh {k}, order {order}, element {ei}");
+                }
+            }
+        }
     }
-}
-
-/// Per-element operator bundle cached by the solvers: basis reference
-/// index, geometry and matrices.
-#[derive(Debug, Clone)]
-pub struct ElemOps {
-    /// Which cached basis this element uses (index into the solver's
-    /// basis table, one per element kind present).
-    pub basis_id: usize,
-    /// Mapped geometry.
-    pub geom: ElemGeom,
-    /// Elemental matrices.
-    pub mats: ElementMatrices,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::quadbasis::QuadBasis;
-    use crate::tribasis::TriBasis;
-    use nkt_mesh::{rect_quads, rect_tris};
 
     #[test]
     fn quad_geometry_unit_square_measure() {

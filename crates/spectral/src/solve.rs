@@ -395,11 +395,16 @@ impl<const FIXED: bool> Kernel for Interior<'_, '_, FIXED> {
                     (next, r) = (elems.next(), 0);
                 }
             }
-            match (FIXED, shape) {
-                (true, (1, 8)) => interior_block::<1, 8>(back, &units[..n], xs, tile),
-                (true, (4, 12)) => interior_block::<4, 12>(back, &units[..n], xs, tile),
-                (true, (9, 16)) => interior_block::<9, 16>(back, &units[..n], xs, tile),
-                _ => interior_block::<0, 0>(back, &units[..n], xs, tile),
+            let u = &units[..n];
+            match (FIXED, shape, u.iter().all(|(e, _)| e.interior == u[0].0.interior)) {
+                (true, (1, 8), false) => interior_block::<1, 8, false>(back, u, xs, tile),
+                (true, (1, 8), true) => interior_block::<1, 8, true>(back, u, xs, tile),
+                (true, (4, 12), false) => interior_block::<4, 12, false>(back, u, xs, tile),
+                (true, (4, 12), true) => interior_block::<4, 12, true>(back, u, xs, tile),
+                (true, (9, 16), false) => interior_block::<9, 16, false>(back, u, xs, tile),
+                (true, (9, 16), true) => interior_block::<9, 16, true>(back, u, xs, tile),
+                (_, _, false) => interior_block::<0, 0, false>(back, u, xs, tile),
+                (_, _, true) => interior_block::<0, 0, true>(back, u, xs, tile),
             }
         }
     }
@@ -413,10 +418,13 @@ impl<const FIXED: bool> Kernel for Interior<'_, '_, FIXED> {
 /// elements of the block share takes their terms in element order), then
 /// `dpotrs`'s two `dtrsv` sweeps, a latency-bound chain run across the
 /// lanes on the tile `f` (entry-major); back, `daxpy` for each boundary
-/// dof, each lane on its own interior (lane-major). The unused lanes of a
-/// short block repeat its first unit: computed, never stored.
+/// dof, each lane on its own interior (lane-major). A block of `ONE`
+/// element broadcasts its factor to the `dpotrs` lanes and runs its
+/// `daxpy`s across the lanes of the tile, each coupling entry broadcast.
+/// The unused lanes of a short block repeat its first unit: computed,
+/// never stored.
 #[inline(always)]
-fn interior_block<const NI: usize, const NB: usize>(
+fn interior_block<const NI: usize, const NB: usize, const ONE: bool>(
     back: bool,
     units: &[(ElemBlocks, usize)],
     xs: &mut [&mut [f64]],
@@ -425,7 +433,7 @@ fn interior_block<const NI: usize, const NB: usize>(
     const L: usize = LANES;
     let (ni, nb) = if NI == 0 { units[0].0.shape() } else { (NI, NB) };
     let (unit, f) = (|l: usize| units.get(l).unwrap_or(&units[0]), &mut f[..ni * L]);
-    if back {
+    if back && !ONE {
         let c: [&[f64]; L] = std::array::from_fn(|l| &unit(l).0.coupling[..ni * nb]);
         let g: [&[(usize, f64)]; L] = std::array::from_fn(|l| &unit(l).0.boundary[..nb]);
         let x: [&[f64]; L] = std::array::from_fn(|l| &*xs[unit(l).1]);
@@ -443,40 +451,52 @@ fn interior_block<const NI: usize, const NB: usize>(
         }
         return;
     }
-    for (e, r) in units {
-        let (xb, xi) = xs[*r].split_at_mut(e.interior.start);
-        let xi = &xi[..ni];
-        for (&(g, _), c) in e.boundary[..nb].iter().zip(e.coupling[..ni * nb].chunks_exact(ni)) {
-            let (body, tail) = c.split_at(ni / 4 * 4);
-            let mut s = [0.0; 4];
-            for (c4, x4) in body.chunks_exact(4).zip(xi.chunks_exact(4)) {
-                (0..4).for_each(|p| s[p] += c4[p] * x4[p]);
-            }
-            let t = tail.iter().zip(&xi[body.len()..]).fold(0.0, |t, (&ck, &v)| t + ck * v);
-            xb[g] -= (s[0] + s[1]) + (s[2] + s[3]) + t;
-        }
-    }
     for l in 0..L {
         let (e, r) = unit(l);
         xs[*r][e.interior.start..][..ni].iter().enumerate().for_each(|(k, &v)| f[k * L + l] = v);
     }
-    // `dpotrs`: Uᵀ y = f_i forward, then U x = y backward, U the upper
-    // `dpotrf` factor of A_ii.
-    let u: [&[f64]; L] = std::array::from_fn(|l| &unit(l).0.factor[..ni * ni]);
-    let diag = |i: usize| -> [f64; L] { std::array::from_fn(|l| u[l][i + i * ni]) };
-    for i in 0..ni {
-        let (mut s, d): ([f64; L], _) = (std::array::from_fn(|l| f[i * L + l]), diag(i));
-        for j in 0..i {
-            (0..L).for_each(|l| s[l] -= u[l][j + i * ni] * f[j * L + l]);
+    if back {
+        let e = &units[0].0;
+        for (&(g, _), c) in e.boundary[..nb].iter().zip(e.coupling[..ni * nb].chunks_exact(ni)) {
+            let alpha: [f64; L] = std::array::from_fn(|l| -xs[unit(l).1][g]);
+            for (fk, &ck) in f.chunks_exact_mut(L).zip(c) {
+                (0..L).for_each(|l| fk[l] += alpha[l] * ck);
+            }
         }
-        (0..L).for_each(|l| f[i * L + l] = s[l] / d[l]);
-    }
-    for i in (0..ni).rev() {
-        let (mut s, d): ([f64; L], _) = (std::array::from_fn(|l| f[i * L + l]), diag(i));
-        for j in i + 1..ni {
-            (0..L).for_each(|l| s[l] -= u[l][i + j * ni] * f[j * L + l]);
+    } else {
+        for (e, r) in units {
+            let (xb, xi) = xs[*r].split_at_mut(e.interior.start);
+            let xi = &xi[..ni];
+            for (&(g, _), c) in e.boundary[..nb].iter().zip(e.coupling[..ni * nb].chunks_exact(ni))
+            {
+                let (body, tail) = c.split_at(ni / 4 * 4);
+                let mut s = [0.0; 4];
+                for (c4, x4) in body.chunks_exact(4).zip(xi.chunks_exact(4)) {
+                    (0..4).for_each(|p| s[p] += c4[p] * x4[p]);
+                }
+                let t = tail.iter().zip(&xi[body.len()..]).fold(0.0, |t, (&ck, &v)| t + ck * v);
+                xb[g] -= (s[0] + s[1]) + (s[2] + s[3]) + t;
+            }
         }
-        (0..L).for_each(|l| f[i * L + l] = s[l] / d[l]);
+        // `dpotrs`: Uᵀ y = f_i forward, then U x = y backward, U the upper
+        // `dpotrf` factor of A_ii.
+        let u: [&[f64]; L] =
+            std::array::from_fn(|l| &unit(if ONE { 0 } else { l }).0.factor[..ni * ni]);
+        let diag = |i: usize| -> [f64; L] { std::array::from_fn(|l| u[l][i + i * ni]) };
+        for i in 0..ni {
+            let (mut s, d): ([f64; L], _) = (std::array::from_fn(|l| f[i * L + l]), diag(i));
+            for j in 0..i {
+                (0..L).for_each(|l| s[l] -= u[l][j + i * ni] * f[j * L + l]);
+            }
+            (0..L).for_each(|l| f[i * L + l] = s[l] / d[l]);
+        }
+        for i in (0..ni).rev() {
+            let (mut s, d): ([f64; L], _) = (std::array::from_fn(|l| f[i * L + l]), diag(i));
+            for j in i + 1..ni {
+                (0..L).for_each(|l| s[l] -= u[l][i + j * ni] * f[j * L + l]);
+            }
+            (0..L).for_each(|l| f[i * L + l] = s[l] / d[l]);
+        }
     }
     for (l, (e, r)) in units.iter().enumerate() {
         xs[*r][e.interior.start..][..ni]
