@@ -379,7 +379,10 @@ impl<const FIXED: bool> Kernel for Interior<'_, '_, FIXED> {
     /// the element shape (nᵢ, n_b) changes. The counts of the
     /// quadrilateral orders the solvers run (2–4) are compile-time
     /// constants of the one body [`interior_block`] if `FIXED`; any other
-    /// shape takes it with its own.
+    /// shape takes it with its own. An order-4 block of one element
+    /// (NekTar-F's six viscous right-hand sides) takes its `ONE` arm; the
+    /// units are element-major, so the first and last share an element
+    /// only if all do.
     #[inline(always)]
     fn run(self) {
         let Interior { op, asm, xs, tile, back } = self;
@@ -396,15 +399,14 @@ impl<const FIXED: bool> Kernel for Interior<'_, '_, FIXED> {
                 }
             }
             let u = &units[..n];
-            match (FIXED, shape, u.iter().all(|(e, _)| e.interior == u[0].0.interior)) {
-                (true, (1, 8), false) => interior_block::<1, 8, false>(back, u, xs, tile),
-                (true, (1, 8), true) => interior_block::<1, 8, true>(back, u, xs, tile),
-                (true, (4, 12), false) => interior_block::<4, 12, false>(back, u, xs, tile),
-                (true, (4, 12), true) => interior_block::<4, 12, true>(back, u, xs, tile),
-                (true, (9, 16), false) => interior_block::<9, 16, false>(back, u, xs, tile),
-                (true, (9, 16), true) => interior_block::<9, 16, true>(back, u, xs, tile),
-                (_, _, false) => interior_block::<0, 0, false>(back, u, xs, tile),
-                (_, _, true) => interior_block::<0, 0, true>(back, u, xs, tile),
+            match (FIXED, shape) {
+                (true, (1, 8)) => interior_block::<1, 8, false>(back, u, xs, tile),
+                (true, (4, 12)) => interior_block::<4, 12, false>(back, u, xs, tile),
+                (true, (9, 16)) if nrhs >= LANES && u[0].0.interior == u[n - 1].0.interior => {
+                    interior_block::<9, 16, true>(back, u, xs, tile)
+                }
+                (true, (9, 16)) => interior_block::<9, 16, false>(back, u, xs, tile),
+                _ => interior_block::<0, 0, false>(back, u, xs, tile),
             }
         }
     }
@@ -451,19 +453,7 @@ fn interior_block<const NI: usize, const NB: usize, const ONE: bool>(
         }
         return;
     }
-    for l in 0..L {
-        let (e, r) = unit(l);
-        xs[*r][e.interior.start..][..ni].iter().enumerate().for_each(|(k, &v)| f[k * L + l] = v);
-    }
-    if back {
-        let e = &units[0].0;
-        for (&(g, _), c) in e.boundary[..nb].iter().zip(e.coupling[..ni * nb].chunks_exact(ni)) {
-            let alpha: [f64; L] = std::array::from_fn(|l| -xs[unit(l).1][g]);
-            for (fk, &ck) in f.chunks_exact_mut(L).zip(c) {
-                (0..L).for_each(|l| fk[l] += alpha[l] * ck);
-            }
-        }
-    } else {
+    if !ONE || !back {
         for (e, r) in units {
             let (xb, xi) = xs[*r].split_at_mut(e.interior.start);
             let xi = &xi[..ni];
@@ -478,6 +468,20 @@ fn interior_block<const NI: usize, const NB: usize, const ONE: bool>(
                 xb[g] -= (s[0] + s[1]) + (s[2] + s[3]) + t;
             }
         }
+    }
+    for l in 0..L {
+        let (e, r) = unit(l);
+        xs[*r][e.interior.start..][..ni].iter().enumerate().for_each(|(k, &v)| f[k * L + l] = v);
+    }
+    if ONE && back {
+        let e = &units[0].0;
+        for (&(g, _), c) in e.boundary[..nb].iter().zip(e.coupling[..ni * nb].chunks_exact(ni)) {
+            let alpha: [f64; L] = std::array::from_fn(|l| -xs[unit(l).1][g]);
+            for (fk, &ck) in f.chunks_exact_mut(L).zip(c) {
+                (0..L).for_each(|l| fk[l] += alpha[l] * ck);
+            }
+        }
+    } else {
         // `dpotrs`: Uᵀ y = f_i forward, then U x = y backward, U the upper
         // `dpotrf` factor of A_ii.
         let u: [&[f64]; L] =
